@@ -27,15 +27,7 @@ from .analysis import (
     select_gamma,
     speedup_wall,
 )
-from .engine import (
-    DecodeConfig,
-    DecodeTrace,
-    RoundRecord,
-    decode,
-    decode_baseline,
-    decode_lossless,
-    decode_practical,
-)
+from .engine import DecodeConfig, DecodeTrace, RoundRecord, decode
 from .harness import (
     DataSpec,
     ExperimentSpec,

@@ -21,14 +21,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    CostModel,
     expected_block_length,
     lossless_worthwhile,
     ops_factor,
     select_gamma,
     speedup_wall,
 )
-from .engine import VARIANT_DRAFT_ONLY, VARIANT_TARGET_ONLY, VARIANTS, DecodeConfig, decode
+from .engine import VARIANT_TARGET_ONLY, VARIANTS, DecodeConfig, decode
 from .harness import (
     DataSpec,
     ExperimentSpec,
@@ -36,36 +35,13 @@ from .harness import (
     calibrate,
     render_results,
     render_tradeoff,
+    strip_timing,
     tradeoff_table,
 )
 from .models import History, fit_linear_ar, load_model, save_model
 from .series import CsvSchema, PatchSeries, load_csv
 from .synth import SyntheticSpec, pure_seasonal
 from .validate import SUITE_NAMES, run_suites
-
-TIMING_MANIFEST_KEYS = {
-    "wall_times",
-    "wall_seconds",
-    "s_wall_measured",
-    "s_wall_meas",
-    "s_wall_pred",
-    "ops_factor_meas",
-    "cost",
-    "c",
-    "c_hat",
-    "target_pass_seconds",
-    "draft_pass_seconds",
-    "deltas",
-}
-
-
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in sorted(obj.items()) if k not in TIMING_MANIFEST_KEYS}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
 
 def content_digest(path: Path) -> str:
     """SHA-256 of an artifact with timing fields canonicalized away."""
@@ -77,7 +53,7 @@ def content_digest(path: Path) -> str:
                 line = line.strip()
                 if not line:
                     continue
-                doc = _strip_timing(json.loads(line))
+                doc = strip_timing(json.loads(line))
                 h.update(json.dumps(doc, sort_keys=True).encode())
                 h.update(b"\n")
         return h.hexdigest()
@@ -190,9 +166,7 @@ def cmd_fit(args) -> int:
 def cmd_decode(args) -> int:
     target = load_model(args.target)
     draft = load_model(args.draft) if args.draft else None
-    if args.variant in (VARIANT_TARGET_ONLY,) and draft is None:
-        draft = None
-    elif args.variant not in (VARIANT_TARGET_ONLY,) and draft is None:
+    if args.variant != VARIANT_TARGET_ONLY and draft is None:
         raise SystemExit2(f"--variant {args.variant} requires --draft")
     values, meta = _load_values(args)
     if target.norm_stats is None:
@@ -437,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--sigma", type=float, help="shared head sigma for target and draft")
     p_dec.add_argument("--sigma-target", type=float)
     p_dec.add_argument("--sigma-draft", type=float)
-    p_dec.add_argument("--bias", type=float, help="draft mean-bias knob")
+    p_dec.add_argument("--bias", type=float, help="draft mean-bias norm (>= 0)")
     p_dec.add_argument("--tolerance-lambda", type=float, default=1.0)
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--out", required=True, help="output directory")

@@ -75,6 +75,8 @@ class DecodeConfig:
             raise ValueError("horizon_patches must be >= 1")
         if not self.tolerance_lambda > 0:
             raise ValueError("tolerance_lambda must be > 0")
+        if self.draft_bias is not None and not self.draft_bias >= 0:
+            raise ValueError(f"draft_bias must be >= 0, got {self.draft_bias}")
 
 
 class Proposal(NamedTuple):
@@ -143,12 +145,6 @@ class DecodeTrace:
 
     def accepted_counts(self) -> np.ndarray:
         return np.array([r.n_accepted for r in self.rounds], dtype=np.int64)
-
-    def proposal_acceptance_rate(self) -> float:
-        """Accepted proposals / total proposals (per-proposal empirical rate)."""
-        total = sum(len(r.proposals) for r in self.rounds)
-        accepted = sum(r.n_accepted for r in self.rounds)
-        return accepted / total if total else float("nan")
 
     def round_dicts(self) -> list[dict]:
         out = []
@@ -234,26 +230,6 @@ def decode(
     return _decode_speculative(target, draft, h0, cfg)
 
 
-def decode_practical(target, draft, h0, cfg: DecodeConfig):
-    if cfg.variant != VARIANT_PRACTICAL:
-        raise ValueError("decode_practical requires cfg.variant == 'practical'")
-    return decode(target, draft, h0, cfg)
-
-
-def decode_lossless(target, draft, h0, cfg: DecodeConfig):
-    if cfg.variant != VARIANT_LOSSLESS:
-        raise ValueError("decode_lossless requires cfg.variant == 'lossless'")
-    return decode(target, draft, h0, cfg)
-
-
-def decode_baseline(model, h0, cfg: DecodeConfig):
-    if cfg.variant not in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
-        raise ValueError("decode_baseline requires a baseline variant")
-    if cfg.variant == VARIANT_TARGET_ONLY:
-        return decode(model, None, h0, cfg)
-    return decode(model, model, h0, cfg)
-
-
 def _check_finite(mean: np.ndarray, round_index: int) -> None:
     # Sum propagates NaN/inf; much cheaper than an isfinite scan per step.
     if not math.isfinite(float(mean.sum())):
@@ -297,7 +273,6 @@ def _decode_speculative(
     streams = _streams()
     outputs: list[np.ndarray] = []
     ctx = np.empty((k_max + gamma, d))
-    ctx_flat = ctx.reshape(-1)
     stride_r, stride_c = ctx.strides
     # All gamma+1 prefix windows as one strided view over ctx (constant
     # layout across rounds), consumed by a single batched target call.
@@ -310,10 +285,6 @@ def _decode_speculative(
     log_q = np.empty(gamma)
     log_p = np.empty(gamma)
     alphas = np.empty(gamma)
-    draft_is_linear = draft.kind == "linear_ar"
-    w_d = draft.weights if draft_is_linear else None
-    b_d = draft.intercept if draft_is_linear else None
-    draft_bias = draft.mean_bias
     emitted = 0
     round_index = 0
     block_u = block_z = block_ext = None
@@ -336,14 +307,9 @@ def _decode_speculative(
 
         history.fill_window(ctx[:k_max])
         t0 = time.perf_counter()
-        if draft_is_linear:
-            kernels.draft_propose_linear(
-                ctx_flat, w_d, b_d, draft_bias, noise, sigma_d, k_max, k_d, mu_q
-            )
-        else:
-            for i in range(gamma):
-                mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
-                ctx[k_max + i] = mu_q[i] + sigma_d * noise[i]
+        for i in range(gamma):
+            mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
+            ctx[k_max + i] = mu_q[i] + sigma_d * noise[i]
         t1 = time.perf_counter()
 
         mu_p = target.mean_batch(prefix_windows)

@@ -17,7 +17,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load
 from .synth import SyntheticSpec
 
 TIMING_KEYS = {
+    "wall_times",
     "cost",
     "s_wall_measured",
     "s_wall_meas",
@@ -212,15 +213,16 @@ class RunResult:
 
     def determinism_digest(self) -> str:
         """Digest of all non-timing fields; identical across replays."""
-        payload = _strip_timing(self.to_dict())
+        payload = strip_timing(self.to_dict())
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _strip_timing(obj):
+def strip_timing(obj):
+    """Drop every TIMING_KEYS entry, at any depth, and sort dict keys."""
     if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in sorted(obj.items()) if k not in TIMING_KEYS}
+        return {k: strip_timing(v) for k, v in sorted(obj.items()) if k not in TIMING_KEYS}
     if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
+        return [strip_timing(v) for v in obj]
     return obj
 
 
@@ -505,7 +507,7 @@ def _run_point(
 
     lengths = np.concatenate([t.round_lengths() for t in traces])
     accepted = np.concatenate([t.accepted_counts() for t in traces])
-    proposals = sum(len(r.proposals) for t in traces for r in t.rounds)
+    proposals = sum(min(r.n_accepted + 1, t.gamma) for t in traces for r in t.rounds)
     n_accepted = int(accepted.sum())
     report = PredictorReport.predict(alpha_est.alpha_bar_hat, gamma, cost)
     report.e_l_meas = float(lengths.mean())

@@ -1,282 +1,19 @@
-"""Hot simulation kernels with a numba fast path and a pure-numpy fallback.
+"""Vectorized numpy kernels for the decode round and the Monte Carlo suites.
 
-The Monte Carlo validation suites burn most of their time in a handful of
-tight loops: capped block-length simulation, Markov-modulated acceptance
-chains, mass single-step decoding, and residual thinning. Each kernel here
-exists in two forms:
-
-* a loop-form implementation compiled with ``numba.njit`` (default), and
-* a vectorized numpy implementation.
-
-Both consume the same pre-drawn random arrays. The 1-d kernels produce
-identical results on either backend; ``round_accept`` reduces over patch
-dimensions and may differ between backends in the last ulp. Select with the
-``SPECCAST_BACKEND`` environment variable: ``numba`` (default when
-importable) or ``numpy``. ``benchmarks/bench_kernels.py`` times the two
-side by side.
+``round_accept`` is the decode engine's per-round scoring and acceptance
+scan; ``block_lengths_markov`` simulates capped block lengths for the
+dependence-bound validation suite. Both consume pre-drawn random arrays, so
+their output is a pure function of the inputs. Loop-form reference
+implementations live with the tests, which check these kernels against them;
+the per-round kernel cost is reported by ``perfbench`` as
+``kernels.round_accept_us``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "HAVE_NUMBA",
-    "block_lengths_iid",
-    "block_lengths_markov",
-    "practical_single_step_1d",
-    "residual_pool_1d",
-    "implementations",
-]
-
-
-def _requested_backend() -> str:
-    value = os.environ.get("SPECCAST_BACKEND", "numba").strip().lower()
-    if value not in ("numba", "numpy"):
-        raise ValueError(f"SPECCAST_BACKEND must be 'numba' or 'numpy', got {value!r}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Loop-form sources (numba-compilable).
-# ---------------------------------------------------------------------------
-
-def _block_lengths_iid_loop(uniforms, alpha, out):
-    n, gamma = uniforms.shape
-    for r in range(n):
-        length = gamma + 1
-        for i in range(gamma):
-            if uniforms[r, i] >= alpha:
-                length = i + 1
-                break
-        out[r] = length
-
-
-def _block_lengths_markov_loop(u_accept, u_state, pi1, a0, a1, t01, t10, out):
-    # Hidden two-state chain s modulates the per-position acceptance
-    # probability (a0 in state 0, a1 in state 1); t01 = P(0 -> 1),
-    # t10 = P(1 -> 0). L = accepted prefix + 1, capped at gamma + 1.
-    n, gamma = u_accept.shape
-    for r in range(n):
-        s = 1 if u_state[r, 0] < pi1 else 0
-        length = gamma + 1
-        for i in range(gamma):
-            a = a1 if s == 1 else a0
-            if u_accept[r, i] >= a:
-                length = i + 1
-                break
-            if i + 1 < gamma:
-                if s == 0:
-                    s = 1 if u_state[r, i + 1] < t01 else 0
-                else:
-                    s = 0 if u_state[r, i + 1] < t10 else 1
-        out[r] = length
-
-
-def _practical_single_step_1d_loop(z, u, z_fb, mu_p, mu_q, sigma, log_lambda, out):
-    n = z.shape[0]
-    two_var = 2.0 * sigma * sigma
-    for i in range(n):
-        x = mu_q + sigma * z[i]
-        lr = -(((x - mu_p) ** 2 - (x - mu_q) ** 2) / two_var) + log_lambda
-        if lr > 0.0:
-            lr = 0.0
-        if u[i] < math.exp(lr):
-            out[i] = x
-        else:
-            out[i] = mu_p + sigma * z_fb[i]
-
-
-def _draft_propose_linear_loop(ctx_flat, weights, intercept, mean_bias, noise, sigma_d, k_max, k_d, mu_q):
-    # Autoregressive linear draft pass: each proposal is written back into
-    # the flattened context before the next prediction reads it.
-    gamma, d = noise.shape
-    kd = k_d * d
-    for i in range(gamma):
-        start = (k_max + i - k_d) * d
-        mu = np.dot(weights, ctx_flat[start : start + kd])
-        for j in range(d):
-            m = mu[j] + intercept[j]
-            if j == 0:
-                m += mean_bias
-            mu_q[i, j] = m
-            ctx_flat[(k_max + i) * d + j] = m + sigma_d * noise[i, j]
-
-
-def _draft_propose_linear_numpy(ctx_flat, weights, intercept, mean_bias, noise, sigma_d, k_max, k_d, mu_q):
-    gamma, d = noise.shape
-    kd = k_d * d
-    for i in range(gamma):
-        start = (k_max + i - k_d) * d
-        mu = weights @ ctx_flat[start : start + kd] + intercept
-        mu[0] += mean_bias
-        mu_q[i] = mu
-        ctx_flat[(k_max + i) * d : (k_max + i + 1) * d] = mu + sigma_d * noise[i]
-
-
-def _round_accept_loop(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params):
-    # Log-domain scoring of materialized proposals plus the acceptance scan.
-    # params = (inv_var_d, inv_var_t, log_lambda, log_norm_d, log_norm_t).
-    gamma, d = xs.shape
-    inv_var_d = params[0]
-    inv_var_t = params[1]
-    log_lambda = params[2]
-    for i in range(gamma):
-        acc_q = 0.0
-        acc_p = 0.0
-        for j in range(d):
-            dq = xs[i, j] - mu_q[i, j]
-            dp = xs[i, j] - mu_p[i, j]
-            acc_q = acc_q + dq * dq * inv_var_d
-            acc_p = acc_p + dp * dp * inv_var_t
-        log_q[i] = -0.5 * (acc_q + params[3])
-        log_p[i] = -0.5 * (acc_p + params[4])
-        la = log_p[i] - log_q[i] + log_lambda
-        if la > 0.0:
-            la = 0.0
-        alphas[i] = math.exp(la)
-    n = 0
-    while n < gamma and uniforms[n] < alphas[n]:
-        n += 1
-    return n
-
-
-def _residual_pool_1d_loop(z_pool, u_pool, mu_p, mu_q, sigma, out, draws):
-    # Thinning from p: Z ~ p accepted with probability (1 - q/p)_+.
-    # draws[i] = -1 marks pool exhaustion; the caller refills and retries.
-    n, m = z_pool.shape
-    two_var = 2.0 * sigma * sigma
-    for i in range(n):
-        draws[i] = -1
-        for j in range(m):
-            x = mu_p + sigma * z_pool[i, j]
-            t = -(((x - mu_q) ** 2 - (x - mu_p) ** 2) / two_var)
-            pi = -math.expm1(t) if t < 0.0 else 0.0
-            if u_pool[i, j] < pi:
-                out[i] = x
-                draws[i] = j + 1
-                break
-
-
-# ---------------------------------------------------------------------------
-# Vectorized numpy twins. Per-sample arithmetic mirrors the loop form so the
-# two backends agree on the same pre-drawn arrays.
-# ---------------------------------------------------------------------------
-
-def _block_lengths_iid_numpy(uniforms, alpha, out):
-    n, gamma = uniforms.shape
-    rejected = uniforms >= alpha
-    any_rej = rejected.any(axis=1)
-    first = rejected.argmax(axis=1)
-    out[:] = np.where(any_rej, first + 1, gamma + 1)
-
-
-def _block_lengths_markov_numpy(u_accept, u_state, pi1, a0, a1, t01, t10, out):
-    n, gamma = u_accept.shape
-    s = u_state[:, 0] < pi1
-    alive = np.ones(n, dtype=np.bool_)
-    out[:] = gamma + 1
-    for i in range(gamma):
-        a = np.where(s, a1, a0)
-        rej = alive & (u_accept[:, i] >= a)
-        out[rej] = i + 1
-        alive &= ~rej
-        if i + 1 < gamma:
-            u = u_state[:, i + 1]
-            s = np.where(s, ~(u < t10), u < t01)
-
-
-def _practical_single_step_1d_numpy(z, u, z_fb, mu_p, mu_q, sigma, log_lambda, out):
-    two_var = 2.0 * sigma * sigma
-    x = mu_q + sigma * z
-    lr = -(((x - mu_p) ** 2 - (x - mu_q) ** 2) / two_var) + log_lambda
-    np.minimum(lr, 0.0, out=lr)
-    accepted = u < np.exp(lr)
-    out[:] = np.where(accepted, x, mu_p + sigma * z_fb)
-
-
-def _round_accept_numpy(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params):
-    gamma = xs.shape[0]
-    inv_var_d, inv_var_t, log_lambda = params[0], params[1], params[2]
-    dq = xs - mu_q
-    dp = xs - mu_p
-    log_q[:] = -0.5 * ((dq * dq).sum(axis=1) * inv_var_d + params[3])
-    log_p[:] = -0.5 * ((dp * dp).sum(axis=1) * inv_var_t + params[4])
-    np.exp(np.minimum(0.0, log_p - log_q + log_lambda), out=alphas)
-    n = 0
-    while n < gamma and uniforms[n] < alphas[n]:
-        n += 1
-    return n
-
-
-def _residual_pool_1d_numpy(z_pool, u_pool, mu_p, mu_q, sigma, out, draws):
-    two_var = 2.0 * sigma * sigma
-    x = mu_p + sigma * z_pool
-    t = -(((x - mu_q) ** 2 - (x - mu_p) ** 2) / two_var)
-    pi = np.where(t < 0.0, -np.expm1(np.minimum(t, 0.0)), 0.0)
-    hits = u_pool < pi
-    any_hit = hits.any(axis=1)
-    first = hits.argmax(axis=1)
-    draws[:] = np.where(any_hit, first + 1, -1)
-    rows = np.nonzero(any_hit)[0]
-    out[rows] = x[rows, first[rows]]
-
-
-_SOURCES = {
-    "block_lengths_iid": (_block_lengths_iid_loop, _block_lengths_iid_numpy),
-    "block_lengths_markov": (_block_lengths_markov_loop, _block_lengths_markov_numpy),
-    "practical_single_step_1d": (_practical_single_step_1d_loop, _practical_single_step_1d_numpy),
-    "residual_pool_1d": (_residual_pool_1d_loop, _residual_pool_1d_numpy),
-    "round_accept": (_round_accept_loop, _round_accept_numpy),
-    "draft_propose_linear": (_draft_propose_linear_loop, _draft_propose_linear_numpy),
-}
-
-_requested = _requested_backend()
-HAVE_NUMBA = False
-_impls_numba: dict = {}
-if _requested == "numba":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-        for _name, (_loop, _) in _SOURCES.items():
-            _impls_numba[_name] = njit(cache=True)(_loop)
-    except ImportError:
-        HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-_active = _impls_numba if BACKEND == "numba" else {k: v[1] for k, v in _SOURCES.items()}
-if BACKEND == "numpy":
-    _impls_numba = {}
-
-
-def implementations(name: str) -> dict:
-    """Both backends of a kernel, for parity tests and benchmarks."""
-    loop, vec = _SOURCES[name]
-    out = {"numpy": vec, "python_loop": loop}
-    if HAVE_NUMBA:
-        out["numba"] = _impls_numba[name]
-    return out
-
-
-def _as_f64(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-
-
-def block_lengths_iid(uniforms, alpha: float) -> np.ndarray:
-    """Block output lengths L for i.i.d. acceptance with probability alpha.
-
-    ``uniforms`` has shape (rounds, gamma); returns int64 lengths in
-    {1, ..., gamma + 1}.
-    """
-    u = _as_f64(uniforms)
-    out = np.empty(u.shape[0], dtype=np.int64)
-    _active["block_lengths_iid"](u, float(alpha), out)
-    return out
+__all__ = ["block_lengths_markov", "round_accept"]
 
 
 def block_lengths_markov(
@@ -290,67 +27,48 @@ def block_lengths_markov(
 ) -> np.ndarray:
     """Block lengths under a hidden two-state Markov acceptance chain.
 
-    Every conditional acceptance probability lies in [min(a0, a1),
-    max(a0, a1)], which is the regime of the dependence-bound interval.
+    A hidden chain s modulates the per-position acceptance probability (a0
+    in state 0, a1 in state 1); it starts in state 1 with probability pi1
+    and moves with t01 = P(0 -> 1), t10 = P(1 -> 0). ``u_accept`` and
+    ``u_state`` have shape (rounds, gamma); returns int64 lengths L =
+    accepted prefix + 1 in {1, ..., gamma + 1}. Every conditional acceptance
+    probability lies in [min(a0, a1), max(a0, a1)], the regime of the
+    dependence-bound interval; a0 == a1 is i.i.d. acceptance.
     """
-    ua, us = _as_f64(u_accept), _as_f64(u_state)
+    ua = np.ascontiguousarray(u_accept, dtype=np.float64)
+    us = np.ascontiguousarray(u_state, dtype=np.float64)
     if ua.shape != us.shape:
         raise ValueError("u_accept and u_state must share a shape")
-    out = np.empty(ua.shape[0], dtype=np.int64)
-    _active["block_lengths_markov"](ua, us, float(pi1), float(a0), float(a1), float(t01), float(t10), out)
+    n, gamma = ua.shape
+    out = np.full(n, gamma + 1, dtype=np.int64)
+    s = us[:, 0] < pi1
+    alive = np.ones(n, dtype=np.bool_)
+    for i in range(gamma):
+        a = np.where(s, a1, a0)
+        rej = alive & (ua[:, i] >= a)
+        out[rej] = i + 1
+        alive &= ~rej
+        if i + 1 < gamma:
+            u = us[:, i + 1]
+            s = np.where(s, ~(u < t10), u < t01)
     return out
-
-
-def practical_single_step_1d(
-    z,
-    u,
-    z_fb,
-    mu_p: float,
-    mu_q: float,
-    sigma: float,
-    tolerance_lambda: float = 1.0,
-) -> np.ndarray:
-    """Mass simulation of one practical-variant step with scalar heads.
-
-    z, u, z_fb are pre-drawn standard normals / uniforms; the output law is
-    the fallback-to-target mixture alpha*q + (1 - alpha_bar)*p.
-    """
-    z, u, z_fb = _as_f64(z), _as_f64(u), _as_f64(z_fb)
-    out = np.empty(z.shape[0], dtype=np.float64)
-    _active["practical_single_step_1d"](
-        z, u, z_fb, float(mu_p), float(mu_q), float(sigma), math.log(tolerance_lambda), out
-    )
-    return out
-
-
-def draft_propose_linear(ctx_flat, weights, intercept, mean_bias, noise, sigma_d, k_max, k_d, mu_q) -> None:
-    """Autoregressive draft proposals for a linear model, written in place."""
-    _active["draft_propose_linear"](
-        ctx_flat, weights, intercept, float(mean_bias), noise, float(sigma_d), k_max, k_d, mu_q
-    )
 
 
 def round_accept(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params) -> int:
     """Decode-round inner math: score proposals and scan for acceptance.
 
     Writes per-position log densities and acceptance probabilities into the
-    provided buffers and returns the accepted run length n. The two backends
-    may differ in the associativity of the d-dimensional reductions
-    (last-ulp effects only).
+    provided buffers and returns the accepted run length n.
+    ``params = (1/var_d, 1/var_t, log lambda, log norm_d, log norm_t)``.
     """
-    return int(_active["round_accept"](xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params))
-
-
-def residual_pool_1d(z_pool, u_pool, mu_p: float, mu_q: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Residual thinning over per-sample draw pools (scalar heads).
-
-    Returns (samples, draws); draws[i] = -1 flags an exhausted pool row that
-    the caller must refill.
-    """
-    zp, up = _as_f64(z_pool), _as_f64(u_pool)
-    if zp.shape != up.shape:
-        raise ValueError("z_pool and u_pool must share a shape")
-    out = np.full(zp.shape[0], np.nan, dtype=np.float64)
-    draws = np.empty(zp.shape[0], dtype=np.int64)
-    _active["residual_pool_1d"](zp, up, float(mu_p), float(mu_q), float(sigma), out, draws)
-    return out, draws
+    gamma = xs.shape[0]
+    inv_var_d, inv_var_t, log_lambda = params[0], params[1], params[2]
+    dq = xs - mu_q
+    dp = xs - mu_p
+    log_q[:] = -0.5 * ((dq * dq).sum(axis=1) * inv_var_d + params[3])
+    log_p[:] = -0.5 * ((dp * dp).sum(axis=1) * inv_var_t + params[4])
+    np.exp(np.minimum(0.0, log_p - log_q + log_lambda), out=alphas)
+    n = 0
+    while n < gamma and uniforms[n] < alphas[n]:
+        n += 1
+    return n

@@ -93,9 +93,10 @@ class History:
 class ForecastModel:
     """Point forecaster plus isotropic Gaussian head of width sigma.
 
-    mean_bias > 0 shifts the predicted mean by a fixed vector of that norm
+    mean_bias >= 0 shifts the predicted mean by a fixed vector of that norm
     along the first patch coordinate (after standardization). It is a
-    reproducible knob for degrading a draft's alignment with the target.
+    reproducible knob for degrading a draft's alignment with the target;
+    being a norm, a negative value is rejected.
     """
 
     kind: str
@@ -115,6 +116,8 @@ class ForecastModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
+        if not self.mean_bias >= 0:
+            raise ValueError(f"mean_bias must be >= 0, got {self.mean_bias}")
         if self.kind == KIND_LINEAR:
             if self.weights is None or self.intercept is None:
                 raise ValueError("linear_ar model requires weights and intercept")
@@ -149,8 +152,8 @@ class ForecastModel:
         """Point forecasts for a batch of histories, shape (B, k, d) -> (B, d).
 
         Windows may carry more than ``lookback`` patches; only the most
-        recent ones are consumed. This is the single batched evaluation the
-        engine uses to validate all block prefixes in one pass.
+        recent ones are consumed. Validates the shapes, then evaluates
+        ``mean_batch``.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3 or windows.shape[2] != self.d:
@@ -159,29 +162,16 @@ class ForecastModel:
             raise ValueError(
                 f"windows carry {windows.shape[1]} patches, model needs {self.lookback}"
             )
-        recent = windows[:, windows.shape[1] - self.lookback :, :]
+        return self.mean_batch(windows)
+
+    def mean_batch(self, windows: np.ndarray) -> np.ndarray:
+        """predict_means without validation; the engine's batched verify pass."""
+        recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
         if self.kind == KIND_PERSISTENCE:
             means = recent[:, -1, :].copy()
         elif self.kind == KIND_LINEAR:
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
-            flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
-            means = flat @ self.weights.T + self.intercept
-        else:  # synthetic_oracle: exact AR(1) conditional mean per step
-            last = recent[:, -1, -1]
-            powers = self.oracle_phi ** np.arange(1, self.d + 1)
-            means = last[:, None] * powers[None, :]
-        if self.mean_bias > 0.0:
-            means = means.copy()
-            means[:, 0] += self.mean_bias
-        return means
-
-    def mean_batch(self, windows: np.ndarray) -> np.ndarray:
-        """predict_means without validation; engine hot path."""
-        recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
-        if self.kind == KIND_PERSISTENCE:
-            means = recent[:, -1, :].copy()
-        elif self.kind == KIND_LINEAR:
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
             means = flat @ self.weights.T + self.intercept
         else:

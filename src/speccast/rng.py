@@ -24,7 +24,6 @@ ROUND = 0       # main round stream: acceptance uniforms (drawn first, so
 FALLBACK = 3    # target draw after a rejection (practical variant)
 RESIDUAL = 4    # residual thinning draws (lossless variant)
 DIRECT = 5      # plain autoregressive sampling (baselines)
-MEASURE = 6     # timing-harness warmup draws
 
 _MASK64 = (1 << 64) - 1
 _ROUND_BITS = 48

@@ -49,7 +49,8 @@ class TestBlockLengthPmf:
         # 10^6 simulated rounds as the Monte Carlo oracle
         alpha, gamma = 0.7, 4
         u = rngmod.stream(101).random((1_000_000, gamma))
-        lengths = kernels.block_lengths_iid(u, alpha)
+        # equal accept rates in both chain states: the i.i.d. law
+        lengths = kernels.block_lengths_markov(u, u, 0.5, alpha, alpha, 0.5, 0.5)
         counts = np.bincount(lengths, minlength=gamma + 2)[1:]
         expected = block_length_pmf(alpha, gamma) * len(lengths)
         chi = scistats.chisquare(counts, f_exp=expected)

@@ -13,11 +13,8 @@ from speccast.engine import (
     SOURCE_RESIDUAL,
     DecodeConfig,
     decode,
-    decode_baseline,
-    decode_lossless,
-    decode_practical,
 )
-from speccast.models import History, fit_linear_ar, oracle_ar1, persistence_model
+from speccast.models import History, fit_linear_ar, load_model, oracle_ar1, persistence_model, save_model
 from speccast.prob import gap_for_overlap, overlap_closed_form, GaussianHead
 from speccast.series import PatchSeries, metrics
 from speccast.synth import ar1, pure_seasonal
@@ -140,7 +137,7 @@ class TestBaselines:
     def test_one_pass_per_patch(self):
         target, _, h0 = make_pair()
         cfg = cfg_for("target_only", horizon=10)
-        forecast, trace = decode_baseline(target, h0, cfg)
+        forecast, trace = decode(target, None, h0, cfg)
         assert trace.totals.target_passes == 10
         assert trace.totals.patches_emitted == 10
         assert forecast.shape == (10, 1)
@@ -148,17 +145,17 @@ class TestBaselines:
         assert all(r.outputs_emitted == 1 and r.n_accepted == 0 for r in trace.rounds)
 
     def test_draft_only_counts_draft_passes(self):
-        _, draft, h0 = make_pair()
+        target, draft, h0 = make_pair()
         cfg = cfg_for("draft_only", horizon=7)
-        _, trace = decode_baseline(draft, h0, cfg)
+        _, trace = decode(target, draft, h0, cfg)
         assert trace.totals.draft_passes == 7
         assert trace.totals.target_passes == 0
 
     def test_deterministic(self):
         target, _, h0 = make_pair()
         cfg = cfg_for("target_only", horizon=12, seed=8)
-        f1, _ = decode_baseline(target, h0, cfg)
-        f2, _ = decode_baseline(target, h0, cfg)
+        f1, _ = decode(target, None, h0, cfg)
+        f2, _ = decode(target, None, h0, cfg)
         assert np.array_equal(f1, f2)
 
     def test_tiny_sigma_tracks_truth_on_seasonal(self):
@@ -170,7 +167,7 @@ class TestBaselines:
         cfg = DecodeConfig(
             variant="target_only", horizon_patches=8, seed=0, sigma_target=1e-5
         )
-        forecast, _ = decode_baseline(model, h0, cfg)
+        forecast, _ = decode(model, None, h0, cfg)
         truth = patches[64:72]
         assert metrics(forecast, truth)["mse"] < 1e-8
 
@@ -249,18 +246,73 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(variant="practical", horizon_patches=1, seed=0, gamma=0)
 
-    def test_wrapper_variant_checks(self):
-        target, draft, h0 = make_pair()
-        with pytest.raises(ValueError):
-            decode_practical(target, draft, h0, cfg_for("lossless"))
-        with pytest.raises(ValueError):
-            decode_lossless(target, draft, h0, cfg_for("practical"))
-
     def test_draft_bias_override(self):
         target, draft, h0 = make_pair(gap=0.0)
         cfg = dataclasses.replace(cfg_for("practical", horizon=60, seed=4), draft_bias=20.0)
         _, trace = decode(target, draft, h0, cfg)
         assert trace.round_lengths().mean() < 1.1
+
+
+def _linear_pair(d=4):
+    series = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=d)
+    target = fit_linear_ar(series, lookback=4, ridge=1e-3)
+    draft = fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5)
+    h0 = History.from_patches(series.channel_patches(0)[:8], 4, target.pad_patch())
+    return target, draft, h0
+
+
+class TestDraftBias:
+    """draft_bias / mean_bias is a norm: one meaning on every path."""
+
+    @pytest.mark.parametrize("bias", [-0.5, -3.0, float("nan")])
+    def test_negative_bias_rejected_on_every_path(self, bias, tmp_path):
+        target, draft, h0 = _linear_pair()
+        for variant in ("practical", "lossless", "draft_only"):
+            with pytest.raises(ValueError, match="draft_bias"):
+                cfg_for(variant, draft_bias=bias)
+        # the harness's acceptance estimate biases its draft via with_knobs
+        with pytest.raises(ValueError, match="mean_bias"):
+            draft.with_knobs(mean_bias=bias)
+        with pytest.raises(ValueError, match="mean_bias"):
+            persistence_model(patch_len=1, mean_bias=bias)
+        path = tmp_path / "draft.json"
+        save_model(draft, path)
+        doc = json.loads(path.read_text())
+        doc["mean_bias"] = bias
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="mean_bias"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["linear_ar", "persistence"])
+    def test_positive_bias_shifts_every_path_alike(self, kind):
+        bias = 0.75
+        if kind == "linear_ar":
+            target, draft, h0 = _linear_pair()
+        else:
+            target, draft, h0 = make_pair(d=4, gap=0.0)
+        shift = np.zeros(draft.d)
+        shift[0] = bias
+
+        # harness estimator: batched means of the biased draft
+        stack = h0.window()[None]
+        np.testing.assert_allclose(
+            draft.with_knobs(mean_bias=bias).predict_means(stack),
+            draft.predict_means(stack) + shift, rtol=0, atol=1e-12,
+        )
+        # draft_only decode: the first patch is the draft mean plus noise
+        cfg = cfg_for("draft_only", horizon=1, seed=3)
+        f0, _ = decode(target, draft, h0, cfg)
+        f1, _ = decode(target, draft, h0, dataclasses.replace(cfg, draft_bias=bias))
+        np.testing.assert_allclose(f1[0] - f0[0], shift, rtol=0, atol=1e-12)
+        # speculative decode: the first proposal moves by the same vector,
+        # and its draft log density (noise only) does not move
+        for variant in ("practical", "lossless"):
+            cfg = cfg_for(variant, horizon=4, seed=3)
+            _, t0 = decode(target, draft, h0, cfg)
+            _, t1 = decode(target, draft, h0, dataclasses.replace(cfg, draft_bias=bias))
+            p0, p1 = t0.rounds[0].proposals[0], t1.rounds[0].proposals[0]
+            np.testing.assert_allclose(p1.x - p0.x, shift, rtol=0, atol=1e-12)
+            assert p1.log_q == pytest.approx(p0.log_q, abs=1e-12)
 
 
 class TestOracleTarget:
@@ -293,3 +345,22 @@ class TestTraceExport:
         assert summary["totals"]["patches_emitted"] == trace.totals.patches_emitted
         assert {"round", "n", "L", "source", "proposals"} <= set(rounds[0])
         assert summary["wall_times"]["draft_total"] >= 0.0
+
+    def test_content_digest_ignores_wall_times(self, tmp_path):
+        from speccast.cli import content_digest
+
+        target, draft, h0 = make_pair()
+        cfg = cfg_for("lossless", horizon=12, seed=21)
+        _, t1 = decode(target, draft, h0, cfg)
+        _, t2 = decode(target, draft, h0, cfg)
+        t2.wall_times["draft_total"] += 1.0
+        t2.wall_times["target_total"] += 2.0
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        t1.write_jsonl(a)
+        t2.write_jsonl(b)
+        assert a.read_bytes() != b.read_bytes()
+        assert content_digest(a) == content_digest(b)
+        # a non-timing field still moves the digest
+        t2.totals.patches_emitted += 1
+        t2.write_jsonl(b)
+        assert content_digest(a) != content_digest(b)

@@ -10,10 +10,20 @@ exact target chain.
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
 common random numbers until their behavior diverges.
+
+A session decodes inside one preallocated (k_max + horizon + gamma, d)
+buffer: the history is written into it once, proposals, accepted patches
+and closing draws are written in place, the gamma + 1 verify windows of a
+round are a slice of one strided view built per session, and the forecast
+is one slice copy at the end. ``kernels.round_accept`` scores the draft and
+target densities of a round as one stacked computation that writes straight
+into the trace's preallocated per-round columns; ``RoundRecord`` objects are
+built from those columns only when they are read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -22,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import kernels
 from . import rng as rngmod
@@ -77,6 +86,10 @@ class DecodeConfig:
             raise ValueError("tolerance_lambda must be > 0")
         if self.draft_bias is not None and not self.draft_bias >= 0:
             raise ValueError(f"draft_bias must be >= 0, got {self.draft_bias}")
+        for name in ("sigma_target", "sigma_draft"):
+            sigma = getattr(self, name)
+            if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {sigma}")
 
 
 class Proposal(NamedTuple):
@@ -96,8 +109,8 @@ class RoundRecord:
     outputs_emitted: int                # L = n_accepted + 1
     residual_target_draws: int = 0
     residual_degenerate: bool = False
-    # Raw per-proposal arrays (consumed prefix only); Proposal views are
-    # materialized lazily to keep the decode loop lean.
+    # Per-proposal views of the trace columns (consumed prefix only);
+    # Proposal tuples are materialized on access.
     _xs: np.ndarray | None = None
     _log_q: np.ndarray | None = None
     _log_p: np.ndarray | None = None
@@ -129,22 +142,89 @@ class Totals:
     patches_emitted: int = 0
 
 
-@dataclass
+# Codes of the ``sources`` column, indexing SOURCES.
+SOURCES = (SOURCE_BASELINE, SOURCE_EXTEND, SOURCE_FALLBACK, SOURCE_RESIDUAL)
+_BASELINE, _EXTEND, _FALLBACK, _RESIDUAL = range(len(SOURCES))
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_columns(h: int) -> tuple[np.ndarray, ...]:
+    zeros = np.zeros((4, h), dtype=np.int64)
+    zeros.flags.writeable = False
+    return tuple(zeros)
+
+
+@dataclass(eq=False)
 class DecodeTrace:
+    """Per-round columns of one session, preallocated for horizon rounds.
+
+    A round emits at least one patch, so ``horizon_patches`` rows always
+    suffice; the first ``n_rounds`` are filled. Integer columns:
+    ``n_accepted``, ``sources`` (codes into SOURCES), ``residual_draws`` and
+    ``degenerate``. Speculative variants also fill, per round and proposal
+    position, ``xs`` (rounds, gamma, d), ``log_q``/``log_p`` (views of the
+    stacked ``logs``, shape (rounds, 2, gamma)), ``alphas`` and ``uniforms``;
+    only the consumed prefix min(n + 1, gamma) of a round is meaningful.
+    ``RoundRecord``/``Proposal`` objects are built from the columns only when
+    ``rounds`` or ``round_dicts()`` is read.
+    """
+
     variant: str
     gamma: int
     seed: int
     horizon_patches: int
-    rounds: list[RoundRecord] = field(default_factory=list)
+    patch_len: int = 1
     totals: Totals = field(default_factory=Totals)
     wall_times: dict = field(default_factory=lambda: {"draft_total": 0.0, "target_total": 0.0})
     truncated_patches: int = 0
+    n_rounds: int = 0
+    _records: list | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        h = self.horizon_patches
+        self.speculative = self.variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS)
+        if not self.speculative:
+            # Baseline rounds are all alike (n = 0, source baseline).
+            self.n_accepted, self.sources, self.residual_draws, self.degenerate = _zero_columns(h)
+            return
+        ints = np.zeros((4, h), dtype=np.int64)
+        self.n_accepted, self.sources, self.residual_draws, self.degenerate = ints
+        g = self.gamma
+        self.xs = np.empty((h, g, self.patch_len))
+        self.logs = np.empty((h, 2, g))
+        self.log_q, self.log_p = self.logs[:, 0], self.logs[:, 1]
+        self.alphas, self.uniforms = np.empty((2, h, g))
+
+    @property
+    def rounds(self) -> list[RoundRecord]:
+        if self._records is None:
+            self._records = [self._record(i) for i in range(self.n_rounds)]
+        return self._records
+
+    def _record(self, i: int) -> RoundRecord:
+        n = int(self.n_accepted[i])
+        rec = RoundRecord(
+            index=i,
+            n_accepted=n,
+            final_draw_source=SOURCES[self.sources[i]],
+            outputs_emitted=n + 1,
+            residual_target_draws=int(self.residual_draws[i]),
+            residual_degenerate=bool(self.degenerate[i]),
+        )
+        if self.speculative:
+            consumed = min(n + 1, self.gamma)
+            rec._xs = self.xs[i, :consumed]
+            rec._log_q = self.log_q[i, :consumed]
+            rec._log_p = self.log_p[i, :consumed]
+            rec._alphas = self.alphas[i, :consumed]
+            rec._uniforms = self.uniforms[i, :consumed]
+        return rec
 
     def round_lengths(self) -> np.ndarray:
-        return np.array([r.outputs_emitted for r in self.rounds], dtype=np.int64)
+        return self.n_accepted[: self.n_rounds] + 1
 
     def accepted_counts(self) -> np.ndarray:
-        return np.array([r.n_accepted for r in self.rounds], dtype=np.int64)
+        return self.n_accepted[: self.n_rounds].copy()
 
     def round_dicts(self) -> list[dict]:
         out = []
@@ -230,10 +310,31 @@ def decode(
     return _decode_speculative(target, draft, h0, cfg)
 
 
-def _check_finite(mean: np.ndarray, round_index: int) -> None:
+def _check_finite(patch: np.ndarray, round_index: int) -> None:
     # Sum propagates NaN/inf; much cheaper than an isfinite scan per step.
-    if not math.isfinite(float(mean.sum())):
+    if not math.isfinite(np.add.reduce(patch)):
         raise RuntimeError(f"non-finite head parameters at round {round_index}; aborting decode")
+
+
+@functools.lru_cache(maxsize=64)
+def _head_params(sigma_t: float, sigma_d: float, tolerance_lambda: float, d: int, gamma: int):
+    """Head variances and the ``round_accept`` constants of one setting.
+
+    Cached: the sessions of a run share them, and the arrays are only read.
+    """
+    var_t = np.full(d, sigma_t * sigma_t)
+    var_d = np.full(d, sigma_d * sigma_d)
+    inv_var = np.repeat([[1.0 / (sigma_d * sigma_d)], [1.0 / (sigma_t * sigma_t)]], gamma, axis=1)
+    log_norm = np.repeat(
+        [[float(np.sum(np.log(2.0 * np.pi * var_d)))], [float(np.sum(np.log(2.0 * np.pi * var_t)))]],
+        gamma,
+        axis=1,
+    )
+    params = (inv_var, log_norm, np.full((2, gamma), -0.5),
+              np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
+    for a in (var_t, var_d, *params):
+        a.flags.writeable = False
+    return var_t, var_d, params
 
 
 def _decode_speculative(
@@ -249,140 +350,118 @@ def _decode_speculative(
         draft = draft.with_knobs(mean_bias=cfg.draft_bias)
     lossless = cfg.variant == VARIANT_LOSSLESS
     gamma = cfg.gamma
+    horizon = cfg.horizon_patches
     d = target.d
     k_t, k_d = target.lookback, draft.lookback
     k_max = max(k_t, k_d)
-    var_t = np.full(d, sigma_t * sigma_t)
-    var_d = np.full(d, sigma_d * sigma_d)
-    kernel_params = np.array(
-        [
-            1.0 / (sigma_d * sigma_d),
-            1.0 / (sigma_t * sigma_t),
-            math.log(cfg.tolerance_lambda),
-            float(np.sum(np.log(2.0 * np.pi * var_d))),
-            float(np.sum(np.log(2.0 * np.pi * var_t))),
-        ]
-    )
-
     if h0.lookback < k_max:
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
         )
-    history = h0.copy()
-    trace = DecodeTrace(cfg.variant, gamma, cfg.seed, cfg.horizon_patches)
+    var_t, var_d, kernel_params = _head_params(sigma_t, sigma_d, cfg.tolerance_lambda, d, gamma)
+    trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d)
     streams = _streams()
-    outputs: list[np.ndarray] = []
-    ctx = np.empty((k_max + gamma, d))
-    stride_r, stride_c = ctx.strides
-    # All gamma+1 prefix windows as one strided view over ctx (constant
-    # layout across rounds), consumed by a single batched target call.
-    prefix_windows = as_strided(
-        ctx[k_max - k_t :],
-        shape=(gamma + 1, k_t, d),
-        strides=(stride_r, stride_r, stride_c),
-    )
-    mu_q = np.empty((gamma, d))
-    log_q = np.empty(gamma)
-    log_p = np.empty(gamma)
-    alphas = np.empty(gamma)
-    emitted = 0
-    round_index = 0
-    block_u = block_z = block_ext = None
 
-    while emitted < cfg.horizon_patches:
+    # The session buffer holds the history, then every emitted patch in
+    # order; a round's proposals are written after the emitted ones, where
+    # the accepted ones stay and the closing draw overwrites the first
+    # rejected one. The last round may overshoot the horizon by gamma rows.
+    buf = np.empty((k_max + horizon + gamma, d))
+    h0.fill_window(buf[:k_max])
+    row, col = buf.strides
+    # windows[j] is the target window ending before buffer row k_max + j; a
+    # round that has emitted e patches verifies windows[e : e + gamma + 1].
+    windows = np.ndarray(
+        (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
+    )
+    mus = np.empty((2, gamma, d))  # draft (0) and target (1) means
+    scratch = np.empty((2, gamma, d))
+    n_col, src_col, draws_col, degen_col = (
+        trace.n_accepted, trace.sources, trace.residual_draws, trace.degenerate
+    )
+    xs_col, logs, alphas, u_col = trace.xs, trace.logs, trace.alphas, trace.uniforms
+    draft_mean, target_mean = draft.mean_one, target.mean_batch
+    draft_wall = target_wall = 0.0
+    emitted = 0
+    r = 0
+
+    while emitted < horizon:
         # Round draws come from fixed-size blocks pre-drawn from one stream
         # per block in a fixed order (all acceptance uniforms first, then
         # proposal noise, then extension draws). A round's draws therefore
         # depend only on (seed, round index), so truncating the horizon
         # never alters earlier rounds and both variants consume common
         # random numbers until a round's first rejection.
-        slot = round_index % _RNG_BLOCK
+        slot = r % _RNG_BLOCK
         if slot == 0:
-            gen = streams.rekey(cfg.seed, round_index // _RNG_BLOCK, rngmod.ROUND)
+            gen = streams.rekey(cfg.seed, r // _RNG_BLOCK, rngmod.ROUND)
             block_u = gen.random((_RNG_BLOCK, gamma))
             block_z = gen.standard_normal((_RNG_BLOCK, gamma, d))
             block_ext = gen.standard_normal((_RNG_BLOCK, d))
-        uniforms = block_u[slot]
+            block_z *= sigma_d
+            block_ext *= sigma_t
+            u_col[r : r + _RNG_BLOCK] = block_u[: horizon - r]
+            u_rows = block_u.tolist()
         noise = block_z[slot]
+        p = k_max + emitted
 
-        history.fill_window(ctx[:k_max])
         t0 = time.perf_counter()
         for i in range(gamma):
-            mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
-            ctx[k_max + i] = mu_q[i] + sigma_d * noise[i]
+            mu = draft_mean(buf[p + i - k_d : p + i])
+            mus[0, i] = mu
+            np.add(mu, noise[i], out=buf[p + i])
         t1 = time.perf_counter()
-
-        mu_p = target.mean_batch(prefix_windows)
+        mu_p = target_mean(windows[emitted : emitted + gamma + 1])
         t2 = time.perf_counter()
-        trace.wall_times["draft_total"] += t1 - t0
-        trace.wall_times["target_total"] += t2 - t1
-        trace.totals.draft_passes += gamma
-        trace.totals.target_passes += gamma + 1
-        trace.totals.target_batch_calls += 1
+        draft_wall += t1 - t0
+        target_wall += t2 - t1
 
-        xs = ctx[k_max : k_max + gamma]
-        n = kernels.round_accept(
-            xs, uniforms, mu_q, mu_p[:gamma], log_q, log_p, alphas, kernel_params
-        )
-        if not math.isfinite(float(alphas.sum())):
-            raise RuntimeError(
-                f"non-finite head parameters at round {round_index}; aborting decode"
-            )
+        mus[1] = mu_p[:gamma]
+        xs = buf[p : p + gamma]
+        n = kernels.round_accept(xs, u_rows[slot], mus, scratch, logs[r], alphas[r], kernel_params)
+        if n < 0:
+            raise RuntimeError(f"non-finite head parameters at round {r}; aborting decode")
+        xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
-        residual_draws = 0
-        degenerate = False
+        final = buf[p + n]
         if n == gamma:
-            source = SOURCE_EXTEND
-            final = mu_p[gamma] + sigma_t * block_ext[slot]
+            source = _EXTEND
+            np.add(mu_p[gamma], block_ext[slot], out=final)
         elif lossless:
             p_head = GaussianHead(mu_p[n], var_t)
-            q_head = GaussianHead(mu_q[n], var_d)
+            q_head = GaussianHead(mus[0, n], var_d)
             try:
-                gen = streams.rekey(cfg.seed, round_index, rngmod.RESIDUAL)
-                final, residual_draws = residual_sample(p_head, q_head, gen)
-                source = SOURCE_RESIDUAL
+                gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
+                final[:], draws_col[r] = residual_sample(p_head, q_head, gen)
+                source = _RESIDUAL
             except ValueError:
-                # Heads numerically identical at the rejected position:
-                # residual undefined, degrade to the practical fallback.
-                degenerate = True
-                gen = streams.rekey(cfg.seed, round_index, rngmod.FALLBACK)
-                final = mu_p[n] + sigma_t * gen.standard_normal(d)
-                source = SOURCE_FALLBACK
+                # Residual undefined or beyond the draw budget (heads
+                # identical or nearly so): degrade to the practical fallback.
+                degen_col[r] = True
+                gen = streams.rekey(cfg.seed, r, rngmod.FALLBACK)
+                np.add(mu_p[n], sigma_t * gen.standard_normal(d), out=final)
+                source = _FALLBACK
         else:
-            gen = streams.rekey(cfg.seed, round_index, rngmod.FALLBACK)
-            final = mu_p[n] + sigma_t * gen.standard_normal(d)
-            source = SOURCE_FALLBACK
+            gen = streams.rekey(cfg.seed, r, rngmod.FALLBACK)
+            np.add(mu_p[n], sigma_t * gen.standard_normal(d), out=final)
+            source = _FALLBACK
+        _check_finite(final, r)
 
-        length = n + 1
-        final = np.asarray(final, dtype=np.float64)
-        _check_finite(final, round_index)
-        consumed = min(n + 1, gamma)
-        for i in range(n):
-            outputs.append(xs[i].copy())
-        outputs.append(final)
-        history.extend(xs[:n], final)
-        trace.rounds.append(
-            RoundRecord(
-                index=round_index,
-                n_accepted=n,
-                final_draw_source=source,
-                outputs_emitted=length,
-                residual_target_draws=residual_draws,
-                residual_degenerate=degenerate,
-                _xs=xs[:consumed].copy(),
-                _log_q=log_q[:consumed].copy(),
-                _log_p=log_p[:consumed].copy(),
-                _alphas=alphas[:consumed].copy(),
-                _uniforms=uniforms[:consumed].copy(),
-            )
-        )
-        trace.totals.patches_emitted += length
-        emitted += length
-        round_index += 1
+        n_col[r] = n
+        src_col[r] = source
+        emitted += n + 1
+        r += 1
 
-    forecast = np.vstack(outputs)
-    trace.truncated_patches = forecast.shape[0] - cfg.horizon_patches
-    return forecast[: cfg.horizon_patches], trace
+    trace.n_rounds = r
+    trace.totals = Totals(
+        target_passes=r * (gamma + 1),
+        draft_passes=r * gamma,
+        target_batch_calls=r,
+        patches_emitted=emitted,
+    )
+    trace.wall_times = {"draft_total": draft_wall, "target_total": target_wall}
+    trace.truncated_patches = emitted - horizon
+    return buf[k_max : k_max + horizon].copy(), trace
 
 
 def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:
@@ -391,36 +470,42 @@ def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tu
     if cfg.variant == VARIANT_DRAFT_ONLY and cfg.draft_bias is not None:
         model = model.with_knobs(mean_bias=cfg.draft_bias)
     horizon = cfg.horizon_patches
-    d = model.d
-    if h0.lookback < model.lookback:
+    k = model.lookback
+    if h0.lookback < k:
         raise ValueError(
-            f"history capacity {h0.lookback} is below the model lookback {model.lookback}"
+            f"history capacity {h0.lookback} is below the model lookback {k}"
         )
-    history = h0.copy()
-    trace = DecodeTrace(cfg.variant, cfg.gamma, cfg.seed, horizon)
-    noise = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal((horizon, d))
-    outputs = np.empty((horizon, d))
-    wall_key = "target_total" if cfg.variant == VARIANT_TARGET_ONLY else "draft_total"
+    # Session buffer: the history, then each patch as it is drawn; step i
+    # reads the window buf[i : i + k] and writes row k + i.
+    buf = np.empty((k + horizon, model.d))
+    h0.fill_window(buf[:k])
+    noise = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal((horizon, model.d))
+    noise *= sigma
+    mean_one = model.mean_one
 
     t0 = time.perf_counter()
     for i in range(horizon):
-        mean = model.mean_one(history.window(model.lookback))
-        _check_finite(mean, i)
-        patch = mean + sigma * noise[i]
-        outputs[i] = patch
-        history.append(patch)
-        trace.rounds.append(
-            RoundRecord(
-                index=i,
-                n_accepted=0,
-                final_draw_source=SOURCE_BASELINE,
-                outputs_emitted=1,
-            )
-        )
-    trace.wall_times[wall_key] += time.perf_counter() - t0
-    if cfg.variant == VARIANT_TARGET_ONLY:
-        trace.totals.target_passes = horizon
-    else:
-        trace.totals.draft_passes = horizon
-    trace.totals.patches_emitted = horizon
-    return outputs, trace
+        np.add(mean_one(buf[i : i + k]), noise[i], out=buf[k + i])
+    elapsed = time.perf_counter() - t0
+    forecast = buf[k:]
+    if not math.isfinite(np.add.reduce(forecast, axis=None)):
+        # The noise is finite, so the first non-finite patch is the first
+        # step whose head mean was not finite.
+        first = int(np.argmin(np.isfinite(forecast).all(axis=1)))
+        raise RuntimeError(f"non-finite head parameters at round {first}; aborting decode")
+
+    target_only = cfg.variant == VARIANT_TARGET_ONLY
+    trace = DecodeTrace(
+        cfg.variant, cfg.gamma, cfg.seed, horizon, model.d,
+        totals=Totals(
+            target_passes=horizon if target_only else 0,
+            draft_passes=0 if target_only else horizon,
+            patches_emitted=horizon,
+        ),
+        wall_times={
+            "draft_total": 0.0 if target_only else elapsed,
+            "target_total": elapsed if target_only else 0.0,
+        },
+        n_rounds=horizon,
+    )
+    return forecast.copy(), trace

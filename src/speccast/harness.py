@@ -507,7 +507,7 @@ def _run_point(
 
     lengths = np.concatenate([t.round_lengths() for t in traces])
     accepted = np.concatenate([t.accepted_counts() for t in traces])
-    proposals = sum(min(r.n_accepted + 1, t.gamma) for t in traces for r in t.rounds)
+    proposals = int(np.minimum(accepted + 1, cfg.gamma).sum())
     n_accepted = int(accepted.sum())
     report = PredictorReport.predict(alpha_est.alpha_bar_hat, gamma, cost)
     report.e_l_meas = float(lengths.mean())

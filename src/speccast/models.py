@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +58,6 @@ class History:
         self._buf[-1] = patch
         self.total_appended += 1
 
-    def extend(self, patches: np.ndarray, final: np.ndarray) -> None:
-        """Append a block of patches plus one final patch in a single shift."""
-        n = patches.shape[0] + 1
-        if n >= self.lookback:
-            stacked = np.vstack([patches, final[None]])
-            self._buf[:] = stacked[-self.lookback :]
-        else:
-            self._buf[:-n] = self._buf[n:]
-            self._buf[-n:-1] = patches
-            self._buf[-1] = final
-        self.total_appended += n
-
     def window(self, k: int | None = None) -> np.ndarray:
         """Most recent k patches, oldest first, shape (k, d)."""
         k = self.lookback if k is None else k
@@ -79,14 +68,6 @@ class History:
     def fill_window(self, out: np.ndarray) -> None:
         """Write the most recent len(out) patches into a caller buffer."""
         out[:] = self._buf[self.lookback - out.shape[0] :]
-
-    def copy(self) -> "History":
-        h = History.__new__(History)
-        h.lookback = self.lookback
-        h.patch_len = self.patch_len
-        h._buf = self._buf.copy()
-        h.total_appended = self.total_appended
-        return h
 
 
 @dataclass(frozen=True)
@@ -114,8 +95,8 @@ class ForecastModel:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_PERSISTENCE, KIND_ORACLE):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not self.mean_bias >= 0:
             raise ValueError(f"mean_bias must be >= 0, got {self.mean_bias}")
         if self.kind == KIND_LINEAR:

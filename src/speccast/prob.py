@@ -288,13 +288,6 @@ def overlap(
     raise ValueError(f"unknown overlap method {method!r}")
 
 
-def _heads_numerically_identical(p: GaussianHead, q: GaussianHead) -> bool:
-    if np.allclose(p.variance, q.variance, rtol=1e-12, atol=0.0):
-        # Equal variances: use the closed-form overlap directly.
-        return overlap_closed_form(p, q) >= 1.0 - 1e-12
-    return False
-
-
 def residual_sample(
     p: GaussianHead,
     q: GaussianHead,
@@ -305,13 +298,24 @@ def residual_sample(
 
     Draw Z ~ p and accept with probability (1 - q(Z)/p(Z))_+. The expected
     number of target draws per returned sample is 1/(1 - beta), which
-    deteriorates as q approaches p; numerically identical heads are rejected
-    up front because the residual is undefined and the cost unbounded.
+    deteriorates as q approaches p. Heads that share a variance are checked
+    up front with the closed form 1 - beta = erf(Delta / (2 sqrt 2)): when
+    1/(1 - beta) exceeds ``max_draws`` (identical heads included, where the
+    residual is undefined) a ValueError is raised instead of drawing.
+    Heads with unequal variances are sampled directly, and a RuntimeError
+    is raised if ``max_draws`` draws pass without an acceptance.
     """
     if p.d != q.d:
         raise ValueError("head dimensions differ")
-    if _heads_numerically_identical(p, q):
-        raise ValueError("residual undefined / cost unbounded: heads are numerically identical")
+    var = p.variance
+    if np.max(np.abs(var - q.variance) / q.variance) <= 1e-12:
+        diff = p.mean - q.mean
+        delta = math.sqrt(float(np.dot(diff, diff / var)))
+        if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
+            raise ValueError(
+                f"residual undefined or beyond the draw budget: the heads' overlap leaves "
+                f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
+            )
     draws = 0
     chunk = 16
     while draws < max_draws:

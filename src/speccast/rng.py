@@ -66,13 +66,14 @@ class ReusableStream:
     def __init__(self) -> None:
         self._bg = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bg)
+        # One state document serves every rekey: the setter copies it into
+        # the generator, so only its key changes between calls. The counter
+        # stays zero and a full buffer position forces a refill on the next
+        # draw.
+        self._state = self._bg.state
+        self._state["buffer_pos"] = len(self._state["buffer"])
 
     def rekey(self, seed: int, round_index: int, purpose: int) -> np.random.Generator:
-        st = self._bg.state
-        st["state"]["key"][:] = _key(seed, round_index, purpose)
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = len(st["buffer"])  # force a refill on next draw
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._state["state"]["key"][:] = _key(seed, round_index, purpose)
+        self._bg.state = self._state
         return self.generator

@@ -132,9 +132,8 @@ def _mass_single_rounds(
         cfg = dataclasses.replace(base, seed=base_seed + i)
         forecast, trace = decode(target, draft, h0, cfg)
         outputs[i] = forecast[0, 0]
-        rec = trace.rounds[0]
-        lengths[i] = rec.outputs_emitted
-        accepted[i] = rec.n_accepted
+        lengths[i] = trace.round_lengths()[0]
+        accepted[i] = trace.accepted_counts()[0]
     return outputs, lengths, accepted
 
 

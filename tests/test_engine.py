@@ -2,20 +2,25 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from speccast import rng as rngmod
 from speccast.engine import (
     SOURCE_BASELINE,
     SOURCE_EXTEND,
     SOURCE_FALLBACK,
     SOURCE_RESIDUAL,
+    SOURCES,
     DecodeConfig,
+    RoundRecord,
+    Totals,
     decode,
 )
 from speccast.models import History, fit_linear_ar, load_model, oracle_ar1, persistence_model, save_model
-from speccast.prob import gap_for_overlap, overlap_closed_form, GaussianHead
+from speccast.prob import gap_for_overlap, GaussianHead, residual_sample
 from speccast.series import PatchSeries, metrics
 from speccast.synth import ar1, pure_seasonal
 
@@ -364,3 +369,321 @@ class TestTraceExport:
         t2.totals.patches_emitted += 1
         t2.write_jsonl(b)
         assert content_digest(a) != content_digest(b)
+
+
+# ---------------------------------------------------------------------------
+# Reference loop: the round loop as it was before the session buffer, with a
+# ring history that shifts on every round, a per-round RoundRecord holding
+# copies, and the unstacked scoring kernel. The engine must match it
+# bit-for-bit: forecast bytes, round records, totals and truncation.
+# ---------------------------------------------------------------------------
+
+
+class _RingHistory:
+    """Most recent ``lookback`` patches; every extend shifts the ring."""
+
+    def __init__(self, h0: History):
+        self.lookback = h0.lookback
+        self.buf = h0.window()
+
+    def extend(self, patches, final):
+        n = patches.shape[0] + 1
+        if n >= self.lookback:
+            self.buf[:] = np.vstack([patches, final[None]])[-self.lookback :]
+        else:
+            self.buf[:-n] = self.buf[n:]
+            self.buf[-n:-1] = patches
+            self.buf[-1] = final
+
+    def append(self, patch):
+        self.buf[:-1] = self.buf[1:]
+        self.buf[-1] = patch
+
+    def window(self, k):
+        return self.buf[self.lookback - k :].copy()
+
+
+def _reference_accept(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params):
+    gamma = xs.shape[0]
+    dq = xs - mu_q
+    dp = xs - mu_p
+    log_q[:] = -0.5 * ((dq * dq).sum(axis=1) * params[0] + params[3])
+    log_p[:] = -0.5 * ((dp * dp).sum(axis=1) * params[1] + params[4])
+    np.exp(np.minimum(0.0, log_p - log_q + params[2]), out=alphas)
+    n = 0
+    while n < gamma and uniforms[n] < alphas[n]:
+        n += 1
+    return n
+
+
+def _reference_check_finite(patch, round_index):
+    if not math.isfinite(float(patch.sum())):
+        raise RuntimeError(f"non-finite head parameters at round {round_index}; aborting decode")
+
+
+def _reference_decode(target, draft, h0, cfg):
+    """(forecast, rounds, totals, truncated_patches) from the reference loop."""
+    totals = Totals()
+    rounds = []
+    if cfg.variant in ("target_only", "draft_only"):
+        model = target if cfg.variant == "target_only" else draft
+        sigma = cfg.sigma_target if cfg.variant == "target_only" else cfg.sigma_draft
+        sigma = float(sigma) if sigma is not None else model.sigma
+        if cfg.variant == "draft_only" and cfg.draft_bias is not None:
+            model = model.with_knobs(mean_bias=cfg.draft_bias)
+        history = _RingHistory(h0)
+        noise = rngmod.stream(cfg.seed, 0, rngmod.DIRECT).standard_normal((cfg.horizon_patches, model.d))
+        outputs = np.empty((cfg.horizon_patches, model.d))
+        for i in range(cfg.horizon_patches):
+            mean = model.mean_one(history.window(model.lookback))
+            _reference_check_finite(mean, i)
+            outputs[i] = mean + sigma * noise[i]
+            history.append(outputs[i])
+            rounds.append(RoundRecord(i, 0, SOURCE_BASELINE, 1))
+        if cfg.variant == "target_only":
+            totals.target_passes = cfg.horizon_patches
+        else:
+            totals.draft_passes = cfg.horizon_patches
+        totals.patches_emitted = cfg.horizon_patches
+        return outputs, rounds, totals, 0
+
+    sigma_t = cfg.sigma_target if cfg.sigma_target is not None else target.sigma
+    sigma_d = cfg.sigma_draft if cfg.sigma_draft is not None else draft.sigma
+    if cfg.draft_bias is not None:
+        draft = draft.with_knobs(mean_bias=cfg.draft_bias)
+    gamma, d = cfg.gamma, target.d
+    k_t, k_d = target.lookback, draft.lookback
+    k_max = max(k_t, k_d)
+    var_t, var_d = np.full(d, sigma_t * sigma_t), np.full(d, sigma_d * sigma_d)
+    params = np.array([
+        1.0 / (sigma_d * sigma_d),
+        1.0 / (sigma_t * sigma_t),
+        math.log(cfg.tolerance_lambda),
+        float(np.sum(np.log(2.0 * np.pi * var_d))),
+        float(np.sum(np.log(2.0 * np.pi * var_t))),
+    ])
+    history = _RingHistory(h0)
+    outputs = []
+    ctx = np.empty((k_max + gamma, d))
+    mu_q = np.empty((gamma, d))
+    log_q, log_p, alphas = np.empty(gamma), np.empty(gamma), np.empty(gamma)
+    emitted = 0
+    r = 0
+    while emitted < cfg.horizon_patches:
+        slot = r % 8
+        if slot == 0:
+            gen = rngmod.stream(cfg.seed, r // 8, rngmod.ROUND)
+            block_u = gen.random((8, gamma))
+            block_z = gen.standard_normal((8, gamma, d))
+            block_ext = gen.standard_normal((8, d))
+        uniforms, noise = block_u[slot], block_z[slot]
+        ctx[:k_max] = history.window(k_max)
+        for i in range(gamma):
+            mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
+            ctx[k_max + i] = mu_q[i] + sigma_d * noise[i]
+        prefixes = np.stack([ctx[k_max - k_t + i : k_max + i] for i in range(gamma + 1)])
+        mu_p = target.mean_batch(prefixes)
+        xs = ctx[k_max:]
+        n = _reference_accept(xs, uniforms, mu_q, mu_p[:gamma], log_q, log_p, alphas, params)
+        if not math.isfinite(float(alphas.sum())):
+            raise RuntimeError(f"non-finite head parameters at round {r}; aborting decode")
+        draws, degenerate = 0, False
+        if n == gamma:
+            source, final = SOURCE_EXTEND, mu_p[gamma] + sigma_t * block_ext[slot]
+        elif cfg.variant == "lossless":
+            p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
+            try:
+                final, draws = residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+                source = SOURCE_RESIDUAL
+            except ValueError:
+                degenerate = True
+                gen = rngmod.stream(cfg.seed, r, rngmod.FALLBACK)
+                source, final = SOURCE_FALLBACK, mu_p[n] + sigma_t * gen.standard_normal(d)
+        else:
+            gen = rngmod.stream(cfg.seed, r, rngmod.FALLBACK)
+            source, final = SOURCE_FALLBACK, mu_p[n] + sigma_t * gen.standard_normal(d)
+        _reference_check_finite(final, r)
+        consumed = min(n + 1, gamma)
+        outputs.extend(xs[i].copy() for i in range(n))
+        outputs.append(final)
+        history.extend(xs[:n], final)
+        rounds.append(RoundRecord(
+            r, n, source, n + 1, draws, degenerate,
+            xs[:consumed].copy(), log_q[:consumed].copy(), log_p[:consumed].copy(),
+            alphas[:consumed].copy(), uniforms[:consumed].copy(),
+        ))
+        totals.draft_passes += gamma
+        totals.target_passes += gamma + 1
+        totals.target_batch_calls += 1
+        totals.patches_emitted += n + 1
+        emitted += n + 1
+        r += 1
+    forecast = np.vstack(outputs)
+    return forecast[: cfg.horizon_patches], rounds, totals, forecast.shape[0] - cfg.horizon_patches
+
+
+def _record_dict(r):
+    return {
+        "round": r.index, "n": r.n_accepted, "L": r.outputs_emitted, "source": r.final_draw_source,
+        "residual_target_draws": r.residual_target_draws, "residual_degenerate": r.residual_degenerate,
+        "proposals": [
+            {"x": p.x.tolist(), "log_q": p.log_q, "log_p": p.log_p, "alpha": p.alpha,
+             "accepted": p.accepted, "u": p.uniform}
+            for p in r.proposals
+        ],
+    }
+
+
+def _reference_pair(kind, sigma=0.4):
+    """(target, draft, h0) of one model kind; h0 holds more than k_max patches."""
+    series = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=4)
+    if kind == "linear_ar":
+        target = fit_linear_ar(series, lookback=4, ridge=1e-3).with_knobs(sigma=sigma)
+        draft = fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5).with_knobs(sigma=sigma)
+    elif kind == "persistence":
+        target = persistence_model(patch_len=4, sigma=sigma)
+        draft = persistence_model(patch_len=4, sigma=sigma, mean_bias=0.2)
+    else:
+        target = oracle_ar1(patch_len=4, phi=0.9, sigma=sigma)
+        # the draft sees more history than the target (k_d = 2 > k_t = 1)
+        draft = fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5).with_knobs(sigma=sigma)
+    h0 = History.from_patches(series.channel_patches(0)[:9], 6, target.pad_patch())
+    return target, draft, h0
+
+
+_REFERENCE_CONFIGS = [
+    dict(horizon_patches=13, gamma=3),
+    dict(horizon_patches=1, gamma=2),
+    dict(horizon_patches=17, gamma=4, draft_bias=0.3),
+    dict(horizon_patches=9, gamma=1, tolerance_lambda=0.6),
+    dict(horizon_patches=11, gamma=3, tolerance_lambda=1.7),
+    dict(horizon_patches=10, gamma=2, sigma_draft=0.55, allow_unequal_variance=True),
+    dict(horizon_patches=12, gamma=3, sigma_target=0.15, sigma_draft=0.15),
+]
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("kind", ["linear_ar", "persistence", "oracle"])
+    @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
+    def test_matches_reference_bit_for_bit(self, kind, variant):
+        target, draft, h0 = _reference_pair(kind)
+        sources = set()
+        for conf in _REFERENCE_CONFIGS:
+            conf = {"sigma_target": 0.4, "sigma_draft": 0.4, **conf}
+            for seed in (0, 7, 123):
+                cfg = DecodeConfig(variant=variant, seed=seed, **conf)
+                model_draft = None if variant == "target_only" else draft
+                forecast, trace = decode(target, model_draft, h0, cfg)
+                ref_forecast, ref_rounds, ref_totals, ref_truncated = _reference_decode(
+                    target, model_draft, h0, cfg
+                )
+                assert forecast.shape == (cfg.horizon_patches, target.d)
+                assert forecast.tobytes() == ref_forecast.tobytes()
+                assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+                assert dataclasses.asdict(trace.totals) == dataclasses.asdict(ref_totals)
+                assert trace.truncated_patches == ref_truncated
+                sources.update(r.final_draw_source for r in ref_rounds)
+        if variant in ("practical", "lossless"):
+            # both full-accept and rejecting rounds were compared
+            assert SOURCE_EXTEND in sources and len(sources) > 1
+
+    def test_degenerate_fallback_matches_reference(self):
+        target, draft, h0 = _nearly_identical_pair()
+        cfg = cfg_for("lossless", horizon=6, seed=4, tolerance_lambda=1e-6)
+        forecast, trace = decode(target, draft, h0, cfg)
+        ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
+        assert forecast.tobytes() == ref_forecast.tobytes()
+        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+
+    @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
+    def test_non_finite_aborts_at_the_same_round(self, variant):
+        # an explosive linear target and draft overflow after a few rounds
+        target, draft, h0 = _reference_pair("linear_ar")
+        target = dataclasses.replace(target, weights=target.weights * 1e60)
+        draft = dataclasses.replace(draft, weights=draft.weights * 1e60)
+        cfg = DecodeConfig(variant=variant, horizon_patches=40, seed=3, gamma=3,
+                           sigma_target=0.4, sigma_draft=0.4)
+        model_draft = None if variant == "target_only" else draft
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite") as got:
+                decode(target, model_draft, h0, cfg)
+            with pytest.raises(RuntimeError, match="non-finite") as want:
+                _reference_decode(target, model_draft, h0, cfg)
+        assert str(got.value) == str(want.value)
+        assert "round 0;" not in str(got.value)  # the blow-up takes a few rounds
+
+    @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only"])
+    def test_lazy_rounds_agree_with_columns(self, variant):
+        target, draft, h0 = _reference_pair("linear_ar", sigma=0.2)
+        cfg = DecodeConfig(variant=variant, horizon_patches=20, seed=5, gamma=3,
+                           sigma_target=0.2, sigma_draft=0.2)
+        _, trace = decode(target, None if variant == "target_only" else draft, h0, cfg)
+        rounds = trace.rounds
+        assert rounds is trace.rounds  # built once, on first access
+        assert len(rounds) == trace.n_rounds
+        assert trace.round_lengths().tolist() == [r.outputs_emitted for r in rounds]
+        assert trace.accepted_counts().tolist() == [r.n_accepted for r in rounds]
+        assert sum(r.outputs_emitted for r in rounds) == trace.totals.patches_emitted
+        for i, rec in enumerate(rounds):
+            assert rec.index == i
+            assert rec.final_draw_source == SOURCES[trace.sources[i]]
+            assert rec.residual_target_draws == trace.residual_draws[i]
+            assert rec.residual_degenerate == bool(trace.degenerate[i])
+            if variant == "target_only":
+                assert rec.proposals == []
+                continue
+            assert len(rec.proposals) == min(rec.n_accepted + 1, cfg.gamma)
+            for j, p in enumerate(rec.proposals):
+                assert np.array_equal(p.x, trace.xs[i, j])
+                assert (p.log_q, p.log_p) == (trace.log_q[i, j], trace.log_p[i, j])
+                assert (p.alpha, p.uniform) == (trace.alphas[i, j], trace.uniforms[i, j])
+                assert p.accepted == (j < rec.n_accepted)
+
+
+def _nearly_identical_pair():
+    """Persistence heads whose overlap leaves 1 - beta = 4e-10."""
+    gap = 4e-10 * math.sqrt(2.0 * math.pi)  # 1 - beta = erf(gap / (2 sqrt 2)) ~ gap / sqrt(2 pi)
+    return make_pair(gap=gap)
+
+
+class TestNearlyIdenticalHeads:
+    def test_lossless_falls_back_and_records_it(self):
+        # lambda = 1e-6 forces a rejection at the first position of every
+        # round; the residual there would need ~2.5e9 target draws
+        target, draft, h0 = _nearly_identical_pair()
+        cfg = cfg_for("lossless", horizon=5, seed=4, tolerance_lambda=1e-6)
+        forecast, trace = decode(target, draft, h0, cfg)
+        assert trace.accepted_counts().tolist() == [0] * 5
+        for rec in trace.rounds:
+            assert rec.residual_degenerate
+            assert rec.final_draw_source == SOURCE_FALLBACK
+            assert rec.residual_target_draws == 0
+        # the fallback is the practical variant's draw
+        practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
+        assert np.array_equal(forecast, practical)
+
+
+class TestSigmaOverrides:
+    @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
+    @pytest.mark.parametrize("field_name", ["sigma_target", "sigma_draft"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejected_unless_finite_positive(self, variant, field_name, value):
+        with pytest.raises(ValueError, match=f"{field_name} must be finite and > 0"):
+            DecodeConfig(variant=variant, horizon_patches=4, seed=0, **{field_name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_model_sigma_rejected_unless_finite_positive(self, value):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            persistence_model(patch_len=1, sigma=value)
+
+    def test_cli_exit_code_2(self, tmp_path, capsys):
+        from speccast.cli import main
+
+        data = ["--synthetic", "seasonal-ar", "--synth-steps", "3000", "--synth-channels", "1"]
+        model = str(tmp_path / "target.json")
+        assert main(["fit", *data, "--patch-len", "8", "--lookback", "4", "--out", model]) == 0
+        decode_args = ["decode", *data, "--target", model, "--variant", "target_only", "--horizon", "16"]
+        assert main([*decode_args, "--out", str(tmp_path / "ok")]) == 0
+        for value in ("0", "-1", "nan"):
+            assert main([*decode_args, "--sigma", value, "--out", str(tmp_path / "bad")]) == 2
+            assert "sigma_target must be finite and > 0" in capsys.readouterr().err

@@ -236,6 +236,32 @@ class TestResidualSample:
         with pytest.raises(ValueError, match="residual undefined"):
             residual_sample(p, p, rngmod.stream(0))
 
+    def test_nearly_identical_heads_error(self):
+        # 1 - beta = 4e-10: about 2.5e9 expected draws, beyond the 1e7 budget
+        gap = 4e-10 * math.sqrt(2.0 * math.pi)
+        p = GaussianHead.isotropic([0.0, 0.0], 1.0)
+        q = GaussianHead.isotropic([gap, 0.0], 1.0)
+        assert 1.0 / math.erf(gap / (2.0 * math.sqrt(2.0))) > 1e9
+        with pytest.raises(ValueError, match="residual undefined"):
+            residual_sample(p, q, rngmod.stream(0))
+
+    def test_cutoff_follows_the_draw_budget(self):
+        # 1/(1 - beta) is about 2000 here: over a budget of 1000, under 4000
+        gap = gap_for_overlap(1.0 - 5e-4)
+        p = GaussianHead.isotropic([0.0], 2.0)
+        q = GaussianHead.isotropic([2.0 * gap], 2.0)
+        with pytest.raises(ValueError, match="residual undefined"):
+            residual_sample(p, q, rngmod.stream(1), max_draws=1000)
+        sample, draws = residual_sample(p, q, rngmod.stream(1), max_draws=4000)
+        assert sample.shape == (1,) and draws >= 1
+
+    def test_unequal_variances_are_sampled(self):
+        # equal means, unequal variances: the residual exists (no closed form)
+        p = GaussianHead.isotropic([0.0], 1.0)
+        q = GaussianHead.isotropic([0.0], 0.5)
+        sample, draws = residual_sample(p, q, rngmod.stream(2))
+        assert sample.shape == (1,) and draws >= 1
+
     def test_draw_cost_identity(self):
         # mean draws over many calls tracks 1/(1-beta) for beta from the
         # closed form (thinning from p accepts with rate 1 - beta)

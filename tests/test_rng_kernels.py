@@ -183,6 +183,23 @@ def _round_inputs(rng, gamma, d, sigma_d, sigma_t, lam, gap):
     return xs, mu_q, mu_p, params
 
 
+def _run_kernel(xs, uniforms, mu_q, mu_p, params):
+    """Call round_accept with the reference's (5,) params; (n, log_q, log_p, alphas)."""
+    gamma, d = xs.shape
+    kernel_params = (
+        np.repeat([[params[0]], [params[1]]], gamma, axis=1),
+        np.repeat([[params[3]], [params[4]]], gamma, axis=1),
+        np.full((2, gamma), -0.5),
+        np.full(gamma, params[2]),
+        np.zeros(gamma),
+    )
+    logs, alphas = np.empty((2, gamma)), np.empty(gamma)
+    n = kernels.round_accept(
+        xs, list(uniforms), np.stack([mu_q, mu_p]), np.empty((2, gamma, d)), logs, alphas, kernel_params
+    )
+    return n, logs[0], logs[1], alphas
+
+
 class TestRoundAccept:
     # The kernel sums over the patch dimension in numpy's order and the
     # reference element by element, so each log density may differ by a few
@@ -192,9 +209,7 @@ class TestRoundAccept:
     ULPS = 8
 
     def _check(self, xs, uniforms, mu_q, mu_p, params):
-        gamma = xs.shape[0]
-        log_q, log_p, alphas = np.empty(gamma), np.empty(gamma), np.empty(gamma)
-        n = kernels.round_accept(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params)
+        n, log_q, log_p, alphas = _run_kernel(xs, uniforms, mu_q, mu_p, params)
         ref_n, ref_q, ref_p, ref_a = round_accept_loop(xs, uniforms, mu_q, mu_p, params)
         assert isinstance(n, int)
         assert n == ref_n
@@ -239,3 +254,11 @@ class TestRoundAccept:
         n, ref_a = self._check(xs, np.array([0.5, 0.0, 0.0]), mu_q, mu_p, params)
         assert n == 0
         assert ref_a[0] < 1e-100
+
+    def test_non_finite_alpha_flagged(self):
+        rng = np.random.default_rng(13)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        mu_q[1, 2] = np.nan  # a NaN draft mean at the second position
+        n, _, _, alphas = _run_kernel(xs, np.zeros(3), mu_q, mu_p, params)
+        assert n == -1
+        assert np.isnan(alphas[1]) and np.isfinite(alphas[[0, 2]]).all()

@@ -50,9 +50,11 @@ from .prob import (
     GaussianHead,
     GridSpec,
     OverlapResult,
+    ResidualParams,
     acceptance,
     log_density,
     overlap,
+    residual_params,
     residual_sample,
     tv_between_1d,
 )

@@ -7,6 +7,16 @@ a rejected round: the practical variant falls back to the target head, the
 lossless variant samples the residual density and thereby reproduces the
 exact target chain.
 
+A rejected lossless round at position n closes with
+``residual_sample(mu_p[n], mu_q[n], ...)`` on the target and draft mean rows
+the round already holds, with the variances, standard deviation, log
+normalizers and shared-variance decision computed once per head setting
+(``_head_params``); no head object is built. When the residual is undefined
+or beyond the sampler's draw budget, or a mean is not finite, the sampler
+raises ValueError and the round degrades to the practical fallback draw,
+recorded in the trace's ``degenerate`` column; a non-finite fallback draw
+then aborts the decode with a RuntimeError naming the round.
+
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
 common random numbers until their behavior diverges.
@@ -36,7 +46,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import GaussianHead, residual_sample
+from .prob import residual_params, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -318,7 +328,7 @@ def _check_finite(patch: np.ndarray, round_index: int) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _head_params(sigma_t: float, sigma_d: float, tolerance_lambda: float, d: int, gamma: int):
-    """Head variances and the ``round_accept`` constants of one setting.
+    """The ``round_accept`` and ``residual_sample`` constants of one setting.
 
     Cached: the sessions of a run share them, and the arrays are only read.
     """
@@ -332,9 +342,10 @@ def _head_params(sigma_t: float, sigma_d: float, tolerance_lambda: float, d: int
     )
     params = (inv_var, log_norm, np.full((2, gamma), -0.5),
               np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
-    for a in (var_t, var_d, *params):
+    residual = residual_params(var_t, var_d)
+    for a in (*params, residual.std_p, residual.var_p, residual.var_q):
         a.flags.writeable = False
-    return var_t, var_d, params
+    return params, residual
 
 
 def _decode_speculative(
@@ -358,7 +369,7 @@ def _decode_speculative(
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
         )
-    var_t, var_d, kernel_params = _head_params(sigma_t, sigma_d, cfg.tolerance_lambda, d, gamma)
+    kernel_params, residual = _head_params(sigma_t, sigma_d, cfg.tolerance_lambda, d, gamma)
     trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d)
     streams = _streams()
 
@@ -428,15 +439,14 @@ def _decode_speculative(
             source = _EXTEND
             np.add(mu_p[gamma], block_ext[slot], out=final)
         elif lossless:
-            p_head = GaussianHead(mu_p[n], var_t)
-            q_head = GaussianHead(mus[0, n], var_d)
             try:
                 gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
-                final[:], draws_col[r] = residual_sample(p_head, q_head, gen)
+                final[:], draws_col[r] = residual_sample(mu_p[n], mus[0, n], residual, gen)
                 source = _RESIDUAL
             except ValueError:
                 # Residual undefined or beyond the draw budget (heads
-                # identical or nearly so): degrade to the practical fallback.
+                # identical or nearly so), or a mean not finite: degrade to
+                # the practical fallback.
                 degen_col[r] = True
                 gen = streams.rekey(cfg.seed, r, rngmod.FALLBACK)
                 np.add(mu_p[n], sigma_t * gen.standard_normal(d), out=final)

@@ -364,8 +364,8 @@ def _decode_windows(
     pad = target.pad_patch()
     forecasts = []
     traces = []
-    # Untimed warmup: JIT compilation and allocator effects stay out of the
-    # measured wall.
+    # Untimed warmup: first-call costs (the engine's per-setting constant
+    # cache, lazy imports, allocator growth) stay out of the measured wall.
     warm = History.from_patches(windows[0].context, k_ctx, pad)
     decode(target, draft, warm, dataclasses.replace(cfg, seed=0))
     t0 = time.perf_counter()

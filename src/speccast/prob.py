@@ -3,6 +3,11 @@
 All density arithmetic is done in the log domain so that acceptance ratios
 never underflow, even for far-out proposals. Heads are immutable value
 objects; every operation is pure given an explicit RNG handle.
+
+``GaussianHead`` is for API callers (estimators, validation suites, tests).
+The decode engine builds none: it scores rounds with ``kernels.round_accept``
+and closes a rejected lossless round with ``residual_sample`` on its raw
+mean rows and a ``ResidualParams`` computed once per head setting.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -23,6 +28,7 @@ QUADRATURE_1D = "numeric_quadrature_1d"
 MONTE_CARLO = "monte_carlo"
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_FLOOR_MESSAGE = f"variance below {VARIANCE_FLOOR:g} clamped to the floor"
 
 
 class VarianceFloorWarning(UserWarning):
@@ -36,6 +42,7 @@ class GaussianHead:
     ``variance`` holds one value per dimension; the isotropic case stores the
     same value broadcast to all dimensions. Entries are validated finite and
     strictly positive, and clamped (with a warning) at VARIANCE_FLOOR.
+    A value object for API callers; the decode path does not build heads.
     """
 
     mean: np.ndarray
@@ -57,11 +64,7 @@ class GaussianHead:
         if np.any(var <= 0.0):
             raise ValueError("head variance entries must be strictly positive")
         if np.any(var < VARIANCE_FLOOR):
-            warnings.warn(
-                f"variance below {VARIANCE_FLOOR:g} clamped to the floor",
-                VarianceFloorWarning,
-                stacklevel=2,
-            )
+            warnings.warn(_FLOOR_MESSAGE, VarianceFloorWarning, stacklevel=2)
             var = np.maximum(var, VARIANCE_FLOOR)
         mean = mean.copy()
         var = var.copy()
@@ -70,7 +73,7 @@ class GaussianHead:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", var)
         # Cached pieces of the log normalizer.
-        object.__setattr__(self, "_log_norm", float(np.sum(np.log(2.0 * np.pi * var))))
+        object.__setattr__(self, "_log_norm", _log_norm(var))
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianHead":
@@ -100,6 +103,11 @@ class GaussianHead:
         var = float(self.variance[0])
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
         return lambda x: norm * np.exp(-((np.asarray(x) - mu) ** 2) / (2.0 * var))
+
+
+def _log_norm(var: np.ndarray) -> float:
+    """sum(log(2 pi var)): the log normalizer of a diagonal Gaussian."""
+    return float(np.sum(np.log(2.0 * np.pi * var)))
 
 
 def log_density(head: GaussianHead, x) -> float | np.ndarray:
@@ -288,44 +296,115 @@ def overlap(
     raise ValueError(f"unknown overlap method {method!r}")
 
 
+class ResidualParams(NamedTuple):
+    """Constants of ``residual_sample`` for a target head p and a draft head q.
+
+    They depend on the two variance vectors only, so a caller that samples
+    many residuals under one head setting builds them once with
+    ``residual_params``.
+    """
+
+    std_p: np.ndarray    # sqrt(var_p)
+    var_p: np.ndarray    # floored at VARIANCE_FLOOR
+    var_q: np.ndarray
+    log_norm_p: float    # sum(log(2 pi var)), as GaussianHead computes it
+    log_norm_q: float
+    shared: bool         # variances equal to 1e-12 relative
+    kl_var: float        # variance term of KL(p || q)
+    floored: bool        # some variance was clamped at VARIANCE_FLOOR
+
+
+def residual_params(var_p, var_q) -> ResidualParams:
+    """``ResidualParams`` for diagonal variances ``var_p`` and ``var_q``.
+
+    The variances must be finite and positive; entries below VARIANCE_FLOOR
+    are clamped, and every ``residual_sample`` call under the result then
+    warns, as building the heads would. ``kl_var`` is
+    (1/2) sum(x - log1p(x)) with x = (var_p - var_q) / var_q, which keeps its
+    precision when the variances nearly agree.
+    """
+    var_p = np.asarray(var_p, dtype=np.float64)
+    var_q = np.asarray(var_q, dtype=np.float64)
+    if var_p.ndim != 1 or var_p.shape != var_q.shape:
+        raise ValueError(f"variance shapes differ or are not 1-d: {var_p.shape}, {var_q.shape}")
+    floored = bool(np.any(var_p < VARIANCE_FLOOR) or np.any(var_q < VARIANCE_FLOOR))
+    if floored:
+        var_p = np.maximum(var_p, VARIANCE_FLOOR)
+        var_q = np.maximum(var_q, VARIANCE_FLOOR)
+    x = (var_p - var_q) / var_q
+    return ResidualParams(
+        std_p=np.sqrt(var_p),
+        var_p=var_p,
+        var_q=var_q,
+        log_norm_p=_log_norm(var_p),
+        log_norm_q=_log_norm(var_q),
+        shared=bool(np.max(np.abs(var_p - var_q) / var_q) <= 1e-12),
+        kl_var=0.5 * float(np.sum(x - np.log1p(x))),
+        floored=floored,
+    )
+
+
 def residual_sample(
-    p: GaussianHead,
-    q: GaussianHead,
+    mu_p: np.ndarray,
+    mu_q: np.ndarray,
+    params: ResidualParams,
     rng: np.random.Generator,
     max_draws: int = 10_000_000,
 ) -> tuple[np.ndarray, int]:
     """Sample the residual density r = (p - q)_+ / (1 - beta) by thinning.
 
+    p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
+    vectors) and the variances in ``params``; callers holding heads pass
+    ``p.mean, q.mean, residual_params(p.variance, q.variance)``. Returns the
+    sample and the number of target draws it took.
+
     Draw Z ~ p and accept with probability (1 - q(Z)/p(Z))_+. The expected
     number of target draws per returned sample is 1/(1 - beta), which
-    deteriorates as q approaches p. Heads that share a variance are checked
-    up front with the closed form 1 - beta = erf(Delta / (2 sqrt 2)): when
-    1/(1 - beta) exceeds ``max_draws`` (identical heads included, where the
-    residual is undefined) a ValueError is raised instead of drawing.
-    Heads with unequal variances are sampled directly, and a RuntimeError
-    is raised if ``max_draws`` draws pass without an acceptance.
+    deteriorates as q approaches p, so the budget is checked up front and a
+    ValueError is raised instead of drawing when 1 - beta < 1/``max_draws``
+    (identical heads included, where the residual is undefined): exactly,
+    by the closed form 1 - beta = erf(Delta / (2 sqrt 2)), for heads that
+    share a variance, and by the Pinsker bound 1 - beta <= sqrt(KL(p||q)/2)
+    otherwise. A non-finite mean also raises ValueError. A RuntimeError is
+    raised if ``max_draws`` draws pass without an acceptance.
     """
-    if p.d != q.d:
-        raise ValueError("head dimensions differ")
-    var = p.variance
-    if np.max(np.abs(var - q.variance) / q.variance) <= 1e-12:
-        diff = p.mean - q.mean
-        delta = math.sqrt(float(np.dot(diff, diff / var)))
+    std, var_p, var_q, norm_p, norm_q, shared, kl_var, floored = params
+    if floored:
+        warnings.warn(_FLOOR_MESSAGE, VarianceFloorWarning, stacklevel=2)
+    if mu_p.shape != std.shape or mu_q.shape != std.shape:
+        raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} do not match variances {std.shape}")
+    diff = mu_p - mu_q
+    gap2 = float(np.dot(diff, diff / (var_p if shared else var_q)))
+    # gap2 is finite whenever both means are, short of overflow; only then
+    # are the means scanned.
+    if not math.isfinite(gap2) and not (np.isfinite(mu_p).all() and np.isfinite(mu_q).all()):
+        raise ValueError("head mean has non-finite entries")
+    if shared:
+        delta = math.sqrt(gap2)
         if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
             raise ValueError(
                 f"residual undefined or beyond the draw budget: the heads' overlap leaves "
                 f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
             )
+    else:
+        bound = math.sqrt(0.5 * (kl_var + 0.5 * gap2))
+        if bound * max_draws < 1.0:
+            raise ValueError(
+                f"residual undefined or beyond the draw budget: the Pinsker bound leaves "
+                f"1 - beta <= {bound:.3g} < 1/{max_draws}"
+            )
+    d = std.shape[0]
     draws = 0
     chunk = 16
     while draws < max_draws:
-        zs = p.sample(rng, chunk)
-        t = log_density(q, zs) - log_density(p, zs)
-        pi = np.where(t < 0.0, -np.expm1(np.minimum(t, 0.0)), 0.0)
-        u = rng.random(chunk)
-        hits = u < pi
-        if hits.any():
-            idx = int(np.argmax(hits))
+        zs = mu_p + std * rng.standard_normal((chunk, d))
+        log_q = -0.5 * (np.sum((zs - mu_q) ** 2 / var_q, axis=-1) + norm_q)
+        log_p = -0.5 * (np.sum((zs - mu_p) ** 2 / var_p, axis=-1) + norm_p)
+        # Accept with probability (1 - exp(t))_+, t = log q - log p: where
+        # t >= 0 it is -expm1(0) = -0.0, and no uniform in [0, 1) is below it.
+        hits = rng.random(chunk) < -np.expm1(np.minimum(log_q - log_p, 0.0))
+        idx = int(np.argmax(hits))  # the first hit, or 0 if there is none
+        if hits[idx]:
             return zs[idx].copy(), draws + idx + 1
         draws += chunk
         chunk = min(2 * chunk, 1024)

@@ -44,6 +44,7 @@ from .prob import (
     gap_for_overlap,
     overlap,
     overlap_closed_form,
+    residual_params,
     residual_sample,
 )
 
@@ -277,9 +278,10 @@ def suite_residual_cost(
         p = GaussianHead.isotropic([gap], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(rngmod.derive_seed(seed, j), 0, rngmod.RESIDUAL)
+        params = residual_params(p.variance, q.variance)
         draws = np.empty(n)
         for i in range(n):
-            _, used = residual_sample(p, q, gen)
+            _, used = residual_sample(p.mean, q.mean, params, gen)
             draws[i] = used
         expected = 1.0 / (1.0 - beta)
         rel = abs(draws.mean() - expected) / expected

@@ -1,0 +1,92 @@
+"""CLI and harness smoke: scan -> calibrate -> manifest, replay, exit codes."""
+
+import json
+
+import pytest
+
+from speccast import validate
+from speccast.cli import content_digest, main
+from speccast.harness import CalibrationTable, RunResult
+from speccast.validate import SuiteResult
+
+# A tiny synthetic sweep: one channel, 8-step patches, 3 test windows of
+# 4 patches, both speculative variants plus the target-only baseline.
+SCAN = [
+    "scan", "--synthetic", "seasonal-ar", "--synth-steps", "6000", "--synth-channels", "1",
+    "--synth-season", "64", "--patch-len", "8", "--lookback", "4", "--horizon", "32",
+    "--sigmas", "0.5", "--gammas", "2", "--variants", "practical,lossless", "--max-windows", "3",
+]
+
+
+@pytest.fixture(autouse=True)
+def _no_default_out_dir(monkeypatch):
+    monkeypatch.delenv("SPECCAST_OUT_DIR", raising=False)
+
+
+def _digests(results_path):
+    with open(results_path) as fh:
+        return [RunResult.from_dict(json.loads(line)).determinism_digest() for line in fh if line.strip()]
+
+
+def test_scan_calibrate_manifest_and_replay(tmp_path, capsys):
+    first, flagged = tmp_path / "first", tmp_path / "flagged.json"
+    assert main([*SCAN, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["command"] == "scan"
+    assert manifest["outputs"] == {"results.jsonl": content_digest(first / "results.jsonl")}
+    digests = _digests(first / "results.jsonl")
+    with open(first / "results.jsonl") as fh:
+        variants = [json.loads(line)["variant"] for line in fh]
+    assert variants == ["target_only", "practical", "lossless"]
+
+    # Replaying the manifest's resolved spec reproduces every digest.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(manifest["resolved"]))
+    replay = tmp_path / "replay"
+    assert main(["scan", "--spec", str(spec), "--out", str(replay)]) == 0
+    assert json.loads((replay / "manifest.json").read_text())["outputs"] == manifest["outputs"]
+    assert _digests(replay / "results.jsonl") == digests
+
+    results = str(first / "results.jsonl")
+    assert main(["calibrate", "--results", results, "--out", str(flagged), "--flag-threshold", "0"]) == 0
+    table = CalibrationTable.from_json(flagged.read_text())
+    assert [r.variant for r in table.rows] == ["practical", "lossless"]
+    assert table.any_flagged  # a zero threshold flags any gap
+    # calibration failure: exit 1 only under --strict
+    assert main(["calibrate", "--results", results, "--strict", "--flag-threshold", "0"]) == 1
+    assert main(["calibrate", "--results", results, "--strict", "--flag-threshold", "1e9"]) == 0
+    assert "calibration flags raised" in capsys.readouterr().err
+
+
+def test_validate_exit_codes(tmp_path, monkeypatch):
+    report = tmp_path / "report.json"
+    assert main(["validate", "--suite", "gamma-rule", "--out", str(report)]) == 0
+    suites = json.loads(report.read_text())["suites"]
+    assert [(s["name"], s["passed"]) for s in suites] == [("gamma-rule", True)]
+
+    failing = SuiteResult(name="gamma-rule", passed=False, failures=["injected failure"])
+    monkeypatch.setitem(validate._SUITES, "gamma-rule", lambda seed=0: failing)
+    assert main(["validate", "--suite", "gamma-rule"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--suite", "no-such-suite"],
+        ["predict", "--alpha", "1.5", "--gamma", "3"],
+        ["fit", "--patch-len", "8", "--lookback", "4", "--out", "model.json"],  # no data source
+        ["calibrate", "--results", "missing/results.jsonl"],
+    ],
+)
+def test_usage_and_data_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_predict_ok_and_argparse_usage_error(capsys):
+    assert main(["predict", "--alpha", "0.8", "--gamma", "3", "--c", "0.2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2

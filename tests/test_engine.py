@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from speccast import engine
 from speccast import rng as rngmod
 from speccast.engine import (
     SOURCE_BASELINE,
@@ -20,9 +21,10 @@ from speccast.engine import (
     decode,
 )
 from speccast.models import History, fit_linear_ar, load_model, oracle_ar1, persistence_model, save_model
-from speccast.prob import gap_for_overlap, GaussianHead, residual_sample
+from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
 from speccast.series import PatchSeries, metrics
 from speccast.synth import ar1, pure_seasonal
+from test_prob import reference_residual_sample
 
 
 def make_pair(d=1, sigma=1.0, gap=0.8):
@@ -491,9 +493,12 @@ def _reference_decode(target, draft, h0, cfg):
         if n == gamma:
             source, final = SOURCE_EXTEND, mu_p[gamma] + sigma_t * block_ext[slot]
         elif cfg.variant == "lossless":
-            p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
             try:
-                final, draws = residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+                # a non-finite mean fails here and takes the fallback
+                p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
+                final, draws = reference_residual_sample(
+                    p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL)
+                )
                 source = SOURCE_RESIDUAL
             except ValueError:
                 degenerate = True
@@ -612,6 +617,52 @@ class TestReferenceLoop:
         assert str(got.value) == str(want.value)
         assert "round 0;" not in str(got.value)  # the blow-up takes a few rounds
 
+    def test_non_finite_target_mean_in_a_rejection_round(self, monkeypatch):
+        # Only the target explodes: its mean overflows to inf while the
+        # draft's proposals stay finite, so the round rejects (alpha = 0)
+        # and its residual sees an infinite target mean. The sampler must
+        # refuse that at once; the fallback draw is then not finite and the
+        # decode stops naming the round.
+        target, draft, h0 = _reference_pair("linear_ar")
+        target = dataclasses.replace(target, weights=target.weights * 1e100)
+        cfg = DecodeConfig(variant="lossless", horizon_patches=40, seed=3, gamma=3,
+                           sigma_target=0.4, sigma_draft=0.4)
+        outcomes = []
+
+        def spy(*args, **kwargs):
+            try:
+                out = sampler(*args, **kwargs)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                raise
+            outcomes.append(out[1])
+            return out
+
+        sampler = engine.residual_sample
+        monkeypatch.setattr(engine, "residual_sample", spy)
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite") as got:
+                decode(target, draft, h0, cfg)
+            with pytest.raises(RuntimeError, match="non-finite") as want:
+                _reference_decode(target, draft, h0, cfg)
+        assert str(got.value) == str(want.value)
+        assert "round 0;" not in str(got.value)
+        # earlier residuals were sampled; the last call refused before drawing
+        assert outcomes[-1] == "head mean has non-finite entries"
+        assert len(outcomes) > 1 and all(isinstance(o, int) for o in outcomes[:-1])
+
+    def test_floored_variance_warns_and_matches_reference(self):
+        target, draft, h0 = _reference_pair("linear_ar", sigma=1e-7)
+        cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
+                           sigma_target=1e-7, sigma_draft=1e-7)
+        with pytest.warns(VarianceFloorWarning):
+            forecast, trace = decode(target, draft, h0, cfg)
+        with pytest.warns(VarianceFloorWarning):
+            ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
+        assert forecast.tobytes() == ref_forecast.tobytes()
+        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+        assert SOURCE_RESIDUAL in {r.final_draw_source for r in ref_rounds}
+
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only"])
     def test_lazy_rounds_agree_with_columns(self, variant):
         target, draft, h0 = _reference_pair("linear_ar", sigma=0.2)
@@ -659,6 +710,23 @@ class TestNearlyIdenticalHeads:
             assert rec.final_draw_source == SOURCE_FALLBACK
             assert rec.residual_target_draws == 0
         # the fallback is the practical variant's draw
+        practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
+        assert np.array_equal(forecast, practical)
+
+    def test_nearly_equal_variances_fall_back(self):
+        # variances 1 and 1 + 1e-10 over 32 dims with equal means: the
+        # residual would need billions of draws; lambda = 1e-6 forces a
+        # rejection at the first position of every round
+        target = persistence_model(patch_len=32, sigma=1.0)
+        draft = persistence_model(patch_len=32, sigma=math.sqrt(1.0 + 1e-10))
+        h0 = History.from_patches(np.zeros((1, 32)), 1)
+        cfg = DecodeConfig(variant="lossless", horizon_patches=4, seed=8, gamma=3,
+                           tolerance_lambda=1e-6, allow_unequal_variance=True)
+        forecast, trace = decode(target, draft, h0, cfg)
+        assert trace.accepted_counts().tolist() == [0] * 4
+        assert trace.degenerate[: trace.n_rounds].tolist() == [1] * 4
+        assert trace.residual_draws[: trace.n_rounds].tolist() == [0] * 4
+        assert {r.final_draw_source for r in trace.rounds} == {SOURCE_FALLBACK}
         practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
         assert np.array_equal(forecast, practical)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as scistats
+from scipy.special import erfinv as scipy_erfinv
 
 from speccast import rng as rngmod
 from speccast.prob import (
@@ -20,6 +21,7 @@ from speccast.prob import (
     log_density,
     overlap,
     overlap_closed_form,
+    residual_params,
     residual_sample,
     tv_between_1d,
 )
@@ -230,11 +232,68 @@ class TestOverlap:
             assert overlap_closed_form(p, q) == pytest.approx(beta, abs=1e-12)
 
 
+def reference_residual_sample(p, q, rng, max_draws=10_000_000):
+    """Reference residual sampler: thinning written with the head API.
+
+    Takes two validated heads and draws through ``GaussianHead.sample`` and
+    ``log_density``; ``residual_sample`` must match it draw for draw.
+    """
+    if p.d != q.d:
+        raise ValueError("head dimensions differ")
+    var = p.variance
+    if np.max(np.abs(var - q.variance) / q.variance) <= 1e-12:
+        diff = p.mean - q.mean
+        delta = math.sqrt(float(np.dot(diff, diff / var)))
+        if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
+            raise ValueError(
+                f"residual undefined or beyond the draw budget: the heads' overlap leaves "
+                f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
+            )
+    draws = 0
+    chunk = 16
+    while draws < max_draws:
+        zs = p.sample(rng, chunk)
+        t = log_density(q, zs) - log_density(p, zs)
+        pi = np.where(t < 0.0, -np.expm1(np.minimum(t, 0.0)), 0.0)
+        u = rng.random(chunk)
+        hits = u < pi
+        if hits.any():
+            idx = int(np.argmax(hits))
+            return zs[idx].copy(), draws + idx + 1
+        draws += chunk
+        chunk = min(2 * chunk, 1024)
+    raise RuntimeError(f"residual sampler exhausted {max_draws} target draws; overlap too close to 1")
+
+
+def sample_heads(p, q, rng, max_draws=10_000_000):
+    """``residual_sample`` called with the fields of two heads."""
+    return residual_sample(p.mean, q.mean, residual_params(p.variance, q.variance), rng, max_draws)
+
+
+def _outcome(draw):
+    """(sample bytes, draws) of a call, or the type and text of its error."""
+    try:
+        sample, draws = draw()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return sample.tobytes(), draws
+
+
+def _variance_only_tv(ratio):
+    """1 - beta between N(0, 1) and N(0, ratio) (1-d), from the crossings.
+
+    TV is scale-invariant, so a ratio below 1 is taken as its inverse.
+    """
+    s = math.sqrt(max(ratio, 1.0 / ratio))
+    c = math.sqrt(2.0 * s * s * math.log(s) / (s * s - 1.0))
+    return math.erf(c / math.sqrt(2.0)) - math.erf(c / (s * math.sqrt(2.0)))
+
+
 class TestResidualSample:
     def test_identical_heads_error(self):
         p = GaussianHead.isotropic([0.0], 1.0)
         with pytest.raises(ValueError, match="residual undefined"):
-            residual_sample(p, p, rngmod.stream(0))
+            sample_heads(p, p, rngmod.stream(0))
 
     def test_nearly_identical_heads_error(self):
         # 1 - beta = 4e-10: about 2.5e9 expected draws, beyond the 1e7 budget
@@ -243,7 +302,7 @@ class TestResidualSample:
         q = GaussianHead.isotropic([gap, 0.0], 1.0)
         assert 1.0 / math.erf(gap / (2.0 * math.sqrt(2.0))) > 1e9
         with pytest.raises(ValueError, match="residual undefined"):
-            residual_sample(p, q, rngmod.stream(0))
+            sample_heads(p, q, rngmod.stream(0))
 
     def test_cutoff_follows_the_draw_budget(self):
         # 1/(1 - beta) is about 2000 here: over a budget of 1000, under 4000
@@ -251,16 +310,116 @@ class TestResidualSample:
         p = GaussianHead.isotropic([0.0], 2.0)
         q = GaussianHead.isotropic([2.0 * gap], 2.0)
         with pytest.raises(ValueError, match="residual undefined"):
-            residual_sample(p, q, rngmod.stream(1), max_draws=1000)
-        sample, draws = residual_sample(p, q, rngmod.stream(1), max_draws=4000)
+            sample_heads(p, q, rngmod.stream(1), max_draws=1000)
+        sample, draws = sample_heads(p, q, rngmod.stream(1), max_draws=4000)
         assert sample.shape == (1,) and draws >= 1
 
     def test_unequal_variances_are_sampled(self):
         # equal means, unequal variances: the residual exists (no closed form)
         p = GaussianHead.isotropic([0.0], 1.0)
         q = GaussianHead.isotropic([0.0], 0.5)
-        sample, draws = residual_sample(p, q, rngmod.stream(2))
+        sample, draws = sample_heads(p, q, rngmod.stream(2))
         assert sample.shape == (1,) and draws >= 1
+
+    def test_nearly_equal_variances_fail_fast(self):
+        # variances 1 and 1 + 1e-10 in 32 dims, equal means: the Pinsker
+        # bound puts 1 - beta near 2e-10, so thinning would exhaust the 1e7
+        # budget; the sampler refuses before its first draw
+        p = GaussianHead(np.zeros(32), np.ones(32))
+        q = GaussianHead(np.zeros(32), np.full(32, 1.0 + 1e-10))
+        with pytest.raises(RuntimeError, match="exhausted"):
+            reference_residual_sample(p, q, rngmod.stream(3), max_draws=20_000)
+        with pytest.raises(ValueError, match="Pinsker"):
+            sample_heads(p, q, rngmod.stream(3))
+        # the bound counts the mean gap too: the same variances at a mean
+        # gap of 1e-3 are sampled
+        q_far = GaussianHead(np.full(32, 1e-3), q.variance)
+        sample, draws = sample_heads(p, q_far, rngmod.stream(3))
+        assert sample.shape == (32,) and draws >= 1
+
+    @pytest.mark.parametrize("ratio", [1.001, 1.01, 1.1, 1.5, 3.0, 1 / 1.001, 1 / 1.1, 1 / 3.0])
+    def test_pinsker_cutoff_never_fires_within_budget(self, ratio):
+        p = GaussianHead(np.zeros(1), np.ones(1))
+        q = GaussianHead(np.zeros(1), np.full(1, ratio))
+        one_minus_beta = _variance_only_tv(ratio)
+        within = math.ceil(1.0 / one_minus_beta)
+        outcome = _outcome(lambda: sample_heads(p, q, rngmod.stream(4), max_draws=within))
+        assert outcome[0] != "ValueError", outcome
+        # and it fires once the bound itself is below 1/max_draws
+        bound = math.sqrt(residual_params(p.variance, q.variance).kl_var / 2.0)
+        with pytest.raises(ValueError, match="Pinsker"):
+            sample_heads(p, q, rngmod.stream(4), max_draws=math.floor(0.99 / bound))
+
+    @pytest.mark.parametrize("x", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, -1e-10])
+    def test_variance_kl_keeps_precision(self, x):
+        # x - log1p(x) = x^2/2 - x^3/3 + x^4/4 - ...; the series is exact to
+        # well under 1e-9 relative at these x
+        var_q = np.full(32, 2.0)
+        var_p = var_q * (1.0 + x)
+        xs = (var_p - var_q) / var_q
+        series = 0.5 * float(np.sum(xs**2 / 2 - xs**3 / 3 + xs**4 / 4))
+        kl = residual_params(var_p, var_q).kl_var
+        assert kl == pytest.approx(series, rel=1e-9)
+
+    def test_matches_reference_draw_for_draw(self):
+        rng = np.random.default_rng(20240501)
+        seen = set()
+        for case in range(600):
+            d = (1, 32)[case % 2]
+            max_draws = (16, 64, 1000, 10_000_000)[(case // 2) % 4]
+            shared = case % 3 != 0
+            var_p = rng.uniform(0.05, 4.0, d)
+            if shared:
+                # within the 1e-12 relative tolerance of a shared variance
+                var_q = var_p * (1.0 + rng.uniform(-5e-13, 5e-13, d))
+                # 1 - beta from far apart down to 1/4 of the budget's cutoff
+                one_minus_beta = math.exp(rng.uniform(math.log(0.25 / max_draws), 0.0))
+                if max_draws == 10_000_000:  # far heads, or past the cutoff only
+                    one_minus_beta = rng.choice([rng.uniform(0.05, 1.0), rng.uniform(0.1, 0.99) / max_draws])
+                delta = 2.0 * math.sqrt(2.0) * float(scipy_erfinv(min(one_minus_beta, 1.0 - 1e-16)))
+            else:
+                var_q = var_p * rng.uniform(0.25, 4.0, d)
+                delta = rng.uniform(0.0, 3.0)
+            direction = rng.normal(size=d)
+            direction *= math.sqrt(1.0 / float(np.dot(direction, direction / var_p)))
+            mu_q = rng.normal(size=d)
+            mu_p = mu_q + delta * direction
+            seed = int(rng.integers(1 << 30))
+            got = _outcome(lambda: residual_sample(
+                mu_p, mu_q, residual_params(var_p, var_q), rngmod.stream(seed), max_draws))
+            want = _outcome(lambda: reference_residual_sample(
+                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_q), rngmod.stream(seed), max_draws))
+            assert got == want, (case, d, max_draws, shared)
+            seen.add(got[0] if isinstance(got[0], str) else "sample")
+        # samples, budget cutoffs and exhausted budgets were all compared
+        assert seen == {"sample", "ValueError", "RuntimeError"}
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_mean_raises_like_the_heads(self, d, bad):
+        var = np.full(d, 0.5)
+        finite = np.zeros(d)
+        broken = finite.copy()
+        broken[-1] = bad
+        for mu_p, mu_q in ((broken, finite), (finite, broken), (broken, broken)):
+            with pytest.raises(ValueError) as want:
+                GaussianHead(mu_p, var), GaussianHead(mu_q, var)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(ValueError) as got:
+                    residual_sample(mu_p, mu_q, residual_params(var, var), rngmod.stream(0))
+            assert str(got.value) == str(want.value)
+
+    def test_floored_variance_warns_on_every_call(self):
+        params = residual_params(np.full(2, 1e-14), np.full(2, 1e-14))
+        assert params.floored and np.all(params.var_p == 1e-12)
+        with pytest.warns(VarianceFloorWarning):
+            p = GaussianHead(np.zeros(2), np.full(2, 1e-14))
+            q = GaussianHead(np.full(2, 1e-5), np.full(2, 1e-14))
+        for seed in (0, 1):
+            with pytest.warns(VarianceFloorWarning):
+                got = residual_sample(p.mean, q.mean, params, rngmod.stream(seed))
+            want = reference_residual_sample(p, q, rngmod.stream(seed))
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
     def test_draw_cost_identity(self):
         # mean draws over many calls tracks 1/(1-beta) for beta from the
@@ -269,7 +428,8 @@ class TestResidualSample:
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap_closed_form(p, q)
         gen = rngmod.stream(123)
-        draws = np.array([residual_sample(p, q, gen)[1] for _ in range(10_000)])
+        params = residual_params(p.variance, q.variance)
+        draws = np.array([residual_sample(p.mean, q.mean, params, gen)[1] for _ in range(10_000)])
         expected = 1.0 / (1.0 - beta)
         assert abs(draws.mean() - expected) / expected < 0.05
 
@@ -279,7 +439,8 @@ class TestResidualSample:
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap_closed_form(p, q)
         gen = rngmod.stream(321)
-        samples = np.array([residual_sample(p, q, gen)[0][0] for _ in range(100_000)])
+        params = residual_params(p.variance, q.variance)
+        samples = np.array([residual_sample(p.mean, q.mean, params, gen)[0][0] for _ in range(100_000)])
 
         xs = np.linspace(-8, 11, 20001)
         fp, fq = p.pdf(), q.pdf()
@@ -297,7 +458,8 @@ class TestResidualSample:
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(55)
-        samples = np.array([residual_sample(p, q, gen)[0][0] for _ in range(100_000)])
+        params = residual_params(p.variance, q.variance)
+        samples = np.array([residual_sample(p.mean, q.mean, params, gen)[0][0] for _ in range(100_000)])
         assert samples.mean() > 0.0
 
 
@@ -312,8 +474,9 @@ class TestLosslessSingleStep:
         lr = np.minimum(0.0, log_density(p, xs[:, None]) - log_density(q, xs[:, None]))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
+        params = residual_params(p.variance, q.variance)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_sample(p, q, gen)[0][0]
+            out[i] = residual_sample(p.mean, q.mean, params, gen)[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01
 

@@ -27,7 +27,7 @@ from .analysis import (
     select_gamma,
     speedup_wall,
 )
-from .engine import DecodeConfig, DecodeTrace, RoundRecord, decode
+from .engine import DecodeAborted, DecodeConfig, DecodeTrace, RoundRecord, decode
 from .harness import (
     DataSpec,
     ExperimentSpec,

@@ -5,7 +5,8 @@ an output directory writes a manifest (resolved configuration, seeds, and
 content hashes of the artifacts) sufficient to replay it; wall-time fields
 are excluded from the hashes.
 
-Exit codes: 0 ok, 1 validation or calibration failure, 2 usage or data error.
+Exit codes: 0 ok, 1 validation or calibration failure, 2 usage or data error,
+3 decode aborted (a non-finite head mean or draw; see ``engine.DecodeAborted``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .analysis import (
     select_gamma,
     speedup_wall,
 )
-from .engine import VARIANT_TARGET_ONLY, VARIANTS, DecodeConfig, decode
+from .engine import VARIANT_TARGET_ONLY, VARIANTS, DecodeAborted, DecodeConfig, decode
 from .harness import (
     DataSpec,
     ExperimentSpec,
@@ -477,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DecodeAborted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

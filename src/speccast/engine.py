@@ -15,7 +15,10 @@ normalizers and shared-variance decision computed once per head setting
 or beyond the sampler's draw budget, or a mean is not finite, the sampler
 raises ValueError and the round degrades to the practical fallback draw,
 recorded in the trace's ``degenerate`` column; a non-finite fallback draw
-then aborts the decode with a RuntimeError naming the round.
+then aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the
+round. The lossless variant refuses head variances below
+``prob.VARIANCE_FLOOR``: the residual sampler would clamp them and its
+output would no longer be the target chain.
 
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
@@ -46,7 +49,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import residual_params, residual_sample
+from .prob import VARIANCE_FLOOR, residual_params, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -60,6 +63,11 @@ def _streams() -> rngmod.ReusableStream:
         pool = rngmod.ReusableStream()
         _LOCAL.streams = pool
     return pool
+
+
+class DecodeAborted(RuntimeError):
+    """A decode met a non-finite head mean or draw and stopped at that round."""
+
 
 VARIANT_PRACTICAL = "practical"
 VARIANT_LOSSLESS = "lossless"
@@ -296,6 +304,13 @@ def _resolve_sigmas(target: ForecastModel, draft: ForecastModel | None, cfg: Dec
             f"shared-variance mode requires sigma_target == sigma_draft "
             f"(got {sigma_t} vs {sigma_d}); set both or allow_unequal_variance"
         )
+    if cfg.variant == VARIANT_LOSSLESS and min(sigma_t, sigma_d) ** 2 < VARIANCE_FLOOR:
+        raise ValueError(
+            f"lossless decoding needs head variances >= the variance floor {VARIANCE_FLOOR:g} "
+            f"(sigma >= {math.sqrt(VARIANCE_FLOOR):g}), got sigma_target={sigma_t:g}, "
+            f"sigma_draft={sigma_d:g}; the residual would be sampled at the floor, not "
+            f"from the target chain"
+        )
     return float(sigma_t), float(sigma_d)
 
 
@@ -323,7 +338,7 @@ def decode(
 def _check_finite(patch: np.ndarray, round_index: int) -> None:
     # Sum propagates NaN/inf; much cheaper than an isfinite scan per step.
     if not math.isfinite(np.add.reduce(patch)):
-        raise RuntimeError(f"non-finite head parameters at round {round_index}; aborting decode")
+        raise DecodeAborted(f"non-finite head parameters at round {round_index}; aborting decode")
 
 
 @functools.lru_cache(maxsize=64)
@@ -431,7 +446,7 @@ def _decode_speculative(
         xs = buf[p : p + gamma]
         n = kernels.round_accept(xs, u_rows[slot], mus, scratch, logs[r], alphas[r], kernel_params)
         if n < 0:
-            raise RuntimeError(f"non-finite head parameters at round {r}; aborting decode")
+            raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
         final = buf[p + n]
@@ -502,7 +517,7 @@ def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tu
         # The noise is finite, so the first non-finite patch is the first
         # step whose head mean was not finite.
         first = int(np.argmin(np.isfinite(forecast).all(axis=1)))
-        raise RuntimeError(f"non-finite head parameters at round {first}; aborting decode")
+        raise DecodeAborted(f"non-finite head parameters at round {first}; aborting decode")
 
     target_only = cfg.variant == VARIANT_TARGET_ONLY
     trace = DecodeTrace(

@@ -202,47 +202,109 @@ def fit_linear_ar(
     Features are the concatenated ``k`` lookback patches (oldest first);
     the fit residual standard deviation becomes the default head sigma.
     Intercept is not regularized, so ridge -> inf drives the prediction to
-    the train mean patch.
+    the train mean patch. Channel c contributes N = n - k training rows
+    t = 0 .. N-1; pooled row c*N + t is kept iff it is a multiple of
+    ``sample_stride``.
+
+    The (rows, k*d) feature matrix is never built. A training row, features
+    and target together, is a window of k + 1 consecutive patches, so the
+    centred normal equations are blocks of the Gram matrix of those windows:
+    block (a, a + lag) sums q[t + a] q[t + a + lag]^T over the kept t, with
+    q the patches centred by their pooled mean. The blocks at the first
+    ``sample_stride`` offsets of each lag are summed directly; every later
+    one is the block ``sample_stride`` offsets before it plus the outer
+    product of the row that enters the range, minus the one that leaves it,
+    per channel. Subtracting rows * m m^T (m the mean window) centres them.
+    Where every patch is the same, q is a residue of a few ulps whose
+    products and sums are exact, so the Gram matrix is exactly zero and
+    ``ridge = 0`` fails as singular. The residuals for sigma come from the
+    structured prediction b + sum_a x[t + a] W_a^T, not from the normal
+    equations' quadratic form, which cancels when the residuals are tiny.
+
+    Cost O((k+1) * N * d^2 + (k*d)^3) time and O((k*d)^2) memory, the
+    latter for the Gram matrix, which is factored in place.
     """
     if not np.isfinite(ridge) or ridge < 0:
         raise ValueError("ridge must be finite and >= 0")
-    k_eff = effective_lookback(lookback, scale)
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    k = effective_lookback(lookback, scale)
     d = train.patch_len
-    if train.n_patches < k_eff + 1:
+    if train.n_patches < k + 1:
         raise ValueError(
-            f"need at least {k_eff + 1} patches per channel to fit, have {train.n_patches}"
+            f"need at least {k + 1} patches per channel to fit, have {train.n_patches}"
         )
+    s = sample_stride
+    patches = train.patches
+    n_rows = train.n_patches - k
+    # (channel, first kept t, kept count) of every channel that keeps a row.
+    runs = []
+    for c in range(train.n_channels):
+        first = (-c * n_rows) % s
+        if first < n_rows:
+            runs.append((c, first, (n_rows - first + s - 1) // s))
+    rows = sum(m for _, _, m in runs)
+    mu = patches.reshape(-1, d).mean(axis=0)
+    q = patches - mu
 
-    windows = np.lib.stride_tricks.sliding_window_view(
-        train.patches, (k_eff, d), axis=(1, 2)
-    )  # (C, n-k_eff+1, 1, k_eff, d)
-    features = windows[:, :-1, 0].reshape(-1, k_eff * d)[::sample_stride]
-    targets = train.patches[:, k_eff:].reshape(-1, d)[::sample_stride]
+    def kept(x, a):
+        """Per-channel (count, d) views of x[c, t + a] over the kept t."""
+        return [x[c, f + a : f + a + (m - 1) * s + 1 : s] for c, f, m in runs]
 
-    x_mean = features.mean(axis=0)
-    y_mean = targets.mean(axis=0)
-    xc = features - x_mean
-    yc = targets - y_mean
-    gram = xc.T @ xc
+    mean = np.stack([sum(v.sum(axis=0) for v in kept(q, a)) for a in range(k + 1)]) / rows
+    kd = k * d
+    gram = np.zeros((kd, kd))
+    gram_blocks = gram.reshape(k, d, k, d)
+    cross = np.empty((k, d, d))  # X^T y, one (d, d) block per lag position
+    for lag in range(k + 1):
+        n_blocks = k + 1 - lag  # blocks (a, a + lag), a = 0 .. k - lag
+        blocks = np.empty((n_blocks, d, d))
+        for a in range(min(s, n_blocks)):
+            blocks[a] = sum(x.T @ y for x, y in zip(kept(q, a), kept(q, a + lag)))
+        steps = n_blocks - s
+        if steps > 0:
+            # blocks[a] = blocks[a - s] + delta[a - s] for a >= s
+            delta = np.zeros((steps, d, d))
+            for c, f, m in runs:
+                enter = f + m * s  # one stride past the last kept t
+                qc = q[c]
+                delta += qc[enter : enter + steps, :, None] * qc[enter + lag : enter + lag + steps, None, :]
+                delta -= qc[f : f + steps, :, None] * qc[f + lag : f + lag + steps, None, :]
+            for r in range(s):
+                blocks[r + s :: s] = blocks[r] + np.cumsum(delta[r::s], axis=0)
+        blocks -= rows * (mean[:n_blocks, :, None] * mean[lag:, None, :])
+        a = np.arange(n_blocks - 1)
+        gram_blocks[a, :, a + lag, :] = blocks[:-1]
+        if lag:  # the last block is (k - lag, k); at lag 0 it is y^T y
+            cross[k - lag] = blocks[-1]
     gram[np.diag_indices_from(gram)] += ridge
     try:
-        w = cho_solve(cho_factor(gram), xc.T @ yc).T  # (d, k_eff*d)
+        # gram holds the upper block triangle; its transpose is the
+        # Fortran-ordered lower one, which LAPACK factors in place.
+        factor = cho_factor(gram.T, lower=True, overwrite_a=True)
     except LinAlgError:
         if ridge == 0:
             raise ValueError(
                 "singular normal equations with ridge = 0; refit with ridge > 0"
             ) from None
         raise
-    intercept = y_mean - w @ x_mean
-    resid = targets - (features @ w.T + intercept)
-    sigma = float(np.sqrt(np.mean(resid ** 2)))
-    w = np.ascontiguousarray(w)
+    w = np.ascontiguousarray(cho_solve(factor, cross.reshape(kd, d)).T)  # (d, k*d)
+    intercept = (mean[k] + mu) - w @ (mean[:k] + mu).reshape(-1)
+    w_lags = w.reshape(d, k, d)  # w_lags[:, a] weighs the patch at offset a
+    lagged = [kept(patches, a) for a in range(k + 1)]
+    sq_sum = 0.0
+    for i, y in enumerate(lagged[k]):
+        resid = y - intercept
+        for a in range(k):
+            resid -= lagged[a][i] @ w_lags[:, a].T
+        sq_sum += float(np.vdot(resid, resid))
+    sigma = math.sqrt(sq_sum / (rows * d))
     w.flags.writeable = False
     intercept.flags.writeable = False
     return ForecastModel(
         kind=KIND_LINEAR,
         patch_len=d,
-        lookback=k_eff,
+        lookback=k,
         sigma=max(sigma, 1e-6),
         weights=w,
         intercept=intercept,

@@ -49,25 +49,25 @@ class GaussianHead:
     variance: np.ndarray
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        var = np.atleast_1d(np.asarray(self.variance, dtype=np.float64))
+        # One owned float64 copy of each input.
+        mean = np.array(self.mean, dtype=np.float64, ndmin=1)
+        var = np.array(self.variance, dtype=np.float64, ndmin=1)
         if mean.ndim != 1 or var.ndim != 1:
             raise ValueError("mean and variance must be 1-d vectors")
         if var.shape == (1,) and mean.shape != (1,):
             var = np.full(mean.shape, var[0])
         if var.shape != mean.shape:
             raise ValueError(f"variance shape {var.shape} != mean shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
+        if not np.isfinite(mean).all():
             raise ValueError("head mean has non-finite entries")
-        if not np.all(np.isfinite(var)):
+        if not np.isfinite(var).all():
             raise ValueError("head variance has non-finite entries")
-        if np.any(var <= 0.0):
+        var_min = var.min(initial=math.inf)  # an empty (d = 0) head has nothing to check
+        if var_min <= 0.0:
             raise ValueError("head variance entries must be strictly positive")
-        if np.any(var < VARIANCE_FLOOR):
+        if var_min < VARIANCE_FLOOR:
             warnings.warn(_FLOOR_MESSAGE, VarianceFloorWarning, stacklevel=2)
-            var = np.maximum(var, VARIANCE_FLOOR)
-        mean = mean.copy()
-        var = var.copy()
+            np.maximum(var, VARIANCE_FLOOR, out=var)
         mean.flags.writeable = False
         var.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -77,8 +77,8 @@ class GaussianHead:
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianHead":
-        mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        return cls(mean, np.full(mean.shape, float(sigma) ** 2))
+        # A length-1 variance is broadcast to the mean's shape on validation.
+        return cls(mean, float(sigma) ** 2)
 
     @property
     def d(self) -> int:
@@ -179,7 +179,9 @@ class OverlapResult:
 
 
 def _require_equal_variance(p: GaussianHead, q: GaussianHead, what: str) -> None:
-    if not np.allclose(p.variance, q.variance, rtol=1e-12, atol=0.0):
+    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
+    # atol=0) without its generic overhead; heads hold finite variances.
+    if not (np.abs(p.variance - q.variance) <= 1e-12 * np.abs(q.variance)).all():
         raise ValueError(f"{what} requires equal variances")
 
 

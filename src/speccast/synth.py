@@ -77,6 +77,22 @@ def seasonal_profile(season_len: int, amp: float, n_harmonics: int, rng: np.rand
     return prof
 
 
+def _ar1_recursion(innov: np.ndarray, phi: float) -> np.ndarray:
+    """z[0] = innov[0] / sqrt(1 - phi^2), z[t] = phi * z[t-1] + innov[t].
+
+    ``lfilter`` does one multiply and one add per step, in the order the
+    recursion states, so the result is bit-identical to a Python step loop.
+    scipy.signal is imported on first use, so that processes which generate
+    no data do not load it.
+    """
+    from scipy.signal import lfilter
+
+    z = np.empty(innov.shape[0])
+    z[0] = innov[0] / np.sqrt(max(1.0 - phi ** 2, 1e-9))
+    z[1:] = lfilter([1.0], [1.0, -phi], innov[1:], zi=[phi * z[0]])[0]
+    return z
+
+
 def seasonal_ar(
     n_steps: int,
     n_channels: int = 2,
@@ -95,11 +111,7 @@ def seasonal_ar(
         prof = seasonal_profile(season_len, season_amp, n_harmonics, rng)
         season = np.tile(prof, n_steps // season_len + 1)[:n_steps]
         innov = rng.standard_normal(n_steps) * ar_std
-        z = np.empty(n_steps)
-        z[0] = innov[0] / np.sqrt(max(1.0 - ar_coeff ** 2, 1e-9))
-        for t in range(1, n_steps):
-            z[t] = ar_coeff * z[t - 1] + innov[t]
-        x = season + z
+        x = season + _ar1_recursion(innov, ar_coeff)
         if obs_noise > 0:
             x = x + rng.standard_normal(n_steps) * obs_noise
         out[ch] = x
@@ -122,11 +134,7 @@ def ar1(n_steps: int, n_channels: int = 1, phi: float = 0.8, noise_std: float = 
     out = np.empty((n_channels, n_steps))
     for ch in range(n_channels):
         innov = rng.standard_normal(n_steps) * noise_std
-        z = np.empty(n_steps)
-        z[0] = innov[0] / np.sqrt(max(1.0 - phi ** 2, 1e-9))
-        for t in range(1, n_steps):
-            z[t] = phi * z[t - 1] + innov[t]
-        out[ch] = z
+        out[ch] = _ar1_recursion(innov, phi)
     return out
 
 

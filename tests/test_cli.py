@@ -1,5 +1,6 @@
 """CLI and harness smoke: scan -> calibrate -> manifest, replay, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from speccast import validate
 from speccast.cli import content_digest, main
 from speccast.harness import CalibrationTable, RunResult
+from speccast.models import load_model, save_model
 from speccast.validate import SuiteResult
 
 # A tiny synthetic sweep: one channel, 8-step patches, 3 test windows of
@@ -90,3 +92,37 @@ def test_predict_ok_and_argparse_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+DATA = ["--synthetic", "seasonal-ar", "--synth-steps", "4000", "--synth-channels", "1",
+        "--synth-season", "64"]
+
+
+def _fit(path, *extra):
+    assert main(["fit", *DATA, "--patch-len", "8", "--lookback", "4", "--out", str(path), *extra]) == 0
+    return path
+
+
+def test_lossless_below_variance_floor_exits_2(tmp_path, capsys):
+    target, draft = _fit(tmp_path / "target.json"), _fit(tmp_path / "draft.json", "--scale", "0.5")
+    argv = ["decode", *DATA, "--target", str(target), "--draft", str(draft), "--horizon", "16",
+            "--sigma", "1e-7", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([*argv, "--variant", "lossless"]) == 2
+    assert "variance floor" in capsys.readouterr().err
+    assert main([*argv, "--variant", "practical"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_decode_abort_exits_3(tmp_path, capsys):
+    model_path = _fit(tmp_path / "model.json")
+    model = load_model(model_path)
+    save_model(dataclasses.replace(model, weights=model.weights * 1e100), model_path)
+    capsys.readouterr()
+    argv = ["decode", *DATA, "--target", str(model_path), "--variant", "target_only",
+            "--horizon", "64", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite head parameters at round ")
+    assert err.count("\n") == 1  # one line, no traceback

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -651,17 +652,31 @@ class TestReferenceLoop:
         assert outcomes[-1] == "head mean has non-finite entries"
         assert len(outcomes) > 1 and all(isinstance(o, int) for o in outcomes[:-1])
 
-    def test_floored_variance_warns_and_matches_reference(self):
+    def test_lossless_below_variance_floor_is_rejected(self):
+        # Below the floor the residual sampler would clamp the variance, so
+        # lossless output would not be the target chain: refuse it up front.
         target, draft, h0 = _reference_pair("linear_ar", sigma=1e-7)
-        cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
-                           sigma_target=1e-7, sigma_draft=1e-7)
-        with pytest.warns(VarianceFloorWarning):
-            forecast, trace = decode(target, draft, h0, cfg)
-        with pytest.warns(VarianceFloorWarning):
-            ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
-        assert forecast.tobytes() == ref_forecast.tobytes()
-        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
-        assert SOURCE_RESIDUAL in {r.final_draw_source for r in ref_rounds}
+        for sigmas in ((1e-7, 1e-7), (1.0, 1e-7), (1e-7, 1.0)):
+            cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
+                               sigma_target=sigmas[0], sigma_draft=sigmas[1],
+                               allow_unequal_variance=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", VarianceFloorWarning)
+                with pytest.raises(ValueError, match=r"variance floor 1e-12 \(sigma >= 1e-06\)"):
+                    decode(target, draft, h0, cfg)
+        # at the floor itself lossless still decodes
+        at_floor = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
+                                sigma_target=1e-6, sigma_draft=1e-6)
+        assert np.isfinite(decode(target, draft, h0, at_floor)[0]).all()
+        # practical and target_only need no residual and still decode there
+        for variant in ("practical", "target_only"):
+            cfg = DecodeConfig(variant=variant, horizon_patches=9, seed=2, gamma=2,
+                               sigma_target=1e-7, sigma_draft=1e-7)
+            model_draft = None if variant == "target_only" else draft
+            forecast, trace = decode(target, model_draft, h0, cfg)
+            ref_forecast, ref_rounds, _, _ = _reference_decode(target, model_draft, h0, cfg)
+            assert forecast.tobytes() == ref_forecast.tobytes()
+            assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
 
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only"])
     def test_lazy_rounds_agree_with_columns(self, variant):

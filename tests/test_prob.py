@@ -59,6 +59,39 @@ class TestGaussianHead:
         h = GaussianHead.isotropic([0.0, 1.0], 1.0)
         with pytest.raises(ValueError):
             h.mean[0] = 5.0
+        with pytest.raises(ValueError):
+            h.variance[0] = 5.0
+
+    def test_owns_copies_of_its_inputs(self):
+        mean, var = np.zeros(2), np.ones(2)
+        h = GaussianHead(mean, var)
+        mean[0], var[0] = 5.0, 5.0
+        assert h.mean.tolist() == [0.0, 0.0] and h.variance.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "mean,variance,message",
+        [
+            (np.zeros((2, 2)), np.ones(2), "1-d vectors"),
+            (np.zeros(3), np.ones(2), r"variance shape \(2,\) != mean shape \(3,\)"),
+            ([0.0, np.inf], 1.0, "head mean has non-finite entries"),
+            ([0.0, 0.0], [1.0, np.nan], "head variance has non-finite entries"),
+            ([0.0, 0.0], [1.0, 0.0], "strictly positive"),
+        ],
+    )
+    def test_validation_messages(self, mean, variance, message):
+        with pytest.raises(ValueError, match=message):
+            GaussianHead(mean, variance)
+
+    def test_isotropic_equals_explicit_variance(self):
+        mean = np.array([0.5, -1.0, 2.0])
+        a = GaussianHead.isotropic(mean, 0.3)
+        b = GaussianHead(mean, np.full(3, 0.3 ** 2))
+        assert a.variance.tobytes() == b.variance.tobytes()
+        assert a._log_norm == b._log_norm
+        with pytest.raises(ValueError, match="strictly positive"):
+            GaussianHead.isotropic(mean, 0.0)
+        with pytest.warns(VarianceFloorWarning):
+            assert GaussianHead.isotropic(mean, 1e-7).variance.tolist() == [1e-12] * 3
 
 
 class TestLogDensity:
@@ -223,6 +256,18 @@ class TestOverlap:
         q = GaussianHead(np.array([0.0]), np.array([2.0]))
         with pytest.raises(ValueError):
             overlap(p, q, CLOSED_FORM)
+
+    @pytest.mark.parametrize("rel", [0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, -0.99e-12, -1.01e-12])
+    def test_equal_variance_tolerance_is_allclose(self, rel):
+        # |var_p - var_q| <= 1e-12 |var_q|, as np.allclose(rtol=1e-12, atol=0)
+        var_q = np.array([2.0, 3.0])
+        var_p = var_q * np.array([1.0, 1.0 + rel])
+        p, q = GaussianHead(np.zeros(2), var_p), GaussianHead(np.ones(2), var_q)
+        if np.allclose(var_p, var_q, rtol=1e-12, atol=0.0):
+            assert overlap(p, q, CLOSED_FORM).beta > 0
+        else:
+            with pytest.raises(ValueError, match="requires equal variances"):
+                overlap(p, q, CLOSED_FORM)
 
     def test_gap_for_overlap_inverts(self):
         for beta in (0.1, 0.3, 0.6, 0.9, 0.99):

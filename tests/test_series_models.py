@@ -1,10 +1,13 @@
 """Series ingestion, patching, and the linear/persistence/oracle forecasters."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from speccast import models
 from speccast.models import (
     History,
     effective_lookback,
@@ -22,7 +25,59 @@ from speccast.series import (
     load_csv,
     metrics,
 )
-from speccast.synth import ar1, pure_seasonal, write_csv
+from speccast.synth import SyntheticSpec, ar1, pure_seasonal, seasonal_profile, write_csv
+
+
+def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0, sample_stride=1):
+    """The materialized ridge fit: builds the (rows, k*d) feature matrix.
+
+    The oracle for ``fit_linear_ar``, which forms the same normal equations
+    from lagged window sums. Returns (weights, intercept, unfloored sigma).
+    """
+    if not np.isfinite(ridge) or ridge < 0:
+        raise ValueError("ridge must be finite and >= 0")
+    k_eff = effective_lookback(lookback, scale)
+    d = train.patch_len
+    if train.n_patches < k_eff + 1:
+        raise ValueError(
+            f"need at least {k_eff + 1} patches per channel to fit, have {train.n_patches}"
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(train.patches, (k_eff, d), axis=(1, 2))
+    features = windows[:, :-1, 0].reshape(-1, k_eff * d)[::sample_stride]
+    targets = train.patches[:, k_eff:].reshape(-1, d)[::sample_stride]
+    x_mean = features.mean(axis=0)
+    y_mean = targets.mean(axis=0)
+    xc = features - x_mean
+    yc = targets - y_mean
+    gram = xc.T @ xc
+    gram[np.diag_indices_from(gram)] += ridge
+    try:
+        w = cho_solve(cho_factor(gram), xc.T @ yc).T
+    except LinAlgError:
+        if ridge == 0:
+            raise ValueError(
+                "singular normal equations with ridge = 0; refit with ridge > 0"
+            ) from None
+        raise
+    intercept = y_mean - w @ x_mean
+    resid = targets - (features @ w.T + intercept)
+    return w, intercept, float(np.sqrt(np.mean(resid ** 2)))
+
+
+def reference_ar1_recursion(innov, phi):
+    """The step loop that ``synth`` runs through ``scipy.signal.lfilter``."""
+    z = np.empty(innov.shape[0])
+    z[0] = innov[0] / np.sqrt(max(1.0 - phi ** 2, 1e-9))
+    for t in range(1, innov.shape[0]):
+        z[t] = phi * z[t - 1] + innov[t]
+    return z
+
+
+def _assert_rel_close(actual, desired, rtol=1e-9):
+    # Relative to the largest entry, so that entries near zero are held to
+    # the array's scale rather than to their own.
+    desired = np.asarray(desired)
+    np.testing.assert_allclose(actual, desired, rtol=rtol, atol=rtol * np.abs(desired).max())
 
 
 class TestLoadCsv:
@@ -185,6 +240,133 @@ class TestFitLinearAr:
                 truth = patches[k:]
                 bucket.append(float(np.mean((preds - truth) ** 2)))
         assert np.median(full_mse) <= np.median(quarter_mse)
+
+
+# 501 patches per channel: N = 501 - k training rows is not a multiple of
+# 3 or 7 for k in (1, 2, 8), so the channels start their kept rows at
+# different offsets.
+_EQUIV_PATCHES = 501
+
+
+class TestWindowSumFit:
+    @pytest.mark.parametrize("sample_stride", [1, 3, 7])
+    @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (2, 1.0), (8, 1.0), (8, 0.25)])
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_matches_materialized_fit(self, n_channels, lookback, scale, sample_stride):
+        values = ar1(_EQUIV_PATCHES * 4, n_channels=n_channels, phi=0.8, seed=n_channels)
+        series = PatchSeries.from_values(values, patch_len=4)
+        n_rows = series.n_patches - effective_lookback(lookback, scale)
+        assert sample_stride == 1 or n_rows % sample_stride != 0
+        for ridge in (1e-8, 1e-3, 1e3, 1e12):
+            model = fit_linear_ar(series, lookback, ridge, scale, sample_stride=sample_stride)
+            w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale, sample_stride=sample_stride)
+            _assert_rel_close(model.weights, w)
+            _assert_rel_close(model.intercept, b)
+            assert model.sigma == pytest.approx(sigma, rel=1e-9)
+
+    def test_weights_and_intercept_are_frozen(self):
+        series = PatchSeries.from_values(ar1(2048, n_channels=2, phi=0.7, seed=6), patch_len=4)
+        model = fit_linear_ar(series, lookback=4, ridge=1e-3, sample_stride=3)
+        assert model.weights.flags.c_contiguous
+        assert not model.weights.flags.writeable
+        assert not model.intercept.flags.writeable
+        assert model.weights.shape == (4, 16) and model.intercept.shape == (4,)
+
+    @pytest.mark.parametrize("n_patches", [163, 2366])
+    def test_identical_patches_give_a_zero_gram(self, n_patches):
+        # The pooled mean of these identical patches is off by a few ulps;
+        # the centred residue still cancels exactly, and sigma is floored.
+        rng = np.random.default_rng(n_patches)
+        series = PatchSeries.from_values(np.tile(rng.standard_normal(3), n_patches)[None, :], patch_len=3)
+        patch = series.patches[0, 0]
+        with pytest.raises(ValueError, match="singular normal equations with ridge = 0"):
+            fit_linear_ar(series, lookback=2, ridge=0.0)
+        model = fit_linear_ar(series, lookback=2, ridge=1e-3)
+        assert not model.weights.any()
+        assert model.intercept.tobytes() == patch.tobytes()
+        assert model.sigma == 1e-6
+
+    def test_peak_memory_stays_near_the_gram(self):
+        # 2 channels of 1500 patches of 16 at lookback 32: the feature matrix
+        # alone is 12 MB, the (512, 512) Gram matrix 2 MB.
+        series = PatchSeries.from_values(ar1(24_000, n_channels=2, phi=0.8, seed=3), patch_len=16)
+        k = 32
+        budget = 2 * (k * series.patch_len) ** 2 * 8
+        peaks = []
+        for fit in (fit_linear_ar, reference_fit_linear_ar):
+            tracemalloc.start()
+            try:
+                fit(series, k, 1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= budget < peaks[1]
+
+
+def _error_of(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestFitErrorsUnchanged:
+    @pytest.mark.parametrize(
+        "values,patch_len,lookback,ridge",
+        [
+            (ar1(512, seed=1), 4, 4, -1.0),
+            (ar1(512, seed=1), 4, 4, float("nan")),
+            (ar1(512, seed=1), 4, 4, float("inf")),
+            (np.arange(32.0)[None, :], 8, 4, 1e-3),           # too few patches
+            (np.tile(np.arange(8.0), 64)[None, :], 8, 4, 0.0),  # singular, ridge 0
+            (np.full((2, 256), 3.5), 8, 2, 0.0),              # constant series
+        ],
+        ids=["negative-ridge", "nan-ridge", "inf-ridge", "too-few", "singular", "constant"],
+    )
+    def test_same_error_as_reference(self, values, patch_len, lookback, ridge):
+        series = PatchSeries.from_values(values, patch_len=patch_len)
+        got = _error_of(fit_linear_ar, series, lookback, ridge)
+        assert got is not None and got[0] is ValueError
+        assert got == _error_of(reference_fit_linear_ar, series, lookback, ridge)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_factorization_failure(self, ridge, monkeypatch):
+        # ridge > 0 passes LAPACK's LinAlgError on; ridge = 0 turns it into advice
+        def failing_cho_factor(*args, **kwargs):
+            raise LinAlgError("2-th leading minor of the array is not positive definite")
+
+        monkeypatch.setattr(models, "cho_factor", failing_cho_factor)
+        monkeypatch.setitem(globals(), "cho_factor", failing_cho_factor)
+        series = PatchSeries.from_values(ar1(512, seed=2), patch_len=4)
+        got = _error_of(fit_linear_ar, series, 4, ridge)
+        assert got == _error_of(reference_fit_linear_ar, series, 4, ridge)
+        assert got[0] is (ValueError if ridge == 0 else LinAlgError)
+
+    def test_sample_stride_must_be_positive(self):
+        series = PatchSeries.from_values(ar1(512, seed=2), patch_len=4)
+        with pytest.raises(ValueError, match="sample_stride must be >= 1"):
+            fit_linear_ar(series, 4, 1e-3, sample_stride=0)
+
+
+class TestSynth:
+    @pytest.mark.parametrize("phi", [0.5, 0.9, 0.99, -0.7])
+    def test_ar1_matches_step_loop(self, phi):
+        got = ar1(5000, n_channels=2, phi=phi, noise_std=0.3, seed=8)
+        rng = np.random.Generator(np.random.Philox(key=8))
+        want = np.stack([reference_ar1_recursion(rng.standard_normal(5000) * 0.3, phi) for _ in range(2)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_seasonal_ar_matches_step_loop(self):
+        spec = SyntheticSpec(n_steps=20_000)
+        rng = np.random.Generator(np.random.Philox(key=spec.seed))
+        want = np.empty((spec.n_channels, spec.n_steps))
+        for ch in range(spec.n_channels):
+            prof = seasonal_profile(spec.season_len, spec.season_amp, spec.n_harmonics, rng)
+            season = np.tile(prof, spec.n_steps // spec.season_len + 1)[: spec.n_steps]
+            innov = rng.standard_normal(spec.n_steps) * spec.ar_std
+            want[ch] = season + reference_ar1_recursion(innov, spec.ar_coeff)
+        assert spec.generate().tobytes() == want.tobytes()
 
 
 class TestPredict:

@@ -7,18 +7,26 @@ a rejected round: the practical variant falls back to the target head, the
 lossless variant samples the residual density and thereby reproduces the
 exact target chain.
 
-A rejected lossless round at position n closes with
+A round that accepts n proposals closes at position n. Unless it ends in a
+residual draw, it closes with ``mu_p[n] + ext``, where ``ext`` is the
+round's pre-drawn N(0, sigma_t^2 I) target variate: that covers the
+extension (n = gamma), the practical fallback and the degenerate lossless
+fallback (n < gamma). ``ext`` is drawn with the round's uniforms and
+proposal noise but independently of them, so given the accept decision it
+is still a target draw; one expression closes the round and no rejection
+re-keys a stream. A rejected lossless round closes with
 ``residual_sample(mu_p[n], mu_q[n], ...)`` on the target and draft mean rows
 the round already holds, with the variances, standard deviation, log
 normalizers and shared-variance decision computed once per head setting
 (``_head_params``); no head object is built. When the residual is undefined
-or beyond the sampler's draw budget, or a mean is not finite, the sampler
-raises ValueError and the round degrades to the practical fallback draw,
-recorded in the trace's ``degenerate`` column; a non-finite fallback draw
-then aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the
-round. The lossless variant refuses head variances below
-``prob.VARIANCE_FLOOR``: the residual sampler would clamp them and its
-output would no longer be the target chain.
+or beyond the sampler's draw budget, or a mean is not finite (ValueError),
+or the budget is spent without an acceptance (RuntimeError), the round
+degrades to the practical fallback, recorded in the trace's ``degenerate``
+column with no residual draws; a non-finite closing draw then aborts the
+decode with ``DecodeAborted`` (a RuntimeError) naming the round. The
+lossless variant refuses head variances below ``prob.VARIANCE_FLOOR``: the
+residual sampler would clamp them and its output would no longer be the
+target chain.
 
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
@@ -414,10 +422,10 @@ def _decode_speculative(
     while emitted < horizon:
         # Round draws come from fixed-size blocks pre-drawn from one stream
         # per block in a fixed order (all acceptance uniforms first, then
-        # proposal noise, then extension draws). A round's draws therefore
-        # depend only on (seed, round index), so truncating the horizon
-        # never alters earlier rounds and both variants consume common
-        # random numbers until a round's first rejection.
+        # proposal noise, then the closing target draws). A round's draws
+        # therefore depend only on (seed, round index), so truncating the
+        # horizon never alters earlier rounds and both variants consume
+        # common random numbers until a round's first rejection.
         slot = r % _RNG_BLOCK
         if slot == 0:
             gen = streams.rekey(cfg.seed, r // _RNG_BLOCK, rngmod.ROUND)
@@ -450,26 +458,22 @@ def _decode_speculative(
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
         final = buf[p + n]
-        if n == gamma:
-            source = _EXTEND
-            np.add(mu_p[gamma], block_ext[slot], out=final)
-        elif lossless:
+        source = _EXTEND if n == gamma else _FALLBACK
+        if lossless and n < gamma:
+            gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
             try:
-                gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
                 final[:], draws_col[r] = residual_sample(mu_p[n], mus[0, n], residual, gen)
                 source = _RESIDUAL
-            except ValueError:
+            except (ValueError, RuntimeError):
                 # Residual undefined or beyond the draw budget (heads
-                # identical or nearly so), or a mean not finite: degrade to
-                # the practical fallback.
+                # identical or nearly so), a mean not finite, or the budget
+                # spent without an acceptance: degrade to the practical
+                # fallback.
                 degen_col[r] = True
-                gen = streams.rekey(cfg.seed, r, rngmod.FALLBACK)
-                np.add(mu_p[n], sigma_t * gen.standard_normal(d), out=final)
-                source = _FALLBACK
-        else:
-            gen = streams.rekey(cfg.seed, r, rngmod.FALLBACK)
-            np.add(mu_p[n], sigma_t * gen.standard_normal(d), out=final)
-            source = _FALLBACK
+        if source != _RESIDUAL:
+            # The extension, or the practical fallback: the round's own
+            # target draw, independent of its accept decision.
+            np.add(mu_p[n], block_ext[slot], out=final)
         _check_finite(final, r)
 
         n_col[r] = n

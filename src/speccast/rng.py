@@ -7,9 +7,15 @@ draw sequence is fully determined by its key, independent of scheduling or of
 how other streams are consumed. This is what makes decode traces replayable
 bit-for-bit from (config, data, seed) alone.
 
-Purpose tags keep draws for different roles on disjoint streams. In
-particular the fallback/extension draws never share a stream with the
-acceptance uniforms, so the practical and lossless decode variants consume
+Purpose tags keep draws for different roles on disjoint streams. The decode
+round stream is drawn a block of rounds at a time, in full and in a fixed
+order, before any of those rounds is decided: acceptance uniforms, proposal
+noise, then one target variate per round. That variate closes the round
+whenever it does not end in a residual draw (all proposals accepted, a
+practical rejection, or a degenerate lossless one); it is independent of
+the round's uniforms and proposal noise, so it is a target draw whatever
+the accept decision was. The residual sampler draws from its own
+per-round stream. So the practical and lossless decode variants consume
 common random numbers up to the point where their behavior diverges.
 """
 
@@ -18,10 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 # Purpose tags for the per-round streams.
+# A tag is part of every key it makes, so the values never move; 3, the
+# former practical-fallback stream, stays unused.
 ROUND = 0       # main round stream: acceptance uniforms (drawn first, so
                 # variants share common random numbers), proposal noise,
-                # then the block-extension draw, in that fixed order
-FALLBACK = 3    # target draw after a rejection (practical variant)
+                # then the round-closing target draw, in that fixed order
 RESIDUAL = 4    # residual thinning draws (lossless variant)
 DIRECT = 5      # plain autoregressive sampling (baselines)
 

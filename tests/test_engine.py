@@ -1,6 +1,7 @@
 """Decode loop: prefix acceptance, run lengths, determinism, pass accounting."""
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from speccast import engine
+from speccast import engine, prob
 from speccast import rng as rngmod
 from speccast.engine import (
     SOURCE_BASELINE,
@@ -424,8 +425,11 @@ def _reference_check_finite(patch, round_index):
         raise RuntimeError(f"non-finite head parameters at round {round_index}; aborting decode")
 
 
-def _reference_decode(target, draft, h0, cfg):
-    """(forecast, rounds, totals, truncated_patches) from the reference loop."""
+def _reference_decode(target, draft, h0, cfg, max_draws=10_000_000):
+    """(forecast, rounds, totals, truncated_patches) from the reference loop.
+
+    ``max_draws`` is the residual sampler's draw budget.
+    """
     totals = Totals()
     rounds = []
     if cfg.variant in ("target_only", "draft_only"):
@@ -491,23 +495,19 @@ def _reference_decode(target, draft, h0, cfg):
         if not math.isfinite(float(alphas.sum())):
             raise RuntimeError(f"non-finite head parameters at round {r}; aborting decode")
         draws, degenerate = 0, False
-        if n == gamma:
-            source, final = SOURCE_EXTEND, mu_p[gamma] + sigma_t * block_ext[slot]
-        elif cfg.variant == "lossless":
+        # every close but a residual one is the round's own extension draw
+        source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
+        final = mu_p[n] + sigma_t * block_ext[slot]
+        if n < gamma and cfg.variant == "lossless":
             try:
                 # a non-finite mean fails here and takes the fallback
                 p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
                 final, draws = reference_residual_sample(
-                    p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL)
+                    p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL), max_draws
                 )
                 source = SOURCE_RESIDUAL
-            except ValueError:
+            except (ValueError, RuntimeError):  # undefined, refused or exhausted
                 degenerate = True
-                gen = rngmod.stream(cfg.seed, r, rngmod.FALLBACK)
-                source, final = SOURCE_FALLBACK, mu_p[n] + sigma_t * gen.standard_normal(d)
-        else:
-            gen = rngmod.stream(cfg.seed, r, rngmod.FALLBACK)
-            source, final = SOURCE_FALLBACK, mu_p[n] + sigma_t * gen.standard_normal(d)
         _reference_check_finite(final, r)
         consumed = min(n + 1, gamma)
         outputs.extend(xs[i].copy() for i in range(n))
@@ -623,9 +623,14 @@ class TestReferenceLoop:
         # draft's proposals stay finite, so the round rejects (alpha = 0)
         # and its residual sees an infinite target mean. The sampler must
         # refuse that at once; the fallback draw is then not finite and the
-        # decode stops naming the round.
+        # decode stops naming the round. Weights and history are all
+        # positive, so every term of the verify product is too and its
+        # overflow is +inf in whatever order the product sums them; terms of
+        # mixed sign can overflow to inf - inf = nan instead, which stops
+        # the decode at the acceptance scan before any residual is drawn.
         target, draft, h0 = _reference_pair("linear_ar")
-        target = dataclasses.replace(target, weights=target.weights * 1e100)
+        target = dataclasses.replace(target, weights=np.abs(target.weights) * 1e100)
+        h0 = History.from_patches(np.abs(h0.window()), h0.lookback)
         cfg = DecodeConfig(variant="lossless", horizon_patches=40, seed=3, gamma=3,
                            sigma_target=0.4, sigma_draft=0.4)
         outcomes = []
@@ -744,6 +749,56 @@ class TestNearlyIdenticalHeads:
         assert {r.final_draw_source for r in trace.rounds} == {SOURCE_FALLBACK}
         practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
         assert np.array_equal(forecast, practical)
+
+
+class TestRoundClose:
+    def test_closing_draw_is_a_target_draw_for_every_n(self):
+        # A round that accepts n proposals closes with mu_p[n] + ext, where
+        # ext is drawn apart from the uniforms and proposal noise that
+        # decided n, so (x_n - mu_p[n]) / sigma_t is N(0, 1) given n. The
+        # persistence target's mean at position n is the patch before it
+        # (h0's zero at n = 0); a horizon of gamma + 1 keeps round 0 whole.
+        from scipy import stats as scistats
+
+        gamma, sigma = 3, 1.0
+        target, draft, h0 = make_pair(sigma=sigma, gap=gap_for_overlap(0.8) * sigma)
+        z = [[] for _ in range(gamma + 1)]
+        for seed in range(20_000):
+            cfg = cfg_for("practical", horizon=gamma + 1, gamma=gamma, seed=seed, sigma=sigma)
+            forecast, trace = decode(target, draft, h0, cfg)
+            n = int(trace.n_accepted[0])
+            previous = forecast[n - 1, 0] if n else 0.0
+            z[n].append((forecast[n, 0] - previous) / sigma)
+        for n in range(gamma + 1):
+            assert len(z[n]) > 2000, n  # P(n) = 0.2, 0.16, 0.128, 0.512
+            assert scistats.kstest(z[n], "norm").pvalue >= 1e-3, n
+
+    def test_exhausted_residual_budget_falls_back(self, monkeypatch):
+        # At overlap 0.9 (1 - beta = 0.1) a 16-draw budget passes the
+        # sampler's up-front cutoff but runs dry in about 0.9**16 = 19% of
+        # calls. Such a round closes like a practical one and is flagged.
+        budget = 16
+        monkeypatch.setattr(
+            engine, "residual_sample", functools.partial(prob.residual_sample, max_draws=budget)
+        )
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.9))
+        degenerate_sessions = 0
+        for seed in range(300):
+            cfg = cfg_for("lossless", horizon=4, seed=seed)
+            forecast, trace = decode(target, draft, h0, cfg)
+            ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg, max_draws=budget)
+            assert forecast.tobytes() == ref_forecast.tobytes()
+            assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+            rounds = trace.n_rounds
+            flagged = trace.degenerate[:rounds].astype(bool)
+            assert trace.residual_draws[:rounds][flagged].tolist() == [0] * int(flagged.sum())
+            assert all(SOURCES[s] == SOURCE_FALLBACK for s in trace.sources[:rounds][flagged])
+            if flagged[0]:
+                degenerate_sessions += 1
+                practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
+                closed = int(trace.n_accepted[0]) + 1
+                assert forecast[:closed].tobytes() == practical[:closed].tobytes()
+        assert degenerate_sessions >= 5
 
 
 class TestSigmaOverrides:

@@ -12,21 +12,24 @@ from speccast import rng as rngmod
 class TestStreams:
     def test_distinct_keys_distinct_draws(self):
         a = rngmod.stream(1, 0, rngmod.ROUND).random(8)
-        b = rngmod.stream(1, 0, rngmod.FALLBACK).random(8)
+        b = rngmod.stream(1, 0, rngmod.RESIDUAL).random(8)
+        e = rngmod.stream(1, 0, rngmod.DIRECT).random(8)
         c = rngmod.stream(1, 1, rngmod.ROUND).random(8)
         d = rngmod.stream(2, 0, rngmod.ROUND).random(8)
         assert not np.array_equal(a, b)
+        assert not np.array_equal(a, e)
+        assert not np.array_equal(b, e)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
     def test_same_key_replays(self):
-        a = rngmod.stream(5, 3, rngmod.FALLBACK).standard_normal(16)
-        b = rngmod.stream(5, 3, rngmod.FALLBACK).standard_normal(16)
+        a = rngmod.stream(5, 3, rngmod.RESIDUAL).standard_normal(16)
+        b = rngmod.stream(5, 3, rngmod.RESIDUAL).standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_reusable_matches_fresh(self):
         pool = rngmod.ReusableStream()
-        for key in [(1, 0, rngmod.ROUND), (1, 1, rngmod.FALLBACK), (9, 2, rngmod.RESIDUAL)]:
+        for key in [(1, 0, rngmod.ROUND), (1, 1, rngmod.DIRECT), (9, 2, rngmod.RESIDUAL)]:
             gen = pool.rekey(*key)
             got = (gen.random(4), gen.standard_normal(3))
             fresh = rngmod.stream(*key)

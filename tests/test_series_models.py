@@ -1,5 +1,6 @@
 """Series ingestion, patching, and the linear/persistence/oracle forecasters."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -414,6 +415,55 @@ class TestPredict:
         b = model.predict(h)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.variance, b.variance)
+
+
+class TestMeanWeights:
+    @staticmethod
+    def _random_model(rng, patch_len, lookback):
+        weights = rng.normal(size=(patch_len, lookback * patch_len))
+        weights.flags.writeable = False
+        return models.ForecastModel(
+            kind=models.KIND_LINEAR, patch_len=patch_len, lookback=lookback, sigma=1.0,
+            weights=weights, intercept=rng.normal(size=patch_len),
+        )
+
+    @pytest.mark.parametrize("patch_len", [1, 3])
+    @pytest.mark.parametrize("lookback", [1, 8, 96])
+    def test_means_match_the_weights_product(self, patch_len, lookback):
+        # mean_batch once multiplied by the F-ordered view weights.T and
+        # mean_one by weights itself; the C-ordered copy moves only last bits
+        rng = np.random.default_rng(100 * patch_len + lookback)
+        model = self._random_model(rng, patch_len, lookback)
+        buf = rng.normal(size=(lookback + 5, patch_len))
+        # overlapping windows as the engine passes them, then longer ones
+        overlapping = np.lib.stride_tricks.sliding_window_view(buf, lookback, axis=0).transpose(0, 2, 1)
+        longer = rng.normal(size=(4, lookback + 2, patch_len))
+        for windows in (overlapping, longer):
+            recent = windows[:, -lookback:]
+            flat = np.stack([w.reshape(-1) for w in recent])
+            want = flat @ model.weights.T + model.intercept
+            scale = np.max(np.abs(want), axis=1)
+            got = model.mean_batch(windows)
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+            one = np.stack([model.mean_one(w) for w in recent])
+            assert np.all(np.max(np.abs(one - want), axis=1) <= 1e-12 * scale)
+
+    def test_copy_is_read_only_and_shared(self):
+        rng = np.random.default_rng(5)
+        model = self._random_model(rng, 3, 8)
+        # a copy made before the first product still shares the one copy
+        early = model.with_knobs(sigma=0.5)
+        stacked = model.mean_weights()
+        assert stacked.shape == (24, 3) and stacked.flags.c_contiguous
+        assert not stacked.flags.writeable and not np.shares_memory(stacked, model.weights)
+        assert np.array_equal(stacked, model.weights.T)
+        assert model.mean_weights() is stacked
+        for copy in (early, model.with_knobs(mean_bias=0.2), early.with_knobs(sigma=2.0, mean_bias=1.0)):
+            assert copy.mean_weights() is stacked
+        # new weights get their own copy
+        scaled = dataclasses.replace(model, weights=model.weights * 2.0)
+        assert scaled.mean_weights() is not stacked
+        assert np.array_equal(scaled.mean_weights(), scaled.weights.T)
 
 
 class TestHistory:

@@ -41,21 +41,17 @@ from .models import (
     History,
     fit_linear_ar,
     load_model,
-    oracle_ar1,
     persistence_model,
     save_model,
 )
 from .prob import (
-    AcceptanceDecision,
     GaussianHead,
     GridSpec,
     OverlapResult,
     ResidualParams,
-    acceptance,
     log_density,
     overlap,
     residual_params,
     residual_sample,
-    tv_between_1d,
 )
 from .series import CsvSchema, NormStats, PatchSeries, load_csv, metrics

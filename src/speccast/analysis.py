@@ -17,6 +17,7 @@ import numpy as np
 from .prob import (
     GaussianHead,
     GridSpec,
+    _check_grid_coverage,
     log_density,
     overlap_closed_form,
     refined_trapezoid,
@@ -316,10 +317,8 @@ def deviation_bounds(
         lr = log_density(p, x) - log_density(q, x)
         return np.exp(np.minimum(0.0, lr + log_lam)) * fq(x[:, 0])
 
-    for f, name in ((fp, "p"), (fq, "q")):
-        xs = np.linspace(grid.lo, grid.hi, grid.points)
-        if float(np.trapezoid(f(xs), xs)) < 0.999:
-            raise ValueError(f"quadrature grid does not cover the mass of {name}")
+    _check_grid_coverage(fp, grid, "p")
+    _check_grid_coverage(fq, grid, "q")
 
     alpha_bar = refined_trapezoid(alpha_q, grid, abs_tol=1e-9)
     alpha_bar = min(1.0, max(0.0, alpha_bar))

@@ -92,7 +92,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
 
 def _load_values(args) -> tuple[np.ndarray, dict]:
     if (args.csv is None) == (args.synthetic is None):
-        raise SystemExit2("pass exactly one of --csv or --synthetic")
+        raise ValueError("pass exactly one of --csv or --synthetic")
     if args.csv is not None:
         schema = CsvSchema(
             channel_cols=tuple(args.channels.split(",")) if args.channels else None,
@@ -122,10 +122,6 @@ def _load_values(args) -> tuple[np.ndarray, dict]:
         "seed": args.synth_seed,
     }
     return values, meta
-
-
-class SystemExit2(Exception):
-    """Usage/data error mapped to exit code 2."""
 
 
 def cmd_fit(args) -> int:
@@ -168,13 +164,11 @@ def cmd_decode(args) -> int:
     target = load_model(args.target)
     draft = load_model(args.draft) if args.draft else None
     if args.variant != VARIANT_TARGET_ONLY and draft is None:
-        raise SystemExit2(f"--variant {args.variant} requires --draft")
+        raise ValueError(f"--variant {args.variant} requires --draft")
     values, meta = _load_values(args)
     if target.norm_stats is None:
-        raise SystemExit2("target model carries no normalization stats; refit it")
+        raise ValueError("target model carries no normalization stats; refit it")
 
-    sigma_target = args.sigma if args.sigma is not None else args.sigma_target
-    sigma_draft = args.sigma if args.sigma is not None else args.sigma_draft
     horizon_steps = args.horizon
     patch = target.patch_len
     horizon_patches = -(-horizon_steps // patch)  # ceil; output truncated to steps
@@ -184,8 +178,8 @@ def cmd_decode(args) -> int:
         seed=args.seed,
         gamma=args.gamma,
         tolerance_lambda=args.tolerance_lambda,
-        sigma_target=sigma_target,
-        sigma_draft=sigma_draft,
+        sigma_target=args.sigma,
+        sigma_draft=args.sigma,
         draft_bias=args.bias,
     )
 
@@ -203,7 +197,7 @@ def cmd_decode(args) -> int:
         for ch in range(std_values.shape[0]):
             n_patches = std_values.shape[1] // patch
             if n_patches < k_ctx:
-                raise SystemExit2(
+                raise ValueError(
                     f"channel {ch}: {n_patches} patches of history, need {k_ctx}"
                 )
             ctx = std_values[ch, : n_patches * patch].reshape(n_patches, patch)[-k_ctx:]
@@ -231,8 +225,6 @@ def cmd_decode(args) -> int:
             "gamma": args.gamma,
             "horizon": args.horizon,
             "sigma": args.sigma,
-            "sigma_target": args.sigma_target,
-            "sigma_draft": args.sigma_draft,
             "bias": args.bias,
             "tolerance_lambda": args.tolerance_lambda,
             "seed": args.seed,
@@ -246,9 +238,9 @@ def cmd_decode(args) -> int:
 def cmd_predict(args) -> int:
     alpha, gamma = args.alpha, args.gamma
     if not 0.0 <= alpha <= 1.0:
-        raise SystemExit2("--alpha must lie in [0, 1]")
+        raise ValueError("--alpha must lie in [0, 1]")
     if gamma < 1:
-        raise SystemExit2("--gamma must be >= 1")
+        raise ValueError("--gamma must be >= 1")
     e_l = expected_block_length(alpha, gamma)
     rows = {
         "alpha_bar": alpha,
@@ -410,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--gamma", type=int, default=3)
     p_dec.add_argument("--horizon", type=int, required=True, help="forecast horizon in timesteps")
     p_dec.add_argument("--sigma", type=float, help="shared head sigma for target and draft")
-    p_dec.add_argument("--sigma-target", type=float)
-    p_dec.add_argument("--sigma-draft", type=float)
     p_dec.add_argument("--bias", type=float, help="draft mean-bias norm (>= 0)")
     p_dec.add_argument("--tolerance-lambda", type=float, default=1.0)
     p_dec.add_argument("--seed", type=int, default=0)
@@ -472,9 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         args.out = os.environ["SPECCAST_OUT_DIR"]
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,20 +20,22 @@ the round already holds, with the variances, standard deviation, log
 normalizers and shared-variance decision computed once per head setting
 (``_head_params``); no head object is built. When the residual is undefined
 or beyond the sampler's draw budget, or a mean is not finite (ValueError),
-or the budget is spent without an acceptance (RuntimeError), the round
-degrades to the practical fallback, recorded in the trace's ``degenerate``
-column with no residual draws; a non-finite closing draw then aborts the
-decode with ``DecodeAborted`` (a RuntimeError) naming the round. The
-lossless variant refuses head variances below ``prob.VARIANCE_FLOOR``: the
-residual sampler would clamp them and its output would no longer be the
-target chain.
+or the budget is spent without an acceptance (``ResidualExhausted``), the
+round degrades to the practical fallback, recorded in the trace's
+``degenerate`` column; its ``residual_draws`` are the draws the sampler
+spent, 0 when it refused before drawing. A non-finite closing draw then
+aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the
+round. The lossless variant refuses head variances below
+``prob.VARIANCE_FLOOR``: the residual sampler would clamp them and its
+output would no longer be the target chain.
 
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
 common random numbers until their behavior diverges.
 
-A session decodes inside one preallocated (k_max + horizon + gamma, d)
-buffer: the history is written into it once, proposals, accepted patches
+A session starts from a ``models.History``, a read-only left-padded
+context, and decodes inside one preallocated (k_max + horizon + gamma, d)
+buffer: the context is written into it once, proposals, accepted patches
 and closing draws are written in place, the gamma + 1 verify windows of a
 round are a slice of one strided view built per session, and the forecast
 is one slice copy at the end. ``kernels.round_accept`` scores the draft and
@@ -57,7 +59,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import VARIANCE_FLOOR, residual_params, residual_sample
+from .prob import VARIANCE_FLOOR, ResidualExhausted, residual_params, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -464,12 +466,16 @@ def _decode_speculative(
             try:
                 final[:], draws_col[r] = residual_sample(mu_p[n], mus[0, n], residual, gen)
                 source = _RESIDUAL
-            except (ValueError, RuntimeError):
+            except ValueError:
                 # Residual undefined or beyond the draw budget (heads
-                # identical or nearly so), a mean not finite, or the budget
-                # spent without an acceptance: degrade to the practical
-                # fallback.
+                # identical or nearly so), or a mean not finite: degrade to
+                # the practical fallback.
                 degen_col[r] = True
+            except ResidualExhausted as exc:
+                # The budget spent without an acceptance: degrade too, and
+                # keep the count of the draws it cost.
+                degen_col[r] = True
+                draws_col[r] = exc.draws
         if source != _RESIDUAL:
             # The extension, or the practical fallback: the round's own
             # target draw, independent of its accept decision.

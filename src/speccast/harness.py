@@ -624,12 +624,9 @@ def calibrate(results: list[RunResult], flag_threshold: float = 0.25) -> Calibra
         if res.report is None:
             continue
         r = res.report
-        e_gap = abs(r.e_l_pred - r.e_l_meas) / r.e_l_pred if r.e_l_meas is not None else 0.0
-        s_gap = (
-            abs(r.s_wall_pred - r.s_wall_meas) / r.s_wall_pred
-            if r.s_wall_meas is not None
-            else 0.0
-        )
+        gaps = r.deltas()
+        e_gap = gaps.get("e_l_rel_gap", 0.0)
+        s_gap = gaps.get("s_wall_rel_gap", 0.0)
         rows.append(
             CalibrationRow(
                 dataset=res.dataset,

@@ -1,9 +1,14 @@
-"""Desk-scale autoregressive forecasters with Gaussian heads.
+"""Desk-scale autoregressive forecasters with isotropic Gaussian heads.
 
-Targets and drafts share one model type. A draft is a reduced-capacity
-ridge refit of the same data: ``scale`` < 1 truncates the lookback window,
-which keeps the essential draft property (cheaper per pass, approximately
-aligned mean) without any separate training pipeline.
+Targets and drafts share one model type of two kinds, a ridge-fitted linear
+map of the lookback window (``linear_ar``) and the last patch
+(``persistence``). The decode engine reads only a model's next-patch mean
+(``mean_one``, ``mean_batch``) and head width ``sigma``. A draft is a
+reduced-capacity ridge refit of the same data: ``scale`` < 1 truncates the
+lookback window, which keeps the essential draft property (cheaper per
+pass, approximately aligned mean) without a separate training pipeline.
+``History`` is the read-only, left-padded context a decode session starts
+from.
 """
 
 from __future__ import annotations
@@ -16,59 +21,48 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .prob import GaussianHead
 from .series import NormStats, PatchSeries
 
 KIND_LINEAR = "linear_ar"
 KIND_PERSISTENCE = "persistence"
-KIND_ORACLE = "synthetic_oracle"
 
 MODEL_FORMAT_VERSION = 1
 _CACHE_LINE = 64  # bytes
 
 
 class History:
-    """Ring of the most recent ``lookback`` patches for one channel.
+    """Read-only (lookback, d) context of one channel, oldest patch first.
 
-    Shorter histories are left-padded with the pad patch (train mean patch),
-    so predictions stay finite from the first step.
+    Built by ``from_patches``: the most recent ``lookback`` patches, left-padded
+    with the pad patch (the train mean patch) when there are fewer, so
+    predictions stay finite from the first step. A decode copies the context
+    into its session buffer with ``fill_window`` and never changes it.
     """
 
-    def __init__(self, lookback: int, pad_patch: np.ndarray):
-        if lookback < 1:
-            raise ValueError("lookback must be >= 1")
-        pad_patch = np.asarray(pad_patch, dtype=np.float64)
-        self.lookback = lookback
-        self.patch_len = pad_patch.shape[0]
-        self._buf = np.tile(pad_patch, (lookback, 1))
-        self.total_appended = 0
+    def __init__(self, context: np.ndarray):
+        self._context = context
+        self.lookback = context.shape[0]
 
     @classmethod
     def from_patches(cls, patches: np.ndarray, lookback: int, pad_patch: np.ndarray | None = None) -> "History":
+        if lookback < 1:
+            raise ValueError("lookback must be >= 1")
         patches = np.atleast_2d(np.asarray(patches, dtype=np.float64))
         pad = pad_patch if pad_patch is not None else np.zeros(patches.shape[1])
-        h = cls(lookback, pad)
+        context = np.tile(np.asarray(pad, dtype=np.float64), (lookback, 1))
         m = min(lookback, patches.shape[0])
         if m:
-            h._buf[lookback - m :] = patches[-m:]
-        h.total_appended = patches.shape[0]
-        return h
+            context[lookback - m :] = patches[-m:]
+        context.flags.writeable = False
+        return cls(context)
 
-    def append(self, patch: np.ndarray) -> None:
-        self._buf[:-1] = self._buf[1:]
-        self._buf[-1] = patch
-        self.total_appended += 1
-
-    def window(self, k: int | None = None) -> np.ndarray:
-        """Most recent k patches, oldest first, shape (k, d)."""
-        k = self.lookback if k is None else k
-        if k > self.lookback:
-            raise ValueError(f"requested window {k} exceeds history capacity {self.lookback}")
-        return self._buf[self.lookback - k :].copy()
+    def window(self) -> np.ndarray:
+        """A writable copy of the context, shape (lookback, d)."""
+        return self._context.copy()
 
     def fill_window(self, out: np.ndarray) -> None:
         """Write the most recent len(out) patches into a caller buffer."""
-        out[:] = self._buf[self.lookback - out.shape[0] :]
+        out[:] = self._context[self.lookback - out.shape[0] :]
 
 
 @dataclass(frozen=True)
@@ -90,14 +84,13 @@ class ForecastModel:
     mean_bias: float = 0.0
     mean_patch: np.ndarray | None = None  # pad patch for short histories
     norm_stats: NormStats | None = None
-    oracle_phi: float | None = None       # AR(1) coefficient, synthetic_oracle only
     seed: int | None = None
     # (lookback*d, d) C-ordered copy of ``weights`` for the mean products,
     # built on first use and handed on by ``with_knobs``.
     _mean_weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_LINEAR, KIND_PERSISTENCE, KIND_ORACLE):
+        if self.kind not in (KIND_LINEAR, KIND_PERSISTENCE):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
@@ -109,8 +102,6 @@ class ForecastModel:
             expected = (self.patch_len, self.lookback * self.patch_len)
             if self.weights.shape != expected:
                 raise ValueError(f"weights shape {self.weights.shape} != {expected}")
-        if self.kind == KIND_ORACLE and self.oracle_phi is None:
-            raise ValueError("synthetic_oracle requires oracle_phi")
 
     @property
     def d(self) -> int:
@@ -187,14 +178,11 @@ class ForecastModel:
         recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
         if self.kind == KIND_PERSISTENCE:
             means = recent[:, -1, :].copy()
-        elif self.kind == KIND_LINEAR:
+        else:
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
             means = flat @ self.mean_weights() + self.intercept
-        else:
-            last = recent[:, -1, -1]
-            means = last[:, None] * (self.oracle_phi ** np.arange(1, self.d + 1))[None, :]
         if self.mean_bias > 0.0:
             means[:, 0] += self.mean_bias
         return means
@@ -204,19 +192,11 @@ class ForecastModel:
         recent = window if window.shape[0] == self.lookback else window[-self.lookback :]
         if self.kind == KIND_PERSISTENCE:
             mean = recent[-1].copy()
-        elif self.kind == KIND_LINEAR:
-            mean = recent.reshape(-1) @ self.mean_weights() + self.intercept
         else:
-            mean = recent[-1, -1] * self.oracle_phi ** np.arange(1, self.d + 1)
+            mean = recent.reshape(-1) @ self.mean_weights() + self.intercept
         if self.mean_bias > 0.0:
             mean[0] += self.mean_bias
         return mean
-
-    def predict(self, history: History, sigma_override: float | None = None) -> GaussianHead:
-        """Gaussian head for the next patch given a history."""
-        mean = self.predict_means(history.window(self.lookback)[None, :, :])[0]
-        sigma = self.sigma if sigma_override is None else float(sigma_override)
-        return GaussianHead.isotropic(mean, sigma)
 
 
 def effective_lookback(lookback: int, scale: float) -> int:
@@ -368,17 +348,6 @@ def persistence_model(
     )
 
 
-def oracle_ar1(patch_len: int, phi: float, sigma: float = 1.0) -> ForecastModel:
-    """Exact conditional mean of a step-level AR(1) process (test fixture)."""
-    return ForecastModel(
-        kind=KIND_ORACLE,
-        patch_len=patch_len,
-        lookback=1,
-        sigma=sigma,
-        oracle_phi=float(phi),
-    )
-
-
 def save_model(model: ForecastModel, path) -> None:
     """Write a model as a single self-describing JSON document."""
     doc = {
@@ -394,7 +363,6 @@ def save_model(model: ForecastModel, path) -> None:
         "intercept": None if model.intercept is None else model.intercept.tolist(),
         "mean_patch": None if model.mean_patch is None else model.mean_patch.tolist(),
         "norm_stats": None if model.norm_stats is None else model.norm_stats.to_dict(),
-        "oracle_phi": model.oracle_phi,
         "seed": model.seed,
     }
     with open(path, "w") as fh:
@@ -420,6 +388,5 @@ def load_model(path) -> ForecastModel:
         mean_bias=doc["mean_bias"],
         mean_patch=None if doc["mean_patch"] is None else np.asarray(doc["mean_patch"]),
         norm_stats=None if doc["norm_stats"] is None else NormStats.from_dict(doc["norm_stats"]),
-        oracle_phi=doc["oracle_phi"],
         seed=doc["seed"],
     )

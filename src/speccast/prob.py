@@ -1,13 +1,15 @@
-"""Gaussian probability kernel: densities, acceptance rule, overlap, residuals.
+"""Gaussian probability kernel: densities, overlap, residual sampling.
 
-All density arithmetic is done in the log domain so that acceptance ratios
+All density arithmetic is done in the log domain so that density ratios
 never underflow, even for far-out proposals. Heads are immutable value
 objects; every operation is pure given an explicit RNG handle.
 
-``GaussianHead`` is for API callers (estimators, validation suites, tests).
-The decode engine builds none: it scores rounds with ``kernels.round_accept``
-and closes a rejected lossless round with ``residual_sample`` on its raw
-mean rows and a ``ResidualParams`` computed once per head setting.
+``GaussianHead`` is the head as a value: the acceptance estimators and
+deviation bounds in ``analysis``, the validation suites and the overlap
+functions here take heads. The decode engine builds none: it scores rounds
+with ``kernels.round_accept`` and closes a rejected lossless round with
+``residual_sample`` on its raw mean rows and a ``ResidualParams`` computed
+once per head setting.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class GaussianHead:
     def d(self) -> int:
         return self.mean.shape[0]
 
-    @property
-    def is_isotropic(self) -> bool:
-        return bool(np.all(self.variance == self.variance[0]))
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         """Draw one sample (d,) or a batch (size, d)."""
         std = np.sqrt(self.variance)
@@ -124,49 +122,6 @@ def log_density(head: GaussianHead, x) -> float | np.ndarray:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class AcceptanceDecision:
-    """Outcome of the log-domain acceptance rule at one position."""
-
-    log_ratio: float       # log p(x) - log q(x), nats
-    alpha: float           # min(1, lambda * p/q)
-    accepted: bool
-    uniform_draw: float
-
-
-def acceptance(
-    p: GaussianHead,
-    q: GaussianHead,
-    x,
-    tolerance_lambda: float = 1.0,
-    *,
-    uniform_draw: float,
-) -> AcceptanceDecision:
-    """Accept/reject a proposal ``x ~ q`` against target density ``p``.
-
-    The ratio is computed as a difference of log densities, which reduces to
-    the negative scaled squared-norm difference when the heads share a
-    variance and otherwise automatically includes the log-variance term for
-    unequal diagonal variances. ``tolerance_lambda`` multiplies the ratio
-    (adds log lambda); lambda > 1 relaxes acceptance.
-    """
-    if not tolerance_lambda > 0.0:
-        raise ValueError(f"tolerance_lambda must be > 0, got {tolerance_lambda}")
-    if p.d != q.d:
-        raise ValueError(f"head dimensions differ: p.d={p.d}, q.d={q.d}")
-    if not 0.0 <= uniform_draw < 1.0:
-        raise ValueError(f"uniform_draw must lie in [0, 1), got {uniform_draw}")
-    log_ratio = log_density(p, x) - log_density(q, x)
-    log_alpha = min(0.0, log_ratio + math.log(tolerance_lambda))
-    alpha = math.exp(log_alpha)
-    return AcceptanceDecision(
-        log_ratio=float(log_ratio),
-        alpha=alpha,
-        accepted=bool(uniform_draw < alpha),
-        uniform_draw=float(uniform_draw),
-    )
 
 
 @dataclass(frozen=True)
@@ -346,6 +301,16 @@ def residual_params(var_p, var_q) -> ResidualParams:
     )
 
 
+class ResidualExhausted(RuntimeError):
+    """The residual sampler spent ``draws`` >= its budget without an acceptance."""
+
+    def __init__(self, draws: int, max_draws: int):
+        super().__init__(
+            f"residual sampler exhausted {max_draws} target draws after {draws}; overlap too close to 1"
+        )
+        self.draws = draws
+
+
 def residual_sample(
     mu_p: np.ndarray,
     mu_q: np.ndarray,
@@ -367,8 +332,9 @@ def residual_sample(
     (identical heads included, where the residual is undefined): exactly,
     by the closed form 1 - beta = erf(Delta / (2 sqrt 2)), for heads that
     share a variance, and by the Pinsker bound 1 - beta <= sqrt(KL(p||q)/2)
-    otherwise. A non-finite mean also raises ValueError. A RuntimeError is
-    raised if ``max_draws`` draws pass without an acceptance.
+    otherwise. A non-finite mean also raises ValueError. If ``max_draws``
+    draws pass without an acceptance, ``ResidualExhausted`` (a RuntimeError)
+    is raised carrying the number of draws spent.
     """
     std, var_p, var_q, norm_p, norm_q, shared, kl_var, floored = params
     if floored:
@@ -410,24 +376,4 @@ def residual_sample(
             return zs[idx].copy(), draws + idx + 1
         draws += chunk
         chunk = min(2 * chunk, 1024)
-    raise RuntimeError(f"residual sampler exhausted {max_draws} target draws; overlap too close to 1")
-
-
-def tv_between_1d(
-    density_a: Callable[[np.ndarray], np.ndarray],
-    density_b: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec,
-) -> float:
-    """Total variation (1/2) * integral |a - b| on a refined 1-d grid.
-
-    Both densities must put at least 0.999 of their mass on the grid span,
-    otherwise the result would silently undercount the distance.
-    """
-    _check_grid_coverage(density_a, grid, "density_a")
-    _check_grid_coverage(density_b, grid, "density_b")
-    val = refined_trapezoid(
-        lambda x: np.abs(np.asarray(density_a(x)) - np.asarray(density_b(x))),
-        grid,
-        abs_tol=2e-6,
-    )
-    return 0.5 * val
+    raise ResidualExhausted(draws, max_draws)

@@ -153,10 +153,6 @@ def suite_lossless_exactness(seed: int = 0, n: int = 100_000) -> SuiteResult:
     return c.result()
 
 
-def _gauss_cdf(x, mu, sigma):
-    return ndtr((x - mu) / sigma)
-
-
 def _g_bin_masses(edges: np.ndarray, mu_p: float, mu_q: float, sigma: float) -> np.ndarray:
     """Per-bin mass of g = min(p, q) + (1 - beta) p by fine quadrature."""
     fine = np.linspace(edges[0], edges[-1], (edges.size - 1) * 64 + 1)

@@ -23,7 +23,7 @@ from speccast.analysis import (
     select_gamma,
     speedup_wall,
 )
-from speccast.prob import GaussianHead, overlap_closed_form
+from speccast.prob import GaussianHead, GridSpec, overlap_closed_form
 
 
 class TestBlockLengthPmf:
@@ -316,6 +316,16 @@ class TestDeviationBounds:
         assert relaxed.alpha_bar > strict.alpha_bar
         assert relaxed.tv_numeric_1d <= relaxed.alpha_bar
 
+    def test_grid_must_cover_both_heads(self):
+        # a grid that misses most of one head's mass would undercount every
+        # integral, so it is refused and names the head it misses
+        p = GaussianHead.isotropic([0.0], 1.0)
+        q = GaussianHead.isotropic([30.0], 1.0)
+        with pytest.raises(ValueError, match=r"covers only 0\.000000 of q"):
+            deviation_bounds(p, q, grid=GridSpec(lo=-8.0, hi=8.0))
+        with pytest.raises(ValueError, match=r"covers only 0\.500000 of p"):
+            deviation_bounds(p, q, grid=GridSpec(lo=0.0, hi=38.0))
+
     def test_higher_dim_reports_bound_only(self):
         p = GaussianHead.isotropic([0.0, 0.0], 1.0)
         q = GaussianHead.isotropic([1.0, 0.0], 1.0)
@@ -337,6 +347,25 @@ class TestPredictorReport:
         rep.s_wall_meas = 1.4
         deltas = rep.deltas()
         assert deltas["e_l_rel_gap"] == pytest.approx(abs(rep.e_l_pred - 2.8) / rep.e_l_pred)
+
+    def test_calibration_rows_take_the_report_gaps(self):
+        from speccast.harness import RunResult, calibrate
+
+        rep = PredictorReport.predict(0.8, 3, CostModel(c=0.25, c_hat=0.25))
+        rep.e_l_meas, rep.s_wall_meas = 2.8, 1.4
+        unmeasured = PredictorReport.predict(0.8, 3, CostModel(c=0.25, c_hat=0.25))
+        results = [
+            RunResult(dataset="d", variant="practical", gamma=3, sigma=1.0, scale=0.25, bias=0.0,
+                      seed=0, mse=1.0, mae=1.0, n_windows=1, horizon_patches=4, report=r)
+            for r in (rep, unmeasured)
+        ]
+        rows = calibrate(results, flag_threshold=0.1).rows
+        assert (rows[0].e_l_rel_gap, rows[0].s_wall_rel_gap) == (
+            rep.deltas()["e_l_rel_gap"], rep.deltas()["s_wall_rel_gap"]
+        )
+        assert rows[0].flagged == (max(rep.deltas().values()) > 0.1)
+        # no measurement, no gap
+        assert (rows[1].e_l_rel_gap, rows[1].s_wall_rel_gap, rows[1].flagged) == (0.0, 0.0, False)
 
     def test_dict_roundtrip(self):
         cost = CostModel(c=0.25, c_hat=0.3)

@@ -113,6 +113,21 @@ def test_lossless_below_variance_floor_exits_2(tmp_path, capsys):
     assert main([*argv, "--variant", "practical"]) == 0
 
 
+def test_decode_usage_errors_exit_2(tmp_path, capsys):
+    target = _fit(tmp_path / "target.json")
+    argv = ["decode", *DATA, "--target", str(target), "--horizon", "16", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main([*argv, "--variant", "practical"]) == 2
+    assert capsys.readouterr().err == "error: --variant practical requires --draft\n"
+    short = ["--synth-steps", "16"]  # two 8-step patches against a lookback of 4
+    assert main([*argv, *short, "--variant", "target_only"]) == 2
+    assert "channel 0: 2 patches of history, need 4" in capsys.readouterr().err
+    # one head width for both models: --sigma; there are no per-model flags
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--variant", "target_only", "--sigma-target", "0.5"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_decode_abort_exits_3(tmp_path, capsys):

@@ -7,23 +7,21 @@ import pytest
 from scipy import stats as scistats
 from scipy.special import erfinv as scipy_erfinv
 
+from speccast import engine, kernels
 from speccast import rng as rngmod
 from speccast.prob import (
     CLOSED_FORM,
     MONTE_CARLO,
     QUADRATURE_1D,
-    AcceptanceDecision,
     GaussianHead,
-    GridSpec,
+    ResidualExhausted,
     VarianceFloorWarning,
-    acceptance,
     gap_for_overlap,
     log_density,
     overlap,
     overlap_closed_form,
     residual_params,
     residual_sample,
-    tv_between_1d,
 )
 
 
@@ -52,8 +50,7 @@ class TestGaussianHead:
 
     def test_isotropic_broadcast(self):
         h = GaussianHead(np.zeros(3), np.array([2.0]))
-        assert h.variance.shape == (3,)
-        assert h.is_isotropic
+        assert h.variance.tolist() == [2.0, 2.0, 2.0]
 
     def test_immutable(self):
         h = GaussianHead.isotropic([0.0, 1.0], 1.0)
@@ -142,30 +139,44 @@ class TestLogDensity:
         assert np.isfinite(log_density(h, [50.0]))
 
 
+def accept_one(mu_p, sigma_p, mu_q, sigma_q, x, tolerance_lambda=1.0, uniform=0.0):
+    """(log p(x) - log q(x), alpha, accepted) of one proposal x ~ q.
+
+    Scored by the decode engine's kernel, ``kernels.round_accept``, with the
+    constants the engine builds for isotropic heads of these widths.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    d = x.shape[0]
+    params, _ = engine._head_params(float(sigma_p), float(sigma_q), tolerance_lambda, d, 1)
+    mus = np.empty((2, 1, d))
+    mus[0, 0], mus[1, 0] = mu_q, mu_p
+    logs, alphas = np.empty((2, 1)), np.empty(1)
+    n = kernels.round_accept(x[None], [uniform], mus, np.empty((2, 1, d)), logs, alphas, params)
+    return float(logs[1, 0] - logs[0, 0]), float(alphas[0]), n == 1
+
+
 class TestAcceptance:
     def test_identical_heads_alpha_one(self):
-        h = GaussianHead.isotropic([0.3, -0.2], 0.7)
+        mu = np.array([0.3, -0.2])
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=2)
-            d = acceptance(h, h, x, uniform_draw=0.999)
-            assert d.alpha == 1.0
-            assert d.accepted
+            _, alpha, accepted = accept_one(mu, 0.7, mu, 0.7, x, uniform=0.999)
+            assert alpha == 1.0
+            assert accepted
 
     def test_hand_computed_ratio(self):
-        p = GaussianHead.isotropic([2.0], 1.0)
-        q = GaussianHead.isotropic([0.0], 1.0)
-        d = acceptance(p, q, [0.0], uniform_draw=0.5)
-        assert d.log_ratio == pytest.approx(-2.0, abs=1e-12)
-        assert d.alpha == pytest.approx(math.exp(-2.0), abs=1e-12)
-        assert not d.accepted  # 0.5 >= 0.1353
+        log_ratio, alpha, accepted = accept_one([2.0], 1.0, [0.0], 1.0, [0.0], uniform=0.5)
+        assert log_ratio == pytest.approx(-2.0, abs=1e-12)
+        assert alpha == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert not accepted  # 0.5 >= 0.1353
 
     def test_tolerance_shifts_log_threshold(self):
-        p = GaussianHead.isotropic([2.0], 1.0)
-        q = GaussianHead.isotropic([0.0], 1.0)
-        d = acceptance(p, q, [0.0], tolerance_lambda=math.e ** 2, uniform_draw=0.5)
-        assert d.alpha == pytest.approx(1.0, abs=1e-12)
-        assert d.accepted
+        _, alpha, accepted = accept_one(
+            [2.0], 1.0, [0.0], 1.0, [0.0], tolerance_lambda=math.e ** 2, uniform=0.5
+        )
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert accepted
 
     def test_shared_sigma_closed_form(self):
         # log ratio == -(|x-mu_p|^2 - |x-mu_q|^2) / (2 sigma^2) exactly
@@ -175,43 +186,22 @@ class TestAcceptance:
             mu_p = rng.normal(size=3)
             mu_q = rng.normal(size=3)
             x = rng.normal(size=3)
-            p = GaussianHead.isotropic(mu_p, sigma)
-            q = GaussianHead.isotropic(mu_q, sigma)
-            d = acceptance(p, q, x, uniform_draw=0.0)
+            log_ratio, _, _ = accept_one(mu_p, sigma, mu_q, sigma, x)
             expected = -(np.sum((x - mu_p) ** 2) - np.sum((x - mu_q) ** 2)) / (2 * sigma ** 2)
-            assert d.log_ratio == pytest.approx(expected, abs=1e-10)
+            assert log_ratio == pytest.approx(expected, abs=1e-10)
 
     def test_alpha_monotone_in_norm_difference(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
         xs = np.linspace(-4, 4, 41)
         stat = [np.sum((x - 0.0) ** 2) - np.sum((x - 1.0) ** 2) for x in xs]
-        alphas = [acceptance(p, q, [x], uniform_draw=0.0).alpha for x in xs]
+        alphas = [accept_one([0.0], 1.0, [1.0], 1.0, [x])[1] for x in xs]
         order = np.argsort(stat)
         sorted_alpha = np.array(alphas)[order]
         assert np.all(np.diff(sorted_alpha) <= 1e-12)
 
     def test_unequal_variance_includes_log_term(self):
-        p = GaussianHead(np.array([0.0]), np.array([0.5]))
-        q = GaussianHead(np.array([0.0]), np.array([2.0]))
-        d = acceptance(p, q, [0.0], uniform_draw=0.0)
+        log_ratio, _, _ = accept_one([0.0], math.sqrt(0.5), [0.0], math.sqrt(2.0), [0.0])
         expected = scalar_gauss_logpdf(0.0, 0.0, 0.5) - scalar_gauss_logpdf(0.0, 0.0, 2.0)
-        assert d.log_ratio == pytest.approx(expected, abs=1e-12)
-
-    def test_errors(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        with pytest.raises(ValueError):
-            acceptance(p, p, [0.0], tolerance_lambda=0.0, uniform_draw=0.1)
-        with pytest.raises(ValueError):
-            acceptance(p, GaussianHead.isotropic([0.0, 0.0], 1.0), [0.0], uniform_draw=0.1)
-        with pytest.raises(ValueError):
-            acceptance(p, p, [0.0], uniform_draw=1.0)
-
-    def test_decision_fields(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        d = acceptance(p, p, [0.4], uniform_draw=0.25)
-        assert isinstance(d, AcceptanceDecision)
-        assert d.uniform_draw == 0.25
+        assert log_ratio == pytest.approx(expected, abs=1e-12)
 
 
 class TestOverlap:
@@ -307,7 +297,7 @@ def reference_residual_sample(p, q, rng, max_draws=10_000_000):
             return zs[idx].copy(), draws + idx + 1
         draws += chunk
         chunk = min(2 * chunk, 1024)
-    raise RuntimeError(f"residual sampler exhausted {max_draws} target draws; overlap too close to 1")
+    raise ResidualExhausted(draws, max_draws)
 
 
 def sample_heads(p, q, rng, max_draws=10_000_000):
@@ -382,6 +372,20 @@ class TestResidualSample:
         sample, draws = sample_heads(p, q_far, rngmod.stream(3))
         assert sample.shape == (32,) and draws >= 1
 
+    def test_exhausted_budget_reports_the_draws_spent(self):
+        # overlap 0.9: a 16-draw budget passes the up-front cutoff and runs
+        # dry in about 0.9**16 = 19% of calls, each after one 16-draw chunk
+        p = GaussianHead.isotropic([0.0], 1.0)
+        q = GaussianHead.isotropic([gap_for_overlap(0.9)], 1.0)
+        spent = []
+        for seed in range(60):
+            try:
+                sample_heads(p, q, rngmod.stream(seed), max_draws=16)
+            except ResidualExhausted as exc:
+                assert isinstance(exc, RuntimeError) and "exhausted 16 target draws" in str(exc)
+                spent.append(exc.draws)
+        assert len(spent) >= 3 and set(spent) == {16}
+
     @pytest.mark.parametrize("ratio", [1.001, 1.01, 1.1, 1.5, 3.0, 1 / 1.001, 1 / 1.1, 1 / 3.0])
     def test_pinsker_cutoff_never_fires_within_budget(self, ratio):
         p = GaussianHead(np.zeros(1), np.ones(1))
@@ -437,7 +441,7 @@ class TestResidualSample:
             assert got == want, (case, d, max_draws, shared)
             seen.add(got[0] if isinstance(got[0], str) else "sample")
         # samples, budget cutoffs and exhausted budgets were all compared
-        assert seen == {"sample", "ValueError", "RuntimeError"}
+        assert seen == {"sample", "ValueError", "ResidualExhausted"}
 
     @pytest.mark.parametrize("d", [1, 32])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -524,24 +528,3 @@ class TestLosslessSingleStep:
             out[i] = residual_sample(p.mean, q.mean, params, gen)[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01
-
-
-class TestTvBetween1d:
-    def test_identical_densities(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        grid = GridSpec.for_heads(p)
-        assert tv_between_1d(p.pdf(), p.pdf(), grid) == pytest.approx(0.0, abs=1e-12)
-
-    def test_equal_variance_gaussians(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
-        grid = GridSpec.for_heads(p, q)
-        tv = tv_between_1d(p.pdf(), q.pdf(), grid)
-        assert tv == pytest.approx(1.0 - overlap_closed_form(p, q), abs=1e-6)
-
-    def test_grid_coverage_error(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([30.0], 1.0)
-        grid = GridSpec(lo=-8.0, hi=8.0)
-        with pytest.raises(ValueError, match="covers only"):
-            tv_between_1d(p.pdf(), q.pdf(), grid)

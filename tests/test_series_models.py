@@ -1,4 +1,4 @@
-"""Series ingestion, patching, and the linear/persistence/oracle forecasters."""
+"""Series ingestion, patching, the linear/persistence forecasters and the context."""
 
 import dataclasses
 import json
@@ -14,7 +14,6 @@ from speccast.models import (
     effective_lookback,
     fit_linear_ar,
     load_model,
-    oracle_ar1,
     persistence_model,
     save_model,
 )
@@ -27,6 +26,21 @@ from speccast.series import (
     metrics,
 )
 from speccast.synth import SyntheticSpec, ar1, pure_seasonal, seasonal_profile, write_csv
+
+
+def oracle_ar1(patch_len, phi, sigma=1.0):
+    """Exact conditional mean of a step-level AR(1) process, as a linear model.
+
+    Given the last observed step x, the next patch's mean is
+    x * (phi, phi^2, ..., phi^d): a one-patch window whose weights carry
+    phi^1 .. phi^d on the last coordinate, with intercept 0.
+    """
+    weights = np.zeros((patch_len, patch_len))
+    weights[:, -1] = float(phi) ** np.arange(1, patch_len + 1)
+    return models.ForecastModel(
+        kind=models.KIND_LINEAR, patch_len=patch_len, lookback=1, sigma=sigma,
+        weights=weights, intercept=np.zeros(patch_len),
+    )
 
 
 def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0, sample_stride=1):
@@ -370,19 +384,19 @@ class TestSynth:
         assert spec.generate().tobytes() == want.tobytes()
 
 
+def _both_means(model, window):
+    """The next-patch mean of one window, from mean_one and predict_means."""
+    one = model.mean_one(window)
+    # one window's product may take another BLAS path than a stack's
+    np.testing.assert_allclose(model.predict_means(window[None])[0], one, rtol=1e-12, atol=1e-12)
+    return one
+
+
 class TestPredict:
     def test_persistence_returns_last_patch(self):
         model = persistence_model(patch_len=3, sigma=0.5)
         h = History.from_patches(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1)
-        head = model.predict(h)
-        np.testing.assert_array_equal(head.mean, [4.0, 5.0, 6.0])
-        np.testing.assert_allclose(head.variance, 0.25)
-
-    def test_sigma_override(self):
-        model = persistence_model(patch_len=2, sigma=0.5)
-        h = History.from_patches(np.zeros((1, 2)), 1)
-        head = model.predict(h, sigma_override=0.6)
-        np.testing.assert_allclose(head.variance, 0.36)
+        np.testing.assert_array_equal(_both_means(model, h.window()), [4.0, 5.0, 6.0])
 
     def test_linear_exact_seasonal_mean(self):
         values = pure_seasonal(4096, n_channels=1, season_len=16, seed=3)
@@ -390,31 +404,38 @@ class TestPredict:
         model = fit_linear_ar(series, lookback=2, ridge=1e-8)
         patches = series.channel_patches(0)
         h = History.from_patches(patches[:-1], 2)
-        head = model.predict(h)
-        np.testing.assert_allclose(head.mean, patches[-1], atol=1e-8)
+        np.testing.assert_allclose(_both_means(model, h.window()), patches[-1], atol=1e-8)
+        # a longer window is cut to the most recent lookback patches
+        np.testing.assert_allclose(model.predict_means(patches[None, :-1])[0], patches[-1], atol=1e-8)
 
     def test_mean_bias_shifts_first_coordinate(self):
         model = persistence_model(patch_len=3, sigma=1.0, mean_bias=1.5)
         h = History.from_patches(np.zeros((1, 3)), 1)
-        head = model.predict(h)
-        np.testing.assert_allclose(head.mean, [1.5, 0.0, 0.0])
-        assert np.linalg.norm(head.mean) == pytest.approx(1.5)
+        mean = _both_means(model, h.window())
+        np.testing.assert_allclose(mean, [1.5, 0.0, 0.0])
+        assert np.linalg.norm(mean) == pytest.approx(1.5)
 
     def test_oracle_ar1_conditional_mean(self):
         model = oracle_ar1(patch_len=3, phi=0.5)
         h = History.from_patches(np.array([[0.0, 0.0, 2.0]]), 1)
-        head = model.predict(h)
-        np.testing.assert_allclose(head.mean, [1.0, 0.5, 0.25])
+        np.testing.assert_array_equal(_both_means(model, h.window()), [1.0, 0.5, 0.25])
+        # bit for bit x * phi^(1..d) for any last step x
+        rng = np.random.default_rng(8)
+        for d, phi in ((1, 0.9), (4, -0.7), (32, 0.99)):
+            model = oracle_ar1(patch_len=d, phi=phi)
+            for window in rng.normal(size=(20, 1, d)):
+                want = window[-1, -1] * phi ** np.arange(1, d + 1)
+                assert model.mean_one(window).tobytes() == want.tobytes()
+                assert model.predict_means(window[None])[0].tobytes() == want.tobytes()
 
     def test_deterministic(self):
         values = ar1(2048, phi=0.7, seed=2)
         series = PatchSeries.from_values(values, patch_len=4)
         model = fit_linear_ar(series, lookback=4, ridge=1e-3)
         h = History.from_patches(series.channel_patches(0)[:4], 4)
-        a = model.predict(h)
-        b = model.predict(h)
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.variance, b.variance)
+        a = _both_means(model, h.window())
+        b = _both_means(model, h.window())
+        assert a.tobytes() == b.tobytes()
 
 
 class TestMeanWeights:
@@ -467,27 +488,46 @@ class TestMeanWeights:
 
 
 class TestHistory:
-    def test_append_evicts_in_order(self):
-        h = History(3, np.zeros(2))
-        patches = [np.full(2, float(i)) for i in range(1, 5)]
-        for p in patches:
-            h.append(p)
-        np.testing.assert_array_equal(h.window(), np.stack(patches[1:]))
+    def test_keeps_the_most_recent_patches(self):
+        patches = np.stack([np.full(2, float(i)) for i in range(1, 5)])
+        h = History.from_patches(patches, 3)
+        assert h.lookback == 3
+        np.testing.assert_array_equal(h.window(), patches[1:])
+        out = np.empty((2, 2))
+        h.fill_window(out)
+        np.testing.assert_array_equal(out, patches[2:])
 
     def test_left_padding(self):
         pad = np.array([7.0, 7.0])
-        h = History(3, pad)
-        h.append(np.array([1.0, 1.0]))
+        h = History.from_patches(np.array([[1.0, 1.0]]), 3, pad)
         window = h.window()
         np.testing.assert_array_equal(window[0], pad)
         np.testing.assert_array_equal(window[1], pad)
         np.testing.assert_array_equal(window[2], [1.0, 1.0])
+        # no pad patch pads with zeros, and an empty history is all pad
+        np.testing.assert_array_equal(History.from_patches(np.ones((1, 2)), 2).window(), [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(History.from_patches(np.empty((0, 2)), 2, pad).window(), [pad, pad])
+        with pytest.raises(ValueError, match="lookback must be >= 1"):
+            History.from_patches(np.ones((1, 2)), 0)
 
-    def test_total_appended(self):
-        h = History(2, np.zeros(1))
-        for i in range(5):
-            h.append(np.array([float(i)]))
-        assert h.total_appended == 5
+    def test_context_is_read_only(self):
+        patches = np.arange(6.0).reshape(3, 2)
+        h = History.from_patches(patches, 3)
+        want = patches.copy()
+        patches[0, 0] = 99.0  # the caller's array is copied
+        window = h.window()
+        window[:] = -1.0  # and so is every window handed out
+        np.testing.assert_array_equal(h.window(), want)
+        out = np.empty((3, 2))
+        h.fill_window(out)
+        np.testing.assert_array_equal(out, want)
+
+    def test_defines_its_methods_on_the_class(self):
+        # Method wrappers (the benchmark's tracer) patch History.__dict__, so
+        # every method it has under these names must be its own.
+        for name in ("copy", "fill_window", "extend", "append", "window"):
+            if hasattr(History, name):
+                assert name in History.__dict__, name
 
 
 class TestMetrics:
@@ -546,6 +586,21 @@ class TestSaveLoad:
         a = fit_and_dump(tmp_path / "a.json")
         b = fit_and_dump(tmp_path / "b.json")
         assert a == b
+
+    def test_loads_files_with_the_retired_oracle_key(self, tmp_path):
+        # files written while a third model kind existed carry
+        # "oracle_phi": null; they load as before, and that kind is refused
+        model = persistence_model(patch_len=2, sigma=0.5)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "oracle_phi" not in doc
+        path.write_text(json.dumps({**doc, "oracle_phi": None}))
+        back = load_model(path)
+        assert (back.kind, back.patch_len, back.sigma) == ("persistence", 2, 0.5)
+        path.write_text(json.dumps({**doc, "kind": "synthetic_oracle", "oracle_phi": 0.9}))
+        with pytest.raises(ValueError, match="unknown model kind 'synthetic_oracle'"):
+            load_model(path)
 
     def test_self_describing_json(self, tmp_path):
         model = persistence_model(patch_len=2, sigma=1.0)

@@ -312,10 +312,14 @@ def deviation_bounds(
     log_lam = math.log(tolerance_lambda)
     fp, fq = p.pdf(), q.pdf()
 
-    def alpha_q(x: np.ndarray) -> np.ndarray:
+    def log_terms(x: np.ndarray):
+        """(log alpha(x), log p(x), log q(x)), alpha the acceptance probability."""
         x = np.asarray(x, dtype=np.float64)[:, None]
-        lr = log_density(p, x) - log_density(q, x)
-        return np.exp(np.minimum(0.0, lr + log_lam)) * fq(x[:, 0])
+        lp, lq = log_density(p, x), log_density(q, x)
+        return np.minimum(0.0, lp - lq + log_lam), lp, lq
+
+    def alpha_q(x: np.ndarray) -> np.ndarray:
+        return np.exp(log_terms(x)[0]) * fq(x)
 
     _check_grid_coverage(fp, grid, "p")
     _check_grid_coverage(fq, grid, "q")
@@ -329,14 +333,18 @@ def deviation_bounds(
     tv_numeric = 0.5 * refined_trapezoid(abs_dev, grid, abs_tol=2e-9)
 
     def kl_integrand(x: np.ndarray) -> np.ndarray:
-        aq = alpha_q(x)
-        ref = alpha_bar * fp(x)
+        # alpha q log(alpha q / (alpha_bar p)), the log ratio formed in the
+        # log domain: alpha_bar p underflows to 0 far from p's mean while
+        # alpha q is still above 1e-300.
+        log_a, lp, lq = log_terms(x)
+        aq = np.exp(log_a) * fq(x)
         out = np.zeros_like(aq)
         mask = aq > 1e-300
-        out[mask] = aq[mask] * (np.log(aq[mask]) - np.log(ref[mask]))
+        out[mask] = aq[mask] * (log_a + lq - lp - log_alpha_bar)[mask]
         return out
 
     if alpha_bar > 0.0:
+        log_alpha_bar = math.log(alpha_bar)
         kl_bound = max(0.0, refined_trapezoid(kl_integrand, grid, abs_tol=1e-9))
         pinsker = math.sqrt(0.5 * kl_bound)
     else:

@@ -401,7 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--variant", choices=VARIANTS, default="practical")
     p_dec.add_argument("--gamma", type=int, default=3)
     p_dec.add_argument("--horizon", type=int, required=True, help="forecast horizon in timesteps")
-    p_dec.add_argument("--sigma", type=float, help="shared head sigma for target and draft")
+    p_dec.add_argument(
+        "--sigma",
+        type=float,
+        help="head sigma of both target and draft: the heads share one variance, so "
+        "without --sigma a speculative decode is refused unless the fitted sigmas are equal",
+    )
     p_dec.add_argument("--bias", type=float, help="draft mean-bias norm (>= 0)")
     p_dec.add_argument("--tolerance-lambda", type=float, default=1.0)
     p_dec.add_argument("--seed", type=int, default=0)

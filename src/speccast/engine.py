@@ -9,25 +9,29 @@ exact target chain.
 
 A round that accepts n proposals closes at position n. Unless it ends in a
 residual draw, it closes with ``mu_p[n] + ext``, where ``ext`` is the
-round's pre-drawn N(0, sigma_t^2 I) target variate: that covers the
+round's pre-drawn N(0, sigma^2 I) target variate: that covers the
 extension (n = gamma), the practical fallback and the degenerate lossless
 fallback (n < gamma). ``ext`` is drawn with the round's uniforms and
 proposal noise but independently of them, so given the accept decision it
 is still a target draw; one expression closes the round and no rejection
 re-keys a stream. A rejected lossless round closes with
 ``residual_sample(mu_p[n], mu_q[n], ...)`` on the target and draft mean rows
-the round already holds, with the variances, standard deviation, log
-normalizers and shared-variance decision computed once per head setting
-(``_head_params``); no head object is built. When the residual is undefined
-or beyond the sampler's draw budget, or a mean is not finite (ValueError),
-or the budget is spent without an acceptance (``ResidualExhausted``), the
-round degrades to the practical fallback, recorded in the trace's
-``degenerate`` column; its ``residual_draws`` are the draws the sampler
-spent, 0 when it refused before drawing. A non-finite closing draw then
+the round already holds, with the variance, standard deviation and log
+normalizer computed once per head setting (``_head_params``); no head object
+is built. When the residual is undefined or beyond the sampler's draw
+budget, or a mean is not finite (ValueError), or the budget is spent without
+an acceptance (``ResidualExhausted``), the round degrades to the practical
+fallback, recorded in the trace's ``degenerate`` column; its
+``residual_draws`` are the draws the sampler spent, 0 when it refused before
+drawing. A non-finite closing draw then
 aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the
-round. The lossless variant refuses head variances below
-``prob.VARIANCE_FLOOR``: the residual sampler would clamp them and its
-output would no longer be the target chain.
+round.
+
+The target and draft heads of a speculative decode share one variance, as
+the paper's acceptance rule and every predictor here assume: a decode whose
+resolved ``sigma_target`` and ``sigma_draft`` differ is refused with a
+ValueError. The lossless variant also refuses a head variance below
+``prob.VARIANCE_FLOOR``, where the residual sampler does not run.
 
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
@@ -101,7 +105,6 @@ class DecodeConfig:
     sigma_target: float | None = None
     sigma_draft: float | None = None
     draft_bias: float | None = None
-    allow_unequal_variance: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -306,22 +309,21 @@ class DecodeTrace:
             fh.write("\n")
 
 
-def _resolve_sigmas(target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> tuple[float, float]:
+def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfig) -> float:
+    """The one head sigma of a speculative decode."""
     sigma_t = cfg.sigma_target if cfg.sigma_target is not None else target.sigma
-    sigma_d = cfg.sigma_draft if cfg.sigma_draft is not None else (draft.sigma if draft else sigma_t)
-    if draft is not None and not cfg.allow_unequal_variance and sigma_t != sigma_d:
+    sigma_d = cfg.sigma_draft if cfg.sigma_draft is not None else draft.sigma
+    if sigma_t != sigma_d:
         raise ValueError(
-            f"shared-variance mode requires sigma_target == sigma_draft "
-            f"(got {sigma_t} vs {sigma_d}); set both or allow_unequal_variance"
+            f"shared-variance decoding requires sigma_target == sigma_draft "
+            f"(got {sigma_t} vs {sigma_d}); set both to one value"
         )
-    if cfg.variant == VARIANT_LOSSLESS and min(sigma_t, sigma_d) ** 2 < VARIANCE_FLOOR:
+    if cfg.variant == VARIANT_LOSSLESS and sigma_t ** 2 < VARIANCE_FLOOR:
         raise ValueError(
-            f"lossless decoding needs head variances >= the variance floor {VARIANCE_FLOOR:g} "
-            f"(sigma >= {math.sqrt(VARIANCE_FLOOR):g}), got sigma_target={sigma_t:g}, "
-            f"sigma_draft={sigma_d:g}; the residual would be sampled at the floor, not "
-            f"from the target chain"
+            f"lossless decoding needs a head variance >= the variance floor {VARIANCE_FLOOR:g} "
+            f"(sigma >= {math.sqrt(VARIANCE_FLOOR):g}), got sigma={sigma_t:g}"
         )
-    return float(sigma_t), float(sigma_d)
+    return float(sigma_t)
 
 
 def decode(
@@ -352,25 +354,20 @@ def _check_finite(patch: np.ndarray, round_index: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _head_params(sigma_t: float, sigma_d: float, tolerance_lambda: float, d: int, gamma: int):
-    """The ``round_accept`` and ``residual_sample`` constants of one setting.
+def _head_params(sigma: float, tolerance_lambda: float, d: int, gamma: int, lossless: bool):
+    """The ``round_accept`` constants of one setting, and the
+    ``residual_sample`` ones when lossless (None otherwise).
 
     Cached: the sessions of a run share them, and the arrays are only read.
     """
-    var_t = np.full(d, sigma_t * sigma_t)
-    var_d = np.full(d, sigma_d * sigma_d)
-    inv_var = np.repeat([[1.0 / (sigma_d * sigma_d)], [1.0 / (sigma_t * sigma_t)]], gamma, axis=1)
-    log_norm = np.repeat(
-        [[float(np.sum(np.log(2.0 * np.pi * var_d)))], [float(np.sum(np.log(2.0 * np.pi * var_t)))]],
-        gamma,
-        axis=1,
-    )
-    params = (inv_var, log_norm, np.full((2, gamma), -0.5),
+    var = np.full(d, sigma * sigma)
+    params = (np.full((2, gamma), 1.0 / (sigma * sigma)),
+              np.full((2, gamma), float(np.sum(np.log(2.0 * np.pi * var)))),
+              np.full((2, gamma), -0.5),
               np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
-    residual = residual_params(var_t, var_d)
-    for a in (*params, residual.std_p, residual.var_p, residual.var_q):
+    for a in params:
         a.flags.writeable = False
-    return params, residual
+    return params, residual_params(var, var) if lossless else None
 
 
 def _decode_speculative(
@@ -381,7 +378,7 @@ def _decode_speculative(
 ) -> tuple[np.ndarray, DecodeTrace]:
     if target.d != draft.d:
         raise ValueError(f"model dimensions differ: target d={target.d}, draft d={draft.d}")
-    sigma_t, sigma_d = _resolve_sigmas(target, draft, cfg)
+    sigma = _resolve_sigma(target, draft, cfg)
     if cfg.draft_bias is not None:
         draft = draft.with_knobs(mean_bias=cfg.draft_bias)
     lossless = cfg.variant == VARIANT_LOSSLESS
@@ -394,7 +391,7 @@ def _decode_speculative(
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
         )
-    kernel_params, residual = _head_params(sigma_t, sigma_d, cfg.tolerance_lambda, d, gamma)
+    kernel_params, residual = _head_params(sigma, cfg.tolerance_lambda, d, gamma, lossless)
     trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d)
     streams = _streams()
 
@@ -434,8 +431,8 @@ def _decode_speculative(
             block_u = gen.random((_RNG_BLOCK, gamma))
             block_z = gen.standard_normal((_RNG_BLOCK, gamma, d))
             block_ext = gen.standard_normal((_RNG_BLOCK, d))
-            block_z *= sigma_d
-            block_ext *= sigma_t
+            block_z *= sigma
+            block_ext *= sigma
             u_col[r : r + _RNG_BLOCK] = block_u[: horizon - r]
             u_rows = block_u.tolist()
         noise = block_z[slot]

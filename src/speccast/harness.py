@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import (
-    COST_CONFIGURED,
     COST_MEASURED,
     AcceptanceEstimate,
     CostModel,
@@ -40,6 +38,21 @@ from .engine import (
 from .models import ForecastModel, History, fit_linear_ar
 from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load_csv, metrics
 from .synth import SyntheticSpec
+
+SPLIT = (0.6, 0.2, 0.2)  # chronological train / validation / test fractions
+ALPHA_HISTORIES = 512    # held-out histories per acceptance estimate, at most
+TIMING_PASSES = 200      # timed forwards per model in measure_cost_ratio
+
+# Spec keys of earlier versions, each with the one value it ever held; a
+# saved spec that carries one at that value still loads.
+_RETIRED_SPEC_KEYS = {
+    "split": SPLIT,
+    "cost_c": None,
+    "cost_c_hat": None,
+    "n_alpha_histories": ALPHA_HISTORIES,
+    "timing_passes": TIMING_PASSES,
+    "fit_sample_stride": 1,
+}
 
 TIMING_KEYS = {
     "wall_times",
@@ -106,7 +119,6 @@ class ExperimentSpec:
     patch_len: int
     lookback: int
     horizon_steps: int
-    split: tuple[float, float, float] = (0.6, 0.2, 0.2)
     sigmas: tuple[float, ...] = (0.5,)
     gammas: tuple[int, ...] = (3,)
     variants: tuple[str, ...] = ("practical",)
@@ -115,12 +127,7 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (0,)
     ridge: float = 1e-3
     tolerance_lambda: float = 1.0
-    cost_c: float | None = None
-    cost_c_hat: float | None = None
-    n_alpha_histories: int = 512
     max_test_windows: int = 8
-    timing_passes: int = 200
-    fit_sample_stride: int = 1
 
     def __post_init__(self) -> None:
         if self.horizon_steps % self.patch_len != 0:
@@ -130,8 +137,6 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
-        if not math.isclose(sum(self.split), 1.0):
-            raise ValueError("split fractions must sum to 1")
 
     @property
     def horizon_patches(self) -> int:
@@ -144,9 +149,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        """The spec a ``to_dict`` document describes; ValueError names a bad key."""
         d = dict(d)
+        for key, old in _RETIRED_SPEC_KEYS.items():
+            value = d.pop(key, old)
+            if (tuple(value) if isinstance(value, list) else value) != old:
+                raise ValueError(f"spec key {key!r} is retired and must be {old!r} or absent, got {value!r}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(d) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown spec key(s): {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"spec lacks required key(s): {', '.join(map(repr, missing))}")
         d["data"] = DataSpec.from_dict(d["data"])
-        for key in ("split", "sigmas", "gammas", "variants", "scales", "biases", "seeds"):
+        for key in ("sigmas", "gammas", "variants", "scales", "biases", "seeds"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
         return cls(**d)
@@ -226,21 +243,13 @@ def strip_timing(obj):
     return obj
 
 
-def measure_cost_ratio(
-    target: ForecastModel,
-    draft: ForecastModel,
-    window: np.ndarray,
-    passes: int = 200,
-    configured_c: float | None = None,
-    configured_c_hat: float | None = None,
-) -> CostModel:
-    """Median per-forward wall-clock ratio on a fixed batch shape.
+def measure_cost_ratio(target: ForecastModel, draft: ForecastModel, window: np.ndarray) -> CostModel:
+    """Median per-forward wall-clock ratio over TIMING_PASSES passes each.
 
-    Falls back to the configured c with a warning when the target pass is
-    too fast for the timer (< 1 microsecond median).
+    ``c_hat`` is the parameter-count ratio, or the timed ratio when a model
+    has no parameters. Warns when the target pass is too fast for the timer
+    (< 1 microsecond median).
     """
-    if passes < 10:
-        raise ValueError("need at least 10 timed passes")
     window = np.ascontiguousarray(np.asarray(window, dtype=np.float64))
     if window.ndim == 3:
         window = window[0]
@@ -250,8 +259,8 @@ def measure_cost_ratio(
         # for both models.
         for _ in range(20):
             model.mean_one(window)
-        samples = np.empty(passes)
-        for i in range(passes):
+        samples = np.empty(TIMING_PASSES)
+        for i in range(TIMING_PASSES):
             t0 = time.perf_counter_ns()
             model.mean_one(window)
             samples[i] = time.perf_counter_ns() - t0
@@ -262,27 +271,18 @@ def measure_cost_ratio(
     if target.param_count > 0 and draft.param_count > 0:
         c_hat = draft.param_count / target.param_count
     else:
-        c_hat = configured_c_hat if configured_c_hat is not None else max(draft_s / target_s, 1e-9)
+        c_hat = max(draft_s / target_s, 1e-9)
     if target_s < 1e-6:
         warnings.warn(
-            f"target pass medians {target_s * 1e9:.0f} ns; timer resolution inadequate, "
-            "falling back to the configured cost ratio",
+            f"target pass medians {target_s * 1e9:.0f} ns; timer resolution inadequate "
+            "for the measured cost ratio",
             stacklevel=2,
         )
-        if configured_c is not None:
-            return CostModel(
-                c=configured_c,
-                c_hat=configured_c_hat if configured_c_hat is not None else c_hat,
-                source=COST_CONFIGURED,
-                n_timed_passes=passes,
-                target_pass_seconds=target_s,
-                draft_pass_seconds=draft_s,
-            )
     return CostModel(
         c=draft_s / target_s,
         c_hat=c_hat,
         source=COST_MEASURED,
-        n_timed_passes=passes,
+        n_timed_passes=TIMING_PASSES,
         target_pass_seconds=target_s,
         draft_pass_seconds=draft_s,
     )
@@ -330,7 +330,6 @@ def _alpha_pairs(
     k_ctx: int,
     sigma: float,
     bias: float,
-    n_histories: int,
 ):
     """(p, q) heads at held-out histories, for the overlap estimator."""
     from .prob import GaussianHead
@@ -342,8 +341,8 @@ def _alpha_pairs(
             contexts.append(patches[start : start + k_ctx])
     if not contexts:
         raise ValueError("validation split too short for acceptance estimation")
-    if len(contexts) > n_histories:
-        idx = np.linspace(0, len(contexts) - 1, n_histories).round().astype(int)
+    if len(contexts) > ALPHA_HISTORIES:
+        idx = np.linspace(0, len(contexts) - 1, ALPHA_HISTORIES).round().astype(int)
         contexts = [contexts[i] for i in sorted(set(idx.tolist()))]
     stack = np.stack(contexts)
     biased_draft = draft.with_knobs(mean_bias=bias)
@@ -386,43 +385,24 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     per (sigma, seed); rows are ordered by spec coordinates.
     """
     values = spec.data.load()
-    train_vals, val_vals, test_vals = chronological_split(values, spec.split)
+    train_vals, val_vals, test_vals = chronological_split(values, SPLIT)
     stats = NormStats.from_values(train_vals)
     train = PatchSeries.from_values(train_vals, spec.patch_len, stats)
     val = PatchSeries.from_values(val_vals, spec.patch_len, stats)
     test = PatchSeries.from_values(test_vals, spec.patch_len, stats)
 
-    target = fit_linear_ar(
-        train, spec.lookback, spec.ridge, scale=1.0, sample_stride=spec.fit_sample_stride
-    )
-    drafts = {
-        scale: fit_linear_ar(
-            train, spec.lookback, spec.ridge, scale=scale, sample_stride=spec.fit_sample_stride
-        )
-        for scale in spec.scales
-    }
+    target = fit_linear_ar(train, spec.lookback, spec.ridge, scale=1.0)
+    drafts = {scale: fit_linear_ar(train, spec.lookback, spec.ridge, scale=scale) for scale in spec.scales}
     k_ctx = target.lookback
     windows = build_test_windows(test, k_ctx, spec.horizon_patches, spec.max_test_windows)
     timing_window = windows[0].context[None, :, :]
 
-    costs = {
-        scale: measure_cost_ratio(
-            target,
-            drafts[scale],
-            timing_window,
-            spec.timing_passes,
-            spec.cost_c,
-            spec.cost_c_hat,
-        )
-        for scale in spec.scales
-    }
+    costs = {scale: measure_cost_ratio(target, drafts[scale], timing_window) for scale in spec.scales}
     alpha_estimates: dict[tuple[float, float, float], AcceptanceEstimate] = {}
     for scale in spec.scales:
         for sigma in spec.sigmas:
             for bias in spec.biases:
-                pairs = _alpha_pairs(
-                    target, drafts[scale], val, k_ctx, sigma, bias, spec.n_alpha_histories
-                )
+                pairs = _alpha_pairs(target, drafts[scale], val, k_ctx, sigma, bias)
                 alpha_estimates[(scale, sigma, bias)] = estimate_alpha(pairs)
 
     dataset = spec.data.name

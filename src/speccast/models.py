@@ -212,63 +212,52 @@ def fit_linear_ar(
     ridge: float = 1e-3,
     scale: float = 1.0,
     seed: int | None = None,
-    sample_stride: int = 1,
 ) -> ForecastModel:
     """Ridge-fit a linear next-patch predictor on pooled channel patches.
 
     Features are the concatenated ``k`` lookback patches (oldest first);
     the fit residual standard deviation becomes the default head sigma.
     Intercept is not regularized, so ridge -> inf drives the prediction to
-    the train mean patch. Channel c contributes N = n - k training rows
-    t = 0 .. N-1; pooled row c*N + t is kept iff it is a multiple of
-    ``sample_stride``.
+    the train mean patch. Each channel contributes its N = n - k training
+    rows t = 0 .. N-1.
 
     The (rows, k*d) feature matrix is never built. A training row, features
     and target together, is a window of k + 1 consecutive patches, so the
     centred normal equations are blocks of the Gram matrix of those windows:
-    block (a, a + lag) sums q[t + a] q[t + a + lag]^T over the kept t, with
-    q the patches centred by their pooled mean. The blocks at the first
-    ``sample_stride`` offsets of each lag are summed directly; every later
-    one is the block ``sample_stride`` offsets before it plus the outer
-    product of the row that enters the range, minus the one that leaves it,
-    per channel. Subtracting rows * m m^T (m the mean window) centres them.
-    Where every patch is the same, q is a residue of a few ulps whose
-    products and sums are exact, so the Gram matrix is exactly zero and
-    ``ridge = 0`` fails as singular. The residuals for sigma come from the
-    structured prediction b + sum_a x[t + a] W_a^T, not from the normal
-    equations' quadratic form, which cancels when the residuals are tiny.
+    block (a, a + lag) sums q[t + a] q[t + a + lag]^T over t, with q the
+    patches centred by their pooled mean. The block at offset 0 of each lag
+    is summed directly; every later one is the block before it plus the
+    outer product of the row that enters the range, minus the one that
+    leaves it, per channel. Subtracting rows * m m^T (m the mean window)
+    centres them. Where every patch is the same, q is a residue of a few
+    ulps whose products and sums are exact, so the Gram matrix is exactly
+    zero and ``ridge = 0`` fails as singular. The residuals for sigma come
+    from the structured prediction b + sum_a x[t + a] W_a^T, not from the
+    normal equations' quadratic form, which cancels when the residuals are
+    tiny.
 
     Cost O((k+1) * N * d^2 + (k*d)^3) time and O((k*d)^2) memory, the
     latter for the Gram matrix, which is factored in place.
     """
     if not np.isfinite(ridge) or ridge < 0:
         raise ValueError("ridge must be finite and >= 0")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
     k = effective_lookback(lookback, scale)
     d = train.patch_len
     if train.n_patches < k + 1:
         raise ValueError(
             f"need at least {k + 1} patches per channel to fit, have {train.n_patches}"
         )
-    s = sample_stride
     patches = train.patches
     n_rows = train.n_patches - k
-    # (channel, first kept t, kept count) of every channel that keeps a row.
-    runs = []
-    for c in range(train.n_channels):
-        first = (-c * n_rows) % s
-        if first < n_rows:
-            runs.append((c, first, (n_rows - first + s - 1) // s))
-    rows = sum(m for _, _, m in runs)
+    rows = train.n_channels * n_rows
     mu = patches.reshape(-1, d).mean(axis=0)
     q = patches - mu
 
-    def kept(x, a):
-        """Per-channel (count, d) views of x[c, t + a] over the kept t."""
-        return [x[c, f + a : f + a + (m - 1) * s + 1 : s] for c, f, m in runs]
+    def lagged(x, a):
+        """Per-channel (n_rows, d) views of x[c, t + a]."""
+        return [xc[a : a + n_rows] for xc in x]
 
-    mean = np.stack([sum(v.sum(axis=0) for v in kept(q, a)) for a in range(k + 1)]) / rows
+    mean = np.stack([sum(v.sum(axis=0) for v in lagged(q, a)) for a in range(k + 1)]) / rows
     kd = k * d
     gram = np.zeros((kd, kd))
     gram_blocks = gram.reshape(k, d, k, d)
@@ -276,19 +265,16 @@ def fit_linear_ar(
     for lag in range(k + 1):
         n_blocks = k + 1 - lag  # blocks (a, a + lag), a = 0 .. k - lag
         blocks = np.empty((n_blocks, d, d))
-        for a in range(min(s, n_blocks)):
-            blocks[a] = sum(x.T @ y for x, y in zip(kept(q, a), kept(q, a + lag)))
-        steps = n_blocks - s
+        blocks[0] = sum(x.T @ y for x, y in zip(lagged(q, 0), lagged(q, lag)))
+        steps = n_blocks - 1
         if steps > 0:
-            # blocks[a] = blocks[a - s] + delta[a - s] for a >= s
+            # blocks[a] = blocks[a - 1] + delta[a - 1] for a >= 1
             delta = np.zeros((steps, d, d))
-            for c, f, m in runs:
-                enter = f + m * s  # one stride past the last kept t
-                qc = q[c]
-                delta += qc[enter : enter + steps, :, None] * qc[enter + lag : enter + lag + steps, None, :]
-                delta -= qc[f : f + steps, :, None] * qc[f + lag : f + lag + steps, None, :]
-            for r in range(s):
-                blocks[r + s :: s] = blocks[r] + np.cumsum(delta[r::s], axis=0)
+            for qc in q:
+                enter = qc[n_rows:]  # the rows that enter the sum range, one per step
+                delta += enter[:steps, :, None] * enter[lag : lag + steps, None, :]
+                delta -= qc[:steps, :, None] * qc[lag : lag + steps, None, :]
+            blocks[1:] = blocks[0] + np.cumsum(delta, axis=0)
         blocks -= rows * (mean[:n_blocks, :, None] * mean[lag:, None, :])
         a = np.arange(n_blocks - 1)
         gram_blocks[a, :, a + lag, :] = blocks[:-1]
@@ -308,12 +294,12 @@ def fit_linear_ar(
     w = np.ascontiguousarray(cho_solve(factor, cross.reshape(kd, d)).T)  # (d, k*d)
     intercept = (mean[k] + mu) - w @ (mean[:k] + mu).reshape(-1)
     w_lags = w.reshape(d, k, d)  # w_lags[:, a] weighs the patch at offset a
-    lagged = [kept(patches, a) for a in range(k + 1)]
+    windows = [lagged(patches, a) for a in range(k + 1)]
     sq_sum = 0.0
-    for i, y in enumerate(lagged[k]):
+    for i, y in enumerate(windows[k]):
         resid = y - intercept
         for a in range(k):
-            resid -= lagged[a][i] @ w_lags[:, a].T
+            resid -= windows[a][i] @ w_lags[:, a].T
         sq_sum += float(np.vdot(resid, resid))
     sigma = math.sqrt(sq_sum / (rows * d))
     w.flags.writeable = False

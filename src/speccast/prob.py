@@ -10,6 +10,11 @@ functions here take heads. The decode engine builds none: it scores rounds
 with ``kernels.round_accept`` and closes a rejected lossless round with
 ``residual_sample`` on its raw mean rows and a ``ResidualParams`` computed
 once per head setting.
+
+The target and draft heads share one variance, the setting of the paper's
+closed-form overlap 2 Phi(-Delta/2) and of every predictor built on it.
+``residual_params`` refuses unequal variances, and variances below
+``VARIANCE_FLOOR``, with a ValueError.
 """
 
 from __future__ import annotations
@@ -133,16 +138,16 @@ class OverlapResult:
     std_error: float = 0.0
 
 
-def _require_equal_variance(p: GaussianHead, q: GaussianHead, what: str) -> None:
+def _require_equal_variance(var_p: np.ndarray, var_q: np.ndarray, what: str) -> None:
     # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
-    # atol=0) without its generic overhead; heads hold finite variances.
-    if not (np.abs(p.variance - q.variance) <= 1e-12 * np.abs(q.variance)).all():
+    # atol=0) without its generic overhead; a NaN entry fails it too.
+    if not (np.abs(var_p - var_q) <= 1e-12 * np.abs(var_q)).all():
         raise ValueError(f"{what} requires equal variances")
 
 
 def mahalanobis_gap(p: GaussianHead, q: GaussianHead) -> float:
     """Delta with Delta^2 = (mu_p - mu_q)^T Sigma^{-1} (mu_p - mu_q)."""
-    _require_equal_variance(p, q, "mahalanobis gap")
+    _require_equal_variance(p.variance, q.variance, "mahalanobis gap")
     return float(np.sqrt(np.sum((p.mean - q.mean) ** 2 / p.variance)))
 
 
@@ -254,51 +259,37 @@ def overlap(
 
 
 class ResidualParams(NamedTuple):
-    """Constants of ``residual_sample`` for a target head p and a draft head q.
+    """Constants of ``residual_sample`` for heads p and q of one variance.
 
-    They depend on the two variance vectors only, so a caller that samples
-    many residuals under one head setting builds them once with
-    ``residual_params``.
+    They depend on the variance vector only, so a caller that samples many
+    residuals under one head setting builds them once with
+    ``residual_params``. The arrays are read-only copies.
     """
 
-    std_p: np.ndarray    # sqrt(var_p)
-    var_p: np.ndarray    # floored at VARIANCE_FLOOR
-    var_q: np.ndarray
-    log_norm_p: float    # sum(log(2 pi var)), as GaussianHead computes it
-    log_norm_q: float
-    shared: bool         # variances equal to 1e-12 relative
-    kl_var: float        # variance term of KL(p || q)
-    floored: bool        # some variance was clamped at VARIANCE_FLOOR
+    std: np.ndarray      # sqrt(var)
+    var: np.ndarray
+    log_norm: float      # sum(log(2 pi var)), as GaussianHead computes it
 
 
 def residual_params(var_p, var_q) -> ResidualParams:
-    """``ResidualParams`` for diagonal variances ``var_p`` and ``var_q``.
+    """``ResidualParams`` for the diagonal variances of a target and a draft head.
 
-    The variances must be finite and positive; entries below VARIANCE_FLOOR
-    are clamped, and every ``residual_sample`` call under the result then
-    warns, as building the heads would. ``kl_var`` is
-    (1/2) sum(x - log1p(x)) with x = (var_p - var_q) / var_q, which keeps its
-    precision when the variances nearly agree.
+    The two must agree to 1e-12 relative, as the closed-form overlap needs,
+    and be at least VARIANCE_FLOOR, where the sampler's output is still the
+    residual of the heads as given; otherwise ValueError. The target's
+    variance is the one carried.
     """
     var_p = np.asarray(var_p, dtype=np.float64)
     var_q = np.asarray(var_q, dtype=np.float64)
     if var_p.ndim != 1 or var_p.shape != var_q.shape:
         raise ValueError(f"variance shapes differ or are not 1-d: {var_p.shape}, {var_q.shape}")
-    floored = bool(np.any(var_p < VARIANCE_FLOOR) or np.any(var_q < VARIANCE_FLOOR))
-    if floored:
-        var_p = np.maximum(var_p, VARIANCE_FLOOR)
-        var_q = np.maximum(var_q, VARIANCE_FLOOR)
-    x = (var_p - var_q) / var_q
-    return ResidualParams(
-        std_p=np.sqrt(var_p),
-        var_p=var_p,
-        var_q=var_q,
-        log_norm_p=_log_norm(var_p),
-        log_norm_q=_log_norm(var_q),
-        shared=bool(np.max(np.abs(var_p - var_q) / var_q) <= 1e-12),
-        kl_var=0.5 * float(np.sum(x - np.log1p(x))),
-        floored=floored,
-    )
+    _require_equal_variance(var_p, var_q, "the residual sampler")
+    if not (var_p >= VARIANCE_FLOOR).all():
+        raise ValueError(f"the residual sampler needs variances >= the variance floor {VARIANCE_FLOOR:g}")
+    var = var_p.copy()
+    std = np.sqrt(var)
+    var.flags.writeable = std.flags.writeable = False
+    return ResidualParams(std=std, var=var, log_norm=_log_norm(var))
 
 
 class ResidualExhausted(RuntimeError):
@@ -321,53 +312,42 @@ def residual_sample(
     """Sample the residual density r = (p - q)_+ / (1 - beta) by thinning.
 
     p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
-    vectors) and the variances in ``params``; callers holding heads pass
+    vectors) and the one variance in ``params``; callers holding heads pass
     ``p.mean, q.mean, residual_params(p.variance, q.variance)``. Returns the
     sample and the number of target draws it took.
 
     Draw Z ~ p and accept with probability (1 - q(Z)/p(Z))_+. The expected
     number of target draws per returned sample is 1/(1 - beta), which
-    deteriorates as q approaches p, so the budget is checked up front and a
-    ValueError is raised instead of drawing when 1 - beta < 1/``max_draws``
-    (identical heads included, where the residual is undefined): exactly,
-    by the closed form 1 - beta = erf(Delta / (2 sqrt 2)), for heads that
-    share a variance, and by the Pinsker bound 1 - beta <= sqrt(KL(p||q)/2)
-    otherwise. A non-finite mean also raises ValueError. If ``max_draws``
-    draws pass without an acceptance, ``ResidualExhausted`` (a RuntimeError)
-    is raised carrying the number of draws spent.
+    deteriorates as q approaches p, so the budget is checked up front by the
+    closed form 1 - beta = erf(Delta / (2 sqrt 2)), and a ValueError is
+    raised instead of drawing when 1 - beta < 1/``max_draws`` (identical
+    heads included, where the residual is undefined). A non-finite mean also
+    raises ValueError. If ``max_draws`` draws pass without an acceptance,
+    ``ResidualExhausted`` (a RuntimeError) is raised carrying the number of
+    draws spent.
     """
-    std, var_p, var_q, norm_p, norm_q, shared, kl_var, floored = params
-    if floored:
-        warnings.warn(_FLOOR_MESSAGE, VarianceFloorWarning, stacklevel=2)
+    std, var, log_norm = params
     if mu_p.shape != std.shape or mu_q.shape != std.shape:
         raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} do not match variances {std.shape}")
     diff = mu_p - mu_q
-    gap2 = float(np.dot(diff, diff / (var_p if shared else var_q)))
+    gap2 = float(np.dot(diff, diff / var))
     # gap2 is finite whenever both means are, short of overflow; only then
     # are the means scanned.
     if not math.isfinite(gap2) and not (np.isfinite(mu_p).all() and np.isfinite(mu_q).all()):
         raise ValueError("head mean has non-finite entries")
-    if shared:
-        delta = math.sqrt(gap2)
-        if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
-            raise ValueError(
-                f"residual undefined or beyond the draw budget: the heads' overlap leaves "
-                f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
-            )
-    else:
-        bound = math.sqrt(0.5 * (kl_var + 0.5 * gap2))
-        if bound * max_draws < 1.0:
-            raise ValueError(
-                f"residual undefined or beyond the draw budget: the Pinsker bound leaves "
-                f"1 - beta <= {bound:.3g} < 1/{max_draws}"
-            )
+    delta = math.sqrt(gap2)
+    if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
+        raise ValueError(
+            f"residual undefined or beyond the draw budget: the heads' overlap leaves "
+            f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
+        )
     d = std.shape[0]
     draws = 0
     chunk = 16
     while draws < max_draws:
         zs = mu_p + std * rng.standard_normal((chunk, d))
-        log_q = -0.5 * (np.sum((zs - mu_q) ** 2 / var_q, axis=-1) + norm_q)
-        log_p = -0.5 * (np.sum((zs - mu_p) ** 2 / var_p, axis=-1) + norm_p)
+        log_q = -0.5 * (np.sum((zs - mu_q) ** 2 / var, axis=-1) + log_norm)
+        log_p = -0.5 * (np.sum((zs - mu_p) ** 2 / var, axis=-1) + log_norm)
         # Accept with probability (1 - exp(t))_+, t = log q - log p: where
         # t >= 0 it is -expm1(0) = -0.0, and no uniform in [0, 1) is below it.
         hits = rng.random(chunk) < -np.expm1(np.minimum(log_q - log_p, 0.0))

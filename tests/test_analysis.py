@@ -1,6 +1,7 @@
 """Closed-form predictors, estimators, and deviation bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from speccast.analysis import (
     select_gamma,
     speedup_wall,
 )
-from speccast.prob import GaussianHead, GridSpec, overlap_closed_form
+from speccast.prob import GaussianHead, GridSpec, log_density, overlap_closed_form, refined_trapezoid
 
 
 class TestBlockLengthPmf:
@@ -307,6 +308,42 @@ class TestDeviationBounds:
         b = deviation_bounds(p, q)
         assert b.alpha_bar <= 1e-6
         assert b.tv_numeric_1d <= 1e-6
+
+    @pytest.mark.parametrize("gap", [10.0, 20.0, 30.0])
+    def test_far_heads_keep_finite_kl_and_pinsker(self, gap):
+        # at gap 30, alpha_bar p underflows to 0 where alpha q does not
+        p = GaussianHead.isotropic([0.0], 1.0)
+        q = GaussianHead.isotropic([gap], 1.0)
+        for lam in (0.5, 1.0, 2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                b = deviation_bounds(p, q, tolerance_lambda=lam)
+            assert b.alpha_bar > 0.0
+            assert math.isfinite(b.kl_bound_1d) and math.isfinite(b.pinsker_tv)
+            assert b.tv_numeric_1d <= b.pinsker_tv
+
+    @pytest.mark.parametrize("gap", [0.5, 1.0, 2.0, 3.0, 4.0])
+    def test_kl_matches_the_linear_domain_ratio_near_p(self, gap):
+        # where alpha_bar p does not underflow, log(alpha q) - log(alpha_bar p)
+        # in the linear domain gives the same bound to 1e-12 relative
+        p = GaussianHead.isotropic([0.0], 1.0)
+        q = GaussianHead.isotropic([gap], 1.0)
+        fp, fq = p.pdf(), q.pdf()
+        for lam in (0.5, 1.0, 2.0):
+            b = deviation_bounds(p, q, tolerance_lambda=lam)
+
+            def integrand(x):
+                lr = log_density(p, x[:, None]) - log_density(q, x[:, None])
+                aq = np.exp(np.minimum(0.0, lr + math.log(lam))) * fq(x)
+                ref = b.alpha_bar * fp(x)
+                out = np.zeros_like(aq)
+                mask = aq > 1e-300
+                out[mask] = aq[mask] * (np.log(aq[mask]) - np.log(ref[mask]))
+                return out
+
+            kl = max(0.0, refined_trapezoid(integrand, GridSpec.for_heads(p, q), abs_tol=1e-9))
+            assert b.kl_bound_1d == pytest.approx(kl, rel=1e-12, abs=0.0)
+            assert b.pinsker_tv == pytest.approx(math.sqrt(0.5 * kl), rel=1e-12, abs=0.0)
 
     def test_tolerance_relaxation_raises_alpha(self):
         p = GaussianHead.isotropic([0.0], 1.0)

@@ -128,6 +128,22 @@ def test_decode_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_scan_spec_errors_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    base = {"data": {"synthetic": {"n_steps": 6000}}, "patch_len": 8, "lookback": 4, "horizon_steps": 32}
+    cases = [
+        ({**base, "bogus": 1}, "unknown spec key(s): 'bogus'"),
+        ({k: v for k, v in base.items() if k != "data"}, "spec lacks required key(s): 'data'"),
+        ({**base, "timing_passes": 50}, "spec key 'timing_passes' is retired"),
+    ]
+    capsys.readouterr()
+    for doc, message in cases:
+        spec.write_text(json.dumps(doc))
+        assert main(["scan", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1  # no traceback
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_decode_abort_exits_3(tmp_path, capsys):

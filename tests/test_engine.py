@@ -224,22 +224,24 @@ class TestLosslessResidualCost:
 
 class TestConfigValidation:
     def test_shared_variance_enforced(self):
+        # the sigmas are resolved first: from the config, else from the models
         target, draft, h0 = make_pair()
-        cfg = DecodeConfig(
-            variant="practical", horizon_patches=4, seed=0, gamma=2,
-            sigma_target=1.0, sigma_draft=0.5,
-        )
-        with pytest.raises(ValueError, match="shared-variance"):
-            decode(target, draft, h0, cfg)
-
-    def test_unequal_variance_opt_in(self):
-        target, draft, h0 = make_pair()
-        cfg = DecodeConfig(
-            variant="practical", horizon_patches=4, seed=0, gamma=2,
-            sigma_target=1.0, sigma_draft=0.5, allow_unequal_variance=True,
-        )
-        forecast, _ = decode(target, draft, h0, cfg)
-        assert forecast.shape == (4, 1)
+        unequal = [dict(sigma_target=1.0, sigma_draft=0.5), dict(sigma_draft=0.5),
+                   dict(sigma_target=1.0 + 1e-12)]
+        for variant in ("practical", "lossless"):
+            for sigmas in unequal:
+                cfg = DecodeConfig(variant=variant, horizon_patches=4, seed=0, gamma=2, **sigmas)
+                with pytest.raises(ValueError, match="shared-variance") as exc:
+                    decode(target, draft, h0, cfg)
+                assert "allow" not in str(exc.value)
+            unequal_models = (target, draft.with_knobs(sigma=0.5), h0)
+            with pytest.raises(ValueError, match=r"got 1\.0 vs 0\.5"):
+                decode(*unequal_models, DecodeConfig(variant=variant, horizon_patches=4, seed=0))
+        # the baselines have one model and take their own sigma
+        for variant, sigmas in (("target_only", (1.0, 0.5)), ("draft_only", (0.5, 1.0))):
+            cfg = DecodeConfig(variant=variant, horizon_patches=4, seed=0,
+                               sigma_target=sigmas[0], sigma_draft=sigmas[1])
+            assert decode(target, draft, h0, cfg)[0].shape == (4, 1)
 
     def test_dimension_mismatch(self):
         target = persistence_model(patch_len=2, sigma=1.0)
@@ -566,7 +568,6 @@ _REFERENCE_CONFIGS = [
     dict(horizon_patches=17, gamma=4, draft_bias=0.3),
     dict(horizon_patches=9, gamma=1, tolerance_lambda=0.6),
     dict(horizon_patches=11, gamma=3, tolerance_lambda=1.7),
-    dict(horizon_patches=10, gamma=2, sigma_draft=0.55, allow_unequal_variance=True),
     dict(horizon_patches=12, gamma=3, sigma_target=0.15, sigma_draft=0.15),
 ]
 
@@ -661,13 +662,12 @@ class TestReferenceLoop:
         assert len(outcomes) > 1 and all(isinstance(o, int) for o in outcomes[:-1])
 
     def test_lossless_below_variance_floor_is_rejected(self):
-        # Below the floor the residual sampler would clamp the variance, so
-        # lossless output would not be the target chain: refuse it up front.
+        # Below the floor the residual sampler does not run, so lossless
+        # decoding is refused up front, before any round.
         target, draft, h0 = _reference_pair("linear_ar", sigma=1e-7)
-        for sigmas in ((1e-7, 1e-7), (1.0, 1e-7), (1e-7, 1.0)):
+        for sigma in (1e-7, None):  # from the config, or from the models
             cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
-                               sigma_target=sigmas[0], sigma_draft=sigmas[1],
-                               allow_unequal_variance=True)
+                               sigma_target=sigma, sigma_draft=sigma)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", VarianceFloorWarning)
                 with pytest.raises(ValueError, match=r"variance floor 1e-12 \(sigma >= 1e-06\)"):
@@ -733,23 +733,6 @@ class TestNearlyIdenticalHeads:
             assert rec.final_draw_source == SOURCE_FALLBACK
             assert rec.residual_target_draws == 0
         # the fallback is the practical variant's draw
-        practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
-        assert np.array_equal(forecast, practical)
-
-    def test_nearly_equal_variances_fall_back(self):
-        # variances 1 and 1 + 1e-10 over 32 dims with equal means: the
-        # residual would need billions of draws; lambda = 1e-6 forces a
-        # rejection at the first position of every round
-        target = persistence_model(patch_len=32, sigma=1.0)
-        draft = persistence_model(patch_len=32, sigma=math.sqrt(1.0 + 1e-10))
-        h0 = History.from_patches(np.zeros((1, 32)), 1)
-        cfg = DecodeConfig(variant="lossless", horizon_patches=4, seed=8, gamma=3,
-                           tolerance_lambda=1e-6, allow_unequal_variance=True)
-        forecast, trace = decode(target, draft, h0, cfg)
-        assert trace.accepted_counts().tolist() == [0] * 4
-        assert trace.degenerate[: trace.n_rounds].tolist() == [1] * 4
-        assert trace.residual_draws[: trace.n_rounds].tolist() == [0] * 4
-        assert {r.final_draw_source for r in trace.rounds} == {SOURCE_FALLBACK}
         practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
         assert np.array_equal(forecast, practical)
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as scistats
 from scipy.special import erfinv as scipy_erfinv
 
-from speccast import engine, kernels
+from speccast import engine, kernels, prob
 from speccast import rng as rngmod
 from speccast.prob import (
     CLOSED_FORM,
@@ -139,15 +139,17 @@ class TestLogDensity:
         assert np.isfinite(log_density(h, [50.0]))
 
 
-def accept_one(mu_p, sigma_p, mu_q, sigma_q, x, tolerance_lambda=1.0, uniform=0.0):
+def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0, params=None):
     """(log p(x) - log q(x), alpha, accepted) of one proposal x ~ q.
 
     Scored by the decode engine's kernel, ``kernels.round_accept``, with the
-    constants the engine builds for isotropic heads of these widths.
+    constants the engine builds for isotropic heads of width ``sigma``, or
+    with the given ``params``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     d = x.shape[0]
-    params, _ = engine._head_params(float(sigma_p), float(sigma_q), tolerance_lambda, d, 1)
+    if params is None:
+        params, _ = engine._head_params(float(sigma), tolerance_lambda, d, 1, False)
     mus = np.empty((2, 1, d))
     mus[0, 0], mus[1, 0] = mu_q, mu_p
     logs, alphas = np.empty((2, 1)), np.empty(1)
@@ -161,20 +163,18 @@ class TestAcceptance:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(size=2)
-            _, alpha, accepted = accept_one(mu, 0.7, mu, 0.7, x, uniform=0.999)
+            _, alpha, accepted = accept_one(mu, mu, 0.7, x, uniform=0.999)
             assert alpha == 1.0
             assert accepted
 
     def test_hand_computed_ratio(self):
-        log_ratio, alpha, accepted = accept_one([2.0], 1.0, [0.0], 1.0, [0.0], uniform=0.5)
+        log_ratio, alpha, accepted = accept_one([2.0], [0.0], 1.0, [0.0], uniform=0.5)
         assert log_ratio == pytest.approx(-2.0, abs=1e-12)
         assert alpha == pytest.approx(math.exp(-2.0), abs=1e-12)
         assert not accepted  # 0.5 >= 0.1353
 
     def test_tolerance_shifts_log_threshold(self):
-        _, alpha, accepted = accept_one(
-            [2.0], 1.0, [0.0], 1.0, [0.0], tolerance_lambda=math.e ** 2, uniform=0.5
-        )
+        _, alpha, accepted = accept_one([2.0], [0.0], 1.0, [0.0], tolerance_lambda=math.e ** 2, uniform=0.5)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert accepted
 
@@ -186,20 +186,24 @@ class TestAcceptance:
             mu_p = rng.normal(size=3)
             mu_q = rng.normal(size=3)
             x = rng.normal(size=3)
-            log_ratio, _, _ = accept_one(mu_p, sigma, mu_q, sigma, x)
+            log_ratio, _, _ = accept_one(mu_p, mu_q, sigma, x)
             expected = -(np.sum((x - mu_p) ** 2) - np.sum((x - mu_q) ** 2)) / (2 * sigma ** 2)
             assert log_ratio == pytest.approx(expected, abs=1e-10)
 
     def test_alpha_monotone_in_norm_difference(self):
         xs = np.linspace(-4, 4, 41)
         stat = [np.sum((x - 0.0) ** 2) - np.sum((x - 1.0) ** 2) for x in xs]
-        alphas = [accept_one([0.0], 1.0, [1.0], 1.0, [x])[1] for x in xs]
+        alphas = [accept_one([0.0], [1.0], 1.0, [x])[1] for x in xs]
         order = np.argsort(stat)
         sorted_alpha = np.array(alphas)[order]
         assert np.all(np.diff(sorted_alpha) <= 1e-12)
 
     def test_unequal_variance_includes_log_term(self):
-        log_ratio, _, _ = accept_one([0.0], math.sqrt(0.5), [0.0], math.sqrt(2.0), [0.0])
+        # The engine passes one variance, but the kernel scores each row with
+        # its own constants, log normalizer included: draft var 2, target 0.5.
+        var = np.array([[2.0], [0.5]])
+        params = (1.0 / var, np.log(2.0 * np.pi * var), np.full((2, 1), -0.5), np.zeros(1), np.zeros(1))
+        log_ratio, _, _ = accept_one([0.0], [0.0], None, [0.0], params=params)
         expected = scalar_gauss_logpdf(0.0, 0.0, 0.5) - scalar_gauss_logpdf(0.0, 0.0, 2.0)
         assert log_ratio == pytest.approx(expected, abs=1e-12)
 
@@ -314,16 +318,6 @@ def _outcome(draw):
     return sample.tobytes(), draws
 
 
-def _variance_only_tv(ratio):
-    """1 - beta between N(0, 1) and N(0, ratio) (1-d), from the crossings.
-
-    TV is scale-invariant, so a ratio below 1 is taken as its inverse.
-    """
-    s = math.sqrt(max(ratio, 1.0 / ratio))
-    c = math.sqrt(2.0 * s * s * math.log(s) / (s * s - 1.0))
-    return math.erf(c / math.sqrt(2.0)) - math.erf(c / (s * math.sqrt(2.0)))
-
-
 class TestResidualSample:
     def test_identical_heads_error(self):
         p = GaussianHead.isotropic([0.0], 1.0)
@@ -349,28 +343,32 @@ class TestResidualSample:
         sample, draws = sample_heads(p, q, rngmod.stream(1), max_draws=4000)
         assert sample.shape == (1,) and draws >= 1
 
-    def test_unequal_variances_are_sampled(self):
-        # equal means, unequal variances: the residual exists (no closed form)
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([0.0], 0.5)
-        sample, draws = sample_heads(p, q, rngmod.stream(2))
-        assert sample.shape == (1,) and draws >= 1
-
     def test_nearly_equal_variances_fail_fast(self):
-        # variances 1 and 1 + 1e-10 in 32 dims, equal means: the Pinsker
-        # bound puts 1 - beta near 2e-10, so thinning would exhaust the 1e7
-        # budget; the sampler refuses before its first draw
+        # variances 1 and 1 + 1e-10 in 32 dims, equal means: 1 - beta is
+        # near 2e-10, so thinning would exhaust the 1e7 budget; the heads do
+        # not share a variance, and the sampler refuses before its first draw
         p = GaussianHead(np.zeros(32), np.ones(32))
         q = GaussianHead(np.zeros(32), np.full(32, 1.0 + 1e-10))
         with pytest.raises(RuntimeError, match="exhausted"):
             reference_residual_sample(p, q, rngmod.stream(3), max_draws=20_000)
-        with pytest.raises(ValueError, match="Pinsker"):
+        with pytest.raises(ValueError, match="requires equal variances"):
             sample_heads(p, q, rngmod.stream(3))
-        # the bound counts the mean gap too: the same variances at a mean
-        # gap of 1e-3 are sampled
-        q_far = GaussianHead(np.full(32, 1e-3), q.variance)
-        sample, draws = sample_heads(p, q_far, rngmod.stream(3))
-        assert sample.shape == (32,) and draws >= 1
+
+    def test_params_need_one_variance_at_or_above_the_floor(self):
+        var = np.array([0.5, 2.0])
+        params = residual_params(var, var * (1.0 + 5e-13))
+        assert params.var.tolist() == var.tolist() and params.std.tolist() == np.sqrt(var).tolist()
+        assert not (params.var.flags.writeable or params.std.flags.writeable)
+        for bad in (var * (1.0 + 2e-12), var[::-1], np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="residual sampler requires equal variances"):
+                residual_params(var, bad)
+        floor = np.full(2, prob.VARIANCE_FLOOR)
+        assert residual_params(floor, floor).var.tolist() == floor.tolist()
+        for low in (np.full(2, 1e-14), np.array([1.0, 0.0])):
+            with pytest.raises(ValueError, match="variance floor 1e-12"):
+                residual_params(low, low)
+        with pytest.raises(ValueError, match="shapes differ"):
+            residual_params(var, np.ones(3))
 
     def test_exhausted_budget_reports_the_draws_spent(self):
         # overlap 0.9: a 16-draw budget passes the up-front cutoff and runs
@@ -385,30 +383,6 @@ class TestResidualSample:
                 assert isinstance(exc, RuntimeError) and "exhausted 16 target draws" in str(exc)
                 spent.append(exc.draws)
         assert len(spent) >= 3 and set(spent) == {16}
-
-    @pytest.mark.parametrize("ratio", [1.001, 1.01, 1.1, 1.5, 3.0, 1 / 1.001, 1 / 1.1, 1 / 3.0])
-    def test_pinsker_cutoff_never_fires_within_budget(self, ratio):
-        p = GaussianHead(np.zeros(1), np.ones(1))
-        q = GaussianHead(np.zeros(1), np.full(1, ratio))
-        one_minus_beta = _variance_only_tv(ratio)
-        within = math.ceil(1.0 / one_minus_beta)
-        outcome = _outcome(lambda: sample_heads(p, q, rngmod.stream(4), max_draws=within))
-        assert outcome[0] != "ValueError", outcome
-        # and it fires once the bound itself is below 1/max_draws
-        bound = math.sqrt(residual_params(p.variance, q.variance).kl_var / 2.0)
-        with pytest.raises(ValueError, match="Pinsker"):
-            sample_heads(p, q, rngmod.stream(4), max_draws=math.floor(0.99 / bound))
-
-    @pytest.mark.parametrize("x", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, -1e-10])
-    def test_variance_kl_keeps_precision(self, x):
-        # x - log1p(x) = x^2/2 - x^3/3 + x^4/4 - ...; the series is exact to
-        # well under 1e-9 relative at these x
-        var_q = np.full(32, 2.0)
-        var_p = var_q * (1.0 + x)
-        xs = (var_p - var_q) / var_q
-        series = 0.5 * float(np.sum(xs**2 / 2 - xs**3 / 3 + xs**4 / 4))
-        kl = residual_params(var_p, var_q).kl_var
-        assert kl == pytest.approx(series, rel=1e-9)
 
     def test_matches_reference_draw_for_draw(self):
         rng = np.random.default_rng(20240501)
@@ -436,9 +410,13 @@ class TestResidualSample:
             seed = int(rng.integers(1 << 30))
             got = _outcome(lambda: residual_sample(
                 mu_p, mu_q, residual_params(var_p, var_q), rngmod.stream(seed), max_draws))
+            if not shared:
+                assert got == ("ValueError", "the residual sampler requires equal variances"), case
+                continue
+            # the heads share the target's variance, the one the sampler carries
             want = _outcome(lambda: reference_residual_sample(
-                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_q), rngmod.stream(seed), max_draws))
-            assert got == want, (case, d, max_draws, shared)
+                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_p), rngmod.stream(seed), max_draws))
+            assert got == want, (case, d, max_draws)
             seen.add(got[0] if isinstance(got[0], str) else "sample")
         # samples, budget cutoffs and exhausted budgets were all compared
         assert seen == {"sample", "ValueError", "ResidualExhausted"}
@@ -457,18 +435,6 @@ class TestResidualSample:
                 with pytest.raises(ValueError) as got:
                     residual_sample(mu_p, mu_q, residual_params(var, var), rngmod.stream(0))
             assert str(got.value) == str(want.value)
-
-    def test_floored_variance_warns_on_every_call(self):
-        params = residual_params(np.full(2, 1e-14), np.full(2, 1e-14))
-        assert params.floored and np.all(params.var_p == 1e-12)
-        with pytest.warns(VarianceFloorWarning):
-            p = GaussianHead(np.zeros(2), np.full(2, 1e-14))
-            q = GaussianHead(np.full(2, 1e-5), np.full(2, 1e-14))
-        for seed in (0, 1):
-            with pytest.warns(VarianceFloorWarning):
-                got = residual_sample(p.mean, q.mean, params, rngmod.stream(seed))
-            want = reference_residual_sample(p, q, rngmod.stream(seed))
-            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
 
     def test_draw_cost_identity(self):
         # mean draws over many calls tracks 1/(1-beta) for beta from the

@@ -43,7 +43,7 @@ def oracle_ar1(patch_len, phi, sigma=1.0):
     )
 
 
-def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0, sample_stride=1):
+def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0):
     """The materialized ridge fit: builds the (rows, k*d) feature matrix.
 
     The oracle for ``fit_linear_ar``, which forms the same normal equations
@@ -58,8 +58,8 @@ def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0, sample_strid
             f"need at least {k_eff + 1} patches per channel to fit, have {train.n_patches}"
         )
     windows = np.lib.stride_tricks.sliding_window_view(train.patches, (k_eff, d), axis=(1, 2))
-    features = windows[:, :-1, 0].reshape(-1, k_eff * d)[::sample_stride]
-    targets = train.patches[:, k_eff:].reshape(-1, d)[::sample_stride]
+    features = windows[:, :-1, 0].reshape(-1, k_eff * d)
+    targets = train.patches[:, k_eff:].reshape(-1, d)
     x_mean = features.mean(axis=0)
     y_mean = targets.mean(axis=0)
     xc = features - x_mean
@@ -257,31 +257,22 @@ class TestFitLinearAr:
         assert np.median(full_mse) <= np.median(quarter_mse)
 
 
-# 501 patches per channel: N = 501 - k training rows is not a multiple of
-# 3 or 7 for k in (1, 2, 8), so the channels start their kept rows at
-# different offsets.
-_EQUIV_PATCHES = 501
-
-
 class TestWindowSumFit:
-    @pytest.mark.parametrize("sample_stride", [1, 3, 7])
     @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (2, 1.0), (8, 1.0), (8, 0.25)])
     @pytest.mark.parametrize("n_channels", [1, 3])
-    def test_matches_materialized_fit(self, n_channels, lookback, scale, sample_stride):
-        values = ar1(_EQUIV_PATCHES * 4, n_channels=n_channels, phi=0.8, seed=n_channels)
+    def test_matches_materialized_fit(self, n_channels, lookback, scale):
+        values = ar1(501 * 4, n_channels=n_channels, phi=0.8, seed=n_channels)
         series = PatchSeries.from_values(values, patch_len=4)
-        n_rows = series.n_patches - effective_lookback(lookback, scale)
-        assert sample_stride == 1 or n_rows % sample_stride != 0
         for ridge in (1e-8, 1e-3, 1e3, 1e12):
-            model = fit_linear_ar(series, lookback, ridge, scale, sample_stride=sample_stride)
-            w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale, sample_stride=sample_stride)
+            model = fit_linear_ar(series, lookback, ridge, scale)
+            w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)
             _assert_rel_close(model.weights, w)
             _assert_rel_close(model.intercept, b)
             assert model.sigma == pytest.approx(sigma, rel=1e-9)
 
     def test_weights_and_intercept_are_frozen(self):
         series = PatchSeries.from_values(ar1(2048, n_channels=2, phi=0.7, seed=6), patch_len=4)
-        model = fit_linear_ar(series, lookback=4, ridge=1e-3, sample_stride=3)
+        model = fit_linear_ar(series, lookback=4, ridge=1e-3)
         assert model.weights.flags.c_contiguous
         assert not model.weights.flags.writeable
         assert not model.intercept.flags.writeable
@@ -357,11 +348,6 @@ class TestFitErrorsUnchanged:
         got = _error_of(fit_linear_ar, series, 4, ridge)
         assert got == _error_of(reference_fit_linear_ar, series, 4, ridge)
         assert got[0] is (ValueError if ridge == 0 else LinAlgError)
-
-    def test_sample_stride_must_be_positive(self):
-        series = PatchSeries.from_values(ar1(512, seed=2), patch_len=4)
-        with pytest.raises(ValueError, match="sample_stride must be >= 1"):
-            fit_linear_ar(series, 4, 1e-3, sample_stride=0)
 
 
 class TestSynth:

@@ -258,11 +258,12 @@ class TestFitLinearAr:
 
 
 class TestWindowSumFit:
+    @pytest.mark.parametrize("patch_len", [1, 3, 7])
     @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (2, 1.0), (8, 1.0), (8, 0.25)])
     @pytest.mark.parametrize("n_channels", [1, 3])
-    def test_matches_materialized_fit(self, n_channels, lookback, scale):
-        values = ar1(501 * 4, n_channels=n_channels, phi=0.8, seed=n_channels)
-        series = PatchSeries.from_values(values, patch_len=4)
+    def test_matches_materialized_fit(self, n_channels, lookback, scale, patch_len):
+        values = ar1(501 * patch_len, n_channels=n_channels, phi=0.8, seed=n_channels)
+        series = PatchSeries.from_values(values, patch_len=patch_len)
         for ridge in (1e-8, 1e-3, 1e3, 1e12):
             model = fit_linear_ar(series, lookback, ridge, scale)
             w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)

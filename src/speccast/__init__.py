@@ -48,10 +48,9 @@ from .prob import (
     GaussianHead,
     GridSpec,
     OverlapResult,
-    ResidualParams,
     log_density,
     overlap,
-    residual_params,
     residual_sample,
+    residual_std,
 )
 from .series import CsvSchema, NormStats, PatchSeries, load_csv, metrics

@@ -10,28 +10,27 @@ exact target chain.
 A round that accepts n proposals closes at position n. Unless it ends in a
 residual draw, it closes with ``mu_p[n] + ext``, where ``ext`` is the
 round's pre-drawn N(0, sigma^2 I) target variate: that covers the
-extension (n = gamma), the practical fallback and the degenerate lossless
-fallback (n < gamma). ``ext`` is drawn with the round's uniforms and
-proposal noise but independently of them, so given the accept decision it
-is still a target draw; one expression closes the round and no rejection
-re-keys a stream. A rejected lossless round closes with
-``residual_sample(mu_p[n], mu_q[n], ...)`` on the target and draft mean rows
-the round already holds, with the variance, standard deviation and log
-normalizer computed once per head setting (``_head_params``); no head object
-is built. When the residual is undefined or beyond the sampler's draw
-budget, or a mean is not finite (ValueError), or the budget is spent without
-an acceptance (``ResidualExhausted``), the round degrades to the practical
-fallback, recorded in the trace's ``degenerate`` column; its
-``residual_draws`` are the draws the sampler spent, 0 when it refused before
-drawing. A non-finite closing draw then
-aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the
-round.
+extension (n = gamma) and the practical fallback (n < gamma). ``ext`` is
+drawn with the round's uniforms and proposal noise but independently of
+them, so given the accept decision it is still a target draw; one
+expression closes the round and no rejection re-keys a stream. A rejected
+lossless round closes with ``residual_sample(mu_p[n], mu_q[n], ...)`` on the
+target and draft mean rows the round already holds, with the standard
+deviation computed once per head setting (``_head_params``); no head object
+is built. The sampler is exact for every overlap below 1, so a lossless
+round never falls back to the practical draw. At tolerance_lambda = 1 a
+rejection with finite means implies distinct means, so its only ValueError
+is a non-finite mean (or a gap whose square underflows to 0), and that
+aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the round,
+as does a non-finite closing draw.
 
 The target and draft heads of a speculative decode share one variance, as
 the paper's acceptance rule and every predictor here assume: a decode whose
 resolved ``sigma_target`` and ``sigma_draft`` differ is refused with a
 ValueError. The lossless variant also refuses a head variance below
-``prob.VARIANCE_FLOOR``, where the residual sampler does not run.
+``prob.VARIANCE_FLOOR``, and a tolerance_lambda other than 1: the
+acceptance min(1, lambda p / q) and the (p - q)_+ residual combine to the
+target law only at lambda = 1.
 
 Every random draw comes from a stream keyed by (seed, round, purpose), so a
 trace is replayable bit-for-bit and the practical/lossless variants consume
@@ -63,7 +62,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import VARIANCE_FLOOR, ResidualExhausted, residual_params, residual_sample
+from .prob import VARIANCE_FLOOR, residual_sample, residual_std
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -115,6 +114,11 @@ class DecodeConfig:
             raise ValueError("horizon_patches must be >= 1")
         if not self.tolerance_lambda > 0:
             raise ValueError("tolerance_lambda must be > 0")
+        if self.variant == VARIANT_LOSSLESS and self.tolerance_lambda != 1.0:
+            raise ValueError(
+                f"lossless decoding requires tolerance_lambda == 1, got {self.tolerance_lambda}: "
+                f"min(1, lambda p/q) acceptance and the (p - q)_+ residual sample the target only at 1"
+            )
         if self.draft_bias is not None and not self.draft_bias >= 0:
             raise ValueError(f"draft_bias must be >= 0, got {self.draft_bias}")
         for name in ("sigma_target", "sigma_draft"):
@@ -138,8 +142,6 @@ class RoundRecord:
     n_accepted: int
     final_draw_source: str
     outputs_emitted: int                # L = n_accepted + 1
-    residual_target_draws: int = 0
-    residual_degenerate: bool = False
     # Per-proposal views of the trace columns (consumed prefix only);
     # Proposal tuples are materialized on access.
     _xs: np.ndarray | None = None
@@ -180,7 +182,7 @@ _BASELINE, _EXTEND, _FALLBACK, _RESIDUAL = range(len(SOURCES))
 
 @functools.lru_cache(maxsize=16)
 def _zero_columns(h: int) -> tuple[np.ndarray, ...]:
-    zeros = np.zeros((4, h), dtype=np.int64)
+    zeros = np.zeros((2, h), dtype=np.int64)
     zeros.flags.writeable = False
     return tuple(zeros)
 
@@ -191,11 +193,11 @@ class DecodeTrace:
 
     A round emits at least one patch, so ``horizon_patches`` rows always
     suffice; the first ``n_rounds`` are filled. Integer columns:
-    ``n_accepted``, ``sources`` (codes into SOURCES), ``residual_draws`` and
-    ``degenerate``. Speculative variants also fill, per round and proposal
-    position, ``xs`` (rounds, gamma, d), ``log_q``/``log_p`` (views of the
-    stacked ``logs``, shape (rounds, 2, gamma)), ``alphas`` and ``uniforms``;
-    only the consumed prefix min(n + 1, gamma) of a round is meaningful.
+    ``n_accepted`` and ``sources`` (codes into SOURCES). Speculative variants
+    also fill, per round and proposal position, ``xs`` (rounds, gamma, d),
+    ``log_q``/``log_p`` (views of the stacked ``logs``, shape
+    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only the consumed
+    prefix min(n + 1, gamma) of a round is meaningful.
     ``RoundRecord``/``Proposal`` objects are built from the columns only when
     ``rounds`` or ``round_dicts()`` is read.
     """
@@ -216,10 +218,9 @@ class DecodeTrace:
         self.speculative = self.variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS)
         if not self.speculative:
             # Baseline rounds are all alike (n = 0, source baseline).
-            self.n_accepted, self.sources, self.residual_draws, self.degenerate = _zero_columns(h)
+            self.n_accepted, self.sources = _zero_columns(h)
             return
-        ints = np.zeros((4, h), dtype=np.int64)
-        self.n_accepted, self.sources, self.residual_draws, self.degenerate = ints
+        self.n_accepted, self.sources = np.zeros((2, h), dtype=np.int64)
         g = self.gamma
         self.xs = np.empty((h, g, self.patch_len))
         self.logs = np.empty((h, 2, g))
@@ -239,8 +240,6 @@ class DecodeTrace:
             n_accepted=n,
             final_draw_source=SOURCES[self.sources[i]],
             outputs_emitted=n + 1,
-            residual_target_draws=int(self.residual_draws[i]),
-            residual_degenerate=bool(self.degenerate[i]),
         )
         if self.speculative:
             consumed = min(n + 1, self.gamma)
@@ -266,8 +265,6 @@ class DecodeTrace:
                     "n": r.n_accepted,
                     "L": r.outputs_emitted,
                     "source": r.final_draw_source,
-                    "residual_target_draws": r.residual_target_draws,
-                    "residual_degenerate": r.residual_degenerate,
                     "proposals": [
                         {
                             "x": p.x.tolist(),
@@ -367,7 +364,7 @@ def _head_params(sigma: float, tolerance_lambda: float, d: int, gamma: int, loss
               np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
     for a in params:
         a.flags.writeable = False
-    return params, residual_params(var, var) if lossless else None
+    return params, residual_std(var, var) if lossless else None
 
 
 def _decode_speculative(
@@ -409,9 +406,7 @@ def _decode_speculative(
     )
     mus = np.empty((2, gamma, d))  # draft (0) and target (1) means
     scratch = np.empty((2, gamma, d))
-    n_col, src_col, draws_col, degen_col = (
-        trace.n_accepted, trace.sources, trace.residual_draws, trace.degenerate
-    )
+    n_col, src_col = trace.n_accepted, trace.sources
     xs_col, logs, alphas, u_col = trace.xs, trace.logs, trace.alphas, trace.uniforms
     draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
@@ -457,26 +452,18 @@ def _decode_speculative(
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
         final = buf[p + n]
-        source = _EXTEND if n == gamma else _FALLBACK
         if lossless and n < gamma:
             gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
             try:
-                final[:], draws_col[r] = residual_sample(mu_p[n], mus[0, n], residual, gen)
-                source = _RESIDUAL
-            except ValueError:
-                # Residual undefined or beyond the draw budget (heads
-                # identical or nearly so), or a mean not finite: degrade to
-                # the practical fallback.
-                degen_col[r] = True
-            except ResidualExhausted as exc:
-                # The budget spent without an acceptance: degrade too, and
-                # keep the count of the draws it cost.
-                degen_col[r] = True
-                draws_col[r] = exc.draws
-        if source != _RESIDUAL:
+                final[:] = residual_sample(mu_p[n], mus[0, n], residual, gen)[0]
+            except ValueError as exc:
+                raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
+            source = _RESIDUAL
+        else:
             # The extension, or the practical fallback: the round's own
             # target draw, independent of its accept decision.
             np.add(mu_p[n], block_ext[slot], out=final)
+            source = _EXTEND if n == gamma else _FALLBACK
         _check_finite(final, r)
 
         n_col[r] = n

@@ -30,6 +30,7 @@ from .analysis import (
 )
 from .engine import (
     VARIANT_DRAFT_ONLY,
+    VARIANT_LOSSLESS,
     VARIANT_TARGET_ONLY,
     VARIANTS,
     DecodeConfig,
@@ -37,7 +38,7 @@ from .engine import (
 )
 from .models import ForecastModel, History, fit_linear_ar
 from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load_csv, metrics
-from .synth import SyntheticSpec
+from .synth import SyntheticSpec, check_keys
 
 SPLIT = (0.6, 0.2, 0.2)  # chronological train / validation / test fractions
 ALPHA_HISTORIES = 512    # held-out histories per acceptance estimate, at most
@@ -105,6 +106,8 @@ class DataSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSpec":
+        """The data a ``to_dict`` document describes; ValueError names an unknown key."""
+        check_keys(d, cls, "data spec")
         return cls(
             csv_path=d.get("csv_path"),
             channel_cols=None if d.get("channel_cols") is None else tuple(d["channel_cols"]),
@@ -137,6 +140,10 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        if VARIANT_LOSSLESS in self.variants and self.tolerance_lambda != 1.0:
+            raise ValueError(
+                f"variant {VARIANT_LOSSLESS!r} requires tolerance_lambda == 1, got {self.tolerance_lambda}"
+            )
 
     @property
     def horizon_patches(self) -> int:
@@ -155,10 +162,8 @@ class ExperimentSpec:
             value = d.pop(key, old)
             if (tuple(value) if isinstance(value, list) else value) != old:
                 raise ValueError(f"spec key {key!r} is retired and must be {old!r} or absent, got {value!r}")
+        check_keys(d, cls, "spec")
         fields = dataclasses.fields(cls)
-        unknown = sorted(set(d) - {f.name for f in fields})
-        if unknown:
-            raise ValueError(f"unknown spec key(s): {', '.join(map(repr, unknown))}")
         missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
         if missing:
             raise ValueError(f"spec lacks required key(s): {', '.join(map(repr, missing))}")

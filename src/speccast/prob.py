@@ -8,13 +8,21 @@ objects; every operation is pure given an explicit RNG handle.
 deviation bounds in ``analysis``, the validation suites and the overlap
 functions here take heads. The decode engine builds none: it scores rounds
 with ``kernels.round_accept`` and closes a rejected lossless round with
-``residual_sample`` on its raw mean rows and a ``ResidualParams`` computed
-once per head setting.
+``residual_sample`` on its raw mean rows and a standard deviation computed
+once per head setting by ``residual_std``.
 
 The target and draft heads share one variance, the setting of the paper's
 closed-form overlap 2 Phi(-Delta/2) and of every predictor built on it.
-``residual_params`` refuses unequal variances, and variances below
+``residual_std`` refuses unequal variances, and variances below
 ``VARIANCE_FLOOR``, with a ValueError.
+
+The residual (p - q)_+ of two such heads is sampled exactly, by projection
+onto their mean gap: whitened, the heads differ only along the unit gap u,
+so the residual is N(0, I) across u and a 1-d law along it, whose survival
+function ``residual_offset`` inverts. A draw costs one normal vector, one
+uniform, a handful of vector operations and a 1-d root of about two Halley
+steps, whatever the overlap beta is: there is no rejection loop and no draw
+budget, and every beta < 1 is served.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -258,26 +266,15 @@ def overlap(
     raise ValueError(f"unknown overlap method {method!r}")
 
 
-class ResidualParams(NamedTuple):
-    """Constants of ``residual_sample`` for heads p and q of one variance.
+def residual_std(var_p, var_q) -> np.ndarray:
+    """The standard deviation ``residual_sample`` takes, for a target and a draft head.
 
-    They depend on the variance vector only, so a caller that samples many
-    residuals under one head setting builds them once with
-    ``residual_params``. The arrays are read-only copies.
-    """
-
-    std: np.ndarray      # sqrt(var)
-    var: np.ndarray
-    log_norm: float      # sum(log(2 pi var)), as GaussianHead computes it
-
-
-def residual_params(var_p, var_q) -> ResidualParams:
-    """``ResidualParams`` for the diagonal variances of a target and a draft head.
-
-    The two must agree to 1e-12 relative, as the closed-form overlap needs,
-    and be at least VARIANCE_FLOOR, where the sampler's output is still the
-    residual of the heads as given; otherwise ValueError. The target's
-    variance is the one carried.
+    The two diagonal variances must agree to 1e-12 relative, as the
+    closed-form overlap needs, and be at least VARIANCE_FLOOR, where the
+    sampler's output is still the residual of the heads as given; otherwise
+    ValueError. The target's variance is the one carried. It depends on the
+    variances only, so a caller that samples many residuals under one head
+    setting builds it once. The array is a read-only copy.
     """
     var_p = np.asarray(var_p, dtype=np.float64)
     var_q = np.asarray(var_q, dtype=np.float64)
@@ -286,74 +283,181 @@ def residual_params(var_p, var_q) -> ResidualParams:
     _require_equal_variance(var_p, var_q, "the residual sampler")
     if not (var_p >= VARIANCE_FLOOR).all():
         raise ValueError(f"the residual sampler needs variances >= the variance floor {VARIANCE_FLOOR:g}")
-    var = var_p.copy()
-    std = np.sqrt(var)
-    var.flags.writeable = std.flags.writeable = False
-    return ResidualParams(std=std, var=var, log_norm=_log_norm(var))
+    std = np.sqrt(var_p)
+    std.flags.writeable = False
+    return std
 
 
-class ResidualExhausted(RuntimeError):
-    """The residual sampler spent ``draws`` >= its budget without an acceptance."""
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_LOG2 = math.log(2.0)
+_erf, _erfc, _exp, _expm1, _log, _sqrt = math.erf, math.erfc, math.exp, math.expm1, math.log, math.sqrt
+_SERIES_H = 1e-4    # below this half-gap, S is a series in h
+_TAIL_H = 1.2       # from this half-gap on, the root is sought in t from a normal quantile
+_ROOT_RTOL = 1e-12  # converged: a step below this, relative to the variable
+_ROOT_CUBIC = 1e-4  # below this, a step's successor is estimated from cubic convergence
+_ROOT_NOISE = 1e-6  # a step no smaller than the last one, and below this, is rounding noise
+_ROOT_STEPS = 64
+# Abramowitz & Stegun 26.2.23: the upper-tail normal quantile to 4.5e-4.
+_AS_NUM = (2.515517, 0.802853, 0.010328)
+_AS_DEN = (1.432788, 0.189269, 0.001308)
 
-    def __init__(self, draws: int, max_draws: int):
-        super().__init__(
-            f"residual sampler exhausted {max_draws} target draws after {draws}; overlap too close to 1"
-        )
-        self.draws = draws
+
+def _tail_quantile(p: float) -> float:
+    """t with Q(t) = p, for p in (0, 1), to within 4.5e-4 (Q the normal upper tail)."""
+    w = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    c0, c1, c2 = _AS_NUM
+    d1, d2, d3 = _AS_DEN
+    t = w - (c0 + w * (c1 + w * c2)) / (1.0 + w * (d1 + w * (d2 + w * d3)))
+    return t if p <= 0.5 else -t
+
+
+def residual_offset(h: float, v: float) -> float:
+    """The offset t = s - h at which the residual's survival along the gap is v.
+
+    For unit-variance normals p and q with means h u and -h u (h > 0, u a
+    unit vector), the residual (p - q)_+ puts, at distance s >= 0 from the
+    midpoint along u, the survival function
+
+        S(s) = [Phi(s + h) - Phi(s - h)] / erf(h / sqrt 2),
+
+    which falls from S(0) = 1 to 0. Returns the root of S(h + t) = v for v in
+    (0, 1] (t = -h at v = 1), measured from p's mean so that it keeps its
+    precision when h is large.
+
+    Below h = 1e-4, where the erf difference of S cancels, S(s) is
+    exp(-s^2 / 2) (1 + h^2 s^2 / 6) to O(h^4 s^4), and one fixed-point step
+    from the Rayleigh point y = s^2 = -2 ln v, the root at h = 0, solves it
+    to rounding. Above, log S is concave, and the root comes from Halley's
+    method on it inside a bisection bracket. Below h = ``_TAIL_H`` the
+    variable is y = s^2, in which log S is linear as h -> 0, and the start is
+    the Rayleigh point. From ``_TAIL_H`` on the variable is t, and the start
+    is the normal quantile of v erf(h / sqrt 2). Beyond p's mean (t > 0) S
+    is an erfc difference, which does not cancel there; elsewhere an erf
+    difference. The search ends at a step below 1e-12 of the variable (of 1,
+    for |t| < 1); at a small step whose successor, estimated from the cubic
+    convergence of the last two steps, is below that; or at a step that no
+    longer shrinks, which is the rounding noise of log S. That noise bounds
+    the root near s = 0, where S is within about 1e-3 of 1: there its error
+    is about 1e-16 / s, not 1e-12 s.
+    """
+    if v >= 1.0:
+        return -h
+    log_v = math.log(v)
+    if h < _SERIES_H:
+        y = -2.0 * log_v
+        return math.sqrt(y + 2.0 * math.log1p(h * h * y / 6.0)) - h
+    log_ve = log_v + math.log(math.erf(h * _SQRT_HALF))
+    if h < _TAIL_H:
+        return math.sqrt(_halley_root(h, log_ve, -2.0 * log_v, True)) - h
+    return _halley_root(h, log_ve, _tail_quantile(math.exp(log_ve)), False)
+
+
+def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
+    """x with log n = log_ve, n = S erf(h / sqrt 2), x = s^2 if ``in_y`` else t."""
+    two_h = 2.0 * h
+    log_ve += _LOG2  # n2 = 2 n below
+    lo = 0.0 if in_y else -h
+    hi = last = math.inf
+    for _ in range(_ROOT_STEPS):
+        if in_y:
+            s = _sqrt(x)
+            t = s - h
+        else:
+            s = x + h
+            t = x
+        n2 = _erfc(t * _SQRT_HALF) - _erfc((s + h) * _SQRT_HALF) if t > 0.0 else \
+            _erf((s + h) * _SQRT_HALF) - _erf(t * _SQRT_HALF)
+        # -dn/ds = phi(t) m, m = 1 - exp(-2 h s); rate = -d log n / ds.
+        m = -_expm1(-two_h * s)
+        ph = _SQRT_2_OVER_PI * _exp(-0.5 * t * t) / n2 if n2 > 0.0 else 0.0
+        rate = ph * m
+        if rate <= 0.0:  # n or its slope underflows far out: the root lies left
+            hi = x
+            x = 0.5 * (lo + hi)
+            last = math.inf
+            continue
+        # g = log S - log v and its first two derivatives in x.
+        g = _log(n2) - log_ve
+        g2 = -rate * rate - ph * (two_h * (1.0 - m) - t * m)
+        if in_y:  # d/dy = d/ds / (2 s)
+            g1 = -0.5 * rate / s
+            g2 = 0.25 * (g2 + rate / s) / x
+            scale = x
+        else:
+            g1 = -rate
+            scale = x if x > 1.0 else -x if x < -1.0 else 1.0
+        den = g * g2 - 2.0 * g1 * g1
+        # Halley's step; Newton's where Halley's would head away from the root.
+        step = 2.0 * g * g1 / den if den < 0.0 else -g / g1
+        size = step if step > 0.0 else -step
+        if (size <= _ROOT_RTOL * scale
+                or (size <= _ROOT_CUBIC * scale and size ** 4 <= _ROOT_RTOL * scale * last ** 3 < math.inf)
+                or last <= size <= _ROOT_NOISE * (scale if scale > 1.0 else 1.0)):
+            return x + step
+        last = size
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            last = math.inf
+    return x
 
 
 def residual_sample(
     mu_p: np.ndarray,
     mu_q: np.ndarray,
-    params: ResidualParams,
+    std: np.ndarray,
     rng: np.random.Generator,
-    max_draws: int = 10_000_000,
 ) -> tuple[np.ndarray, int]:
-    """Sample the residual density r = (p - q)_+ / (1 - beta) by thinning.
+    """One exact draw from the residual density r = (p - q)_+ / (1 - beta).
 
     p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
-    vectors) and the one variance in ``params``; callers holding heads pass
-    ``p.mean, q.mean, residual_params(p.variance, q.variance)``. Returns the
-    sample and the number of target draws it took.
+    vectors) and the one standard deviation ``std``; callers holding heads
+    pass ``p.mean, q.mean, residual_std(p.variance, q.variance)``. Returns the
+    sample and the number of normal vectors drawn, always 1.
 
-    Draw Z ~ p and accept with probability (1 - q(Z)/p(Z))_+. The expected
-    number of target draws per returned sample is 1/(1 - beta), which
-    deteriorates as q approaches p, so the budget is checked up front by the
-    closed form 1 - beta = erf(Delta / (2 sqrt 2)), and a ValueError is
-    raised instead of drawing when 1 - beta < 1/``max_draws`` (identical
-    heads included, where the residual is undefined). A non-finite mean also
-    raises ValueError. If ``max_draws`` draws pass without an acceptance,
-    ``ResidualExhausted`` (a RuntimeError) is raised carrying the number of
-    draws spent.
+    In the whitened frame p and q differ only along u = w / Delta, where
+    w = (mu_p - mu_q) / std and Delta = |w|. So r is N(0, I) on the
+    orthogonal complement of u and, along u, the law whose survival at
+    distance s from the midpoint is S(s) of ``residual_offset``, with
+    h = Delta / 2. The draw is
+
+        x = mu_p + std * (z - (z . u) u + t u),   t = residual_offset(h, 1 - U),
+
+    with z = ``rng.standard_normal(d)`` drawn first and then U =
+    ``rng.random()``: two draws in that order, whatever beta is, which fixes
+    the replay of a seeded stream. 1 - U lies in (0, 1], so the root is
+    finite. The cost does not grow with beta: a few vector operations and a
+    1-d root of about two Halley steps, a closed form when the heads nearly
+    coincide. A non-finite mean, or identical means (Delta == 0, where the
+    residual is undefined), raises ValueError.
     """
-    std, var, log_norm = params
     if mu_p.shape != std.shape or mu_q.shape != std.shape:
         raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} do not match variances {std.shape}")
     diff = mu_p - mu_q
-    gap2 = float(np.dot(diff, diff / var))
-    # gap2 is finite whenever both means are, short of overflow; only then
-    # are the means scanned.
-    if not math.isfinite(gap2) and not (np.isfinite(mu_p).all() and np.isfinite(mu_q).all()):
-        raise ValueError("head mean has non-finite entries")
-    delta = math.sqrt(gap2)
-    if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
-        raise ValueError(
-            f"residual undefined or beyond the draw budget: the heads' overlap leaves "
-            f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
-        )
-    d = std.shape[0]
-    draws = 0
-    chunk = 16
-    while draws < max_draws:
-        zs = mu_p + std * rng.standard_normal((chunk, d))
-        log_q = -0.5 * (np.sum((zs - mu_q) ** 2 / var, axis=-1) + log_norm)
-        log_p = -0.5 * (np.sum((zs - mu_p) ** 2 / var, axis=-1) + log_norm)
-        # Accept with probability (1 - exp(t))_+, t = log q - log p: where
-        # t >= 0 it is -expm1(0) = -0.0, and no uniform in [0, 1) is below it.
-        hits = rng.random(chunk) < -np.expm1(np.minimum(log_q - log_p, 0.0))
-        idx = int(np.argmax(hits))  # the first hit, or 0 if there is none
-        if hits[idx]:
-            return zs[idx].copy(), draws + idx + 1
-        draws += chunk
-        chunk = min(2 * chunk, 1024)
-    raise ResidualExhausted(draws, max_draws)
+    w = diff / std
+    gap2 = float(np.dot(w, w))
+    if math.isfinite(gap2):
+        delta = math.sqrt(gap2)
+    else:
+        # Not finite: a mean is, or the square overflowed and is taken again
+        # on a rescaled gap.
+        if not (np.isfinite(mu_p).all() and np.isfinite(mu_q).all()):
+            raise ValueError("head mean has non-finite entries")
+        big = float(np.abs(w).max())
+        delta = big * math.sqrt(float(np.dot(w / big, w / big)))
+    if delta == 0.0:
+        raise ValueError("residual undefined: the heads' means coincide (Delta = 0)")
+    z = rng.standard_normal(std.shape[0])
+    t = residual_offset(0.5 * delta, 1.0 - rng.random())
+    # std * (t - z . u) u = ((t - z . u) / Delta) diff
+    coef = (t - float(np.dot(z, w)) / delta) / delta
+    z *= std
+    z += mu_p
+    diff *= coef
+    z += diff
+    return z, 1

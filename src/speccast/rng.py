@@ -11,12 +11,13 @@ Purpose tags keep draws for different roles on disjoint streams. The decode
 round stream is drawn a block of rounds at a time, in full and in a fixed
 order, before any of those rounds is decided: acceptance uniforms, proposal
 noise, then one target variate per round. That variate closes the round
-whenever it does not end in a residual draw (all proposals accepted, a
-practical rejection, or a degenerate lossless one); it is independent of
-the round's uniforms and proposal noise, so it is a target draw whatever
-the accept decision was. The residual sampler draws from its own
-per-round stream. So the practical and lossless decode variants consume
-common random numbers up to the point where their behavior diverges.
+whenever it does not end in a residual draw (all proposals accepted, or a
+practical rejection); it is independent of the round's uniforms and
+proposal noise, so it is a target draw whatever the accept decision was.
+The residual sampler draws from its own per-round stream: one normal
+vector, then one uniform. So the practical and lossless decode variants
+consume common random numbers up to the point where their behavior
+diverges.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 ROUND = 0       # main round stream: acceptance uniforms (drawn first, so
                 # variants share common random numbers), proposal noise,
                 # then the round-closing target draw, in that fixed order
-RESIDUAL = 4    # residual thinning draws (lossless variant)
+RESIDUAL = 4    # residual draw of a rejected lossless round: standard_normal(d),
+                # then one random(), in that order
 DIRECT = 5      # plain autoregressive sampling (baselines)
 
 _MASK64 = (1 << 64) - 1

@@ -8,9 +8,17 @@ so a truncated-lookback draft stays closely aligned with the full target.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_keys(d: dict, cls, what: str) -> None:
+    """ValueError naming every key of document ``d`` that is not a field of dataclass ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
+        """The spec a ``to_dict`` document describes; ValueError names an unknown key."""
+        check_keys(d, cls, "synthetic spec")
         return cls(**d)
 
 

@@ -44,8 +44,8 @@ from .prob import (
     gap_for_overlap,
     overlap,
     overlap_closed_form,
-    residual_params,
     residual_sample,
+    residual_std,
 )
 
 SUITE_NAMES = (
@@ -53,7 +53,7 @@ SUITE_NAMES = (
     "practical-law",
     "capped-geometric",
     "overlap",
-    "residual-cost",
+    "residual-exactness",
     "gamma-rule",
     "dependence",
     "estimator",
@@ -112,7 +112,6 @@ def _mass_single_rounds(
     gamma: int,
     n: int,
     seed: int,
-    tolerance_lambda: float = 1.0,
 ):
     """Run n independent single-round decodes; returns (first outputs, L, n)."""
     target, draft, h0 = _persistence_pair(sigma, gap)
@@ -121,7 +120,6 @@ def _mass_single_rounds(
         horizon_patches=1,
         seed=0,
         gamma=gamma,
-        tolerance_lambda=tolerance_lambda,
         sigma_target=sigma,
         sigma_draft=sigma,
     )
@@ -264,25 +262,60 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
     return c.result()
 
 
-def suite_residual_cost(
-    seed: int = 0, betas: tuple[float, ...] = (0.3, 0.6, 0.9), n: int = 10_000
+def _residual_survival(s: np.ndarray, h: float) -> np.ndarray:
+    """S(s) = [Phi(s + h) - Phi(s - h)] / erf(h / sqrt 2), written with ndtr.
+
+    Where s > h both normal tails are upper tails. For small h the
+    difference still loses digits, about 1e-16 / h relative, far below what
+    the KS test resolves. It is independent of the erf/erfc code in ``prob``.
+    """
+    upper = ndtr(-(s - h)) - ndtr(-(s + h))
+    lower = ndtr(s + h) - ndtr(s - h)
+    return np.where(s > h, upper, lower) / math.erf(h / math.sqrt(2.0))
+
+
+def suite_residual_exactness(
+    seed: int = 0,
+    deltas: tuple[float, ...] = (2.0, 0.5, 1e-2, 1e-6, 1e-9),
+    dims: tuple[int, ...] = (1, 32),
+    n: int = 20_000,
 ) -> SuiteResult:
-    """Mean thinning draws per residual sample vs the 1/(1-beta) identity."""
-    c = _Checker("residual-cost")
-    for j, beta in enumerate(betas):
-        gap = gap_for_overlap(beta)
-        p = GaussianHead.isotropic([gap], 1.0)
-        q = GaussianHead.isotropic([0.0], 1.0)
-        gen = rngmod.stream(rngmod.derive_seed(seed, j), 0, rngmod.RESIDUAL)
-        params = residual_params(p.variance, q.variance)
-        draws = np.empty(n)
-        for i in range(n):
-            _, used = residual_sample(p.mean, q.mean, params, gen)
-            draws[i] = used
-        expected = 1.0 / (1.0 - beta)
-        rel = abs(draws.mean() - expected) / expected
-        c.details[f"beta={beta}"] = {"mean_draws": float(draws.mean()), "expected": expected, "rel_err": rel}
-        c.check(rel <= 0.05, f"beta={beta}: mean draws off by {rel:.2%} (limit 5%)")
+    """Residual draws vs their law, by projection onto the whitened mean gap.
+
+    For each gap Delta and dimension d, ``residual_sample`` draws n samples
+    between heads with a random direction and per-coordinate widths. In the
+    whitened frame the distance s from the midpoint along the unit gap must
+    follow the survival function S of ``_residual_survival`` (KS), and, for
+    d > 1, the coordinates on an orthonormal basis of the complement must be
+    N(0, 1) (KS, pooled). Delta runs down to 1e-9, where the residual mass
+    1 - beta is about 4e-10. Each of the 15 tests must reach p >= 0.001.
+    """
+    c = _Checker("residual-exactness")
+    geometry = np.random.Generator(np.random.Philox(key=seed + 53))
+    for case, (d, delta) in enumerate((d, delta) for d in dims for delta in deltas):
+        std = geometry.uniform(0.5, 2.0, d)
+        u = geometry.normal(size=d)
+        u /= np.linalg.norm(u)
+        mu_q = geometry.normal(size=d)
+        mu_p = mu_q + delta * std * u
+        gen = rngmod.stream(rngmod.derive_seed(seed, case), 0, rngmod.RESIDUAL)
+        sd = residual_std(std * std, std * std)
+        xs = np.array([residual_sample(mu_p, mu_q, sd, gen)[0] for _ in range(n)])
+        ys = (xs - 0.5 * (mu_p + mu_q)) / std
+        along = ys @ u
+        ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, 0.5 * delta))
+        row = {"ks_pvalue": float(ks.pvalue), "min_s": float(along.min())}
+        c.check(ks.pvalue >= 1e-3, f"d={d} Delta={delta:g}: KS p {ks.pvalue:.2e} of s against S below 0.001")
+        if d > 1:
+            basis = np.linalg.qr(np.column_stack([u, geometry.normal(size=(d, d - 1))]))[0][:, 1:]
+            ks_orth = scistats.kstest((ys @ basis).ravel(), "norm")
+            row["orth_ks_pvalue"] = float(ks_orth.pvalue)
+            c.check(
+                ks_orth.pvalue >= 1e-3,
+                f"d={d} Delta={delta:g}: KS p {ks_orth.pvalue:.2e} of the orthogonal coordinates below 0.001",
+            )
+        c.details[f"d={d},Delta={delta:g}"] = row
+    c.details["n"] = n
     return c.result()
 
 
@@ -545,7 +578,7 @@ _SUITES = {
     "practical-law": suite_practical_law,
     "capped-geometric": suite_capped_geometric,
     "overlap": suite_overlap,
-    "residual-cost": suite_residual_cost,
+    "residual-exactness": suite_residual_exactness,
     "gamma-rule": lambda seed=0: suite_gamma_rule(),
     "dependence": suite_dependence,
     "estimator": suite_estimator,

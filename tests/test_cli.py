@@ -113,6 +113,24 @@ def test_lossless_below_variance_floor_exits_2(tmp_path, capsys):
     assert main([*argv, "--variant", "practical"]) == 0
 
 
+def test_lossless_tolerance_other_than_one_exits_2(tmp_path, capsys):
+    target, draft = _fit(tmp_path / "target.json"), _fit(tmp_path / "draft.json", "--scale", "0.5")
+    argv = ["decode", *DATA, "--target", str(target), "--draft", str(draft), "--horizon", "16",
+            "--sigma", "0.5", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    for lam in ("0.5", "2"):
+        assert main([*argv, "--variant", "lossless", "--tolerance-lambda", lam]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lossless decoding requires tolerance_lambda == 1") and err.count("\n") == 1
+        assert main([*argv, "--variant", "practical", "--tolerance-lambda", lam]) == 0
+    # scan refuses before it fits anything
+    scan = [*SCAN, "--tolerance-lambda", "1.7", "--out", str(tmp_path / "s")]
+    capsys.readouterr()
+    assert main(scan) == 2
+    assert capsys.readouterr().err == "error: variant 'lossless' requires tolerance_lambda == 1, got 1.7\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_decode_usage_errors_exit_2(tmp_path, capsys):
     target = _fit(tmp_path / "target.json")
     argv = ["decode", *DATA, "--target", str(target), "--horizon", "16", "--out", str(tmp_path / "out")]
@@ -135,6 +153,13 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys):
         ({**base, "bogus": 1}, "unknown spec key(s): 'bogus'"),
         ({k: v for k, v in base.items() if k != "data"}, "spec lacks required key(s): 'data'"),
         ({**base, "timing_passes": 50}, "spec key 'timing_passes' is retired"),
+        # the nested documents are checked too, before any data is made
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "bogus": 1}}},
+         "unknown synthetic spec key(s): 'bogus'"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000}, "csv_pth": "x.csv"}},
+         "unknown data spec key(s): 'csv_pth'"),
+        ({**base, "variants": ["practical", "lossless"], "tolerance_lambda": 0.6},
+         "variant 'lossless' requires tolerance_lambda == 1, got 0.6"),
     ]
     capsys.readouterr()
     for doc, message in cases:

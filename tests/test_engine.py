@@ -1,7 +1,6 @@
 """Decode loop: prefix acceptance, run lengths, determinism, pass accounting."""
 
 import dataclasses
-import functools
 import json
 import math
 import warnings
@@ -9,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from speccast import engine, prob
+from speccast import engine, kernels
 from speccast import rng as rngmod
 from speccast.engine import (
     SOURCE_BASELINE,
@@ -17,16 +16,17 @@ from speccast.engine import (
     SOURCE_FALLBACK,
     SOURCE_RESIDUAL,
     SOURCES,
+    DecodeAborted,
     DecodeConfig,
     RoundRecord,
     Totals,
     decode,
 )
 from speccast.models import History, fit_linear_ar, load_model, persistence_model, save_model
-from speccast.prob import GaussianHead, ResidualExhausted, VarianceFloorWarning, gap_for_overlap
+from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
 from speccast.series import PatchSeries, metrics
 from speccast.synth import ar1, pure_seasonal
-from test_prob import reference_residual_sample
+from test_prob import assert_close_vector, reference_residual_sample
 from test_series_models import oracle_ar1
 
 
@@ -87,7 +87,7 @@ class TestRoundStructure:
             elif variant == "practical":
                 assert rec.final_draw_source == SOURCE_FALLBACK
             else:
-                assert rec.final_draw_source in (SOURCE_RESIDUAL, SOURCE_FALLBACK)
+                assert rec.final_draw_source == SOURCE_RESIDUAL
 
     def test_totals_and_pass_accounting(self):
         target, draft, h0 = make_pair()
@@ -205,21 +205,27 @@ class TestDegradedDraft:
 
 
 class TestLosslessResidualCost:
-    def test_residual_draws_track_cost_identity(self):
-        sigma = 1.0
-        beta = 0.3
-        gap = gap_for_overlap(beta) * sigma
-        target, draft, h0 = make_pair(sigma=sigma, gap=gap)
-        draws = []
-        for seed in range(400):
-            cfg = cfg_for("lossless", horizon=1, gamma=1, seed=seed, sigma=sigma)
-            _, trace = decode(target, draft, h0, cfg)
-            rec = trace.rounds[0]
-            if rec.final_draw_source == SOURCE_RESIDUAL:
-                draws.append(rec.residual_target_draws)
-        assert len(draws) > 150  # rejection rate ~ 1 - beta = 0.7
-        expected = 1.0 / (1.0 - beta)
-        assert abs(np.mean(draws) - expected) / expected < 0.10
+    def test_one_sampler_call_per_residual_round(self, monkeypatch):
+        # Every rejected lossless round closes with one sampler call, which
+        # reports one draw; no other round calls it.
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.3))
+        calls = []
+
+        def spy(*args):
+            out = sampler(*args)
+            calls.append(out[1])
+            return out
+
+        sampler = engine.residual_sample
+        monkeypatch.setattr(engine, "residual_sample", spy)
+        rejections = residual_rounds = 0
+        for seed in range(100):
+            _, trace = decode(target, draft, h0, cfg_for("lossless", horizon=6, gamma=2, seed=seed))
+            rounds = trace.n_rounds
+            rejections += int(np.sum(trace.n_accepted[:rounds] < 2))
+            residual_rounds += int(np.sum(trace.sources[:rounds] == SOURCES.index(SOURCE_RESIDUAL)))
+        assert rejections == residual_rounds == len(calls) > 100
+        assert set(calls) == {1}
 
 
 class TestConfigValidation:
@@ -249,6 +255,21 @@ class TestConfigValidation:
         h0 = History.from_patches(np.zeros((1, 2)), 1)
         with pytest.raises(ValueError, match="dimensions differ"):
             decode(target, draft, h0, cfg_for("practical"))
+
+    @pytest.mark.parametrize("lam", [0.5, 0.6, 1.7, 2.0, 1e-6, 1.0 + 1e-12])
+    def test_lossless_refuses_tolerance_other_than_one(self, lam):
+        # min(1, lambda p/q) acceptance and the (p - q)_+ residual combine to
+        # the target law only at lambda = 1; the practical rule takes any
+        # lambda > 0
+        with pytest.raises(ValueError, match=r"lossless decoding requires tolerance_lambda == 1"):
+            cfg_for("lossless", tolerance_lambda=lam)
+        target, draft, h0 = make_pair(gap=0.8)
+        forecast, trace = decode(target, draft, h0, cfg_for("practical", horizon=12, seed=5, tolerance_lambda=lam))
+        ref_forecast, ref_rounds, _, _ = _reference_decode(
+            target, draft, h0, cfg_for("practical", horizon=12, seed=5, tolerance_lambda=lam))
+        assert forecast.tobytes() == ref_forecast.tobytes()
+        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+        assert np.isfinite(decode(target, draft, h0, cfg_for("lossless", horizon=12, seed=5))[0]).all()
 
     def test_bad_config_fields(self):
         with pytest.raises(ValueError):
@@ -428,11 +449,8 @@ def _reference_check_finite(patch, round_index):
         raise RuntimeError(f"non-finite head parameters at round {round_index}; aborting decode")
 
 
-def _reference_decode(target, draft, h0, cfg, max_draws=10_000_000):
-    """(forecast, rounds, totals, truncated_patches) from the reference loop.
-
-    ``max_draws`` is the residual sampler's draw budget.
-    """
+def _reference_decode(target, draft, h0, cfg):
+    """(forecast, rounds, totals, truncated_patches) from the reference loop."""
     totals = Totals()
     rounds = []
     if cfg.variant in ("target_only", "draft_only"):
@@ -497,29 +515,25 @@ def _reference_decode(target, draft, h0, cfg, max_draws=10_000_000):
         n = _reference_accept(xs, uniforms, mu_q, mu_p[:gamma], log_q, log_p, alphas, params)
         if not math.isfinite(float(alphas.sum())):
             raise RuntimeError(f"non-finite head parameters at round {r}; aborting decode")
-        draws, degenerate = 0, False
-        # every close but a residual one is the round's own extension draw
-        source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
-        final = mu_p[n] + sigma_t * block_ext[slot]
         if n < gamma and cfg.variant == "lossless":
             try:
-                # a non-finite mean fails here and takes the fallback
+                # a non-finite mean fails here and stops the decode
                 p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
-                final, draws = reference_residual_sample(
-                    p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL), max_draws
-                )
-                source = SOURCE_RESIDUAL
-            except ValueError:  # undefined or refused
-                degenerate = True
-            except ResidualExhausted as exc:  # the budget spent without a hit
-                draws, degenerate = exc.draws, True
+            except ValueError as exc:
+                raise RuntimeError(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
+            final = reference_residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+            source = SOURCE_RESIDUAL
+        else:
+            # every close but a residual one is the round's own extension draw
+            final = mu_p[n] + sigma_t * block_ext[slot]
+            source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
         _reference_check_finite(final, r)
         consumed = min(n + 1, gamma)
         outputs.extend(xs[i].copy() for i in range(n))
         outputs.append(final)
         history.extend(xs[:n], final)
         rounds.append(RoundRecord(
-            r, n, source, n + 1, draws, degenerate,
+            r, n, source, n + 1,
             xs[:consumed].copy(), log_q[:consumed].copy(), log_p[:consumed].copy(),
             alphas[:consumed].copy(), uniforms[:consumed].copy(),
         ))
@@ -536,7 +550,6 @@ def _reference_decode(target, draft, h0, cfg, max_draws=10_000_000):
 def _record_dict(r):
     return {
         "round": r.index, "n": r.n_accepted, "L": r.outputs_emitted, "source": r.final_draw_source,
-        "residual_target_draws": r.residual_target_draws, "residual_degenerate": r.residual_degenerate,
         "proposals": [
             {"x": p.x.tolist(), "log_q": p.log_q, "log_p": p.log_p, "alpha": p.alpha,
              "accepted": p.accepted, "u": p.uniform}
@@ -572,6 +585,40 @@ _REFERENCE_CONFIGS = [
 ]
 
 
+def _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds):
+    """A lossless session against the reference loop.
+
+    Up to its first residual draw the session is bit-for-bit the reference:
+    the same streams and the same operations. The reference then takes the
+    residual's root from ``brentq`` and assembles the sample about the
+    midpoint, the engine from p's mean with its own root, so from that draw
+    on forecasts agree to 1e-12 relative (2-norm per patch: an entry near 0
+    carries no relative bound), and so do the trace's log densities (alphas
+    to 1e-12 absolute). Accept counts and sources stay equal.
+    """
+    rounds = trace.round_dicts()
+    assert [(r["n"], r["L"], r["source"]) for r in rounds] == [
+        (r.n_accepted, r.outputs_emitted, r.final_draw_source) for r in ref_rounds
+    ]
+    first = next((i for i, r in enumerate(ref_rounds) if r.final_draw_source == SOURCE_RESIDUAL), len(ref_rounds))
+    exact = sum(r.outputs_emitted for r in ref_rounds[:first])
+    if first < len(ref_rounds):
+        exact += ref_rounds[first].n_accepted
+    exact = min(exact, forecast.shape[0])
+    assert forecast[:exact].tobytes() == ref_forecast[:exact].tobytes()
+    for got, want in zip(forecast[exact:], ref_forecast[exact:]):
+        assert_close_vector(got, want)
+    for i, (got, want) in enumerate(zip(rounds, (_record_dict(r) for r in ref_rounds))):
+        if i <= first:  # the proposals of the first residual round precede its draw
+            assert got == want
+            continue
+        for a, b in zip(got["proposals"], want["proposals"]):
+            assert_close_vector(np.array(a["x"]), np.array(b["x"]))
+            assert (a["accepted"], a["u"]) == (b["accepted"], b["u"])
+            for key in ("log_q", "log_p", "alpha"):
+                assert a[key] == pytest.approx(b[key], rel=1e-12, abs=1e-12)
+
+
 class TestReferenceLoop:
     @pytest.mark.parametrize("kind", ["linear_ar", "persistence", "oracle"])
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
@@ -581,6 +628,10 @@ class TestReferenceLoop:
         for conf in _REFERENCE_CONFIGS:
             conf = {"sigma_target": 0.4, "sigma_draft": 0.4, **conf}
             for seed in (0, 7, 123):
+                if variant == "lossless" and conf.get("tolerance_lambda", 1.0) != 1.0:
+                    with pytest.raises(ValueError, match="lossless decoding requires tolerance_lambda == 1"):
+                        DecodeConfig(variant=variant, seed=seed, **conf)
+                    continue
                 cfg = DecodeConfig(variant=variant, seed=seed, **conf)
                 model_draft = None if variant == "target_only" else draft
                 forecast, trace = decode(target, model_draft, h0, cfg)
@@ -588,22 +639,17 @@ class TestReferenceLoop:
                     target, model_draft, h0, cfg
                 )
                 assert forecast.shape == (cfg.horizon_patches, target.d)
-                assert forecast.tobytes() == ref_forecast.tobytes()
-                assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+                if variant == "lossless":
+                    _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds)
+                else:
+                    assert forecast.tobytes() == ref_forecast.tobytes()
+                    assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
                 assert dataclasses.asdict(trace.totals) == dataclasses.asdict(ref_totals)
                 assert trace.truncated_patches == ref_truncated
                 sources.update(r.final_draw_source for r in ref_rounds)
         if variant in ("practical", "lossless"):
             # both full-accept and rejecting rounds were compared
             assert SOURCE_EXTEND in sources and len(sources) > 1
-
-    def test_degenerate_fallback_matches_reference(self):
-        target, draft, h0 = _nearly_identical_pair()
-        cfg = cfg_for("lossless", horizon=6, seed=4, tolerance_lambda=1e-6)
-        forecast, trace = decode(target, draft, h0, cfg)
-        ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
-        assert forecast.tobytes() == ref_forecast.tobytes()
-        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
 
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
     def test_non_finite_aborts_at_the_same_round(self, variant):
@@ -626,8 +672,8 @@ class TestReferenceLoop:
         # Only the target explodes: its mean overflows to inf while the
         # draft's proposals stay finite, so the round rejects (alpha = 0)
         # and its residual sees an infinite target mean. The sampler must
-        # refuse that at once; the fallback draw is then not finite and the
-        # decode stops naming the round. Weights and history are all
+        # refuse that at once, and the decode stops with DecodeAborted
+        # naming the round. Weights and history are all
         # positive, so every term of the verify product is too and its
         # overflow is +inf in whatever order the product sums them; terms of
         # mixed sign can overflow to inf - inf = nan instead, which stops
@@ -651,12 +697,13 @@ class TestReferenceLoop:
         sampler = engine.residual_sample
         monkeypatch.setattr(engine, "residual_sample", spy)
         with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError, match="non-finite") as got:
+            with pytest.raises(DecodeAborted, match="non-finite") as got:
                 decode(target, draft, h0, cfg)
             with pytest.raises(RuntimeError, match="non-finite") as want:
                 _reference_decode(target, draft, h0, cfg)
         assert str(got.value) == str(want.value)
-        assert "round 0;" not in str(got.value)
+        assert str(got.value).startswith("residual draw failed at round ")
+        assert "round 0 " not in str(got.value)
         # earlier residuals were sampled; the last call refused before drawing
         assert outcomes[-1] == "head mean has non-finite entries"
         assert len(outcomes) > 1 and all(isinstance(o, int) for o in outcomes[:-1])
@@ -701,8 +748,6 @@ class TestReferenceLoop:
         for i, rec in enumerate(rounds):
             assert rec.index == i
             assert rec.final_draw_source == SOURCES[trace.sources[i]]
-            assert rec.residual_target_draws == trace.residual_draws[i]
-            assert rec.residual_degenerate == bool(trace.degenerate[i])
             if variant == "target_only":
                 assert rec.proposals == []
                 continue
@@ -714,27 +759,32 @@ class TestReferenceLoop:
                 assert p.accepted == (j < rec.n_accepted)
 
 
-def _nearly_identical_pair():
-    """Persistence heads whose overlap leaves 1 - beta = 4e-10."""
-    gap = 4e-10 * math.sqrt(2.0 * math.pi)  # 1 - beta = erf(gap / (2 sqrt 2)) ~ gap / sqrt(2 pi)
-    return make_pair(gap=gap)
-
-
 class TestNearlyIdenticalHeads:
-    def test_lossless_falls_back_and_records_it(self):
-        # lambda = 1e-6 forces a rejection at the first position of every
-        # round; the residual there would need ~2.5e9 target draws
-        target, draft, h0 = _nearly_identical_pair()
-        cfg = cfg_for("lossless", horizon=5, seed=4, tolerance_lambda=1e-6)
+    def test_forced_rejection_closes_with_a_residual_draw(self, monkeypatch):
+        # Heads 1e-9 apart (1 - beta ~ 4e-10) reject about once in 2.5e9
+        # proposals, so the scan is made to reject every first proposal. The
+        # round still closes with an exact residual draw, not a fallback:
+        # the persistence target's mean is the previous patch, and the draft
+        # sits 1e-9 above it.
+        gap = 1e-9
+        target, draft, h0 = make_pair(gap=gap)
+        scan = kernels.round_accept
+
+        def reject_first(*args):
+            scan(*args)
+            return 0
+
+        monkeypatch.setattr(kernels, "round_accept", reject_first)
+        cfg = cfg_for("lossless", horizon=5, seed=4)
         forecast, trace = decode(target, draft, h0, cfg)
         assert trace.accepted_counts().tolist() == [0] * 5
-        for rec in trace.rounds:
-            assert rec.residual_degenerate
-            assert rec.final_draw_source == SOURCE_FALLBACK
-            assert rec.residual_target_draws == 0
-        # the fallback is the practical variant's draw
-        practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
-        assert np.array_equal(forecast, practical)
+        assert [r.final_draw_source for r in trace.rounds] == [SOURCE_RESIDUAL] * 5
+        previous = np.zeros(1)
+        for r in range(5):
+            p_head, q_head = GaussianHead(previous, 1.0), GaussianHead(previous + gap, 1.0)
+            want = reference_residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+            assert_close_vector(forecast[r] - previous, want - previous)
+            previous = forecast[r]
 
 
 class TestRoundClose:
@@ -758,34 +808,6 @@ class TestRoundClose:
         for n in range(gamma + 1):
             assert len(z[n]) > 2000, n  # P(n) = 0.2, 0.16, 0.128, 0.512
             assert scistats.kstest(z[n], "norm").pvalue >= 1e-3, n
-
-    def test_exhausted_residual_budget_falls_back(self, monkeypatch):
-        # At overlap 0.9 (1 - beta = 0.1) a 16-draw budget passes the
-        # sampler's up-front cutoff but runs dry in about 0.9**16 = 19% of
-        # calls. Such a round closes like a practical one, is flagged, and
-        # records the draws it spent.
-        budget = 16
-        monkeypatch.setattr(
-            engine, "residual_sample", functools.partial(prob.residual_sample, max_draws=budget)
-        )
-        target, draft, h0 = make_pair(gap=gap_for_overlap(0.9))
-        degenerate_sessions = 0
-        for seed in range(300):
-            cfg = cfg_for("lossless", horizon=4, seed=seed)
-            forecast, trace = decode(target, draft, h0, cfg)
-            ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg, max_draws=budget)
-            assert forecast.tobytes() == ref_forecast.tobytes()
-            assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
-            rounds = trace.n_rounds
-            flagged = trace.degenerate[:rounds].astype(bool)
-            assert all(n >= budget for n in trace.residual_draws[:rounds][flagged])
-            assert all(SOURCES[s] == SOURCE_FALLBACK for s in trace.sources[:rounds][flagged])
-            if flagged[0]:
-                degenerate_sessions += 1
-                practical, _ = decode(target, draft, h0, dataclasses.replace(cfg, variant="practical"))
-                closed = int(trace.n_accepted[0]) + 1
-                assert forecast[:closed].tobytes() == practical[:closed].tobytes()
-        assert degenerate_sessions >= 5
 
 
 class TestSigmaOverrides:

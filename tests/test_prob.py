@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as scistats
-from scipy.special import erfinv as scipy_erfinv
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from speccast import engine, kernels, prob
 from speccast import rng as rngmod
@@ -14,14 +15,14 @@ from speccast.prob import (
     MONTE_CARLO,
     QUADRATURE_1D,
     GaussianHead,
-    ResidualExhausted,
     VarianceFloorWarning,
     gap_for_overlap,
     log_density,
     overlap,
     overlap_closed_form,
-    residual_params,
+    residual_offset,
     residual_sample,
+    residual_std,
 )
 
 
@@ -271,51 +272,84 @@ class TestOverlap:
             assert overlap_closed_form(p, q) == pytest.approx(beta, abs=1e-12)
 
 
-def reference_residual_sample(p, q, rng, max_draws=10_000_000):
-    """Reference residual sampler: thinning written with the head API.
+def reference_survival(s, h):
+    """S(s) of the residual along the gap, by quadrature of its density.
 
-    Takes two validated heads and draws through ``GaussianHead.sample`` and
-    ``log_density``; ``residual_sample`` must match it draw for draw.
+    The density at distance x from the midpoint is
+    phi(x - h) (1 - exp(-2 h x)) / erf(h / sqrt 2); it is integrated from 0
+    to s while s < h, where S is near 1, and from s outwards beyond.
+    """
+    norm = math.erf(h / math.sqrt(2.0))
+
+    def density(x):
+        return math.exp(-0.5 * (x - h) ** 2) / math.sqrt(2.0 * math.pi) * -math.expm1(-2.0 * h * x) / norm
+
+    if s < h:
+        return 1.0 - quad(density, 0.0, s, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return quad(density, s, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def reference_root(h, u):
+    """The root s of S(s) = 1 - u, by ``brentq`` on ``reference_survival``.
+
+    The bracket ends at h + 10, where S is below 2^-53, the least 1 - u.
+    From h = 30 on, Phi(s + h) is within 1e-197 of 1, so S(s) is the normal
+    tail beyond s - h, and the root is h plus its quantile.
+    """
+    v = 1.0 - u
+    if h >= 30.0:
+        return h + scistats.norm.isf(v)
+    if reference_survival(0.0, h) - v == 0.0:
+        return 0.0
+    return brentq(lambda s: reference_survival(s, h) - v, 0.0, h + 10.0, xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+def reference_residual_sample(p, q, rng):
+    """Reference residual sampler written with the head API.
+
+    Takes two validated heads and the law of the residual by projection:
+    z ~ N(0, I) and a uniform u from ``rng`` in that order, s the root of
+    S(s) = 1 - u (``reference_root``), and x = m + sigma (z - (z.u) u + s u)
+    about the midpoint m. ``residual_sample`` consumes the same draws and
+    assembles x from p's mean with its own root, so the two agree to
+    rounding, not bit for bit.
     """
     if p.d != q.d:
         raise ValueError("head dimensions differ")
-    var = p.variance
-    if np.max(np.abs(var - q.variance) / q.variance) <= 1e-12:
-        diff = p.mean - q.mean
-        delta = math.sqrt(float(np.dot(diff, diff / var)))
-        if math.erf(delta / (2.0 * math.sqrt(2.0))) * max_draws < 1.0:
-            raise ValueError(
-                f"residual undefined or beyond the draw budget: the heads' overlap leaves "
-                f"1 - beta < 1/{max_draws} (Delta = {delta:.3g})"
-            )
-    draws = 0
-    chunk = 16
-    while draws < max_draws:
-        zs = p.sample(rng, chunk)
-        t = log_density(q, zs) - log_density(p, zs)
-        pi = np.where(t < 0.0, -np.expm1(np.minimum(t, 0.0)), 0.0)
-        u = rng.random(chunk)
-        hits = u < pi
-        if hits.any():
-            idx = int(np.argmax(hits))
-            return zs[idx].copy(), draws + idx + 1
-        draws += chunk
-        chunk = min(2 * chunk, 1024)
-    raise ResidualExhausted(draws, max_draws)
+    sigma = np.sqrt(p.variance)
+    w = (p.mean - q.mean) / sigma
+    delta = math.hypot(*w)  # scaled, so a wide gap does not overflow
+    unit = w / delta
+    z = rng.standard_normal(p.d)
+    s = reference_root(0.5 * delta, rng.random())
+    return 0.5 * (p.mean + q.mean) + sigma * (z - np.dot(z, unit) * unit + s * unit)
 
 
-def sample_heads(p, q, rng, max_draws=10_000_000):
+def sample_heads(p, q, rng):
     """``residual_sample`` called with the fields of two heads."""
-    return residual_sample(p.mean, q.mean, residual_params(p.variance, q.variance), rng, max_draws)
+    return residual_sample(p.mean, q.mean, residual_std(p.variance, q.variance), rng)
 
 
-def _outcome(draw):
-    """(sample bytes, draws) of a call, or the type and text of its error."""
-    try:
-        sample, draws = draw()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__, str(exc)
-    return sample.tobytes(), draws
+def assert_close_vector(got, want, rtol=1e-12):
+    """|got - want| <= rtol |want| in the 2-norm: entries near 0 carry no relative bound."""
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), (got, want)
+
+
+class TestResidualRoot:
+    @pytest.mark.parametrize("h", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("u", [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53])
+    def test_matches_brentq(self, h, u):
+        got = residual_offset(h, 1.0 - u) + h
+        want = reference_root(h, u)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        if u < 1e-16:  # 1 - u rounds to 1: the root is the midpoint
+            assert got == 0.0
+
+    def test_offset_keeps_its_precision_far_out(self):
+        # t = s - h is returned as such: at h = 1e8 it is still the normal
+        # quantile of 1 - u, which s itself could not carry in float64
+        for u in (0.1, 0.5, 0.9):
+            assert residual_offset(1e8, 1.0 - u) == pytest.approx(scistats.norm.isf(1.0 - u), abs=1e-12)
 
 
 class TestResidualSample:
@@ -324,102 +358,84 @@ class TestResidualSample:
         with pytest.raises(ValueError, match="residual undefined"):
             sample_heads(p, p, rngmod.stream(0))
 
-    def test_nearly_identical_heads_error(self):
-        # 1 - beta = 4e-10: about 2.5e9 expected draws, beyond the 1e7 budget
-        gap = 4e-10 * math.sqrt(2.0 * math.pi)
+    def test_nearly_identical_heads_sample(self):
+        # 1 - beta is about 4e-10 at the larger gap, where a rejection
+        # sampler would need ~2.5e9 target draws; the projection draws once
         p = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        q = GaussianHead.isotropic([gap, 0.0], 1.0)
-        assert 1.0 / math.erf(gap / (2.0 * math.sqrt(2.0))) > 1e9
-        with pytest.raises(ValueError, match="residual undefined"):
-            sample_heads(p, q, rngmod.stream(0))
+        for gap in (1e-9, 4e-10 * math.sqrt(2.0 * math.pi)):
+            q = GaussianHead.isotropic([gap, 0.0], 1.0)
+            sample, draws = sample_heads(p, q, rngmod.stream(0))
+            assert sample.shape == (2,) and np.isfinite(sample).all() and draws == 1
+            assert_close_vector(sample, reference_residual_sample(p, q, rngmod.stream(0)))
 
-    def test_cutoff_follows_the_draw_budget(self):
-        # 1/(1 - beta) is about 2000 here: over a budget of 1000, under 4000
-        gap = gap_for_overlap(1.0 - 5e-4)
-        p = GaussianHead.isotropic([0.0], 2.0)
-        q = GaussianHead.isotropic([2.0 * gap], 2.0)
-        with pytest.raises(ValueError, match="residual undefined"):
-            sample_heads(p, q, rngmod.stream(1), max_draws=1000)
-        sample, draws = sample_heads(p, q, rngmod.stream(1), max_draws=4000)
-        assert sample.shape == (1,) and draws >= 1
+    def test_gap_whose_square_overflows(self):
+        # Delta^2 overflows with finite means: Delta is taken on a rescaled
+        # gap, and the offset along the gap is the normal quantile of the
+        # uniform, as q has no mass near p
+        std = residual_std(np.ones(2), np.ones(2))
+        mu_p, mu_q = np.array([1.0, 0.0]), np.array([-1e200, 0.0])
+        with np.errstate(over="ignore"):
+            sample, _ = residual_sample(mu_p, mu_q, std, rngmod.stream(4))
+        replay = rngmod.stream(4)
+        z = replay.standard_normal(2)
+        t = scistats.norm.ppf(replay.random())
+        assert sample[0] == pytest.approx(1.0 + t, abs=1e-12) and sample[1] == z[1]
 
     def test_nearly_equal_variances_fail_fast(self):
-        # variances 1 and 1 + 1e-10 in 32 dims, equal means: 1 - beta is
-        # near 2e-10, so thinning would exhaust the 1e7 budget; the heads do
-        # not share a variance, and the sampler refuses before its first draw
+        # variances 1 and 1 + 1e-10 in 32 dims: the heads do not share a
+        # variance, and the sampler refuses before its first draw
         p = GaussianHead(np.zeros(32), np.ones(32))
         q = GaussianHead(np.zeros(32), np.full(32, 1.0 + 1e-10))
-        with pytest.raises(RuntimeError, match="exhausted"):
-            reference_residual_sample(p, q, rngmod.stream(3), max_draws=20_000)
         with pytest.raises(ValueError, match="requires equal variances"):
             sample_heads(p, q, rngmod.stream(3))
 
     def test_params_need_one_variance_at_or_above_the_floor(self):
         var = np.array([0.5, 2.0])
-        params = residual_params(var, var * (1.0 + 5e-13))
-        assert params.var.tolist() == var.tolist() and params.std.tolist() == np.sqrt(var).tolist()
-        assert not (params.var.flags.writeable or params.std.flags.writeable)
+        std = residual_std(var, var * (1.0 + 5e-13))
+        assert std.tolist() == np.sqrt(var).tolist()
+        assert not std.flags.writeable
         for bad in (var * (1.0 + 2e-12), var[::-1], np.array([0.5, np.nan])):
             with pytest.raises(ValueError, match="residual sampler requires equal variances"):
-                residual_params(var, bad)
+                residual_std(var, bad)
         floor = np.full(2, prob.VARIANCE_FLOOR)
-        assert residual_params(floor, floor).var.tolist() == floor.tolist()
+        assert residual_std(floor, floor).tolist() == np.sqrt(floor).tolist()
         for low in (np.full(2, 1e-14), np.array([1.0, 0.0])):
             with pytest.raises(ValueError, match="variance floor 1e-12"):
-                residual_params(low, low)
+                residual_std(low, low)
         with pytest.raises(ValueError, match="shapes differ"):
-            residual_params(var, np.ones(3))
-
-    def test_exhausted_budget_reports_the_draws_spent(self):
-        # overlap 0.9: a 16-draw budget passes the up-front cutoff and runs
-        # dry in about 0.9**16 = 19% of calls, each after one 16-draw chunk
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([gap_for_overlap(0.9)], 1.0)
-        spent = []
-        for seed in range(60):
-            try:
-                sample_heads(p, q, rngmod.stream(seed), max_draws=16)
-            except ResidualExhausted as exc:
-                assert isinstance(exc, RuntimeError) and "exhausted 16 target draws" in str(exc)
-                spent.append(exc.draws)
-        assert len(spent) >= 3 and set(spent) == {16}
+            residual_std(var, np.ones(3))
 
     def test_matches_reference_draw_for_draw(self):
+        # Same stream, same draws: the sample matches the head-API reference
+        # to rounding (its root comes from brentq, and it is assembled about
+        # the midpoint), over dimensions, widths and gaps from far apart
+        # down to 1 - beta ~ 1e-9.
         rng = np.random.default_rng(20240501)
-        seen = set()
-        for case in range(600):
+        for case in range(200):
             d = (1, 32)[case % 2]
-            max_draws = (16, 64, 1000, 10_000_000)[(case // 2) % 4]
-            shared = case % 3 != 0
+            shared = case % 4 != 0
             var_p = rng.uniform(0.05, 4.0, d)
             if shared:
                 # within the 1e-12 relative tolerance of a shared variance
                 var_q = var_p * (1.0 + rng.uniform(-5e-13, 5e-13, d))
-                # 1 - beta from far apart down to 1/4 of the budget's cutoff
-                one_minus_beta = math.exp(rng.uniform(math.log(0.25 / max_draws), 0.0))
-                if max_draws == 10_000_000:  # far heads, or past the cutoff only
-                    one_minus_beta = rng.choice([rng.uniform(0.05, 1.0), rng.uniform(0.1, 0.99) / max_draws])
-                delta = 2.0 * math.sqrt(2.0) * float(scipy_erfinv(min(one_minus_beta, 1.0 - 1e-16)))
             else:
                 var_q = var_p * rng.uniform(0.25, 4.0, d)
-                delta = rng.uniform(0.0, 3.0)
+            delta = math.exp(rng.uniform(math.log(1e-9), math.log(8.0)))
             direction = rng.normal(size=d)
             direction *= math.sqrt(1.0 / float(np.dot(direction, direction / var_p)))
             mu_q = rng.normal(size=d)
             mu_p = mu_q + delta * direction
             seed = int(rng.integers(1 << 30))
-            got = _outcome(lambda: residual_sample(
-                mu_p, mu_q, residual_params(var_p, var_q), rngmod.stream(seed), max_draws))
             if not shared:
-                assert got == ("ValueError", "the residual sampler requires equal variances"), case
+                with pytest.raises(ValueError, match="the residual sampler requires equal variances"):
+                    residual_sample(mu_p, mu_q, residual_std(var_p, var_q), rngmod.stream(seed))
                 continue
+            got, draws = residual_sample(mu_p, mu_q, residual_std(var_p, var_q), rngmod.stream(seed))
             # the heads share the target's variance, the one the sampler carries
-            want = _outcome(lambda: reference_residual_sample(
-                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_p), rngmod.stream(seed), max_draws))
-            assert got == want, (case, d, max_draws)
-            seen.add(got[0] if isinstance(got[0], str) else "sample")
-        # samples, budget cutoffs and exhausted budgets were all compared
-        assert seen == {"sample", "ValueError", "ResidualExhausted"}
+            want = reference_residual_sample(
+                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_p), rngmod.stream(seed))
+            assert draws == 1
+            assert_close_vector(got - mu_p, want - mu_p)
 
     @pytest.mark.parametrize("d", [1, 32])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -433,20 +449,21 @@ class TestResidualSample:
                 GaussianHead(mu_p, var), GaussianHead(mu_q, var)
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError) as got:
-                    residual_sample(mu_p, mu_q, residual_params(var, var), rngmod.stream(0))
+                    residual_sample(mu_p, mu_q, residual_std(var, var), rngmod.stream(0))
             assert str(got.value) == str(want.value)
 
     def test_draw_cost_identity(self):
-        # mean draws over many calls tracks 1/(1-beta) for beta from the
-        # closed form (thinning from p accepts with rate 1 - beta)
-        p = GaussianHead.isotropic([3.0], 1.0)
-        q = GaussianHead.isotropic([0.0], 1.0)
-        beta = overlap_closed_form(p, q)
-        gen = rngmod.stream(123)
-        params = residual_params(p.variance, q.variance)
-        draws = np.array([residual_sample(p.mean, q.mean, params, gen)[1] for _ in range(10_000)])
-        expected = 1.0 / (1.0 - beta)
-        assert abs(draws.mean() - expected) / expected < 0.05
+        # Whatever beta is, a call costs one normal vector and then one
+        # uniform from its stream, and reports one draw.
+        p = GaussianHead.isotropic(np.zeros(3), 1.0)
+        for beta in (0.3, 0.9, 1.0 - 1e-6):
+            q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
+            gen, replay = rngmod.stream(123), rngmod.stream(123)
+            for _ in range(50):
+                assert sample_heads(p, q, gen)[1] == 1
+                replay.standard_normal(3)
+                replay.random()
+            assert gen.random(4).tolist() == replay.random(4).tolist()
 
     def test_distribution_matches_grid_cdf(self):
         # KS against the residual cdf (p - q)_+ / (1 - beta) on a fine grid
@@ -454,8 +471,8 @@ class TestResidualSample:
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap_closed_form(p, q)
         gen = rngmod.stream(321)
-        params = residual_params(p.variance, q.variance)
-        samples = np.array([residual_sample(p.mean, q.mean, params, gen)[0][0] for _ in range(100_000)])
+        std = residual_std(p.variance, q.variance)
+        samples = np.array([residual_sample(p.mean, q.mean, std, gen)[0][0] for _ in range(100_000)])
 
         xs = np.linspace(-8, 11, 20001)
         fp, fq = p.pdf(), q.pdf()
@@ -473,8 +490,8 @@ class TestResidualSample:
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(55)
-        params = residual_params(p.variance, q.variance)
-        samples = np.array([residual_sample(p.mean, q.mean, params, gen)[0][0] for _ in range(100_000)])
+        std = residual_std(p.variance, q.variance)
+        samples = np.array([residual_sample(p.mean, q.mean, std, gen)[0][0] for _ in range(100_000)])
         assert samples.mean() > 0.0
 
 
@@ -489,8 +506,8 @@ class TestLosslessSingleStep:
         lr = np.minimum(0.0, log_density(p, xs[:, None]) - log_density(q, xs[:, None]))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
-        params = residual_params(p.variance, q.variance)
+        std = residual_std(p.variance, q.variance)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_sample(p.mean, q.mean, params, gen)[0][0]
+            out[i] = residual_sample(p.mean, q.mean, std, gen)[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01

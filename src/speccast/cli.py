@@ -90,9 +90,13 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--synth-ar-std", type=float, default=0.25)
 
 
-def _load_values(args) -> tuple[np.ndarray, dict]:
+def _check_one_source(args) -> None:
     if (args.csv is None) == (args.synthetic is None):
         raise ValueError("pass exactly one of --csv or --synthetic")
+
+
+def _load_values(args) -> tuple[np.ndarray, dict]:
+    _check_one_source(args)
     if args.csv is not None:
         schema = CsvSchema(
             channel_cols=tuple(args.channels.split(",")) if args.channels else None,
@@ -275,6 +279,11 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.spec:
         with open(args.spec) as fh:
             return ExperimentSpec.from_dict(json.load(fh))
+    _check_one_source(args)
+    if args.synthetic == "pure-seasonal":
+        raise ValueError(
+            "scan cannot use --synthetic pure-seasonal: an experiment spec describes seasonal-ar data only"
+        )
     if args.csv is not None:
         data = DataSpec(
             csv_path=args.csv,
@@ -451,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="statistical validation suites")
     p_val.add_argument(
         "--suite",
-        help=f"comma-separated suites or 'all' (options: {', '.join(SUITE_NAMES)}, end-to-end)",
+        help=f"comma-separated suites, or 'all' for every default suite ({', '.join(SUITE_NAMES)}); "
+        "end-to-end, whose speedup gate reads the wall clock, runs only when named",
     )
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--out", help="machine-readable report JSON")

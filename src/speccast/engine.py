@@ -43,8 +43,9 @@ and closing draws are written in place, the gamma + 1 verify windows of a
 round are a slice of one strided view built per session, and the forecast
 is one slice copy at the end. ``kernels.round_accept`` scores the draft and
 target densities of a round as one stacked computation that writes straight
-into the trace's preallocated per-round columns; ``RoundRecord`` objects are
-built from those columns only when they are read.
+into the trace's preallocated per-round columns. Those columns are the
+trace's only per-round record: the export dicts of ``round_dicts()`` and the
+``RoundRecord`` outcomes of ``rounds`` are built from them when read.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,44 +127,14 @@ class DecodeConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {sigma}")
 
 
-class Proposal(NamedTuple):
-    x: np.ndarray
-    log_q: float
-    log_p: float
-    alpha: float
-    accepted: bool
-    uniform: float
-
-
 @dataclass
 class RoundRecord:
+    """One round's outcome, as ``DecodeTrace.rounds`` lists it."""
+
     index: int
     n_accepted: int
     final_draw_source: str
     outputs_emitted: int                # L = n_accepted + 1
-    # Per-proposal views of the trace columns (consumed prefix only);
-    # Proposal tuples are materialized on access.
-    _xs: np.ndarray | None = None
-    _log_q: np.ndarray | None = None
-    _log_p: np.ndarray | None = None
-    _alphas: np.ndarray | None = None
-    _uniforms: np.ndarray | None = None
-
-    @property
-    def proposals(self) -> list[Proposal]:
-        if self._xs is None:
-            return []
-        return [
-            Proposal(
-                x=self._xs[i],
-                log_q=float(self._log_q[i]),
-                log_p=float(self._log_p[i]),
-                alpha=float(self._alphas[i]),
-                accepted=i < self.n_accepted,
-                uniform=float(self._uniforms[i]),
-            )
-            for i in range(self._xs.shape[0])
-        ]
 
 
 @dataclass
@@ -196,10 +166,9 @@ class DecodeTrace:
     ``n_accepted`` and ``sources`` (codes into SOURCES). Speculative variants
     also fill, per round and proposal position, ``xs`` (rounds, gamma, d),
     ``log_q``/``log_p`` (views of the stacked ``logs``, shape
-    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only the consumed
-    prefix min(n + 1, gamma) of a round is meaningful.
-    ``RoundRecord``/``Proposal`` objects are built from the columns only when
-    ``rounds`` or ``round_dicts()`` is read.
+    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only the examined
+    prefix min(n + 1, gamma) of a round is meaningful. The columns are the
+    only per-round record: ``round_dicts()`` and ``rounds`` read them.
     """
 
     variant: str
@@ -211,7 +180,6 @@ class DecodeTrace:
     wall_times: dict = field(default_factory=lambda: {"draft_total": 0.0, "target_total": 0.0})
     truncated_patches: int = 0
     n_rounds: int = 0
-    _records: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         h = self.horizon_patches
@@ -227,28 +195,14 @@ class DecodeTrace:
         self.log_q, self.log_p = self.logs[:, 0], self.logs[:, 1]
         self.alphas, self.uniforms = np.empty((2, h, g))
 
-    @property
+    @functools.cached_property
     def rounds(self) -> list[RoundRecord]:
-        if self._records is None:
-            self._records = [self._record(i) for i in range(self.n_rounds)]
-        return self._records
-
-    def _record(self, i: int) -> RoundRecord:
-        n = int(self.n_accepted[i])
-        rec = RoundRecord(
-            index=i,
-            n_accepted=n,
-            final_draw_source=SOURCES[self.sources[i]],
-            outputs_emitted=n + 1,
-        )
-        if self.speculative:
-            consumed = min(n + 1, self.gamma)
-            rec._xs = self.xs[i, :consumed]
-            rec._log_q = self.log_q[i, :consumed]
-            rec._log_p = self.log_p[i, :consumed]
-            rec._alphas = self.alphas[i, :consumed]
-            rec._uniforms = self.uniforms[i, :consumed]
-        return rec
+        """The rounds' outcomes as objects, built once on first read."""
+        r = self.n_rounds
+        return [
+            RoundRecord(i, n, SOURCES[s], n + 1)
+            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources[:r].tolist()))
+        ]
 
     def round_lengths(self) -> np.ndarray:
         return self.n_accepted[: self.n_rounds] + 1
@@ -257,27 +211,22 @@ class DecodeTrace:
         return self.n_accepted[: self.n_rounds].copy()
 
     def round_dicts(self) -> list[dict]:
-        out = []
-        for r in self.rounds:
-            out.append(
-                {
-                    "round": r.index,
-                    "n": r.n_accepted,
-                    "L": r.outputs_emitted,
-                    "source": r.final_draw_source,
-                    "proposals": [
-                        {
-                            "x": p.x.tolist(),
-                            "log_q": p.log_q,
-                            "log_p": p.log_p,
-                            "alpha": p.alpha,
-                            "accepted": p.accepted,
-                            "u": p.uniform,
-                        }
-                        for p in r.proposals
-                    ],
-                }
-            )
+        """One dict per round, with the round's examined proposals, for export."""
+        out = [
+            {"round": rec.index, "n": rec.n_accepted, "L": rec.outputs_emitted,
+             "source": rec.final_draw_source, "proposals": []}
+            for rec in self.rounds
+        ]
+        if self.speculative:
+            r = self.n_rounds
+            columns = (c[:r].tolist() for c in (self.xs, self.log_q, self.log_p, self.alphas, self.uniforms))
+            for d, *cols in zip(out, *columns):
+                n = d["n"]
+                d["proposals"] = [
+                    {"x": x, "log_q": lq, "log_p": lp, "alpha": a, "accepted": j < n, "u": u}
+                    for j, (x, lq, lp, a, u) in enumerate(zip(*cols))
+                    if j <= n
+                ]
         return out
 
     def summary_dict(self) -> dict:

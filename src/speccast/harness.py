@@ -140,6 +140,9 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        for g in self.gammas:
+            if g < 1:
+                raise ValueError(f"gammas must be >= 1, got {g}")
         if VARIANT_LOSSLESS in self.variants and self.tolerance_lambda != 1.0:
             raise ValueError(
                 f"variant {VARIANT_LOSSLESS!r} requires tolerance_lambda == 1, got {self.tolerance_lambda}"
@@ -357,7 +360,7 @@ def _alpha_pairs(
     return [(GaussianHead(mp, var), GaussianHead(mq, var)) for mp, mq in zip(mu_p, mu_q)]
 
 
-def _decode_windows(
+def decode_windows(
     target: ForecastModel,
     draft: ForecastModel | None,
     windows: list[TestWindow],
@@ -365,6 +368,10 @@ def _decode_windows(
     run_seed: int,
     k_ctx: int,
 ):
+    """Decode every window, window i at seed ``derive_seed(run_seed, i)``.
+
+    Returns (forecasts stacked as (windows, horizon, d), traces, wall seconds).
+    """
     pad = target.pad_patch()
     forecasts = []
     traces = []
@@ -383,11 +390,13 @@ def _decode_windows(
     return np.stack(forecasts), traces, wall
 
 
-def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
-    """Fit models, measure costs, estimate acceptance, decode the sweep.
+def fit_system(spec: ExperimentSpec):
+    """(target, drafts by scale, validation series, test windows) of a spec.
 
-    Returns one RunResult per sweep point, plus a target-only baseline row
-    per (sigma, seed); rows are ordered by spec coordinates.
+    Splits the spec's data chronologically, standardizes every split by the
+    train split's statistics, fits the target and one draft per scale on
+    the train split, and cuts up to ``spec.max_test_windows`` test windows
+    of a target lookback of context each.
     """
     values = spec.data.load()
     train_vals, val_vals, test_vals = chronological_split(values, SPLIT)
@@ -398,8 +407,18 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
 
     target = fit_linear_ar(train, spec.lookback, spec.ridge, scale=1.0)
     drafts = {scale: fit_linear_ar(train, spec.lookback, spec.ridge, scale=scale) for scale in spec.scales}
+    windows = build_test_windows(test, target.lookback, spec.horizon_patches, spec.max_test_windows)
+    return target, drafts, val, windows
+
+
+def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
+    """Fit models, measure costs, estimate acceptance, decode the sweep.
+
+    Returns one RunResult per sweep point, plus a target-only baseline row
+    per (sigma, seed); rows are ordered by spec coordinates.
+    """
+    target, drafts, val, windows = fit_system(spec)
     k_ctx = target.lookback
-    windows = build_test_windows(test, k_ctx, spec.horizon_patches, spec.max_test_windows)
     timing_window = windows[0].context[None, :, :]
 
     costs = {scale: measure_cost_ratio(target, drafts[scale], timing_window) for scale in spec.scales}
@@ -423,7 +442,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
                 seed=0,
                 sigma_target=sigma,
             )
-            forecasts, traces, wall = _decode_windows(target, None, windows, cfg, seed, k_ctx)
+            forecasts, traces, wall = decode_windows(target, None, windows, cfg, seed, k_ctx)
             m = metrics(forecasts, truth)
             baselines[(sigma, seed)] = (wall, m)
             results.append(
@@ -471,13 +490,13 @@ def _run_point(
         variant=variant,
         horizon_patches=spec.horizon_patches,
         seed=0,
-        gamma=max(1, gamma),
+        gamma=gamma,
         tolerance_lambda=spec.tolerance_lambda,
         sigma_target=sigma,
         sigma_draft=sigma,
         draft_bias=bias,
     )
-    forecasts, traces, wall = _decode_windows(target, draft, windows, cfg, seed, k_ctx)
+    forecasts, traces, wall = decode_windows(target, draft, windows, cfg, seed, k_ctx)
     m = metrics(forecasts, truth)
     base_wall, _ = baseline
     s_meas = base_wall / wall if wall > 0 else float("nan")
@@ -553,10 +572,6 @@ class CalibrationRow:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationRow":
-        return cls(**d)
-
 
 @dataclass
 class CalibrationTable:
@@ -571,14 +586,6 @@ class CalibrationTable:
         return json.dumps(
             {"flag_threshold": self.flag_threshold, "rows": [r.to_dict() for r in self.rows]},
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationTable":
-        d = json.loads(text)
-        return cls(
-            rows=[CalibrationRow.from_dict(r) for r in d["rows"]],
-            flag_threshold=d["flag_threshold"],
         )
 
     def render_text(self) -> str:

@@ -99,9 +99,6 @@ class NormStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean[:, None]) / self.std[:, None]
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.std[:, None] + self.mean[:, None]
-
     def invert_channel(self, values: np.ndarray, channel: int) -> np.ndarray:
         return np.asarray(values, dtype=np.float64) * self.std[channel] + self.mean[channel]
 

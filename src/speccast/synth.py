@@ -7,7 +7,6 @@ so a truncated-lookback draft stays closely aligned with the full target.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -136,28 +135,3 @@ def pure_seasonal(n_steps: int, n_channels: int = 1, season_len: int = 64, seed:
         prof = seasonal_profile(season_len, 1.0, 3, rng)
         out[ch] = np.tile(prof, n_steps // season_len + 1)[:n_steps]
     return out
-
-
-def ar1(n_steps: int, n_channels: int = 1, phi: float = 0.8, noise_std: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Plain AR(1) series per channel."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty((n_channels, n_steps))
-    for ch in range(n_channels):
-        innov = rng.standard_normal(n_steps) * noise_std
-        out[ch] = _ar1_recursion(innov, phi)
-    return out
-
-
-def write_csv(path, values: np.ndarray, channel_names: list[str] | None = None, timestamps: bool = True) -> None:
-    """Write a (C, L) matrix as a headered CSV, one row per timestep."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    n_channels, n_steps = values.shape
-    names = channel_names or [f"ch{i}" for i in range(n_channels)]
-    if len(names) != n_channels:
-        raise ValueError("channel_names length mismatch")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((["t"] if timestamps else []) + names)
-        for t in range(n_steps):
-            row = ([str(t)] if timestamps else []) + [repr(float(v)) for v in values[:, t]]
-            writer.writerow(row)

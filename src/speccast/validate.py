@@ -1,10 +1,12 @@
 """Statistical validation suites: decode laws vs independent oracles.
 
-Each suite simulates one face of the decoder (or a closed-form predictor)
-and checks it against an independent reference: direct sampling, quadrature,
-closed forms, or brute-force scans. Sample sizes are fixed so the tests have
-enough power to be stable across seeds; a seed override changes the draws
-but should not change pass/fail.
+Each suite checks one face of the decoder, or of a closed-form predictor,
+against an independent reference (direct sampling, quadrature, closed forms
+or brute-force scans) or against the engine itself: the decode suites run
+``decode`` on the persistence pair, and the dependence suite on the
+end-to-end system's test windows. No suite runs a twin of an engine kernel.
+Sample sizes are fixed so the tests have enough power to be stable across
+seeds; a seed override changes the draws but should not change pass/fail.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from scipy import stats as scistats
 from scipy.special import ndtr
 
-from . import kernels
 from . import rng as rngmod
 from .analysis import (
     block_length_pmf,
@@ -335,31 +336,73 @@ def suite_gamma_rule(grid: int = 500, gamma_max: int = 64) -> SuiteResult:
     return c.result()
 
 
-def suite_dependence(seed: int = 0, n_configs: int = 100, rounds: int = 100_000) -> SuiteResult:
-    """Markov acceptance chains stay inside the dependence E[L] interval."""
+def _proposal_overlaps(target, draft, context, forecast, trace, sigma: float) -> np.ndarray:
+    """beta = 2 Phi(-|mu_p - mu_q| / (2 sigma)) at each examined proposal, in order.
+
+    The j-th proposal of a round that starts after e emitted patches was
+    drawn at the prefix context + forecast[:e] + the round's proposals
+    0..j-1, which ``trace.xs`` still holds. Each model reads its own
+    lookback from the last ``len(context)`` patches of that prefix.
+    """
+    k = context.shape[0]
+    emitted = np.concatenate([context, forecast])
+    windows = []
+    e = 0
+    for r, n in enumerate(trace.accepted_counts().tolist()):
+        prefix = np.concatenate([emitted[e : k + e], trace.xs[r]])
+        windows.extend(prefix[j : j + k] for j in range(min(n + 1, trace.gamma)))
+        e += n + 1
+    stack = np.stack(windows)
+    gap = np.linalg.norm(target.mean_batch(stack) - draft.mean_batch(stack), axis=1)
+    return 2.0 * ndtr(-gap / (2.0 * sigma))
+
+
+def suite_dependence(seed: int = 0) -> SuiteResult:
+    """Engine decodes of the end-to-end system against the dependence interval.
+
+    On real forecasts the acceptance probability of a proposal depends on
+    its prefix, so per-position acceptance is not i.i.d. At
+    tolerance_lambda = 1 a proposal drawn from the draft head is accepted
+    with probability beta, the overlap of the two heads at its prefix. Every
+    test window of the end-to-end spec is decoded with each speculative
+    variant at gamma = 3 and sigma 0.1 and 1.0. Per (variant, sigma): the
+    accepted count must sit within 4 standard deviations of the sum of the
+    examined proposals' betas (|z| <= 4), and mean L must lie in
+    ``dependence_interval(min beta, max beta, gamma)``.
+    """
+    from .harness import decode_windows, fit_system
+
     c = _Checker("dependence")
-    rng = np.random.Generator(np.random.Philox(key=seed + 73))
-    inside = 0
-    worst_margin = np.inf
-    for cfg_idx in range(n_configs):
-        gamma = int(rng.integers(2, 8))
-        a0 = float(rng.uniform(0.55, 0.9))
-        a1 = float(min(0.98, a0 + rng.uniform(0.05, 0.25)))
-        t01 = float(rng.uniform(0.2, 0.8))
-        t10 = float(rng.uniform(0.2, 0.8))
-        pi1 = t01 / (t01 + t10)  # stationary occupancy of state 1
-        gen = rngmod.stream(rngmod.derive_seed(seed, cfg_idx), 0, rngmod.DIRECT)
-        u_accept = gen.random((rounds, gamma))
-        u_state = gen.random((rounds, gamma))
-        lengths = kernels.block_lengths_markov(u_accept, u_state, pi1, a0, a1, t01, t10)
-        lo, hi = dependence_interval(a0, a1, gamma)
-        mean_l = float(lengths.mean())
-        inside += int(lo <= mean_l <= hi)
-        worst_margin = min(worst_margin, mean_l - lo, hi - mean_l)
-    c.details["inside"] = inside
-    c.details["n_configs"] = n_configs
-    c.details["worst_margin"] = float(worst_margin)
-    c.check(inside == n_configs, f"only {inside}/{n_configs} chains inside the interval")
+    gamma = 3
+    # every test window of the end-to-end system
+    spec = dataclasses.replace(end_to_end_spec(seed), max_test_windows=1_000_000)
+    target, drafts, _, windows = fit_system(spec)
+    draft = drafts[spec.scales[0]]
+    c.details["windows"] = len(windows)
+    for variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS):
+        for sigma in (0.1, 1.0):
+            cfg = DecodeConfig(variant=variant, horizon_patches=spec.horizon_patches, seed=0,
+                               gamma=gamma, sigma_target=sigma, sigma_draft=sigma)
+            forecasts, traces, _ = decode_windows(target, draft, windows, cfg, seed, target.lookback)
+            beta = np.concatenate([
+                _proposal_overlaps(target, draft, w.context, f, t, sigma)
+                for w, f, t in zip(windows, forecasts, traces)
+            ])
+            accepted = sum(int(t.accepted_counts().sum()) for t in traces)
+            z = (accepted - beta.sum()) / math.sqrt(float(np.sum(beta * (1.0 - beta))))
+            mean_l = float(np.concatenate([t.round_lengths() for t in traces]).mean())
+            lo, hi = dependence_interval(float(beta.min()), float(beta.max()), gamma)
+            label = f"{variant},sigma={sigma:g}"
+            c.details[label] = {
+                "z": float(z),
+                "mean_L": mean_l,
+                "interval": [lo, hi],
+                "beta_min": float(beta.min()),
+                "beta_max": float(beta.max()),
+                "proposals": int(beta.size),
+            }
+            c.check(abs(z) <= 4.0, f"{label}: accepted count is {z:.2f} SD from the sum of betas")
+            c.check(lo <= mean_l <= hi, f"{label}: mean L {mean_l:.4f} outside [{lo:.4f}, {hi:.4f}]")
     return c.result()
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from speccast import kernels
 from speccast import rng as rngmod
 from speccast.analysis import (
     AcceptanceEstimate,
@@ -49,9 +48,9 @@ class TestBlockLengthPmf:
     def test_matches_bernoulli_simulation(self):
         # 10^6 simulated rounds as the Monte Carlo oracle
         alpha, gamma = 0.7, 4
-        u = rngmod.stream(101).random((1_000_000, gamma))
-        # equal accept rates in both chain states: the i.i.d. law
-        lengths = kernels.block_lengths_markov(u, u, 0.5, alpha, alpha, 0.5, 0.5)
+        rejected = rngmod.stream(101).random((1_000_000, gamma)) >= alpha
+        # L = position of the first rejection, or gamma + 1 with none
+        lengths = np.where(rejected.any(axis=1), rejected.argmax(axis=1) + 1, gamma + 1)
         counts = np.bincount(lengths, minlength=gamma + 2)[1:]
         expected = block_length_pmf(alpha, gamma) * len(lengths)
         chi = scistats.chisquare(counts, f_exp=expected)
@@ -191,13 +190,22 @@ class TestDependenceInterval:
             dependence_interval(0.9, 0.5, 3)
 
     def test_markov_simulation_inside(self):
+        # A hidden two-state chain sets each position's acceptance rate (a0
+        # or a1), so acceptance depends on the past but stays in [a0, a1].
         gamma = 5
         a0, a1, t01, t10 = 0.8, 0.95, 0.4, 0.5
-        pi1 = t01 / (t01 + t10)
         gen = rngmod.stream(404)
         u_accept = gen.random((200_000, gamma))
         u_state = gen.random((200_000, gamma))
-        lengths = kernels.block_lengths_markov(u_accept, u_state, pi1, a0, a1, t01, t10)
+        state = u_state[:, 0] < t01 / (t01 + t10)  # stationary start in state 1
+        alive = np.ones(state.size, dtype=bool)
+        lengths = np.full(state.size, gamma + 1)
+        for i in range(gamma):
+            rejected = alive & (u_accept[:, i] >= np.where(state, a1, a0))
+            lengths[rejected] = i + 1
+            alive &= ~rejected
+            if i + 1 < gamma:
+                state = np.where(state, u_state[:, i + 1] >= t10, u_state[:, i + 1] < t01)
         lo, hi = dependence_interval(a0, a1, gamma)
         assert lo <= lengths.mean() <= hi
 

@@ -7,9 +7,11 @@ import pytest
 
 from speccast import validate
 from speccast.cli import content_digest, main
-from speccast.harness import CalibrationTable, RunResult
+from speccast.harness import RunResult
 from speccast.models import load_model, save_model
 from speccast.validate import SuiteResult
+
+from helpers import calibration_table_from_json
 
 # A tiny synthetic sweep: one channel, 8-step patches, 3 test windows of
 # 4 patches, both speculative variants plus the target-only baseline.
@@ -51,7 +53,7 @@ def test_scan_calibrate_manifest_and_replay(tmp_path, capsys):
 
     results = str(first / "results.jsonl")
     assert main(["calibrate", "--results", results, "--out", str(flagged), "--flag-threshold", "0"]) == 0
-    table = CalibrationTable.from_json(flagged.read_text())
+    table = calibration_table_from_json(flagged.read_text())
     assert [r.variant for r in table.rows] == ["practical", "lossless"]
     assert table.any_flagged  # a zero threshold flags any gap
     # calibration failure: exit 1 only under --strict
@@ -160,6 +162,7 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys):
          "unknown data spec key(s): 'csv_pth'"),
         ({**base, "variants": ["practical", "lossless"], "tolerance_lambda": 0.6},
          "variant 'lossless' requires tolerance_lambda == 1, got 0.6"),
+        ({**base, "gammas": [3, 0]}, "gammas must be >= 1, got 0"),
     ]
     capsys.readouterr()
     for doc, message in cases:
@@ -167,6 +170,24 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys):
         assert main(["scan", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1  # no traceback
+
+
+def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys):
+    # SCAN without its data flags; the synthetic flags it keeps are harmless
+    no_data = [a for a in SCAN if a not in ("--synthetic", "seasonal-ar")]
+    out = tmp_path / "out"
+    cases = [
+        (no_data, "pass exactly one of --csv or --synthetic"),
+        ([*SCAN, "--csv", str(tmp_path / "x.csv")], "pass exactly one of --csv or --synthetic"),
+        ([*no_data, "--synthetic", "pure-seasonal"], "scan cannot use --synthetic pure-seasonal"),
+        ([*SCAN, "--gammas", "0"], "gammas must be >= 1, got 0"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -18,14 +18,14 @@ from speccast.engine import (
     SOURCES,
     DecodeAborted,
     DecodeConfig,
-    RoundRecord,
     Totals,
     decode,
 )
 from speccast.models import History, fit_linear_ar, load_model, persistence_model, save_model
 from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
 from speccast.series import PatchSeries, metrics
-from speccast.synth import ar1, pure_seasonal
+from speccast.synth import pure_seasonal
+from helpers import ar1
 from test_prob import assert_close_vector, reference_residual_sample
 from test_series_models import oracle_ar1
 
@@ -55,11 +55,11 @@ class TestSelfSpeculation:
         cfg = cfg_for("practical", horizon=24)
         forecast, trace = decode(target, target, h0, cfg)
         assert np.all(trace.round_lengths() == cfg.gamma + 1)
-        for rec in trace.rounds:
-            assert rec.final_draw_source == SOURCE_EXTEND
-            for p in rec.proposals:
-                assert p.alpha == pytest.approx(1.0, abs=1e-12)
-                assert p.accepted
+        for rd in trace.round_dicts():
+            assert rd["source"] == SOURCE_EXTEND
+            for p in rd["proposals"]:
+                assert p["alpha"] == pytest.approx(1.0, abs=1e-12)
+                assert p["accepted"]
 
     def test_practical_equals_lossless_bitwise(self):
         target, _, h0 = make_pair(d=3)
@@ -75,19 +75,19 @@ class TestRoundStructure:
         target, draft, h0 = make_pair(gap=1.2)
         cfg = cfg_for(variant, horizon=200, gamma=4, seed=3)
         _, trace = decode(target, draft, h0, cfg)
-        for rec in trace.rounds:
-            flags = [p.accepted for p in rec.proposals]
-            n = rec.n_accepted
+        for rd in trace.round_dicts():
+            flags = [p["accepted"] for p in rd["proposals"]]
+            n = rd["n"]
             assert flags == [True] * n + [False] * (len(flags) - n)
             assert len(flags) - n in (0, 1)
-            assert rec.outputs_emitted == n + 1
-            assert 1 <= rec.outputs_emitted <= cfg.gamma + 1
+            assert rd["L"] == n + 1
+            assert 1 <= rd["L"] <= cfg.gamma + 1
             if n == cfg.gamma:
-                assert rec.final_draw_source == SOURCE_EXTEND
+                assert rd["source"] == SOURCE_EXTEND
             elif variant == "practical":
-                assert rec.final_draw_source == SOURCE_FALLBACK
+                assert rd["source"] == SOURCE_FALLBACK
             else:
-                assert rec.final_draw_source == SOURCE_RESIDUAL
+                assert rd["source"] == SOURCE_RESIDUAL
 
     def test_totals_and_pass_accounting(self):
         target, draft, h0 = make_pair()
@@ -136,11 +136,10 @@ class TestDeterminism:
         target, draft, h0 = make_pair(gap=1.0)
         _, tp = decode(target, draft, h0, cfg_for("practical", horizon=4, seed=9))
         _, tl = decode(target, draft, h0, cfg_for("lossless", horizon=4, seed=9))
-        p0, l0 = tp.rounds[0], tl.rounds[0]
-        assert p0.n_accepted == l0.n_accepted
-        for a, b in zip(p0.proposals, l0.proposals):
-            assert np.array_equal(a.x, b.x)
-            assert a.uniform == b.uniform
+        p0, l0 = tp.round_dicts()[0], tl.round_dicts()[0]
+        assert p0["n"] == l0["n"]
+        for a, b in zip(p0["proposals"], l0["proposals"]):
+            assert (a["x"], a["u"]) == (b["x"], b["u"])
 
 
 class TestBaselines:
@@ -268,7 +267,7 @@ class TestConfigValidation:
         ref_forecast, ref_rounds, _, _ = _reference_decode(
             target, draft, h0, cfg_for("practical", horizon=12, seed=5, tolerance_lambda=lam))
         assert forecast.tobytes() == ref_forecast.tobytes()
-        assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+        assert trace.round_dicts() == ref_rounds
         assert np.isfinite(decode(target, draft, h0, cfg_for("lossless", horizon=12, seed=5))[0]).all()
 
     def test_bad_config_fields(self):
@@ -343,9 +342,8 @@ class TestDraftBias:
             cfg = cfg_for(variant, horizon=4, seed=3)
             _, t0 = decode(target, draft, h0, cfg)
             _, t1 = decode(target, draft, h0, dataclasses.replace(cfg, draft_bias=bias))
-            p0, p1 = t0.rounds[0].proposals[0], t1.rounds[0].proposals[0]
-            np.testing.assert_allclose(p1.x - p0.x, shift, rtol=0, atol=1e-12)
-            assert p1.log_q == pytest.approx(p0.log_q, abs=1e-12)
+            np.testing.assert_allclose(t1.xs[0, 0] - t0.xs[0, 0], shift, rtol=0, atol=1e-12)
+            assert t1.log_q[0, 0] == pytest.approx(t0.log_q[0, 0], abs=1e-12)
 
 
 class TestOracleTarget:
@@ -401,9 +399,9 @@ class TestTraceExport:
 
 # ---------------------------------------------------------------------------
 # Reference loop: the round loop as it was before the session buffer, with a
-# ring history that shifts on every round, a per-round RoundRecord holding
+# ring history that shifts on every round, a per-round export dict built from
 # copies, and the unstacked scoring kernel. The engine must match it
-# bit-for-bit: forecast bytes, round records, totals and truncation.
+# bit-for-bit: forecast bytes, round dicts, totals and truncation.
 # ---------------------------------------------------------------------------
 
 
@@ -450,7 +448,7 @@ def _reference_check_finite(patch, round_index):
 
 
 def _reference_decode(target, draft, h0, cfg):
-    """(forecast, rounds, totals, truncated_patches) from the reference loop."""
+    """(forecast, round dicts, totals, truncated_patches) from the reference loop."""
     totals = Totals()
     rounds = []
     if cfg.variant in ("target_only", "draft_only"):
@@ -467,7 +465,7 @@ def _reference_decode(target, draft, h0, cfg):
             _reference_check_finite(mean, i)
             outputs[i] = mean + sigma * noise[i]
             history.append(outputs[i])
-            rounds.append(RoundRecord(i, 0, SOURCE_BASELINE, 1))
+            rounds.append({"round": i, "n": 0, "L": 1, "source": SOURCE_BASELINE, "proposals": []})
         if cfg.variant == "target_only":
             totals.target_passes = cfg.horizon_patches
         else:
@@ -532,11 +530,14 @@ def _reference_decode(target, draft, h0, cfg):
         outputs.extend(xs[i].copy() for i in range(n))
         outputs.append(final)
         history.extend(xs[:n], final)
-        rounds.append(RoundRecord(
-            r, n, source, n + 1,
-            xs[:consumed].copy(), log_q[:consumed].copy(), log_p[:consumed].copy(),
-            alphas[:consumed].copy(), uniforms[:consumed].copy(),
-        ))
+        rounds.append({
+            "round": r, "n": n, "L": n + 1, "source": source,
+            "proposals": [
+                {"x": xs[j].tolist(), "log_q": float(log_q[j]), "log_p": float(log_p[j]),
+                 "alpha": float(alphas[j]), "accepted": j < n, "u": float(uniforms[j])}
+                for j in range(consumed)
+            ],
+        })
         totals.draft_passes += gamma
         totals.target_passes += gamma + 1
         totals.target_batch_calls += 1
@@ -545,17 +546,6 @@ def _reference_decode(target, draft, h0, cfg):
         r += 1
     forecast = np.vstack(outputs)
     return forecast[: cfg.horizon_patches], rounds, totals, forecast.shape[0] - cfg.horizon_patches
-
-
-def _record_dict(r):
-    return {
-        "round": r.index, "n": r.n_accepted, "L": r.outputs_emitted, "source": r.final_draw_source,
-        "proposals": [
-            {"x": p.x.tolist(), "log_q": p.log_q, "log_p": p.log_p, "alpha": p.alpha,
-             "accepted": p.accepted, "u": p.uniform}
-            for p in r.proposals
-        ],
-    }
 
 
 def _reference_pair(kind, sigma=0.4):
@@ -597,18 +587,16 @@ def _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds):
     to 1e-12 absolute). Accept counts and sources stay equal.
     """
     rounds = trace.round_dicts()
-    assert [(r["n"], r["L"], r["source"]) for r in rounds] == [
-        (r.n_accepted, r.outputs_emitted, r.final_draw_source) for r in ref_rounds
-    ]
-    first = next((i for i, r in enumerate(ref_rounds) if r.final_draw_source == SOURCE_RESIDUAL), len(ref_rounds))
-    exact = sum(r.outputs_emitted for r in ref_rounds[:first])
+    assert [(r["n"], r["L"], r["source"]) for r in rounds] == [(r["n"], r["L"], r["source"]) for r in ref_rounds]
+    first = next((i for i, r in enumerate(ref_rounds) if r["source"] == SOURCE_RESIDUAL), len(ref_rounds))
+    exact = sum(r["L"] for r in ref_rounds[:first])
     if first < len(ref_rounds):
-        exact += ref_rounds[first].n_accepted
+        exact += ref_rounds[first]["n"]
     exact = min(exact, forecast.shape[0])
     assert forecast[:exact].tobytes() == ref_forecast[:exact].tobytes()
     for got, want in zip(forecast[exact:], ref_forecast[exact:]):
         assert_close_vector(got, want)
-    for i, (got, want) in enumerate(zip(rounds, (_record_dict(r) for r in ref_rounds))):
+    for i, (got, want) in enumerate(zip(rounds, ref_rounds)):
         if i <= first:  # the proposals of the first residual round precede its draw
             assert got == want
             continue
@@ -643,10 +631,10 @@ class TestReferenceLoop:
                     _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds)
                 else:
                     assert forecast.tobytes() == ref_forecast.tobytes()
-                    assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+                    assert trace.round_dicts() == ref_rounds
                 assert dataclasses.asdict(trace.totals) == dataclasses.asdict(ref_totals)
                 assert trace.truncated_patches == ref_truncated
-                sources.update(r.final_draw_source for r in ref_rounds)
+                sources.update(r["source"] for r in ref_rounds)
         if variant in ("practical", "lossless"):
             # both full-accept and rejecting rounds were compared
             assert SOURCE_EXTEND in sources and len(sources) > 1
@@ -731,7 +719,7 @@ class TestReferenceLoop:
             forecast, trace = decode(target, model_draft, h0, cfg)
             ref_forecast, ref_rounds, _, _ = _reference_decode(target, model_draft, h0, cfg)
             assert forecast.tobytes() == ref_forecast.tobytes()
-            assert trace.round_dicts() == [_record_dict(r) for r in ref_rounds]
+            assert trace.round_dicts() == ref_rounds
 
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only"])
     def test_lazy_rounds_agree_with_columns(self, variant):
@@ -745,18 +733,19 @@ class TestReferenceLoop:
         assert trace.round_lengths().tolist() == [r.outputs_emitted for r in rounds]
         assert trace.accepted_counts().tolist() == [r.n_accepted for r in rounds]
         assert sum(r.outputs_emitted for r in rounds) == trace.totals.patches_emitted
-        for i, rec in enumerate(rounds):
-            assert rec.index == i
-            assert rec.final_draw_source == SOURCES[trace.sources[i]]
+        for i, (rec, rd) in enumerate(zip(rounds, trace.round_dicts(), strict=True)):
+            assert rec.index == rd["round"] == i
+            assert rec.final_draw_source == rd["source"] == SOURCES[trace.sources[i]]
+            assert (rec.n_accepted, rec.outputs_emitted) == (rd["n"], rd["L"])
             if variant == "target_only":
-                assert rec.proposals == []
+                assert rd["proposals"] == []
                 continue
-            assert len(rec.proposals) == min(rec.n_accepted + 1, cfg.gamma)
-            for j, p in enumerate(rec.proposals):
-                assert np.array_equal(p.x, trace.xs[i, j])
-                assert (p.log_q, p.log_p) == (trace.log_q[i, j], trace.log_p[i, j])
-                assert (p.alpha, p.uniform) == (trace.alphas[i, j], trace.uniforms[i, j])
-                assert p.accepted == (j < rec.n_accepted)
+            assert len(rd["proposals"]) == min(rec.n_accepted + 1, cfg.gamma)
+            for j, p in enumerate(rd["proposals"]):
+                assert p["x"] == trace.xs[i, j].tolist()
+                assert (p["log_q"], p["log_p"]) == (trace.log_q[i, j], trace.log_p[i, j])
+                assert (p["alpha"], p["u"]) == (trace.alphas[i, j], trace.uniforms[i, j])
+                assert p["accepted"] == (j < rec.n_accepted)
 
 
 class TestNearlyIdenticalHeads:

@@ -9,7 +9,9 @@ from speccast.analysis import COST_MEASURED
 from speccast.harness import TIMING_PASSES, DataSpec, ExperimentSpec, measure_cost_ratio
 from speccast.models import fit_linear_ar, persistence_model
 from speccast.series import PatchSeries
-from speccast.synth import SyntheticSpec, ar1
+from speccast.synth import SyntheticSpec
+
+from helpers import ar1
 
 # The resolved spec of a scan manifest written before the retired keys went:
 # every one of them is at the only value it ever held.

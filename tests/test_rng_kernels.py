@@ -1,4 +1,4 @@
-"""Stream keying/reuse, and the numpy kernels against loop-form references."""
+"""Stream keying/reuse, and the round kernel against its loop-form reference."""
 
 import math
 
@@ -47,42 +47,9 @@ class TestStreams:
 
 
 # ---------------------------------------------------------------------------
-# Loop-form reference implementations: one scalar step at a time, written
-# for clarity rather than speed. The vectorized kernels must agree with them.
+# Loop-form reference implementation: one scalar step at a time, written
+# for clarity rather than speed. The vectorized kernel must agree with it.
 # ---------------------------------------------------------------------------
-
-def block_lengths_iid_loop(uniforms, alpha):
-    n, gamma = uniforms.shape
-    out = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        length = gamma + 1
-        for i in range(gamma):
-            if uniforms[r, i] >= alpha:
-                length = i + 1
-                break
-        out[r] = length
-    return out
-
-
-def block_lengths_markov_loop(u_accept, u_state, pi1, a0, a1, t01, t10):
-    n, gamma = u_accept.shape
-    out = np.empty(n, dtype=np.int64)
-    for r in range(n):
-        s = 1 if u_state[r, 0] < pi1 else 0
-        length = gamma + 1
-        for i in range(gamma):
-            a = a1 if s == 1 else a0
-            if u_accept[r, i] >= a:
-                length = i + 1
-                break
-            if i + 1 < gamma:
-                if s == 0:
-                    s = 1 if u_state[r, i + 1] < t01 else 0
-                else:
-                    s = 0 if u_state[r, i + 1] < t10 else 1
-        out[r] = length
-    return out
-
 
 def round_accept_loop(xs, uniforms, mu_q, mu_p, params):
     """(n, log_q, log_p, alphas) for one round, element by element."""
@@ -107,67 +74,6 @@ def round_accept_loop(xs, uniforms, mu_q, mu_p, params):
     while n < gamma and uniforms[n] < alphas[n]:
         n += 1
     return n, log_q, log_p, alphas
-
-
-def iid_lengths(uniforms, alpha):
-    """The i.i.d. law: the Markov kernel with equal state accept rates."""
-    return kernels.block_lengths_markov(uniforms, uniforms, 0.5, alpha, alpha, 0.5, 0.5)
-
-
-class TestBlockLengthsIid:
-    def test_against_python_reference(self):
-        rng = np.random.default_rng(1)
-        u = rng.random((500, 4))
-        alpha = 0.7
-        expected = []
-        for row in u:
-            length = 5
-            for i, v in enumerate(row):
-                if v >= alpha:
-                    length = i + 1
-                    break
-            expected.append(length)
-        assert iid_lengths(u, alpha).tolist() == expected
-
-    def test_backends_agree(self):
-        # the vectorized kernel agrees with the loop-form reference
-        rng = np.random.default_rng(2)
-        u = rng.random((2000, 5))
-        us = rng.random((2000, 5))
-        for alpha in (0.0, 0.3, 0.8, 1.0):
-            ref = block_lengths_iid_loop(u, alpha)
-            got = kernels.block_lengths_markov(u, us, 0.4, alpha, alpha, 0.9, 0.3)
-            assert np.array_equal(got, ref), alpha
-
-    def test_extremes(self):
-        u = np.random.default_rng(0).random((100, 3))
-        assert np.all(iid_lengths(u, 1.0) == 4)
-        # alpha = 0 rejects immediately except measure-zero u == 0 draws
-        assert np.all(iid_lengths(u, 0.0) == 1)
-
-
-class TestBlockLengthsMarkov:
-    def test_backends_agree(self):
-        # the vectorized kernel agrees with the loop-form reference
-        rng = np.random.default_rng(3)
-        ua = rng.random((3000, 6))
-        us = rng.random((3000, 6))
-        for args in [(0.4, 0.6, 0.9, 0.3, 0.5), (1.0, 0.2, 0.95, 0.0, 1.0), (0.0, 0.99, 0.1, 0.7, 0.05)]:
-            ref = block_lengths_markov_loop(ua, us, *args)
-            got = kernels.block_lengths_markov(ua, us, *args)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, ref), args
-
-    def test_constant_chain_reduces_to_iid(self):
-        rng = np.random.default_rng(4)
-        ua = rng.random((5000, 4))
-        us = rng.random((5000, 4))
-        same = kernels.block_lengths_markov(ua, us, 0.5, 0.75, 0.75, 0.5, 0.5)
-        assert np.array_equal(same, block_lengths_iid_loop(ua, 0.75))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kernels.block_lengths_markov(np.zeros((4, 2)), np.zeros((4, 3)), 0.5, 0.5, 0.5, 0.5, 0.5)
 
 
 def _round_inputs(rng, gamma, d, sigma_d, sigma_t, lam, gap):

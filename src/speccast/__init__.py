@@ -15,7 +15,6 @@ from .analysis import (
     CostModel,
     DeviationBounds,
     GammaChoice,
-    PredictorReport,
     block_length_pmf,
     dependence_interval,
     deviation_bounds,

@@ -9,7 +9,7 @@ brackets the correlated case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .prob import (
     overlap_closed_form,
     refined_trapezoid,
 )
+from .synth import check_keys
 
 
 def _check_alpha(alpha_bar: float) -> float:
@@ -169,18 +170,10 @@ class CostModel:
         if self.source not in (COST_MEASURED, COST_CONFIGURED):
             raise ValueError(f"unknown cost source {self.source!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "c_hat": self.c_hat,
-            "source": self.source,
-            "n_timed_passes": self.n_timed_passes,
-            "target_pass_seconds": self.target_pass_seconds,
-            "draft_pass_seconds": self.draft_pass_seconds,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "CostModel":
+        """The cost a ``dataclasses.asdict`` document describes; ValueError names an unknown key."""
+        check_keys(d, cls, "cost")
         return cls(**d)
 
 
@@ -212,14 +205,6 @@ class AcceptanceEstimate:
         """Two-sided Hoeffding tail Pr(|est - truth| >= eps) bound."""
         m_eff = 1 if self.mc_per_history is None else self.mc_per_history
         return 2.0 * math.exp(-2.0 * self.n_histories * m_eff * epsilon ** 2)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha_bar_hat": self.alpha_bar_hat,
-            "n_histories": self.n_histories,
-            "mc_per_history": self.mc_per_history,
-            "method": self.method,
-        }
 
 
 def estimate_alpha(
@@ -366,69 +351,3 @@ def deviation_bounds(
         kl_bound_1d=kl_bound,
         pinsker_tv=pinsker,
     )
-
-
-# ---------------------------------------------------------------------------
-# Predictor report.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PredictorReport:
-    """Predicted vs measured block length, speedup, and compute factor."""
-
-    gamma: int
-    alpha_bar: float
-    c: float
-    c_hat: float
-    e_l_pred: float
-    s_wall_pred: float
-    ops_factor_pred: float
-    e_l_meas: float | None = None
-    n_mean_meas: float | None = None
-    s_wall_meas: float | None = None
-    ops_factor_meas: float | None = None
-    flags: list[str] = field(default_factory=list)
-
-    @classmethod
-    def predict(cls, alpha_bar: float, gamma: int, cost: CostModel) -> "PredictorReport":
-        return cls(
-            gamma=gamma,
-            alpha_bar=float(alpha_bar),
-            c=cost.c,
-            c_hat=cost.c_hat,
-            e_l_pred=expected_block_length(alpha_bar, gamma),
-            s_wall_pred=speedup_wall(alpha_bar, gamma, cost.c),
-            ops_factor_pred=ops_factor(alpha_bar, gamma, cost.c_hat),
-        )
-
-    def deltas(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        if self.e_l_meas is not None:
-            out["e_l_rel_gap"] = abs(self.e_l_pred - self.e_l_meas) / self.e_l_pred
-        if self.s_wall_meas is not None:
-            out["s_wall_rel_gap"] = abs(self.s_wall_pred - self.s_wall_meas) / self.s_wall_pred
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "alpha_bar": self.alpha_bar,
-            "c": self.c,
-            "c_hat": self.c_hat,
-            "e_l_pred": self.e_l_pred,
-            "s_wall_pred": self.s_wall_pred,
-            "ops_factor_pred": self.ops_factor_pred,
-            "e_l_meas": self.e_l_meas,
-            "n_mean_meas": self.n_mean_meas,
-            "s_wall_meas": self.s_wall_meas,
-            "ops_factor_meas": self.ops_factor_meas,
-            "flags": list(self.flags),
-            "deltas": self.deltas(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PredictorReport":
-        d = dict(d)
-        d.pop("deltas", None)
-        return cls(**d)

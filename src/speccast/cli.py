@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     expected_block_length,
@@ -40,8 +38,8 @@ from .harness import (
     tradeoff_table,
 )
 from .models import History, fit_linear_ar, load_model, save_model
-from .series import CsvSchema, PatchSeries, load_csv
-from .synth import SyntheticSpec, pure_seasonal
+from .series import PatchSeries
+from .synth import SyntheticSpec
 from .validate import SUITE_NAMES, run_suites
 
 def content_digest(path: Path) -> str:
@@ -79,8 +77,9 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timestamp-col", help="name of the timestamp column to skip")
     parser.add_argument(
         "--synthetic",
-        choices=["seasonal-ar", "pure-seasonal"],
-        help="use a generated series instead of a CSV",
+        choices=["seasonal-ar"],
+        help="use a generated seasonal + AR(1) series instead of a CSV "
+        "(--synth-ar-std 0 makes it exactly periodic)",
     )
     parser.add_argument("--synth-steps", type=int, default=120_000)
     parser.add_argument("--synth-channels", type=int, default=2)
@@ -90,47 +89,31 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--synth-ar-std", type=float, default=0.25)
 
 
-def _check_one_source(args) -> None:
+def _data_spec(args) -> DataSpec:
+    """The data the --csv or --synthetic flags describe."""
     if (args.csv is None) == (args.synthetic is None):
         raise ValueError("pass exactly one of --csv or --synthetic")
-
-
-def _load_values(args) -> tuple[np.ndarray, dict]:
-    _check_one_source(args)
     if args.csv is not None:
-        schema = CsvSchema(
+        return DataSpec(
+            csv_path=args.csv,
             channel_cols=tuple(args.channels.split(",")) if args.channels else None,
             timestamp_col=args.timestamp_col,
         )
-        values = load_csv(args.csv, schema)
-        meta = {"csv": args.csv, "channels": args.channels, "timestamp_col": args.timestamp_col}
-        return values, meta
-    if args.synthetic == "pure-seasonal":
-        values = pure_seasonal(
-            args.synth_steps, args.synth_channels, args.synth_season, args.synth_seed
-        )
-    else:
-        values = SyntheticSpec(
+    return DataSpec(
+        synthetic=SyntheticSpec(
             n_steps=args.synth_steps,
             n_channels=args.synth_channels,
             season_len=args.synth_season,
             ar_coeff=args.synth_ar_coeff,
             ar_std=args.synth_ar_std,
             seed=args.synth_seed,
-        ).generate()
-    meta = {
-        "synthetic": args.synthetic,
-        "steps": args.synth_steps,
-        "channels": args.synth_channels,
-        "season": args.synth_season,
-        "seed": args.synth_seed,
-    }
-    return values, meta
+        )
+    )
 
 
 def cmd_fit(args) -> int:
-    values, meta = _load_values(args)
-    series = PatchSeries.from_values(values, args.patch_len)
+    data = _data_spec(args)
+    series = PatchSeries.from_values(data.load(), args.patch_len)
     model = fit_linear_ar(series, args.lookback, args.ridge, scale=args.scale, seed=args.seed)
     if args.sigma is not None:
         model = model.with_knobs(sigma=args.sigma)
@@ -150,7 +133,7 @@ def cmd_fit(args) -> int:
         out_dir,
         "fit",
         {
-            "data": meta,
+            "data": data.to_dict(),
             "patch_len": args.patch_len,
             "lookback": args.lookback,
             "ridge": args.ridge,
@@ -169,7 +152,12 @@ def cmd_decode(args) -> int:
     draft = load_model(args.draft) if args.draft else None
     if args.variant != VARIANT_TARGET_ONLY and draft is None:
         raise ValueError(f"--variant {args.variant} requires --draft")
-    values, meta = _load_values(args)
+    if args.bias is not None:
+        if draft is None:
+            raise ValueError("--bias requires --draft")
+        draft = draft.with_knobs(mean_bias=args.bias)
+    data = _data_spec(args)
+    values = data.load()
     if target.norm_stats is None:
         raise ValueError("target model carries no normalization stats; refit it")
 
@@ -184,7 +172,6 @@ def cmd_decode(args) -> int:
         tolerance_lambda=args.tolerance_lambda,
         sigma_target=args.sigma,
         sigma_draft=args.sigma,
-        draft_bias=args.bias,
     )
 
     std_values = target.norm_stats.apply(values)
@@ -222,7 +209,7 @@ def cmd_decode(args) -> int:
         out_dir,
         "decode",
         {
-            "data": meta,
+            "data": data.to_dict(),
             "target": args.target,
             "draft": args.draft,
             "variant": args.variant,
@@ -279,30 +266,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.spec:
         with open(args.spec) as fh:
             return ExperimentSpec.from_dict(json.load(fh))
-    _check_one_source(args)
-    if args.synthetic == "pure-seasonal":
-        raise ValueError(
-            "scan cannot use --synthetic pure-seasonal: an experiment spec describes seasonal-ar data only"
-        )
-    if args.csv is not None:
-        data = DataSpec(
-            csv_path=args.csv,
-            channel_cols=tuple(args.channels.split(",")) if args.channels else None,
-            timestamp_col=args.timestamp_col,
-        )
-    else:
-        data = DataSpec(
-            synthetic=SyntheticSpec(
-                n_steps=args.synth_steps,
-                n_channels=args.synth_channels,
-                season_len=args.synth_season,
-                ar_coeff=args.synth_ar_coeff,
-                ar_std=args.synth_ar_std,
-                seed=args.synth_seed,
-            )
-        )
     return ExperimentSpec(
-        data=data,
+        data=_data_spec(args),
         patch_len=args.patch_len,
         lookback=args.lookback,
         horizon_steps=args.horizon,

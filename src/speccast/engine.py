@@ -103,7 +103,6 @@ class DecodeConfig:
     tolerance_lambda: float = 1.0
     sigma_target: float | None = None
     sigma_draft: float | None = None
-    draft_bias: float | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -119,8 +118,6 @@ class DecodeConfig:
                 f"lossless decoding requires tolerance_lambda == 1, got {self.tolerance_lambda}: "
                 f"min(1, lambda p/q) acceptance and the (p - q)_+ residual sample the target only at 1"
             )
-        if self.draft_bias is not None and not self.draft_bias >= 0:
-            raise ValueError(f"draft_bias must be >= 0, got {self.draft_bias}")
         for name in ("sigma_target", "sigma_draft"):
             sigma = getattr(self, name)
             if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
@@ -325,8 +322,6 @@ def _decode_speculative(
     if target.d != draft.d:
         raise ValueError(f"model dimensions differ: target d={target.d}, draft d={draft.d}")
     sigma = _resolve_sigma(target, draft, cfg)
-    if cfg.draft_bias is not None:
-        draft = draft.with_knobs(mean_bias=cfg.draft_bias)
     lossless = cfg.variant == VARIANT_LOSSLESS
     gamma = cfg.gamma
     horizon = cfg.horizon_patches
@@ -435,8 +430,6 @@ def _decode_speculative(
 def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:
     sigma = cfg.sigma_target if cfg.variant == VARIANT_TARGET_ONLY else cfg.sigma_draft
     sigma = float(sigma) if sigma is not None else model.sigma
-    if cfg.variant == VARIANT_DRAFT_ONLY and cfg.draft_bias is not None:
-        model = model.with_knobs(mean_bias=cfg.draft_bias)
     horizon = cfg.horizon_patches
     k = model.lookback
     if h0.lookback < k:

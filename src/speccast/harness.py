@@ -1,12 +1,19 @@
 """Experiment orchestration: splits, sweeps, cost measurement, calibration.
 
-A sweep point is (variant, gamma, sigma, draft scale, bias, seed). For every
-(sigma, seed) the harness also runs the target-only baseline on the same test
-windows with the same per-window seeds, so measured speedups and accuracy
-deltas compare like against like.
+A sweep point is (variant, gamma, sigma, draft scale, bias, seed). The
+draft-only baseline never looks at gamma, so it has one point per (sigma,
+scale, bias, seed), recorded with gamma 0. For every (sigma, seed) the
+harness also runs the target-only baseline on the same test windows with the
+same per-window seeds, so measured speedups and accuracy deltas compare like
+against like.
 
-Wall-clock numbers are recorded but excluded from determinism digests: on a
-fixed machine everything except timing must replay exactly.
+``RunResult`` is the one record of a sweep point: its keys, accuracy,
+acceptance, cost, the closed-form predictions and the measurements, each
+stored once. The calibration and trade-off tables are read from it. Its
+determinism digest strips every TIMING_KEYS entry: the cost model (timed
+passes), the predicted speedup (a function of the timed c), the measured
+speedup and ops factor, and the wall seconds. On a fixed machine everything
+else must replay exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -23,14 +31,16 @@ import numpy as np
 from . import rng as rngmod
 from .analysis import (
     COST_MEASURED,
-    AcceptanceEstimate,
     CostModel,
-    PredictorReport,
     estimate_alpha,
+    expected_block_length,
+    ops_factor,
+    speedup_wall,
 )
 from .engine import (
     VARIANT_DRAFT_ONLY,
     VARIANT_LOSSLESS,
+    VARIANT_PRACTICAL,
     VARIANT_TARGET_ONLY,
     VARIANTS,
     DecodeConfig,
@@ -55,20 +65,11 @@ _RETIRED_SPEC_KEYS = {
     "fit_sample_stride": 1,
 }
 
-TIMING_KEYS = {
-    "wall_times",
-    "cost",
-    "s_wall_measured",
-    "s_wall_meas",
-    "s_wall_pred",
-    "ops_factor_meas",
-    "wall_seconds",
-    "c",
-    "c_hat",
-    "target_pass_seconds",
-    "draft_pass_seconds",
-    "deltas",
-}
+SATURATION_ALPHA = 0.97  # acceptance estimate at which pick_saturation_sigma stops
+
+# Keys of the figures that read the clock: a RunResult's, and a decode
+# trace's summary ``wall_times``.
+TIMING_KEYS = {"wall_times", "cost", "s_wall_pred", "s_wall_measured", "ops_factor_meas", "wall_seconds"}
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,21 @@ class ExperimentSpec:
     max_test_windows: int = 8
 
     def __post_init__(self) -> None:
+        rules = (
+            ("patch_len", (self.patch_len,), lambda v: v >= 1, ">= 1"),
+            ("lookback", (self.lookback,), lambda v: v >= 1, ">= 1"),
+            ("horizon_steps", (self.horizon_steps,), lambda v: v >= self.patch_len,
+             f">= patch_len {self.patch_len}"),
+            ("gammas", self.gammas, lambda v: v >= 1, ">= 1"),
+            ("sigmas", self.sigmas, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+            ("biases", self.biases, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+            ("scales", self.scales, lambda v: 0 < v <= 1, "in (0, 1]"),
+            ("max_test_windows", (self.max_test_windows,), lambda v: v >= 1, ">= 1"),
+        )
+        for key, values, ok, rule in rules:
+            for v in values:
+                if not ok(v):
+                    raise ValueError(f"{key} must be {rule}, got {v}")
         if self.horizon_steps % self.patch_len != 0:
             raise ValueError(
                 f"horizon_steps {self.horizon_steps} not divisible by patch_len {self.patch_len}"
@@ -140,9 +156,6 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
-        for g in self.gammas:
-            if g < 1:
-                raise ValueError(f"gammas must be >= 1, got {g}")
         if VARIANT_LOSSLESS in self.variants and self.tolerance_lambda != 1.0:
             raise ValueError(
                 f"variant {VARIANT_LOSSLESS!r} requires tolerance_lambda == 1, got {self.tolerance_lambda}"
@@ -166,10 +179,6 @@ class ExperimentSpec:
             if (tuple(value) if isinstance(value, list) else value) != old:
                 raise ValueError(f"spec key {key!r} is retired and must be {old!r} or absent, got {value!r}")
         check_keys(d, cls, "spec")
-        fields = dataclasses.fields(cls)
-        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
-        if missing:
-            raise ValueError(f"spec lacks required key(s): {', '.join(map(repr, missing))}")
         d["data"] = DataSpec.from_dict(d["data"])
         for key in ("sigmas", "gammas", "variants", "scales", "biases", "seeds"):
             if key in d and d[key] is not None:
@@ -179,7 +188,11 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
-    """One sweep point: accuracy, acceptance, run-length, and cost figures."""
+    """One sweep point, each figure stored once.
+
+    Speculative rows carry every field. A draft_only row has no acceptance
+    figures and no predictions, and a target_only row has no cost either.
+    """
 
     dataset: str
     variant: str
@@ -192,49 +205,35 @@ class RunResult:
     mae: float
     n_windows: int
     horizon_patches: int
-    alpha_hat_estimate: float | None = None    # held-out overlap estimate
-    alpha_hat_empirical: float | None = None   # accepted / proposed, from traces
-    mean_n: float | None = None
-    mean_l: float | None = None
-    s_wall_measured: float = 1.0
-    wall_seconds: float = 0.0
+    alpha_hat: float | None = None        # held-out closed-form overlap estimate
+    n_histories: int | None = None        # held-out histories behind alpha_hat
+    alpha_empirical: float | None = None  # accepted / examined proposals, from traces
+    mean_n: float | None = None           # accepted proposals per round
+    mean_l: float | None = None           # patches emitted per round
     cost: CostModel | None = None
-    alpha_estimate: AcceptanceEstimate | None = None
-    report: PredictorReport | None = None
+    e_l_pred: float | None = None
+    s_wall_pred: float | None = None
+    ops_factor_pred: float | None = None
+    s_wall_measured: float = 1.0
+    ops_factor_meas: float | None = None
+    wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "gamma": self.gamma,
-            "sigma": self.sigma,
-            "scale": self.scale,
-            "bias": self.bias,
-            "seed": self.seed,
-            "mse": self.mse,
-            "mae": self.mae,
-            "n_windows": self.n_windows,
-            "horizon_patches": self.horizon_patches,
-            "alpha_hat_estimate": self.alpha_hat_estimate,
-            "alpha_hat_empirical": self.alpha_hat_empirical,
-            "mean_n": self.mean_n,
-            "mean_l": self.mean_l,
-            "s_wall_measured": self.s_wall_measured,
-            "wall_seconds": self.wall_seconds,
-            "cost": None if self.cost is None else self.cost.to_dict(),
-            "alpha_estimate": None if self.alpha_estimate is None else self.alpha_estimate.to_dict(),
-            "report": None if self.report is None else self.report.to_dict(),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunResult":
-        d = dict(d)
-        d["cost"] = None if d.get("cost") is None else CostModel.from_dict(d["cost"])
-        d["alpha_estimate"] = (
-            None if d.get("alpha_estimate") is None else AcceptanceEstimate(**d["alpha_estimate"])
+        """The record a ``to_dict`` document describes; ValueError names a bad key."""
+        check_keys(d, cls, "run result")
+        cost = d.get("cost")
+        return cls(**{**d, "cost": None if cost is None else CostModel.from_dict(cost)})
+
+    def rel_gaps(self) -> tuple[float, float]:
+        """|predicted - measured| / predicted, of E[L] and of the wall-clock speedup."""
+        return (
+            abs(self.e_l_pred - self.mean_l) / self.e_l_pred,
+            abs(self.s_wall_pred - self.s_wall_measured) / self.s_wall_pred,
         )
-        d["report"] = None if d.get("report") is None else PredictorReport.from_dict(d["report"])
-        return cls(**d)
 
     def determinism_digest(self) -> str:
         """Digest of all non-timing fields; identical across replays."""
@@ -307,6 +306,8 @@ def build_test_windows(
     test: PatchSeries, k_ctx: int, horizon_patches: int, max_windows: int
 ) -> list[TestWindow]:
     """Disjoint context+horizon windows, evenly subsampled across channels."""
+    if horizon_patches < 1:
+        raise ValueError(f"horizon_patches must be >= 1, got {horizon_patches}")
     windows: list[TestWindow] = []
     span = k_ctx + horizon_patches
     for ch in range(test.n_channels):
@@ -337,7 +338,6 @@ def _alpha_pairs(
     val: PatchSeries,
     k_ctx: int,
     sigma: float,
-    bias: float,
 ):
     """(p, q) heads at held-out histories, for the overlap estimator."""
     from .prob import GaussianHead
@@ -353,9 +353,8 @@ def _alpha_pairs(
         idx = np.linspace(0, len(contexts) - 1, ALPHA_HISTORIES).round().astype(int)
         contexts = [contexts[i] for i in sorted(set(idx.tolist()))]
     stack = np.stack(contexts)
-    biased_draft = draft.with_knobs(mean_bias=bias)
     mu_p = target.predict_means(stack)
-    mu_q = biased_draft.predict_means(stack)
+    mu_q = draft.predict_means(stack)
     var = np.full(target.d, sigma * sigma)
     return [(GaussianHead(mp, var), GaussianHead(mq, var)) for mp, mq in zip(mu_p, mu_q)]
 
@@ -422,17 +421,22 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     timing_window = windows[0].context[None, :, :]
 
     costs = {scale: measure_cost_ratio(target, drafts[scale], timing_window) for scale in spec.scales}
-    alpha_estimates: dict[tuple[float, float, float], AcceptanceEstimate] = {}
-    for scale in spec.scales:
-        for sigma in spec.sigmas:
-            for bias in spec.biases:
-                pairs = _alpha_pairs(target, drafts[scale], val, k_ctx, sigma, bias)
-                alpha_estimates[(scale, sigma, bias)] = estimate_alpha(pairs)
+    # One biased copy of each draft, shared by its acceptance estimate and
+    # every decode that uses it.
+    biased = {
+        (scale, bias): drafts[scale].with_knobs(mean_bias=bias) for scale in spec.scales for bias in spec.biases
+    }
+    alpha_estimates = {
+        (scale, sigma, bias): estimate_alpha(_alpha_pairs(target, biased[scale, bias], val, k_ctx, sigma))
+        for scale in spec.scales
+        for sigma in spec.sigmas
+        for bias in spec.biases
+    }
 
     dataset = spec.data.name
     truth = np.stack([w.truth for w in windows])
 
-    baselines: dict[tuple[float, int], tuple[float, dict]] = {}
+    base_walls: dict[tuple[float, int], float] = {}
     results: list[RunResult] = []
     for sigma in spec.sigmas:
         for seed in spec.seeds:
@@ -444,7 +448,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
             )
             forecasts, traces, wall = decode_windows(target, None, windows, cfg, seed, k_ctx)
             m = metrics(forecasts, truth)
-            baselines[(sigma, seed)] = (wall, m)
+            base_walls[(sigma, seed)] = wall
             results.append(
                 RunResult(
                     dataset=dataset,
@@ -466,17 +470,18 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     for variant in spec.variants:
         if variant == VARIANT_TARGET_ONLY:
             continue  # baseline rows are always emitted above
-        for gamma in spec.gammas:
+        gammas = (0,) if variant == VARIANT_DRAFT_ONLY else spec.gammas
+        for gamma in gammas:
             for sigma in spec.sigmas:
                 for scale in spec.scales:
                     for bias in spec.biases:
                         for seed in spec.seeds:
                             results.append(
                                 _run_point(
-                                    spec, dataset, target, drafts[scale], windows, truth,
+                                    spec, dataset, target, biased[scale, bias], windows, truth,
                                     costs[scale], alpha_estimates[(scale, sigma, bias)],
                                     variant, gamma, sigma, scale, bias, seed,
-                                    baselines[(sigma, seed)], k_ctx,
+                                    base_walls[(sigma, seed)], k_ctx,
                                 )
                             )
     return results
@@ -484,64 +489,46 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
 
 def _run_point(
     spec, dataset, target, draft, windows, truth, cost, alpha_est,
-    variant, gamma, sigma, scale, bias, seed, baseline, k_ctx,
+    variant, gamma, sigma, scale, bias, seed, base_wall, k_ctx,
 ) -> RunResult:
     cfg = DecodeConfig(
         variant=variant,
         horizon_patches=spec.horizon_patches,
         seed=0,
-        gamma=gamma,
+        gamma=max(gamma, 1),  # a draft_only point has gamma 0, which its decode never reads
         tolerance_lambda=spec.tolerance_lambda,
         sigma_target=sigma,
         sigma_draft=sigma,
-        draft_bias=bias,
     )
     forecasts, traces, wall = decode_windows(target, draft, windows, cfg, seed, k_ctx)
     m = metrics(forecasts, truth)
-    base_wall, _ = baseline
-    s_meas = base_wall / wall if wall > 0 else float("nan")
-
+    result = RunResult(
+        dataset=dataset, variant=variant, gamma=gamma, sigma=sigma, scale=scale, bias=bias,
+        seed=seed, mse=m["mse"], mae=m["mae"], n_windows=len(windows),
+        horizon_patches=spec.horizon_patches, cost=cost,
+        s_wall_measured=base_wall / wall if wall > 0 else float("nan"), wall_seconds=wall,
+    )
     if variant == VARIANT_DRAFT_ONLY:
-        return RunResult(
-            dataset=dataset, variant=variant, gamma=0, sigma=sigma, scale=scale,
-            bias=bias, seed=seed, mse=m["mse"], mae=m["mae"], n_windows=len(windows),
-            horizon_patches=spec.horizon_patches, s_wall_measured=s_meas,
-            wall_seconds=wall, cost=cost,
-        )
+        return result
 
     lengths = np.concatenate([t.round_lengths() for t in traces])
     accepted = np.concatenate([t.accepted_counts() for t in traces])
-    proposals = int(np.minimum(accepted + 1, cfg.gamma).sum())
-    n_accepted = int(accepted.sum())
-    report = PredictorReport.predict(alpha_est.alpha_bar_hat, gamma, cost)
-    report.e_l_meas = float(lengths.mean())
-    report.n_mean_meas = float(accepted.mean())
-    report.s_wall_meas = s_meas
+    proposals = int(np.minimum(accepted + 1, gamma).sum())
+    alpha = alpha_est.alpha_bar_hat
     total_target = sum(t.totals.target_passes for t in traces)
     total_draft = sum(t.totals.draft_passes for t in traces)
     total_patches = sum(t.totals.patches_emitted for t in traces)
-    report.ops_factor_meas = (cost.c_hat * total_draft + total_target) / total_patches
-    return RunResult(
-        dataset=dataset,
-        variant=variant,
-        gamma=gamma,
-        sigma=sigma,
-        scale=scale,
-        bias=bias,
-        seed=seed,
-        mse=m["mse"],
-        mae=m["mae"],
-        n_windows=len(windows),
-        horizon_patches=spec.horizon_patches,
-        alpha_hat_estimate=alpha_est.alpha_bar_hat,
-        alpha_hat_empirical=n_accepted / proposals if proposals else None,
+    return dataclasses.replace(
+        result,
+        alpha_hat=alpha,
+        n_histories=alpha_est.n_histories,
+        alpha_empirical=int(accepted.sum()) / proposals if proposals else None,
         mean_n=float(accepted.mean()),
         mean_l=float(lengths.mean()),
-        s_wall_measured=s_meas,
-        wall_seconds=wall,
-        cost=cost,
-        alpha_estimate=alpha_est,
-        report=report,
+        e_l_pred=expected_block_length(alpha, gamma),
+        s_wall_pred=speedup_wall(alpha, gamma, cost.c),
+        ops_factor_pred=ops_factor(alpha, gamma, cost.c_hat),
+        ops_factor_meas=(cost.c_hat * total_draft + total_target) / total_patches,
     )
 
 
@@ -551,42 +538,31 @@ def _run_point(
 
 
 @dataclass
-class CalibrationRow:
-    dataset: str
-    variant: str
-    gamma: int
-    sigma: float
-    scale: float
-    bias: float
-    seed: int
-    alpha_hat: float
-    e_l_pred: float
-    n_mean_meas: float
-    l_mean_meas: float
-    s_wall_pred: float
-    s_wall_meas: float
-    e_l_rel_gap: float
-    s_wall_rel_gap: float
-    flagged: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass
 class CalibrationTable:
-    rows: list[CalibrationRow]
+    """The results that carry predictions, and the relative gap above which a row is flagged."""
+
+    rows: list[RunResult]
     flag_threshold: float
+
+    def flagged(self, r: RunResult) -> bool:
+        return any(gap > self.flag_threshold for gap in r.rel_gaps())
 
     @property
     def any_flagged(self) -> bool:
-        return any(r.flagged for r in self.rows)
+        return any(self.flagged(r) for r in self.rows)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"flag_threshold": self.flag_threshold, "rows": [r.to_dict() for r in self.rows]},
-            sort_keys=True,
-        )
+        """Per row: the point's keys, the predicted and measured figures, both gaps and the flag."""
+        keys = ("dataset", "variant", "gamma", "sigma", "scale", "bias", "seed", "alpha_hat",
+                "e_l_pred", "s_wall_pred", "ops_factor_pred", "mean_n", "mean_l", "s_wall_measured",
+                "ops_factor_meas")
+        rows = []
+        for r in self.rows:
+            row = {k: getattr(r, k) for k in keys}
+            row["e_l_rel_gap"], row["s_wall_rel_gap"] = r.rel_gaps()
+            row["flagged"] = self.flagged(r)
+            rows.append(row)
+        return json.dumps({"flag_threshold": self.flag_threshold, "rows": rows}, sort_keys=True)
 
     def render_text(self) -> str:
         header = (
@@ -598,112 +574,51 @@ class CalibrationTable:
         for r in self.rows:
             lines.append(
                 f"{r.dataset:<18} {r.variant:<10} {r.gamma:>2d} {r.sigma:>6.3f} {r.scale:>5.2f} "
-                f"{r.bias:>5.2f} {r.alpha_hat:>7.4f} {r.e_l_pred:>8.3f} {r.n_mean_meas:>7.3f} "
-                f"{r.l_mean_meas:>7.3f} {r.s_wall_pred:>7.3f} {r.s_wall_meas:>7.3f} "
-                f"{'YES' if r.flagged else '':>5}"
+                f"{r.bias:>5.2f} {r.alpha_hat:>7.4f} {r.e_l_pred:>8.3f} {r.mean_n:>7.3f} "
+                f"{r.mean_l:>7.3f} {r.s_wall_pred:>7.3f} {r.s_wall_measured:>7.3f} "
+                f"{'YES' if self.flagged(r) else '':>5}"
             )
         return "\n".join(lines)
 
 
 def calibrate(results: list[RunResult], flag_threshold: float = 0.25) -> CalibrationTable:
-    """Predicted-vs-measured table; flags rows with a large relative gap.
+    """Predicted-vs-measured table of the results that carry predictions.
 
     Both the accepted-run mean (n) and the output-length mean (L) appear,
     since measured block statistics are reported under either convention.
     """
-    rows = []
-    for res in results:
-        if res.report is None:
-            continue
-        r = res.report
-        gaps = r.deltas()
-        e_gap = gaps.get("e_l_rel_gap", 0.0)
-        s_gap = gaps.get("s_wall_rel_gap", 0.0)
-        rows.append(
-            CalibrationRow(
-                dataset=res.dataset,
-                variant=res.variant,
-                gamma=res.gamma,
-                sigma=res.sigma,
-                scale=res.scale,
-                bias=res.bias,
-                seed=res.seed,
-                alpha_hat=res.alpha_hat_estimate,
-                e_l_pred=r.e_l_pred,
-                n_mean_meas=r.n_mean_meas,
-                l_mean_meas=r.e_l_meas,
-                s_wall_pred=r.s_wall_pred,
-                s_wall_meas=r.s_wall_meas,
-                e_l_rel_gap=e_gap,
-                s_wall_rel_gap=s_gap,
-                flagged=bool(e_gap > flag_threshold or s_gap > flag_threshold),
-            )
-        )
-    return CalibrationTable(rows=rows, flag_threshold=flag_threshold)
+    return CalibrationTable([r for r in results if r.e_l_pred is not None], flag_threshold)
 
 
-@dataclass
-class TradeoffRow:
-    dataset: str
-    variant: str
-    gamma: int
-    sigma: float
-    scale: float
-    bias: float
-    seed: int
-    mse: float
-    baseline_mse: float
-    delta_mse_pct: float
-    s_wall_measured: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def tradeoff_table(results: list[RunResult]) -> list[TradeoffRow]:
-    """Accuracy-vs-speed rows relative to the matching target-only baseline."""
+def tradeoff_table(results: list[RunResult]) -> list[tuple[RunResult, RunResult]]:
+    """(result, matching target-only baseline) pairs, by measured speedup."""
     baselines = {
         (r.dataset, r.sigma, r.seed): r
         for r in results
         if r.variant == VARIANT_TARGET_ONLY
     }
-    rows = []
+    pairs = []
     for res in results:
         if res.variant == VARIANT_TARGET_ONLY:
             continue
         key = (res.dataset, res.sigma, res.seed)
         if key not in baselines:
             raise ValueError(f"missing target_only baseline for {key}")
-        base = baselines[key]
-        rows.append(
-            TradeoffRow(
-                dataset=res.dataset,
-                variant=res.variant,
-                gamma=res.gamma,
-                sigma=res.sigma,
-                scale=res.scale,
-                bias=res.bias,
-                seed=res.seed,
-                mse=res.mse,
-                baseline_mse=base.mse,
-                delta_mse_pct=100.0 * (res.mse - base.mse) / base.mse,
-                s_wall_measured=res.s_wall_measured,
-            )
-        )
-    rows.sort(key=lambda r: r.s_wall_measured)
-    return rows
+        pairs.append((res, baselines[key]))
+    pairs.sort(key=lambda pair: pair[0].s_wall_measured)
+    return pairs
 
 
-def render_tradeoff(rows: list[TradeoffRow]) -> str:
+def render_tradeoff(pairs: list[tuple[RunResult, RunResult]]) -> str:
     header = (
         f"{'dataset':<18} {'variant':<10} {'g':>2} {'sigma':>6} {'scale':>5} "
         f"{'MSE':>9} {'dMSE%':>7} {'S meas':>7}"
     )
     lines = [header, "-" * len(header)]
-    for r in rows:
+    for r, base in pairs:
         lines.append(
             f"{r.dataset:<18} {r.variant:<10} {r.gamma:>2d} {r.sigma:>6.3f} {r.scale:>5.2f} "
-            f"{r.mse:>9.4f} {r.delta_mse_pct:>7.2f} {r.s_wall_measured:>7.3f}"
+            f"{r.mse:>9.4f} {100.0 * (r.mse - base.mse) / base.mse:>7.2f} {r.s_wall_measured:>7.3f}"
         )
     return "\n".join(lines)
 
@@ -716,11 +631,11 @@ def render_results(results: list[RunResult]) -> str:
     )
     lines = [header, "-" * len(header)]
     for r in results:
-        alpha = f"{r.alpha_hat_estimate:.4f}" if r.alpha_hat_estimate is not None else "--"
-        emp = f"{r.alpha_hat_empirical:.4f}" if r.alpha_hat_empirical is not None else "--"
+        alpha = f"{r.alpha_hat:.4f}" if r.alpha_hat is not None else "--"
+        emp = f"{r.alpha_empirical:.4f}" if r.alpha_empirical is not None else "--"
         mean_l = f"{r.mean_l:.3f}" if r.mean_l is not None else "--"
         c = f"{r.cost.c:.3f}" if r.cost is not None else "--"
-        s_pred = f"{r.report.s_wall_pred:.3f}" if r.report is not None else "--"
+        s_pred = f"{r.s_wall_pred:.3f}" if r.s_wall_pred is not None else "--"
         lines.append(
             f"{r.dataset:<18} {r.variant:<11} {r.gamma:>2d} {r.sigma:>6.3f} {r.scale:>5.2f} "
             f"{r.bias:>5.2f} {r.mse:>9.4f} {r.mae:>9.4f} {alpha:>7} {emp:>7} {mean_l:>7} "
@@ -729,20 +644,17 @@ def render_results(results: list[RunResult]) -> str:
     return "\n".join(lines)
 
 
-def pick_saturation_sigma(
-    results: list[RunResult],
-    variant: str = "practical",
-    threshold: float = 0.97,
-) -> float:
-    """Smallest sigma whose held-out acceptance estimate reaches saturation."""
+def pick_saturation_sigma(results: list[RunResult]) -> float:
+    """Smallest sigma whose practical held-out acceptance estimate reaches
+    SATURATION_ALPHA, else the sigma of the highest estimate."""
     candidates = [
-        (r.sigma, r.alpha_hat_estimate)
+        (r.sigma, r.alpha_hat)
         for r in results
-        if r.variant == variant and r.alpha_hat_estimate is not None
+        if r.variant == VARIANT_PRACTICAL and r.alpha_hat is not None
     ]
     if not candidates:
         raise ValueError("no rows with acceptance estimates")
-    saturated = sorted(s for s, a in candidates if a >= threshold)
+    saturated = sorted(s for s, a in candidates if a >= SATURATION_ALPHA)
     if saturated:
         return saturated[0]
     return max(candidates, key=lambda t: t[1])[0]

@@ -201,6 +201,8 @@ class ForecastModel:
 
 def effective_lookback(lookback: int, scale: float) -> int:
     """Capacity truncation rule: scale < 1 keeps the most recent patches."""
+    if lookback < 1:
+        raise ValueError(f"lookback must be >= 1, got {lookback}")
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
     return max(1, round(scale * lookback))

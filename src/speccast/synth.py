@@ -14,10 +14,15 @@ import numpy as np
 
 
 def check_keys(d: dict, cls, what: str) -> None:
-    """ValueError naming every key of document ``d`` that is not a field of dataclass ``cls``."""
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    """ValueError naming every key of document ``d`` that is not a field of
+    dataclass ``cls``, or else every required field that ``d`` lacks."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"{what} lacks required key(s): {', '.join(map(repr, missing))}")
 
 
 @dataclass(frozen=True)
@@ -124,14 +129,4 @@ def seasonal_ar(
         if obs_noise > 0:
             x = x + rng.standard_normal(n_steps) * obs_noise
         out[ch] = x
-    return out
-
-
-def pure_seasonal(n_steps: int, n_channels: int = 1, season_len: int = 64, seed: int = 0) -> np.ndarray:
-    """Exactly periodic series: x_t = x_{t-season_len} with no noise."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty((n_channels, n_steps))
-    for ch in range(n_channels):
-        prof = seasonal_profile(season_len, 1.0, 3, rng)
-        out[ch] = np.tile(prof, n_steps // season_len + 1)[:n_steps]
     return out

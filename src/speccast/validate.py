@@ -590,7 +590,7 @@ def suite_end_to_end(seed: int = 0) -> SuiteResult:
     )
     gamma = row.gamma
     c.details["sigma_star"] = sigma_star
-    c.details["alpha_hat"] = row.alpha_hat_estimate
+    c.details["alpha_hat"] = row.alpha_hat
     c.details["mean_l"] = row.mean_l
     c.details["gamma"] = gamma
     c.details["mse"] = row.mse
@@ -598,7 +598,7 @@ def suite_end_to_end(seed: int = 0) -> SuiteResult:
     c.details["delta_mse_pct"] = 100.0 * (row.mse - base.mse) / base.mse
     c.details["measured_c"] = row.cost.c
     c.details["s_wall_measured"] = row.s_wall_measured
-    c.details["s_wall_pred"] = row.report.s_wall_pred
+    c.details["s_wall_pred"] = row.s_wall_pred
 
     c.check(
         row.mean_l >= 0.9 * (gamma + 1),

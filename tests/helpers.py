@@ -1,12 +1,10 @@
-"""Test-only builders and readers: synthetic AR(1) data, a CSV writer,
-standardization inverse, and the calibration table's JSON reader."""
+"""Test-only builders: synthetic AR(1) data, a CSV writer, and the
+standardization inverse."""
 
 import csv
-import json
 
 import numpy as np
 
-from speccast.harness import CalibrationRow, CalibrationTable
 from speccast.synth import _ar1_recursion
 
 
@@ -33,11 +31,3 @@ def write_csv(path, values: np.ndarray) -> None:
 def invert(stats, values: np.ndarray) -> np.ndarray:
     """Undo ``stats.apply`` on a (C, L) matrix, one channel at a time."""
     return np.stack([stats.invert_channel(v, ch) for ch, v in enumerate(values)])
-
-
-def calibration_table_from_json(text: str) -> CalibrationTable:
-    """The table a ``CalibrationTable.to_json`` document describes."""
-    d = json.loads(text)
-    return CalibrationTable(
-        rows=[CalibrationRow(**r) for r in d["rows"]], flag_threshold=d["flag_threshold"]
-    )

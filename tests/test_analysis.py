@@ -1,5 +1,6 @@
 """Closed-form predictors, estimators, and deviation bounds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from speccast import rng as rngmod
 from speccast.analysis import (
     AcceptanceEstimate,
     CostModel,
-    PredictorReport,
     block_length_pmf,
     dependence_interval,
     deviation_bounds,
@@ -244,7 +244,10 @@ class TestCostModel:
 
     def test_roundtrip(self):
         cm = CostModel(c=0.3, c_hat=0.25, source="measured", n_timed_passes=100)
-        assert CostModel.from_dict(cm.to_dict()) == cm
+        doc = dataclasses.asdict(cm)
+        assert CostModel.from_dict(doc) == cm
+        with pytest.raises(ValueError, match=r"unknown cost key\(s\): 'bogus'$"):
+            CostModel.from_dict({**doc, "bogus": 1})
 
 
 class TestEstimateAlpha:
@@ -379,42 +382,3 @@ class TestDeviationBounds:
         assert b.kl_bound_1d is None
         assert b.tv_bound == b.alpha_bar
         assert "alpha_bar" in b.note
-
-
-class TestPredictorReport:
-    def test_predict_and_attach(self):
-        cost = CostModel(c=0.25, c_hat=0.25)
-        rep = PredictorReport.predict(0.8, 3, cost)
-        assert rep.e_l_pred == pytest.approx(expected_block_length(0.8, 3))
-        assert rep.s_wall_pred == pytest.approx(speedup_wall(0.8, 3, 0.25))
-        assert rep.ops_factor_pred == pytest.approx(ops_factor(0.8, 3, 0.25))
-        rep.e_l_meas = 2.8
-        rep.s_wall_meas = 1.4
-        deltas = rep.deltas()
-        assert deltas["e_l_rel_gap"] == pytest.approx(abs(rep.e_l_pred - 2.8) / rep.e_l_pred)
-
-    def test_calibration_rows_take_the_report_gaps(self):
-        from speccast.harness import RunResult, calibrate
-
-        rep = PredictorReport.predict(0.8, 3, CostModel(c=0.25, c_hat=0.25))
-        rep.e_l_meas, rep.s_wall_meas = 2.8, 1.4
-        unmeasured = PredictorReport.predict(0.8, 3, CostModel(c=0.25, c_hat=0.25))
-        results = [
-            RunResult(dataset="d", variant="practical", gamma=3, sigma=1.0, scale=0.25, bias=0.0,
-                      seed=0, mse=1.0, mae=1.0, n_windows=1, horizon_patches=4, report=r)
-            for r in (rep, unmeasured)
-        ]
-        rows = calibrate(results, flag_threshold=0.1).rows
-        assert (rows[0].e_l_rel_gap, rows[0].s_wall_rel_gap) == (
-            rep.deltas()["e_l_rel_gap"], rep.deltas()["s_wall_rel_gap"]
-        )
-        assert rows[0].flagged == (max(rep.deltas().values()) > 0.1)
-        # no measurement, no gap
-        assert (rows[1].e_l_rel_gap, rows[1].s_wall_rel_gap, rows[1].flagged) == (0.0, 0.0, False)
-
-    def test_dict_roundtrip(self):
-        cost = CostModel(c=0.25, c_hat=0.3)
-        rep = PredictorReport.predict(0.9, 2, cost)
-        rep.e_l_meas = 2.5
-        back = PredictorReport.from_dict(rep.to_dict())
-        assert back == rep

@@ -5,13 +5,11 @@ import json
 
 import pytest
 
-from speccast import validate
+from speccast import harness, validate
 from speccast.cli import content_digest, main
-from speccast.harness import RunResult
+from speccast.harness import DataSpec, RunResult
 from speccast.models import load_model, save_model
 from speccast.validate import SuiteResult
-
-from helpers import calibration_table_from_json
 
 # A tiny synthetic sweep: one channel, 8-step patches, 3 test windows of
 # 4 patches, both speculative variants plus the target-only baseline.
@@ -27,9 +25,21 @@ def _no_default_out_dir(monkeypatch):
     monkeypatch.delenv("SPECCAST_OUT_DIR", raising=False)
 
 
-def _digests(results_path):
+def _records(results_path):
     with open(results_path) as fh:
-        return [RunResult.from_dict(json.loads(line)).determinism_digest() for line in fh if line.strip()]
+        return [RunResult.from_dict(json.loads(line)) for line in fh if line.strip()]
+
+
+def _digests(results_path):
+    return [r.determinism_digest() for r in _records(results_path)]
+
+
+@pytest.fixture
+def no_fitting(monkeypatch):
+    """Fail at once if a scan gets as far as fitting."""
+    def refuse(spec):
+        raise AssertionError("scan reached run_experiment")
+    monkeypatch.setattr(harness, "run_experiment", refuse)
 
 
 def test_scan_calibrate_manifest_and_replay(tmp_path, capsys):
@@ -53,13 +63,39 @@ def test_scan_calibrate_manifest_and_replay(tmp_path, capsys):
 
     results = str(first / "results.jsonl")
     assert main(["calibrate", "--results", results, "--out", str(flagged), "--flag-threshold", "0"]) == 0
-    table = calibration_table_from_json(flagged.read_text())
-    assert [r.variant for r in table.rows] == ["practical", "lossless"]
-    assert table.any_flagged  # a zero threshold flags any gap
+    rows = json.loads(flagged.read_text())["rows"]
+    assert [r["variant"] for r in rows] == ["practical", "lossless"]
+    assert all(r["flagged"] for r in rows)  # a zero threshold flags any gap
     # calibration failure: exit 1 only under --strict
     assert main(["calibrate", "--results", results, "--strict", "--flag-threshold", "0"]) == 1
     assert main(["calibrate", "--results", results, "--strict", "--flag-threshold", "1e9"]) == 0
     assert "calibration flags raised" in capsys.readouterr().err
+
+    # a line with a key the record does not have, such as one written
+    # before the record held each figure once, is refused by name
+    line = json.loads((first / "results.jsonl").read_text().splitlines()[1])
+    old = tmp_path / "old.jsonl"
+    old.write_text(json.dumps({**line, "report": None}) + "\n")
+    capsys.readouterr()
+    assert main(["calibrate", "--results", str(old)]) == 2
+    assert capsys.readouterr().err == "error: unknown run result key(s): 'report'\n"
+
+
+def test_draft_only_is_decoded_once_per_point(tmp_path):
+    out = tmp_path / "out"
+    argv = [*SCAN, "--gammas", "2,3", "--variants", "practical,draft_only", "--biases", "0,0.3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    records = _records(out / "results.jsonl")
+    assert [(r.variant, r.gamma, r.bias) for r in records] == [
+        ("target_only", 0, 0.0),
+        ("practical", 2, 0.0), ("practical", 2, 0.3), ("practical", 3, 0.0), ("practical", 3, 0.3),
+        ("draft_only", 0, 0.0), ("draft_only", 0, 0.3),
+    ]
+    assert len(set(_digests(out / "results.jsonl"))) == len(records)
+    # the biased draft is the one both the estimate and the decode see
+    biased = [r for r in records if r.variant == "practical" and r.bias == 0.3]
+    unbiased = [r for r in records if r.variant == "practical" and r.bias == 0.0]
+    assert all(b.alpha_hat < u.alpha_hat for b, u in zip(biased, unbiased))
 
 
 def test_validate_exit_codes(tmp_path, monkeypatch):
@@ -79,6 +115,8 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
         ["validate", "--suite", "no-such-suite"],
         ["predict", "--alpha", "1.5", "--gamma", "3"],
         ["fit", "--patch-len", "8", "--lookback", "4", "--out", "model.json"],  # no data source
+        ["fit", "--synthetic", "seasonal-ar", "--synth-steps", "4000", "--patch-len", "8",
+         "--lookback", "0", "--out", "model.json"],
         ["calibrate", "--results", "missing/results.jsonl"],
     ],
 )
@@ -103,6 +141,16 @@ DATA = ["--synthetic", "seasonal-ar", "--synth-steps", "4000", "--synth-channels
 def _fit(path, *extra):
     assert main(["fit", *DATA, "--patch-len", "8", "--lookback", "4", "--out", str(path), *extra]) == 0
     return path
+
+
+def test_manifests_record_the_data_spec(tmp_path):
+    model = _fit(tmp_path / "fit" / "target.json", "--synth-ar-std", "0.9", "--synth-ar-coeff", "0.5")
+    data = json.loads((tmp_path / "fit" / "manifest.json").read_text())["resolved"]["data"]
+    spec = DataSpec.from_dict(data)
+    assert (spec.synthetic.ar_std, spec.synthetic.ar_coeff, spec.synthetic.n_steps) == (0.9, 0.5, 4000)
+    assert main(["decode", *DATA, "--synth-ar-std", "0.9", "--synth-ar-coeff", "0.5", "--target", str(model),
+                 "--variant", "target_only", "--horizon", "16", "--out", str(tmp_path / "dec")]) == 0
+    assert json.loads((tmp_path / "dec" / "manifest.json").read_text())["resolved"]["data"] == data
 
 
 def test_lossless_below_variance_floor_exits_2(tmp_path, capsys):
@@ -139,6 +187,11 @@ def test_decode_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main([*argv, "--variant", "practical"]) == 2
     assert capsys.readouterr().err == "error: --variant practical requires --draft\n"
+    # --bias is the draft model's mean_bias, set once on the loaded draft
+    assert main([*argv, "--variant", "target_only", "--bias", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: --bias requires --draft\n"
+    assert main([*argv, "--draft", str(target), "--variant", "draft_only", "--bias", "-1"]) == 2
+    assert capsys.readouterr().err == "error: mean_bias must be >= 0, got -1.0\n"
     short = ["--synth-steps", "16"]  # two 8-step patches against a lookback of 4
     assert main([*argv, *short, "--variant", "target_only"]) == 2
     assert "channel 0: 2 patches of history, need 4" in capsys.readouterr().err
@@ -148,7 +201,7 @@ def test_decode_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_scan_spec_errors_exit_2(tmp_path, capsys):
+def test_scan_spec_errors_exit_2(tmp_path, capsys, no_fitting):
     spec = tmp_path / "spec.json"
     base = {"data": {"synthetic": {"n_steps": 6000}}, "patch_len": 8, "lookback": 4, "horizon_steps": 32}
     cases = [
@@ -163,6 +216,13 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys):
         ({**base, "variants": ["practical", "lossless"], "tolerance_lambda": 0.6},
          "variant 'lossless' requires tolerance_lambda == 1, got 0.6"),
         ({**base, "gammas": [3, 0]}, "gammas must be >= 1, got 0"),
+        ({**base, "patch_len": 0}, "patch_len must be >= 1, got 0"),
+        ({**base, "lookback": 0}, "lookback must be >= 1, got 0"),
+        ({**base, "horizon_steps": 0}, "horizon_steps must be >= patch_len 8, got 0"),
+        ({**base, "sigmas": [0.5, 0.0]}, "sigmas must be finite and > 0, got 0.0"),
+        ({**base, "biases": [-1.0]}, "biases must be finite and >= 0, got -1.0"),
+        ({**base, "scales": [1.5]}, "scales must be in (0, 1], got 1.5"),
+        ({**base, "max_test_windows": 0}, "max_test_windows must be >= 1, got 0"),
     ]
     capsys.readouterr()
     for doc, message in cases:
@@ -172,15 +232,23 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1  # no traceback
 
 
-def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys):
+def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys, no_fitting):
     # SCAN without its data flags; the synthetic flags it keeps are harmless
     no_data = [a for a in SCAN if a not in ("--synthetic", "seasonal-ar")]
     out = tmp_path / "out"
     cases = [
         (no_data, "pass exactly one of --csv or --synthetic"),
         ([*SCAN, "--csv", str(tmp_path / "x.csv")], "pass exactly one of --csv or --synthetic"),
-        ([*no_data, "--synthetic", "pure-seasonal"], "scan cannot use --synthetic pure-seasonal"),
         ([*SCAN, "--gammas", "0"], "gammas must be >= 1, got 0"),
+        ([*SCAN, "--horizon", "0"], "horizon_steps must be >= patch_len 8, got 0"),
+        ([*SCAN, "--patch-len", "0"], "patch_len must be >= 1, got 0"),
+        ([*SCAN, "--max-windows", "0"], "max_test_windows must be >= 1, got 0"),
+        ([*SCAN, "--lookback", "0"], "lookback must be >= 1, got 0"),
+        ([*SCAN, "--sigmas", "0"], "sigmas must be finite and > 0, got 0.0"),
+        ([*SCAN, "--sigmas", "nan"], "sigmas must be finite and > 0, got nan"),
+        ([*SCAN, "--sigmas", "-0.5"], "sigmas must be finite and > 0, got -0.5"),
+        ([*SCAN, "--biases", "-1"], "biases must be finite and >= 0, got -1.0"),
+        ([*SCAN, "--scales", "1.5"], "scales must be in (0, 1], got 1.5"),
     ]
     capsys.readouterr()
     for argv, message in cases:
@@ -188,6 +256,10 @@ def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+    # the only synthetic series is seasonal-ar; another name is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*no_data, "--synthetic", "pure-seasonal", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

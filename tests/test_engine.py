@@ -24,7 +24,7 @@ from speccast.engine import (
 from speccast.models import History, fit_linear_ar, load_model, persistence_model, save_model
 from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
 from speccast.series import PatchSeries, metrics
-from speccast.synth import pure_seasonal
+from speccast.synth import SyntheticSpec
 from helpers import ar1
 from test_prob import assert_close_vector, reference_residual_sample
 from test_series_models import oracle_ar1
@@ -168,7 +168,7 @@ class TestBaselines:
         assert np.array_equal(f1, f2)
 
     def test_tiny_sigma_tracks_truth_on_seasonal(self):
-        values = pure_seasonal(4096, n_channels=1, season_len=16, seed=3)
+        values = SyntheticSpec(4096, n_channels=1, season_len=16, ar_std=0.0, seed=3).generate()
         series = PatchSeries.from_values(values, patch_len=16)
         model = fit_linear_ar(series, lookback=2, ridge=1e-8)
         patches = series.channel_patches(0)
@@ -278,12 +278,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(variant="practical", horizon_patches=1, seed=0, gamma=0)
 
-    def test_draft_bias_override(self):
-        target, draft, h0 = make_pair(gap=0.0)
-        cfg = dataclasses.replace(cfg_for("practical", horizon=60, seed=4), draft_bias=20.0)
-        _, trace = decode(target, draft, h0, cfg)
-        assert trace.round_lengths().mean() < 1.1
-
 
 def _linear_pair(d=4):
     series = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=d)
@@ -294,15 +288,12 @@ def _linear_pair(d=4):
 
 
 class TestDraftBias:
-    """draft_bias / mean_bias is a norm: one meaning on every path."""
+    """A draft's bias is the model's mean_bias, a norm: one meaning on every path."""
 
     @pytest.mark.parametrize("bias", [-0.5, -3.0, float("nan")])
     def test_negative_bias_rejected_on_every_path(self, bias, tmp_path):
         target, draft, h0 = _linear_pair()
-        for variant in ("practical", "lossless", "draft_only"):
-            with pytest.raises(ValueError, match="draft_bias"):
-                cfg_for(variant, draft_bias=bias)
-        # the harness's acceptance estimate biases its draft via with_knobs
+        # the harness and the CLI bias a draft via with_knobs, once per draft
         with pytest.raises(ValueError, match="mean_bias"):
             draft.with_knobs(mean_bias=bias)
         with pytest.raises(ValueError, match="mean_bias"):
@@ -332,18 +323,24 @@ class TestDraftBias:
             draft.predict_means(stack) + shift, rtol=0, atol=1e-12,
         )
         # draft_only decode: the first patch is the draft mean plus noise
+        biased = draft.with_knobs(mean_bias=bias)
         cfg = cfg_for("draft_only", horizon=1, seed=3)
         f0, _ = decode(target, draft, h0, cfg)
-        f1, _ = decode(target, draft, h0, dataclasses.replace(cfg, draft_bias=bias))
+        f1, _ = decode(target, biased, h0, cfg)
         np.testing.assert_allclose(f1[0] - f0[0], shift, rtol=0, atol=1e-12)
         # speculative decode: the first proposal moves by the same vector,
         # and its draft log density (noise only) does not move
         for variant in ("practical", "lossless"):
             cfg = cfg_for(variant, horizon=4, seed=3)
             _, t0 = decode(target, draft, h0, cfg)
-            _, t1 = decode(target, draft, h0, dataclasses.replace(cfg, draft_bias=bias))
+            _, t1 = decode(target, biased, h0, cfg)
             np.testing.assert_allclose(t1.xs[0, 0] - t0.xs[0, 0], shift, rtol=0, atol=1e-12)
             assert t1.log_q[0, 0] == pytest.approx(t0.log_q[0, 0], abs=1e-12)
+
+    def test_far_biased_draft_is_always_rejected(self):
+        target, draft, h0 = make_pair(gap=0.0)
+        _, trace = decode(target, draft.with_knobs(mean_bias=20.0), h0, cfg_for("practical", horizon=60, seed=4))
+        assert trace.round_lengths().mean() < 1.1
 
 
 class TestOracleTarget:
@@ -455,8 +452,6 @@ def _reference_decode(target, draft, h0, cfg):
         model = target if cfg.variant == "target_only" else draft
         sigma = cfg.sigma_target if cfg.variant == "target_only" else cfg.sigma_draft
         sigma = float(sigma) if sigma is not None else model.sigma
-        if cfg.variant == "draft_only" and cfg.draft_bias is not None:
-            model = model.with_knobs(mean_bias=cfg.draft_bias)
         history = _RingHistory(h0)
         noise = rngmod.stream(cfg.seed, 0, rngmod.DIRECT).standard_normal((cfg.horizon_patches, model.d))
         outputs = np.empty((cfg.horizon_patches, model.d))
@@ -475,8 +470,6 @@ def _reference_decode(target, draft, h0, cfg):
 
     sigma_t = cfg.sigma_target if cfg.sigma_target is not None else target.sigma
     sigma_d = cfg.sigma_draft if cfg.sigma_draft is not None else draft.sigma
-    if cfg.draft_bias is not None:
-        draft = draft.with_knobs(mean_bias=cfg.draft_bias)
     gamma, d = cfg.gamma, target.d
     k_t, k_d = target.lookback, draft.lookback
     k_max = max(k_t, k_d)
@@ -568,7 +561,7 @@ def _reference_pair(kind, sigma=0.4):
 _REFERENCE_CONFIGS = [
     dict(horizon_patches=13, gamma=3),
     dict(horizon_patches=1, gamma=2),
-    dict(horizon_patches=17, gamma=4, draft_bias=0.3),
+    dict(horizon_patches=17, gamma=4, mean_bias=0.3),  # a draft knob, not a decode setting
     dict(horizon_patches=9, gamma=1, tolerance_lambda=0.6),
     dict(horizon_patches=11, gamma=3, tolerance_lambda=1.7),
     dict(horizon_patches=12, gamma=3, sigma_target=0.15, sigma_draft=0.15),
@@ -615,13 +608,14 @@ class TestReferenceLoop:
         sources = set()
         for conf in _REFERENCE_CONFIGS:
             conf = {"sigma_target": 0.4, "sigma_draft": 0.4, **conf}
+            conf_draft = draft.with_knobs(mean_bias=conf.pop("mean_bias", None))
             for seed in (0, 7, 123):
                 if variant == "lossless" and conf.get("tolerance_lambda", 1.0) != 1.0:
                     with pytest.raises(ValueError, match="lossless decoding requires tolerance_lambda == 1"):
                         DecodeConfig(variant=variant, seed=seed, **conf)
                     continue
                 cfg = DecodeConfig(variant=variant, seed=seed, **conf)
-                model_draft = None if variant == "target_only" else draft
+                model_draft = None if variant == "target_only" else conf_draft
                 forecast, trace = decode(target, model_draft, h0, cfg)
                 ref_forecast, ref_rounds, ref_totals, ref_truncated = _reference_decode(
                     target, model_draft, h0, cfg

@@ -1,13 +1,22 @@
-"""Experiment harness: the cost measurement and the spec document."""
+"""Experiment harness: the cost measurement, the spec document and the sweep record."""
 
 import json
 import warnings
 
 import pytest
 
-from speccast.analysis import COST_MEASURED
-from speccast.harness import TIMING_PASSES, DataSpec, ExperimentSpec, measure_cost_ratio
-from speccast.models import fit_linear_ar, persistence_model
+from speccast.analysis import COST_MEASURED, CostModel, expected_block_length, ops_factor, speedup_wall
+from speccast.harness import (
+    TIMING_PASSES,
+    DataSpec,
+    ExperimentSpec,
+    RunResult,
+    build_test_windows,
+    calibrate,
+    measure_cost_ratio,
+    run_experiment,
+)
+from speccast.models import effective_lookback, fit_linear_ar, persistence_model
 from speccast.series import PatchSeries
 from speccast.synth import SyntheticSpec
 
@@ -86,3 +95,88 @@ class TestSpecDocument:
             ExperimentSpec.from_dict({k: v for k, v in doc.items() if k != "data"})
         with pytest.raises(ValueError, match=r"lacks required key\(s\): 'patch_len', 'lookback'$"):
             ExperimentSpec.from_dict({k: v for k, v in doc.items() if k not in ("patch_len", "lookback")})
+
+
+class TestSpecRanges:
+    def test_degenerate_sizes_are_refused_where_they_are_used(self):
+        series = PatchSeries.from_values(ar1(400, seed=3), patch_len=4)
+        with pytest.raises(ValueError, match=r"horizon_patches must be >= 1, got 0$"):
+            build_test_windows(series, 4, 0, 8)
+        with pytest.raises(ValueError, match=r"lookback must be >= 1, got 0$"):
+            effective_lookback(0, 1.0)
+        with pytest.raises(ValueError, match=r"lookback must be >= 1, got 0$"):
+            fit_linear_ar(series, lookback=0)
+
+
+def _record(**kw):
+    """A practical sweep point with predictions and measurements."""
+    base = dict(
+        dataset="d", variant="practical", gamma=3, sigma=1.0, scale=0.25, bias=0.0, seed=0,
+        mse=1.0, mae=1.0, n_windows=1, horizon_patches=4, alpha_hat=0.8, n_histories=64,
+        alpha_empirical=0.75, mean_n=1.8, mean_l=2.8, cost=CostModel(c=0.25, c_hat=0.25),
+        e_l_pred=expected_block_length(0.8, 3), s_wall_pred=speedup_wall(0.8, 3, 0.25),
+        ops_factor_pred=ops_factor(0.8, 3, 0.25), s_wall_measured=1.4, ops_factor_meas=1.6,
+        wall_seconds=0.1,
+    )
+    return RunResult(**{**base, **kw})
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    # The tiny CLI sweep: one channel, 8-step patches, 3 test windows.
+    data = DataSpec(synthetic=SyntheticSpec(n_steps=6000, n_channels=1, season_len=64, ar_std=0.25))
+    spec = ExperimentSpec(data, 8, 4, 32, sigmas=(0.5,), gammas=(2, 3), variants=("practical", "lossless"),
+                          max_test_windows=3)
+    return run_experiment(spec)
+
+
+class TestRunResult:
+    def test_predictions_come_from_the_laws(self, sweep):
+        speculative = [r for r in sweep if r.variant != "target_only"]
+        assert [(r.variant, r.gamma) for r in speculative] == [
+            ("practical", 2), ("practical", 3), ("lossless", 2), ("lossless", 3)
+        ]
+        for r in speculative:
+            assert r.e_l_pred == expected_block_length(r.alpha_hat, r.gamma)
+            assert r.s_wall_pred == speedup_wall(r.alpha_hat, r.gamma, r.cost.c)
+            assert r.ops_factor_pred == ops_factor(r.alpha_hat, r.gamma, r.cost.c_hat)
+            assert r.mean_l == pytest.approx(r.mean_n + 1, abs=1e-12)
+            assert r.n_histories > 0 and 0 <= r.alpha_empirical <= 1
+        e_gap, s_gap = speculative[0].rel_gaps()
+        r = speculative[0]
+        assert e_gap == abs(r.e_l_pred - r.mean_l) / r.e_l_pred
+        assert s_gap == abs(r.s_wall_pred - r.s_wall_measured) / r.s_wall_pred
+        # the baseline row carries neither cost nor predictions
+        assert [(r.cost, r.alpha_hat, r.e_l_pred) for r in sweep if r.variant == "target_only"] == [(None,) * 3]
+
+    def test_calibration_rows_take_the_record_gaps(self):
+        close, far = _record(mean_l=2.9, s_wall_measured=1.6), _record()
+        baseline = _record(variant="target_only", gamma=0, cost=None, alpha_hat=None, n_histories=None,
+                           alpha_empirical=None, mean_n=None, mean_l=None, e_l_pred=None,
+                           s_wall_pred=None, ops_factor_pred=None, ops_factor_meas=None)
+        table = calibrate([baseline, close, far], flag_threshold=0.1)
+        assert table.rows == [close, far]  # only the rows with predictions
+        assert [table.flagged(r) for r in table.rows] == [max(r.rel_gaps()) > 0.1 for r in table.rows]
+        assert [table.flagged(r) for r in table.rows] == [False, True] and table.any_flagged
+        doc = json.loads(table.to_json())
+        assert doc["flag_threshold"] == 0.1
+        row = doc["rows"][1]
+        assert (row["e_l_rel_gap"], row["s_wall_rel_gap"], row["flagged"]) == (*far.rel_gaps(), True)
+        assert {k: row[k] for k in ("variant", "gamma", "e_l_pred", "mean_l", "s_wall_measured")} == {
+            "variant": "practical", "gamma": 3, "e_l_pred": far.e_l_pred, "mean_l": 2.8, "s_wall_measured": 1.4
+        }
+
+    def test_dict_roundtrip(self):
+        r = _record()
+        doc = json.loads(json.dumps(r.to_dict()))
+        assert RunResult.from_dict(doc) == r
+        assert RunResult.from_dict(doc).determinism_digest() == r.determinism_digest()
+        # timing figures stay out of the digest; every other figure is in it
+        assert _record(wall_seconds=9.0, s_wall_measured=0.1).determinism_digest() == r.determinism_digest()
+        assert _record(mean_l=2.9).determinism_digest() != r.determinism_digest()
+        with pytest.raises(ValueError, match=r"unknown run result key\(s\): 'bogus'$"):
+            RunResult.from_dict({**doc, "bogus": 1})
+        with pytest.raises(ValueError, match=r"run result lacks required key\(s\): 'mse'$"):
+            RunResult.from_dict({k: v for k, v in doc.items() if k != "mse"})
+        with pytest.raises(ValueError, match=r"unknown cost key\(s\): 'bogus'$"):
+            RunResult.from_dict({**doc, "cost": {**doc["cost"], "bogus": 1}})

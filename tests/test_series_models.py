@@ -25,7 +25,7 @@ from speccast.series import (
     load_csv,
     metrics,
 )
-from speccast.synth import SyntheticSpec, pure_seasonal, seasonal_profile
+from speccast.synth import SyntheticSpec, seasonal_profile
 
 from helpers import ar1, invert, write_csv
 
@@ -187,7 +187,7 @@ class TestChronologicalSplit:
 
 class TestFitLinearAr:
     def test_exact_seasonal_fit(self):
-        values = pure_seasonal(4096, n_channels=1, season_len=16, seed=3)
+        values = SyntheticSpec(4096, n_channels=1, season_len=16, ar_std=0.0, seed=3).generate()
         series = PatchSeries.from_values(values, patch_len=16)
         model = fit_linear_ar(series, lookback=2, ridge=1e-8)
         # held out: predict each next patch of the tail
@@ -200,7 +200,7 @@ class TestFitLinearAr:
         assert model.sigma <= 1e-5 or model.sigma == pytest.approx(1e-9, abs=1e-8)
 
     def test_large_ridge_predicts_mean_patch(self):
-        values = pure_seasonal(2048, n_channels=1, season_len=16, seed=9)
+        values = SyntheticSpec(2048, n_channels=1, season_len=16, ar_std=0.0, seed=9).generate()
         series = PatchSeries.from_values(values, patch_len=16)
         model = fit_linear_ar(series, lookback=2, ridge=1e12)
         assert np.max(np.abs(model.weights)) < 1e-6
@@ -388,7 +388,7 @@ class TestPredict:
         np.testing.assert_array_equal(_both_means(model, h.window()), [4.0, 5.0, 6.0])
 
     def test_linear_exact_seasonal_mean(self):
-        values = pure_seasonal(4096, n_channels=1, season_len=16, seed=3)
+        values = SyntheticSpec(4096, n_channels=1, season_len=16, ar_std=0.0, seed=3).generate()
         series = PatchSeries.from_values(values, patch_len=16)
         model = fit_linear_ar(series, lookback=2, ridge=1e-8)
         patches = series.channel_patches(0)

@@ -50,6 +50,5 @@ from .prob import (
     log_density,
     overlap,
     residual_sample,
-    residual_std,
 )
 from .series import CsvSchema, NormStats, PatchSeries, load_csv, metrics

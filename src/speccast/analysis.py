@@ -217,8 +217,12 @@ def estimate_alpha(
 
     closed_form averages the equal-covariance overlaps 2*Phi(-Delta_i/2);
     monte_carlo draws ``mc_per_history`` proposals per history and averages
-    the canonical acceptance min(1, p/q). Both are unbiased for the
-    deployment mean acceptance under the canonical rule.
+    the canonical acceptance min(1, p/q). Both are unbiased for the mean
+    overlap over the histories they are given, under the canonical rule.
+    That is the deployment acceptance only if decoding proposes on such
+    histories: the harness passes clean held-out ones, while the engine
+    proposes on prefixes that hold its own draws, whose acceptance is lower
+    (by up to about 0.04 at sigma = 2 on the end-to-end system).
     """
     pairs = list(pairs)
     if not pairs:

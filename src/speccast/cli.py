@@ -114,14 +114,14 @@ def _data_spec(args) -> DataSpec:
 def cmd_fit(args) -> int:
     data = _data_spec(args)
     series = PatchSeries.from_values(data.load(), args.patch_len)
-    model = fit_linear_ar(series, args.lookback, args.ridge, scale=args.scale, seed=args.seed)
+    model = fit_linear_ar(series, args.lookback, args.ridge, scale=args.scale)
     if args.sigma is not None:
         model = model.with_knobs(sigma=args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     report = {
-        "residual_std": model.sigma,
+        "sigma": model.sigma,
         "param_count": model.param_count,
         "lookback_patches": model.lookback,
         "patch_len": model.patch_len,
@@ -139,7 +139,6 @@ def cmd_fit(args) -> int:
             "ridge": args.ridge,
             "scale": args.scale,
             "sigma": args.sigma,
-            "seed": args.seed,
             "out": str(out),
         },
         [out],
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--ridge", type=float, default=1e-3)
     p_fit.add_argument("--scale", type=float, default=1.0, help="capacity multiplier in (0, 1]")
     p_fit.add_argument("--sigma", type=float, help="override the fitted head sigma")
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=cmd_fit)
 

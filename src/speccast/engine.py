@@ -7,22 +7,21 @@ a rejected round: the practical variant falls back to the target head, the
 lossless variant samples the residual density and thereby reproduces the
 exact target chain.
 
-A round that accepts n proposals closes at position n. Unless it ends in a
-residual draw, it closes with ``mu_p[n] + ext``, where ``ext`` is the
-round's pre-drawn N(0, sigma^2 I) target variate: that covers the
-extension (n = gamma) and the practical fallback (n < gamma). ``ext`` is
-drawn with the round's uniforms and proposal noise but independently of
-them, so given the accept decision it is still a target draw; one
-expression closes the round and no rejection re-keys a stream. A rejected
-lossless round closes with ``residual_sample(mu_p[n], mu_q[n], ...)`` on the
-target and draft mean rows the round already holds, with the standard
-deviation computed once per head setting (``_head_params``); no head object
-is built. The sampler is exact for every overlap below 1, so a lossless
-round never falls back to the practical draw. At tolerance_lambda = 1 a
-rejection with finite means implies distinct means, so its only ValueError
-is a non-finite mean (or a gap whose square underflows to 0), and that
-aborts the decode with ``DecodeAborted`` (a RuntimeError) naming the round,
-as does a non-finite closing draw.
+A round that accepts n proposals closes at position n, from ``ext``, the
+round's one pre-drawn N(0, sigma^2 I) target variate. ``ext`` is drawn with
+the round's uniforms and proposal noise but independently of them, so given
+the accept decision it is still a target draw. The extension (n = gamma)
+and the practical fallback (n < gamma) close with ``mu_p[n] + ext``; a
+rejected lossless round closes with ``residual_sample(mu_p[n], mu_q[n],
+std, ext)``, the exact residual draw that ext maps to, on the target and
+draft mean rows the round already holds, with the standard deviation
+built once per head setting (``_head_params``). No rejection re-keys a
+stream and no head object is built. The residual map is exact for every
+overlap below 1, so a lossless round never falls back to the practical
+draw. At tolerance_lambda = 1 a rejection with finite means implies
+distinct means, so its only ValueError is a non-finite mean (or a gap whose
+square underflows to 0), and that aborts the decode with ``DecodeAborted``
+(a RuntimeError) naming the round, as does a non-finite closing draw.
 
 The target and draft heads of a speculative decode share one variance, as
 the paper's acceptance rule and every predictor here assume: a decode whose
@@ -32,9 +31,11 @@ ValueError. The lossless variant also refuses a head variance below
 acceptance min(1, lambda p / q) and the (p - q)_+ residual combine to the
 target law only at lambda = 1.
 
-Every random draw comes from a stream keyed by (seed, round, purpose), so a
-trace is replayable bit-for-bit and the practical/lossless variants consume
-common random numbers until their behavior diverges.
+Every random draw comes from a stream keyed by (seed, block, purpose): one
+``ROUND`` key per block of 8 rounds for speculative variants, one
+``DIRECT`` key per session for the baselines. So a trace is replayable
+bit-for-bit and the practical/lossless variants consume the same random
+numbers, diverging only in what a rejected round makes of its ``ext``.
 
 A session starts from a ``models.History``, a read-only left-padded
 context, and decodes inside one preallocated (k_max + horizon + gamma, d)
@@ -62,7 +63,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import VARIANCE_FLOOR, residual_sample, residual_std
+from .prob import VARIANCE_FLOOR, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -297,20 +298,21 @@ def _check_finite(patch: np.ndarray, round_index: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _head_params(sigma: float, tolerance_lambda: float, d: int, gamma: int, lossless: bool):
-    """The ``round_accept`` constants of one setting, and the
-    ``residual_sample`` ones when lossless (None otherwise).
+def _head_params(sigma: float, tolerance_lambda: float, d: int, gamma: int):
+    """The ``round_accept`` constants of one setting, and the standard
+    deviation ``residual_sample`` takes.
 
     Cached: the sessions of a run share them, and the arrays are only read.
     """
     var = np.full(d, sigma * sigma)
+    std = np.full(d, sigma)
     params = (np.full((2, gamma), 1.0 / (sigma * sigma)),
               np.full((2, gamma), float(np.sum(np.log(2.0 * np.pi * var)))),
               np.full((2, gamma), -0.5),
               np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
-    for a in params:
+    for a in (*params, std):
         a.flags.writeable = False
-    return params, residual_std(var, var) if lossless else None
+    return params, std
 
 
 def _decode_speculative(
@@ -332,7 +334,7 @@ def _decode_speculative(
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
         )
-    kernel_params, residual = _head_params(sigma, cfg.tolerance_lambda, d, gamma, lossless)
+    kernel_params, std = _head_params(sigma, cfg.tolerance_lambda, d, gamma)
     trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d)
     streams = _streams()
 
@@ -360,10 +362,10 @@ def _decode_speculative(
     while emitted < horizon:
         # Round draws come from fixed-size blocks pre-drawn from one stream
         # per block in a fixed order (all acceptance uniforms first, then
-        # proposal noise, then the closing target draws). A round's draws
+        # proposal noise, then the closing target variates). A round's draws
         # therefore depend only on (seed, round index), so truncating the
-        # horizon never alters earlier rounds and both variants consume
-        # common random numbers until a round's first rejection.
+        # horizon never alters earlier rounds, and both variants consume the
+        # same draws in every round.
         slot = r % _RNG_BLOCK
         if slot == 0:
             gen = streams.rekey(cfg.seed, r // _RNG_BLOCK, rngmod.ROUND)
@@ -395,17 +397,17 @@ def _decode_speculative(
             raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
+        # Every round closes from its own target variate, independent of its
+        # accept decision: as is on the extension or a practical fallback,
+        # mapped to its residual draw on a lossless rejection.
         final = buf[p + n]
         if lossless and n < gamma:
-            gen = streams.rekey(cfg.seed, r, rngmod.RESIDUAL)
             try:
-                final[:] = residual_sample(mu_p[n], mus[0, n], residual, gen)[0]
+                final[:] = residual_sample(mu_p[n], mus[0, n], std, block_ext[slot])[0]
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
             source = _RESIDUAL
         else:
-            # The extension, or the practical fallback: the round's own
-            # target draw, independent of its accept decision.
             np.add(mu_p[n], block_ext[slot], out=final)
             source = _EXTEND if n == gamma else _FALLBACK
         _check_finite(final, r)

@@ -84,7 +84,6 @@ class ForecastModel:
     mean_bias: float = 0.0
     mean_patch: np.ndarray | None = None  # pad patch for short histories
     norm_stats: NormStats | None = None
-    seed: int | None = None
     # (lookback*d, d) C-ordered copy of ``weights`` for the mean products,
     # built on first use and handed on by ``with_knobs``.
     _mean_weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -213,7 +212,6 @@ def fit_linear_ar(
     lookback: int,
     ridge: float = 1e-3,
     scale: float = 1.0,
-    seed: int | None = None,
 ) -> ForecastModel:
     """Ridge-fit a linear next-patch predictor on pooled channel patches.
 
@@ -315,7 +313,6 @@ def fit_linear_ar(
         intercept=intercept,
         mean_patch=train.mean_patch(),
         norm_stats=train.norm_stats,
-        seed=seed,
     )
 
 
@@ -351,7 +348,6 @@ def save_model(model: ForecastModel, path) -> None:
         "intercept": None if model.intercept is None else model.intercept.tolist(),
         "mean_patch": None if model.mean_patch is None else model.mean_patch.tolist(),
         "norm_stats": None if model.norm_stats is None else model.norm_stats.to_dict(),
-        "seed": model.seed,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -376,5 +372,4 @@ def load_model(path) -> ForecastModel:
         mean_bias=doc["mean_bias"],
         mean_patch=None if doc["mean_patch"] is None else np.asarray(doc["mean_patch"]),
         norm_stats=None if doc["norm_stats"] is None else NormStats.from_dict(doc["norm_stats"]),
-        seed=doc["seed"],
     )

@@ -2,27 +2,26 @@
 
 All density arithmetic is done in the log domain so that density ratios
 never underflow, even for far-out proposals. Heads are immutable value
-objects; every operation is pure given an explicit RNG handle.
+objects; every operation is pure given an explicit RNG handle or variate.
 
 ``GaussianHead`` is the head as a value: the acceptance estimators and
 deviation bounds in ``analysis``, the validation suites and the overlap
 functions here take heads. The decode engine builds none: it scores rounds
 with ``kernels.round_accept`` and closes a rejected lossless round with
-``residual_sample`` on its raw mean rows and a standard deviation computed
-once per head setting by ``residual_std``.
+``residual_sample`` on its raw mean rows, its shared standard deviation and
+the round's one pre-drawn target variate.
 
 The target and draft heads share one variance, the setting of the paper's
 closed-form overlap 2 Phi(-Delta/2) and of every predictor built on it.
-``residual_std`` refuses unequal variances, and variances below
-``VARIANCE_FLOOR``, with a ValueError.
 
 The residual (p - q)_+ of two such heads is sampled exactly, by projection
 onto their mean gap: whitened, the heads differ only along the unit gap u,
 so the residual is N(0, I) across u and a 1-d law along it, whose survival
-function ``residual_offset`` inverts. A draw costs one normal vector, one
-uniform, a handful of vector operations and a 1-d root of about two Halley
-steps, whatever the overlap beta is: there is no rejection loop and no draw
-budget, and every beta < 1 is served.
+function ``residual_offset`` inverts. ``residual_sample`` draws nothing: it
+maps a target variate e ~ N(0, diag std^2), keeping e's part across the gap
+and quantile-mapping its N(0, 1) coordinate along it. A map costs a handful
+of vector operations and a 1-d root of about two Halley steps, whatever the
+overlap beta is, and every beta < 1 is served.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 VARIANCE_FLOOR = 1e-12
 
@@ -146,16 +145,12 @@ class OverlapResult:
     std_error: float = 0.0
 
 
-def _require_equal_variance(var_p: np.ndarray, var_q: np.ndarray, what: str) -> None:
-    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
-    # atol=0) without its generic overhead; a NaN entry fails it too.
-    if not (np.abs(var_p - var_q) <= 1e-12 * np.abs(var_q)).all():
-        raise ValueError(f"{what} requires equal variances")
-
-
 def mahalanobis_gap(p: GaussianHead, q: GaussianHead) -> float:
     """Delta with Delta^2 = (mu_p - mu_q)^T Sigma^{-1} (mu_p - mu_q)."""
-    _require_equal_variance(p.variance, q.variance, "mahalanobis gap")
+    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
+    # atol=0) without its generic overhead; a NaN entry fails it too.
+    if not (np.abs(p.variance - q.variance) <= 1e-12 * np.abs(q.variance)).all():
+        raise ValueError("mahalanobis gap requires equal variances")
     return float(np.sqrt(np.sum((p.mean - q.mean) ** 2 / p.variance)))
 
 
@@ -266,28 +261,6 @@ def overlap(
     raise ValueError(f"unknown overlap method {method!r}")
 
 
-def residual_std(var_p, var_q) -> np.ndarray:
-    """The standard deviation ``residual_sample`` takes, for a target and a draft head.
-
-    The two diagonal variances must agree to 1e-12 relative, as the
-    closed-form overlap needs, and be at least VARIANCE_FLOOR, where the
-    sampler's output is still the residual of the heads as given; otherwise
-    ValueError. The target's variance is the one carried. It depends on the
-    variances only, so a caller that samples many residuals under one head
-    setting builds it once. The array is a read-only copy.
-    """
-    var_p = np.asarray(var_p, dtype=np.float64)
-    var_q = np.asarray(var_q, dtype=np.float64)
-    if var_p.ndim != 1 or var_p.shape != var_q.shape:
-        raise ValueError(f"variance shapes differ or are not 1-d: {var_p.shape}, {var_q.shape}")
-    _require_equal_variance(var_p, var_q, "the residual sampler")
-    if not (var_p >= VARIANCE_FLOOR).all():
-        raise ValueError(f"the residual sampler needs variances >= the variance floor {VARIANCE_FLOOR:g}")
-    std = np.sqrt(var_p)
-    std.flags.writeable = False
-    return std
-
-
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG2 = math.log(2.0)
@@ -298,21 +271,26 @@ _ROOT_RTOL = 1e-12  # converged: a step below this, relative to the variable
 _ROOT_CUBIC = 1e-4  # below this, a step's successor is estimated from cubic convergence
 _ROOT_NOISE = 1e-6  # a step no smaller than the last one, and below this, is rounding noise
 _ROOT_STEPS = 64
+_LOG_V_MIN = -690.0  # log of the least survival sought; e^-690 is about 2.5e-300
 # Abramowitz & Stegun 26.2.23: the upper-tail normal quantile to 4.5e-4.
 _AS_NUM = (2.515517, 0.802853, 0.010328)
 _AS_DEN = (1.432788, 0.189269, 0.001308)
 
 
-def _tail_quantile(p: float) -> float:
-    """t with Q(t) = p, for p in (0, 1), to within 4.5e-4 (Q the normal upper tail)."""
-    w = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+def _tail_quantile(log_p: float) -> float:
+    """t with log Q(t) = log_p, for log_p < 0, to within 4.5e-4 (Q the normal upper tail).
+
+    Taken from the log, so that no tail probability underflows.
+    """
+    upper = log_p <= -_LOG2
+    w = math.sqrt(-2.0 * (log_p if upper else math.log(-math.expm1(log_p))))
     c0, c1, c2 = _AS_NUM
     d1, d2, d3 = _AS_DEN
     t = w - (c0 + w * (c1 + w * c2)) / (1.0 + w * (d1 + w * (d2 + w * d3)))
-    return t if p <= 0.5 else -t
+    return t if upper else -t
 
 
-def residual_offset(h: float, v: float) -> float:
+def residual_offset(h: float, log_v: float) -> float:
     """The offset t = s - h at which the residual's survival along the gap is v.
 
     For unit-variance normals p and q with means h u and -h u (h > 0, u a
@@ -321,9 +299,10 @@ def residual_offset(h: float, v: float) -> float:
 
         S(s) = [Phi(s + h) - Phi(s - h)] / erf(h / sqrt 2),
 
-    which falls from S(0) = 1 to 0. Returns the root of S(h + t) = v for v in
-    (0, 1] (t = -h at v = 1), measured from p's mean so that it keeps its
-    precision when h is large.
+    which falls from S(0) = 1 to 0. Returns the root of S(h + t) = v for
+    log_v = log v <= 0 (t = -h at log_v = 0), measured from p's mean so that
+    it keeps its precision when h is large. Taking v as its log keeps every
+    finite log_v, however far out, a finite root.
 
     Below h = 1e-4, where the erf difference of S cancels, S(s) is
     exp(-s^2 / 2) (1 + h^2 s^2 / 6) to O(h^4 s^4), and one fixed-point step
@@ -339,18 +318,20 @@ def residual_offset(h: float, v: float) -> float:
     convergence of the last two steps, is below that; or at a step that no
     longer shrinks, which is the rounding noise of log S. That noise bounds
     the root near s = 0, where S is within about 1e-3 of 1: there its error
-    is about 1e-16 / s, not 1e-12 s.
+    is about 1e-16 / s, not 1e-12 s. A v below e^-690 (about 2.5e-300), where
+    the erfc difference would underflow near the root, is taken as e^-690:
+    the law is cut at a tail mass below 1e-299.
     """
-    if v >= 1.0:
+    if log_v >= 0.0:
         return -h
-    log_v = math.log(v)
+    log_v = max(log_v, _LOG_V_MIN)
     if h < _SERIES_H:
         y = -2.0 * log_v
         return math.sqrt(y + 2.0 * math.log1p(h * h * y / 6.0)) - h
     log_ve = log_v + math.log(math.erf(h * _SQRT_HALF))
     if h < _TAIL_H:
         return math.sqrt(_halley_root(h, log_ve, -2.0 * log_v, True)) - h
-    return _halley_root(h, log_ve, _tail_quantile(math.exp(log_ve)), False)
+    return _halley_root(h, log_ve, _tail_quantile(log_ve), False)
 
 
 def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
@@ -394,7 +375,9 @@ def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
         if (size <= _ROOT_RTOL * scale
                 or (size <= _ROOT_CUBIC * scale and size ** 4 <= _ROOT_RTOL * scale * last ** 3 < math.inf)
                 or last <= size <= _ROOT_NOISE * (scale if scale > 1.0 else 1.0)):
-            return x + step
+            # In rounding noise, as when v is within 1e-16 of 1, the last
+            # step may cross the bracket's lower end.
+            return max(x + step, lo)
         last = size
         if g > 0.0:
             lo = x
@@ -411,33 +394,40 @@ def residual_sample(
     mu_p: np.ndarray,
     mu_q: np.ndarray,
     std: np.ndarray,
-    rng: np.random.Generator,
+    e: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """One exact draw from the residual density r = (p - q)_+ / (1 - beta).
+    """The exact residual draw that a target variate ``e`` maps to.
 
     p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
-    vectors) and the one standard deviation ``std``; callers holding heads
-    pass ``p.mean, q.mean, residual_std(p.variance, q.variance)``. Returns the
-    sample and the number of normal vectors drawn, always 1.
+    vectors) and the one standard deviation ``std``; ``e`` is a draw of
+    N(0, diag std^2), the target's noise. If e is such a draw, the result is
+    a draw from the residual density r = (p - q)_+ / (1 - beta). Returns the
+    sample and the number of target variates it consumed, always 1. Nothing
+    is drawn and no input is written: the map is a function of its inputs.
 
     In the whitened frame p and q differ only along u = w / Delta, where
     w = (mu_p - mu_q) / std and Delta = |w|. So r is N(0, I) on the
     orthogonal complement of u and, along u, the law whose survival at
     distance s from the midpoint is S(s) of ``residual_offset``, with
-    h = Delta / 2. The draw is
+    h = Delta / 2. The coordinate a = (e / std) . u is N(0, 1) and
+    independent of e's part across u, so its upper-tail probability Q(a) is
+    uniform, and the draw is
 
-        x = mu_p + std * (z - (z . u) u + t u),   t = residual_offset(h, 1 - U),
+        x = mu_p + e + (t - a) (mu_p - mu_q) / Delta,   t = residual_offset(h, log Q(a)):
 
-    with z = ``rng.standard_normal(d)`` drawn first and then U =
-    ``rng.random()``: two draws in that order, whatever beta is, which fixes
-    the replay of a seeded stream. 1 - U lies in (0, 1], so the root is
-    finite. The cost does not grow with beta: a few vector operations and a
-    1-d root of about two Halley steps, a closed form when the heads nearly
-    coincide. A non-finite mean, or identical means (Delta == 0, where the
-    residual is undefined), raises ValueError.
+    e's part across the gap passes through, and its coordinate along the gap
+    is quantile-mapped to t, which increases with a. Q(a) is passed as its
+    log, so every finite a has a finite t. The cost does not grow with beta:
+    a few vector operations and a 1-d root of about two Halley steps, a
+    closed form when the heads nearly coincide. A non-finite mean, or
+    identical means (Delta == 0, where the residual is undefined), raises
+    ValueError.
     """
-    if mu_p.shape != std.shape or mu_q.shape != std.shape:
-        raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} do not match variances {std.shape}")
+    if mu_p.shape != std.shape or mu_q.shape != std.shape or e.shape != std.shape:
+        raise ValueError(
+            f"mean shapes {mu_p.shape}, {mu_q.shape} and variate shape {e.shape} "
+            f"do not match variances {std.shape}"
+        )
     diff = mu_p - mu_q
     w = diff / std
     gap2 = float(np.dot(w, w))
@@ -452,12 +442,11 @@ def residual_sample(
         delta = big * math.sqrt(float(np.dot(w / big, w / big)))
     if delta == 0.0:
         raise ValueError("residual undefined: the heads' means coincide (Delta = 0)")
-    z = rng.standard_normal(std.shape[0])
-    t = residual_offset(0.5 * delta, 1.0 - rng.random())
-    # std * (t - z . u) u = ((t - z . u) / Delta) diff
-    coef = (t - float(np.dot(z, w)) / delta) / delta
-    z *= std
-    z += mu_p
-    diff *= coef
-    z += diff
-    return z, 1
+    w /= delta  # u
+    a = float(np.dot(e / std, w))
+    t = residual_offset(0.5 * delta, float(log_ndtr(-a)))
+    # std * (t - a) u = ((t - a) / Delta) diff
+    diff *= (t - a) / delta
+    diff += mu_p
+    diff += e
+    return diff, 1

@@ -1,37 +1,35 @@
 """Deterministic counter-based random streams.
 
 Every stochastic draw in a decode session comes from a Philox stream keyed by
-(session seed, round index, purpose tag). Philox is a counter-based generator,
+(session seed, index, purpose tag); the round stream's index is its block
+of rounds. Philox is a counter-based generator,
 so streams with distinct keys are statistically independent and each stream's
 draw sequence is fully determined by its key, independent of scheduling or of
 how other streams are consumed. This is what makes decode traces replayable
 bit-for-bit from (config, data, seed) alone.
 
-Purpose tags keep draws for different roles on disjoint streams. The decode
-round stream is drawn a block of rounds at a time, in full and in a fixed
-order, before any of those rounds is decided: acceptance uniforms, proposal
-noise, then one target variate per round. That variate closes the round
-whenever it does not end in a residual draw (all proposals accepted, or a
-practical rejection); it is independent of the round's uniforms and
-proposal noise, so it is a target draw whatever the accept decision was.
-The residual sampler draws from its own per-round stream: one normal
-vector, then one uniform. So the practical and lossless decode variants
-consume common random numbers up to the point where their behavior
-diverges.
+Purpose tags keep draws for different roles on disjoint streams, and a
+decode uses two. The speculative round stream (``ROUND``) is drawn a block
+of rounds at a time, in full and in a fixed order, before any of those
+rounds is decided: acceptance uniforms, proposal noise, then one target
+variate per round. That variate closes the round whatever the accept
+decision was, as a target draw or, on a lossless rejection, mapped to its
+residual draw; it is independent of the round's uniforms and proposal
+noise. So the practical and lossless decode variants consume the same
+random numbers and differ only in what a rejected round makes of its
+variate. The baselines draw all their noise from one ``DIRECT`` stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Purpose tags for the per-round streams.
-# A tag is part of every key it makes, so the values never move; 3, the
-# former practical-fallback stream, stays unused.
+# Purpose tags for the streams.
+# A tag is part of every key it makes, so the values never move; 3 and 4,
+# the former practical-fallback and lossless-residual streams, stay unused.
 ROUND = 0       # main round stream: acceptance uniforms (drawn first, so
                 # variants share common random numbers), proposal noise,
-                # then the round-closing target draw, in that fixed order
-RESIDUAL = 4    # residual draw of a rejected lossless round: standard_normal(d),
-                # then one random(), in that order
+                # then the round-closing target variates, in that fixed order
 DIRECT = 5      # plain autoregressive sampling (baselines)
 
 _MASK64 = (1 << 64) - 1

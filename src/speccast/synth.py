@@ -44,6 +44,12 @@ class SyntheticSpec:
     seed: int = 2024
     n_harmonics: int = 3
 
+    def __post_init__(self) -> None:
+        for key in ("n_steps", "n_channels", "season_len"):
+            value = getattr(self, key)
+            if not value >= 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+
     def generate(self) -> np.ndarray:
         return seasonal_ar(
             n_steps=self.n_steps,

@@ -46,7 +46,6 @@ from .prob import (
     overlap,
     overlap_closed_form,
     residual_sample,
-    residual_std,
 )
 
 SUITE_NAMES = (
@@ -283,13 +282,14 @@ def suite_residual_exactness(
 ) -> SuiteResult:
     """Residual draws vs their law, by projection onto the whitened mean gap.
 
-    For each gap Delta and dimension d, ``residual_sample`` draws n samples
-    between heads with a random direction and per-coordinate widths. In the
-    whitened frame the distance s from the midpoint along the unit gap must
-    follow the survival function S of ``_residual_survival`` (KS), and, for
-    d > 1, the coordinates on an orthonormal basis of the complement must be
-    N(0, 1) (KS, pooled). Delta runs down to 1e-9, where the residual mass
-    1 - beta is about 4e-10. Each of the 15 tests must reach p >= 0.001.
+    For each gap Delta and dimension d, ``residual_sample`` maps n target
+    variates e = std * z, z ~ N(0, I), between heads with a random direction
+    and per-coordinate widths. In the whitened frame the distance s from the
+    midpoint along the unit gap must follow the survival function S of
+    ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
+    orthonormal basis of the complement must be N(0, 1) (KS, pooled). Delta
+    runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
+    of the 15 tests must reach p >= 0.001.
     """
     c = _Checker("residual-exactness")
     geometry = np.random.Generator(np.random.Philox(key=seed + 53))
@@ -299,9 +299,8 @@ def suite_residual_exactness(
         u /= np.linalg.norm(u)
         mu_q = geometry.normal(size=d)
         mu_p = mu_q + delta * std * u
-        gen = rngmod.stream(rngmod.derive_seed(seed, case), 0, rngmod.RESIDUAL)
-        sd = residual_std(std * std, std * std)
-        xs = np.array([residual_sample(mu_p, mu_q, sd, gen)[0] for _ in range(n)])
+        gen = rngmod.stream(rngmod.derive_seed(seed, case))
+        xs = np.array([residual_sample(mu_p, mu_q, std, std * gen.standard_normal(d))[0] for _ in range(n)])
         ys = (xs - 0.5 * (mu_p + mu_q)) / std
         along = ys @ u
         ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, 0.5 * delta))

@@ -143,6 +143,18 @@ def _fit(path, *extra):
     return path
 
 
+def test_fit_has_no_seed(tmp_path, capsys):
+    # the ridge fit draws nothing: no --seed flag, and no seed in the
+    # report, the manifest or the model file
+    model = _fit(tmp_path / "fit" / "target.json")
+    assert json.loads(capsys.readouterr().out)["sigma"] == load_model(model).sigma
+    resolved = json.loads((tmp_path / "fit" / "manifest.json").read_text())["resolved"]
+    assert "seed" not in resolved and "seed" not in json.loads(model.read_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", *DATA, "--patch-len", "8", "--lookback", "4", "--seed", "7", "--out", str(model)])
+    assert exc.value.code == 2
+
+
 def test_manifests_record_the_data_spec(tmp_path):
     model = _fit(tmp_path / "fit" / "target.json", "--synth-ar-std", "0.9", "--synth-ar-coeff", "0.5")
     data = json.loads((tmp_path / "fit" / "manifest.json").read_text())["resolved"]["data"]
@@ -223,6 +235,9 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys, no_fitting):
         ({**base, "biases": [-1.0]}, "biases must be finite and >= 0, got -1.0"),
         ({**base, "scales": [1.5]}, "scales must be in (0, 1], got 1.5"),
         ({**base, "max_test_windows": 0}, "max_test_windows must be >= 1, got 0"),
+        ({**base, "data": {"synthetic": {"n_steps": 0}}}, "n_steps must be >= 1, got 0"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "n_channels": 0}}}, "n_channels must be >= 1, got 0"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "season_len": 0}}}, "season_len must be >= 1, got 0"),
     ]
     capsys.readouterr()
     for doc, message in cases:
@@ -249,6 +264,9 @@ def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys, no_fitting):
         ([*SCAN, "--sigmas", "-0.5"], "sigmas must be finite and > 0, got -0.5"),
         ([*SCAN, "--biases", "-1"], "biases must be finite and >= 0, got -1.0"),
         ([*SCAN, "--scales", "1.5"], "scales must be in (0, 1], got 1.5"),
+        ([*SCAN, "--synth-steps", "0"], "n_steps must be >= 1, got 0"),
+        ([*SCAN, "--synth-channels", "0"], "n_channels must be >= 1, got 0"),
+        ([*SCAN, "--synth-season", "0"], "season_len must be >= 1, got 0"),
     ]
     capsys.readouterr()
     for argv, message in cases:

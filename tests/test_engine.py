@@ -226,6 +226,28 @@ class TestLosslessResidualCost:
         assert rejections == residual_rounds == len(calls) > 100
         assert set(calls) == {1}
 
+    def test_rekeys_only_at_block_starts(self, monkeypatch):
+        # A lossless decode of R rounds keys its stream once per block of 8
+        # rounds, ceil(R / 8) times, however many of its rounds reject: a
+        # rejected round closes from its own pre-drawn target variate.
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.3))
+        keys = []
+
+        def spy(self, *key):
+            keys.append(key)
+            return rekey(self, *key)
+
+        rekey = rngmod.ReusableStream.rekey
+        monkeypatch.setattr(rngmod.ReusableStream, "rekey", spy)
+        rejections = 0
+        for seed, horizon in ((0, 1), (1, 8), (2, 30), (3, 41)):
+            keys.clear()
+            _, trace = decode(target, draft, h0, cfg_for("lossless", horizon=horizon, gamma=2, seed=seed))
+            rounds = trace.n_rounds
+            rejections += int(np.sum(trace.n_accepted[:rounds] < 2))
+            assert keys == [(seed, block, rngmod.ROUND) for block in range(math.ceil(rounds / 8))]
+        assert rejections > 20
+
 
 class TestConfigValidation:
     def test_shared_variance_enforced(self):
@@ -512,10 +534,11 @@ def _reference_decode(target, draft, h0, cfg):
                 p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
             except ValueError as exc:
                 raise RuntimeError(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
-            final = reference_residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+            # the round's own target variate, mapped to its residual draw
+            final = reference_residual_sample(p_head, q_head, sigma_t * block_ext[slot])
             source = SOURCE_RESIDUAL
         else:
-            # every close but a residual one is the round's own extension draw
+            # the extension or the fallback: the round's own target variate
             final = mu_p[n] + sigma_t * block_ext[slot]
             source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
         _reference_check_finite(final, r)
@@ -762,10 +785,13 @@ class TestNearlyIdenticalHeads:
         forecast, trace = decode(target, draft, h0, cfg)
         assert trace.accepted_counts().tolist() == [0] * 5
         assert [r.final_draw_source for r in trace.rounds] == [SOURCE_RESIDUAL] * 5
+        ext = rngmod.stream(cfg.seed, 0, rngmod.ROUND)
+        ext.random((8, cfg.gamma)), ext.standard_normal((8, cfg.gamma, 1))  # uniforms, proposal noise
+        ext = ext.standard_normal((8, 1))  # the rounds' target variates (sigma = 1)
         previous = np.zeros(1)
         for r in range(5):
             p_head, q_head = GaussianHead(previous, 1.0), GaussianHead(previous + gap, 1.0)
-            want = reference_residual_sample(p_head, q_head, rngmod.stream(cfg.seed, r, rngmod.RESIDUAL))
+            want = reference_residual_sample(p_head, q_head, ext[r])
             assert_close_vector(forecast[r] - previous, want - previous)
             previous = forecast[r]
 

@@ -1,6 +1,7 @@
 """Gaussian kernel: log densities, acceptance rule, overlap, residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from speccast.prob import (
     overlap_closed_form,
     residual_offset,
     residual_sample,
-    residual_std,
 )
 
 
@@ -150,7 +150,7 @@ def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0, params=N
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     d = x.shape[0]
     if params is None:
-        params, _ = engine._head_params(float(sigma), tolerance_lambda, d, 1, False)
+        params, _ = engine._head_params(float(sigma), tolerance_lambda, d, 1)
     mus = np.empty((2, 1, d))
     mus[0, 0], mus[1, 0] = mu_q, mu_p
     logs, alphas = np.empty((2, 1)), np.empty(1)
@@ -289,14 +289,13 @@ def reference_survival(s, h):
     return quad(density, s, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
-def reference_root(h, u):
-    """The root s of S(s) = 1 - u, by ``brentq`` on ``reference_survival``.
+def reference_root(h, v):
+    """The root s of S(s) = v, by ``brentq`` on ``reference_survival``.
 
-    The bracket ends at h + 10, where S is below 2^-53, the least 1 - u.
-    From h = 30 on, Phi(s + h) is within 1e-197 of 1, so S(s) is the normal
-    tail beyond s - h, and the root is h plus its quantile.
+    The bracket ends at h + 10, where S is below 2^-53, so it serves every
+    v >= 2^-53. From h = 30 on, Phi(s + h) is within 1e-197 of 1, so S(s) is
+    the normal tail beyond s - h, and the root is h plus its quantile.
     """
-    v = 1.0 - u
     if h >= 30.0:
         return h + scistats.norm.isf(v)
     if reference_survival(0.0, h) - v == 0.0:
@@ -304,15 +303,15 @@ def reference_root(h, u):
     return brentq(lambda s: reference_survival(s, h) - v, 0.0, h + 10.0, xtol=1e-300, rtol=1e-15, maxiter=500)
 
 
-def reference_residual_sample(p, q, rng):
-    """Reference residual sampler written with the head API.
+def reference_residual_sample(p, q, e):
+    """Reference residual map written with the head API.
 
-    Takes two validated heads and the law of the residual by projection:
-    z ~ N(0, I) and a uniform u from ``rng`` in that order, s the root of
-    S(s) = 1 - u (``reference_root``), and x = m + sigma (z - (z.u) u + s u)
-    about the midpoint m. ``residual_sample`` consumes the same draws and
-    assembles x from p's mean with its own root, so the two agree to
-    rounding, not bit for bit.
+    Takes two validated heads and a target variate e ~ N(0, diag sigma^2):
+    z = e / sigma, a = z . u its coordinate along the unit gap u, s the root
+    of S(s) = Q(a) (``reference_root``; Q the normal upper tail), and
+    x = m + sigma (z - a u + s u) about the midpoint m. ``residual_sample``
+    maps the same variate and assembles x from p's mean with its own root,
+    so the two agree to rounding, not bit for bit.
     """
     if p.d != q.d:
         raise ValueError("head dimensions differ")
@@ -320,14 +319,20 @@ def reference_residual_sample(p, q, rng):
     w = (p.mean - q.mean) / sigma
     delta = math.hypot(*w)  # scaled, so a wide gap does not overflow
     unit = w / delta
-    z = rng.standard_normal(p.d)
-    s = reference_root(0.5 * delta, rng.random())
-    return 0.5 * (p.mean + q.mean) + sigma * (z - np.dot(z, unit) * unit + s * unit)
+    z = e / sigma
+    a = float(np.dot(z, unit))
+    s = reference_root(0.5 * delta, scistats.norm.sf(a))
+    return 0.5 * (p.mean + q.mean) + sigma * (z - a * unit + s * unit)
 
 
-def sample_heads(p, q, rng):
+def sample_heads(p, q, e):
     """``residual_sample`` called with the fields of two heads."""
-    return residual_sample(p.mean, q.mean, residual_std(p.variance, q.variance), rng)
+    return residual_sample(p.mean, q.mean, np.sqrt(p.variance), e)
+
+
+def target_variates(gen, std, n):
+    """n target variates std * z, z ~ N(0, I), from ``gen``."""
+    return std * gen.standard_normal((n, std.shape[0]))
 
 
 def assert_close_vector(got, want, rtol=1e-12):
@@ -335,12 +340,26 @@ def assert_close_vector(got, want, rtol=1e-12):
     assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), (got, want)
 
 
+def gap_geometry(rng, d, delta):
+    """(mu_p, mu_q, std, u): heads about Delta apart, u their whitened unit gap.
+
+    u is taken from the means as rounded, so at a tiny Delta it is the
+    direction the sampler sees, not the one the means were built along.
+    """
+    std = rng.uniform(0.5, 2.0, d)
+    u = rng.normal(size=d)
+    mu_q = rng.normal(size=d)
+    mu_p = mu_q + delta * std * u / np.linalg.norm(u)
+    w = (mu_p - mu_q) / std
+    return mu_p, mu_q, std, w / np.linalg.norm(w)
+
+
 class TestResidualRoot:
     @pytest.mark.parametrize("h", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("u", [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53])
     def test_matches_brentq(self, h, u):
-        got = residual_offset(h, 1.0 - u) + h
-        want = reference_root(h, u)
+        got = residual_offset(h, math.log(1.0 - u)) + h
+        want = reference_root(h, 1.0 - u)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         if u < 1e-16:  # 1 - u rounds to 1: the root is the midpoint
             assert got == 0.0
@@ -349,91 +368,73 @@ class TestResidualRoot:
         # t = s - h is returned as such: at h = 1e8 it is still the normal
         # quantile of 1 - u, which s itself could not carry in float64
         for u in (0.1, 0.5, 0.9):
-            assert residual_offset(1e8, 1.0 - u) == pytest.approx(scistats.norm.isf(1.0 - u), abs=1e-12)
+            assert residual_offset(1e8, math.log(1.0 - u)) == pytest.approx(scistats.norm.isf(1.0 - u), abs=1e-12)
+
+    @pytest.mark.parametrize("log_p", [-0.1, -0.6, -5.0, -100.0, -745.2, -804.6, -1e4])
+    def test_tail_start_is_taken_from_the_log(self, log_p):
+        # The start of the tail search is within 4.5e-4 of the quantile even
+        # where the tail probability exp(log_p) underflows (below about -745)
+        exact = brentq(lambda t: scistats.norm.logsf(t) - log_p, -40.0, 200.0, xtol=1e-13)
+        assert abs(prob._tail_quantile(log_p) - exact) <= 4.5e-4
+
+    @pytest.mark.parametrize("h", [1e-9, 1e-5, 0.01, 0.5, 1.0, 1.2, 3.0, 20.0, 1e8])
+    def test_every_finite_log_survival_has_a_finite_root(self, h):
+        # log v of any size: the far tail is cut at v = e^-690, and the
+        # offsets run monotone out to it
+        log_vs = (-1e-300, -1e-12, -0.5, -5.0, -50.0, -689.0, -690.0, -745.2, -804.6, -1e4, -1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = [residual_offset(h, lv) for lv in log_vs]
+        assert all(math.isfinite(t) and t >= -h for t in ts)
+        assert ts == sorted(ts)
+        assert ts[-5:] == [ts[-5]] * 5  # at and beyond the cut
 
 
 class TestResidualSample:
     def test_identical_heads_error(self):
         p = GaussianHead.isotropic([0.0], 1.0)
         with pytest.raises(ValueError, match="residual undefined"):
-            sample_heads(p, p, rngmod.stream(0))
+            sample_heads(p, p, np.zeros(1))
 
     def test_nearly_identical_heads_sample(self):
         # 1 - beta is about 4e-10 at the larger gap, where a rejection
-        # sampler would need ~2.5e9 target draws; the projection draws once
+        # sampler would need ~2.5e9 target draws; the map takes one variate
         p = GaussianHead.isotropic([0.0, 0.0], 1.0)
+        e = rngmod.stream(0).standard_normal(2)
         for gap in (1e-9, 4e-10 * math.sqrt(2.0 * math.pi)):
             q = GaussianHead.isotropic([gap, 0.0], 1.0)
-            sample, draws = sample_heads(p, q, rngmod.stream(0))
+            sample, draws = sample_heads(p, q, e)
             assert sample.shape == (2,) and np.isfinite(sample).all() and draws == 1
-            assert_close_vector(sample, reference_residual_sample(p, q, rngmod.stream(0)))
+            assert_close_vector(sample, reference_residual_sample(p, q, e))
 
     def test_gap_whose_square_overflows(self):
         # Delta^2 overflows with finite means: Delta is taken on a rescaled
-        # gap, and the offset along the gap is the normal quantile of the
-        # uniform, as q has no mass near p
-        std = residual_std(np.ones(2), np.ones(2))
+        # gap, and the offset along the gap is the variate's own coordinate,
+        # as q has no mass near p
+        std = np.ones(2)
         mu_p, mu_q = np.array([1.0, 0.0]), np.array([-1e200, 0.0])
+        e = rngmod.stream(4).standard_normal(2)
         with np.errstate(over="ignore"):
-            sample, _ = residual_sample(mu_p, mu_q, std, rngmod.stream(4))
-        replay = rngmod.stream(4)
-        z = replay.standard_normal(2)
-        t = scistats.norm.ppf(replay.random())
-        assert sample[0] == pytest.approx(1.0 + t, abs=1e-12) and sample[1] == z[1]
-
-    def test_nearly_equal_variances_fail_fast(self):
-        # variances 1 and 1 + 1e-10 in 32 dims: the heads do not share a
-        # variance, and the sampler refuses before its first draw
-        p = GaussianHead(np.zeros(32), np.ones(32))
-        q = GaussianHead(np.zeros(32), np.full(32, 1.0 + 1e-10))
-        with pytest.raises(ValueError, match="requires equal variances"):
-            sample_heads(p, q, rngmod.stream(3))
-
-    def test_params_need_one_variance_at_or_above_the_floor(self):
-        var = np.array([0.5, 2.0])
-        std = residual_std(var, var * (1.0 + 5e-13))
-        assert std.tolist() == np.sqrt(var).tolist()
-        assert not std.flags.writeable
-        for bad in (var * (1.0 + 2e-12), var[::-1], np.array([0.5, np.nan])):
-            with pytest.raises(ValueError, match="residual sampler requires equal variances"):
-                residual_std(var, bad)
-        floor = np.full(2, prob.VARIANCE_FLOOR)
-        assert residual_std(floor, floor).tolist() == np.sqrt(floor).tolist()
-        for low in (np.full(2, 1e-14), np.array([1.0, 0.0])):
-            with pytest.raises(ValueError, match="variance floor 1e-12"):
-                residual_std(low, low)
-        with pytest.raises(ValueError, match="shapes differ"):
-            residual_std(var, np.ones(3))
+            sample, _ = residual_sample(mu_p, mu_q, std, e)
+        assert sample[0] == pytest.approx(1.0 + e[0], abs=1e-12) and sample[1] == e[1]
 
     def test_matches_reference_draw_for_draw(self):
-        # Same stream, same draws: the sample matches the head-API reference
-        # to rounding (its root comes from brentq, and it is assembled about
+        # Same variate: the sample matches the head-API reference to
+        # rounding (its root comes from brentq, and it is assembled about
         # the midpoint), over dimensions, widths and gaps from far apart
         # down to 1 - beta ~ 1e-9.
         rng = np.random.default_rng(20240501)
         for case in range(200):
             d = (1, 32)[case % 2]
-            shared = case % 4 != 0
-            var_p = rng.uniform(0.05, 4.0, d)
-            if shared:
-                # within the 1e-12 relative tolerance of a shared variance
-                var_q = var_p * (1.0 + rng.uniform(-5e-13, 5e-13, d))
-            else:
-                var_q = var_p * rng.uniform(0.25, 4.0, d)
+            var = rng.uniform(0.05, 4.0, d)
             delta = math.exp(rng.uniform(math.log(1e-9), math.log(8.0)))
             direction = rng.normal(size=d)
-            direction *= math.sqrt(1.0 / float(np.dot(direction, direction / var_p)))
+            direction *= math.sqrt(1.0 / float(np.dot(direction, direction / var)))
             mu_q = rng.normal(size=d)
             mu_p = mu_q + delta * direction
-            seed = int(rng.integers(1 << 30))
-            if not shared:
-                with pytest.raises(ValueError, match="the residual sampler requires equal variances"):
-                    residual_sample(mu_p, mu_q, residual_std(var_p, var_q), rngmod.stream(seed))
-                continue
-            got, draws = residual_sample(mu_p, mu_q, residual_std(var_p, var_q), rngmod.stream(seed))
-            # the heads share the target's variance, the one the sampler carries
-            want = reference_residual_sample(
-                GaussianHead(mu_p, var_p), GaussianHead(mu_q, var_p), rngmod.stream(seed))
+            e = np.sqrt(var) * rng.standard_normal(d)
+            got, draws = residual_sample(mu_p, mu_q, np.sqrt(var), e)
+            want = reference_residual_sample(GaussianHead(mu_p, var), GaussianHead(mu_q, var), e)
             assert draws == 1
             assert_close_vector(got - mu_p, want - mu_p)
 
@@ -449,30 +450,64 @@ class TestResidualSample:
                 GaussianHead(mu_p, var), GaussianHead(mu_q, var)
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError) as got:
-                    residual_sample(mu_p, mu_q, residual_std(var, var), rngmod.stream(0))
+                    residual_sample(mu_p, mu_q, np.sqrt(var), np.zeros(d))
             assert str(got.value) == str(want.value)
 
     def test_draw_cost_identity(self):
-        # Whatever beta is, a call costs one normal vector and then one
-        # uniform from its stream, and reports one draw.
+        # Whatever beta is, a call maps the one target variate it is given
+        # and reports one: it draws nothing, writes no input, and the same
+        # variate gives the same bytes.
         p = GaussianHead.isotropic(np.zeros(3), 1.0)
+        gen = rngmod.stream(123)
         for beta in (0.3, 0.9, 1.0 - 1e-6):
             q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
-            gen, replay = rngmod.stream(123), rngmod.stream(123)
-            for _ in range(50):
-                assert sample_heads(p, q, gen)[1] == 1
-                replay.standard_normal(3)
-                replay.random()
-            assert gen.random(4).tolist() == replay.random(4).tolist()
+            for e in target_variates(gen, np.ones(3), 50):
+                inputs = [a.copy() for a in (p.mean, q.mean, e)]
+                first, draws = sample_heads(p, q, e)
+                assert draws == 1
+                assert sample_heads(p, q, e)[0].tobytes() == first.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, e)))
+
+    @pytest.mark.parametrize("d", [1, 5, 32])
+    @pytest.mark.parametrize("delta", [1e-9, 0.3, 2.0, 40.0])
+    def test_orthogonal_part_passes_and_along_gap_increases(self, d, delta):
+        # Whitened, the sample keeps e's part across the gap and puts
+        # residual_offset(h, log Q(a)) along it, where a is e's coordinate
+        # there; so the coordinate along the gap increases with a
+        rng = np.random.default_rng(int(delta * 1e3) + d)
+        mu_p, mu_q, std, u = gap_geometry(rng, d, delta)
+        z = rng.standard_normal(d)
+        across = z - np.dot(z, u) * u
+        along = []
+        for a in np.arange(-6.0, 8.01, 0.25):
+            y = (residual_sample(mu_p, mu_q, std, std * (across + a * u))[0] - mu_p) / std
+            assert_close_vector(y - np.dot(y, u) * u, across, rtol=1e-9)
+            t = residual_offset(0.5 * delta, float(scistats.norm.logsf(a)))
+            assert np.dot(y, u) == pytest.approx(t, rel=1e-9, abs=1e-9)
+            along.append(np.dot(y, u))
+        assert np.all(np.diff(along) > 0.0)
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("delta", [1e-9, 0.5, 2.0, 40.0, 1e8])
+    def test_far_variates_give_finite_draws(self, d, delta):
+        # a = -40 maps to the midpoint's neighbourhood, a = +40 into the far
+        # tail, where Q(a) ~ 1e-350 is only representable as a log; e = 0
+        # (a = 0) maps to the median offset. No warning is raised.
+        mu_p, mu_q, std, u = gap_geometry(np.random.default_rng(d), d, delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in (std * (-40.0 * u), np.zeros(d), std * (40.0 * u)):
+                sample, draws = residual_sample(mu_p, mu_q, std, e)
+                assert np.isfinite(sample).all() and draws == 1
 
     def test_distribution_matches_grid_cdf(self):
         # KS against the residual cdf (p - q)_+ / (1 - beta) on a fine grid
         p = GaussianHead.isotropic([3.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap_closed_form(p, q)
-        gen = rngmod.stream(321)
-        std = residual_std(p.variance, q.variance)
-        samples = np.array([residual_sample(p.mean, q.mean, std, gen)[0][0] for _ in range(100_000)])
+        std = np.sqrt(p.variance)
+        es = target_variates(rngmod.stream(321), std, 100_000)
+        samples = np.array([residual_sample(p.mean, q.mean, std, e)[0][0] for e in es])
 
         xs = np.linspace(-8, 11, 20001)
         fp, fq = p.pdf(), q.pdf()
@@ -489,15 +524,16 @@ class TestResidualSample:
     def test_residual_mass_above_draft_mean(self):
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
-        gen = rngmod.stream(55)
-        std = residual_std(p.variance, q.variance)
-        samples = np.array([residual_sample(p.mean, q.mean, std, gen)[0][0] for _ in range(100_000)])
+        std = np.sqrt(p.variance)
+        es = target_variates(rngmod.stream(55), std, 100_000)
+        samples = np.array([residual_sample(p.mean, q.mean, std, e)[0][0] for e in es])
         assert samples.mean() > 0.0
 
 
 class TestLosslessSingleStep:
     def test_accept_or_residual_recovers_target(self):
-        # Composite draw: X ~ q accepted with min(1, p/q), else residual.
+        # Composite draw: X ~ q accepted with min(1, p/q), else the residual
+        # image of an independent target variate.
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(777)
@@ -506,8 +542,9 @@ class TestLosslessSingleStep:
         lr = np.minimum(0.0, log_density(p, xs[:, None]) - log_density(q, xs[:, None]))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
-        std = residual_std(p.variance, q.variance)
+        std = np.sqrt(p.variance)
+        es = target_variates(gen, std, n)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_sample(p.mean, q.mean, std, gen)[0][0]
+            out[i] = residual_sample(p.mean, q.mean, std, es[i])[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01

@@ -554,7 +554,7 @@ class TestSaveLoad:
     def test_roundtrip(self, tmp_path):
         values = ar1(2048, phi=0.7, seed=4)
         series = PatchSeries.from_values(values, patch_len=4)
-        model = fit_linear_ar(series, lookback=4, ridge=1e-3, seed=4)
+        model = fit_linear_ar(series, lookback=4, ridge=1e-3)
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
@@ -568,7 +568,7 @@ class TestSaveLoad:
         def fit_and_dump(path):
             values = ar1(2048, phi=0.7, seed=4)
             series = PatchSeries.from_values(values, patch_len=4)
-            model = fit_linear_ar(series, lookback=4, ridge=1e-3, seed=4)
+            model = fit_linear_ar(series, lookback=4, ridge=1e-3)
             save_model(model, path)
             return path.read_bytes()
 
@@ -590,6 +590,21 @@ class TestSaveLoad:
         path.write_text(json.dumps({**doc, "kind": "synthetic_oracle", "oracle_phi": 0.9}))
         with pytest.raises(ValueError, match="unknown model kind 'synthetic_oracle'"):
             load_model(path)
+
+    def test_loads_files_with_the_retired_seed_key(self, tmp_path):
+        # the fit has no randomness, so its seed is gone; files written
+        # while it was recorded carry "seed" and load as before
+        series = PatchSeries.from_values(ar1(2048, phi=0.7, seed=4), patch_len=4)
+        model = fit_linear_ar(series, lookback=4, ridge=1e-3)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "seed" not in doc
+        for seed in (None, 0, 7):
+            path.write_text(json.dumps({**doc, "seed": seed}))
+            back = load_model(path)
+            np.testing.assert_array_equal(back.weights, model.weights)
+            assert (back.kind, back.sigma, back.lookback) == (model.kind, model.sigma, model.lookback)
 
     def test_self_describing_json(self, tmp_path):
         model = persistence_model(patch_len=2, sigma=1.0)

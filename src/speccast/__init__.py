@@ -26,7 +26,7 @@ from .analysis import (
     select_gamma,
     speedup_wall,
 )
-from .engine import DecodeAborted, DecodeConfig, DecodeTrace, RoundRecord, decode
+from .engine import DecodeAborted, DecodeConfig, DecodeTrace, decode
 from .harness import (
     DataSpec,
     ExperimentSpec,
@@ -46,9 +46,7 @@ from .models import (
 from .prob import (
     GaussianHead,
     GridSpec,
-    OverlapResult,
     log_density,
-    overlap,
     residual_sample,
 )
 from .series import CsvSchema, NormStats, PatchSeries, load_csv, metrics

@@ -22,7 +22,7 @@ from .prob import (
     overlap_closed_form,
     refined_trapezoid,
 )
-from .synth import check_keys
+from .synth import check_keys, drop_retired
 
 
 def _check_alpha(alpha_bar: float) -> float:
@@ -147,8 +147,9 @@ def horizon_tv_bound(per_step_deltas: Sequence[float]) -> HorizonTvBound:
 # Cost model and acceptance estimation.
 # ---------------------------------------------------------------------------
 
-COST_MEASURED = "measured"
-COST_CONFIGURED = "configured"
+# Cost keys of earlier versions, each with the one value it ever held; a
+# saved cost that carries one at that value still loads.
+_RETIRED_COST_KEYS = {"source": "measured"}
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,6 @@ class CostModel:
 
     c: float
     c_hat: float
-    source: str = COST_CONFIGURED
     n_timed_passes: int | None = None
     target_pass_seconds: float | None = None
     draft_pass_seconds: float | None = None
@@ -167,12 +167,11 @@ class CostModel:
             raise ValueError(f"c must be finite and > 0, got {self.c}")
         if not (math.isfinite(self.c_hat) and self.c_hat > 0):
             raise ValueError(f"c_hat must be finite and > 0, got {self.c_hat}")
-        if self.source not in (COST_MEASURED, COST_CONFIGURED):
-            raise ValueError(f"unknown cost source {self.source!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostModel":
-        """The cost a ``dataclasses.asdict`` document describes; ValueError names an unknown key."""
+        """The cost a ``dataclasses.asdict`` document describes; ValueError names a bad key."""
+        d = drop_retired(d, _RETIRED_COST_KEYS, "cost")
         check_keys(d, cls, "cost")
         return cls(**d)
 
@@ -193,7 +192,6 @@ class AcceptanceEstimate:
     alpha_bar_hat: float
     n_histories: int
     mc_per_history: int | None
-    method: str
 
     def radius(self, delta: float = 0.05) -> float:
         if not 0.0 < delta < 1.0:
@@ -233,7 +231,6 @@ def estimate_alpha(
             alpha_bar_hat=float(np.mean(betas)),
             n_histories=len(pairs),
             mc_per_history=None,
-            method=mode,
         )
     if mode == MODE_MONTE_CARLO:
         if mc_per_history is None or mc_per_history < 1:
@@ -248,7 +245,6 @@ def estimate_alpha(
             alpha_bar_hat=total / (len(pairs) * mc_per_history),
             n_histories=len(pairs),
             mc_per_history=mc_per_history,
-            method=mode,
         )
     raise ValueError(f"unknown estimate mode {mode!r}")
 

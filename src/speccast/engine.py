@@ -44,13 +44,19 @@ and closing draws are written in place, the gamma + 1 verify windows of a
 round are a slice of one strided view built per session, and the forecast
 is one slice copy at the end. ``kernels.round_accept`` scores the draft and
 target densities of a round as one stacked computation that writes straight
-into the trace's preallocated per-round columns. Those columns are the
-trace's only per-round record: the export dicts of ``round_dicts()`` and the
-``RoundRecord`` outcomes of ``rounds`` are built from them when read.
+into the trace's preallocated per-round columns.
+
+A ``DecodeTrace`` stores those columns, the round count and the wall times
+of the draft and target calls. The trace alone derives every count from
+them when read: the examined proposals of each round, the pass and patch
+``totals``, the last round's ``truncated_patches`` and the export dicts of
+``round_dicts()``; the decode paths only fill columns. The ``RoundRecord``
+list of ``rounds`` remains only because ``perfbench`` reads it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -127,7 +133,7 @@ class DecodeConfig:
 
 @dataclass
 class RoundRecord:
-    """One round's outcome, as ``DecodeTrace.rounds`` lists it."""
+    """One round's outcome, as ``DecodeTrace.rounds`` lists it for ``perfbench``."""
 
     index: int
     n_accepted: int
@@ -159,14 +165,20 @@ def _zero_columns(h: int) -> tuple[np.ndarray, ...]:
 class DecodeTrace:
     """Per-round columns of one session, preallocated for horizon rounds.
 
-    A round emits at least one patch, so ``horizon_patches`` rows always
-    suffice; the first ``n_rounds`` are filled. Integer columns:
-    ``n_accepted`` and ``sources`` (codes into SOURCES). Speculative variants
-    also fill, per round and proposal position, ``xs`` (rounds, gamma, d),
+    Stored: the integer columns ``n_accepted`` and ``sources`` (codes into
+    SOURCES), ``n_rounds``, the number of rows filled (a round emits at least
+    one patch, so ``horizon_patches`` rows always suffice), and the
+    ``wall_times`` of the draft and target calls. Speculative variants also
+    fill, per round and proposal position, ``xs`` (rounds, gamma, d),
     ``log_q``/``log_p`` (views of the stacked ``logs``, shape
-    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only the examined
-    prefix min(n + 1, gamma) of a round is meaningful. The columns are the
-    only per-round record: ``round_dicts()`` and ``rounds`` read them.
+    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only a round's examined
+    prefix is meaningful.
+
+    Derived from the columns, here alone: ``examined_counts()`` (min(n + 1,
+    gamma) per speculative round, 0 for the baselines), ``totals`` and
+    ``truncated_patches`` (``totals`` built once, on first read) and
+    ``round_dicts()``.
+    ``rounds`` and ``RoundRecord`` remain only because ``perfbench`` reads them.
     """
 
     variant: str
@@ -174,9 +186,7 @@ class DecodeTrace:
     seed: int
     horizon_patches: int
     patch_len: int = 1
-    totals: Totals = field(default_factory=Totals)
     wall_times: dict = field(default_factory=lambda: {"draft_total": 0.0, "target_total": 0.0})
-    truncated_patches: int = 0
     n_rounds: int = 0
 
     def __post_init__(self) -> None:
@@ -202,28 +212,48 @@ class DecodeTrace:
             for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources[:r].tolist()))
         ]
 
+    @functools.cached_property
+    def totals(self) -> Totals:
+        """Model passes, target batch calls and patches emitted, built once on first read."""
+        r = self.n_rounds
+        emitted = int(self.round_lengths().sum())
+        if self.speculative:
+            return Totals(r * (self.gamma + 1), r * self.gamma, r, emitted)
+        if self.variant == VARIANT_TARGET_ONLY:
+            return Totals(target_passes=r, patches_emitted=emitted)
+        return Totals(draft_passes=r, patches_emitted=emitted)
+
+    @property
+    def truncated_patches(self) -> int:
+        """Patches the last round emitted beyond the horizon."""
+        return self.totals.patches_emitted - self.horizon_patches
+
     def round_lengths(self) -> np.ndarray:
         return self.n_accepted[: self.n_rounds] + 1
 
     def accepted_counts(self) -> np.ndarray:
         return self.n_accepted[: self.n_rounds].copy()
 
+    def examined_counts(self) -> np.ndarray:
+        """Proposals each round scored up to its first rejection: min(n + 1, gamma)."""
+        if not self.speculative:
+            return np.zeros(self.n_rounds, dtype=np.int64)
+        return np.minimum(self.n_accepted[: self.n_rounds] + 1, self.gamma)
+
     def round_dicts(self) -> list[dict]:
         """One dict per round, with the round's examined proposals, for export."""
+        r = self.n_rounds
         out = [
-            {"round": rec.index, "n": rec.n_accepted, "L": rec.outputs_emitted,
-             "source": rec.final_draw_source, "proposals": []}
-            for rec in self.rounds
+            {"round": i, "n": n, "L": n + 1, "source": SOURCES[s], "proposals": []}
+            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources[:r].tolist()))
         ]
         if self.speculative:
-            r = self.n_rounds
             columns = (c[:r].tolist() for c in (self.xs, self.log_q, self.log_p, self.alphas, self.uniforms))
-            for d, *cols in zip(out, *columns):
+            for d, k, *cols in zip(out, self.examined_counts().tolist(), *columns):
                 n = d["n"]
                 d["proposals"] = [
                     {"x": x, "log_q": lq, "log_p": lp, "alpha": a, "accepted": j < n, "u": u}
-                    for j, (x, lq, lp, a, u) in enumerate(zip(*cols))
-                    if j <= n
+                    for j, (x, lq, lp, a, u) in enumerate(zip(*(c[:k] for c in cols)))
                 ]
         return out
 
@@ -234,12 +264,7 @@ class DecodeTrace:
             "seed": self.seed,
             "horizon_patches": self.horizon_patches,
             "truncated_patches": self.truncated_patches,
-            "totals": {
-                "target_passes": self.totals.target_passes,
-                "draft_passes": self.totals.draft_passes,
-                "target_batch_calls": self.totals.target_batch_calls,
-                "patches_emitted": self.totals.patches_emitted,
-            },
+            "totals": dataclasses.asdict(self.totals),
             "wall_times": dict(self.wall_times),
         }
 
@@ -418,14 +443,7 @@ def _decode_speculative(
         r += 1
 
     trace.n_rounds = r
-    trace.totals = Totals(
-        target_passes=r * (gamma + 1),
-        draft_passes=r * gamma,
-        target_batch_calls=r,
-        patches_emitted=emitted,
-    )
     trace.wall_times = {"draft_total": draft_wall, "target_total": target_wall}
-    trace.truncated_patches = emitted - horizon
     return buf[k_max : k_max + horizon].copy(), trace
 
 
@@ -460,11 +478,6 @@ def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tu
     target_only = cfg.variant == VARIANT_TARGET_ONLY
     trace = DecodeTrace(
         cfg.variant, cfg.gamma, cfg.seed, horizon, model.d,
-        totals=Totals(
-            target_passes=horizon if target_only else 0,
-            draft_passes=0 if target_only else horizon,
-            patches_emitted=horizon,
-        ),
         wall_times={
             "draft_total": 0.0 if target_only else elapsed,
             "target_total": elapsed if target_only else 0.0,

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import (
-    COST_MEASURED,
     CostModel,
     estimate_alpha,
     expected_block_length,
@@ -48,7 +47,7 @@ from .engine import (
 )
 from .models import ForecastModel, History, fit_linear_ar
 from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load_csv, metrics
-from .synth import SyntheticSpec, check_keys
+from .synth import SyntheticSpec, check_keys, drop_retired
 
 SPLIT = (0.6, 0.2, 0.2)  # chronological train / validation / test fractions
 ALPHA_HISTORIES = 512    # held-out histories per acceptance estimate, at most
@@ -173,11 +172,7 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         """The spec a ``to_dict`` document describes; ValueError names a bad key."""
-        d = dict(d)
-        for key, old in _RETIRED_SPEC_KEYS.items():
-            value = d.pop(key, old)
-            if (tuple(value) if isinstance(value, list) else value) != old:
-                raise ValueError(f"spec key {key!r} is retired and must be {old!r} or absent, got {value!r}")
+        d = drop_retired(d, _RETIRED_SPEC_KEYS, "spec")
         check_keys(d, cls, "spec")
         d["data"] = DataSpec.from_dict(d["data"])
         for key in ("sigmas", "gammas", "variants", "scales", "biases", "seeds"):
@@ -288,7 +283,6 @@ def measure_cost_ratio(target: ForecastModel, draft: ForecastModel, window: np.n
     return CostModel(
         c=draft_s / target_s,
         c_hat=c_hat,
-        source=COST_MEASURED,
         n_timed_passes=TIMING_PASSES,
         target_pass_seconds=target_s,
         draft_pass_seconds=draft_s,
@@ -513,7 +507,7 @@ def _run_point(
 
     lengths = np.concatenate([t.round_lengths() for t in traces])
     accepted = np.concatenate([t.accepted_counts() for t in traces])
-    proposals = int(np.minimum(accepted + 1, gamma).sum())
+    proposals = sum(int(t.examined_counts().sum()) for t in traces)
     alpha = alpha_est.alpha_bar_hat
     total_target = sum(t.totals.target_passes for t in traces)
     total_draft = sum(t.totals.draft_passes for t in traces)

@@ -36,11 +36,6 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 VARIANCE_FLOOR = 1e-12
 
-# Overlap evaluation methods.
-CLOSED_FORM = "closed_form_equal_cov"
-QUADRATURE_1D = "numeric_quadrature_1d"
-MONTE_CARLO = "monte_carlo"
-
 _LOG_2PI = math.log(2.0 * math.pi)
 _FLOOR_MESSAGE = f"variance below {VARIANCE_FLOOR:g} clamped to the floor"
 
@@ -136,15 +131,6 @@ def log_density(head: GaussianHead, x) -> float | np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class OverlapResult:
-    """Overlap mass beta = integral of min(p, q), with evaluation metadata."""
-
-    beta: float
-    method: str
-    std_error: float = 0.0
-
-
 def mahalanobis_gap(p: GaussianHead, q: GaussianHead) -> float:
     """Delta with Delta^2 = (mu_p - mu_q)^T Sigma^{-1} (mu_p - mu_q)."""
     # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
@@ -224,41 +210,20 @@ def _check_grid_coverage(fn, grid: GridSpec, name: str) -> None:
         )
 
 
-def overlap(
-    p: GaussianHead,
-    q: GaussianHead,
-    method: str = CLOSED_FORM,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> OverlapResult:
-    """Overlap beta between two heads by the requested method.
+def overlap_quadrature(p: GaussianHead, q: GaussianHead) -> float:
+    """Overlap beta = integral of min(p, q), to abs error <= 1e-8; ``pdf`` refuses d > 1."""
+    fp, fq = p.pdf(), q.pdf()
+    beta = refined_trapezoid(lambda x: np.minimum(fp(x), fq(x)), GridSpec.for_heads(p, q), abs_tol=1e-8)
+    return min(1.0, max(0.0, beta))
 
-    closed_form_equal_cov: 2*Phi(-Delta/2), exact for equal covariances.
-    numeric_quadrature_1d: integral of min(p, q) to abs error <= 1e-8 (d=1).
-    monte_carlo: X ~ q, average of min(1, p/q); unbiased, reports std error.
-    """
-    if p.d != q.d:
-        raise ValueError("head dimensions differ")
-    if method == CLOSED_FORM:
-        return OverlapResult(beta=overlap_closed_form(p, q), method=method)
-    if method == QUADRATURE_1D:
-        if p.d != 1:
-            raise ValueError("numeric_quadrature_1d requires d = 1")
-        fp, fq = p.pdf(), q.pdf()
-        grid = GridSpec.for_heads(p, q)
-        beta = refined_trapezoid(lambda x: np.minimum(fp(x), fq(x)), grid, abs_tol=1e-8)
-        return OverlapResult(beta=min(1.0, max(0.0, beta)), method=method)
-    if method == MONTE_CARLO:
-        if mc_samples is None or mc_samples < 2:
-            raise ValueError("monte_carlo requires mc_samples >= 2")
-        if rng is None:
-            raise ValueError("monte_carlo requires an rng")
-        xs = q.sample(rng, mc_samples)
-        w = np.exp(np.minimum(0.0, log_density(p, xs) - log_density(q, xs)))
-        beta = float(np.mean(w))
-        se = float(np.std(w, ddof=1) / math.sqrt(mc_samples))
-        return OverlapResult(beta=beta, method=method, std_error=se)
-    raise ValueError(f"unknown overlap method {method!r}")
+
+def overlap_monte_carlo(p: GaussianHead, q: GaussianHead, n: int, rng: np.random.Generator):
+    """(beta, standard error): the mean of min(1, p/q) over n draws X ~ q, unbiased."""
+    if n < 2:
+        raise ValueError("Monte Carlo overlap requires n >= 2")
+    xs = q.sample(rng, n)
+    w = np.exp(np.minimum(0.0, log_density(p, xs) - log_density(q, xs)))
+    return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(n))
 
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -266,6 +231,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG2 = math.log(2.0)
 _erf, _erfc, _exp, _expm1, _log, _sqrt = math.erf, math.erfc, math.exp, math.expm1, math.log, math.sqrt
 _SERIES_H = 1e-4    # below this half-gap, S is a series in h
+_MIDPOINT = 1e-5    # below this (1 + h^2) s^2, log S is a series in s^2
 _TAIL_H = 1.2       # from this half-gap on, the root is sought in t from a normal quantile
 _ROOT_RTOL = 1e-12  # converged: a step below this, relative to the variable
 _ROOT_CUBIC = 1e-4  # below this, a step's successor is estimated from cubic convergence
@@ -307,7 +273,14 @@ def residual_offset(h: float, log_v: float) -> float:
     Below h = 1e-4, where the erf difference of S cancels, S(s) is
     exp(-s^2 / 2) (1 + h^2 s^2 / 6) to O(h^4 s^4), and one fixed-point step
     from the Rayleigh point y = s^2 = -2 ln v, the root at h = 0, solves it
-    to rounding. Above, log S is concave, and the root comes from Halley's
+    to rounding. Above, near the midpoint, where log S is within rounding
+    noise of 0, y comes from the series
+
+        log S = -kappa y + kappa ((3 - h^2) / 12 - kappa / 2) y^2 + O(y^3),
+        kappa = h phi(h) / erf(h / sqrt 2),
+
+    while (1 + h^2) y < 1e-5, which keeps its relative error below about
+    1e-12. Elsewhere log S is concave, and the root comes from Halley's
     method on it inside a bisection bracket. Below h = ``_TAIL_H`` the
     variable is y = s^2, in which log S is linear as h -> 0, and the start is
     the Rayleigh point. From ``_TAIL_H`` on the variable is t, and the start
@@ -328,6 +301,11 @@ def residual_offset(h: float, log_v: float) -> float:
     if h < _SERIES_H:
         y = -2.0 * log_v
         return math.sqrt(y + 2.0 * math.log1p(h * h * y / 6.0)) - h
+    if -log_v < 0.5 * _MIDPOINT:  # kappa <= 1/2, so the series may apply
+        kappa = h * _SQRT_2_OVER_PI * math.exp(-0.5 * h * h) / (2.0 * math.erf(h * _SQRT_HALF))
+        if -log_v * (1.0 + h * h) < _MIDPOINT * kappa:
+            y = -log_v / kappa
+            return math.sqrt(y * (1.0 + ((3.0 - h * h) / 12.0 - 0.5 * kappa) * y)) - h
     log_ve = log_v + math.log(math.erf(h * _SQRT_HALF))
     if h < _TAIL_H:
         return math.sqrt(_halley_root(h, log_ve, -2.0 * log_v, True)) - h

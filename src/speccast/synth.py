@@ -25,6 +25,17 @@ def check_keys(d: dict, cls, what: str) -> None:
         raise ValueError(f"{what} lacks required key(s): {', '.join(map(repr, missing))}")
 
 
+def drop_retired(d: dict, retired: dict, what: str) -> dict:
+    """``d`` without the ``retired`` keys, which map to the one value each ever
+    held (a list reads as a tuple); ValueError names one that holds another."""
+    d = dict(d)
+    for key, old in retired.items():
+        value = d.pop(key, old)
+        if (tuple(value) if isinstance(value, list) else value) != old:
+            raise ValueError(f"{what} key {key!r} is retired and must be {old!r} or absent, got {value!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of the seasonal + AR(1) generator.

@@ -38,13 +38,11 @@ from .engine import (
 )
 from .models import History, persistence_model
 from .prob import (
-    CLOSED_FORM,
-    MONTE_CARLO,
-    QUADRATURE_1D,
     GaussianHead,
     gap_for_overlap,
-    overlap,
     overlap_closed_form,
+    overlap_monte_carlo,
+    overlap_quadrature,
     residual_sample,
 )
 
@@ -64,36 +62,27 @@ SUITE_NAMES = (
 
 @dataclass
 class SuiteResult:
+    """One suite's details and failed checks; it passed if no check failed."""
+
     name: str
-    passed: bool
     details: dict = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-class _Checker:
-    def __init__(self, name: str):
-        self.name = name
-        self.failures: list[str] = []
-        self.details: dict = {}
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def check(self, ok: bool, message: str) -> None:
         if not ok:
             self.failures.append(message)
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(
-            name=self.name,
-            passed=not self.failures,
-            details=self.details,
-            failures=self.failures,
-        )
+    def to_dict(self) -> dict:
+        d = dataclasses.asdict(self)
+        return {"name": d.pop("name"), "passed": self.passed, **d}
 
 
-def _persistence_pair(sigma: float, gap: float, h0_value: float = 0.0):
-    """1-d fixed-head fixture: target mean = h0, draft mean = h0 + gap.
+def _persistence_pair(sigma: float, gap: float):
+    """1-d fixture from a zero patch: target mean = h0 = 0, draft mean = h0 + gap.
 
     With persistence models the draft/target mean gap stays constant along
     any accepted prefix, so per-position acceptance is i.i.d. with
@@ -101,46 +90,31 @@ def _persistence_pair(sigma: float, gap: float, h0_value: float = 0.0):
     """
     target = persistence_model(patch_len=1, sigma=sigma)
     draft = persistence_model(patch_len=1, sigma=sigma, mean_bias=gap)
-    h0 = History.from_patches(np.array([[h0_value]]), 1)
+    h0 = History.from_patches(np.zeros((1, 1)), 1)
     return target, draft, h0
 
 
-def _mass_single_rounds(
-    variant: str,
-    sigma: float,
-    gap: float,
-    gamma: int,
-    n: int,
-    seed: int,
-):
-    """Run n independent single-round decodes; returns (first outputs, L, n)."""
+def _mass_single_rounds(variant: str, sigma: float, gap: float, gamma: int, n: int, seed: int):
+    """Run n independent single-round decodes; returns (first outputs, L)."""
     target, draft, h0 = _persistence_pair(sigma, gap)
-    base = DecodeConfig(
-        variant=variant,
-        horizon_patches=1,
-        seed=0,
-        gamma=gamma,
-        sigma_target=sigma,
-        sigma_draft=sigma,
-    )
+    base = DecodeConfig(variant=variant, horizon_patches=1, seed=0, gamma=gamma,
+                        sigma_target=sigma, sigma_draft=sigma)
     outputs = np.empty(n)
     lengths = np.empty(n, dtype=np.int64)
-    accepted = np.empty(n, dtype=np.int64)
     base_seed = rngmod.derive_seed(seed, 0xA11CE)
     for i in range(n):
         cfg = dataclasses.replace(base, seed=base_seed + i)
         forecast, trace = decode(target, draft, h0, cfg)
         outputs[i] = forecast[0, 0]
         lengths[i] = trace.round_lengths()[0]
-        accepted[i] = trace.accepted_counts()[0]
-    return outputs, lengths, accepted
+    return outputs, lengths
 
 
 def suite_lossless_exactness(seed: int = 0, n: int = 100_000) -> SuiteResult:
     """Residual-sampling decode output vs direct target sampling (KS)."""
-    c = _Checker("lossless-exactness")
+    c = SuiteResult("lossless-exactness")
     sigma, gap = 1.0, 1.0
-    sd_samples, _, _ = _mass_single_rounds(VARIANT_LOSSLESS, sigma, gap, 1, n, seed)
+    sd_samples, _ = _mass_single_rounds(VARIANT_LOSSLESS, sigma, gap, 1, n, seed)
     direct = rngmod.stream(rngmod.derive_seed(seed, 999), 0, rngmod.DIRECT).standard_normal(n) * sigma
     ks = scistats.ks_2samp(sd_samples, direct)
     c.details["ks_statistic"] = float(ks.statistic)
@@ -148,7 +122,7 @@ def suite_lossless_exactness(seed: int = 0, n: int = 100_000) -> SuiteResult:
     c.details["n"] = n
     c.check(ks.pvalue >= 0.01, f"KS p-value {ks.pvalue:.4f} below 0.01")
     c.check(ks.statistic <= 0.01, f"KS sup-distance {ks.statistic:.4f} above 0.01")
-    return c.result()
+    return c
 
 
 def _g_bin_masses(edges: np.ndarray, mu_p: float, mu_q: float, sigma: float) -> np.ndarray:
@@ -167,10 +141,10 @@ def _g_bin_masses(edges: np.ndarray, mu_p: float, mu_q: float, sigma: float) -> 
 
 def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> SuiteResult:
     """Practical single-step histogram vs the mixture law alpha*q + (1-a)p."""
-    c = _Checker("practical-law")
+    c = SuiteResult("practical-law")
     sigma, gap = 1.0, 1.0
     mu_p, mu_q = 0.0, gap
-    samples, _, _ = _mass_single_rounds(VARIANT_PRACTICAL, sigma, gap, 1, n, seed)
+    samples, _ = _mass_single_rounds(VARIANT_PRACTICAL, sigma, gap, 1, n, seed)
 
     edges = np.linspace(mu_p - 8 * sigma, mu_q + 8 * sigma, 65)
     counts, _ = np.histogram(samples, bins=edges)
@@ -196,19 +170,19 @@ def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> Su
         worst = max(worst, bounds.tv_numeric_1d - bounds.alpha_bar)
     c.details["max_tv_minus_alpha"] = float(worst)
     c.check(worst <= 1e-9, f"numeric TV exceeded alpha_bar by {worst:.3e} on the grid")
-    return c.result()
+    return c
 
 
 def suite_capped_geometric(
     seed: int = 0, gammas: tuple[int, ...] = (2, 3, 5), n: int = 100_000
 ) -> SuiteResult:
     """Round-length histogram vs the capped geometric law (chi-square)."""
-    c = _Checker("capped-geometric")
+    c = SuiteResult("capped-geometric")
     sigma = 1.0
     alpha_bar = 0.8
     gap = gap_for_overlap(alpha_bar) * sigma
     for gamma in gammas:
-        _, lengths, _ = _mass_single_rounds(
+        _, lengths = _mass_single_rounds(
             VARIANT_PRACTICAL, sigma, gap, gamma, n, rngmod.derive_seed(seed, 7, gamma)
         )
         pmf = block_length_pmf(alpha_bar, gamma)
@@ -228,12 +202,12 @@ def suite_capped_geometric(
             abs(mean_l - e_l) <= 3 * se,
             f"gamma={gamma}: mean L {mean_l:.4f} departs from {e_l:.4f} by more than 3 SE",
         )
-    return c.result()
+    return c
 
 
 def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000) -> SuiteResult:
     """Closed-form overlap vs quadrature and Monte Carlo."""
-    c = _Checker("overlap")
+    c = SuiteResult("overlap")
     rng = np.random.Generator(np.random.Philox(key=seed + 41))
     worst = 0.0
     for _ in range(n_pairs):
@@ -242,24 +216,22 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
         mu_q = mu_p + rng.uniform(-4.0, 4.0) * sigma
         p = GaussianHead.isotropic([mu_p], sigma)
         q = GaussianHead.isotropic([mu_q], sigma)
-        closed = overlap(p, q, CLOSED_FORM).beta
-        quad = overlap(p, q, QUADRATURE_1D).beta
-        worst = max(worst, abs(closed - quad))
+        worst = max(worst, abs(overlap_closed_form(p, q) - overlap_quadrature(p, q)))
     c.details["max_closed_vs_quadrature"] = float(worst)
     c.check(worst <= 1e-6, f"closed form vs quadrature disagree by {worst:.2e}")
 
     p = GaussianHead.isotropic([0.0], 1.0)
     q = GaussianHead.isotropic([1.0], 1.0)
-    mc = overlap(p, q, MONTE_CARLO, mc_samples=mc_samples, rng=rng)
+    mc_beta, mc_se = overlap_monte_carlo(p, q, mc_samples, rng)
     closed = overlap_closed_form(p, q)
-    c.details["mc_beta"] = mc.beta
-    c.details["mc_std_error"] = mc.std_error
+    c.details["mc_beta"] = mc_beta
+    c.details["mc_std_error"] = mc_se
     c.details["closed_beta"] = closed
     c.check(
-        abs(mc.beta - closed) <= 3 * mc.std_error,
-        f"Monte Carlo beta {mc.beta:.5f} departs from {closed:.5f} beyond 3 SE",
+        abs(mc_beta - closed) <= 3 * mc_se,
+        f"Monte Carlo beta {mc_beta:.5f} departs from {closed:.5f} beyond 3 SE",
     )
-    return c.result()
+    return c
 
 
 def _residual_survival(s: np.ndarray, h: float) -> np.ndarray:
@@ -291,7 +263,7 @@ def suite_residual_exactness(
     runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
     of the 15 tests must reach p >= 0.001.
     """
-    c = _Checker("residual-exactness")
+    c = SuiteResult("residual-exactness")
     geometry = np.random.Generator(np.random.Philox(key=seed + 53))
     for case, (d, delta) in enumerate((d, delta) for d in dims for delta in deltas):
         std = geometry.uniform(0.5, 2.0, d)
@@ -316,12 +288,12 @@ def suite_residual_exactness(
             )
         c.details[f"d={d},Delta={delta:g}"] = row
     c.details["n"] = n
-    return c.result()
+    return c
 
 
 def suite_gamma_rule(grid: int = 500, gamma_max: int = 64) -> SuiteResult:
     """Closed-form near-optimal gamma vs exhaustive speedup scan."""
-    c = _Checker("gamma-rule")
+    c = SuiteResult("gamma-rule")
     alphas = np.linspace(0.02, 0.995, 25)
     cs = np.linspace(0.02, 1.2, grid // 25)
     worst = 0
@@ -332,7 +304,7 @@ def suite_gamma_rule(grid: int = 500, gamma_max: int = 64) -> SuiteResult:
     c.details["grid_points"] = int(len(alphas) * len(cs))
     c.details["max_rule_scan_gap"] = worst
     c.check(worst <= 1, f"rule and scan disagree by {worst} > 1")
-    return c.result()
+    return c
 
 
 def _proposal_overlaps(target, draft, context, forecast, trace, sigma: float) -> np.ndarray:
@@ -347,10 +319,11 @@ def _proposal_overlaps(target, draft, context, forecast, trace, sigma: float) ->
     emitted = np.concatenate([context, forecast])
     windows = []
     e = 0
-    for r, n in enumerate(trace.accepted_counts().tolist()):
+    counts = zip(trace.round_lengths().tolist(), trace.examined_counts().tolist())
+    for r, (length, examined) in enumerate(counts):
         prefix = np.concatenate([emitted[e : k + e], trace.xs[r]])
-        windows.extend(prefix[j : j + k] for j in range(min(n + 1, trace.gamma)))
-        e += n + 1
+        windows.extend(prefix[j : j + k] for j in range(examined))
+        e += length
     stack = np.stack(windows)
     gap = np.linalg.norm(target.mean_batch(stack) - draft.mean_batch(stack), axis=1)
     return 2.0 * ndtr(-gap / (2.0 * sigma))
@@ -371,7 +344,7 @@ def suite_dependence(seed: int = 0) -> SuiteResult:
     """
     from .harness import decode_windows, fit_system
 
-    c = _Checker("dependence")
+    c = SuiteResult("dependence")
     gamma = 3
     # every test window of the end-to-end system
     spec = dataclasses.replace(end_to_end_spec(seed), max_test_windows=1_000_000)
@@ -402,7 +375,7 @@ def suite_dependence(seed: int = 0) -> SuiteResult:
             }
             c.check(abs(z) <= 4.0, f"{label}: accepted count is {z:.2f} SD from the sum of betas")
             c.check(lo <= mean_l <= hi, f"{label}: mean L {mean_l:.4f} outside [{lo:.4f}, {hi:.4f}]")
-    return c.result()
+    return c
 
 
 def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
@@ -414,7 +387,7 @@ def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
     applies (with heterogeneous histories the per-history overlaps share no
     common mean across draws and only the N-rate is guaranteed).
     """
-    c = _Checker("estimator")
+    c = SuiteResult("estimator")
     rng = np.random.Generator(np.random.Philox(key=seed + 97))
 
     # Closed-form estimator, heterogeneous population of history gaps.
@@ -473,16 +446,16 @@ def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
     # Pinned radius arithmetic: N=5000, m=1, eps=0.05 -> 2 exp(-25).
     from .analysis import AcceptanceEstimate
 
-    est = AcceptanceEstimate(alpha_bar_hat=0.5, n_histories=5000, mc_per_history=1, method="monte_carlo")
+    est = AcceptanceEstimate(alpha_bar_hat=0.5, n_histories=5000, mc_per_history=1)
     bound = est.tail_bound(0.05)
     c.details["tail_bound_5000_m1_eps05"] = bound
     c.check(abs(bound - 2.0 * math.exp(-25.0)) < 1e-15, "Hoeffding tail arithmetic drifted")
-    return c.result()
+    return c
 
 
 def suite_bounds(seed: int = 0) -> SuiteResult:
     """Deviation bound battery: TV/KL/Pinsker, continuity, horizon bound."""
-    c = _Checker("bounds")
+    c = SuiteResult("bounds")
     # Continuity: as the draft mean approaches the target mean, alpha_bar
     # rises to 1 and the numeric TV(g, p) falls to 0, monotonically.
     tvs, alphas = [], []
@@ -517,12 +490,12 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
         hb = horizon_tv_bound(deltas)
         ok &= hb.bound <= hb.sum_bound + 1e-12
     c.check(ok, "product-form horizon bound exceeded the sum form")
-    return c.result()
+    return c
 
 
 def suite_predictor_identities(seed: int = 0, n: int = 1000) -> SuiteResult:
     """Algebraic consistency of the block-length family of predictors."""
-    c = _Checker("predictor-identities")
+    c = SuiteResult("predictor-identities")
     rng = np.random.Generator(np.random.Philox(key=seed + 151))
     worst_pmf = 0.0
     worst_dot = 0.0
@@ -544,7 +517,7 @@ def suite_predictor_identities(seed: int = 0, n: int = 1000) -> SuiteResult:
     c.check(worst_pmf <= 1e-12, f"pmf mass off by {worst_pmf:.2e}")
     c.check(worst_dot <= 1e-10, f"pmf expectation off by {worst_dot:.2e}")
     c.check(worst_speed <= 1e-10, f"speedup identity off by {worst_speed:.2e}")
-    return c.result()
+    return c
 
 
 def end_to_end_spec(seed: int = 0):
@@ -577,7 +550,7 @@ def suite_end_to_end(seed: int = 0) -> SuiteResult:
     """
     from .harness import pick_saturation_sigma, run_experiment
 
-    c = _Checker("end-to-end")
+    c = SuiteResult("end-to-end")
     spec = end_to_end_spec(seed)
     results = run_experiment(spec)
     sigma_star = pick_saturation_sigma(results)
@@ -612,7 +585,7 @@ def suite_end_to_end(seed: int = 0) -> SuiteResult:
             row.s_wall_measured > 1.0,
             f"measured speedup {row.s_wall_measured:.3f} not above 1.0 despite c={row.cost.c:.3f}",
         )
-    return c.result()
+    return c
 
 
 _SUITES = {

@@ -239,11 +239,9 @@ class TestCostModel:
             CostModel(c=0.0, c_hat=0.3)
         with pytest.raises(ValueError):
             CostModel(c=0.3, c_hat=float("inf"))
-        with pytest.raises(ValueError):
-            CostModel(c=0.3, c_hat=0.3, source="vibes")
 
     def test_roundtrip(self):
-        cm = CostModel(c=0.3, c_hat=0.25, source="measured", n_timed_passes=100)
+        cm = CostModel(c=0.3, c_hat=0.25, n_timed_passes=100)
         doc = dataclasses.asdict(cm)
         assert CostModel.from_dict(doc) == cm
         with pytest.raises(ValueError, match=r"unknown cost key\(s\): 'bogus'$"):
@@ -259,15 +257,15 @@ class TestEstimateAlpha:
         assert est.mc_per_history is None
 
     def test_radius_formulas(self):
-        closed = AcceptanceEstimate(0.5, 128, None, "closed_form")
+        closed = AcceptanceEstimate(0.5, 128, None)
         assert closed.radius(0.05) == pytest.approx(math.sqrt(math.log(40) / 256), abs=1e-12)
-        two_stage = AcceptanceEstimate(0.5, 128, 16, "monte_carlo")
+        two_stage = AcceptanceEstimate(0.5, 128, 16)
         assert two_stage.radius(0.05) == pytest.approx(
             math.sqrt(math.log(40) / (2 * 128 * 16)), abs=1e-12
         )
 
     def test_tail_bound_arithmetic(self):
-        est = AcceptanceEstimate(0.5, 5000, 1, "monte_carlo")
+        est = AcceptanceEstimate(0.5, 5000, 1)
         assert est.tail_bound(0.05) == pytest.approx(2 * math.exp(-25), rel=1e-12)
         assert est.tail_bound(0.05) == pytest.approx(2.8e-11, rel=0.05)
 

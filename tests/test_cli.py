@@ -80,6 +80,18 @@ def test_scan_calibrate_manifest_and_replay(tmp_path, capsys):
     assert main(["calibrate", "--results", str(old)]) == 2
     assert capsys.readouterr().err == "error: unknown run result key(s): 'report'\n"
 
+    # a cost written when it still carried its one source, "measured",
+    # loads; any other source is refused by name
+    old.write_text(json.dumps({**line, "cost": {**line["cost"], "source": "measured"}}) + "\n")
+    assert main(["calibrate", "--results", str(old)]) == 0
+    assert _digests(old) == digests[1:2]
+    old.write_text(json.dumps({**line, "cost": {**line["cost"], "source": "configured"}}) + "\n")
+    capsys.readouterr()
+    assert main(["calibrate", "--results", str(old)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cost key 'source' is retired and must be 'measured' or absent, got 'configured'\n"
+    )
+
 
 def test_draft_only_is_decoded_once_per_point(tmp_path):
     out = tmp_path / "out"
@@ -104,7 +116,7 @@ def test_validate_exit_codes(tmp_path, monkeypatch):
     suites = json.loads(report.read_text())["suites"]
     assert [(s["name"], s["passed"]) for s in suites] == [("gamma-rule", True)]
 
-    failing = SuiteResult(name="gamma-rule", passed=False, failures=["injected failure"])
+    failing = SuiteResult(name="gamma-rule", failures=["injected failure"])
     monkeypatch.setitem(validate._SUITES, "gamma-rule", lambda seed=0: failing)
     assert main(["validate", "--suite", "gamma-rule"]) == 1
 

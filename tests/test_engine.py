@@ -101,6 +101,33 @@ class TestRoundStructure:
         assert forecast.shape == (50, 1)
         assert trace.truncated_patches == trace.totals.patches_emitted - 50
 
+    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    def test_trace_counts_match_its_rounds(self, variant):
+        # Totals, truncation and examined counts, rebuilt from the exported
+        # rounds, on sessions whose last round overshoots the horizon of 10
+        target, draft, h0 = make_pair(gap=0.3)
+        speculative = variant in ("practical", "lossless")
+        truncated = 0
+        for seed in range(8):
+            _, trace = decode(target, draft, h0, cfg_for(variant, horizon=10, gamma=3, seed=seed))
+            rounds = trace.round_dicts()
+            r, emitted = len(rounds), sum(d["L"] for d in rounds)
+            assert trace.round_lengths().tolist() == [d["L"] for d in rounds]
+            assert trace.examined_counts().tolist() == [len(d["proposals"]) for d in rounds]
+            if speculative:
+                assert [len(d["proposals"]) for d in rounds] == [min(d["n"] + 1, 3) for d in rounds]
+                want = Totals(target_passes=4 * r, draft_passes=3 * r, target_batch_calls=r,
+                              patches_emitted=emitted)
+            elif variant == "target_only":
+                want = Totals(target_passes=r, patches_emitted=emitted)
+            else:
+                want = Totals(draft_passes=r, patches_emitted=emitted)
+            assert trace.totals == want
+            assert trace.truncated_patches == emitted - 10
+            assert trace.summary_dict()["totals"] == dataclasses.asdict(want)
+            truncated += trace.truncated_patches > 0
+        assert truncated > 0 if speculative else truncated == 0
+
     def test_horizon_truncation_preserves_prefix(self):
         target, draft, h0 = make_pair()
         long_cfg = cfg_for("practical", horizon=60, seed=5)

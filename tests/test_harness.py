@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from speccast.analysis import COST_MEASURED, CostModel, expected_block_length, ops_factor, speedup_wall
+from speccast.analysis import CostModel, expected_block_length, ops_factor, speedup_wall
 from speccast.harness import (
     TIMING_PASSES,
     DataSpec,
@@ -52,7 +52,6 @@ class TestMeasureCostRatio:
             cost = measure_cost_ratio(target, draft, window)
         # a timer warning depends on the host's speed; no other warning is raised
         assert all("timer resolution" in str(w.message) for w in caught)
-        assert cost.source == COST_MEASURED
         assert cost.n_timed_passes == TIMING_PASSES
         assert cost.c == cost.draft_pass_seconds / cost.target_pass_seconds
         assert cost.c_hat == draft.param_count / target.param_count
@@ -64,7 +63,6 @@ class TestMeasureCostRatio:
         draft = persistence_model(patch_len=4, mean_bias=0.3)
         window = ar1(16, seed=2).reshape(4, 4)
         cost = measure_cost_ratio(target, draft, window)
-        assert cost.source == COST_MEASURED
         assert cost.c == cost.draft_pass_seconds / cost.target_pass_seconds
         assert cost.c_hat == max(cost.c, 1e-9)
 
@@ -180,3 +178,7 @@ class TestRunResult:
             RunResult.from_dict({k: v for k, v in doc.items() if k != "mse"})
         with pytest.raises(ValueError, match=r"unknown cost key\(s\): 'bogus'$"):
             RunResult.from_dict({**doc, "cost": {**doc["cost"], "bogus": 1}})
+        # a line written when every cost carried "source": "measured" loads
+        assert RunResult.from_dict({**doc, "cost": {**doc["cost"], "source": "measured"}}) == r
+        with pytest.raises(ValueError, match=r"^cost key 'source' is retired"):
+            RunResult.from_dict({**doc, "cost": {**doc["cost"], "source": "configured"}})

@@ -8,19 +8,18 @@ import pytest
 from scipy import stats as scistats
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 
 from speccast import engine, kernels, prob
 from speccast import rng as rngmod
 from speccast.prob import (
-    CLOSED_FORM,
-    MONTE_CARLO,
-    QUADRATURE_1D,
     GaussianHead,
     VarianceFloorWarning,
     gap_for_overlap,
     log_density,
-    overlap,
     overlap_closed_form,
+    overlap_monte_carlo,
+    overlap_quadrature,
     residual_offset,
     residual_sample,
 )
@@ -212,14 +211,12 @@ class TestAcceptance:
 class TestOverlap:
     def test_identical_heads(self):
         h = GaussianHead.isotropic([1.0, 2.0], 0.5)
-        assert overlap(h, h).beta == pytest.approx(1.0, abs=1e-14)
+        assert overlap_closed_form(h, h) == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_gap_closed_form(self):
         p = GaussianHead.isotropic([0.0], 1.0)
         q = GaussianHead.isotropic([1.0], 1.0)
-        res = overlap(p, q, CLOSED_FORM)
-        assert res.beta == pytest.approx(2 * scistats.norm.cdf(-0.5), abs=1e-12)
-        assert res.std_error == 0.0
+        assert overlap_closed_form(p, q) == pytest.approx(2 * scistats.norm.cdf(-0.5), abs=1e-12)
 
     def test_quadrature_matches_closed_form(self):
         rng = np.random.default_rng(11)
@@ -229,28 +226,25 @@ class TestOverlap:
             gap = rng.uniform(-4, 4) * sigma
             p = GaussianHead.isotropic([mu], sigma)
             q = GaussianHead.isotropic([mu + gap], sigma)
-            closed = overlap(p, q, CLOSED_FORM).beta
-            quad = overlap(p, q, QUADRATURE_1D).beta
-            assert quad == pytest.approx(closed, abs=1e-6)
+            assert overlap_quadrature(p, q) == pytest.approx(overlap_closed_form(p, q), abs=1e-6)
 
     def test_monte_carlo_within_3se(self):
         p = GaussianHead.isotropic([0.0], 1.0)
         q = GaussianHead.isotropic([1.0], 1.0)
-        res = overlap(p, q, MONTE_CARLO, mc_samples=1_000_000, rng=rngmod.stream(99))
-        closed = overlap_closed_form(p, q)
-        assert abs(res.beta - closed) <= 3 * res.std_error
-        assert res.std_error > 0
+        beta, std_error = overlap_monte_carlo(p, q, 1_000_000, rngmod.stream(99))
+        assert abs(beta - overlap_closed_form(p, q)) <= 3 * std_error
+        assert std_error > 0
 
     def test_quadrature_needs_1d(self):
         p = GaussianHead.isotropic([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            overlap(p, p, QUADRATURE_1D)
+            overlap_quadrature(p, p)
 
     def test_closed_form_needs_equal_variance(self):
         p = GaussianHead(np.array([0.0]), np.array([1.0]))
         q = GaussianHead(np.array([0.0]), np.array([2.0]))
         with pytest.raises(ValueError):
-            overlap(p, q, CLOSED_FORM)
+            overlap_closed_form(p, q)
 
     @pytest.mark.parametrize("rel", [0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, -0.99e-12, -1.01e-12])
     def test_equal_variance_tolerance_is_allclose(self, rel):
@@ -259,10 +253,10 @@ class TestOverlap:
         var_p = var_q * np.array([1.0, 1.0 + rel])
         p, q = GaussianHead(np.zeros(2), var_p), GaussianHead(np.ones(2), var_q)
         if np.allclose(var_p, var_q, rtol=1e-12, atol=0.0):
-            assert overlap(p, q, CLOSED_FORM).beta > 0
+            assert overlap_closed_form(p, q) > 0
         else:
             with pytest.raises(ValueError, match="requires equal variances"):
-                overlap(p, q, CLOSED_FORM)
+                overlap_closed_form(p, q)
 
     def test_gap_for_overlap_inverts(self):
         for beta in (0.1, 0.3, 0.6, 0.9, 0.99):
@@ -376,6 +370,23 @@ class TestResidualRoot:
         # where the tail probability exp(log_p) underflows (below about -745)
         exact = brentq(lambda t: scistats.norm.logsf(t) - log_p, -40.0, 200.0, xtol=1e-13)
         assert abs(prob._tail_quantile(log_p) - exact) <= 4.5e-4
+
+    @pytest.mark.parametrize("h", [0.5, 1.0, 1.2])
+    def test_monotone_and_exact_near_the_midpoint(self, h):
+        # The residual map's sweep of a over [-40, 40]: v = Q(a). Near the
+        # midpoint log S = -kappa s^2 + O(s^4), so where -log v < 1e-10 the
+        # root is sqrt(-log v / kappa) to 1e-6 relative; s = t + h carries
+        # it to the rounding of t = s - h, ulp(h) / 2.
+        kappa = h * scistats.norm.pdf(h) / math.erf(h / math.sqrt(2.0))
+        previous = 0.0
+        for a in np.arange(-320, 321) / 8.0:
+            log_v = float(log_ndtr(-a))
+            s = residual_offset(h, log_v) + h
+            assert s >= previous, f"s decreases at a = {a}"
+            previous = s
+            if -log_v < 1e-10:
+                want = math.sqrt(-log_v / kappa)
+                assert abs(s - want) <= 1e-6 * want + 0.5 * math.ulp(h), f"a = {a}: s = {s}, want {want}"
 
     @pytest.mark.parametrize("h", [1e-9, 1e-5, 0.01, 0.5, 1.0, 1.2, 3.0, 20.0, 1e8])
     def test_every_finite_log_survival_has_a_finite_root(self, h):

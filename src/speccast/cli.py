@@ -333,13 +333,14 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     names = args.suite.split(",") if args.suite else ["all"]
-    results = run_suites(names, seed=args.seed)
-    report = [r.to_dict() for r in results]
-    for r in results:
+    results = []
+    for r, seconds in run_suites(names, seed=args.seed):
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}")
+        print(f"[{status}] {r.name} ({seconds:.1f} s)", flush=True)
         for f in r.failures:
             print(f"    {f}")
+        results.append(r)
+    report = [r.to_dict() for r in results]
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:

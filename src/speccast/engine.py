@@ -38,20 +38,36 @@ bit-for-bit and the practical/lossless variants consume the same random
 numbers, diverging only in what a rejected round makes of its ``ext``.
 
 A session starts from a ``models.History``, a read-only left-padded
-context, and decodes inside one preallocated (k_max + horizon + gamma, d)
-buffer: the context is written into it once, proposals, accepted patches
-and closing draws are written in place, the gamma + 1 verify windows of a
-round are a slice of one strided view built per session, and the forecast
-is one slice copy at the end. ``kernels.round_accept`` scores the draft and
-target densities of a round as one stacked computation that writes straight
-into the trace's preallocated per-round columns.
+context, and decodes inside a (k_max + horizon + gamma, d) buffer: the
+context is written into it once, proposals, accepted patches and closing
+draws are written in place, and the forecast is one slice copy at the end.
+The buffer, the stacked means and the noise block belong to a
+``_Workspace`` that the sessions of one shape on a thread share, with the
+row and window views a round reads prebuilt as Python lists; so a session
+allocates only its trace columns. A round makes only the numpy calls its
+math needs:
 
-A ``DecodeTrace`` stores those columns, the round count and the wall times
-of the draft and target calls. The trace alone derives every count from
-them when read: the examined proposals of each round, the pass and patch
+- the draft writes each mean into its row of the stacked means with
+  ``mean_one(window, out=row)``, and each proposal, mean plus noise, into
+  the buffer;
+- one batched target call writes the gamma + 1 target means in place with
+  ``mean_batch(windows, out=rows)``;
+- ``kernels.round_accept`` writes the proposals' squared distances to both
+  means into the round's row of the trace's ``dists`` column with one
+  subtract, square and reduce, then scans acceptance on Python floats;
+- a block of 8 rounds takes its uniforms straight into the trace's
+  ``uniforms`` column, and its proposal noise and closing variates from one
+  ``standard_normal`` call and one scaling.
+
+A ``DecodeTrace`` stores the columns the round writes (``n_accepted``,
+``xs``, ``dists``, ``uniforms``), the round count and the wall times of the
+draft and target calls. The trace alone derives everything else from them
+when read: the ``sources`` of the closing draws, the ``log_q``, ``log_p``
+and ``alphas`` columns (``kernels.acceptance_columns``, in the kernel's
+operation order), the examined proposals of each round, the pass and patch
 ``totals``, the last round's ``truncated_patches`` and the export dicts of
-``round_dicts()``; the decode paths only fill columns. The ``RoundRecord``
-list of ``rounds`` remains only because ``perfbench`` reads it.
+``round_dicts()``. The ``RoundRecord`` list of ``rounds`` remains only
+because ``perfbench`` reads it.
 """
 
 from __future__ import annotations
@@ -73,6 +89,7 @@ from .prob import VARIANCE_FLOOR, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
+_WORKSPACE_SHAPES = 8  # session shapes a thread keeps workspaces for
 
 
 def _streams() -> rngmod.ReusableStream:
@@ -83,6 +100,65 @@ def _streams() -> rngmod.ReusableStream:
         pool = rngmod.ReusableStream()
         _LOCAL.streams = pool
     return pool
+
+
+class _Workspace:
+    """The scratch arrays of one speculative session shape, and their row views.
+
+    The session buffer holds the context (``k_max`` rows), then every
+    emitted patch in order; a round's proposals are written after the
+    emitted ones, where the accepted ones stay and the closing draw
+    overwrites the first rejected one, and the last round may overshoot the
+    horizon by gamma rows. A round that has emitted e patches reads its
+    views at index e: ``propose[e + i]`` is the draft window of proposal i,
+    ``rows[e + i]`` the buffer row it is written to, ``verify[e]`` the
+    gamma + 1 target windows (one strided view of the buffer) and
+    ``proposals[e]`` the gamma proposals. ``means`` stacks the draft (0) and
+    target (1) means at the gamma proposal positions, the kernel's operand;
+    the draft writes its means into the rows of ``draft_means`` and the
+    verify pass all gamma + 1 target means into ``target_means``, whose rows
+    are ``target_rows``. ``normals`` holds a block's proposal noise, gamma
+    rows per round, then its closing variates, one row per round, in the
+    order they are drawn; ``noise`` lists its rows.
+
+    Every session writes each row before it reads it, so the sessions of a
+    thread, which run one after another, share one workspace per shape, and
+    a round indexes Python lists of views instead of building views.
+    """
+
+    def __init__(self, k_max: int, k_t: int, k_d: int, horizon: int, gamma: int, d: int) -> None:
+        buf = np.empty((k_max + horizon + gamma, d))
+        self.context = buf[:k_max]
+        self.forecast = buf[k_max : k_max + horizon]
+        self.rows = list(buf[k_max:])
+        self.propose = [buf[k_max + j - k_d : k_max + j] for j in range(horizon + gamma - 1)]
+        self.proposals = [buf[k_max + e : k_max + e + gamma] for e in range(horizon)]
+        row, col = buf.strides
+        windows = np.ndarray(
+            (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
+        )
+        self.verify = [windows[e : e + gamma + 1] for e in range(horizon)]
+        mus = np.empty((2, gamma + 1, d))
+        self.means = mus[:, :gamma]
+        self.draft_means = list(mus[0])
+        self.target_means = mus[1]
+        self.target_rows = list(mus[1])
+        self.scratch = np.empty((2, gamma, d))
+        self.normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
+        self.noise = list(self.normals)
+
+
+def _workspace(*shape: int) -> _Workspace:
+    """This thread's workspace for a session shape (k_max, k_t, k_d, horizon, gamma, d)."""
+    spaces = getattr(_LOCAL, "workspaces", None)
+    if spaces is None:
+        spaces = _LOCAL.workspaces = {}
+    space = spaces.get(shape)
+    if space is None:
+        if len(spaces) >= _WORKSPACE_SHAPES:
+            spaces.clear()
+        space = spaces[shape] = _Workspace(*shape)
+    return space
 
 
 class DecodeAborted(RuntimeError):
@@ -155,29 +231,32 @@ _BASELINE, _EXTEND, _FALLBACK, _RESIDUAL = range(len(SOURCES))
 
 
 @functools.lru_cache(maxsize=16)
-def _zero_columns(h: int) -> tuple[np.ndarray, ...]:
-    zeros = np.zeros((2, h), dtype=np.int64)
+def _zero_column(h: int) -> np.ndarray:
+    zeros = np.zeros(h, dtype=np.int64)
     zeros.flags.writeable = False
-    return tuple(zeros)
+    return zeros
 
 
 @dataclass(eq=False)
 class DecodeTrace:
     """Per-round columns of one session, preallocated for horizon rounds.
 
-    Stored: the integer columns ``n_accepted`` and ``sources`` (codes into
-    SOURCES), ``n_rounds``, the number of rows filled (a round emits at least
-    one patch, so ``horizon_patches`` rows always suffice), and the
-    ``wall_times`` of the draft and target calls. Speculative variants also
-    fill, per round and proposal position, ``xs`` (rounds, gamma, d),
-    ``log_q``/``log_p`` (views of the stacked ``logs``, shape
-    (rounds, 2, gamma)), ``alphas`` and ``uniforms``; only a round's examined
-    prefix is meaningful.
+    Stored: the integer column ``n_accepted``, ``n_rounds``, the number of
+    rows filled (a round emits at least one patch, so ``horizon_patches``
+    rows always suffice), and the ``wall_times`` of the draft and target
+    calls. Speculative variants also fill, per round and proposal position,
+    ``xs`` (rounds, gamma, d), the squared distances ``dists`` (rounds, 2,
+    gamma) of each proposal to the draft (0) and target (1) mean, and
+    ``uniforms``, which holds whole blocks of 8 rounds; ``accept_params``
+    are the kernel's constants. Every position of a filled row is written;
+    only a round's examined prefix is exported.
 
-    Derived from the columns, here alone: ``examined_counts()`` (min(n + 1,
-    gamma) per speculative round, 0 for the baselines), ``totals`` and
-    ``truncated_patches`` (``totals`` built once, on first read) and
-    ``round_dicts()``.
+    Derived from the columns, here alone, and built once on first read:
+    ``sources`` (codes into SOURCES: the extension when n = gamma, else the
+    variant's rejection draw), ``log_q``, ``log_p`` and ``alphas`` (rounds,
+    gamma) by ``kernels.acceptance_columns``, ``totals`` and
+    ``truncated_patches``; and ``examined_counts()`` (min(n + 1, gamma) per
+    speculative round, 0 for the baselines) and ``round_dicts()``.
     ``rounds`` and ``RoundRecord`` remain only because ``perfbench`` reads them.
     """
 
@@ -188,20 +267,48 @@ class DecodeTrace:
     patch_len: int = 1
     wall_times: dict = field(default_factory=lambda: {"draft_total": 0.0, "target_total": 0.0})
     n_rounds: int = 0
+    accept_params: tuple | None = None
 
     def __post_init__(self) -> None:
         h = self.horizon_patches
         self.speculative = self.variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS)
         if not self.speculative:
             # Baseline rounds are all alike (n = 0, source baseline).
-            self.n_accepted, self.sources = _zero_columns(h)
+            self.n_accepted = _zero_column(h)
             return
-        self.n_accepted, self.sources = np.zeros((2, h), dtype=np.int64)
+        self.n_accepted = np.zeros(h, dtype=np.int64)
         g = self.gamma
         self.xs = np.empty((h, g, self.patch_len))
-        self.logs = np.empty((h, 2, g))
-        self.log_q, self.log_p = self.logs[:, 0], self.logs[:, 1]
-        self.alphas, self.uniforms = np.empty((2, h, g))
+        self.dists = np.empty((h, 2, g))
+        self.uniforms = np.empty((-(-h // _RNG_BLOCK) * _RNG_BLOCK, g))
+
+    @functools.cached_property
+    def sources(self) -> np.ndarray:
+        """Each round's closing-draw code into SOURCES, built once on first read."""
+        n = self.n_accepted[: self.n_rounds]
+        if not self.speculative:
+            return np.full(n.shape, _BASELINE)
+        rejected = _RESIDUAL if self.variant == VARIANT_LOSSLESS else _FALLBACK
+        return np.where(n == self.gamma, _EXTEND, rejected)
+
+    @functools.cached_property
+    def _acceptance(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return kernels.acceptance_columns(self.dists[: self.n_rounds], self.accept_params)
+
+    @property
+    def log_q(self) -> np.ndarray:
+        """Draft log density of each proposal, (rounds, gamma)."""
+        return self._acceptance[0]
+
+    @property
+    def log_p(self) -> np.ndarray:
+        """Target log density of each proposal, (rounds, gamma)."""
+        return self._acceptance[1]
+
+    @property
+    def alphas(self) -> np.ndarray:
+        """Acceptance probability of each proposal, (rounds, gamma)."""
+        return self._acceptance[2]
 
     @functools.cached_property
     def rounds(self) -> list[RoundRecord]:
@@ -209,7 +316,7 @@ class DecodeTrace:
         r = self.n_rounds
         return [
             RoundRecord(i, n, SOURCES[s], n + 1)
-            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources[:r].tolist()))
+            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources.tolist()))
         ]
 
     @functools.cached_property
@@ -245,7 +352,7 @@ class DecodeTrace:
         r = self.n_rounds
         out = [
             {"round": i, "n": n, "L": n + 1, "source": SOURCES[s], "proposals": []}
-            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources[:r].tolist()))
+            for i, (n, s) in enumerate(zip(self.n_accepted[:r].tolist(), self.sources.tolist()))
         ]
         if self.speculative:
             columns = (c[:r].tolist() for c in (self.xs, self.log_q, self.log_p, self.alphas, self.uniforms))
@@ -323,21 +430,19 @@ def _check_finite(patch: np.ndarray, round_index: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _head_params(sigma: float, tolerance_lambda: float, d: int, gamma: int):
+def _head_params(sigma: float, tolerance_lambda: float, d: int):
     """The ``round_accept`` constants of one setting, and the standard
     deviation ``residual_sample`` takes.
 
-    Cached: the sessions of a run share them, and the arrays are only read.
+    Both heads have width sigma, so the draft and target constants are the
+    same floats. Cached: the sessions of a run share them, and the array is
+    only read.
     """
-    var = np.full(d, sigma * sigma)
+    inv_var = 1.0 / (sigma * sigma)
+    log_norm = float(np.sum(np.log(2.0 * np.pi * np.full(d, sigma * sigma))))
     std = np.full(d, sigma)
-    params = (np.full((2, gamma), 1.0 / (sigma * sigma)),
-              np.full((2, gamma), float(np.sum(np.log(2.0 * np.pi * var)))),
-              np.full((2, gamma), -0.5),
-              np.full(gamma, math.log(tolerance_lambda)), np.zeros(gamma))
-    for a in (*params, std):
-        a.flags.writeable = False
-    return params, std
+    std.flags.writeable = False
+    return (inv_var, log_norm, inv_var, log_norm, math.log(tolerance_lambda)), std
 
 
 def _decode_speculative(
@@ -359,26 +464,16 @@ def _decode_speculative(
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
         )
-    kernel_params, std = _head_params(sigma, cfg.tolerance_lambda, d, gamma)
-    trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d)
+    params, std = _head_params(sigma, cfg.tolerance_lambda, d)
+    trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d, accept_params=params)
     streams = _streams()
-
-    # The session buffer holds the history, then every emitted patch in
-    # order; a round's proposals are written after the emitted ones, where
-    # the accepted ones stay and the closing draw overwrites the first
-    # rejected one. The last round may overshoot the horizon by gamma rows.
-    buf = np.empty((k_max + horizon + gamma, d))
-    h0.fill_window(buf[:k_max])
-    row, col = buf.strides
-    # windows[j] is the target window ending before buffer row k_max + j; a
-    # round that has emitted e patches verifies windows[e : e + gamma + 1].
-    windows = np.ndarray(
-        (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
-    )
-    mus = np.empty((2, gamma, d))  # draft (0) and target (1) means
-    scratch = np.empty((2, gamma, d))
-    n_col, src_col = trace.n_accepted, trace.sources
-    xs_col, logs, alphas, u_col = trace.xs, trace.logs, trace.alphas, trace.uniforms
+    space = _workspace(k_max, k_t, k_d, horizon, gamma, d)
+    h0.fill_window(space.context)
+    rows, propose, proposals, verify = space.rows, space.propose, space.proposals, space.verify
+    means, draft_means, target_means = space.means, space.draft_means, space.target_means
+    target_rows, scratch, normals, noise = space.target_rows, space.scratch, space.normals, space.noise
+    first_ext = gamma * _RNG_BLOCK
+    n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace.uniforms
     draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
     emitted = 0
@@ -394,30 +489,24 @@ def _decode_speculative(
         slot = r % _RNG_BLOCK
         if slot == 0:
             gen = streams.rekey(cfg.seed, r // _RNG_BLOCK, rngmod.ROUND)
-            block_u = gen.random((_RNG_BLOCK, gamma))
-            block_z = gen.standard_normal((_RNG_BLOCK, gamma, d))
-            block_ext = gen.standard_normal((_RNG_BLOCK, d))
-            block_z *= sigma
-            block_ext *= sigma
-            u_col[r : r + _RNG_BLOCK] = block_u[: horizon - r]
+            block_u = u_col[r : r + _RNG_BLOCK]
+            gen.random(out=block_u)
+            gen.standard_normal(out=normals)
+            normals *= sigma
             u_rows = block_u.tolist()
-        noise = block_z[slot]
-        p = k_max + emitted
+        z = slot * gamma
 
         t0 = time.perf_counter()
         for i in range(gamma):
-            mu = draft_mean(buf[p + i - k_d : p + i])
-            mus[0, i] = mu
-            np.add(mu, noise[i], out=buf[p + i])
+            np.add(draft_mean(propose[emitted + i], out=draft_means[i]), noise[z + i], out=rows[emitted + i])
         t1 = time.perf_counter()
-        mu_p = target_mean(windows[emitted : emitted + gamma + 1])
+        target_mean(verify[emitted], out=target_means)
         t2 = time.perf_counter()
         draft_wall += t1 - t0
         target_wall += t2 - t1
 
-        mus[1] = mu_p[:gamma]
-        xs = buf[p : p + gamma]
-        n = kernels.round_accept(xs, u_rows[slot], mus, scratch, logs[r], alphas[r], kernel_params)
+        xs = proposals[emitted]
+        n = kernels.round_accept(xs, u_rows[slot], means, scratch, dist_col[r], params)
         if n < 0:
             raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
@@ -425,26 +514,24 @@ def _decode_speculative(
         # Every round closes from its own target variate, independent of its
         # accept decision: as is on the extension or a practical fallback,
         # mapped to its residual draw on a lossless rejection.
-        final = buf[p + n]
+        final = rows[emitted + n]
+        ext = noise[first_ext + slot]
         if lossless and n < gamma:
             try:
-                final[:] = residual_sample(mu_p[n], mus[0, n], std, block_ext[slot])[0]
+                final[:] = residual_sample(target_rows[n], draft_means[n], std, ext)[0]
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
-            source = _RESIDUAL
         else:
-            np.add(mu_p[n], block_ext[slot], out=final)
-            source = _EXTEND if n == gamma else _FALLBACK
+            np.add(target_rows[n], ext, out=final)
         _check_finite(final, r)
 
         n_col[r] = n
-        src_col[r] = source
         emitted += n + 1
         r += 1
 
     trace.n_rounds = r
     trace.wall_times = {"draft_total": draft_wall, "target_total": target_wall}
-    return buf[k_max : k_max + horizon].copy(), trace
+    return space.forecast.copy(), trace
 
 
 def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:

@@ -1,61 +1,72 @@
-"""The decode round's numpy kernel.
+"""The decode round's acceptance kernel, and the columns derived from it.
 
 ``round_accept`` is the decode engine's per-round scoring and acceptance
-scan: it scores the draft and target densities of a round's proposals as one
-stacked (2, gamma, d) computation and writes the log densities and
-acceptance probabilities straight into the rows of the engine's trace
-columns. It consumes pre-drawn uniforms, so its output is a pure function of
-the inputs. A loop-form reference implementation lives with the tests, which
-check the kernel against it; the per-round kernel cost is reported by
-``perfbench`` as ``kernels.round_accept_us``.
+scan. Its only numpy work is one subtract, square and reduce over the
+stacked (2, gamma, d) draft and target means, which writes the squared
+distances ||x_j - mu_q,j||^2 and ||x_j - mu_p,j||^2 of every proposal
+straight into the round's row of the trace's ``dists`` column. The scan
+then runs on Python floats: the log densities, their log ratio and the
+acceptance probability of each position, up to the first rejection. It
+consumes pre-drawn uniforms, so its output is a pure function of the inputs.
+
+The trace stores only the distances. ``acceptance_columns`` derives the
+exported ``log_q``, ``log_p`` and ``alphas`` columns from them when they are
+first read, with the scan's operation order and its exponential, so an
+exported alpha is exactly the number the scan compared its uniform with.
+A loop-form reference implementation lives with the tests, which check the
+kernel against it; the per-round kernel cost is reported by ``perfbench``
+as ``kernels.round_accept_us``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["round_accept"]
+__all__ = ["acceptance_columns", "round_accept"]
 
 
-def round_accept(xs, uniforms, mus, scratch, logs, alphas, params) -> int:
+def round_accept(xs, uniforms, mus, scratch, dists, params) -> int:
     """Decode-round inner math: score proposals and scan for acceptance.
 
     ``xs`` holds the round's gamma proposals and ``uniforms`` their
     acceptance uniforms as floats. ``mus`` stacks the draft (row 0) and
-    target (row 1) means at the gamma proposal positions, shape (2, gamma, d), so both log densities come from
-    one (2, gamma, d) computation in ``scratch``. They are written into
-    ``logs`` (2, gamma) and the acceptance probabilities into ``alphas``
-    (gamma,); the engine passes rows of its trace columns, so nothing is
-    copied afterwards. Each element keeps the operation order
-    ``-0.5 * (sum(diff**2) * inv_var + log_norm)`` and
-    ``exp(min(0, log_p - log_q + log lambda))``.
+    target (row 1) means at the gamma proposal positions, shape (2, gamma,
+    d); ``scratch`` has that shape too. The squared distances of the
+    proposals to both means are written into ``dists`` (2, gamma), which the
+    engine passes as a row of its trace column.
 
-    ``params = (inv_var, log_norm, neg_half, log_lambda, zero)`` holds the
-    constants as arrays of the operands' shapes, (2, gamma) for the first
-    three and (gamma,) for the last two: a same-shape operand is cheaper
-    than a broadcast or a Python scalar at these sizes. Returns the accepted
-    run length n, or -1 when an acceptance probability is not finite.
+    ``params = (inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda)``
+    are floats. Each position j keeps the operation order
+    ``log_q = -0.5 * (dists[0, j] * inv_var_q + log_norm_q)`` (log_p alike),
+    ``alpha = exp(min(0, log_p - log_q + log_lambda))``, with numpy's exp,
+    as ``acceptance_columns`` does; alpha is computed only where the scan
+    compares it. Returns the accepted run length n, or -1 when the log ratio
+    of any of the gamma positions, past the first rejection too, is NaN (an
+    infinite one gives alpha 0 or 1). Python's min() would hide a NaN, so
+    the scan tests for it itself.
     """
-    inv_var, log_norm, neg_half, log_lambda, zero = params
     np.subtract(xs, mus, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
-    np.add.reduce(scratch, axis=2, out=logs)
-    np.multiply(logs, inv_var, out=logs)
-    np.add(logs, log_norm, out=logs)
-    np.multiply(neg_half, logs, out=logs)
-    np.subtract(logs[1], logs[0], out=alphas)
-    np.add(alphas, log_lambda, out=alphas)
-    np.minimum(zero, alphas, out=alphas)
-    np.exp(alphas, out=alphas)
-    a = alphas.tolist()
-    if not math.isfinite(sum(a)):
-        return -1
-    # The scan compares Python floats: indexing the arrays would box a numpy
-    # scalar per comparison.
-    gamma = len(a)
-    n = 0
-    while n < gamma and uniforms[n] < a[n]:
-        n += 1
+    np.add.reduce(scratch, axis=2, out=dists)
+    inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda = params
+    dist_q, dist_p = dists.tolist()
+    n = len(dist_q)
+    for j, (dq, dp) in enumerate(zip(dist_q, dist_p)):
+        log_ratio = -0.5 * (dp * inv_var_p + log_norm_p) - -0.5 * (dq * inv_var_q + log_norm_q) + log_lambda
+        if log_ratio != log_ratio:
+            return -1
+        if j < n and not uniforms[j] < (1.0 if log_ratio >= 0.0 else np.exp(log_ratio)):
+            n = j
     return n
+
+
+def acceptance_columns(dists: np.ndarray, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log_q, log_p, alphas) of stored squared distances, as ``round_accept`` scores them.
+
+    ``dists`` has shape (..., 2, gamma); each result has shape (..., gamma).
+    """
+    inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda = params
+    log_q = -0.5 * (dists[..., 0, :] * inv_var_q + log_norm_q)
+    log_p = -0.5 * (dists[..., 1, :] * inv_var_p + log_norm_p)
+    alphas = np.exp(np.minimum(0.0, log_p - log_q + log_lambda))
+    return log_q, log_p, alphas

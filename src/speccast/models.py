@@ -172,27 +172,50 @@ class ForecastModel:
             )
         return self.mean_batch(windows)
 
-    def mean_batch(self, windows: np.ndarray) -> np.ndarray:
-        """predict_means without validation; the engine's batched verify pass."""
+    def mean_batch(self, windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """predict_means without validation; the engine's batched verify pass.
+
+        With ``out``, a (B, d) array, the means are written there, with the
+        same bits, and ``out`` is returned.
+        """
         recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
         if self.kind == KIND_PERSISTENCE:
-            means = recent[:, -1, :].copy()
+            if out is None:
+                means = recent[:, -1, :].copy()
+            else:
+                out[:] = recent[:, -1, :]
+                means = out
         else:
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
-            means = flat @ self.mean_weights() + self.intercept
+            if out is None:
+                means = flat @ self.mean_weights() + self.intercept
+            else:
+                means = np.matmul(flat, self.mean_weights(), out=out)
+                means += self.intercept
         if self.mean_bias > 0.0:
             means[:, 0] += self.mean_bias
         return means
 
-    def mean_one(self, window: np.ndarray) -> np.ndarray:
-        """Point forecast for one (k, d) window; no validation (hot path)."""
+    def mean_one(self, window: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Point forecast for one (k, d) window; no validation (hot path).
+
+        With ``out``, a (d,) array, the mean is written there, with the same
+        bits, and ``out`` is returned.
+        """
         recent = window if window.shape[0] == self.lookback else window[-self.lookback :]
         if self.kind == KIND_PERSISTENCE:
-            mean = recent[-1].copy()
-        else:
+            if out is None:
+                mean = recent[-1].copy()
+            else:
+                out[:] = recent[-1]
+                mean = out
+        elif out is None:
             mean = recent.reshape(-1) @ self.mean_weights() + self.intercept
+        else:
+            mean = np.matmul(recent.reshape(-1), self.mean_weights(), out=out)
+            mean += self.intercept
         if self.mean_bias > 0.0:
             mean[0] += self.mean_bias
         return mean

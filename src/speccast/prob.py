@@ -229,7 +229,9 @@ def overlap_monte_carlo(p: GaussianHead, q: GaussianHead, n: int, rng: np.random
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG2 = math.log(2.0)
-_erf, _erfc, _exp, _expm1, _log, _sqrt = math.erf, math.erfc, math.exp, math.expm1, math.log, math.sqrt
+_erf, _erfc, _exp, _expm1, _log, _log1p, _sqrt = (
+    math.erf, math.erfc, math.exp, math.expm1, math.log, math.log1p, math.sqrt
+)
 _SERIES_H = 1e-4    # below this half-gap, S is a series in h
 _MIDPOINT = 1e-5    # below this (1 + h^2) s^2, log S is a series in s^2
 _TAIL_H = 1.2       # from this half-gap on, the root is sought in t from a normal quantile
@@ -286,10 +288,13 @@ def residual_offset(h: float, log_v: float) -> float:
     the Rayleigh point. From ``_TAIL_H`` on the variable is t, and the start
     is the normal quantile of v erf(h / sqrt 2). Beyond p's mean (t > 0) S
     is an erfc difference, which does not cancel there; elsewhere an erf
-    difference. The search ends at a step below 1e-12 of the variable (of 1,
-    for |t| < 1); at a small step whose successor, estimated from the cubic
-    convergence of the last two steps, is below that; or at a step that no
-    longer shrinks, which is the rounding noise of log S. That noise bounds
+    difference in y, and in t one minus a sum of erfc tails, whose log1p
+    keeps log S accurate where S and erf(h / sqrt 2) are within rounding of
+    1 (log v within about 1e-14 of 0 at h = 6). The search ends at a step
+    below 1e-12 of the variable (of 1, for |t| < 1); at a small step whose
+    successor, estimated from the cubic convergence of the last two steps,
+    is below that; or at a step that no longer shrinks, which is the
+    rounding noise of log S. That noise bounds
     the root near s = 0, where S is within about 1e-3 of 1: there its error
     is about 1e-16 / s, not 1e-12 s. A v below e^-690 (about 2.5e-300), where
     the erfc difference would underflow near the root, is taken as e^-690:
@@ -306,16 +311,25 @@ def residual_offset(h: float, log_v: float) -> float:
         if -log_v * (1.0 + h * h) < _MIDPOINT * kappa:
             y = -log_v / kappa
             return math.sqrt(y * (1.0 + ((3.0 - h * h) / 12.0 - 0.5 * kappa) * y)) - h
-    log_ve = log_v + math.log(math.erf(h * _SQRT_HALF))
     if h < _TAIL_H:
-        return math.sqrt(_halley_root(h, log_ve, -2.0 * log_v, True)) - h
-    return _halley_root(h, log_ve, _tail_quantile(log_ve), False)
+        log_erf = math.log(math.erf(h * _SQRT_HALF))
+        return math.sqrt(_halley_root(h, log_v, log_erf, -2.0 * log_v, True)) - h
+    log_erf = math.log1p(-math.erfc(h * _SQRT_HALF))
+    return _halley_root(h, log_v, log_erf, _tail_quantile(log_v + log_erf), False)
 
 
-def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
-    """x with log n = log_ve, n = S erf(h / sqrt 2), x = s^2 if ``in_y`` else t."""
+def _halley_root(h: float, log_v: float, log_erf: float, x: float, in_y: bool) -> float:
+    """x with log S = log_v, S = n / erf(h / sqrt 2), x = s^2 if ``in_y`` else t.
+
+    ``log_erf`` is log erf(h / sqrt 2). In t, where h >= ``_TAIL_H``, n is
+    1 - c up to p's mean, c = [erfc(-t / sqrt 2) + erfc((s + h) / sqrt 2)] / 2,
+    and log n = log1p(-c) keeps log S accurate however close to 0 it is,
+    where n and erf(h / sqrt 2) both round to 1. So log v is carried apart
+    from log erf, g = (log n - log erf) - log v, and the step is taken in
+    ratios to the slope, which falls below 1e-160 there at large h.
+    """
     two_h = 2.0 * h
-    log_ve += _LOG2  # n2 = 2 n below
+    log_ve = log_v + log_erf + _LOG2  # log(2 n) at the root, for the y search
     lo = 0.0 if in_y else -h
     hi = last = math.inf
     for _ in range(_ROOT_STEPS):
@@ -325,8 +339,13 @@ def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
         else:
             s = x + h
             t = x
-        n2 = _erfc(t * _SQRT_HALF) - _erfc((s + h) * _SQRT_HALF) if t > 0.0 else \
-            _erf((s + h) * _SQRT_HALF) - _erf(t * _SQRT_HALF)
+        if t > 0.0:
+            n2 = _erfc(t * _SQRT_HALF) - _erfc((s + h) * _SQRT_HALF)
+        elif in_y:
+            n2 = _erf((s + h) * _SQRT_HALF) - _erf(t * _SQRT_HALF)
+        else:
+            c = 0.5 * (_erfc(-t * _SQRT_HALF) + _erfc((s + h) * _SQRT_HALF))
+            n2 = 2.0 - 2.0 * c
         # -dn/ds = phi(t) m, m = 1 - exp(-2 h s); rate = -d log n / ds.
         m = -_expm1(-two_h * s)
         ph = _SQRT_2_OVER_PI * _exp(-0.5 * t * t) / n2 if n2 > 0.0 else 0.0
@@ -336,19 +355,23 @@ def _halley_root(h: float, log_ve: float, x: float, in_y: bool) -> float:
             x = 0.5 * (lo + hi)
             last = math.inf
             continue
-        # g = log S - log v and its first two derivatives in x.
-        g = _log(n2) - log_ve
-        g2 = -rate * rate - ph * (two_h * (1.0 - m) - t * m)
+        # g = log S - log v and its first two derivatives in x; Halley's
+        # step, or Newton's where Halley's would head away from the root.
         if in_y:  # d/dy = d/ds / (2 s)
+            g = _log(n2) - log_ve
             g1 = -0.5 * rate / s
-            g2 = 0.25 * (g2 + rate / s) / x
+            g2 = 0.25 * (-rate * rate - ph * (two_h * (1.0 - m) - t * m) + rate / s) / x
+            den = g * g2 - 2.0 * g1 * g1
+            step = 2.0 * g * g1 / den if den < 0.0 else -g / g1
             scale = x
         else:
-            g1 = -rate
+            # Taken in ratios to g1 = -rate: near the midpoint at large h,
+            # g and rate fall below 1e-160, and their products underflow.
+            g = ((_log1p(-c) if t <= 0.0 else _log(n2) - _LOG2) - log_erf) - log_v
+            newton = g / rate
+            k = newton * (-rate - (two_h * (1.0 - m) - t * m) / m) - 2.0  # g g2 / g1^2 - 2
+            step = -2.0 * newton / k if k < 0.0 else newton
             scale = x if x > 1.0 else -x if x < -1.0 else 1.0
-        den = g * g2 - 2.0 * g1 * g1
-        # Halley's step; Newton's where Halley's would head away from the root.
-        step = 2.0 * g * g1 / den if den < 0.0 else -g / g1
         size = step if step > 0.0 else -step
         if (size <= _ROOT_RTOL * scale
                 or (size <= _ROOT_CUBIC * scale and size ** 4 <= _ROOT_RTOL * scale * last ** 3 < math.inf)

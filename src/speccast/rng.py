@@ -36,19 +36,20 @@ _MASK64 = (1 << 64) - 1
 _ROUND_BITS = 48
 
 
-def _key(seed: int, round_index: int, purpose: int) -> np.ndarray:
-    """Pack (seed, round, purpose) into a 128-bit Philox key."""
+def _key_words(seed: int, round_index: int, purpose: int) -> tuple[int, int]:
+    """The two 64-bit words of the Philox key of (seed, round, purpose)."""
     if round_index < 0:
         raise ValueError(f"round_index must be >= 0, got {round_index}")
     if not 0 <= purpose < (1 << 8):
         raise ValueError(f"purpose tag out of range: {purpose}")
     hi = (purpose << _ROUND_BITS) | (round_index & ((1 << _ROUND_BITS) - 1))
-    return np.array([seed & _MASK64, hi & _MASK64], dtype=np.uint64)
+    return seed & _MASK64, hi & _MASK64
 
 
 def stream(seed: int, round_index: int = 0, purpose: int = DIRECT) -> np.random.Generator:
     """Fresh generator for the stream keyed by (seed, round, purpose)."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, round_index, purpose)))
+    key = np.array(_key_words(seed, round_index, purpose), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -74,13 +75,14 @@ class ReusableStream:
         self._bg = np.random.Philox(key=0)
         self.generator = np.random.Generator(self._bg)
         # One state document serves every rekey: the setter copies it into
-        # the generator, so only its key changes between calls. The counter
-        # stays zero and a full buffer position forces a refill on the next
-        # draw.
+        # the generator, so only its key changes between calls, and its two
+        # words are written in place. The counter stays zero and a full
+        # buffer position forces a refill on the next draw.
         self._state = self._bg.state
         self._state["buffer_pos"] = len(self._state["buffer"])
+        self._key = self._state["state"]["key"]
 
     def rekey(self, seed: int, round_index: int, purpose: int) -> np.random.Generator:
-        self._state["state"]["key"][:] = _key(seed, round_index, purpose)
+        self._key[0], self._key[1] = _key_words(seed, round_index, purpose)
         self._bg.state = self._state
         return self.generator

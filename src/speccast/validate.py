@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -603,11 +605,17 @@ _SUITES = {
 }
 
 
-def run_suites(names: list[str] | None = None, seed: int = 0) -> list[SuiteResult]:
+def run_suites(names: list[str] | None = None, seed: int = 0) -> Iterator[tuple[SuiteResult, float]]:
+    """Run the named suites (every default one for None or ["all"]) in order.
+
+    Yields each suite's result with its wall seconds as the suite finishes.
+    An unknown name is refused before any suite runs.
+    """
     chosen = list(SUITE_NAMES) if not names or names == ["all"] else names
-    results = []
     for name in chosen:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")
-        results.append(_SUITES[name](seed=seed))
-    return results
+    for name in chosen:
+        t0 = time.perf_counter()
+        result = _SUITES[name](seed=seed)
+        yield result, time.perf_counter() - t0

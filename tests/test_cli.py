@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -110,11 +111,14 @@ def test_draft_only_is_decoded_once_per_point(tmp_path):
     assert all(b.alpha_hat < u.alpha_hat for b, u in zip(biased, unbiased))
 
 
-def test_validate_exit_codes(tmp_path, monkeypatch):
+def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     report = tmp_path / "report.json"
     assert main(["validate", "--suite", "gamma-rule", "--out", str(report)]) == 0
     suites = json.loads(report.read_text())["suites"]
     assert [(s["name"], s["passed"]) for s in suites] == [("gamma-rule", True)]
+    # each suite's line carries its wall seconds; the report does not
+    assert re.fullmatch(r"\[PASS\] gamma-rule \(\d+\.\d s\)\n", capsys.readouterr().out)
+    assert "seconds" not in report.read_text()
 
     failing = SuiteResult(name="gamma-rule", failures=["injected failure"])
     monkeypatch.setitem(validate._SUITES, "gamma-rule", lambda seed=0: failing)

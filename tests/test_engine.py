@@ -765,6 +765,57 @@ class TestReferenceLoop:
             assert forecast.tobytes() == ref_forecast.tobytes()
             assert trace.round_dicts() == ref_rounds
 
+    @pytest.mark.parametrize("kind", ["linear_ar", "persistence", "oracle"])
+    def test_exported_alpha_is_the_one_the_scan_compared(self, kind):
+        # Every examined proposal is accepted exactly when its uniform is
+        # below its exported alpha, and a round's n counts those: the trace
+        # derives alpha with the scan's operation order and exponential
+        target, draft, h0 = _reference_pair(kind)
+        rejections = 0
+        for variant in ("practical", "lossless"):
+            for seed in range(20):
+                cfg = DecodeConfig(variant=variant, horizon_patches=13, seed=seed, gamma=3,
+                                   sigma_target=0.4, sigma_draft=0.4)
+                _, trace = decode(target, draft, h0, cfg)
+                for rd in trace.round_dicts():
+                    compared = [p["u"] < p["alpha"] for p in rd["proposals"]]
+                    assert [p["accepted"] for p in rd["proposals"]] == compared
+                    assert rd["n"] == sum(compared)
+                    rejections += rd["n"] < cfg.gamma
+        assert rejections >= 10
+
+    @pytest.mark.parametrize("variant", ["practical", "lossless"])
+    def test_nan_past_the_first_rejection_aborts_its_round(self, variant, monkeypatch):
+        # A NaN target mean at the last position of round 3, whose first
+        # proposal is rejected, still stops the decode at round 3: the scan
+        # checks all gamma log ratios, not only the examined ones
+        target, draft, h0 = make_pair()
+        scan = kernels.round_accept
+        calls = []
+
+        def poisoned(xs, uniforms, mus, scratch, dists, params):
+            calls.append(len(calls))
+            if calls[-1] == 3:
+                mus[1, -1, 0] = np.nan
+                uniforms = [1.0, *uniforms[1:]]  # alpha <= 1: rejected at 0
+            return scan(xs, uniforms, mus, scratch, dists, params)
+
+        monkeypatch.setattr(kernels, "round_accept", poisoned)
+        with pytest.raises(DecodeAborted, match=r"^non-finite head parameters at round 3; aborting decode$"):
+            decode(target, draft, h0, cfg_for(variant, horizon=40))
+
+    @pytest.mark.parametrize("variant", ["practical", "lossless"])
+    def test_infinite_log_ratio_rejects_without_aborting(self, variant):
+        # A draft 1e200 off the target: each proposal's squared distance to
+        # the target mean overflows to inf, so log p is -inf, alpha exactly 0,
+        # and every round closes at once; nothing is non-finite in the output
+        target, draft, h0 = make_pair(gap=1e200)
+        with np.errstate(over="ignore"):
+            forecast, trace = decode(target, draft, h0, cfg_for(variant, horizon=10))
+        assert np.isfinite(forecast).all()
+        assert trace.round_lengths().tolist() == [1] * 10
+        assert np.all(trace.log_p[:, 0] == -np.inf) and np.all(trace.alphas[:, 0] == 0.0)
+
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only"])
     def test_lazy_rounds_agree_with_columns(self, variant):
         target, draft, h0 = _reference_pair("linear_ar", sigma=0.2)

@@ -149,12 +149,13 @@ def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0, params=N
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     d = x.shape[0]
     if params is None:
-        params, _ = engine._head_params(float(sigma), tolerance_lambda, d, 1)
+        params, _ = engine._head_params(float(sigma), tolerance_lambda, d)
     mus = np.empty((2, 1, d))
     mus[0, 0], mus[1, 0] = mu_q, mu_p
-    logs, alphas = np.empty((2, 1)), np.empty(1)
-    n = kernels.round_accept(x[None], [uniform], mus, np.empty((2, 1, d)), logs, alphas, params)
-    return float(logs[1, 0] - logs[0, 0]), float(alphas[0]), n == 1
+    dists = np.empty((2, 1))
+    n = kernels.round_accept(x[None], [uniform], mus, np.empty((2, 1, d)), dists, params)
+    log_q, log_p, alphas = kernels.acceptance_columns(dists, params)
+    return float(log_p[0] - log_q[0]), float(alphas[0]), n == 1
 
 
 class TestAcceptance:
@@ -201,8 +202,8 @@ class TestAcceptance:
     def test_unequal_variance_includes_log_term(self):
         # The engine passes one variance, but the kernel scores each row with
         # its own constants, log normalizer included: draft var 2, target 0.5.
-        var = np.array([[2.0], [0.5]])
-        params = (1.0 / var, np.log(2.0 * np.pi * var), np.full((2, 1), -0.5), np.zeros(1), np.zeros(1))
+        var_q, var_p = 2.0, 0.5
+        params = (1.0 / var_q, math.log(2.0 * math.pi * var_q), 1.0 / var_p, math.log(2.0 * math.pi * var_p), 0.0)
         log_ratio, _, _ = accept_one([0.0], [0.0], None, [0.0], params=params)
         expected = scalar_gauss_logpdf(0.0, 0.0, 0.5) - scalar_gauss_logpdf(0.0, 0.0, 2.0)
         assert log_ratio == pytest.approx(expected, abs=1e-12)
@@ -266,6 +267,24 @@ class TestOverlap:
             assert overlap_closed_form(p, q) == pytest.approx(beta, abs=1e-12)
 
 
+def _residual_density(h):
+    """The residual's density at distance x from the midpoint along the gap."""
+    norm = math.erf(h / math.sqrt(2.0))
+
+    def density(x):
+        return math.exp(-0.5 * (x - h) ** 2) / math.sqrt(2.0 * math.pi) * -math.expm1(-2.0 * h * x) / norm
+
+    return density
+
+
+def reference_deficit(s, h):
+    """1 - S(s), by quadrature of the density from the midpoint to s.
+
+    It does not cancel however close S is to 1.
+    """
+    return quad(_residual_density(h), 0.0, s, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def reference_survival(s, h):
     """S(s) of the residual along the gap, by quadrature of its density.
 
@@ -273,14 +292,9 @@ def reference_survival(s, h):
     phi(x - h) (1 - exp(-2 h x)) / erf(h / sqrt 2); it is integrated from 0
     to s while s < h, where S is near 1, and from s outwards beyond.
     """
-    norm = math.erf(h / math.sqrt(2.0))
-
-    def density(x):
-        return math.exp(-0.5 * (x - h) ** 2) / math.sqrt(2.0 * math.pi) * -math.expm1(-2.0 * h * x) / norm
-
     if s < h:
-        return 1.0 - quad(density, 0.0, s, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-    return quad(density, s, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return 1.0 - reference_deficit(s, h)
+    return quad(_residual_density(h), s, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def reference_root(h, v):
@@ -371,12 +385,17 @@ class TestResidualRoot:
         exact = brentq(lambda t: scistats.norm.logsf(t) - log_p, -40.0, 200.0, xtol=1e-13)
         assert abs(prob._tail_quantile(log_p) - exact) <= 4.5e-4
 
-    @pytest.mark.parametrize("h", [0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("h", [0.5, 1.0, 1.2, 6.0, 10.0, 20.0, 30.0])
     def test_monotone_and_exact_near_the_midpoint(self, h):
-        # The residual map's sweep of a over [-40, 40]: v = Q(a). Near the
-        # midpoint log S = -kappa s^2 + O(s^4), so where -log v < 1e-10 the
-        # root is sqrt(-log v / kappa) to 1e-6 relative; s = t + h carries
-        # it to the rounding of t = s - h, ulp(h) / 2.
+        # The residual map's sweep of a over [-40, 40]: v = Q(a). Where
+        # -log v < 1e-10 the root is checked to 1e-6 relative; s = t + h
+        # carries it to the rounding of t = s - h, ulp(h) / 2. Near the
+        # midpoint 1 - S = kappa s^2 (1 + O(h^2 s^2)), so below s = 1e-6 the
+        # root is sqrt((1 - v) / kappa); beyond, it comes from brentq on
+        # 1 - S, the quadrature from the midpoint, which stays exact however
+        # close v is to 1. At large h, S is 1 - Phi(t) to within the rounding
+        # of 1 over a long stretch, where both n and erf(h / sqrt 2) round
+        # to 1.
         kappa = h * scistats.norm.pdf(h) / math.erf(h / math.sqrt(2.0))
         previous = 0.0
         for a in np.arange(-320, 321) / 8.0:
@@ -385,7 +404,10 @@ class TestResidualRoot:
             assert s >= previous, f"s decreases at a = {a}"
             previous = s
             if -log_v < 1e-10:
-                want = math.sqrt(-log_v / kappa)
+                deficit = -math.expm1(log_v)
+                want = math.sqrt(deficit / kappa)
+                if want > 1e-6:
+                    want = brentq(lambda x: reference_deficit(x, h) - deficit, 0.0, h, xtol=1e-300, rtol=1e-14)
                 assert abs(s - want) <= 1e-6 * want + 0.5 * math.ulp(h), f"a = {a}: s = {s}, want {want}"
 
     @pytest.mark.parametrize("h", [1e-9, 1e-5, 0.01, 0.5, 1.0, 1.2, 3.0, 20.0, 1e8])

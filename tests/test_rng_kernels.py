@@ -90,20 +90,18 @@ def _round_inputs(rng, gamma, d, sigma_d, sigma_t, lam, gap):
 
 
 def _run_kernel(xs, uniforms, mu_q, mu_p, params):
-    """Call round_accept with the reference's (5,) params; (n, log_q, log_p, alphas)."""
+    """Call round_accept with the reference's (5,) params; (n, log_q, log_p, alphas).
+
+    The kernel stores the squared distances; the log densities and alphas
+    are the columns ``acceptance_columns`` derives from them.
+    """
     gamma, d = xs.shape
-    kernel_params = (
-        np.repeat([[params[0]], [params[1]]], gamma, axis=1),
-        np.repeat([[params[3]], [params[4]]], gamma, axis=1),
-        np.full((2, gamma), -0.5),
-        np.full(gamma, params[2]),
-        np.zeros(gamma),
-    )
-    logs, alphas = np.empty((2, gamma)), np.empty(gamma)
+    kernel_params = tuple(float(params[i]) for i in (0, 3, 1, 4, 2))
+    dists = np.empty((2, gamma))
     n = kernels.round_accept(
-        xs, list(uniforms), np.stack([mu_q, mu_p]), np.empty((2, gamma, d)), logs, alphas, kernel_params
+        xs, list(uniforms), np.stack([mu_q, mu_p]), np.empty((2, gamma, d)), dists, kernel_params
     )
-    return n, logs[0], logs[1], alphas
+    return (n, *kernels.acceptance_columns(dists, kernel_params))
 
 
 class TestRoundAccept:
@@ -168,3 +166,59 @@ class TestRoundAccept:
         n, _, _, alphas = _run_kernel(xs, np.zeros(3), mu_q, mu_p, params)
         assert n == -1
         assert np.isnan(alphas[1]) and np.isfinite(alphas[[0, 2]]).all()
+
+    def test_nan_past_the_first_rejection_is_flagged(self):
+        # The scan stops at the first rejection, but a NaN log ratio at any
+        # of the gamma positions still flags the round, as the all-position
+        # check on the alphas did; Python's min(0.0, nan) is 0.0, so the scan
+        # tests for NaN itself
+        rng = np.random.default_rng(14)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        uniforms = [1.0, 0.0, 0.0]  # alpha <= 1: the first proposal is rejected
+        assert _run_kernel(xs, uniforms, mu_q, mu_p, params)[0] == 0
+        mu_p[2, 0] = np.nan
+        n, _, _, alphas = _run_kernel(xs, uniforms, mu_q, mu_p, params)
+        assert n == -1 and np.isnan(alphas[2])
+        # both means infinite at one position: inf - inf in the log ratio
+        mu_p[2, 0] = mu_q[2, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert _run_kernel(xs, uniforms, mu_q, mu_p, params)[0] == -1
+
+    def test_infinite_log_ratio_is_not_flagged(self):
+        # An infinite squared distance makes the log ratio infinite, and
+        # alpha exactly 0 (the target's) or 1 (the draft's): a decision, not
+        # an abort
+        rng = np.random.default_rng(15)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        mu_q[0, 1] = np.inf
+        mu_p[1, 3] = -np.inf
+        n, log_q, log_p, alphas = _run_kernel(xs, [0.999, 0.0, 0.0], mu_q, mu_p, params)
+        assert n == 1
+        assert log_q[0] == -np.inf and log_p[1] == -np.inf
+        assert alphas[0] == 1.0 and alphas[1] == 0.0
+
+
+class TestAcceptanceBoundary:
+    def test_scan_compares_the_exported_alpha(self):
+        # Uniforms placed exactly at the exported alpha reject, and one ulp
+        # below it accept, at every position. math.exp and numpy's exp differ
+        # in the last ulp on a few percent of inputs, so a scan that took
+        # another exp than acceptance_columns would fail here.
+        rng = np.random.default_rng(16)
+        other_exp = 0
+        for _ in range(300):
+            gamma, d = int(rng.integers(1, 6)), int(rng.choice([1, 8, 32]))
+            xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, 1.0, 1.0, float(rng.choice([1.0, 0.5])), gap=0.3)
+            _, log_q, log_p, alphas = _run_kernel(xs, np.zeros(gamma), mu_q, mu_p, params)
+            for j in range(gamma):
+                below = [math.nextafter(a, 0.0) for a in alphas[:j].tolist()]
+                if not all(b < a for b, a in zip(below, alphas[:j].tolist())):
+                    continue  # an alpha of 0 cannot be accepted
+                assert _run_kernel(xs, below + [alphas[j]] + [0.0] * (gamma - j - 1), mu_q, mu_p, params)[0] == j
+                if alphas[j] > 0.0:
+                    n = _run_kernel(xs, below + [math.nextafter(alphas[j], 0.0)] + [1.0] * (gamma - j - 1),
+                                    mu_q, mu_p, params)[0]
+                    assert n == j + 1
+                la = min(float(log_p[j] - log_q[j] + params[2]), 0.0)
+                other_exp += math.exp(la) != alphas[j]
+        assert other_exp > 0  # the cases that tell the two exps apart were tested

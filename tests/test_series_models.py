@@ -458,6 +458,34 @@ class TestMeanWeights:
             one = np.stack([model.mean_one(w) for w in recent])
             assert np.all(np.max(np.abs(one - want), axis=1) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("kind", [models.KIND_LINEAR, models.KIND_PERSISTENCE])
+    @pytest.mark.parametrize("bias", [0.0, 0.7])
+    def test_means_written_in_place_are_bit_for_bit(self, kind, bias):
+        # mean_one(window, out=row) and mean_batch(windows, out=rows), as the
+        # decode engine calls them, return the no-out means' bits in the given
+        # rows and write nothing else
+        rng = np.random.default_rng(31)
+        patch_len, lookback = 3, 8
+        if kind == models.KIND_LINEAR:
+            model = self._random_model(rng, patch_len, lookback)
+        else:
+            model = persistence_model(patch_len=patch_len, sigma=1.0)
+        model = model.with_knobs(mean_bias=bias)
+        buf = rng.normal(size=(lookback + 4, patch_len))
+        overlapping = np.lib.stride_tricks.sliding_window_view(buf, lookback, axis=0).transpose(0, 2, 1)
+        sentinel = 12345.0
+        for window in overlapping:
+            out = np.full((3, patch_len), sentinel)
+            got = model.mean_one(window, out=out[1])
+            assert np.shares_memory(got, out[1])
+            assert out[1].tobytes() == model.mean_one(window).tobytes()
+            assert np.all(out[[0, 2]] == sentinel)
+        out = np.full((len(overlapping) + 2, patch_len), sentinel)
+        got = model.mean_batch(overlapping, out=out[1:-1])
+        assert np.shares_memory(got, out)
+        assert out[1:-1].tobytes() == model.mean_batch(overlapping).tobytes()
+        assert np.all(out[[0, -1]] == sentinel)
+
     def test_copy_is_read_only_and_shared(self):
         rng = np.random.default_rng(5)
         model = self._random_model(rng, 3, 8)

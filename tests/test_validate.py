@@ -20,10 +20,11 @@ def test_dependence_suite_catches_a_skewed_acceptance(monkeypatch):
     # so the accepted count drifts far above the sum of betas.
     scan = kernels.round_accept
 
-    def accept_double(xs, uniforms, mus, scratch, logs, alphas, params):
-        n = scan(xs, uniforms, mus, scratch, logs, alphas, params)
+    def accept_double(xs, uniforms, mus, scratch, dists, params):
+        n = scan(xs, uniforms, mus, scratch, dists, params)
         if n < 0:
             return n
+        alphas = kernels.acceptance_columns(dists, params)[2]
         n = 0
         while n < len(uniforms) and uniforms[n] < 2.0 * alphas[n]:
             n += 1

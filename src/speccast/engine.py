@@ -10,18 +10,19 @@ exact target chain.
 A round that accepts n proposals closes at position n, from ``ext``, the
 round's one pre-drawn N(0, sigma^2 I) target variate. ``ext`` is drawn with
 the round's uniforms and proposal noise but independently of them, so given
-the accept decision it is still a target draw. The extension (n = gamma)
-and the practical fallback (n < gamma) close with ``mu_p[n] + ext``; a
-rejected lossless round closes with ``residual_sample(mu_p[n], mu_q[n],
-std, ext)``, the exact residual draw that ext maps to, on the target and
-draft mean rows the round already holds, with the standard deviation
-built once per head setting (``_head_params``). No rejection re-keys a
-stream and no head object is built. The residual map is exact for every
-overlap below 1, so a lossless round never falls back to the practical
-draw. At tolerance_lambda = 1 a rejection with finite means implies
-distinct means, so its only ValueError is a non-finite mean (or a gap whose
-square underflows to 0), and that aborts the decode with ``DecodeAborted``
-(a RuntimeError) naming the round, as does a non-finite closing draw.
+the accept decision it is still a target draw. Every round writes
+``mu_p[n] + ext`` into its closing row, which is the close of the extension
+(n = gamma) and of the practical fallback (n < gamma); a rejected lossless
+round then maps that row in place to the exact residual draw of ext with
+``residual_sample(mu_p[n], mu_q[n], std, ext, row, work_rows)``, on the
+target and draft mean rows the round already holds, with the standard
+deviation of the session plan. No rejection re-keys a stream and no head
+object is built. The residual map is exact for every overlap below 1, so a
+lossless round never falls back to the practical draw. At tolerance_lambda
+= 1 a rejection with finite means implies distinct means, so its only
+ValueError is a non-finite mean (or a gap whose square underflows to 0),
+and that aborts the decode with ``DecodeAborted`` (a RuntimeError) naming
+the round, as does a non-finite closing draw.
 
 The target and draft heads of a speculative decode share one variance, as
 the paper's acceptance rule and every predictor here assume: a decode whose
@@ -37,15 +38,30 @@ Every random draw comes from a stream keyed by (seed, block, purpose): one
 bit-for-bit and the practical/lossless variants consume the same random
 numbers, diverging only in what a rejected round makes of its ``ext``.
 
+Everything a session sets up that depends only on its models and its
+config without the seed is set up once per thread, in a session plan
+(``_BaselinePlan`` for target_only and draft_only, ``_SpeculativePlan`` for
+practical and lossless) that ``_plan`` keeps in a small per-thread cache
+keyed by the two models and that config. The plan runs the checks (the
+models the variant needs, equal widths, the shared sigma and the lossless
+floor), resolves sigma and the head constants, and owns the session's
+scratch arrays, with the row and window views a session reads prebuilt as
+Python lists. A check that fails leaves no plan, so it fails on every call;
+the history is checked per session. The cache entry holds the models, so no
+other object can take their ids while it is kept. The plan holds no model
+method and no module function: tracing and tests patch ``mean_one``,
+``mean_batch``, ``kernels.round_accept``, ``residual_sample``, ``rekey`` and
+``fill_window``, and a session looks them up itself, so a patch takes
+effect on the next session.
+
 A session starts from a ``models.History``, a read-only left-padded
-context, and decodes inside a (k_max + horizon + gamma, d) buffer: the
-context is written into it once, proposals, accepted patches and closing
-draws are written in place, and the forecast is one slice copy at the end.
-The buffer, the stacked means and the noise block belong to a
-``_Workspace`` that the sessions of one shape on a thread share, with the
-row and window views a round reads prebuilt as Python lists; so a session
-allocates only its trace columns. A round makes only the numpy calls its
-math needs:
+context, and decodes inside its plan's buffer: the context is written into
+it once, every patch the session makes is written in place, and the
+forecast is one slice copy at the end, so a session allocates only its
+trace columns. A baseline session draws its noise in place into the plan's
+noise block, from one ``DIRECT`` stream per session, scales it by sigma,
+and adds it to one ``mean_one`` per step, in place in the buffer. A
+speculative session's buffer holds k_max + horizon + gamma rows. A round makes only the numpy calls its math needs:
 
 - the draft writes each mean into its row of the stacked means with
   ``mean_one(window, out=row)``, and each proposal, mean plus noise, into
@@ -89,7 +105,7 @@ from .prob import VARIANCE_FLOOR, residual_sample
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
-_WORKSPACE_SHAPES = 8  # session shapes a thread keeps workspaces for
+_PLANS = 16  # decode configurations a thread keeps session plans for
 
 
 def _streams() -> rngmod.ReusableStream:
@@ -100,65 +116,6 @@ def _streams() -> rngmod.ReusableStream:
         pool = rngmod.ReusableStream()
         _LOCAL.streams = pool
     return pool
-
-
-class _Workspace:
-    """The scratch arrays of one speculative session shape, and their row views.
-
-    The session buffer holds the context (``k_max`` rows), then every
-    emitted patch in order; a round's proposals are written after the
-    emitted ones, where the accepted ones stay and the closing draw
-    overwrites the first rejected one, and the last round may overshoot the
-    horizon by gamma rows. A round that has emitted e patches reads its
-    views at index e: ``propose[e + i]`` is the draft window of proposal i,
-    ``rows[e + i]`` the buffer row it is written to, ``verify[e]`` the
-    gamma + 1 target windows (one strided view of the buffer) and
-    ``proposals[e]`` the gamma proposals. ``means`` stacks the draft (0) and
-    target (1) means at the gamma proposal positions, the kernel's operand;
-    the draft writes its means into the rows of ``draft_means`` and the
-    verify pass all gamma + 1 target means into ``target_means``, whose rows
-    are ``target_rows``. ``normals`` holds a block's proposal noise, gamma
-    rows per round, then its closing variates, one row per round, in the
-    order they are drawn; ``noise`` lists its rows.
-
-    Every session writes each row before it reads it, so the sessions of a
-    thread, which run one after another, share one workspace per shape, and
-    a round indexes Python lists of views instead of building views.
-    """
-
-    def __init__(self, k_max: int, k_t: int, k_d: int, horizon: int, gamma: int, d: int) -> None:
-        buf = np.empty((k_max + horizon + gamma, d))
-        self.context = buf[:k_max]
-        self.forecast = buf[k_max : k_max + horizon]
-        self.rows = list(buf[k_max:])
-        self.propose = [buf[k_max + j - k_d : k_max + j] for j in range(horizon + gamma - 1)]
-        self.proposals = [buf[k_max + e : k_max + e + gamma] for e in range(horizon)]
-        row, col = buf.strides
-        windows = np.ndarray(
-            (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
-        )
-        self.verify = [windows[e : e + gamma + 1] for e in range(horizon)]
-        mus = np.empty((2, gamma + 1, d))
-        self.means = mus[:, :gamma]
-        self.draft_means = list(mus[0])
-        self.target_means = mus[1]
-        self.target_rows = list(mus[1])
-        self.scratch = np.empty((2, gamma, d))
-        self.normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
-        self.noise = list(self.normals)
-
-
-def _workspace(*shape: int) -> _Workspace:
-    """This thread's workspace for a session shape (k_max, k_t, k_d, horizon, gamma, d)."""
-    spaces = getattr(_LOCAL, "workspaces", None)
-    if spaces is None:
-        spaces = _LOCAL.workspaces = {}
-    space = spaces.get(shape)
-    if space is None:
-        if len(spaces) >= _WORKSPACE_SHAPES:
-            spaces.clear()
-        space = spaces[shape] = _Workspace(*shape)
-    return space
 
 
 class DecodeAborted(RuntimeError):
@@ -205,6 +162,24 @@ class DecodeConfig:
             sigma = getattr(self, name)
             if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {sigma}")
+        # Every field but the seed: the part of a session plan's key that
+        # the config gives.
+        object.__setattr__(
+            self, "_setting",
+            (self.variant, self.horizon_patches, self.gamma, self.tolerance_lambda,
+             self.sigma_target, self.sigma_draft),
+        )
+
+    def with_seed(self, seed: int) -> "DecodeConfig":
+        """This validated config with another seed.
+
+        Copies the fields instead of validating them again, as
+        ``dataclasses.replace`` would, which costs several microseconds a
+        call, more than a short decode session's set-up.
+        """
+        config = object.__new__(type(self))
+        config.__dict__.update(self.__dict__, seed=seed)
+        return config
 
 
 @dataclass
@@ -402,6 +377,140 @@ def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfi
     return float(sigma_t)
 
 
+def _head_params(sigma: float, tolerance_lambda: float, d: int):
+    """The ``round_accept`` constants of one setting, and the standard
+    deviation ``residual_sample`` takes.
+
+    Both heads have width sigma, so the draft and target constants are the
+    same floats.
+    """
+    inv_var = 1.0 / (sigma * sigma)
+    log_norm = float(np.sum(np.log(2.0 * np.pi * np.full(d, sigma * sigma))))
+    std = np.full(d, sigma)
+    std.flags.writeable = False
+    return (inv_var, log_norm, inv_var, log_norm, math.log(tolerance_lambda)), std
+
+
+class _BaselinePlan:
+    """The set-up of a target_only or draft_only configuration.
+
+    ``model`` is the one model the variant samples, ``sigma`` its head
+    width. The session buffer holds the context (``k`` rows), then each
+    patch as it is drawn: step i reads ``windows[i]``, buffer rows i to
+    i + k - 1, and writes ``rows[i]``, row k + i. The session's standard
+    normals are drawn into ``draws``, and ``noise`` lists the rows of
+    ``normals``, which takes them times sigma. Scaling into a second array
+    gives the bits of scaling in place and avoids numpy's slower path for a
+    one-element operand that is also the output.
+    """
+
+    def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
+        target_only = cfg.variant == VARIANT_TARGET_ONLY
+        model = target if target_only else draft
+        if model is None:
+            raise ValueError(f"{cfg.variant} requires the corresponding model")
+        sigma = cfg.sigma_target if target_only else cfg.sigma_draft
+        self.model = model
+        self.target_only = target_only
+        self.sigma = float(sigma) if sigma is not None else model.sigma
+        self.k = k = model.lookback
+        horizon = cfg.horizon_patches
+        buf = np.empty((k + horizon, model.d))
+        self.context = buf[:k]
+        self.forecast = buf[k:]
+        self.windows = [buf[i : i + k] for i in range(horizon)]
+        self.rows = list(self.forecast)
+        self.draws = np.empty((horizon, model.d))
+        self.normals = np.empty((horizon, model.d))
+        self.noise = list(self.normals)
+
+
+class _SpeculativePlan:
+    """The set-up of a practical or lossless configuration.
+
+    The checks and constants: equal model widths, one resolved head sigma
+    (``_resolve_sigma``), the kernel's constants ``params`` and the
+    residual's ``std`` (``_head_params``).
+
+    The scratch arrays: the session buffer holds the context (``k_max``
+    rows), then every emitted patch in order; a round's proposals are
+    written after the emitted ones, where the accepted ones stay and the
+    closing draw overwrites the first rejected one, and the last round may
+    overshoot the horizon by gamma rows. A round that has emitted e patches
+    reads its views at index e: ``propose[e + i]`` is the draft window of
+    proposal i, ``rows[e + i]`` the buffer row it is written to,
+    ``verify[e]`` the gamma + 1 target windows (one strided view of the
+    buffer) and ``proposals[e]`` the gamma proposals. ``means`` stacks the
+    draft (0) and target (1) means at the gamma proposal positions, the
+    kernel's operand; the draft writes its means into the rows of
+    ``draft_means`` and the verify pass all gamma + 1 target means into
+    ``target_means``, whose rows are ``target_rows``. ``normals`` holds a
+    block's proposal noise, gamma rows per round, then its closing
+    variates, one row per round, in the order they are drawn; ``noise``
+    lists its rows. ``scratch`` is the kernel's work array and
+    ``residual_rows`` the residual's two work rows.
+    """
+
+    def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
+        if draft is None:
+            raise ValueError("speculative variants require a draft model")
+        if target.d != draft.d:
+            raise ValueError(f"model dimensions differ: target d={target.d}, draft d={draft.d}")
+        self.sigma = sigma = _resolve_sigma(target, draft, cfg)
+        self.lossless = cfg.variant == VARIANT_LOSSLESS
+        gamma, horizon, d = cfg.gamma, cfg.horizon_patches, target.d
+        self.params, self.std = _head_params(sigma, cfg.tolerance_lambda, d)
+        k_t, k_d = target.lookback, draft.lookback
+        self.k_max = k_max = max(k_t, k_d)
+        self.first_ext = gamma * _RNG_BLOCK
+
+        buf = np.empty((k_max + horizon + gamma, d))
+        self.context = buf[:k_max]
+        self.forecast = buf[k_max : k_max + horizon]
+        self.rows = list(buf[k_max:])
+        self.propose = [buf[k_max + j - k_d : k_max + j] for j in range(horizon + gamma - 1)]
+        self.proposals = [buf[k_max + e : k_max + e + gamma] for e in range(horizon)]
+        row, col = buf.strides
+        windows = np.ndarray(
+            (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
+        )
+        self.verify = [windows[e : e + gamma + 1] for e in range(horizon)]
+        mus = np.empty((2, gamma + 1, d))
+        self.means = mus[:, :gamma]
+        self.draft_means = list(mus[0])
+        self.target_means = mus[1]
+        self.target_rows = list(mus[1])
+        self.scratch = np.empty((2, gamma, d))
+        self.residual_rows = tuple(np.empty((2, d)))
+        self.normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
+        self.noise = list(self.normals)
+
+
+def _plan(target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig):
+    """This thread's session plan for (target, draft, cfg without its seed).
+
+    Built on a thread's first session of a configuration, so a check that
+    fails leaves no plan and fails again on the next call. The cache entry
+    holds the two models, so no other object can take their ids while it
+    is kept. The plan holds no model method or module function: tracing
+    and tests patch those, and a session looks them up itself.
+    """
+    plans = getattr(_LOCAL, "plans", None)
+    if plans is None:
+        plans = _LOCAL.plans = {}
+    key = (id(target), id(draft), cfg._setting)
+    entry = plans.get(key)
+    if entry is None:
+        if cfg.variant in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
+            plan = _BaselinePlan(target, draft, cfg)
+        else:
+            plan = _SpeculativePlan(target, draft, cfg)
+        if len(plans) >= _PLANS:
+            del plans[next(iter(plans))]  # the oldest
+        entry = plans[key] = (plan, target, draft)
+    return entry[0]
+
+
 def decode(
     target: ForecastModel,
     draft: ForecastModel | None,
@@ -413,14 +522,10 @@ def decode(
     The forecast has exactly ``cfg.horizon_patches`` rows; a final round that
     overshoots is truncated without altering earlier rounds.
     """
-    if cfg.variant in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
-        model = target if cfg.variant == VARIANT_TARGET_ONLY else draft
-        if model is None:
-            raise ValueError(f"{cfg.variant} requires the corresponding model")
-        return _decode_baseline(model, h0, cfg)
-    if draft is None:
-        raise ValueError("speculative variants require a draft model")
-    return _decode_speculative(target, draft, h0, cfg)
+    plan = _plan(target, draft, cfg)
+    if type(plan) is _BaselinePlan:
+        return _decode_baseline(plan, h0, cfg)
+    return _decode_speculative(plan, target, draft, h0, cfg)
 
 
 def _check_finite(patch: np.ndarray, round_index: int) -> None:
@@ -429,50 +534,28 @@ def _check_finite(patch: np.ndarray, round_index: int) -> None:
         raise DecodeAborted(f"non-finite head parameters at round {round_index}; aborting decode")
 
 
-@functools.lru_cache(maxsize=64)
-def _head_params(sigma: float, tolerance_lambda: float, d: int):
-    """The ``round_accept`` constants of one setting, and the standard
-    deviation ``residual_sample`` takes.
-
-    Both heads have width sigma, so the draft and target constants are the
-    same floats. Cached: the sessions of a run share them, and the array is
-    only read.
-    """
-    inv_var = 1.0 / (sigma * sigma)
-    log_norm = float(np.sum(np.log(2.0 * np.pi * np.full(d, sigma * sigma))))
-    std = np.full(d, sigma)
-    std.flags.writeable = False
-    return (inv_var, log_norm, inv_var, log_norm, math.log(tolerance_lambda)), std
-
-
 def _decode_speculative(
+    plan: _SpeculativePlan,
     target: ForecastModel,
     draft: ForecastModel,
     h0: History,
     cfg: DecodeConfig,
 ) -> tuple[np.ndarray, DecodeTrace]:
-    if target.d != draft.d:
-        raise ValueError(f"model dimensions differ: target d={target.d}, draft d={draft.d}")
-    sigma = _resolve_sigma(target, draft, cfg)
-    lossless = cfg.variant == VARIANT_LOSSLESS
+    if h0.lookback < plan.k_max:
+        raise ValueError(
+            f"history capacity {h0.lookback} is below the larger model lookback {plan.k_max}"
+        )
     gamma = cfg.gamma
     horizon = cfg.horizon_patches
-    d = target.d
-    k_t, k_d = target.lookback, draft.lookback
-    k_max = max(k_t, k_d)
-    if h0.lookback < k_max:
-        raise ValueError(
-            f"history capacity {h0.lookback} is below the larger model lookback {k_max}"
-        )
-    params, std = _head_params(sigma, cfg.tolerance_lambda, d)
-    trace = DecodeTrace(cfg.variant, gamma, cfg.seed, horizon, d, accept_params=params)
+    seed = cfg.seed
+    sigma, lossless, params, std = plan.sigma, plan.lossless, plan.params, plan.std
+    trace = DecodeTrace(cfg.variant, gamma, seed, horizon, target.d, accept_params=params)
     streams = _streams()
-    space = _workspace(k_max, k_t, k_d, horizon, gamma, d)
-    h0.fill_window(space.context)
-    rows, propose, proposals, verify = space.rows, space.propose, space.proposals, space.verify
-    means, draft_means, target_means = space.means, space.draft_means, space.target_means
-    target_rows, scratch, normals, noise = space.target_rows, space.scratch, space.normals, space.noise
-    first_ext = gamma * _RNG_BLOCK
+    h0.fill_window(plan.context)
+    rows, propose, proposals, verify = plan.rows, plan.propose, plan.proposals, plan.verify
+    means, draft_means, target_means = plan.means, plan.draft_means, plan.target_means
+    target_rows, scratch, normals, noise = plan.target_rows, plan.scratch, plan.normals, plan.noise
+    residual_rows, first_ext = plan.residual_rows, plan.first_ext
     n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace.uniforms
     draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
@@ -488,7 +571,7 @@ def _decode_speculative(
         # same draws in every round.
         slot = r % _RNG_BLOCK
         if slot == 0:
-            gen = streams.rekey(cfg.seed, r // _RNG_BLOCK, rngmod.ROUND)
+            gen = streams.rekey(seed, r // _RNG_BLOCK, rngmod.ROUND)
             block_u = u_col[r : r + _RNG_BLOCK]
             gen.random(out=block_u)
             gen.standard_normal(out=normals)
@@ -513,16 +596,15 @@ def _decode_speculative(
 
         # Every round closes from its own target variate, independent of its
         # accept decision: as is on the extension or a practical fallback,
-        # mapped to its residual draw on a lossless rejection.
+        # mapped in place to its residual draw on a lossless rejection.
         final = rows[emitted + n]
         ext = noise[first_ext + slot]
+        np.add(target_rows[n], ext, out=final)
         if lossless and n < gamma:
             try:
-                final[:] = residual_sample(target_rows[n], draft_means[n], std, ext)[0]
+                residual_sample(target_rows[n], draft_means[n], std, ext, final, residual_rows)
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
-        else:
-            np.add(target_rows[n], ext, out=final)
         _check_finite(final, r)
 
         n_col[r] = n
@@ -531,38 +613,33 @@ def _decode_speculative(
 
     trace.n_rounds = r
     trace.wall_times = {"draft_total": draft_wall, "target_total": target_wall}
-    return space.forecast.copy(), trace
+    return plan.forecast.copy(), trace
 
 
-def _decode_baseline(model: ForecastModel, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:
-    sigma = cfg.sigma_target if cfg.variant == VARIANT_TARGET_ONLY else cfg.sigma_draft
-    sigma = float(sigma) if sigma is not None else model.sigma
-    horizon = cfg.horizon_patches
-    k = model.lookback
-    if h0.lookback < k:
+def _decode_baseline(plan: _BaselinePlan, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:
+    model = plan.model
+    if h0.lookback < plan.k:
         raise ValueError(
-            f"history capacity {h0.lookback} is below the model lookback {k}"
+            f"history capacity {h0.lookback} is below the model lookback {plan.k}"
         )
-    # Session buffer: the history, then each patch as it is drawn; step i
-    # reads the window buf[i : i + k] and writes row k + i.
-    buf = np.empty((k + horizon, model.d))
-    h0.fill_window(buf[:k])
-    noise = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal((horizon, model.d))
-    noise *= sigma
+    horizon = cfg.horizon_patches
+    h0.fill_window(plan.context)
+    draws = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal(out=plan.draws)
+    np.multiply(draws, plan.sigma, out=plan.normals)
     mean_one = model.mean_one
 
     t0 = time.perf_counter()
-    for i in range(horizon):
-        np.add(mean_one(buf[i : i + k]), noise[i], out=buf[k + i])
+    for window, noise, row in zip(plan.windows, plan.noise, plan.rows):
+        np.add(mean_one(window), noise, out=row)
     elapsed = time.perf_counter() - t0
-    forecast = buf[k:]
+    forecast = plan.forecast
     if not math.isfinite(np.add.reduce(forecast, axis=None)):
         # The noise is finite, so the first non-finite patch is the first
         # step whose head mean was not finite.
         first = int(np.argmin(np.isfinite(forecast).all(axis=1)))
         raise DecodeAborted(f"non-finite head parameters at round {first}; aborting decode")
 
-    target_only = cfg.variant == VARIANT_TARGET_ONLY
+    target_only = plan.target_only
     trace = DecodeTrace(
         cfg.variant, cfg.gamma, cfg.seed, horizon, model.d,
         wall_times={

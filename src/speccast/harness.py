@@ -368,15 +368,14 @@ def decode_windows(
     pad = target.pad_patch()
     forecasts = []
     traces = []
-    # Untimed warmup: first-call costs (the engine's per-setting constant
-    # cache, lazy imports, allocator growth) stay out of the measured wall.
+    # Untimed warmup: first-call costs (the engine's session plan, lazy
+    # imports, allocator growth) stay out of the measured wall.
     warm = History.from_patches(windows[0].context, k_ctx, pad)
-    decode(target, draft, warm, dataclasses.replace(cfg, seed=0))
+    decode(target, draft, warm, cfg.with_seed(0))
     t0 = time.perf_counter()
     for w_idx, win in enumerate(windows):
         h0 = History.from_patches(win.context, k_ctx, pad)
-        wcfg = dataclasses.replace(cfg, seed=rngmod.derive_seed(run_seed, w_idx))
-        forecast, trace = decode(target, draft, h0, wcfg)
+        forecast, trace = decode(target, draft, h0, cfg.with_seed(rngmod.derive_seed(run_seed, w_idx)))
         forecasts.append(forecast)
         traces.append(trace)
     wall = time.perf_counter() - t0

@@ -15,7 +15,10 @@ first read, with the scan's operation order and its exponential, so an
 exported alpha is exactly the number the scan compared its uniform with.
 A loop-form reference implementation lives with the tests, which check the
 kernel against it; the per-round kernel cost is reported by ``perfbench``
-as ``kernels.round_accept_us``.
+as ``kernels.round_accept_us``. That figure is the span around the call in
+a traced run and is mostly the span wrapper's own cost: on a 2-vCPU host it
+read 10.6-14.0 us per call in traced forecast-aligned runs, while the
+kernel took about 4 us per call at gamma 3 in a tight loop.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ deviation bounds in ``analysis``, the validation suites and the overlap
 functions here take heads. The decode engine builds none: it scores rounds
 with ``kernels.round_accept`` and closes a rejected lossless round with
 ``residual_sample`` on its raw mean rows, its shared standard deviation and
-the round's one pre-drawn target variate.
+the round's one pre-drawn target variate, in place on the round's closing
+row.
 
 The target and draft heads share one variance, the setting of the paper's
 closed-form overlap 2 Phi(-Delta/2) and of every predictor built on it.
@@ -19,9 +20,12 @@ onto their mean gap: whitened, the heads differ only along the unit gap u,
 so the residual is N(0, I) across u and a 1-d law along it, whose survival
 function ``residual_offset`` inverts. ``residual_sample`` draws nothing: it
 maps a target variate e ~ N(0, diag std^2), keeping e's part across the gap
-and quantile-mapping its N(0, 1) coordinate along it. A map costs a handful
-of vector operations and a 1-d root of about two Halley steps, whatever the
-overlap beta is, and every beta < 1 is served.
+and quantile-mapping its N(0, 1) coordinate along it. It works in place:
+the closing row holds the target draw mu_p + e, and the map adds one
+multiple of the mean gap to it, found from two dot products and the root
+in two work rows of the caller's, so it allocates nothing. A map costs a
+handful of vector operations and a 1-d root of about two Halley steps,
+whatever the overlap beta is, and every beta < 1 is served.
 """
 
 from __future__ import annotations
@@ -396,15 +400,21 @@ def residual_sample(
     mu_q: np.ndarray,
     std: np.ndarray,
     e: np.ndarray,
+    out: np.ndarray,
+    scratch,
 ) -> tuple[np.ndarray, int]:
-    """The exact residual draw that a target variate ``e`` maps to.
+    """Map a target variate ``e`` to its exact residual draw, in place on ``out``.
 
     p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
     vectors) and the one standard deviation ``std``; ``e`` is a draw of
-    N(0, diag std^2), the target's noise. If e is such a draw, the result is
-    a draw from the residual density r = (p - q)_+ / (1 - beta). Returns the
-    sample and the number of target variates it consumed, always 1. Nothing
-    is drawn and no input is written: the map is a function of its inputs.
+    N(0, diag std^2), the target's noise. ``out`` holds mu_p + e on entry,
+    the target draw that e makes (and the practical close); the call adds to
+    it the one multiple of mu_p - mu_q that turns it into a draw from the
+    residual density r = (p - q)_+ / (1 - beta), when e is such a draw.
+    ``scratch`` is two work rows of the same shape, such as the rows of a
+    (2, d) array. Returns ``out`` and the number of target variates
+    consumed, always 1. Nothing is drawn or allocated, and no input but
+    ``out`` and the work rows is written.
 
     In the whitened frame p and q differ only along u = w / Delta, where
     w = (mu_p - mu_q) / std and Delta = |w|. So r is N(0, I) on the
@@ -417,10 +427,13 @@ def residual_sample(
         x = mu_p + e + (t - a) (mu_p - mu_q) / Delta,   t = residual_offset(h, log Q(a)):
 
     e's part across the gap passes through, and its coordinate along the gap
-    is quantile-mapped to t, which increases with a. Q(a) is passed as its
+    is quantile-mapped to t, which increases with a. Delta^2 = w . w and
+    a Delta = e . (w / std) are the two dot products. Q(a) is passed as its
     log, so every finite a has a finite t. The cost does not grow with beta:
     a few vector operations and a 1-d root of about two Halley steps, a
-    closed form when the heads nearly coincide. A non-finite mean, or
+    closed form when the heads nearly coincide. No vector operation but the
+    last writes an operand of its own: numpy takes a slower path for a
+    one-element operand that is also the output. A non-finite mean, or
     identical means (Delta == 0, where the residual is undefined), raises
     ValueError.
     """
@@ -429,11 +442,14 @@ def residual_sample(
             f"mean shapes {mu_p.shape}, {mu_q.shape} and variate shape {e.shape} "
             f"do not match variances {std.shape}"
         )
-    diff = mu_p - mu_q
-    w = diff / std
-    gap2 = float(np.dot(w, w))
+    row, w = scratch
+    np.divide(np.subtract(mu_p, mu_q, out=row), std, out=w)
+    gap2 = float(w.dot(w))
     if math.isfinite(gap2):
         delta = math.sqrt(gap2)
+        if delta == 0.0:
+            raise ValueError("residual undefined: the heads' means coincide (Delta = 0)")
+        a = float(e.dot(np.divide(w, std, out=row))) / delta
     else:
         # Not finite: a mean is, or the square overflowed and is taken again
         # on a rescaled gap.
@@ -441,13 +457,8 @@ def residual_sample(
             raise ValueError("head mean has non-finite entries")
         big = float(np.abs(w).max())
         delta = big * math.sqrt(float(np.dot(w / big, w / big)))
-    if delta == 0.0:
-        raise ValueError("residual undefined: the heads' means coincide (Delta = 0)")
-    w /= delta  # u
-    a = float(np.dot(e / std, w))
+        a = float(np.dot(e / std, w / delta))
     t = residual_offset(0.5 * delta, float(log_ndtr(-a)))
-    # std * (t - a) u = ((t - a) / Delta) diff
-    diff *= (t - a) / delta
-    diff += mu_p
-    diff += e
-    return diff, 1
+    # std * (t - a) u = ((t - a) / Delta) (mu_p - mu_q)
+    out += np.multiply(np.subtract(mu_p, mu_q, out=w), (t - a) / delta, out=row)
+    return out, 1

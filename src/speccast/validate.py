@@ -105,8 +105,7 @@ def _mass_single_rounds(variant: str, sigma: float, gap: float, gamma: int, n: i
     lengths = np.empty(n, dtype=np.int64)
     base_seed = rngmod.derive_seed(seed, 0xA11CE)
     for i in range(n):
-        cfg = dataclasses.replace(base, seed=base_seed + i)
-        forecast, trace = decode(target, draft, h0, cfg)
+        forecast, trace = decode(target, draft, h0, base.with_seed(base_seed + i))
         outputs[i] = forecast[0, 0]
         lengths[i] = trace.round_lengths()[0]
     return outputs, lengths
@@ -257,9 +256,10 @@ def suite_residual_exactness(
     """Residual draws vs their law, by projection onto the whitened mean gap.
 
     For each gap Delta and dimension d, ``residual_sample`` maps n target
-    variates e = std * z, z ~ N(0, I), between heads with a random direction
-    and per-coordinate widths. In the whitened frame the distance s from the
-    midpoint along the unit gap must follow the survival function S of
+    variates e = std * z, z ~ N(0, I), each in place on a row that starts as
+    mu_p + e, between heads with a random direction and per-coordinate
+    widths. In the whitened frame the distance s from the midpoint along
+    the unit gap must follow the survival function S of
     ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
     orthonormal basis of the complement must be N(0, 1) (KS, pooled). Delta
     runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
@@ -274,7 +274,12 @@ def suite_residual_exactness(
         mu_q = geometry.normal(size=d)
         mu_p = mu_q + delta * std * u
         gen = rngmod.stream(rngmod.derive_seed(seed, case))
-        xs = np.array([residual_sample(mu_p, mu_q, std, std * gen.standard_normal(d))[0] for _ in range(n)])
+        xs = np.empty((n, d))
+        scratch = np.empty((2, d))
+        for x in xs:
+            e = std * gen.standard_normal(d)
+            np.add(mu_p, e, out=x)
+            residual_sample(mu_p, mu_q, std, e, x, scratch)
         ys = (xs - 0.5 * (mu_p + mu_q)) / std
         along = ys @ u
         ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, 0.5 * delta))

@@ -1,8 +1,11 @@
 """Decode loop: prefix acceptance, run lengths, determinism, pass accounting."""
 
+import collections
 import dataclasses
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,7 +24,7 @@ from speccast.engine import (
     Totals,
     decode,
 )
-from speccast.models import History, fit_linear_ar, load_model, persistence_model, save_model
+from speccast.models import ForecastModel, History, fit_linear_ar, load_model, persistence_model, save_model
 from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
 from speccast.series import PatchSeries, metrics
 from speccast.synth import SyntheticSpec
@@ -318,6 +321,16 @@ class TestConfigValidation:
         assert forecast.tobytes() == ref_forecast.tobytes()
         assert trace.round_dicts() == ref_rounds
         assert np.isfinite(decode(target, draft, h0, cfg_for("lossless", horizon=12, seed=5))[0]).all()
+
+    def test_with_seed_is_the_config_with_another_seed(self):
+        cfg = cfg_for("lossless", horizon=6, gamma=2, seed=1)
+        moved = cfg.with_seed(99)
+        assert (moved.seed, cfg.seed) == (99, 1)
+        assert moved == dataclasses.replace(cfg, seed=99)
+        assert hash(moved) == hash(dataclasses.replace(cfg, seed=99))
+        target, draft, h0 = make_pair()
+        want = decode(target, draft, h0, dataclasses.replace(cfg, seed=99))[0]
+        assert decode(target, draft, h0, moved)[0].tobytes() == want.tobytes()
 
     def test_bad_config_fields(self):
         with pytest.raises(ValueError):
@@ -841,6 +854,150 @@ class TestReferenceLoop:
                 assert (p["log_q"], p["log_p"]) == (trace.log_q[i, j], trace.log_p[i, j])
                 assert (p["alpha"], p["u"]) == (trace.alphas[i, j], trace.uniforms[i, j])
                 assert p["accepted"] == (j < rec.n_accepted)
+
+
+class TestBaselineContract:
+    @pytest.mark.parametrize("kind", ["linear_ar", "persistence"])
+    def test_direct_noise_times_sigma_plus_one_mean_per_step(self, kind):
+        # target_only and draft_only against the reference loop (the
+        # session's DIRECT noise times sigma, plus one mean_one per step) over
+        # several horizons, with sigma from the config and from the model;
+        # the configurations' sessions alternate, so each one starts from a
+        # plan a session already used
+        target, draft, h0 = _reference_pair(kind)
+        configs = [
+            DecodeConfig(variant=variant, horizon_patches=horizon, seed=0, **{field_name: sigma})
+            for variant, field_name in (("target_only", "sigma_target"), ("draft_only", "sigma_draft"))
+            for horizon in (1, 5, 9, 24)
+            for sigma in (None, 0.3)
+        ]
+        for seed in (0, 3, 41):
+            for cfg in configs:
+                cfg = cfg.with_seed(seed)
+                forecast, trace = decode(target, draft, h0, cfg)
+                ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
+                assert forecast.tobytes() == ref_forecast.tobytes()
+                assert trace.round_dicts() == ref_rounds
+
+
+class TestSessionPlans:
+    def test_threads_decode_as_one_thread_does(self):
+        # Plans are per thread. Six threads decode every configuration, each
+        # in its own order, while the interpreter switches threads every
+        # microsecond; each session's bytes are those of a single thread.
+        target, draft, h0 = _reference_pair("linear_ar")
+        configs = [
+            DecodeConfig(variant=variant, horizon_patches=horizon, seed=0, gamma=3,
+                         sigma_target=0.4, sigma_draft=0.4)
+            for variant, horizon in (("practical", 13), ("lossless", 11), ("target_only", 9),
+                                     ("draft_only", 7), ("lossless", 17), ("practical", 5))
+        ]
+        seeds = range(12)
+        want = {(c, s): decode(target, draft, h0, configs[c].with_seed(s))[0].tobytes()
+                for c in range(len(configs)) for s in seeds}
+        got, errors = {}, []
+
+        def work(first):
+            try:
+                for s in seeds:
+                    for step in range(len(configs)):
+                        c = (first + step) % len(configs)
+                        got[c, s] = decode(target, draft, h0, configs[c].with_seed(s))[0].tobytes()
+            except Exception as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert got == want
+
+    def test_new_models_decode_as_the_reference_loop(self):
+        # A plan holds its models, so no model built later can take one of
+        # their ids and meet their plan. Each pass builds a new model, with
+        # a width of its own that the config leaves to it, decodes with it
+        # (as its own draft, for the speculative variants) and drops it; the
+        # next pass's model is then allocated where it was. A stale plan
+        # would draw at an earlier width.
+        base, _, h0 = _reference_pair("linear_ar")
+        for variant in ("practical", "lossless", "target_only"):
+            cfg = DecodeConfig(variant=variant, horizon_patches=7, seed=0, gamma=2)
+            for i in range(3 * engine._PLANS):
+                model = base.with_knobs(sigma=0.2 + 0.01 * i)
+                draft = None if variant == "target_only" else model
+                forecast, trace = decode(model, draft, h0, cfg.with_seed(i))
+                ref_forecast, ref_rounds, _, _ = _reference_decode(model, draft, h0, cfg.with_seed(i))
+                assert forecast.tobytes() == ref_forecast.tobytes()
+                assert trace.round_dicts() == ref_rounds
+                del model, draft
+
+    def test_refusals_repeat_on_every_call(self):
+        # A check that fails leaves no plan behind, and the history is
+        # checked per session, so the second and third calls raise too
+        target, draft, h0 = _reference_pair("linear_ar")
+        short = History.from_patches(np.zeros((1, target.d)), 1)
+        sharp = 1e-7
+        cases = [
+            (DecodeConfig(variant="practical", horizon_patches=5, seed=0, sigma_target=0.4, sigma_draft=0.3),
+             h0, "shared-variance"),
+            (DecodeConfig(variant="lossless", horizon_patches=5, seed=0, sigma_target=sharp, sigma_draft=sharp),
+             h0, "variance floor"),
+            (DecodeConfig(variant="practical", horizon_patches=5, seed=0, sigma_target=0.4, sigma_draft=0.4),
+             short, "history capacity 1 is below the larger model lookback 4"),
+            (DecodeConfig(variant="draft_only", horizon_patches=5, seed=0),
+             short, "history capacity 1 is below the model lookback 2"),
+        ]
+        for cfg, history, message in cases:
+            for seed in range(3):
+                with pytest.raises(ValueError, match=message):
+                    decode(target, draft, history, cfg.with_seed(seed))
+        # the configuration that refused only the short history decodes a long one
+        assert decode(target, draft, h0, cases[2][0])[0].shape == (5, target.d)
+
+    def test_patches_after_a_plan_exists_take_effect(self, monkeypatch):
+        # A plan keeps no model method or module function, so wrappers
+        # installed after a configuration's first session, as tracing
+        # installs them, see every call of the next one
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.3))
+        cfg = cfg_for("lossless", horizon=12, gamma=3, seed=2)
+        baseline = cfg_for("target_only", horizon=12, seed=2)
+        decode(target, draft, h0, cfg)
+        decode(target, None, h0, baseline)
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(ForecastModel, "mean_one")
+        spy(ForecastModel, "mean_batch")
+        spy(kernels, "round_accept")
+        spy(engine, "residual_sample")
+        spy(rngmod.ReusableStream, "rekey")
+        spy(History, "fill_window")
+        _, trace = decode(target, draft, h0, cfg)
+        rounds = trace.n_rounds
+        rejections = int(np.sum(trace.n_accepted[:rounds] < 3))
+        assert rejections > 0
+        assert calls == {"mean_one": 3 * rounds, "mean_batch": rounds, "round_accept": rounds,
+                         "residual_sample": rejections, "rekey": -(-rounds // 8), "fill_window": 1}
+        calls.clear()
+        decode(target, None, h0, baseline)
+        assert calls == {"mean_one": 12, "rekey": 1, "fill_window": 1}
 
 
 class TestNearlyIdenticalHeads:

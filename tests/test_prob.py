@@ -1,6 +1,7 @@
 """Gaussian kernel: log densities, acceptance rule, overlap, residuals."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,9 +334,18 @@ def reference_residual_sample(p, q, e):
     return 0.5 * (p.mean + q.mean) + sigma * (z - a * unit + s * unit)
 
 
+def residual_draw(mu_p, mu_q, std, e):
+    """(draw, variates consumed): ``residual_sample`` on a fresh closing row.
+
+    The row starts as mu_p + e, as the decode engine's closing row does.
+    """
+    out = mu_p + e
+    return residual_sample(mu_p, mu_q, std, e, out, np.empty((2, out.shape[0])))
+
+
 def sample_heads(p, q, e):
-    """``residual_sample`` called with the fields of two heads."""
-    return residual_sample(p.mean, q.mean, np.sqrt(p.variance), e)
+    """``residual_draw`` called with the fields of two heads."""
+    return residual_draw(p.mean, q.mean, np.sqrt(p.variance), e)
 
 
 def target_variates(gen, std, n):
@@ -448,7 +458,7 @@ class TestResidualSample:
         mu_p, mu_q = np.array([1.0, 0.0]), np.array([-1e200, 0.0])
         e = rngmod.stream(4).standard_normal(2)
         with np.errstate(over="ignore"):
-            sample, _ = residual_sample(mu_p, mu_q, std, e)
+            sample, _ = residual_draw(mu_p, mu_q, std, e)
         assert sample[0] == pytest.approx(1.0 + e[0], abs=1e-12) and sample[1] == e[1]
 
     def test_matches_reference_draw_for_draw(self):
@@ -466,7 +476,7 @@ class TestResidualSample:
             mu_q = rng.normal(size=d)
             mu_p = mu_q + delta * direction
             e = np.sqrt(var) * rng.standard_normal(d)
-            got, draws = residual_sample(mu_p, mu_q, np.sqrt(var), e)
+            got, draws = residual_draw(mu_p, mu_q, np.sqrt(var), e)
             want = reference_residual_sample(GaussianHead(mu_p, var), GaussianHead(mu_q, var), e)
             assert draws == 1
             assert_close_vector(got - mu_p, want - mu_p)
@@ -483,23 +493,44 @@ class TestResidualSample:
                 GaussianHead(mu_p, var), GaussianHead(mu_q, var)
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError) as got:
-                    residual_sample(mu_p, mu_q, np.sqrt(var), np.zeros(d))
+                    residual_draw(mu_p, mu_q, np.sqrt(var), np.zeros(d))
             assert str(got.value) == str(want.value)
 
     def test_draw_cost_identity(self):
         # Whatever beta is, a call maps the one target variate it is given
-        # and reports one: it draws nothing, writes no input, and the same
-        # variate gives the same bytes.
+        # and reports one: it draws nothing, writes only its closing row
+        # (which it returns) and its work rows, and the same variate gives
+        # the same bytes.
         p = GaussianHead.isotropic(np.zeros(3), 1.0)
+        std = np.ones(3)
         gen = rngmod.stream(123)
         for beta in (0.3, 0.9, 1.0 - 1e-6):
             q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
-            for e in target_variates(gen, np.ones(3), 50):
-                inputs = [a.copy() for a in (p.mean, q.mean, e)]
-                first, draws = sample_heads(p, q, e)
-                assert draws == 1
+            for e in target_variates(gen, std, 50):
+                inputs = [a.copy() for a in (p.mean, q.mean, std, e)]
+                out = p.mean + e
+                first, draws = residual_sample(p.mean, q.mean, std, e, out, np.empty((2, 3)))
+                assert first is out and draws == 1
                 assert sample_heads(p, q, e)[0].tobytes() == first.tobytes()
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, e)))
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, std, e)))
+
+    def test_allocates_no_vector(self):
+        # The map works in its closing row and two work rows: at d = 4096
+        # one temporary vector would take 32 KiB. A first call warms any
+        # lazy set-up.
+        d = 4096
+        rng = np.random.default_rng(3)
+        mu_p, mu_q, std, _ = gap_geometry(rng, d, 0.7)
+        e = std * rng.standard_normal(d)
+        out, scratch = mu_p + e, np.empty((2, d))
+        residual_sample(mu_p, mu_q, std, e, out.copy(), scratch)
+        tracemalloc.start()
+        try:
+            residual_sample(mu_p, mu_q, std, e, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d
 
     @pytest.mark.parametrize("d", [1, 5, 32])
     @pytest.mark.parametrize("delta", [1e-9, 0.3, 2.0, 40.0])
@@ -513,7 +544,7 @@ class TestResidualSample:
         across = z - np.dot(z, u) * u
         along = []
         for a in np.arange(-6.0, 8.01, 0.25):
-            y = (residual_sample(mu_p, mu_q, std, std * (across + a * u))[0] - mu_p) / std
+            y = (residual_draw(mu_p, mu_q, std, std * (across + a * u))[0] - mu_p) / std
             assert_close_vector(y - np.dot(y, u) * u, across, rtol=1e-9)
             t = residual_offset(0.5 * delta, float(scistats.norm.logsf(a)))
             assert np.dot(y, u) == pytest.approx(t, rel=1e-9, abs=1e-9)
@@ -530,7 +561,7 @@ class TestResidualSample:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for e in (std * (-40.0 * u), np.zeros(d), std * (40.0 * u)):
-                sample, draws = residual_sample(mu_p, mu_q, std, e)
+                sample, draws = residual_draw(mu_p, mu_q, std, e)
                 assert np.isfinite(sample).all() and draws == 1
 
     def test_distribution_matches_grid_cdf(self):
@@ -540,7 +571,7 @@ class TestResidualSample:
         beta = overlap_closed_form(p, q)
         std = np.sqrt(p.variance)
         es = target_variates(rngmod.stream(321), std, 100_000)
-        samples = np.array([residual_sample(p.mean, q.mean, std, e)[0][0] for e in es])
+        samples = np.array([residual_draw(p.mean, q.mean, std, e)[0][0] for e in es])
 
         xs = np.linspace(-8, 11, 20001)
         fp, fq = p.pdf(), q.pdf()
@@ -559,7 +590,7 @@ class TestResidualSample:
         q = GaussianHead.isotropic([0.0], 1.0)
         std = np.sqrt(p.variance)
         es = target_variates(rngmod.stream(55), std, 100_000)
-        samples = np.array([residual_sample(p.mean, q.mean, std, e)[0][0] for e in es])
+        samples = np.array([residual_draw(p.mean, q.mean, std, e)[0][0] for e in es])
         assert samples.mean() > 0.0
 
 
@@ -578,6 +609,6 @@ class TestLosslessSingleStep:
         std = np.sqrt(p.variance)
         es = target_variates(gen, std, n)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_sample(p.mean, q.mean, std, es[i])[0][0]
+            out[i] = residual_draw(p.mean, q.mean, std, es[i])[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01

@@ -34,6 +34,34 @@ class TestStreams:
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
+    def test_rekey_matches_fresh_whatever_the_previous_key_left(self):
+        # One state document serves every rekey. Whatever the previous key's
+        # generator left behind (nothing, a cached 32-bit half-word from a
+        # uint32 draw, a partly used buffer, a counter far past zero), the
+        # draws after a rekey are a fresh stream's; the first one is a
+        # uint32 draw, which would return a stale half-word.
+        pool = rngmod.ReusableStream()
+        leftovers = [
+            lambda g: None,
+            lambda g: g.integers(0, 1 << 20, size=3, dtype=np.uint32),
+            lambda g: g.random(5),
+            lambda g: g.standard_normal(1001),
+            lambda g: g.integers(0, 7, dtype=np.uint32),
+        ]
+        draws = [
+            lambda g: g.integers(0, 1 << 30, size=5, dtype=np.uint32),
+            lambda g: g.random(7),
+            lambda g: g.standard_normal(3),
+        ]
+        keys = [(0, 0, rngmod.ROUND), (1, 0, rngmod.DIRECT), ((1 << 64) - 1, (1 << 48) - 1, rngmod.ROUND),
+                (12345, 17, rngmod.DIRECT), (9, 2, rngmod.ROUND)]
+        for leave in leftovers:
+            for key in keys:
+                gen, fresh = pool.rekey(*key), rngmod.stream(*key)
+                for draw in draws:
+                    assert np.array_equal(draw(gen), draw(fresh)), key
+                leave(gen)
+
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
             rngmod.stream(0, -1, 0)

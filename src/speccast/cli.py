@@ -192,9 +192,7 @@ def cmd_decode(args) -> int:
                 )
             ctx = std_values[ch, : n_patches * patch].reshape(n_patches, patch)[-k_ctx:]
             h0 = History.from_patches(ctx, k_ctx, target.pad_patch())
-            ch_cfg = cfg if std_values.shape[0] == 1 else DecodeConfig(
-                **{**cfg.__dict__, "seed": rngmod.derive_seed(args.seed, ch)}
-            )
+            ch_cfg = cfg if std_values.shape[0] == 1 else cfg.with_seed(rngmod.derive_seed(args.seed, ch))
             forecast, trace = decode(target, draft, h0, ch_cfg)
             flat = forecast.reshape(-1)[:horizon_steps]
             raw = target.norm_stats.invert_channel(flat, ch)

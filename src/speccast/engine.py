@@ -10,11 +10,11 @@ exact target chain.
 A round that accepts n proposals closes at position n, from ``ext``, the
 round's one pre-drawn N(0, sigma^2 I) target variate. ``ext`` is drawn with
 the round's uniforms and proposal noise but independently of them, so given
-the accept decision it is still a target draw. Every round writes
+the accept decision it is still a target draw. A round writes
 ``mu_p[n] + ext`` into its closing row, which is the close of the extension
 (n = gamma) and of the practical fallback (n < gamma); a rejected lossless
-round then maps that row in place to the exact residual draw of ext with
-``residual_sample(mu_p[n], mu_q[n], std, ext, row, work_rows)``, on the
+round instead writes the exact residual draw that ext maps to there, with
+``residual_sample(mu_p[n], mu_q[n], std, ext, row, work_rows)``, from the
 target and draft mean rows the round already holds, with the standard
 deviation of the session plan. No rejection re-keys a stream and no head
 object is built. The residual map is exact for every overlap below 1, so a
@@ -92,6 +92,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -162,13 +163,6 @@ class DecodeConfig:
             sigma = getattr(self, name)
             if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {sigma}")
-        # Every field but the seed: the part of a session plan's key that
-        # the config gives.
-        object.__setattr__(
-            self, "_setting",
-            (self.variant, self.horizon_patches, self.gamma, self.tolerance_lambda,
-             self.sigma_target, self.sigma_draft),
-        )
 
     def with_seed(self, seed: int) -> "DecodeConfig":
         """This validated config with another seed.
@@ -180,6 +174,11 @@ class DecodeConfig:
         config = object.__new__(type(self))
         config.__dict__.update(self.__dict__, seed=seed)
         return config
+
+
+# Every field of a config but its seed: the part of a session plan's key
+# that the config gives.
+_setting = operator.attrgetter(*(f.name for f in dataclasses.fields(DecodeConfig) if f.name != "seed"))
 
 
 @dataclass
@@ -498,7 +497,7 @@ def _plan(target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig)
     plans = getattr(_LOCAL, "plans", None)
     if plans is None:
         plans = _LOCAL.plans = {}
-    key = (id(target), id(draft), cfg._setting)
+    key = (id(target), id(draft), _setting(cfg))
     entry = plans.get(key)
     if entry is None:
         if cfg.variant in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
@@ -596,15 +595,16 @@ def _decode_speculative(
 
         # Every round closes from its own target variate, independent of its
         # accept decision: as is on the extension or a practical fallback,
-        # mapped in place to its residual draw on a lossless rejection.
+        # mapped to its residual draw on a lossless rejection.
         final = rows[emitted + n]
         ext = noise[first_ext + slot]
-        np.add(target_rows[n], ext, out=final)
         if lossless and n < gamma:
             try:
                 residual_sample(target_rows[n], draft_means[n], std, ext, final, residual_rows)
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
+        else:
+            np.add(target_rows[n], ext, out=final)
         _check_finite(final, r)
 
         n_col[r] = n

@@ -9,7 +9,7 @@ deviation bounds in ``analysis``, the validation suites and the overlap
 functions here take heads. The decode engine builds none: it scores rounds
 with ``kernels.round_accept`` and closes a rejected lossless round with
 ``residual_sample`` on its raw mean rows, its shared standard deviation and
-the round's one pre-drawn target variate, in place on the round's closing
+the round's one pre-drawn target variate, written into the round's closing
 row.
 
 The target and draft heads share one variance, the setting of the paper's
@@ -20,12 +20,12 @@ onto their mean gap: whitened, the heads differ only along the unit gap u,
 so the residual is N(0, I) across u and a 1-d law along it, whose survival
 function ``residual_offset`` inverts. ``residual_sample`` draws nothing: it
 maps a target variate e ~ N(0, diag std^2), keeping e's part across the gap
-and quantile-mapping its N(0, 1) coordinate along it. It works in place:
-the closing row holds the target draw mu_p + e, and the map adds one
-multiple of the mean gap to it, found from two dot products and the root
-in two work rows of the caller's, so it allocates nothing. A map costs a
-handful of vector operations and a 1-d root of about two Halley steps,
-whatever the overlap beta is, and every beta < 1 is served.
+and quantile-mapping its N(0, 1) coordinate along it. It writes the draw
+into a row of the caller's: the target draw mu_p + e plus one multiple of
+the mean gap, found from two dot products and the root in two work rows of
+the caller's, so it allocates nothing. A map costs a handful of vector
+operations and a 1-d root of about two Halley steps, whatever the overlap
+beta is, and every beta < 1 is served.
 """
 
 from __future__ import annotations
@@ -403,18 +403,19 @@ def residual_sample(
     out: np.ndarray,
     scratch,
 ) -> tuple[np.ndarray, int]:
-    """Map a target variate ``e`` to its exact residual draw, in place on ``out``.
+    """Map a target variate ``e`` to its exact residual draw, written into ``out``.
 
     p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
     vectors) and the one standard deviation ``std``; ``e`` is a draw of
-    N(0, diag std^2), the target's noise. ``out`` holds mu_p + e on entry,
-    the target draw that e makes (and the practical close); the call adds to
-    it the one multiple of mu_p - mu_q that turns it into a draw from the
-    residual density r = (p - q)_+ / (1 - beta), when e is such a draw.
-    ``scratch`` is two work rows of the same shape, such as the rows of a
-    (2, d) array. Returns ``out`` and the number of target variates
-    consumed, always 1. Nothing is drawn or allocated, and no input but
-    ``out`` and the work rows is written.
+    N(0, diag std^2), the target's noise. The call writes into ``out`` the
+    target draw mu_p + e that e makes (the practical close) plus the one
+    multiple of mu_p - mu_q that turns it into a draw from the residual
+    density r = (p - q)_+ / (1 - beta), when e is such a draw; what ``out``
+    held before is not read. ``scratch`` is two work rows of the same
+    shape, such as the rows of a (2, d) array. ``out`` and the work rows
+    must not share memory with an input. Returns ``out`` and the number of
+    target variates consumed, always 1. Nothing is drawn or allocated, and
+    no input is written.
 
     In the whitened frame p and q differ only along u = w / Delta, where
     w = (mu_p - mu_q) / std and Delta = |w|. So r is N(0, I) on the
@@ -460,5 +461,6 @@ def residual_sample(
         a = float(np.dot(e / std, w / delta))
     t = residual_offset(0.5 * delta, float(log_ndtr(-a)))
     # std * (t - a) u = ((t - a) / Delta) (mu_p - mu_q)
+    np.add(mu_p, e, out=out)
     out += np.multiply(np.subtract(mu_p, mu_q, out=w), (t - a) / delta, out=row)
     return out, 1

@@ -256,10 +256,9 @@ def suite_residual_exactness(
     """Residual draws vs their law, by projection onto the whitened mean gap.
 
     For each gap Delta and dimension d, ``residual_sample`` maps n target
-    variates e = std * z, z ~ N(0, I), each in place on a row that starts as
-    mu_p + e, between heads with a random direction and per-coordinate
-    widths. In the whitened frame the distance s from the midpoint along
-    the unit gap must follow the survival function S of
+    variates e = std * z, z ~ N(0, I), between heads with a random direction
+    and per-coordinate widths. In the whitened frame the distance s from the
+    midpoint along the unit gap must follow the survival function S of
     ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
     orthonormal basis of the complement must be N(0, 1) (KS, pooled). Delta
     runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
@@ -278,7 +277,6 @@ def suite_residual_exactness(
         scratch = np.empty((2, d))
         for x in xs:
             e = std * gen.standard_normal(d)
-            np.add(mu_p, e, out=x)
             residual_sample(mu_p, mu_q, std, e, x, scratch)
         ys = (xs - 0.5 * (mu_p + mu_q)) / std
         along = ys @ u

@@ -209,6 +209,25 @@ def test_lossless_tolerance_other_than_one_exits_2(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_decode_decodes_every_channel(tmp_path):
+    # Two channels, as the synthetic data has by default: every variant
+    # decodes each of them, with a seed derived per channel.
+    two = [*DATA[:-3], "2", *DATA[-2:]]
+    fit = ["fit", *two, "--patch-len", "8", "--lookback", "4"]
+    target, draft = tmp_path / "target.json", tmp_path / "draft.json"
+    assert main([*fit, "--out", str(target)]) == 0
+    assert main([*fit, "--scale", "0.5", "--out", str(draft)]) == 0
+    for variant in ("target_only", "practical", "lossless"):
+        out = tmp_path / variant
+        assert main(["decode", *two, "--target", str(target), "--draft", str(draft), "--variant", variant,
+                     "--horizon", "12", "--sigma", "0.5", "--seed", "5", "--out", str(out)]) == 0
+        lines = (out / "forecast.csv").read_text().splitlines()[1:]
+        by_channel = {ch: [row.split(",")[2] for row in lines if row.split(",")[1] == ch] for ch in ("0", "1")}
+        assert len(lines) == 24 and all(len(v) == 12 for v in by_channel.values())
+        assert by_channel["0"] != by_channel["1"]
+        assert sorted(p.name for p in out.glob("trace_ch*.jsonl")) == ["trace_ch0.jsonl", "trace_ch1.jsonl"]
+
+
 def test_decode_usage_errors_exit_2(tmp_path, capsys):
     target = _fit(tmp_path / "target.json")
     argv = ["decode", *DATA, "--target", str(target), "--horizon", "16", "--out", str(tmp_path / "out")]

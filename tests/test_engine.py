@@ -940,6 +940,20 @@ class TestSessionPlans:
                 assert trace.round_dicts() == ref_rounds
                 del model, draft
 
+    def test_every_field_but_the_seed_keys_a_plan(self):
+        # Configs that differ in any one field but the seed get plans of
+        # their own; a new field must be given an alternative here
+        target, draft, _ = _reference_pair("linear_ar")
+        base = DecodeConfig(variant="target_only", horizon_patches=5, seed=0, gamma=2,
+                            sigma_target=0.4, sigma_draft=0.4)
+        others = {"variant": "draft_only", "horizon_patches": 6, "gamma": 3, "tolerance_lambda": 0.5,
+                  "sigma_target": 0.3, "sigma_draft": 0.3}
+        assert set(others) == {f.name for f in dataclasses.fields(DecodeConfig)} - {"seed"}
+        plan = engine._plan(target, draft, base)
+        assert engine._plan(target, draft, base.with_seed(7)) is plan
+        for name, value in others.items():
+            assert engine._plan(target, draft, dataclasses.replace(base, **{name: value})) is not plan, name
+
     def test_refusals_repeat_on_every_call(self):
         # A check that fails leaves no plan behind, and the history is
         # checked per session, so the second and third calls raise too

@@ -335,12 +335,8 @@ def reference_residual_sample(p, q, e):
 
 
 def residual_draw(mu_p, mu_q, std, e):
-    """(draw, variates consumed): ``residual_sample`` on a fresh closing row.
-
-    The row starts as mu_p + e, as the decode engine's closing row does.
-    """
-    out = mu_p + e
-    return residual_sample(mu_p, mu_q, std, e, out, np.empty((2, out.shape[0])))
+    """(draw, variates consumed): ``residual_sample`` into a fresh row."""
+    return residual_sample(mu_p, mu_q, std, e, np.empty_like(std), np.empty((2,) + std.shape))
 
 
 def sample_heads(p, q, e):
@@ -498,9 +494,9 @@ class TestResidualSample:
 
     def test_draw_cost_identity(self):
         # Whatever beta is, a call maps the one target variate it is given
-        # and reports one: it draws nothing, writes only its closing row
-        # (which it returns) and its work rows, and the same variate gives
-        # the same bytes.
+        # and reports one: it draws nothing, writes only its output row
+        # (which it returns) and its work rows, does not read what that row
+        # held, and the same variate gives the same bytes.
         p = GaussianHead.isotropic(np.zeros(3), 1.0)
         std = np.ones(3)
         gen = rngmod.stream(123)
@@ -508,22 +504,22 @@ class TestResidualSample:
             q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
             for e in target_variates(gen, std, 50):
                 inputs = [a.copy() for a in (p.mean, q.mean, std, e)]
-                out = p.mean + e
-                first, draws = residual_sample(p.mean, q.mean, std, e, out, np.empty((2, 3)))
+                out = np.full(3, np.nan)
+                first, draws = residual_sample(p.mean, q.mean, std, e, out, np.full((2, 3), np.inf))
                 assert first is out and draws == 1
                 assert sample_heads(p, q, e)[0].tobytes() == first.tobytes()
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, std, e)))
 
     def test_allocates_no_vector(self):
-        # The map works in its closing row and two work rows: at d = 4096
+        # The map works in its output row and two work rows: at d = 4096
         # one temporary vector would take 32 KiB. A first call warms any
         # lazy set-up.
         d = 4096
         rng = np.random.default_rng(3)
         mu_p, mu_q, std, _ = gap_geometry(rng, d, 0.7)
         e = std * rng.standard_normal(d)
-        out, scratch = mu_p + e, np.empty((2, d))
-        residual_sample(mu_p, mu_q, std, e, out.copy(), scratch)
+        out, scratch = np.empty(d), np.empty((2, d))
+        residual_sample(mu_p, mu_q, std, e, out, scratch)
         tracemalloc.start()
         try:
             residual_sample(mu_p, mu_q, std, e, out, scratch)

@@ -4,8 +4,9 @@ A draft forecaster proposes blocks of future patches; a target forecaster
 validates all block prefixes in one batched pass and keeps the accepted run.
 The package provides the decode engine (practical fallback-to-target and
 lossless residual-sampling variants), the closed-form performance predictors
-with concentration radii, deviation bounds, and an experiment harness that
-calibrates predictions against measurements.
+with concentration radii, the overlap laws and deviation bounds as functions
+of the whitened mean gap (``whitened_gap``, ``overlap``), and an experiment
+harness that calibrates predictions against measurements.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +47,9 @@ from .models import (
 from .prob import (
     GaussianHead,
     GridSpec,
-    log_density,
+    gap_for_overlap,
+    overlap,
     residual_sample,
+    whitened_gap,
 )
 from .series import CsvSchema, NormStats, PatchSeries, load_csv, metrics

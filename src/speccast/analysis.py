@@ -17,10 +17,10 @@ import numpy as np
 from .prob import (
     GaussianHead,
     GridSpec,
-    _check_grid_coverage,
-    log_density,
-    overlap_closed_form,
+    overlap,
+    overlap_monte_carlo,
     refined_trapezoid,
+    whitened_gap,
 )
 from .synth import check_keys, drop_retired
 
@@ -137,7 +137,7 @@ class HorizonTvBound(NamedTuple):
 def horizon_tv_bound(per_step_deltas: Sequence[float]) -> HorizonTvBound:
     """Joint multi-horizon TV bound from per-step deviations."""
     deltas = np.asarray(list(per_step_deltas), dtype=np.float64)
-    if deltas.size and (deltas.min() < 0.0 or deltas.max() > 1.0):
+    if not ((deltas >= 0.0) & (deltas <= 1.0)).all():  # NaN fails both
         raise ValueError("per-step deltas must lie in [0, 1]")
     product = float(1.0 - np.prod(1.0 - deltas)) if deltas.size else 0.0
     return HorizonTvBound(bound=product, sum_bound=float(deltas.sum()))
@@ -213,40 +213,50 @@ def estimate_alpha(
 ) -> AcceptanceEstimate:
     """Mean acceptance over held-out (target, draft) head pairs.
 
-    closed_form averages the equal-covariance overlaps 2*Phi(-Delta_i/2);
-    monte_carlo draws ``mc_per_history`` proposals per history and averages
-    the canonical acceptance min(1, p/q). Both are unbiased for the mean
-    overlap over the histories they are given, under the canonical rule.
-    That is the deployment acceptance only if decoding proposes on such
-    histories: the harness passes clean held-out ones, while the engine
-    proposes on prefixes that hold its own draws, whose acceptance is lower
-    (by up to about 0.04 at sigma = 2 on the end-to-end system).
+    Each pair is reduced to its whitened gap Delta_i, taken in one batched
+    call. closed_form averages the overlaps 2*Phi(-Delta_i/2);
+    monte_carlo draws ``mc_per_history`` proposals per history with
+    ``overlap_monte_carlo`` and averages the canonical acceptance
+    min(1, p/q). Both need each pair's two variances equal. Both are
+    unbiased for the mean overlap over the histories they are given, under
+    the canonical rule. That is the deployment acceptance only if decoding
+    proposes on such histories: the harness passes clean held-out ones,
+    while the engine proposes on prefixes that hold its own draws, whose
+    acceptance is lower (by up to about 0.04 at sigma = 2 on the end-to-end
+    system).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("estimate_alpha needs at least one head pair")
+    if mode not in (MODE_CLOSED_FORM, MODE_MONTE_CARLO):
+        raise ValueError(f"unknown estimate mode {mode!r}")
+    mu_p = np.stack([p.mean for p, _ in pairs])
+    mu_q = np.stack([q.mean for _, q in pairs])
+    var_p = np.stack([p.variance for p, _ in pairs])
+    var_q = np.stack([q.variance for _, q in pairs])
+    if mu_p.shape != mu_q.shape:
+        raise ValueError("head dimensions differ")
+    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
+    # atol=0) without its generic overhead.
+    if not (np.abs(var_p - var_q) <= 1e-12 * np.abs(var_q)).all():
+        raise ValueError("estimate_alpha requires equal variances")
+    deltas = whitened_gap(mu_p, mu_q, var_p)
     if mode == MODE_CLOSED_FORM:
-        betas = [overlap_closed_form(p, q) for p, q in pairs]
         return AcceptanceEstimate(
-            alpha_bar_hat=float(np.mean(betas)),
+            alpha_bar_hat=float(np.mean(overlap(deltas))),
             n_histories=len(pairs),
             mc_per_history=None,
         )
-    if mode == MODE_MONTE_CARLO:
-        if mc_per_history is None or mc_per_history < 1:
-            raise ValueError("monte_carlo mode requires mc_per_history >= 1")
-        if rng is None:
-            raise ValueError("monte_carlo mode requires an rng")
-        total = 0.0
-        for p, q in pairs:
-            xs = q.sample(rng, mc_per_history)
-            total += float(np.sum(np.exp(np.minimum(0.0, log_density(p, xs) - log_density(q, xs)))))
-        return AcceptanceEstimate(
-            alpha_bar_hat=total / (len(pairs) * mc_per_history),
-            n_histories=len(pairs),
-            mc_per_history=mc_per_history,
-        )
-    raise ValueError(f"unknown estimate mode {mode!r}")
+    if mc_per_history is None or mc_per_history < 1:
+        raise ValueError("monte_carlo mode requires mc_per_history >= 1")
+    if rng is None:
+        raise ValueError("monte_carlo mode requires an rng")
+    total = sum(overlap_monte_carlo(delta, mc_per_history, rng)[0] for delta in deltas.tolist())
+    return AcceptanceEstimate(
+        alpha_bar_hat=total / len(pairs),
+        n_histories=len(pairs),
+        mc_per_history=mc_per_history,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,54 +270,42 @@ class DeviationBounds:
 
     alpha_bar: float
     tv_bound: float
-    tv_numeric_1d: float | None = None
-    kl_bound_1d: float | None = None
-    pinsker_tv: float | None = None
-    note: str | None = None
+    tv_numeric: float
+    kl_bound: float
+    pinsker_tv: float
 
 
-def deviation_bounds(
-    p: GaussianHead,
-    q: GaussianHead,
-    tolerance_lambda: float = 1.0,
-    grid: GridSpec | None = None,
-) -> DeviationBounds:
+def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBounds:
     """Numeric and analytic deviation controls for the fallback-to-target law.
 
-    In one dimension the output density g, its TV distance to p, the
-    one-sided KL bound, and the Pinsker TV bound are all evaluated by
-    quadrature; the TV <= alpha_bar bound is checked against the numerics.
-    In higher dimension only the dimension-free TV bound is reported.
+    The heads are a whitened gap ``delta`` apart, in any dimension: across
+    the gap p and q agree, so g and p differ only in their coordinate along
+    it, where p = N(0, 1) and q = N(delta, 1). On that line the output
+    density g, its TV distance to p, the one-sided KL bound, and the Pinsker
+    TV bound are all evaluated by quadrature; the TV <= alpha_bar bound is
+    checked against the numerics.
     """
     if not tolerance_lambda > 0:
         raise ValueError("tolerance_lambda must be > 0")
-    if p.d != q.d:
-        raise ValueError("head dimensions differ")
-    if p.d != 1:
-        if tolerance_lambda != 1.0:
-            raise ValueError("d > 1 deviation bounds support only tolerance_lambda = 1")
-        alpha_bar = overlap_closed_form(p, q)
-        return DeviationBounds(
-            alpha_bar=alpha_bar,
-            tv_bound=alpha_bar,
-            note="KL/TV quadrature unavailable for d > 1; TV <= alpha_bar still holds",
-        )
-
-    grid = grid if grid is not None else GridSpec.for_heads(p, q)
+    grid = GridSpec.for_gap(delta)
     log_lam = math.log(tolerance_lambda)
-    fp, fq = p.pdf(), q.pdf()
+    log_norm = math.log(2.0 * math.pi)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def log_terms(x: np.ndarray):
         """(log alpha(x), log p(x), log q(x)), alpha the acceptance probability."""
-        x = np.asarray(x, dtype=np.float64)[:, None]
-        lp, lq = log_density(p, x), log_density(q, x)
+        lp = -0.5 * (x * x + log_norm)
+        lq = -0.5 * ((x - delta) ** 2 + log_norm)
         return np.minimum(0.0, lp - lq + log_lam), lp, lq
+
+    def fp(x: np.ndarray) -> np.ndarray:
+        return norm * np.exp(-0.5 * x * x)
+
+    def fq(x: np.ndarray) -> np.ndarray:
+        return norm * np.exp(-0.5 * (x - delta) ** 2)
 
     def alpha_q(x: np.ndarray) -> np.ndarray:
         return np.exp(log_terms(x)[0]) * fq(x)
-
-    _check_grid_coverage(fp, grid, "p")
-    _check_grid_coverage(fq, grid, "q")
 
     alpha_bar = refined_trapezoid(alpha_q, grid, abs_tol=1e-9)
     alpha_bar = min(1.0, max(0.0, alpha_bar))
@@ -347,7 +345,7 @@ def deviation_bounds(
     return DeviationBounds(
         alpha_bar=alpha_bar,
         tv_bound=alpha_bar,
-        tv_numeric_1d=tv_numeric,
-        kl_bound_1d=kl_bound,
+        tv_numeric=tv_numeric,
+        kl_bound=kl_bound,
         pinsker_tv=pinsker,
     )

@@ -544,6 +544,8 @@ def _decode_speculative(
         raise ValueError(
             f"history capacity {h0.lookback} is below the larger model lookback {plan.k_max}"
         )
+    if h0.d != target.d:
+        raise ValueError(f"history patch width {h0.d} does not match the model patch width {target.d}")
     gamma = cfg.gamma
     horizon = cfg.horizon_patches
     seed = cfg.seed
@@ -622,6 +624,8 @@ def _decode_baseline(plan: _BaselinePlan, h0: History, cfg: DecodeConfig) -> tup
         raise ValueError(
             f"history capacity {h0.lookback} is below the model lookback {plan.k}"
         )
+    if h0.d != model.d:
+        raise ValueError(f"history patch width {h0.d} does not match the model patch width {model.d}")
     horizon = cfg.horizon_patches
     h0.fill_window(plan.context)
     draws = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal(out=plan.draws)

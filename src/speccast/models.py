@@ -41,15 +41,17 @@ class History:
 
     def __init__(self, context: np.ndarray):
         self._context = context
-        self.lookback = context.shape[0]
+        self.lookback, self.d = context.shape
 
     @classmethod
     def from_patches(cls, patches: np.ndarray, lookback: int, pad_patch: np.ndarray | None = None) -> "History":
         if lookback < 1:
             raise ValueError("lookback must be >= 1")
         patches = np.atleast_2d(np.asarray(patches, dtype=np.float64))
-        pad = pad_patch if pad_patch is not None else np.zeros(patches.shape[1])
-        context = np.tile(np.asarray(pad, dtype=np.float64), (lookback, 1))
+        pad = np.asarray(pad_patch if pad_patch is not None else np.zeros(patches.shape[1]), dtype=np.float64)
+        if pad.shape != (patches.shape[1],):
+            raise ValueError(f"patch width {patches.shape[1]} does not match the pad patch shape {pad.shape}")
+        context = np.tile(pad, (lookback, 1))
         m = min(lookback, patches.shape[0])
         if m:
             context[lookback - m :] = patches[-m:]

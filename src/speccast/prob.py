@@ -1,19 +1,25 @@
-"""Gaussian probability kernel: densities, overlap, residual sampling.
+"""Gaussian probability kernel: overlap laws on the whitened mean gap, residual sampling.
 
-All density arithmetic is done in the log domain so that density ratios
-never underflow, even for far-out proposals. Heads are immutable value
-objects; every operation is pure given an explicit RNG handle or variate.
+The target and draft heads share one isotropic variance, the setting of the
+paper's closed-form overlap and of every predictor built on it. Whitened by
+that variance, two heads differ only along their mean gap, so every overlap
+law is a function of one number, the whitened gap
+Delta = |mu_p - mu_q| / sigma (``whitened_gap``, batched along the last
+axis):
 
-``GaussianHead`` is the head as a value: the acceptance estimators and
-deviation bounds in ``analysis``, the validation suites and the overlap
-functions here take heads. The decode engine builds none: it scores rounds
-with ``kernels.round_accept`` and closes a rejected lossless round with
+- ``overlap`` is the closed form beta = 2 Phi(-Delta/2), elementwise; its
+  inverse is ``gap_for_overlap``.
+- ``overlap_quadrature`` and ``overlap_monte_carlo`` are independent 1-d
+  references for beta: the unit normals N(0, 1) and N(Delta, 1) stand for
+  the heads, as their coordinate along the gap. The deviation bounds in
+  ``analysis`` integrate on the same line, over ``GridSpec.for_gap``.
+
+``GaussianHead`` is the validated (mean, variance) pair that the acceptance
+estimator takes. The decode engine builds none: it scores rounds with
+``kernels.round_accept`` and closes a rejected lossless round with
 ``residual_sample`` on its raw mean rows, its shared standard deviation and
 the round's one pre-drawn target variate, written into the round's closing
 row.
-
-The target and draft heads share one variance, the setting of the paper's
-closed-form overlap 2 Phi(-Delta/2) and of every predictor built on it.
 
 The residual (p - q)_+ of two such heads is sampled exactly, by projection
 onto their mean gap: whitened, the heads differ only along the unit gap u,
@@ -40,7 +46,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 VARIANCE_FLOOR = 1e-12
 
-_LOG_2PI = math.log(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _FLOOR_MESSAGE = f"variance below {VARIANCE_FLOOR:g} clamped to the floor"
 
 
@@ -55,7 +61,8 @@ class GaussianHead:
     ``variance`` holds one value per dimension; the isotropic case stores the
     same value broadcast to all dimensions. Entries are validated finite and
     strictly positive, and clamped (with a warning) at VARIANCE_FLOOR.
-    A value object for API callers; the decode path does not build heads.
+    The validated (mean, variance) pair that ``analysis.estimate_alpha``
+    takes; the decode path does not build heads.
     """
 
     mean: np.ndarray
@@ -85,84 +92,56 @@ class GaussianHead:
         var.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", var)
-        # Cached pieces of the log normalizer.
-        object.__setattr__(self, "_log_norm", _log_norm(var))
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianHead":
+        sigma = float(sigma)
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         # A length-1 variance is broadcast to the mean's shape on validation.
-        return cls(mean, float(sigma) ** 2)
+        return cls(mean, sigma ** 2)
 
     @property
     def d(self) -> int:
         return self.mean.shape[0]
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw one sample (d,) or a batch (size, d)."""
-        std = np.sqrt(self.variance)
-        if size is None:
-            return self.mean + std * rng.standard_normal(self.d)
-        return self.mean + std * rng.standard_normal((size, self.d))
 
-    def pdf(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Density callable for quadrature helpers (1-d heads)."""
-        if self.d != 1:
-            raise ValueError("pdf() callable is only provided for 1-d heads")
-        mu = float(self.mean[0])
-        var = float(self.variance[0])
-        norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-        return lambda x: norm * np.exp(-((np.asarray(x) - mu) ** 2) / (2.0 * var))
+def whitened_gap(mu_p, mu_q, variance):
+    """Delta = sqrt(sum((mu_p - mu_q)^2 / variance)) along the last axis.
 
-
-def _log_norm(var: np.ndarray) -> float:
-    """sum(log(2 pi var)): the log normalizer of a diagonal Gaussian."""
-    return float(np.sum(np.log(2.0 * np.pi * var)))
-
-
-def log_density(head: GaussianHead, x) -> float | np.ndarray:
-    """Gaussian log-density of ``x`` (shape (..., d)) under ``head``.
-
-    Never returns -inf for finite inputs because variances are strictly
-    positive by construction.
+    The arguments broadcast against each other, so a batch of mean rows
+    (N, d) with one variance row (d,), or a scalar variance, gives N gaps.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (head.d,):
-        raise ValueError(f"x has dimension {x.shape[-1:]}, head has d={head.d}")
-    z2 = np.sum((x - head.mean) ** 2 / head.variance, axis=-1)
-    out = -0.5 * (z2 + head._log_norm)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    mu_p = np.asarray(mu_p, dtype=np.float64)
+    return np.sqrt(np.sum((mu_p - mu_q) ** 2 / variance, axis=-1))
 
 
-def mahalanobis_gap(p: GaussianHead, q: GaussianHead) -> float:
-    """Delta with Delta^2 = (mu_p - mu_q)^T Sigma^{-1} (mu_p - mu_q)."""
-    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
-    # atol=0) without its generic overhead; a NaN entry fails it too.
-    if not (np.abs(p.variance - q.variance) <= 1e-12 * np.abs(q.variance)).all():
-        raise ValueError("mahalanobis gap requires equal variances")
-    return float(np.sqrt(np.sum((p.mean - q.mean) ** 2 / p.variance)))
-
-
-def overlap_closed_form(p: GaussianHead, q: GaussianHead) -> float:
-    """Equal-covariance overlap 2*Phi(-Delta/2)."""
-    delta = mahalanobis_gap(p, q)
-    return float(2.0 * ndtr(-delta / 2.0))
+def overlap(delta):
+    """beta = 2 Phi(-Delta/2) of heads a whitened gap Delta apart, elementwise."""
+    return 2.0 * ndtr(-0.5 * delta)
 
 
 def gap_for_overlap(beta: float) -> float:
-    """Invert beta = 2*Phi(-Delta/2) for test fixtures."""
+    """Invert beta = 2*Phi(-Delta/2): the inverse of ``overlap``."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     return float(-2.0 * ndtri(beta / 2.0))
+
+
+def _check_gap(delta: float) -> float:
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"whitened gap must be finite and >= 0, got {delta}")
+    return delta
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """1-d quadrature grid covering all relevant mass.
 
-    Defaults to means +/- 8 max(sigma) with 2^14 base points; Gaussian tail
-    mass beyond 8 sigma is below 1e-15.
+    ``for_gap`` covers the unit normals at 0 and Delta, +/- 8 from their
+    means with 2^14 base points; Gaussian tail mass beyond 8 sigma is below
+    1e-15.
     """
 
     lo: float
@@ -176,13 +155,8 @@ class GridSpec:
             raise ValueError("grid needs at least 16 points")
 
     @classmethod
-    def for_heads(cls, *heads: GaussianHead, span: float = 8.0, points: int = 2 ** 14) -> "GridSpec":
-        for h in heads:
-            if h.d != 1:
-                raise ValueError("GridSpec.for_heads expects 1-d heads")
-        mus = [float(h.mean[0]) for h in heads]
-        sig = max(float(np.sqrt(h.variance[0])) for h in heads)
-        return cls(lo=min(mus) - span * sig, hi=max(mus) + span * sig, points=points)
+    def for_gap(cls, delta: float) -> "GridSpec":
+        return cls(lo=-8.0, hi=_check_gap(delta) + 8.0)
 
 
 def refined_trapezoid(
@@ -205,29 +179,30 @@ def refined_trapezoid(
     return prev
 
 
-def _check_grid_coverage(fn, grid: GridSpec, name: str) -> None:
-    xs = np.linspace(grid.lo, grid.hi, grid.points)
-    mass = float(np.trapezoid(np.asarray(fn(xs), dtype=np.float64), xs))
-    if mass < 0.999:
-        raise ValueError(
-            f"grid [{grid.lo:g}, {grid.hi:g}] covers only {mass:.6f} of {name}; widen the grid"
-        )
-
-
-def overlap_quadrature(p: GaussianHead, q: GaussianHead) -> float:
-    """Overlap beta = integral of min(p, q), to abs error <= 1e-8; ``pdf`` refuses d > 1."""
-    fp, fq = p.pdf(), q.pdf()
-    beta = refined_trapezoid(lambda x: np.minimum(fp(x), fq(x)), GridSpec.for_heads(p, q), abs_tol=1e-8)
+def overlap_quadrature(delta: float) -> float:
+    """beta = integral of min(N(0, 1), N(Delta, 1)) by quadrature, to abs error <= 1e-8."""
+    grid = GridSpec.for_gap(delta)
+    # min(p, q) at x is the density of the farther of the two means
+    beta = refined_trapezoid(
+        lambda x: _INV_SQRT_2PI * np.exp(-0.5 * np.maximum(x * x, (x - delta) ** 2)), grid, abs_tol=1e-8
+    )
     return min(1.0, max(0.0, beta))
 
 
-def overlap_monte_carlo(p: GaussianHead, q: GaussianHead, n: int, rng: np.random.Generator):
-    """(beta, standard error): the mean of min(1, p/q) over n draws X ~ q, unbiased."""
-    if n < 2:
-        raise ValueError("Monte Carlo overlap requires n >= 2")
-    xs = q.sample(rng, n)
-    w = np.exp(np.minimum(0.0, log_density(p, xs) - log_density(q, xs)))
-    return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(n))
+def overlap_monte_carlo(delta: float, n: int, rng: np.random.Generator):
+    """(beta, standard error): the mean of min(1, p/q) over n draws X ~ q, unbiased.
+
+    p = N(0, 1) and q = N(Delta, 1), so log p(X) - log q(X) = -Delta (z + Delta/2)
+    for X = Delta + z; n standard normals are drawn from ``rng``. One draw
+    has no standard error: it is NaN at n = 1.
+    """
+    delta = _check_gap(delta)
+    if n < 1:
+        raise ValueError("Monte Carlo overlap requires n >= 1")
+    z = rng.standard_normal(n)
+    w = np.exp(np.minimum(0.0, -delta * (z + 0.5 * delta)))
+    se = float(np.std(w, ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return float(np.mean(w)), se
 
 
 _SQRT_HALF = math.sqrt(0.5)

@@ -42,10 +42,11 @@ from .models import History, persistence_model
 from .prob import (
     GaussianHead,
     gap_for_overlap,
-    overlap_closed_form,
+    overlap,
     overlap_monte_carlo,
     overlap_quadrature,
     residual_sample,
+    whitened_gap,
 )
 
 SUITE_NAMES = (
@@ -131,7 +132,7 @@ def _g_bin_masses(edges: np.ndarray, mu_p: float, mu_q: float, sigma: float) -> 
     fine = np.linspace(edges[0], edges[-1], (edges.size - 1) * 64 + 1)
     pv = np.exp(-0.5 * ((fine - mu_p) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     qv = np.exp(-0.5 * ((fine - mu_q) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    beta = 2.0 * ndtr(-abs(mu_p - mu_q) / (2.0 * sigma))
+    beta = overlap(whitened_gap([mu_p], [mu_q], sigma * sigma))
     g = np.minimum(pv, qv) + (1.0 - beta) * pv
     masses = np.empty(edges.size - 1)
     for b in range(edges.size - 1):
@@ -165,10 +166,8 @@ def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> Su
         g_gap = rng.uniform(0.1, 4.0)
         g_sigma = rng.uniform(0.3, 2.0)
         g_lam = rng.choice([0.5, 1.0, 2.0])
-        p = GaussianHead.isotropic([0.0], g_sigma)
-        q = GaussianHead.isotropic([g_gap], g_sigma)
-        bounds = deviation_bounds(p, q, tolerance_lambda=g_lam)
-        worst = max(worst, bounds.tv_numeric_1d - bounds.alpha_bar)
+        bounds = deviation_bounds(whitened_gap([0.0], [g_gap], g_sigma * g_sigma), tolerance_lambda=g_lam)
+        worst = max(worst, bounds.tv_numeric - bounds.alpha_bar)
     c.details["max_tv_minus_alpha"] = float(worst)
     c.check(worst <= 1e-9, f"numeric TV exceeded alpha_bar by {worst:.3e} on the grid")
     return c
@@ -215,16 +214,13 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
         sigma = rng.uniform(0.1, 5.0)
         mu_p = rng.uniform(-3.0, 3.0)
         mu_q = mu_p + rng.uniform(-4.0, 4.0) * sigma
-        p = GaussianHead.isotropic([mu_p], sigma)
-        q = GaussianHead.isotropic([mu_q], sigma)
-        worst = max(worst, abs(overlap_closed_form(p, q) - overlap_quadrature(p, q)))
+        delta = whitened_gap([mu_p], [mu_q], sigma * sigma)
+        worst = max(worst, abs(overlap(delta) - overlap_quadrature(delta)))
     c.details["max_closed_vs_quadrature"] = float(worst)
     c.check(worst <= 1e-6, f"closed form vs quadrature disagree by {worst:.2e}")
 
-    p = GaussianHead.isotropic([0.0], 1.0)
-    q = GaussianHead.isotropic([1.0], 1.0)
-    mc_beta, mc_se = overlap_monte_carlo(p, q, mc_samples, rng)
-    closed = overlap_closed_form(p, q)
+    mc_beta, mc_se = overlap_monte_carlo(1.0, mc_samples, rng)
+    closed = float(overlap(1.0))
     c.details["mc_beta"] = mc_beta
     c.details["mc_std_error"] = mc_se
     c.details["closed_beta"] = closed
@@ -238,11 +234,12 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
 def _residual_survival(s: np.ndarray, h: float) -> np.ndarray:
     """S(s) = [Phi(s + h) - Phi(s - h)] / erf(h / sqrt 2), written with ndtr.
 
-    Where s > h both normal tails are upper tails. For small h the
-    difference still loses digits, about 1e-16 / h relative, far below what
-    the KS test resolves. It is independent of the erf/erfc code in ``prob``.
+    Where s > h both normal tails are upper tails, taken as ``norm.sf``.
+    For small h the difference still loses digits, about 1e-16 / h relative,
+    far below what the KS test resolves. It is independent of the erf/erfc
+    code in ``prob``.
     """
-    upper = ndtr(-(s - h)) - ndtr(-(s + h))
+    upper = scistats.norm.sf(s - h) - scistats.norm.sf(s + h)
     lower = ndtr(s + h) - ndtr(s - h)
     return np.where(s > h, upper, lower) / math.erf(h / math.sqrt(2.0))
 
@@ -330,8 +327,7 @@ def _proposal_overlaps(target, draft, context, forecast, trace, sigma: float) ->
         windows.extend(prefix[j : j + k] for j in range(examined))
         e += length
     stack = np.stack(windows)
-    gap = np.linalg.norm(target.mean_batch(stack) - draft.mean_batch(stack), axis=1)
-    return 2.0 * ndtr(-gap / (2.0 * sigma))
+    return overlap(whitened_gap(target.mean_batch(stack), draft.mean_batch(stack), sigma * sigma))
 
 
 def suite_dependence(seed: int = 0) -> SuiteResult:
@@ -400,7 +396,7 @@ def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
     pop_pairs = [
         (GaussianHead.isotropic([0.0], 1.0), GaussianHead.isotropic([g], 1.0)) for g in gaps
     ]
-    truth = float(np.mean([overlap_closed_form(p, q) for p, q in pop_pairs]))
+    truth = float(np.mean(overlap(gaps)))
     n_hist = 200
     estimates = np.empty(reps)
     for r in range(reps):
@@ -420,7 +416,7 @@ def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
     # gap). Heterogeneous histories would make the N*m rate anticonservative
     # because draws within one history share its overlap value.
     gap = 1.0
-    beta_true = float(2.0 * ndtr(-gap / 2.0))
+    beta_true = float(overlap(gap))
     n_hist, m = 100, 50
     p = GaussianHead.isotropic([0.0], 1.0)
     q = GaussianHead.isotropic([gap], 1.0)
@@ -465,25 +461,23 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
     # rises to 1 and the numeric TV(g, p) falls to 0, monotonically.
     tvs, alphas = [], []
     for gap in (2.0, 1.0, 0.5, 0.25, 0.0):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([gap], 1.0)
         if gap == 0.0:
             alphas.append(1.0)
             tvs.append(0.0)
             continue
-        b = deviation_bounds(p, q)
+        b = deviation_bounds(gap)
         alphas.append(b.alpha_bar)
-        tvs.append(b.tv_numeric_1d)
+        tvs.append(b.tv_numeric)
     c.details["alphas"] = [float(a) for a in alphas]
     c.details["tvs"] = [float(t) for t in tvs]
     c.check(all(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])), "alpha_bar not increasing")
     c.check(all(t2 <= t1 for t1, t2 in zip(tvs, tvs[1:])), "numeric TV not decreasing")
 
     # Far-apart heads: both alpha_bar and the numeric TV collapse.
-    far = deviation_bounds(GaussianHead.isotropic([0.0], 1.0), GaussianHead.isotropic([10.0], 1.0))
+    far = deviation_bounds(10.0)
     c.details["far_alpha"] = far.alpha_bar
-    c.details["far_tv"] = far.tv_numeric_1d
-    c.check(far.alpha_bar <= 1e-6 and far.tv_numeric_1d <= 1e-6, "far-apart deviation not collapsing")
+    c.details["far_tv"] = far.tv_numeric
+    c.check(far.alpha_bar <= 1e-6 and far.tv_numeric <= 1e-6, "far-apart deviation not collapsing")
 
     # Horizon bound: product form below sum form on random delta lists.
     rng = np.random.Generator(np.random.Philox(key=seed + 131))

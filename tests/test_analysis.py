@@ -23,7 +23,7 @@ from speccast.analysis import (
     select_gamma,
     speedup_wall,
 )
-from speccast.prob import GaussianHead, GridSpec, log_density, overlap_closed_form, refined_trapezoid
+from speccast.prob import GaussianHead, GridSpec, overlap, overlap_monte_carlo, refined_trapezoid, whitened_gap
 
 
 class TestBlockLengthPmf:
@@ -232,6 +232,11 @@ class TestHorizonTvBound:
         with pytest.raises(ValueError):
             horizon_tv_bound([0.5, 1.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_deltas(self, bad):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            horizon_tv_bound([bad, 0.2])
+
 
 class TestCostModel:
     def test_validation(self):
@@ -273,7 +278,7 @@ class TestEstimateAlpha:
         # mean over replications within 3 SE of the closed-form overlap
         p = GaussianHead.isotropic([0.0], 1.0)
         q = GaussianHead.isotropic([1.0], 1.0)
-        truth = overlap_closed_form(p, q)
+        truth = overlap(1.0)
         gen = rngmod.stream(911)
         reps = 10_000
         estimates = np.empty(reps)
@@ -290,6 +295,33 @@ class TestEstimateAlpha:
         with pytest.raises(ValueError):
             estimate_alpha([(p, q)])
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.1])
+    def test_stacked_closed_form_is_the_per_pair_mean_to_the_bit(self, sigma):
+        rng = np.random.default_rng(2024)
+        mu_p, mu_q = rng.normal(size=(2, 512, 32))
+        var = np.full(32, sigma * sigma)
+        pairs = [(GaussianHead(p, var), GaussianHead(q, var)) for p, q in zip(mu_p, mu_q)]
+        got = estimate_alpha(pairs).alpha_bar_hat
+        assert got == float(overlap(whitened_gap(mu_p, mu_q, var)).mean())
+        assert got == float(np.mean([overlap(whitened_gap(p.mean, q.mean, p.variance)) for p, q in pairs]))
+
+    def test_two_stage_is_one_monte_carlo_overlap_per_history(self):
+        # the histories' gaps in order, each drawing its m proposals in turn
+        gaps = [0.3, 1.0, 2.5]
+        pairs = [(GaussianHead.isotropic([0.0, 0.0], 0.5), GaussianHead.isotropic([0.0, 0.5 * g], 0.5)) for g in gaps]
+        est = estimate_alpha(pairs, mode="monte_carlo", mc_per_history=7, rng=rngmod.stream(5))
+        gen = rngmod.stream(5)
+        want = sum(overlap_monte_carlo(g, 7, gen)[0] for g in gaps) / 3
+        assert est.alpha_bar_hat == pytest.approx(want, rel=1e-15)
+        assert est.mc_per_history == 7
+        one = estimate_alpha(pairs[:1], mode="monte_carlo", mc_per_history=1, rng=rngmod.stream(5))
+        assert 0.0 <= one.alpha_bar_hat <= 1.0
+
+    def test_unknown_mode(self):
+        h = GaussianHead.isotropic([0.0], 1.0)
+        with pytest.raises(ValueError, match="unknown estimate mode 'bogus'"):
+            estimate_alpha([(h, h)], mode="bogus")
+
     def test_empty_input(self):
         with pytest.raises(ValueError):
             estimate_alpha([])
@@ -297,86 +329,82 @@ class TestEstimateAlpha:
 
 class TestDeviationBounds:
     def test_identical_heads(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        b = deviation_bounds(p, p)
+        b = deviation_bounds(0.0)
         assert b.alpha_bar == pytest.approx(1.0, abs=1e-9)
-        assert b.tv_numeric_1d == pytest.approx(0.0, abs=1e-9)
+        assert b.tv_numeric == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_gap_bound(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
-        b = deviation_bounds(p, q)
-        assert b.alpha_bar == pytest.approx(overlap_closed_form(p, q), abs=1e-7)
-        assert b.tv_numeric_1d <= b.alpha_bar
-        assert b.tv_numeric_1d <= b.pinsker_tv + 1e-6
-        assert b.kl_bound_1d >= 0.0
+        b = deviation_bounds(1.0)
+        assert b.alpha_bar == pytest.approx(overlap(1.0), abs=1e-7)
+        assert b.tv_numeric <= b.alpha_bar
+        assert b.tv_numeric <= b.pinsker_tv + 1e-6
+        assert b.kl_bound >= 0.0
 
     def test_far_heads_both_collapse(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([10.0], 1.0)
-        b = deviation_bounds(p, q)
+        b = deviation_bounds(10.0)
         assert b.alpha_bar <= 1e-6
-        assert b.tv_numeric_1d <= 1e-6
+        assert b.tv_numeric <= 1e-6
 
     @pytest.mark.parametrize("gap", [10.0, 20.0, 30.0])
     def test_far_heads_keep_finite_kl_and_pinsker(self, gap):
         # at gap 30, alpha_bar p underflows to 0 where alpha q does not
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([gap], 1.0)
         for lam in (0.5, 1.0, 2.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                b = deviation_bounds(p, q, tolerance_lambda=lam)
+                b = deviation_bounds(gap, tolerance_lambda=lam)
             assert b.alpha_bar > 0.0
-            assert math.isfinite(b.kl_bound_1d) and math.isfinite(b.pinsker_tv)
-            assert b.tv_numeric_1d <= b.pinsker_tv
+            assert math.isfinite(b.kl_bound) and math.isfinite(b.pinsker_tv)
+            assert b.tv_numeric <= b.pinsker_tv
 
     @pytest.mark.parametrize("gap", [0.5, 1.0, 2.0, 3.0, 4.0])
     def test_kl_matches_the_linear_domain_ratio_near_p(self, gap):
         # where alpha_bar p does not underflow, log(alpha q) - log(alpha_bar p)
         # in the linear domain gives the same bound to 1e-12 relative
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([gap], 1.0)
-        fp, fq = p.pdf(), q.pdf()
         for lam in (0.5, 1.0, 2.0):
-            b = deviation_bounds(p, q, tolerance_lambda=lam)
+            b = deviation_bounds(gap, tolerance_lambda=lam)
 
             def integrand(x):
-                lr = log_density(p, x[:, None]) - log_density(q, x[:, None])
-                aq = np.exp(np.minimum(0.0, lr + math.log(lam))) * fq(x)
-                ref = b.alpha_bar * fp(x)
+                lr = scistats.norm.logpdf(x) - scistats.norm.logpdf(x, loc=gap)
+                aq = np.exp(np.minimum(0.0, lr + math.log(lam))) * scistats.norm.pdf(x, loc=gap)
+                ref = b.alpha_bar * scistats.norm.pdf(x)
                 out = np.zeros_like(aq)
                 mask = aq > 1e-300
                 out[mask] = aq[mask] * (np.log(aq[mask]) - np.log(ref[mask]))
                 return out
 
-            kl = max(0.0, refined_trapezoid(integrand, GridSpec.for_heads(p, q), abs_tol=1e-9))
-            assert b.kl_bound_1d == pytest.approx(kl, rel=1e-12, abs=0.0)
+            kl = max(0.0, refined_trapezoid(integrand, GridSpec.for_gap(gap), abs_tol=1e-9))
+            assert b.kl_bound == pytest.approx(kl, rel=1e-12, abs=0.0)
             assert b.pinsker_tv == pytest.approx(math.sqrt(0.5 * kl), rel=1e-12, abs=0.0)
 
     def test_tolerance_relaxation_raises_alpha(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
-        strict = deviation_bounds(p, q, tolerance_lambda=1.0)
-        relaxed = deviation_bounds(p, q, tolerance_lambda=4.0)
+        strict = deviation_bounds(1.0, tolerance_lambda=1.0)
+        relaxed = deviation_bounds(1.0, tolerance_lambda=4.0)
         assert relaxed.alpha_bar > strict.alpha_bar
-        assert relaxed.tv_numeric_1d <= relaxed.alpha_bar
+        assert relaxed.tv_numeric <= relaxed.alpha_bar
 
-    def test_grid_must_cover_both_heads(self):
-        # a grid that misses most of one head's mass would undercount every
-        # integral, so it is refused and names the head it misses
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([30.0], 1.0)
-        with pytest.raises(ValueError, match=r"covers only 0\.000000 of q"):
-            deviation_bounds(p, q, grid=GridSpec(lo=-8.0, hi=8.0))
-        with pytest.raises(ValueError, match=r"covers only 0\.500000 of p"):
-            deviation_bounds(p, q, grid=GridSpec(lo=0.0, hi=38.0))
+    def test_two_dim_heads_match_their_gap_projection(self):
+        # Heads in d = 2, apart along a diagonal: TV(g, p) and alpha_bar by
+        # quadrature over the plane equal the bounds on the whitened gap,
+        # which are reported in full in every dimension.
+        sigma = 0.7
+        mu_q = np.array([0.6, -0.8])
+        delta = float(whitened_gap(np.zeros(2), mu_q, sigma * sigma))
+        axis = np.linspace(-7.0, 7.0, 701)
+        x, y = np.meshgrid(axis, axis, indexing="ij")
+        p = scistats.norm.pdf(x, scale=sigma) * scistats.norm.pdf(y, scale=sigma)
+        q = scistats.norm.pdf(x, mu_q[0], sigma) * scistats.norm.pdf(y, mu_q[1], sigma)
+        for lam in (0.5, 1.0, 2.0):
+            b = deviation_bounds(delta, tolerance_lambda=lam)
+            assert all(math.isfinite(v) for v in (b.tv_numeric, b.kl_bound, b.pinsker_tv))
+            assert b.tv_numeric <= b.alpha_bar
+            alpha_q = np.minimum(q, lam * p)
+            alpha_bar = np.trapezoid(np.trapezoid(alpha_q, axis), axis)
+            tv = 0.5 * np.trapezoid(np.trapezoid(np.abs(alpha_q - alpha_bar * p), axis), axis)
+            # the plane's trapezoid rule, across the kink of min(q, lambda p)
+            assert alpha_bar == pytest.approx(b.alpha_bar, abs=1e-5)
+            assert tv == pytest.approx(b.tv_numeric, abs=1e-5)
 
-    def test_higher_dim_reports_bound_only(self):
-        p = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        q = GaussianHead.isotropic([1.0, 0.0], 1.0)
-        b = deviation_bounds(p, q)
-        assert b.tv_numeric_1d is None
-        assert b.kl_bound_1d is None
-        assert b.tv_bound == b.alpha_bar
-        assert "alpha_bar" in b.note
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
+    def test_refuses_a_gap_that_is_not_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
+            deviation_bounds(delta)

@@ -977,6 +977,17 @@ class TestSessionPlans:
         # the configuration that refused only the short history decodes a long one
         assert decode(target, draft, h0, cases[2][0])[0].shape == (5, target.d)
 
+    @pytest.mark.parametrize("variant", ["target_only", "draft_only", "practical", "lossless"])
+    def test_history_of_another_patch_width_is_refused(self, variant):
+        # a width-1 history would be broadcast into every column of the
+        # width-4 models' session buffer; it is refused, on every call
+        target, draft, _ = _reference_pair("persistence")
+        narrow = History.from_patches(np.ones((6, 1)), 6)
+        cfg = DecodeConfig(variant=variant, horizon_patches=5, seed=0)
+        for seed in range(2):
+            with pytest.raises(ValueError, match="history patch width 1 does not match the model patch width 4"):
+                decode(target, draft, narrow, cfg.with_seed(seed))
+
     def test_patches_after_a_plan_exists_take_effect(self, monkeypatch):
         # A plan keeps no model method or module function, so wrappers
         # installed after a configuration's first session, as tracing

@@ -13,16 +13,17 @@ from scipy.special import log_ndtr
 
 from speccast import engine, kernels, prob
 from speccast import rng as rngmod
+from speccast.analysis import estimate_alpha
 from speccast.prob import (
     GaussianHead,
     VarianceFloorWarning,
     gap_for_overlap,
-    log_density,
-    overlap_closed_form,
+    overlap,
     overlap_monte_carlo,
     overlap_quadrature,
     residual_offset,
     residual_sample,
+    whitened_gap,
 )
 
 
@@ -85,59 +86,73 @@ class TestGaussianHead:
         a = GaussianHead.isotropic(mean, 0.3)
         b = GaussianHead(mean, np.full(3, 0.3 ** 2))
         assert a.variance.tobytes() == b.variance.tobytes()
-        assert a._log_norm == b._log_norm
         with pytest.raises(ValueError, match="strictly positive"):
-            GaussianHead.isotropic(mean, 0.0)
+            GaussianHead(mean, 0.0)
         with pytest.warns(VarianceFloorWarning):
             assert GaussianHead.isotropic(mean, 1e-7).variance.tolist() == [1e-12] * 3
 
+    @pytest.mark.parametrize("sigma", [-2.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_isotropic_refuses_a_sigma_that_is_not_finite_and_positive(self, sigma):
+        # squaring would turn -2 into a valid variance of 4
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            GaussianHead.isotropic([0.0], sigma)
+
+
+def kernel_log_density(mu, sigma, xs):
+    """log N(x; mu, sigma^2 I) of each row of ``xs``, as the decode kernel derives it.
+
+    The ``log_p`` column that ``kernels.acceptance_columns`` derives from the
+    squared distances ``kernels.round_accept`` writes, with the constants the
+    engine builds for an isotropic head of width ``sigma``.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    n, d = xs.shape
+    params, _ = engine._head_params(float(sigma), 1.0, d)
+    mus = np.empty((2, n, d))
+    mus[:] = np.asarray(mu, dtype=np.float64)
+    dists = np.empty((2, n))
+    kernels.round_accept(xs, [0.0] * n, mus, np.empty((2, n, d)), dists, params)
+    return kernels.acceptance_columns(dists, params)[1]
+
 
 class TestLogDensity:
+    """The one log density left in the package: the decode kernel's."""
+
     def test_standard_normal_mode(self):
-        h = GaussianHead.isotropic([0.0], 1.0)
-        assert log_density(h, [0.0]) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+        assert kernel_log_density([0.0], 1.0, [0.0])[0] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_two_dim_product(self):
-        h = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        assert log_density(h, [0.0, 0.0]) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+        assert kernel_log_density([0.0, 0.0], 1.0, [0.0, 0.0])[0] == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_against_scalar_reference(self):
-        h = GaussianHead(np.array([1.0]), np.array([0.25]))
-        assert log_density(h, [1.5]) == pytest.approx(scalar_gauss_logpdf(1.5, 1.0, 0.25), abs=1e-12)
+        got = kernel_log_density([1.0], 0.5, [1.5])[0]
+        assert got == pytest.approx(scalar_gauss_logpdf(1.5, 1.0, 0.25), abs=1e-12)
 
     def test_diagonal_sums_scalars(self):
         rng = np.random.default_rng(5)
         mean = rng.normal(size=4)
-        var = rng.uniform(0.2, 3.0, size=4)
+        sigma = rng.uniform(0.2, 3.0)
         x = rng.normal(size=4)
-        h = GaussianHead(mean, var)
-        expected = sum(scalar_gauss_logpdf(x[i], mean[i], var[i]) for i in range(4))
-        assert log_density(h, x) == pytest.approx(expected, abs=1e-10)
+        expected = sum(scalar_gauss_logpdf(x[i], mean[i], sigma * sigma) for i in range(4))
+        assert kernel_log_density(mean, sigma, x)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             mean = rng.normal(size=3)
-            var = rng.uniform(0.1, 4.0, size=3)
+            sigma = rng.uniform(0.3, 2.0)
             x = rng.normal(size=3)
             delta = rng.normal(size=3)
-            a = log_density(GaussianHead(mean, var), x)
-            b = log_density(GaussianHead(mean + delta, var), x + delta)
+            a = kernel_log_density(mean, sigma, x)[0]
+            b = kernel_log_density(mean + delta, sigma, x + delta)[0]
             assert a == pytest.approx(b, abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        h = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            log_density(h, [0.0])
-
     def test_batch_shape(self):
-        h = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        out = log_density(h, np.zeros((5, 2)))
+        out = kernel_log_density([0.0, 0.0], 1.0, np.zeros((5, 2)))
         assert out.shape == (5,)
 
     def test_finite_for_far_inputs(self):
-        h = GaussianHead.isotropic([0.0], 1.0)
-        assert np.isfinite(log_density(h, [50.0]))
+        assert np.isfinite(kernel_log_density([0.0], 1.0, [50.0])[0])
 
 
 def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0, params=None):
@@ -213,12 +228,24 @@ class TestAcceptance:
 class TestOverlap:
     def test_identical_heads(self):
         h = GaussianHead.isotropic([1.0, 2.0], 0.5)
-        assert overlap_closed_form(h, h) == pytest.approx(1.0, abs=1e-14)
+        assert overlap(whitened_gap(h.mean, h.mean, h.variance)) == pytest.approx(1.0, abs=1e-14)
 
     def test_unit_gap_closed_form(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
-        assert overlap_closed_form(p, q) == pytest.approx(2 * scistats.norm.cdf(-0.5), abs=1e-12)
+        delta = whitened_gap([0.0], [0.5], 0.25)
+        assert delta == 1.0
+        assert overlap(delta) == pytest.approx(2 * scistats.norm.cdf(-0.5), abs=1e-12)
+
+    def test_whitened_gap_batches_along_the_last_axis(self):
+        # one call on stacked rows gives each row's own gap, to the bit, with
+        # a variance per dimension or one for all
+        rng = np.random.default_rng(13)
+        mu_p, mu_q = rng.normal(size=(2, 64, 5))
+        var = rng.uniform(0.1, 3.0, 5)
+        batched = whitened_gap(mu_p, mu_q, var)
+        assert batched.shape == (64,)
+        assert batched.tolist() == [float(whitened_gap(p, q, var)) for p, q in zip(mu_p, mu_q)]
+        assert whitened_gap(mu_p, mu_q, 0.7).tolist() == whitened_gap(mu_p, mu_q, np.full(5, 0.7)).tolist()
+        assert overlap(batched).tolist() == [float(overlap(g)) for g in batched]
 
     def test_quadrature_matches_closed_form(self):
         rng = np.random.default_rng(11)
@@ -226,27 +253,26 @@ class TestOverlap:
             sigma = rng.uniform(0.1, 5.0)
             mu = rng.normal()
             gap = rng.uniform(-4, 4) * sigma
-            p = GaussianHead.isotropic([mu], sigma)
-            q = GaussianHead.isotropic([mu + gap], sigma)
-            assert overlap_quadrature(p, q) == pytest.approx(overlap_closed_form(p, q), abs=1e-6)
+            delta = whitened_gap([mu], [mu + gap], sigma * sigma)
+            assert overlap_quadrature(delta) == pytest.approx(overlap(delta), abs=1e-6)
 
     def test_monte_carlo_within_3se(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
-        q = GaussianHead.isotropic([1.0], 1.0)
-        beta, std_error = overlap_monte_carlo(p, q, 1_000_000, rngmod.stream(99))
-        assert abs(beta - overlap_closed_form(p, q)) <= 3 * std_error
+        beta, std_error = overlap_monte_carlo(1.0, 1_000_000, rngmod.stream(99))
+        assert abs(beta - overlap(1.0)) <= 3 * std_error
         assert std_error > 0
 
-    def test_quadrature_needs_1d(self):
-        p = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            overlap_quadrature(p, p)
+    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
+    def test_gap_laws_refuse_a_gap_that_is_not_finite_and_nonnegative(self, delta):
+        with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
+            overlap_quadrature(delta)
+        with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
+            overlap_monte_carlo(delta, 10, rngmod.stream(1))
 
     def test_closed_form_needs_equal_variance(self):
         p = GaussianHead(np.array([0.0]), np.array([1.0]))
         q = GaussianHead(np.array([0.0]), np.array([2.0]))
         with pytest.raises(ValueError):
-            overlap_closed_form(p, q)
+            estimate_alpha([(p, q)])
 
     @pytest.mark.parametrize("rel", [0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, -0.99e-12, -1.01e-12])
     def test_equal_variance_tolerance_is_allclose(self, rel):
@@ -255,17 +281,14 @@ class TestOverlap:
         var_p = var_q * np.array([1.0, 1.0 + rel])
         p, q = GaussianHead(np.zeros(2), var_p), GaussianHead(np.ones(2), var_q)
         if np.allclose(var_p, var_q, rtol=1e-12, atol=0.0):
-            assert overlap_closed_form(p, q) > 0
+            assert estimate_alpha([(p, q)]).alpha_bar_hat > 0
         else:
             with pytest.raises(ValueError, match="requires equal variances"):
-                overlap_closed_form(p, q)
+                estimate_alpha([(p, q)])
 
     def test_gap_for_overlap_inverts(self):
         for beta in (0.1, 0.3, 0.6, 0.9, 0.99):
-            gap = gap_for_overlap(beta)
-            p = GaussianHead.isotropic([0.0], 1.0)
-            q = GaussianHead.isotropic([gap], 1.0)
-            assert overlap_closed_form(p, q) == pytest.approx(beta, abs=1e-12)
+            assert overlap(gap_for_overlap(beta)) == pytest.approx(beta, abs=1e-12)
 
 
 def _residual_density(h):
@@ -564,14 +587,13 @@ class TestResidualSample:
         # KS against the residual cdf (p - q)_+ / (1 - beta) on a fine grid
         p = GaussianHead.isotropic([3.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
-        beta = overlap_closed_form(p, q)
+        beta = overlap(3.0)
         std = np.sqrt(p.variance)
         es = target_variates(rngmod.stream(321), std, 100_000)
         samples = np.array([residual_draw(p.mean, q.mean, std, e)[0][0] for e in es])
 
         xs = np.linspace(-8, 11, 20001)
-        fp, fq = p.pdf(), q.pdf()
-        dens = np.maximum(fp(xs) - fq(xs), 0.0) / (1.0 - beta)
+        dens = np.maximum(scistats.norm.pdf(xs, loc=3.0) - scistats.norm.pdf(xs), 0.0) / (1.0 - beta)
         cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(xs))])
         cdf_grid /= cdf_grid[-1]
 
@@ -598,8 +620,8 @@ class TestLosslessSingleStep:
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(777)
         n = 100_000
-        xs = q.sample(gen, n)[:, 0]
-        lr = np.minimum(0.0, log_density(p, xs[:, None]) - log_density(q, xs[:, None]))
+        xs = gen.standard_normal(n)
+        lr = np.minimum(0.0, scistats.norm.logpdf(xs, loc=1.0) - scistats.norm.logpdf(xs))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
         std = np.sqrt(p.variance)

@@ -527,6 +527,14 @@ class TestHistory:
         with pytest.raises(ValueError, match="lookback must be >= 1"):
             History.from_patches(np.ones((1, 2)), 0)
 
+    def test_pad_of_another_width_is_refused(self):
+        # a width-1 patch would be broadcast across a width-4 pad
+        with pytest.raises(ValueError, match=r"patch width 1 does not match the pad patch shape \(4,\)"):
+            History.from_patches(np.ones((2, 1)), 3, np.zeros(4))
+        with pytest.raises(ValueError, match=r"patch width 4 does not match the pad patch shape \(2,\)"):
+            History.from_patches(np.ones((2, 4)), 3, np.zeros(2))
+        assert History.from_patches(np.ones((2, 4)), 3, np.zeros(4)).d == 4
+
     def test_context_is_read_only(self):
         patches = np.arange(6.0).reshape(3, 2)
         h = History.from_patches(patches, 3)

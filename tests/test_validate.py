@@ -1,7 +1,16 @@
-"""The dependence suite on engine decodes, and a mutant it must catch."""
+"""The fast statistical suites, the dependence suite on engine decodes, and a mutant it must catch."""
+
+import pytest
 
 from speccast import kernels
-from speccast.validate import suite_dependence
+from speccast.validate import run_suites, suite_dependence
+
+
+@pytest.mark.parametrize("name", ["overlap", "estimator", "bounds", "gamma-rule", "predictor-identities"])
+def test_fast_suite_passes_at_its_defaults(name):
+    ((result, _),) = run_suites([name], seed=0)
+    assert result.name == name
+    assert result.passed, result.failures
 
 
 def test_dependence_suite_passes():

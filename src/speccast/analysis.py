@@ -65,8 +65,8 @@ def expected_block_length(alpha_bar: float, gamma: int) -> float:
 
 def speedup_wall(alpha_bar: float, gamma: int, c: float) -> float:
     """Predicted wall-clock speedup E[L] / (c*gamma + 1) over target-only."""
-    if not c > 0:
-        raise ValueError("wall-clock cost ratio c must be > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"wall-clock cost ratio c must be finite and > 0, got {c}")
     return expected_block_length(alpha_bar, gamma) / (c * gamma + 1.0)
 
 
@@ -76,8 +76,8 @@ def ops_factor(alpha_bar: float, gamma: int, c_hat: float) -> float:
     One round spends gamma*c_hat + gamma + 1 target-forward equivalents and
     emits E[L] patches.
     """
-    if not c_hat > 0:
-        raise ValueError("FLOPs cost ratio c_hat must be > 0")
+    if not (math.isfinite(c_hat) and c_hat > 0):
+        raise ValueError(f"FLOPs cost ratio c_hat must be finite and > 0, got {c_hat}")
     return (gamma * c_hat + gamma + 1.0) / expected_block_length(alpha_bar, gamma)
 
 
@@ -96,8 +96,8 @@ def select_gamma(alpha_bar: float, c: float, gamma_max: int) -> GammaChoice:
     speedup directly, ties to the smallest gamma.
     """
     a = _check_alpha(alpha_bar)
-    if not c > 0:
-        raise ValueError("c must be > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
     gammas = np.arange(1, gamma_max + 1, dtype=np.float64)
@@ -217,7 +217,8 @@ def estimate_alpha(
     call. closed_form averages the overlaps 2*Phi(-Delta_i/2);
     monte_carlo draws ``mc_per_history`` proposals per history with
     ``overlap_monte_carlo`` and averages the canonical acceptance
-    min(1, p/q). Both need each pair's two variances equal. Both are
+    min(1, p/q). Both need each pair's two variances equal, and take each
+    head's variance as it is, however small. Both are
     unbiased for the mean overlap over the histories they are given, under
     the canonical rule. That is the deployment acceptance only if decoding
     proposes on such histories: the harness passes clean held-out ones,
@@ -232,15 +233,15 @@ def estimate_alpha(
         raise ValueError(f"unknown estimate mode {mode!r}")
     mu_p = np.stack([p.mean for p, _ in pairs])
     mu_q = np.stack([q.mean for _, q in pairs])
-    var_p = np.stack([p.variance for p, _ in pairs])
-    var_q = np.stack([q.variance for _, q in pairs])
+    var_p = np.array([p.variance for p, _ in pairs])
+    var_q = np.array([q.variance for _, q in pairs])
     if mu_p.shape != mu_q.shape:
         raise ValueError("head dimensions differ")
-    # |var_p - var_q| <= 1e-12 |var_q| entrywise: np.allclose(rtol=1e-12,
+    # |var_p - var_q| <= 1e-12 |var_q| per pair: np.allclose(rtol=1e-12,
     # atol=0) without its generic overhead.
     if not (np.abs(var_p - var_q) <= 1e-12 * np.abs(var_q)).all():
         raise ValueError("estimate_alpha requires equal variances")
-    deltas = whitened_gap(mu_p, mu_q, var_p)
+    deltas = whitened_gap(mu_p, mu_q, var_p[:, None])
     if mode == MODE_CLOSED_FORM:
         return AcceptanceEstimate(
             alpha_bar_hat=float(np.mean(overlap(deltas))),
@@ -268,8 +269,7 @@ def estimate_alpha(
 class DeviationBounds:
     """Single-step deviation of g = alpha*q + (1 - alpha_bar)*p from p."""
 
-    alpha_bar: float
-    tv_bound: float
+    alpha_bar: float    # also the bound TV(g, p) <= alpha_bar, checked against tv_numeric
     tv_numeric: float
     kl_bound: float
     pinsker_tv: float
@@ -344,7 +344,6 @@ def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBo
         )
     return DeviationBounds(
         alpha_bar=alpha_bar,
-        tv_bound=alpha_bar,
         tv_numeric=tv_numeric,
         kl_bound=kl_bound,
         pinsker_tv=pinsker,

@@ -14,23 +14,25 @@ the accept decision it is still a target draw. A round writes
 ``mu_p[n] + ext`` into its closing row, which is the close of the extension
 (n = gamma) and of the practical fallback (n < gamma); a rejected lossless
 round instead writes the exact residual draw that ext maps to there, with
-``residual_sample(mu_p[n], mu_q[n], std, ext, row, work_rows)``, from the
-target and draft mean rows the round already holds, with the standard
-deviation of the session plan. No rejection re-keys a stream and no head
-object is built. The residual map is exact for every overlap below 1, so a
-lossless round never falls back to the practical draw. At tolerance_lambda
-= 1 a rejection with finite means implies distinct means, so its only
-ValueError is a non-finite mean (or a gap whose square underflows to 0),
-and that aborts the decode with ``DecodeAborted`` (a RuntimeError) naming
-the round, as does a non-finite closing draw.
+``residual_sample(mu_p[n], mu_q[n], sigma, ext, row, work_rows)``, from the
+target and draft mean rows the round already holds, with the session plan's
+one float sigma. No rejection re-keys a stream and no head object is built.
+The residual map is exact for every overlap below 1, so a lossless round
+never falls back to the practical draw. At tolerance_lambda = 1 a rejection
+with finite means implies distinct means, so its only ValueError is a
+non-finite mean (or a gap whose square underflows to 0), and that aborts
+the decode with ``DecodeAborted`` (a RuntimeError) naming the round, as does
+a non-finite closing draw.
 
-The target and draft heads of a speculative decode share one variance, as
-the paper's acceptance rule and every predictor here assume: a decode whose
-resolved ``sigma_target`` and ``sigma_draft`` differ is refused with a
-ValueError. The lossless variant also refuses a head variance below
-``prob.VARIANCE_FLOOR``, and a tolerance_lambda other than 1: the
-acceptance min(1, lambda p / q) and the (p - q)_+ residual combine to the
-target law only at lambda = 1.
+The target and draft heads of a speculative decode share one isotropic
+variance, as the paper's acceptance rule and every predictor here assume: a
+decode whose resolved ``sigma_target`` and ``sigma_draft`` differ is refused
+with a ValueError. So the head width is one float at every layer: the plan's
+sigma, the kernel's three constants (inverse variance, log normalizer, log
+lambda) and the residual map's sigma. The lossless variant also refuses a
+head variance below ``prob.VARIANCE_FLOOR``, and a tolerance_lambda other
+than 1: the acceptance min(1, lambda p / q) and the (p - q)_+ residual
+combine to the target law only at lambda = 1.
 
 Every random draw comes from a stream keyed by (seed, block, purpose): one
 ``ROUND`` key per block of 8 rounds for speculative variants, one
@@ -44,7 +46,7 @@ config without the seed is set up once per thread, in a session plan
 practical and lossless) that ``_plan`` keeps in a small per-thread cache
 keyed by the two models and that config. The plan runs the checks (the
 models the variant needs, equal widths, the shared sigma and the lossless
-floor), resolves sigma and the head constants, and owns the session's
+floor), resolves sigma and the kernel's constants, and owns the session's
 scratch arrays, with the row and window views a session reads prebuilt as
 Python lists. A check that fails leaves no plan, so it fails on every call;
 the history is checked per session. The cache entry holds the models, so no
@@ -103,6 +105,7 @@ from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
 from .prob import VARIANCE_FLOOR, residual_sample
+from .synth import check_integer
 
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
@@ -148,12 +151,13 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.gamma < 1:
+        check_integer("seed", self.seed)
+        if check_integer("gamma", self.gamma) < 1:
             raise ValueError("gamma must be >= 1")
-        if self.horizon_patches < 1:
+        if check_integer("horizon_patches", self.horizon_patches) < 1:
             raise ValueError("horizon_patches must be >= 1")
-        if not self.tolerance_lambda > 0:
-            raise ValueError("tolerance_lambda must be > 0")
+        if not (math.isfinite(self.tolerance_lambda) and self.tolerance_lambda > 0):
+            raise ValueError(f"tolerance_lambda must be finite and > 0, got {self.tolerance_lambda}")
         if self.variant == VARIANT_LOSSLESS and self.tolerance_lambda != 1.0:
             raise ValueError(
                 f"lossless decoding requires tolerance_lambda == 1, got {self.tolerance_lambda}: "
@@ -222,8 +226,8 @@ class DecodeTrace:
     ``xs`` (rounds, gamma, d), the squared distances ``dists`` (rounds, 2,
     gamma) of each proposal to the draft (0) and target (1) mean, and
     ``uniforms``, which holds whole blocks of 8 rounds; ``accept_params``
-    are the kernel's constants. Every position of a filled row is written;
-    only a round's examined prefix is exported.
+    are the kernel's three constants (``_head_params``). Every position of a
+    filled row is written; only a round's examined prefix is exported.
 
     Derived from the columns, here alone, and built once on first read:
     ``sources`` (codes into SOURCES: the extension when n = gamma, else the
@@ -376,18 +380,16 @@ def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfi
     return float(sigma_t)
 
 
-def _head_params(sigma: float, tolerance_lambda: float, d: int):
-    """The ``round_accept`` constants of one setting, and the standard
-    deviation ``residual_sample`` takes.
+def _head_params(sigma: float, tolerance_lambda: float, d: int) -> tuple[float, float, float]:
+    """The ``round_accept`` constants (inv_var, log_norm, log_lambda) of one setting.
 
-    Both heads have width sigma, so the draft and target constants are the
-    same floats.
+    Both heads have width sigma, so one inverse variance and one log
+    normalizer serve both. The normalizer is the sum of the d per-dimension
+    logs, in numpy's summation order.
     """
     inv_var = 1.0 / (sigma * sigma)
     log_norm = float(np.sum(np.log(2.0 * np.pi * np.full(d, sigma * sigma))))
-    std = np.full(d, sigma)
-    std.flags.writeable = False
-    return (inv_var, log_norm, inv_var, log_norm, math.log(tolerance_lambda)), std
+    return inv_var, log_norm, math.log(tolerance_lambda)
 
 
 class _BaselinePlan:
@@ -427,9 +429,9 @@ class _BaselinePlan:
 class _SpeculativePlan:
     """The set-up of a practical or lossless configuration.
 
-    The checks and constants: equal model widths, one resolved head sigma
-    (``_resolve_sigma``), the kernel's constants ``params`` and the
-    residual's ``std`` (``_head_params``).
+    The checks and constants: equal model widths, one resolved head
+    ``sigma`` (``_resolve_sigma``), which the residual map takes as is, and
+    the kernel's constants ``params`` (``_head_params``).
 
     The scratch arrays: the session buffer holds the context (``k_max``
     rows), then every emitted patch in order; a round's proposals are
@@ -458,7 +460,7 @@ class _SpeculativePlan:
         self.sigma = sigma = _resolve_sigma(target, draft, cfg)
         self.lossless = cfg.variant == VARIANT_LOSSLESS
         gamma, horizon, d = cfg.gamma, cfg.horizon_patches, target.d
-        self.params, self.std = _head_params(sigma, cfg.tolerance_lambda, d)
+        self.params = _head_params(sigma, cfg.tolerance_lambda, d)
         k_t, k_d = target.lookback, draft.lookback
         self.k_max = k_max = max(k_t, k_d)
         self.first_ext = gamma * _RNG_BLOCK
@@ -549,7 +551,7 @@ def _decode_speculative(
     gamma = cfg.gamma
     horizon = cfg.horizon_patches
     seed = cfg.seed
-    sigma, lossless, params, std = plan.sigma, plan.lossless, plan.params, plan.std
+    sigma, lossless, params = plan.sigma, plan.lossless, plan.params
     trace = DecodeTrace(cfg.variant, gamma, seed, horizon, target.d, accept_params=params)
     streams = _streams()
     h0.fill_window(plan.context)
@@ -602,7 +604,7 @@ def _decode_speculative(
         ext = noise[first_ext + slot]
         if lossless and n < gamma:
             try:
-                residual_sample(target_rows[n], draft_means[n], std, ext, final, residual_rows)
+                residual_sample(target_rows[n], draft_means[n], sigma, ext, final, residual_rows)
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
         else:

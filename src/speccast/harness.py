@@ -46,8 +46,9 @@ from .engine import (
     decode,
 )
 from .models import ForecastModel, History, fit_linear_ar
+from .prob import GaussianHead
 from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load_csv, metrics
-from .synth import SyntheticSpec, check_keys, drop_retired
+from .synth import SyntheticSpec, check_integer, check_keys, drop_retired
 
 SPLIT = (0.6, 0.2, 0.2)  # chronological train / validation / test fractions
 ALPHA_HISTORIES = 512    # held-out histories per acceptance estimate, at most
@@ -133,6 +134,11 @@ class ExperimentSpec:
     max_test_windows: int = 8
 
     def __post_init__(self) -> None:
+        for key in ("patch_len", "lookback", "horizon_steps", "max_test_windows"):
+            check_integer(key, getattr(self, key))
+        for key in ("gammas", "seeds"):
+            for v in getattr(self, key):
+                check_integer(key, v)
         rules = (
             ("patch_len", (self.patch_len,), lambda v: v >= 1, ">= 1"),
             ("lookback", (self.lookback,), lambda v: v >= 1, ">= 1"),
@@ -143,6 +149,7 @@ class ExperimentSpec:
             ("biases", self.biases, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
             ("scales", self.scales, lambda v: 0 < v <= 1, "in (0, 1]"),
             ("max_test_windows", (self.max_test_windows,), lambda v: v >= 1, ">= 1"),
+            ("tolerance_lambda", (self.tolerance_lambda,), lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
         )
         for key, values, ok, rule in rules:
             for v in values:
@@ -326,16 +333,8 @@ def build_test_windows(
     return windows
 
 
-def _alpha_pairs(
-    target: ForecastModel,
-    draft: ForecastModel,
-    val: PatchSeries,
-    k_ctx: int,
-    sigma: float,
-):
-    """(p, q) heads at held-out histories, for the overlap estimator."""
-    from .prob import GaussianHead
-
+def _alpha_contexts(val: PatchSeries, k_ctx: int) -> np.ndarray:
+    """The held-out histories of the acceptance estimate, stacked (N, k_ctx, d)."""
     contexts = []
     for ch in range(val.n_channels):
         patches = val.channel_patches(ch)
@@ -346,11 +345,7 @@ def _alpha_pairs(
     if len(contexts) > ALPHA_HISTORIES:
         idx = np.linspace(0, len(contexts) - 1, ALPHA_HISTORIES).round().astype(int)
         contexts = [contexts[i] for i in sorted(set(idx.tolist()))]
-    stack = np.stack(contexts)
-    mu_p = target.predict_means(stack)
-    mu_q = draft.predict_means(stack)
-    var = np.full(target.d, sigma * sigma)
-    return [(GaussianHead(mp, var), GaussianHead(mq, var)) for mp, mq in zip(mu_p, mu_q)]
+    return np.stack(contexts)
 
 
 def decode_windows(
@@ -419,12 +414,16 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     biased = {
         (scale, bias): drafts[scale].with_knobs(mean_bias=bias) for scale in spec.scales for bias in spec.biases
     }
-    alpha_estimates = {
-        (scale, sigma, bias): estimate_alpha(_alpha_pairs(target, biased[scale, bias], val, k_ctx, sigma))
-        for scale in spec.scales
-        for sigma in spec.sigmas
-        for bias in spec.biases
-    }
+    # The held-out means do not depend on sigma: each model predicts them
+    # once, and only the (p, q) heads are built per sigma.
+    contexts = _alpha_contexts(val, k_ctx)
+    mu_p = target.predict_means(contexts)
+    alpha_estimates = {}
+    for (scale, bias), draft in biased.items():
+        mu_q = draft.predict_means(contexts)
+        for sigma in spec.sigmas:
+            pairs = [(GaussianHead(p, sigma * sigma), GaussianHead(q, sigma * sigma)) for p, q in zip(mu_p, mu_q)]
+            alpha_estimates[scale, sigma, bias] = estimate_alpha(pairs)
 
     dataset = spec.data.name
     truth = np.stack([w.truth for w in windows])

@@ -8,17 +8,18 @@ straight into the round's row of the trace's ``dists`` column. The scan
 then runs on Python floats: the log densities, their log ratio and the
 acceptance probability of each position, up to the first rejection. It
 consumes pre-drawn uniforms, so its output is a pure function of the inputs.
+The draft and target heads share one isotropic width, so the kernel's
+constants are three floats: that width's inverse variance and log
+normalizer, and log tolerance_lambda.
 
 The trace stores only the distances. ``acceptance_columns`` derives the
 exported ``log_q``, ``log_p`` and ``alphas`` columns from them when they are
 first read, with the scan's operation order and its exponential, so an
 exported alpha is exactly the number the scan compared its uniform with.
 A loop-form reference implementation lives with the tests, which check the
-kernel against it; the per-round kernel cost is reported by ``perfbench``
-as ``kernels.round_accept_us``. That figure is the span around the call in
-a traced run and is mostly the span wrapper's own cost: on a 2-vCPU host it
-read 10.6-14.0 us per call in traced forecast-aligned runs, while the
-kernel took about 4 us per call at gamma 3 in a tight loop.
+kernel against it. ``perfbench``'s ``kernels.round_accept_us`` times the span
+around the call, mostly the wrapper's own cost; the kernel itself takes
+about 4 us per call at gamma 3.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ def round_accept(xs, uniforms, mus, scratch, dists, params) -> int:
     proposals to both means are written into ``dists`` (2, gamma), which the
     engine passes as a row of its trace column.
 
-    ``params = (inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda)``
-    are floats. Each position j keeps the operation order
-    ``log_q = -0.5 * (dists[0, j] * inv_var_q + log_norm_q)`` (log_p alike),
+    ``params = (inv_var, log_norm, log_lambda)`` are floats: the inverse
+    variance and the log normalizer of the one head width both heads share,
+    and log tolerance_lambda. Each position j keeps the operation order
+    ``log_q = -0.5 * (dists[0, j] * inv_var + log_norm)`` (log_p alike),
     ``alpha = exp(min(0, log_p - log_q + log_lambda))``, with numpy's exp,
     as ``acceptance_columns`` does; alpha is computed only where the scan
     compares it. Returns the accepted run length n, or -1 when the log ratio
@@ -51,11 +53,11 @@ def round_accept(xs, uniforms, mus, scratch, dists, params) -> int:
     np.subtract(xs, mus, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     np.add.reduce(scratch, axis=2, out=dists)
-    inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda = params
+    inv_var, log_norm, log_lambda = params
     dist_q, dist_p = dists.tolist()
     n = len(dist_q)
     for j, (dq, dp) in enumerate(zip(dist_q, dist_p)):
-        log_ratio = -0.5 * (dp * inv_var_p + log_norm_p) - -0.5 * (dq * inv_var_q + log_norm_q) + log_lambda
+        log_ratio = -0.5 * (dp * inv_var + log_norm) - -0.5 * (dq * inv_var + log_norm) + log_lambda
         if log_ratio != log_ratio:
             return -1
         if j < n and not uniforms[j] < (1.0 if log_ratio >= 0.0 else np.exp(log_ratio)):
@@ -68,8 +70,8 @@ def acceptance_columns(dists: np.ndarray, params) -> tuple[np.ndarray, np.ndarra
 
     ``dists`` has shape (..., 2, gamma); each result has shape (..., gamma).
     """
-    inv_var_q, log_norm_q, inv_var_p, log_norm_p, log_lambda = params
-    log_q = -0.5 * (dists[..., 0, :] * inv_var_q + log_norm_q)
-    log_p = -0.5 * (dists[..., 1, :] * inv_var_p + log_norm_p)
+    inv_var, log_norm, log_lambda = params
+    log_q = -0.5 * (dists[..., 0, :] * inv_var + log_norm)
+    log_p = -0.5 * (dists[..., 1, :] * inv_var + log_norm)
     alphas = np.exp(np.minimum(0.0, log_p - log_q + log_lambda))
     return log_q, log_p, alphas

@@ -14,18 +14,19 @@ axis):
   the heads, as their coordinate along the gap. The deviation bounds in
   ``analysis`` integrate on the same line, over ``GridSpec.for_gap``.
 
-``GaussianHead`` is the validated (mean, variance) pair that the acceptance
-estimator takes. The decode engine builds none: it scores rounds with
-``kernels.round_accept`` and closes a rejected lossless round with
-``residual_sample`` on its raw mean rows, its shared standard deviation and
+A head is a mean and one width: ``GaussianHead`` is the validated (mean,
+variance) pair that the acceptance estimator takes, with one float
+variance, kept as given however small. The decode engine builds none: it
+scores rounds with ``kernels.round_accept`` and closes a rejected lossless
+round with ``residual_sample`` on its raw mean rows, its one float sigma and
 the round's one pre-drawn target variate, written into the round's closing
-row.
+row. ``VARIANCE_FLOOR`` is the least variance a lossless decode accepts.
 
 The residual (p - q)_+ of two such heads is sampled exactly, by projection
 onto their mean gap: whitened, the heads differ only along the unit gap u,
 so the residual is N(0, I) across u and a 1-d law along it, whose survival
 function ``residual_offset`` inverts. ``residual_sample`` draws nothing: it
-maps a target variate e ~ N(0, diag std^2), keeping e's part across the gap
+maps a target variate e ~ N(0, sigma^2 I), keeping e's part across the gap
 and quantile-mapping its N(0, 1) coordinate along it. It writes the draw
 into a row of the caller's: the target draw mu_p + e plus one multiple of
 the mean gap, found from two dot products and the root in two work rows of
@@ -37,68 +38,57 @@ beta is, and every beta < 1 is served.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-VARIANCE_FLOOR = 1e-12
+VARIANCE_FLOOR = 1e-12  # the least head variance a lossless decode accepts
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_FLOOR_MESSAGE = f"variance below {VARIANCE_FLOOR:g} clamped to the floor"
-
-
-class VarianceFloorWarning(UserWarning):
-    """A head was constructed with variance below the numerical floor."""
 
 
 @dataclass(frozen=True)
 class GaussianHead:
-    """Per-step predictive density: independent Gaussian in each patch dim.
+    """Per-step predictive density N(mean, variance I): a mean and one variance.
 
-    ``variance`` holds one value per dimension; the isotropic case stores the
-    same value broadcast to all dimensions. Entries are validated finite and
-    strictly positive, and clamped (with a warning) at VARIANCE_FLOOR.
-    The validated (mean, variance) pair that ``analysis.estimate_alpha``
-    takes; the decode path does not build heads.
+    ``variance`` is one float, the variance of every dimension. It is given
+    as a scalar, or as a vector whose entries are all equal (one of the
+    mean's length, or of length 1); a vector of unequal entries is refused.
+    The variance is validated finite and strictly positive, and kept as
+    given, however small. The validated (mean, variance) pair that
+    ``analysis.estimate_alpha`` takes; the decode path does not build heads.
     """
 
     mean: np.ndarray
-    variance: np.ndarray
+    variance: float
 
     def __post_init__(self) -> None:
-        # One owned float64 copy of each input.
+        # One owned float64 copy of the mean.
         mean = np.array(self.mean, dtype=np.float64, ndmin=1)
         var = np.array(self.variance, dtype=np.float64, ndmin=1)
         if mean.ndim != 1 or var.ndim != 1:
             raise ValueError("mean and variance must be 1-d vectors")
-        if var.shape == (1,) and mean.shape != (1,):
-            var = np.full(mean.shape, var[0])
-        if var.shape != mean.shape:
+        if (var.shape != (1,) and var.shape != mean.shape) or var.size == 0:
             raise ValueError(f"variance shape {var.shape} != mean shape {mean.shape}")
         if not np.isfinite(mean).all():
             raise ValueError("head mean has non-finite entries")
         if not np.isfinite(var).all():
             raise ValueError("head variance has non-finite entries")
-        var_min = var.min(initial=math.inf)  # an empty (d = 0) head has nothing to check
-        if var_min <= 0.0:
+        if not (var > 0.0).all():
             raise ValueError("head variance entries must be strictly positive")
-        if var_min < VARIANCE_FLOOR:
-            warnings.warn(_FLOOR_MESSAGE, VarianceFloorWarning, stacklevel=2)
-            np.maximum(var, VARIANCE_FLOOR, out=var)
+        if not (var == var[0]).all():
+            raise ValueError(f"head variance must be isotropic, got unequal entries {var.tolist()}")
         mean.flags.writeable = False
-        var.flags.writeable = False
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", var)
+        object.__setattr__(self, "variance", float(var[0]))
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianHead":
         sigma = float(sigma)
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        # A length-1 variance is broadcast to the mean's shape on validation.
         return cls(mean, sigma ** 2)
 
     @property
@@ -159,17 +149,16 @@ class GridSpec:
         return cls(lo=-8.0, hi=_check_gap(delta) + 8.0)
 
 
-def refined_trapezoid(
-    fn: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec,
-    abs_tol: float,
-    max_points: int = 2 ** 21,
-) -> float:
-    """Trapezoid rule with doubling refinement to the requested tolerance."""
+_MAX_POINTS = 2 ** 21  # refined_trapezoid stops refining at this many points
+
+
+def refined_trapezoid(fn: Callable[[np.ndarray], np.ndarray], grid: GridSpec, abs_tol: float) -> float:
+    """Trapezoid rule with doubling refinement to the requested tolerance,
+    up to ``_MAX_POINTS`` points."""
     n = grid.points
     xs = np.linspace(grid.lo, grid.hi, n)
     prev = float(np.trapezoid(np.asarray(fn(xs), dtype=np.float64), xs))
-    while n < max_points:
+    while n < _MAX_POINTS:
         n = 2 * n - 1
         xs = np.linspace(grid.lo, grid.hi, n)
         cur = float(np.trapezoid(np.asarray(fn(xs), dtype=np.float64), xs))
@@ -212,6 +201,8 @@ _erf, _erfc, _exp, _expm1, _log, _log1p, _sqrt = (
     math.erf, math.erfc, math.exp, math.expm1, math.log, math.log1p, math.sqrt
 )
 _SERIES_H = 1e-4    # below this half-gap, S is a series in h
+_HERMITE_H = 1e-2   # below this half-gap, the root search takes n from a Hermite series in h
+_HERMITE_TERMS = 6  # its terms beyond the first: to about 1e-15 relative for h s < 0.4
 _MIDPOINT = 1e-5    # below this (1 + h^2) s^2, log S is a series in s^2
 _TAIL_H = 1.2       # from this half-gap on, the root is sought in t from a normal quantile
 _ROOT_RTOL = 1e-12  # converged: a step below this, relative to the variable
@@ -265,15 +256,17 @@ def residual_offset(h: float, log_v: float) -> float:
     method on it inside a bisection bracket. Below h = ``_TAIL_H`` the
     variable is y = s^2, in which log S is linear as h -> 0, and the start is
     the Rayleigh point. From ``_TAIL_H`` on the variable is t, and the start
-    is the normal quantile of v erf(h / sqrt 2). Beyond p's mean (t > 0) S
-    is an erfc difference, which does not cancel there; elsewhere an erf
-    difference in y, and in t one minus a sum of erfc tails, whose log1p
-    keeps log S accurate where S and erf(h / sqrt 2) are within rounding of
-    1 (log v within about 1e-14 of 0 at h = 6). The search ends at a step
-    below 1e-12 of the variable (of 1, for |t| < 1); at a small step whose
-    successor, estimated from the cubic convergence of the last two steps,
-    is below that; or at a step that no longer shrinks, which is the
-    rounding noise of log S. That noise bounds
+    is the normal quantile of v erf(h / sqrt 2). Below h = ``_HERMITE_H``
+    (1e-2), where an erf or erfc difference of S cancels to about 1e-16 / h,
+    S's numerator comes from its Taylor series in h (``_hermite_ratio``).
+    Above, beyond p's mean (t > 0) S is an erfc difference, which does not
+    cancel there; elsewhere an erf difference in y, and in t one minus a
+    sum of erfc tails, whose log1p keeps log S accurate where S and
+    erf(h / sqrt 2) are within rounding of 1 (log v within about 1e-14 of 0
+    at h = 6). The search ends at a step below 1e-12 of the variable (of 1,
+    for |t| < 1); at a small step whose successor, estimated from the cubic
+    convergence of the last two steps, is below that; or at a step that no
+    longer shrinks, which is the rounding noise of log S. That noise bounds
     the root near s = 0, where S is within about 1e-3 of 1: there its error
     is about 1e-16 / s, not 1e-12 s. A v below e^-690 (about 2.5e-300), where
     the erfc difference would underflow near the root, is taken as e^-690:
@@ -297,6 +290,22 @@ def residual_offset(h: float, log_v: float) -> float:
     return _halley_root(h, log_v, log_erf, _tail_quantile(log_v + log_erf), False)
 
 
+def _hermite_ratio(h: float, s: float) -> float:
+    """[Phi(s + h) - Phi(s - h)] / (2 h phi(s)), the sum of h^2k He_2k(s) / (2k + 1)!.
+
+    Its Taylor series in h, He the probabilists' Hermite polynomials: the
+    terms fall as (h s)^2k / (2k + 1)!, and none cancels.
+    """
+    even, odd = 1.0, s  # He_0, He_1
+    scale = total = 1.0
+    for n in range(1, 2 * _HERMITE_TERMS, 2):
+        even = s * odd - n * even  # He_n+1
+        odd = s * even - (n + 1) * odd  # He_n+2
+        scale *= h * h / ((n + 1) * (n + 2))
+        total += scale * even
+    return total
+
+
 def _halley_root(h: float, log_v: float, log_erf: float, x: float, in_y: bool) -> float:
     """x with log S = log_v, S = n / erf(h / sqrt 2), x = s^2 if ``in_y`` else t.
 
@@ -318,7 +327,9 @@ def _halley_root(h: float, log_v: float, log_erf: float, x: float, in_y: bool) -
         else:
             s = x + h
             t = x
-        if t > 0.0:
+        if h < _HERMITE_H:  # in y, where an erf or erfc difference would cancel
+            n2 = two_h * _SQRT_2_OVER_PI * _exp(-0.5 * x) * _hermite_ratio(h, s)
+        elif t > 0.0:
             n2 = _erfc(t * _SQRT_HALF) - _erfc((s + h) * _SQRT_HALF)
         elif in_y:
             n2 = _erf((s + h) * _SQRT_HALF) - _erf(t * _SQRT_HALF)
@@ -373,16 +384,16 @@ def _halley_root(h: float, log_v: float, log_erf: float, x: float, in_y: bool) -
 def residual_sample(
     mu_p: np.ndarray,
     mu_q: np.ndarray,
-    std: np.ndarray,
+    sigma: float,
     e: np.ndarray,
     out: np.ndarray,
     scratch,
 ) -> tuple[np.ndarray, int]:
     """Map a target variate ``e`` to its exact residual draw, written into ``out``.
 
-    p and q are the diagonal Gaussians with means ``mu_p``/``mu_q`` (float64
-    vectors) and the one standard deviation ``std``; ``e`` is a draw of
-    N(0, diag std^2), the target's noise. The call writes into ``out`` the
+    p and q are the isotropic Gaussians with means ``mu_p``/``mu_q`` (float64
+    vectors) and the one standard deviation ``sigma``, a float; ``e`` is a
+    draw of N(0, sigma^2 I), the target's noise. The call writes into ``out`` the
     target draw mu_p + e that e makes (the practical close) plus the one
     multiple of mu_p - mu_q that turns it into a draw from the residual
     density r = (p - q)_+ / (1 - beta), when e is such a draw; what ``out``
@@ -393,10 +404,10 @@ def residual_sample(
     no input is written.
 
     In the whitened frame p and q differ only along u = w / Delta, where
-    w = (mu_p - mu_q) / std and Delta = |w|. So r is N(0, I) on the
+    w = (mu_p - mu_q) / sigma and Delta = |w|. So r is N(0, I) on the
     orthogonal complement of u and, along u, the law whose survival at
     distance s from the midpoint is S(s) of ``residual_offset``, with
-    h = Delta / 2. The coordinate a = (e / std) . u is N(0, 1) and
+    h = Delta / 2. The coordinate a = (e / sigma) . u is N(0, 1) and
     independent of e's part across u, so its upper-tail probability Q(a) is
     uniform, and the draw is
 
@@ -404,7 +415,7 @@ def residual_sample(
 
     e's part across the gap passes through, and its coordinate along the gap
     is quantile-mapped to t, which increases with a. Delta^2 = w . w and
-    a Delta = e . (w / std) are the two dot products. Q(a) is passed as its
+    a Delta = e . (w / sigma) are the two dot products. Q(a) is passed as its
     log, so every finite a has a finite t. The cost does not grow with beta:
     a few vector operations and a 1-d root of about two Halley steps, a
     closed form when the heads nearly coincide. No vector operation but the
@@ -413,19 +424,16 @@ def residual_sample(
     identical means (Delta == 0, where the residual is undefined), raises
     ValueError.
     """
-    if mu_p.shape != std.shape or mu_q.shape != std.shape or e.shape != std.shape:
-        raise ValueError(
-            f"mean shapes {mu_p.shape}, {mu_q.shape} and variate shape {e.shape} "
-            f"do not match variances {std.shape}"
-        )
+    if mu_q.shape != mu_p.shape or e.shape != mu_p.shape:
+        raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} and variate shape {e.shape} differ")
     row, w = scratch
-    np.divide(np.subtract(mu_p, mu_q, out=row), std, out=w)
+    np.divide(np.subtract(mu_p, mu_q, out=row), sigma, out=w)
     gap2 = float(w.dot(w))
     if math.isfinite(gap2):
         delta = math.sqrt(gap2)
         if delta == 0.0:
             raise ValueError("residual undefined: the heads' means coincide (Delta = 0)")
-        a = float(e.dot(np.divide(w, std, out=row))) / delta
+        a = float(e.dot(np.divide(w, sigma, out=row))) / delta
     else:
         # Not finite: a mean is, or the square overflowed and is taken again
         # on a rescaled gap.
@@ -433,9 +441,9 @@ def residual_sample(
             raise ValueError("head mean has non-finite entries")
         big = float(np.abs(w).max())
         delta = big * math.sqrt(float(np.dot(w / big, w / big)))
-        a = float(np.dot(e / std, w / delta))
+        a = float(np.dot(e / sigma, w / delta))
     t = residual_offset(0.5 * delta, float(log_ndtr(-a)))
-    # std * (t - a) u = ((t - a) / Delta) (mu_p - mu_q)
+    # sigma * (t - a) u = ((t - a) / Delta) (mu_p - mu_q)
     np.add(mu_p, e, out=out)
     out += np.multiply(np.subtract(mu_p, mu_q, out=w), (t - a) / delta, out=row)
     return out, 1

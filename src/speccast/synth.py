@@ -8,6 +8,7 @@ so a truncated-lookback draft stays closely aligned with the full target.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ def check_keys(d: dict, cls, what: str) -> None:
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
     if missing:
         raise ValueError(f"{what} lacks required key(s): {', '.join(map(repr, missing))}")
+
+
+def check_integer(key: str, value) -> int:
+    """``value`` by ``operator.index``; ValueError naming ``key`` if not an integer (as 2.5 or 3.0)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def drop_retired(d: dict, retired: dict, what: str) -> dict:
@@ -57,44 +66,23 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         for key in ("n_steps", "n_channels", "season_len"):
-            value = getattr(self, key)
+            value = check_integer(key, getattr(self, key))
             if not value >= 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        for key in ("seed", "n_harmonics"):
+            check_integer(key, getattr(self, key))
 
     def generate(self) -> np.ndarray:
-        return seasonal_ar(
-            n_steps=self.n_steps,
-            n_channels=self.n_channels,
-            season_len=self.season_len,
-            season_amp=self.season_amp,
-            ar_coeff=self.ar_coeff,
-            ar_std=self.ar_std,
-            obs_noise=self.obs_noise,
-            seed=self.seed,
-            n_harmonics=self.n_harmonics,
-        )
+        return seasonal_ar(**self.to_dict())  # the fields are seasonal_ar's parameters
 
     def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "n_channels": self.n_channels,
-            "season_len": self.season_len,
-            "season_amp": self.season_amp,
-            "ar_coeff": self.ar_coeff,
-            "ar_std": self.ar_std,
-            "obs_noise": self.obs_noise,
-            "seed": self.seed,
-            "n_harmonics": self.n_harmonics,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
         """The spec a ``to_dict`` document describes; ValueError names an unknown key."""
         check_keys(d, cls, "synthetic spec")
         return cls(**d)
-
-
-DEFAULT_SPEC = SyntheticSpec()
 
 
 def seasonal_profile(season_len: int, amp: float, n_harmonics: int, rng: np.random.Generator) -> np.ndarray:

@@ -253,10 +253,10 @@ def suite_residual_exactness(
     """Residual draws vs their law, by projection onto the whitened mean gap.
 
     For each gap Delta and dimension d, ``residual_sample`` maps n target
-    variates e = std * z, z ~ N(0, I), between heads with a random direction
-    and per-coordinate widths. In the whitened frame the distance s from the
-    midpoint along the unit gap must follow the survival function S of
-    ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
+    variates e = sigma * z, z ~ N(0, I), between heads with a random
+    direction and a random width sigma. In the whitened frame the distance s
+    from the midpoint along the unit gap must follow the survival function S
+    of ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
     orthonormal basis of the complement must be N(0, 1) (KS, pooled). Delta
     runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
     of the 15 tests must reach p >= 0.001.
@@ -264,18 +264,18 @@ def suite_residual_exactness(
     c = SuiteResult("residual-exactness")
     geometry = np.random.Generator(np.random.Philox(key=seed + 53))
     for case, (d, delta) in enumerate((d, delta) for d in dims for delta in deltas):
-        std = geometry.uniform(0.5, 2.0, d)
+        sigma = geometry.uniform(0.5, 2.0)
         u = geometry.normal(size=d)
         u /= np.linalg.norm(u)
         mu_q = geometry.normal(size=d)
-        mu_p = mu_q + delta * std * u
+        mu_p = mu_q + delta * sigma * u
         gen = rngmod.stream(rngmod.derive_seed(seed, case))
         xs = np.empty((n, d))
         scratch = np.empty((2, d))
         for x in xs:
-            e = std * gen.standard_normal(d)
-            residual_sample(mu_p, mu_q, std, e, x, scratch)
-        ys = (xs - 0.5 * (mu_p + mu_q)) / std
+            e = sigma * gen.standard_normal(d)
+            residual_sample(mu_p, mu_q, sigma, e, x, scratch)
+        ys = (xs - 0.5 * (mu_p + mu_q)) / sigma
         along = ys @ u
         ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, 0.5 * delta))
         row = {"ks_pvalue": float(ks.pvalue), "min_s": float(along.min())}

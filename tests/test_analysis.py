@@ -111,6 +111,17 @@ class TestSpeedupWall:
         with pytest.raises(ValueError):
             speedup_wall(0.5, 3, 0.0)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+    def test_cost_ratios_must_be_finite(self, c):
+        # an infinite cost ratio is no cost model: the predictors refuse it,
+        # as CostModel does, instead of reading S = 0 and a rule 63 from the scan
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            speedup_wall(0.9, 3, c)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            select_gamma(0.9, c, 64)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            ops_factor(0.9, 3, c)
+
 
 class TestOpsFactor:
     def test_self_speculation_overhead(self):
@@ -304,6 +315,20 @@ class TestEstimateAlpha:
         got = estimate_alpha(pairs).alpha_bar_hat
         assert got == float(overlap(whitened_gap(mu_p, mu_q, var)).mean())
         assert got == float(np.mean([overlap(whitened_gap(p.mean, q.mean, p.variance)) for p, q in pairs]))
+
+    @pytest.mark.parametrize("sigma", [1e-7, 1e-8])
+    def test_heads_narrower_than_the_lossless_floor_keep_their_width(self, sigma):
+        # No clamp: below the lossless decode's variance floor the estimate
+        # is still the overlap at the heads' own sigma, and nothing warns.
+        rng = np.random.default_rng(7)
+        mu_p = rng.normal(size=(16, 4))
+        mu_q = mu_p + sigma * rng.normal(size=(16, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [(GaussianHead.isotropic(p, sigma), GaussianHead.isotropic(q, sigma)) for p, q in zip(mu_p, mu_q)]
+            got = estimate_alpha(pairs).alpha_bar_hat
+        assert got == float(overlap(whitened_gap(mu_p, mu_q, sigma * sigma)).mean())
+        assert got < 0.5
 
     def test_two_stage_is_one_monte_carlo_overlap_per_history(self):
         # the histories' gaps in order, each drawing its m proposals in turn

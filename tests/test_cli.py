@@ -130,6 +130,8 @@ def test_validate_exit_codes(tmp_path, monkeypatch, capsys):
     [
         ["validate", "--suite", "no-such-suite"],
         ["predict", "--alpha", "1.5", "--gamma", "3"],
+        ["predict", "--alpha", "0.9", "--gamma", "3", "--c", "inf"],
+        ["predict", "--alpha", "0.9", "--gamma", "3", "--c-hat", "inf"],
         ["fit", "--patch-len", "8", "--lookback", "4", "--out", "model.json"],  # no data source
         ["fit", "--synthetic", "seasonal-ar", "--synth-steps", "4000", "--patch-len", "8",
          "--lookback", "0", "--out", "model.json"],
@@ -273,6 +275,15 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys, no_fitting):
         ({**base, "data": {"synthetic": {"n_steps": 0}}}, "n_steps must be >= 1, got 0"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "n_channels": 0}}}, "n_channels must be >= 1, got 0"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "season_len": 0}}}, "season_len must be >= 1, got 0"),
+        # sizes, counts and seeds are integers; lambda is finite and > 0
+        ({**base, "gammas": [2.5]}, "gammas must be an integer, got 2.5"),
+        ({**base, "max_test_windows": 4.5}, "max_test_windows must be an integer, got 4.5"),
+        ({**base, "seeds": [0, 1.5]}, "seeds must be an integer, got 1.5"),
+        ({**base, "patch_len": 8.0}, "patch_len must be an integer, got 8.0"),
+        ({**base, "data": {"synthetic": {"n_steps": 20000.5}}}, "n_steps must be an integer, got 20000.5"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "seed": 1.5}}}, "seed must be an integer, got 1.5"),
+        ({**base, "tolerance_lambda": -1.0}, "tolerance_lambda must be finite and > 0, got -1.0"),
+        ({**base, "tolerance_lambda": 0.0}, "tolerance_lambda must be finite and > 0, got 0.0"),
     ]
     capsys.readouterr()
     for doc, message in cases:

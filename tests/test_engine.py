@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -25,7 +26,7 @@ from speccast.engine import (
     decode,
 )
 from speccast.models import ForecastModel, History, fit_linear_ar, load_model, persistence_model, save_model
-from speccast.prob import GaussianHead, VarianceFloorWarning, gap_for_overlap
+from speccast.prob import GaussianHead, gap_for_overlap
 from speccast.series import PatchSeries, metrics
 from speccast.synth import SyntheticSpec
 from helpers import ar1
@@ -340,6 +341,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DecodeConfig(variant="practical", horizon_patches=1, seed=0, gamma=0)
 
+    @pytest.mark.parametrize(
+        "field_name,value,message",
+        [
+            ("horizon_patches", 2.5, "horizon_patches must be an integer, got 2.5"),
+            ("gamma", 3.0, "gamma must be an integer, got 3.0"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("tolerance_lambda", math.inf, "tolerance_lambda must be finite and > 0, got inf"),
+            ("tolerance_lambda", math.nan, "tolerance_lambda must be finite and > 0, got nan"),
+            ("tolerance_lambda", -1.0, "tolerance_lambda must be finite and > 0, got -1.0"),
+        ],
+    )
+    def test_sizes_are_integers_and_lambda_is_finite(self, field_name, value, message):
+        fields = {**dict(variant="practical", horizon_patches=4, seed=0, gamma=2), field_name: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DecodeConfig(**fields)
+        # numpy integers are integers
+        cfg = DecodeConfig(variant="practical", horizon_patches=np.int64(4), seed=np.uint32(7), gamma=np.int32(2))
+        assert (cfg.horizon_patches, cfg.seed, cfg.gamma) == (4, 7, 2)
+
 
 def _linear_pair(d=4):
     series = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=d)
@@ -492,8 +512,8 @@ def _reference_accept(xs, uniforms, mu_q, mu_p, log_q, log_p, alphas, params):
     gamma = xs.shape[0]
     dq = xs - mu_q
     dp = xs - mu_p
-    log_q[:] = -0.5 * ((dq * dq).sum(axis=1) * params[0] + params[3])
-    log_p[:] = -0.5 * ((dp * dp).sum(axis=1) * params[1] + params[4])
+    log_q[:] = -0.5 * ((dq * dq).sum(axis=1) * params[0] + params[1])
+    log_p[:] = -0.5 * ((dp * dp).sum(axis=1) * params[0] + params[1])
     np.exp(np.minimum(0.0, log_p - log_q + params[2]), out=alphas)
     n = 0
     while n < gamma and uniforms[n] < alphas[n]:
@@ -535,13 +555,13 @@ def _reference_decode(target, draft, h0, cfg):
     gamma, d = cfg.gamma, target.d
     k_t, k_d = target.lookback, draft.lookback
     k_max = max(k_t, k_d)
-    var_t, var_d = np.full(d, sigma_t * sigma_t), np.full(d, sigma_d * sigma_d)
+    # one head width: the engine refuses a decode whose widths differ
+    assert sigma_t == sigma_d
+    sigma, var = sigma_t, sigma_t * sigma_t
     params = np.array([
-        1.0 / (sigma_d * sigma_d),
-        1.0 / (sigma_t * sigma_t),
+        1.0 / var,
+        float(np.sum(np.log(2.0 * np.pi * np.full(d, var)))),
         math.log(cfg.tolerance_lambda),
-        float(np.sum(np.log(2.0 * np.pi * var_d))),
-        float(np.sum(np.log(2.0 * np.pi * var_t))),
     ])
     history = _RingHistory(h0)
     outputs = []
@@ -561,7 +581,7 @@ def _reference_decode(target, draft, h0, cfg):
         ctx[:k_max] = history.window(k_max)
         for i in range(gamma):
             mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
-            ctx[k_max + i] = mu_q[i] + sigma_d * noise[i]
+            ctx[k_max + i] = mu_q[i] + sigma * noise[i]
         prefixes = np.stack([ctx[k_max - k_t + i : k_max + i] for i in range(gamma + 1)])
         mu_p = target.mean_batch(prefixes)
         xs = ctx[k_max:]
@@ -571,15 +591,15 @@ def _reference_decode(target, draft, h0, cfg):
         if n < gamma and cfg.variant == "lossless":
             try:
                 # a non-finite mean fails here and stops the decode
-                p_head, q_head = GaussianHead(mu_p[n], var_t), GaussianHead(mu_q[n], var_d)
+                p_head, q_head = GaussianHead(mu_p[n], var), GaussianHead(mu_q[n], var)
             except ValueError as exc:
                 raise RuntimeError(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
             # the round's own target variate, mapped to its residual draw
-            final = reference_residual_sample(p_head, q_head, sigma_t * block_ext[slot])
+            final = reference_residual_sample(p_head, q_head, sigma * block_ext[slot])
             source = SOURCE_RESIDUAL
         else:
             # the extension or the fallback: the round's own target variate
-            final = mu_p[n] + sigma_t * block_ext[slot]
+            final = mu_p[n] + sigma * block_ext[slot]
             source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
         _reference_check_finite(final, r)
         consumed = min(n + 1, gamma)
@@ -761,7 +781,7 @@ class TestReferenceLoop:
             cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
                                sigma_target=sigma, sigma_draft=sigma)
             with warnings.catch_warnings():
-                warnings.simplefilter("error", VarianceFloorWarning)
+                warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=r"variance floor 1e-12 \(sigma >= 1e-06\)"):
                     decode(target, draft, h0, cfg)
         # at the floor itself lossless still decodes

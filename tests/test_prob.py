@@ -1,5 +1,6 @@
 """Gaussian kernel: log densities, acceptance rule, overlap, residuals."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,6 @@ from speccast import rng as rngmod
 from speccast.analysis import estimate_alpha
 from speccast.prob import (
     GaussianHead,
-    VarianceFloorWarning,
     gap_for_overlap,
     overlap,
     overlap_monte_carlo,
@@ -45,27 +45,36 @@ class TestGaussianHead:
         with pytest.raises(ValueError):
             GaussianHead(np.array([0.0]), np.array([np.inf]))
 
-    def test_variance_floor_warns(self):
-        with pytest.warns(VarianceFloorWarning):
+    def test_small_variance_is_kept_as_given(self):
+        # no floor and no warning: a head is as narrow as it is built
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             h = GaussianHead(np.zeros(1), np.array([1e-15]))
-        assert h.variance[0] == 1e-12
+        assert h.variance == 1e-15
 
     def test_isotropic_broadcast(self):
+        # one variance, given as a length-1 vector, serves every dimension
         h = GaussianHead(np.zeros(3), np.array([2.0]))
-        assert h.variance.tolist() == [2.0, 2.0, 2.0]
+        assert type(h.variance) is float and h.variance == 2.0
 
     def test_immutable(self):
         h = GaussianHead.isotropic([0.0, 1.0], 1.0)
         with pytest.raises(ValueError):
             h.mean[0] = 5.0
-        with pytest.raises(ValueError):
-            h.variance[0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.variance = 5.0
 
     def test_owns_copies_of_its_inputs(self):
         mean, var = np.zeros(2), np.ones(2)
         h = GaussianHead(mean, var)
         mean[0], var[0] = 5.0, 5.0
-        assert h.mean.tolist() == [0.0, 0.0] and h.variance.tolist() == [1.0, 1.0]
+        assert h.mean.tolist() == [0.0, 0.0] and h.variance == 1.0
+
+    @pytest.mark.parametrize("variance", [[1.0, 2.0], [2.0, 2.0, 2.0 + 2.0 ** -51]])
+    def test_refuses_unequal_variance_entries(self, variance):
+        # a head has one width: a vector of unequal entries is not one
+        with pytest.raises(ValueError, match="head variance must be isotropic, got unequal entries"):
+            GaussianHead(np.zeros(len(variance)), variance)
 
     @pytest.mark.parametrize(
         "mean,variance,message",
@@ -85,11 +94,11 @@ class TestGaussianHead:
         mean = np.array([0.5, -1.0, 2.0])
         a = GaussianHead.isotropic(mean, 0.3)
         b = GaussianHead(mean, np.full(3, 0.3 ** 2))
-        assert a.variance.tobytes() == b.variance.tobytes()
+        assert a.variance == b.variance == 0.3 ** 2
         with pytest.raises(ValueError, match="strictly positive"):
             GaussianHead(mean, 0.0)
-        with pytest.warns(VarianceFloorWarning):
-            assert GaussianHead.isotropic(mean, 1e-7).variance.tolist() == [1e-12] * 3
+        # below the lossless decode's floor, the head keeps its true width
+        assert GaussianHead.isotropic(mean, 1e-7).variance == 1e-7 ** 2
 
     @pytest.mark.parametrize("sigma", [-2.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
     def test_isotropic_refuses_a_sigma_that_is_not_finite_and_positive(self, sigma):
@@ -107,7 +116,7 @@ def kernel_log_density(mu, sigma, xs):
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     n, d = xs.shape
-    params, _ = engine._head_params(float(sigma), 1.0, d)
+    params = engine._head_params(float(sigma), 1.0, d)
     mus = np.empty((2, n, d))
     mus[:] = np.asarray(mu, dtype=np.float64)
     dists = np.empty((2, n))
@@ -155,17 +164,15 @@ class TestLogDensity:
         assert np.isfinite(kernel_log_density([0.0], 1.0, [50.0])[0])
 
 
-def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0, params=None):
+def accept_one(mu_p, mu_q, sigma, x, tolerance_lambda=1.0, uniform=0.0):
     """(log p(x) - log q(x), alpha, accepted) of one proposal x ~ q.
 
     Scored by the decode engine's kernel, ``kernels.round_accept``, with the
-    constants the engine builds for isotropic heads of width ``sigma``, or
-    with the given ``params``.
+    constants the engine builds for isotropic heads of width ``sigma``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     d = x.shape[0]
-    if params is None:
-        params, _ = engine._head_params(float(sigma), tolerance_lambda, d)
+    params = engine._head_params(float(sigma), tolerance_lambda, d)
     mus = np.empty((2, 1, d))
     mus[0, 0], mus[1, 0] = mu_q, mu_p
     dists = np.empty((2, 1))
@@ -215,14 +222,6 @@ class TestAcceptance:
         sorted_alpha = np.array(alphas)[order]
         assert np.all(np.diff(sorted_alpha) <= 1e-12)
 
-    def test_unequal_variance_includes_log_term(self):
-        # The engine passes one variance, but the kernel scores each row with
-        # its own constants, log normalizer included: draft var 2, target 0.5.
-        var_q, var_p = 2.0, 0.5
-        params = (1.0 / var_q, math.log(2.0 * math.pi * var_q), 1.0 / var_p, math.log(2.0 * math.pi * var_p), 0.0)
-        log_ratio, _, _ = accept_one([0.0], [0.0], None, [0.0], params=params)
-        expected = scalar_gauss_logpdf(0.0, 0.0, 0.5) - scalar_gauss_logpdf(0.0, 0.0, 2.0)
-        assert log_ratio == pytest.approx(expected, abs=1e-12)
 
 
 class TestOverlap:
@@ -277,8 +276,8 @@ class TestOverlap:
     @pytest.mark.parametrize("rel", [0.0, 0.5e-12, 0.99e-12, 1.01e-12, 2e-12, -0.99e-12, -1.01e-12])
     def test_equal_variance_tolerance_is_allclose(self, rel):
         # |var_p - var_q| <= 1e-12 |var_q|, as np.allclose(rtol=1e-12, atol=0)
-        var_q = np.array([2.0, 3.0])
-        var_p = var_q * np.array([1.0, 1.0 + rel])
+        var_q = 3.0
+        var_p = var_q * (1.0 + rel)
         p, q = GaussianHead(np.zeros(2), var_p), GaussianHead(np.ones(2), var_q)
         if np.allclose(var_p, var_q, rtol=1e-12, atol=0.0):
             assert estimate_alpha([(p, q)]).alpha_bar_hat > 0
@@ -338,7 +337,7 @@ def reference_root(h, v):
 def reference_residual_sample(p, q, e):
     """Reference residual map written with the head API.
 
-    Takes two validated heads and a target variate e ~ N(0, diag sigma^2):
+    Takes two validated heads and a target variate e ~ N(0, sigma^2 I):
     z = e / sigma, a = z . u its coordinate along the unit gap u, s the root
     of S(s) = Q(a) (``reference_root``; Q the normal upper tail), and
     x = m + sigma (z - a u + s u) about the midpoint m. ``residual_sample``
@@ -347,7 +346,7 @@ def reference_residual_sample(p, q, e):
     """
     if p.d != q.d:
         raise ValueError("head dimensions differ")
-    sigma = np.sqrt(p.variance)
+    sigma = math.sqrt(p.variance)
     w = (p.mean - q.mean) / sigma
     delta = math.hypot(*w)  # scaled, so a wide gap does not overflow
     unit = w / delta
@@ -357,19 +356,19 @@ def reference_residual_sample(p, q, e):
     return 0.5 * (p.mean + q.mean) + sigma * (z - a * unit + s * unit)
 
 
-def residual_draw(mu_p, mu_q, std, e):
+def residual_draw(mu_p, mu_q, sigma, e):
     """(draw, variates consumed): ``residual_sample`` into a fresh row."""
-    return residual_sample(mu_p, mu_q, std, e, np.empty_like(std), np.empty((2,) + std.shape))
+    return residual_sample(mu_p, mu_q, sigma, e, np.empty_like(mu_p), np.empty((2,) + mu_p.shape))
 
 
 def sample_heads(p, q, e):
     """``residual_draw`` called with the fields of two heads."""
-    return residual_draw(p.mean, q.mean, np.sqrt(p.variance), e)
+    return residual_draw(p.mean, q.mean, math.sqrt(p.variance), e)
 
 
-def target_variates(gen, std, n):
-    """n target variates std * z, z ~ N(0, I), from ``gen``."""
-    return std * gen.standard_normal((n, std.shape[0]))
+def target_variates(gen, sigma, d, n):
+    """n target variates sigma * z, z ~ N(0, I_d), from ``gen``."""
+    return sigma * gen.standard_normal((n, d))
 
 
 def assert_close_vector(got, want, rtol=1e-12):
@@ -378,17 +377,17 @@ def assert_close_vector(got, want, rtol=1e-12):
 
 
 def gap_geometry(rng, d, delta):
-    """(mu_p, mu_q, std, u): heads about Delta apart, u their whitened unit gap.
+    """(mu_p, mu_q, sigma, u): heads of width sigma about Delta apart, u their whitened unit gap.
 
     u is taken from the means as rounded, so at a tiny Delta it is the
     direction the sampler sees, not the one the means were built along.
     """
-    std = rng.uniform(0.5, 2.0, d)
+    sigma = rng.uniform(0.5, 2.0)
     u = rng.normal(size=d)
     mu_q = rng.normal(size=d)
-    mu_p = mu_q + delta * std * u / np.linalg.norm(u)
-    w = (mu_p - mu_q) / std
-    return mu_p, mu_q, std, w / np.linalg.norm(w)
+    mu_p = mu_q + delta * sigma * u / np.linalg.norm(u)
+    w = (mu_p - mu_q) / sigma
+    return mu_p, mu_q, sigma, w / np.linalg.norm(w)
 
 
 class TestResidualRoot:
@@ -400,6 +399,16 @@ class TestResidualRoot:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         if u < 1e-16:  # 1 - u rounds to 1: the root is the midpoint
             assert got == 0.0
+
+    @pytest.mark.parametrize("h", [1.01e-4, 2e-4, 5e-4, 2e-3, 9.9e-3])
+    def test_small_half_gaps_keep_full_precision(self, h):
+        # From h = 1e-4, where the h-series ends, to h = 1e-2 an erf
+        # difference of S cancels to about 1e-16 / h (errors reached 5e-11 at
+        # h = 1e-4); the search takes S from its Hermite series in h there
+        for a in np.linspace(-3.0, 6.0, 10):
+            v = float(scistats.norm.sf(a))
+            got = residual_offset(h, math.log(v)) + h
+            np.testing.assert_allclose(got, reference_root(h, v), rtol=1e-12, atol=0.0)
 
     def test_offset_keeps_its_precision_far_out(self):
         # t = s - h is returned as such: at h = 1e8 it is still the normal
@@ -473,11 +482,10 @@ class TestResidualSample:
         # Delta^2 overflows with finite means: Delta is taken on a rescaled
         # gap, and the offset along the gap is the variate's own coordinate,
         # as q has no mass near p
-        std = np.ones(2)
         mu_p, mu_q = np.array([1.0, 0.0]), np.array([-1e200, 0.0])
         e = rngmod.stream(4).standard_normal(2)
         with np.errstate(over="ignore"):
-            sample, _ = residual_draw(mu_p, mu_q, std, e)
+            sample, _ = residual_draw(mu_p, mu_q, 1.0, e)
         assert sample[0] == pytest.approx(1.0 + e[0], abs=1e-12) and sample[1] == e[1]
 
     def test_matches_reference_draw_for_draw(self):
@@ -488,14 +496,14 @@ class TestResidualSample:
         rng = np.random.default_rng(20240501)
         for case in range(200):
             d = (1, 32)[case % 2]
-            var = rng.uniform(0.05, 4.0, d)
+            var = rng.uniform(0.05, 4.0)
             delta = math.exp(rng.uniform(math.log(1e-9), math.log(8.0)))
             direction = rng.normal(size=d)
-            direction *= math.sqrt(1.0 / float(np.dot(direction, direction / var)))
+            direction *= math.sqrt(var / float(np.dot(direction, direction)))
             mu_q = rng.normal(size=d)
             mu_p = mu_q + delta * direction
-            e = np.sqrt(var) * rng.standard_normal(d)
-            got, draws = residual_draw(mu_p, mu_q, np.sqrt(var), e)
+            e = math.sqrt(var) * rng.standard_normal(d)
+            got, draws = residual_draw(mu_p, mu_q, math.sqrt(var), e)
             want = reference_residual_sample(GaussianHead(mu_p, var), GaussianHead(mu_q, var), e)
             assert draws == 1
             assert_close_vector(got - mu_p, want - mu_p)
@@ -503,7 +511,7 @@ class TestResidualSample:
     @pytest.mark.parametrize("d", [1, 32])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_mean_raises_like_the_heads(self, d, bad):
-        var = np.full(d, 0.5)
+        var = 0.5
         finite = np.zeros(d)
         broken = finite.copy()
         broken[-1] = bad
@@ -512,7 +520,7 @@ class TestResidualSample:
                 GaussianHead(mu_p, var), GaussianHead(mu_q, var)
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError) as got:
-                    residual_draw(mu_p, mu_q, np.sqrt(var), np.zeros(d))
+                    residual_draw(mu_p, mu_q, math.sqrt(var), np.zeros(d))
             assert str(got.value) == str(want.value)
 
     def test_draw_cost_identity(self):
@@ -521,17 +529,16 @@ class TestResidualSample:
         # (which it returns) and its work rows, does not read what that row
         # held, and the same variate gives the same bytes.
         p = GaussianHead.isotropic(np.zeros(3), 1.0)
-        std = np.ones(3)
         gen = rngmod.stream(123)
         for beta in (0.3, 0.9, 1.0 - 1e-6):
             q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
-            for e in target_variates(gen, std, 50):
-                inputs = [a.copy() for a in (p.mean, q.mean, std, e)]
+            for e in target_variates(gen, 1.0, 3, 50):
+                inputs = [a.copy() for a in (p.mean, q.mean, e)]
                 out = np.full(3, np.nan)
-                first, draws = residual_sample(p.mean, q.mean, std, e, out, np.full((2, 3), np.inf))
+                first, draws = residual_sample(p.mean, q.mean, 1.0, e, out, np.full((2, 3), np.inf))
                 assert first is out and draws == 1
                 assert sample_heads(p, q, e)[0].tobytes() == first.tobytes()
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, std, e)))
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, e)))
 
     def test_allocates_no_vector(self):
         # The map works in its output row and two work rows: at d = 4096
@@ -539,13 +546,13 @@ class TestResidualSample:
         # lazy set-up.
         d = 4096
         rng = np.random.default_rng(3)
-        mu_p, mu_q, std, _ = gap_geometry(rng, d, 0.7)
-        e = std * rng.standard_normal(d)
+        mu_p, mu_q, sigma, _ = gap_geometry(rng, d, 0.7)
+        e = sigma * rng.standard_normal(d)
         out, scratch = np.empty(d), np.empty((2, d))
-        residual_sample(mu_p, mu_q, std, e, out, scratch)
+        residual_sample(mu_p, mu_q, sigma, e, out, scratch)
         tracemalloc.start()
         try:
-            residual_sample(mu_p, mu_q, std, e, out, scratch)
+            residual_sample(mu_p, mu_q, sigma, e, out, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,12 +565,12 @@ class TestResidualSample:
         # residual_offset(h, log Q(a)) along it, where a is e's coordinate
         # there; so the coordinate along the gap increases with a
         rng = np.random.default_rng(int(delta * 1e3) + d)
-        mu_p, mu_q, std, u = gap_geometry(rng, d, delta)
+        mu_p, mu_q, sigma, u = gap_geometry(rng, d, delta)
         z = rng.standard_normal(d)
         across = z - np.dot(z, u) * u
         along = []
         for a in np.arange(-6.0, 8.01, 0.25):
-            y = (residual_draw(mu_p, mu_q, std, std * (across + a * u))[0] - mu_p) / std
+            y = (residual_draw(mu_p, mu_q, sigma, sigma * (across + a * u))[0] - mu_p) / sigma
             assert_close_vector(y - np.dot(y, u) * u, across, rtol=1e-9)
             t = residual_offset(0.5 * delta, float(scistats.norm.logsf(a)))
             assert np.dot(y, u) == pytest.approx(t, rel=1e-9, abs=1e-9)
@@ -576,11 +583,11 @@ class TestResidualSample:
         # a = -40 maps to the midpoint's neighbourhood, a = +40 into the far
         # tail, where Q(a) ~ 1e-350 is only representable as a log; e = 0
         # (a = 0) maps to the median offset. No warning is raised.
-        mu_p, mu_q, std, u = gap_geometry(np.random.default_rng(d), d, delta)
+        mu_p, mu_q, sigma, u = gap_geometry(np.random.default_rng(d), d, delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for e in (std * (-40.0 * u), np.zeros(d), std * (40.0 * u)):
-                sample, draws = residual_draw(mu_p, mu_q, std, e)
+            for e in (sigma * (-40.0 * u), np.zeros(d), sigma * (40.0 * u)):
+                sample, draws = residual_draw(mu_p, mu_q, sigma, e)
                 assert np.isfinite(sample).all() and draws == 1
 
     def test_distribution_matches_grid_cdf(self):
@@ -588,9 +595,9 @@ class TestResidualSample:
         p = GaussianHead.isotropic([3.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap(3.0)
-        std = np.sqrt(p.variance)
-        es = target_variates(rngmod.stream(321), std, 100_000)
-        samples = np.array([residual_draw(p.mean, q.mean, std, e)[0][0] for e in es])
+        sigma = math.sqrt(p.variance)
+        es = target_variates(rngmod.stream(321), sigma, 1, 100_000)
+        samples = np.array([residual_draw(p.mean, q.mean, sigma, e)[0][0] for e in es])
 
         xs = np.linspace(-8, 11, 20001)
         dens = np.maximum(scistats.norm.pdf(xs, loc=3.0) - scistats.norm.pdf(xs), 0.0) / (1.0 - beta)
@@ -606,9 +613,9 @@ class TestResidualSample:
     def test_residual_mass_above_draft_mean(self):
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
-        std = np.sqrt(p.variance)
-        es = target_variates(rngmod.stream(55), std, 100_000)
-        samples = np.array([residual_draw(p.mean, q.mean, std, e)[0][0] for e in es])
+        sigma = math.sqrt(p.variance)
+        es = target_variates(rngmod.stream(55), sigma, 1, 100_000)
+        samples = np.array([residual_draw(p.mean, q.mean, sigma, e)[0][0] for e in es])
         assert samples.mean() > 0.0
 
 
@@ -624,9 +631,9 @@ class TestLosslessSingleStep:
         lr = np.minimum(0.0, scistats.norm.logpdf(xs, loc=1.0) - scistats.norm.logpdf(xs))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
-        std = np.sqrt(p.variance)
-        es = target_variates(gen, std, n)
+        sigma = math.sqrt(p.variance)
+        es = target_variates(gen, sigma, 1, n)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_draw(p.mean, q.mean, std, es[i])[0][0]
+            out[i] = residual_draw(p.mean, q.mean, sigma, es[i])[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01

@@ -77,9 +77,13 @@ class TestStreams:
 # ---------------------------------------------------------------------------
 
 def round_accept_loop(xs, uniforms, mu_q, mu_p, params):
-    """(n, log_q, log_p, alphas) for one round, element by element."""
+    """(n, log_q, log_p, alphas) for one round, element by element.
+
+    ``params = (inv_var, log_norm, log_lambda)`` of the one head width both
+    heads share.
+    """
     gamma, d = xs.shape
-    inv_var_d, inv_var_t, log_lambda = params[0], params[1], params[2]
+    inv_var, log_norm, log_lambda = params
     log_q, log_p, alphas = np.empty(gamma), np.empty(gamma), np.empty(gamma)
     for i in range(gamma):
         acc_q = 0.0
@@ -87,10 +91,10 @@ def round_accept_loop(xs, uniforms, mu_q, mu_p, params):
         for j in range(d):
             dq = xs[i, j] - mu_q[i, j]
             dp = xs[i, j] - mu_p[i, j]
-            acc_q = acc_q + dq * dq * inv_var_d
-            acc_p = acc_p + dp * dp * inv_var_t
-        log_q[i] = -0.5 * (acc_q + params[3])
-        log_p[i] = -0.5 * (acc_p + params[4])
+            acc_q = acc_q + dq * dq * inv_var
+            acc_p = acc_p + dp * dp * inv_var
+        log_q[i] = -0.5 * (acc_q + log_norm)
+        log_p[i] = -0.5 * (acc_p + log_norm)
         la = log_p[i] - log_q[i] + log_lambda
         if la > 0.0:
             la = 0.0
@@ -101,35 +105,24 @@ def round_accept_loop(xs, uniforms, mu_q, mu_p, params):
     return n, log_q, log_p, alphas
 
 
-def _round_inputs(rng, gamma, d, sigma_d, sigma_t, lam, gap):
+def _round_inputs(rng, gamma, d, sigma, lam, gap):
     mu_q = rng.standard_normal((gamma, d))
     mu_p = mu_q + gap * rng.standard_normal((gamma, d))
-    xs = mu_q + sigma_d * rng.standard_normal((gamma, d))
-    params = np.array(
-        [
-            1.0 / sigma_d**2,
-            1.0 / sigma_t**2,
-            math.log(lam),
-            d * math.log(2.0 * math.pi * sigma_d**2),
-            d * math.log(2.0 * math.pi * sigma_t**2),
-        ]
-    )
+    xs = mu_q + sigma * rng.standard_normal((gamma, d))
+    params = (1.0 / sigma**2, d * math.log(2.0 * math.pi * sigma**2), math.log(lam))
     return xs, mu_q, mu_p, params
 
 
 def _run_kernel(xs, uniforms, mu_q, mu_p, params):
-    """Call round_accept with the reference's (5,) params; (n, log_q, log_p, alphas).
+    """Call round_accept with the reference's params; (n, log_q, log_p, alphas).
 
     The kernel stores the squared distances; the log densities and alphas
     are the columns ``acceptance_columns`` derives from them.
     """
     gamma, d = xs.shape
-    kernel_params = tuple(float(params[i]) for i in (0, 3, 1, 4, 2))
     dists = np.empty((2, gamma))
-    n = kernels.round_accept(
-        xs, list(uniforms), np.stack([mu_q, mu_p]), np.empty((2, gamma, d)), dists, kernel_params
-    )
-    return (n, *kernels.acceptance_columns(dists, kernel_params))
+    n = kernels.round_accept(xs, list(uniforms), np.stack([mu_q, mu_p]), np.empty((2, gamma, d)), dists, params)
+    return (n, *kernels.acceptance_columns(dists, params))
 
 
 class TestRoundAccept:
@@ -146,8 +139,8 @@ class TestRoundAccept:
         assert isinstance(n, int)
         assert n == ref_n
         tol = self.ULPS * np.finfo(np.float64).eps
-        mag_q = 0.5 * (((xs - mu_q) ** 2).sum(axis=1) * params[0] + abs(params[3]))
-        mag_p = 0.5 * (((xs - mu_p) ** 2).sum(axis=1) * params[1] + abs(params[4]))
+        mag_q = 0.5 * (((xs - mu_q) ** 2).sum(axis=1) * params[0] + abs(params[1]))
+        mag_p = 0.5 * (((xs - mu_p) ** 2).sum(axis=1) * params[0] + abs(params[1]))
         assert np.all(np.abs(log_q - ref_q) <= tol * mag_q)
         assert np.all(np.abs(log_p - ref_p) <= tol * mag_p)
         mag_a = mag_q + mag_p + abs(params[2])
@@ -161,10 +154,9 @@ class TestRoundAccept:
         for trial in range(400):
             gamma = int(rng.integers(1, 7))
             d = int(rng.choice([1, 3, 8, 32]))
-            sigma_d = float(rng.choice([0.1, 1.0]))
-            sigma_t = sigma_d if trial % 4 else float(rng.uniform(0.5, 2.0))
+            sigma = float(rng.choice([0.1, 1.0])) if trial % 4 else float(rng.uniform(0.5, 2.0))
             lam = float(rng.choice([1.0, 0.5, 3.0]))
-            xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, sigma_d, sigma_t, lam, gap=0.1)
+            xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, sigma, lam, gap=0.1)
             n, _ = self._check(xs, rng.random(gamma), mu_q, mu_p, params)
             seen.add(n == gamma)
         assert seen == {True, False}  # both full-accept and rejecting rounds occur
@@ -172,7 +164,7 @@ class TestRoundAccept:
     def test_all_accept_round(self):
         rng = np.random.default_rng(11)
         gamma, d = 4, 32
-        xs, mu_q, _, params = _round_inputs(rng, gamma, d, 1.0, 1.0, 1.0, gap=0.0)
+        xs, mu_q, _, params = _round_inputs(rng, gamma, d, 1.0, 1.0, gap=0.0)
         # identical heads: every alpha is exactly 1, so any uniform accepts
         n, ref_a = self._check(xs, np.full(gamma, 1.0 - 1e-12), mu_q, mu_q.copy(), params)
         assert n == gamma
@@ -181,7 +173,7 @@ class TestRoundAccept:
     def test_first_position_rejection(self):
         rng = np.random.default_rng(12)
         gamma, d = 3, 8
-        xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, 0.1, 0.1, 1.0, gap=0.0)
+        xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, 0.1, 1.0, gap=0.0)
         mu_p[0] += 5.0  # target far from the first proposal: alpha_0 ~ 0
         n, ref_a = self._check(xs, np.array([0.5, 0.0, 0.0]), mu_q, mu_p, params)
         assert n == 0
@@ -189,7 +181,7 @@ class TestRoundAccept:
 
     def test_non_finite_alpha_flagged(self):
         rng = np.random.default_rng(13)
-        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, gap=0.1)
         mu_q[1, 2] = np.nan  # a NaN draft mean at the second position
         n, _, _, alphas = _run_kernel(xs, np.zeros(3), mu_q, mu_p, params)
         assert n == -1
@@ -201,7 +193,7 @@ class TestRoundAccept:
         # check on the alphas did; Python's min(0.0, nan) is 0.0, so the scan
         # tests for NaN itself
         rng = np.random.default_rng(14)
-        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, gap=0.1)
         uniforms = [1.0, 0.0, 0.0]  # alpha <= 1: the first proposal is rejected
         assert _run_kernel(xs, uniforms, mu_q, mu_p, params)[0] == 0
         mu_p[2, 0] = np.nan
@@ -217,7 +209,7 @@ class TestRoundAccept:
         # alpha exactly 0 (the target's) or 1 (the draft's): a decision, not
         # an abort
         rng = np.random.default_rng(15)
-        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, 1.0, gap=0.1)
+        xs, mu_q, mu_p, params = _round_inputs(rng, 3, 4, 1.0, 1.0, gap=0.1)
         mu_q[0, 1] = np.inf
         mu_p[1, 3] = -np.inf
         n, log_q, log_p, alphas = _run_kernel(xs, [0.999, 0.0, 0.0], mu_q, mu_p, params)
@@ -236,7 +228,7 @@ class TestAcceptanceBoundary:
         other_exp = 0
         for _ in range(300):
             gamma, d = int(rng.integers(1, 6)), int(rng.choice([1, 8, 32]))
-            xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, 1.0, 1.0, float(rng.choice([1.0, 0.5])), gap=0.3)
+            xs, mu_q, mu_p, params = _round_inputs(rng, gamma, d, 1.0, float(rng.choice([1.0, 0.5])), gap=0.3)
             _, log_q, log_p, alphas = _run_kernel(xs, np.zeros(gamma), mu_q, mu_p, params)
             for j in range(gamma):
                 below = [math.nextafter(a, 0.0) for a in alphas[:j].tolist()]

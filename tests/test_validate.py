@@ -6,7 +6,9 @@ from speccast import kernels
 from speccast.validate import run_suites, suite_dependence
 
 
-@pytest.mark.parametrize("name", ["overlap", "estimator", "bounds", "gamma-rule", "predictor-identities"])
+@pytest.mark.parametrize(
+    "name", ["overlap", "residual-exactness", "estimator", "bounds", "gamma-rule", "predictor-identities"]
+)
 def test_fast_suite_passes_at_its_defaults(name):
     ((result, _),) = run_suites([name], seed=0)
     assert result.name == name

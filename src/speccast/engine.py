@@ -7,50 +7,53 @@ a rejected round: the practical variant falls back to the target head, the
 lossless variant samples the residual density and thereby reproduces the
 exact target chain.
 
-A round that accepts n proposals closes at position n, from ``ext``, the
-round's one pre-drawn N(0, sigma^2 I) target variate. ``ext`` is drawn with
-the round's uniforms and proposal noise but independently of them, so given
-the accept decision it is still a target draw. A round writes
-``mu_p[n] + ext`` into its closing row, which is the close of the extension
-(n = gamma) and of the practical fallback (n < gamma); a rejected lossless
-round instead writes the exact residual draw that ext maps to there, with
-``residual_sample(mu_p[n], mu_q[n], sigma, ext, row, work_rows)``, from the
-target and draft mean rows the round already holds, with the session plan's
-one float sigma. No rejection re-keys a stream and no head object is built.
-The residual map is exact for every overlap below 1, so a lossless round
-never falls back to the practical draw. At tolerance_lambda = 1 a rejection
-with finite means implies distinct means, so its only ValueError is a
-non-finite mean (or a gap whose square underflows to 0), and that aborts
-the decode with ``DecodeAborted`` (a RuntimeError) naming the round, as does
-a non-finite closing draw.
+A round that accepts n proposals closes at position n. The extension
+(n = gamma) and the practical fallback (n < gamma) write ``mu_p[n] + ext``
+into the closing row, where ``ext`` is the round's one pre-drawn
+N(0, sigma^2 I) target variate, drawn with the round's uniforms and
+proposal noise but independently of them, so that given the accept
+decision it is still a target draw. A rejected lossless round instead
+reflects its rejected proposal x = mu_q[n] + eps, which the closing row
+already holds, across the bisector of the two means, with
+``residual_sample(mu_p[n], mu_q[n], eps, row)``, from the target and draft
+mean rows the round already holds and the proposal's own noise row eps.
+For heads of one isotropic width the reflection R swaps the two means, so
+q(R x) = p(x): it maps the rejected proposal's law (q - p)_+ to the
+residual (p - q)_+, exactly, for every overlap below 1. That needs
+tolerance_lambda = 1: at lambda != 1 a rejected proposal has the law
+(q - lambda p)_+, which is not the mirror of the residual, so the lossless
+variant refuses any other lambda. No rejection re-keys a stream, reads
+``ext`` or builds a head object. At lambda = 1 a rejection with finite
+means implies distinct means, so the map's only ValueError is a non-finite
+mean, and that aborts the decode with ``DecodeAborted`` (a RuntimeError)
+naming the round, as does a non-finite closing draw.
 
 The target and draft heads of a speculative decode share one isotropic
-variance, as the paper's acceptance rule and every predictor here assume: a
-decode whose resolved ``sigma_target`` and ``sigma_draft`` differ is refused
-with a ValueError. So the head width is one float at every layer: the plan's
-sigma, the kernel's three constants (inverse variance, log normalizer, log
-lambda) and the residual map's sigma. The lossless variant also refuses a
-head variance below ``prob.VARIANCE_FLOOR``, and a tolerance_lambda other
-than 1: the acceptance min(1, lambda p / q) and the (p - q)_+ residual
-combine to the target law only at lambda = 1.
+variance, as the paper's acceptance rule, the reflection and every
+predictor here assume: a decode whose resolved ``sigma_target`` and
+``sigma_draft`` differ is refused with a ValueError, and so is a sigma
+whose variance or inverse variance is not a finite float. So the head
+width is one float at every layer: the plan's sigma and the kernel's three
+constants (inverse variance, log normalizer, log lambda); the residual map
+needs none.
 
 Every random draw comes from a stream keyed by (seed, block, purpose): one
 ``ROUND`` key per block of 8 rounds for speculative variants, one
 ``DIRECT`` key per session for the baselines. So a trace is replayable
 bit-for-bit and the practical/lossless variants consume the same random
-numbers, diverging only in what a rejected round makes of its ``ext``.
+numbers, diverging only in how a rejected round closes.
 
 Everything a session sets up that depends only on its models and its
 config without the seed is set up once per thread, in a session plan
 (``_BaselinePlan`` for target_only and draft_only, ``_SpeculativePlan`` for
 practical and lossless) that ``_plan`` keeps in a small per-thread cache
 keyed by the two models and that config. The plan runs the checks (the
-models the variant needs, equal widths, the shared sigma and the lossless
-floor), resolves sigma and the kernel's constants, and owns the session's
-scratch arrays, with the row and window views a session reads prebuilt as
-Python lists. A check that fails leaves no plan, so it fails on every call;
-the history is checked per session. The cache entry holds the models, so no
-other object can take their ids while it is kept. The plan holds no model
+models the variant needs, equal widths and the shared sigma), resolves
+sigma and the kernel's constants, and owns the session's scratch arrays,
+with the row and window views a session reads prebuilt as Python lists. A
+check that fails leaves no plan, so it fails on every call; the history is
+checked per session. The cache entry holds the models, so no other object
+can take their ids while it is kept. The plan holds no model
 method and no module function: tracing and tests patch ``mean_one``,
 ``mean_batch``, ``kernels.round_accept``, ``residual_sample``, ``rekey`` and
 ``fill_window``, and a session looks them up itself, so a patch takes
@@ -104,7 +107,7 @@ import numpy as np
 from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
-from .prob import VARIANCE_FLOOR, residual_sample
+from .prob import residual_sample
 from .synth import check_integer
 
 _LOCAL = threading.local()
@@ -372,10 +375,11 @@ def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfi
             f"shared-variance decoding requires sigma_target == sigma_draft "
             f"(got {sigma_t} vs {sigma_d}); set both to one value"
         )
-    if cfg.variant == VARIANT_LOSSLESS and sigma_t ** 2 < VARIANCE_FLOOR:
+    var = sigma_t * sigma_t
+    if not (0.0 < var < math.inf and 1.0 / var < math.inf):
         raise ValueError(
-            f"lossless decoding needs a head variance >= the variance floor {VARIANCE_FLOOR:g} "
-            f"(sigma >= {math.sqrt(VARIANCE_FLOOR):g}), got sigma={sigma_t:g}"
+            f"sigma={sigma_t:g} is out of range: the acceptance rule needs a finite variance sigma^2 "
+            f"and a finite inverse variance 1/sigma^2"
         )
     return float(sigma_t)
 
@@ -430,8 +434,8 @@ class _SpeculativePlan:
     """The set-up of a practical or lossless configuration.
 
     The checks and constants: equal model widths, one resolved head
-    ``sigma`` (``_resolve_sigma``), which the residual map takes as is, and
-    the kernel's constants ``params`` (``_head_params``).
+    ``sigma`` (``_resolve_sigma``) and the kernel's constants ``params``
+    (``_head_params``).
 
     The scratch arrays: the session buffer holds the context (``k_max``
     rows), then every emitted patch in order; a round's proposals are
@@ -448,8 +452,7 @@ class _SpeculativePlan:
     ``target_means``, whose rows are ``target_rows``. ``normals`` holds a
     block's proposal noise, gamma rows per round, then its closing
     variates, one row per round, in the order they are drawn; ``noise``
-    lists its rows. ``scratch`` is the kernel's work array and
-    ``residual_rows`` the residual's two work rows.
+    lists its rows. ``scratch`` is the kernel's work array.
     """
 
     def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
@@ -482,7 +485,6 @@ class _SpeculativePlan:
         self.target_means = mus[1]
         self.target_rows = list(mus[1])
         self.scratch = np.empty((2, gamma, d))
-        self.residual_rows = tuple(np.empty((2, d)))
         self.normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
         self.noise = list(self.normals)
 
@@ -558,7 +560,7 @@ def _decode_speculative(
     rows, propose, proposals, verify = plan.rows, plan.propose, plan.proposals, plan.verify
     means, draft_means, target_means = plan.means, plan.draft_means, plan.target_means
     target_rows, scratch, normals, noise = plan.target_rows, plan.scratch, plan.normals, plan.noise
-    residual_rows, first_ext = plan.residual_rows, plan.first_ext
+    first_ext = plan.first_ext
     n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace.uniforms
     draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
@@ -597,18 +599,18 @@ def _decode_speculative(
             raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
 
-        # Every round closes from its own target variate, independent of its
-        # accept decision: as is on the extension or a practical fallback,
-        # mapped to its residual draw on a lossless rejection.
+        # The extension and a practical fallback close from the round's own
+        # target variate, independent of its accept decision; a lossless
+        # rejection reflects its rejected proposal, which the closing row
+        # holds, into the residual.
         final = rows[emitted + n]
-        ext = noise[first_ext + slot]
         if lossless and n < gamma:
             try:
-                residual_sample(target_rows[n], draft_means[n], sigma, ext, final, residual_rows)
+                residual_sample(target_rows[n], draft_means[n], noise[z + n], final)
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
         else:
-            np.add(target_rows[n], ext, out=final)
+            np.add(target_rows[n], noise[first_ext + slot], out=final)
         _check_finite(final, r)
 
         n_col[r] = n

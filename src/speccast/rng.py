@@ -12,12 +12,13 @@ Purpose tags keep draws for different roles on disjoint streams, and a
 decode uses two. The speculative round stream (``ROUND``) is drawn a block
 of rounds at a time, in full and in a fixed order, before any of those
 rounds is decided: acceptance uniforms, proposal noise, then one target
-variate per round. That variate closes the round whatever the accept
-decision was, as a target draw or, on a lossless rejection, mapped to its
-residual draw; it is independent of the round's uniforms and proposal
-noise. So the practical and lossless decode variants consume the same
-random numbers and differ only in what a rejected round makes of its
-variate. The baselines draw all their noise from one ``DIRECT`` stream.
+variate per round. That variate, independent of the round's uniforms and
+proposal noise, closes the round as a target draw on a full accept or a
+practical rejection; a lossless rejection reflects its rejected proposal
+instead and leaves the variate unread. So the practical and lossless
+decode variants consume the same random numbers and differ only in how a
+rejected round closes. The baselines draw all their noise from one
+``DIRECT`` stream.
 
 A decode does not build a generator per stream: each thread re-keys one
 ``ReusableStream`` in place, by handing the Philox state setter one state

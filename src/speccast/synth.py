@@ -69,8 +69,9 @@ class SyntheticSpec:
             value = check_integer(key, getattr(self, key))
             if not value >= 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
-        for key in ("seed", "n_harmonics"):
-            check_integer(key, getattr(self, key))
+        check_integer("n_harmonics", self.n_harmonics)
+        if not 0 <= check_integer("seed", self.seed) < 2 ** 128:
+            raise ValueError(f"seed must be in [0, 2**128), the range of a Philox key, got {self.seed}")
 
     def generate(self) -> np.ndarray:
         return seasonal_ar(**self.to_dict())  # the fields are seasonal_ar's parameters

@@ -234,14 +234,50 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
 def _residual_survival(s: np.ndarray, h: float) -> np.ndarray:
     """S(s) = [Phi(s + h) - Phi(s - h)] / erf(h / sqrt 2), written with ndtr.
 
-    Where s > h both normal tails are upper tails, taken as ``norm.sf``.
-    For small h the difference still loses digits, about 1e-16 / h relative,
-    far below what the KS test resolves. It is independent of the erf/erfc
-    code in ``prob``.
+    The survival of the residual (p - q)_+ of unit normals at +/- h along
+    their gap, at distance s from the midpoint. Where s > h both normal
+    tails are upper tails, taken as ``norm.sf``. For small h the difference
+    still loses digits, about 1e-16 / h relative, far below what the KS test
+    resolves.
     """
     upper = scistats.norm.sf(s - h) - scistats.norm.sf(s + h)
     lower = ndtr(s + h) - ndtr(s - h)
     return np.where(s > h, upper, lower) / math.erf(h / math.sqrt(2.0))
+
+
+_THIN_MASS = 1e-3  # below this residual mass 1 - beta, proposals come by inverse transform
+_THIN_CHUNK = 1 << 18  # draft draws per thinning pass
+
+
+def _rejected_offsets(gen: np.random.Generator, h: float, n: int) -> np.ndarray:
+    """n offsets t along the gap of draft draws that min(1, p/q) rejects.
+
+    Whitened, with the unit normals q at -h and p at +h along the gap and
+    the midpoint at 0, a draft draw sits at t = a - h, a ~ N(0, 1), and is
+    accepted with probability min(1, p/q) = min(1, exp(2 h t)); its part
+    across the gap does not enter the ratio. Where the rejected mass
+    1 - beta = erf(h / sqrt 2) is at least ``_THIN_MASS`` the draws are
+    thinned by that rule; below it a rejected offset is -s with s the
+    inverse transform of a uniform under ``_residual_survival``, the mirror
+    of the residual, by bisection.
+    """
+    if math.erf(h / math.sqrt(2.0)) >= _THIN_MASS:
+        kept: list[np.ndarray] = []
+        found = 0
+        while found < n:
+            t = gen.standard_normal(_THIN_CHUNK) - h
+            t = t[gen.random(_THIN_CHUNK) >= np.exp(np.minimum(0.0, 2.0 * h * t))]
+            kept.append(t)
+            found += t.size
+        return np.concatenate(kept)[:n]
+    v = gen.random(n)
+    lo, hi = np.zeros(n), np.full(n, h + 10.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = _residual_survival(mid, h) > v
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return -0.5 * (lo + hi)
 
 
 def suite_residual_exactness(
@@ -252,14 +288,16 @@ def suite_residual_exactness(
 ) -> SuiteResult:
     """Residual draws vs their law, by projection onto the whitened mean gap.
 
-    For each gap Delta and dimension d, ``residual_sample`` maps n target
-    variates e = sigma * z, z ~ N(0, I), between heads with a random
-    direction and a random width sigma. In the whitened frame the distance s
-    from the midpoint along the unit gap must follow the survival function S
-    of ``_residual_survival`` (KS), and, for d > 1, the coordinates on an
-    orthonormal basis of the complement must be N(0, 1) (KS, pooled). Delta
-    runs down to 1e-9, where the residual mass 1 - beta is about 4e-10. Each
-    of the 15 tests must reach p >= 0.001.
+    For each gap Delta and dimension d, between heads with a random
+    direction and a random width sigma, n rejected proposals are drawn
+    apart from ``prob``: their offsets along the gap by
+    ``_rejected_offsets``, their parts across it N(0, I). ``residual_sample``
+    maps each to its residual draw. In the whitened frame the distance s of
+    a draw from the midpoint along the unit gap must follow the survival
+    function S of ``_residual_survival`` (KS), and, for d > 1, its
+    coordinates on an orthonormal basis of the complement must be N(0, 1)
+    (KS, pooled). Delta runs down to 1e-9, where the residual mass 1 - beta
+    is about 4e-10. Each of the 15 tests must reach p >= 0.001.
     """
     c = SuiteResult("residual-exactness")
     geometry = np.random.Generator(np.random.Philox(key=seed + 53))
@@ -270,14 +308,17 @@ def suite_residual_exactness(
         mu_q = geometry.normal(size=d)
         mu_p = mu_q + delta * sigma * u
         gen = rngmod.stream(rngmod.derive_seed(seed, case))
-        xs = np.empty((n, d))
-        scratch = np.empty((2, d))
-        for x in xs:
-            e = sigma * gen.standard_normal(d)
-            residual_sample(mu_p, mu_q, sigma, e, x, scratch)
+        h = 0.5 * delta
+        across = gen.standard_normal((n, d))
+        across -= np.outer(across @ u, u)
+        # the proposals' noise x - mu_q, whitened about q's mean at -h u
+        eps = sigma * (across + np.outer(_rejected_offsets(gen, h, n) + h, u))
+        xs = mu_q + eps
+        for x, e in zip(xs, eps):
+            residual_sample(mu_p, mu_q, e, x)
         ys = (xs - 0.5 * (mu_p + mu_q)) / sigma
         along = ys @ u
-        ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, 0.5 * delta))
+        ks = scistats.kstest(along, lambda v: 1.0 - _residual_survival(v, h))
         row = {"ks_pvalue": float(ks.pvalue), "min_s": float(along.min())}
         c.check(ks.pvalue >= 1e-3, f"d={d} Delta={delta:g}: KS p {ks.pvalue:.2e} of s against S below 0.001")
         if d > 1:

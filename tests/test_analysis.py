@@ -318,8 +318,9 @@ class TestEstimateAlpha:
 
     @pytest.mark.parametrize("sigma", [1e-7, 1e-8])
     def test_heads_narrower_than_the_lossless_floor_keep_their_width(self, sigma):
-        # No clamp: below the lossless decode's variance floor the estimate
-        # is still the overlap at the heads' own sigma, and nothing warns.
+        # No clamp: however narrow the heads (sigma 1e-6 was once the
+        # lossless decode's floor), the estimate is the overlap at their own
+        # sigma, and nothing warns.
         rng = np.random.default_rng(7)
         mu_p = rng.normal(size=(16, 4))
         mu_q = mu_p + sigma * rng.normal(size=(16, 4))

@@ -183,14 +183,18 @@ def test_manifests_record_the_data_spec(tmp_path):
     assert json.loads((tmp_path / "dec" / "manifest.json").read_text())["resolved"]["data"] == data
 
 
-def test_lossless_below_variance_floor_exits_2(tmp_path, capsys):
+def test_sigma_without_a_finite_inverse_variance_exits_2(tmp_path, capsys):
     target, draft = _fit(tmp_path / "target.json"), _fit(tmp_path / "draft.json", "--scale", "0.5")
     argv = ["decode", *DATA, "--target", str(target), "--draft", str(draft), "--horizon", "16",
-            "--sigma", "1e-7", "--out", str(tmp_path / "out")]
+            "--out", str(tmp_path / "out")]
     capsys.readouterr()
-    assert main([*argv, "--variant", "lossless"]) == 2
-    assert "variance floor" in capsys.readouterr().err
-    assert main([*argv, "--variant", "practical"]) == 0
+    for variant in ("practical", "lossless"):
+        for sigma in ("1e-170", "1e-155"):
+            assert main([*argv, "--sigma", sigma, "--variant", variant]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: sigma={sigma} is out of range") and err.count("\n") == 1
+    # narrow heads with finite inverse variance decode, lossless as practical
+    assert main([*argv, "--sigma", "1e-7", "--variant", "lossless"]) == 0
 
 
 def test_lossless_tolerance_other_than_one_exits_2(tmp_path, capsys):
@@ -313,6 +317,7 @@ def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys, no_fitting):
         ([*SCAN, "--synth-steps", "0"], "n_steps must be >= 1, got 0"),
         ([*SCAN, "--synth-channels", "0"], "n_channels must be >= 1, got 0"),
         ([*SCAN, "--synth-season", "0"], "season_len must be >= 1, got 0"),
+        ([*SCAN, "--synth-seed", "-1"], "seed must be in [0, 2**128), the range of a Philox key, got -1"),
     ]
     capsys.readouterr()
     for argv, message in cases:

@@ -594,8 +594,8 @@ def _reference_decode(target, draft, h0, cfg):
                 p_head, q_head = GaussianHead(mu_p[n], var), GaussianHead(mu_q[n], var)
             except ValueError as exc:
                 raise RuntimeError(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
-            # the round's own target variate, mapped to its residual draw
-            final = reference_residual_sample(p_head, q_head, sigma * block_ext[slot])
+            # the rejected proposal, reflected into the residual
+            final = reference_residual_sample(p_head, q_head, xs[n])
             source = SOURCE_RESIDUAL
         else:
             # the extension or the fallback: the round's own target variate
@@ -655,10 +655,10 @@ def _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds):
     """A lossless session against the reference loop.
 
     Up to its first residual draw the session is bit-for-bit the reference:
-    the same streams and the same operations. The reference then takes the
-    residual's root from ``brentq`` and assembles the sample about the
-    midpoint, the engine from p's mean with its own root, so from that draw
-    on forecasts agree to 1e-12 relative (2-norm per patch: an entry near 0
+    the same streams and the same operations. The reference then reflects
+    the rejected proposal about the midpoint, the engine assembles the same
+    point from p's mean and the proposal's noise, so from that draw on
+    forecasts agree to 1e-12 relative (2-norm per patch: an entry near 0
     carries no relative bound), and so do the trace's log densities (alphas
     to 1e-12 absolute). Accept counts and sources stay equal.
     """
@@ -773,22 +773,17 @@ class TestReferenceLoop:
         assert outcomes[-1] == "head mean has non-finite entries"
         assert len(outcomes) > 1 and all(isinstance(o, int) for o in outcomes[:-1])
 
-    def test_lossless_below_variance_floor_is_rejected(self):
-        # Below the floor the residual sampler does not run, so lossless
-        # decoding is refused up front, before any round.
+    def test_lossless_decodes_at_every_sigma_practical_takes(self):
+        # The reflection reads no sigma, so lossless takes the narrow heads
+        # practical and target_only take, from the config or from the models
         target, draft, h0 = _reference_pair("linear_ar", sigma=1e-7)
-        for sigma in (1e-7, None):  # from the config, or from the models
+        for sigma in (1e-7, None):
             cfg = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
                                sigma_target=sigma, sigma_draft=sigma)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=r"variance floor 1e-12 \(sigma >= 1e-06\)"):
-                    decode(target, draft, h0, cfg)
-        # at the floor itself lossless still decodes
-        at_floor = DecodeConfig(variant="lossless", horizon_patches=9, seed=2, gamma=2,
-                                sigma_target=1e-6, sigma_draft=1e-6)
-        assert np.isfinite(decode(target, draft, h0, at_floor)[0]).all()
-        # practical and target_only need no residual and still decode there
+            forecast, trace = decode(target, draft, h0, cfg)
+            ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
+            _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds)
+            assert SOURCE_RESIDUAL in {r["source"] for r in ref_rounds}
         for variant in ("practical", "target_only"):
             cfg = DecodeConfig(variant=variant, horizon_patches=9, seed=2, gamma=2,
                                sigma_target=1e-7, sigma_draft=1e-7)
@@ -797,6 +792,18 @@ class TestReferenceLoop:
             ref_forecast, ref_rounds, _, _ = _reference_decode(target, model_draft, h0, cfg)
             assert forecast.tobytes() == ref_forecast.tobytes()
             assert trace.round_dicts() == ref_rounds
+
+    @pytest.mark.parametrize("variant", ["practical", "lossless"])
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-155, 1e160])
+    def test_sigma_without_a_finite_inverse_variance_is_refused(self, variant, sigma):
+        # 1e-170 squares to 0 and 1e-155 to a subnormal whose inverse
+        # overflows; 1e160 squares to inf. The acceptance rule needs both
+        # finite, so the plan refuses such a sigma before any round.
+        target, draft, h0 = make_pair(gap=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + re.escape(f"sigma={sigma:g} is out of range")):
+                decode(target, draft, h0, cfg_for(variant, horizon=4, sigma=sigma))
 
     @pytest.mark.parametrize("kind", ["linear_ar", "persistence", "oracle"])
     def test_exported_alpha_is_the_one_the_scan_compared(self, kind):
@@ -979,12 +986,12 @@ class TestSessionPlans:
         # checked per session, so the second and third calls raise too
         target, draft, h0 = _reference_pair("linear_ar")
         short = History.from_patches(np.zeros((1, target.d)), 1)
-        sharp = 1e-7
+        tiny = 1e-170
         cases = [
             (DecodeConfig(variant="practical", horizon_patches=5, seed=0, sigma_target=0.4, sigma_draft=0.3),
              h0, "shared-variance"),
-            (DecodeConfig(variant="lossless", horizon_patches=5, seed=0, sigma_target=sharp, sigma_draft=sharp),
-             h0, "variance floor"),
+            (DecodeConfig(variant="lossless", horizon_patches=5, seed=0, sigma_target=tiny, sigma_draft=tiny),
+             h0, "sigma=1e-170 is out of range"),
             (DecodeConfig(variant="practical", horizon_patches=5, seed=0, sigma_target=0.4, sigma_draft=0.4),
              short, "history capacity 1 is below the larger model lookback 4"),
             (DecodeConfig(variant="draft_only", horizon_patches=5, seed=0),
@@ -1050,8 +1057,9 @@ class TestNearlyIdenticalHeads:
         # Heads 1e-9 apart (1 - beta ~ 4e-10) reject about once in 2.5e9
         # proposals, so the scan is made to reject every first proposal. The
         # round still closes with an exact residual draw, not a fallback:
-        # the persistence target's mean is the previous patch, and the draft
-        # sits 1e-9 above it.
+        # the persistence target's mean is the previous patch, the draft
+        # sits 1e-9 above it, and the draw is the first proposal reflected
+        # about their midpoint.
         gap = 1e-9
         target, draft, h0 = make_pair(gap=gap)
         scan = kernels.round_accept
@@ -1065,13 +1073,13 @@ class TestNearlyIdenticalHeads:
         forecast, trace = decode(target, draft, h0, cfg)
         assert trace.accepted_counts().tolist() == [0] * 5
         assert [r.final_draw_source for r in trace.rounds] == [SOURCE_RESIDUAL] * 5
-        ext = rngmod.stream(cfg.seed, 0, rngmod.ROUND)
-        ext.random((8, cfg.gamma)), ext.standard_normal((8, cfg.gamma, 1))  # uniforms, proposal noise
-        ext = ext.standard_normal((8, 1))  # the rounds' target variates (sigma = 1)
+        gen = rngmod.stream(cfg.seed, 0, rngmod.ROUND)
+        gen.random((8, cfg.gamma))  # uniforms
+        noise = gen.standard_normal((8, cfg.gamma, 1))  # proposal noise (sigma = 1)
         previous = np.zeros(1)
         for r in range(5):
             p_head, q_head = GaussianHead(previous, 1.0), GaussianHead(previous + gap, 1.0)
-            want = reference_residual_sample(p_head, q_head, ext[r])
+            want = reference_residual_sample(p_head, q_head, q_head.mean + noise[r, 0])
             assert_close_vector(forecast[r] - previous, want - previous)
             previous = forecast[r]
 
@@ -1097,6 +1105,33 @@ class TestRoundClose:
         for n in range(gamma + 1):
             assert len(z[n]) > 2000, n  # P(n) = 0.2, 0.16, 0.128, 0.512
             assert scistats.kstest(z[n], "norm").pvalue >= 1e-3, n
+
+
+class TestLosslessSessionLaw:
+    def test_whole_sessions_follow_the_target_chain_across_the_rekey(self):
+        # On the persistence pair the target chain is a random walk, each
+        # patch the previous one plus N(0, sigma^2). A lossless session of
+        # horizon 40 at alpha 0.8 and gamma 3 runs about 13 rounds, and at
+        # least 10, so every session crosses the re-key at round 8. Over
+        # 4000 sessions the increments must be N(0, 1) pooled (KS), and
+        # neighbouring increments uncorrelated: at each of the 39 position
+        # pairs, sqrt(n) times the mean product is N(0, 1), so the sum of
+        # their squares is chi^2 with 39 degrees of freedom.
+        from scipy import stats as scistats
+
+        n, horizon = 4000, 40
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.8))
+        cfg = cfg_for("lossless", horizon=horizon, gamma=3)
+        steps = np.empty((n, horizon))
+        rounds = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            forecast, trace = decode(target, draft, h0, cfg.with_seed(10_000 + i))
+            steps[i] = np.diff(forecast[:, 0], prepend=0.0)
+            rounds[i] = trace.n_rounds
+        assert rounds.min() > 8 and 12 < rounds.mean() < 14
+        assert scistats.kstest(steps.ravel(), "norm").pvalue >= 1e-3
+        lag1 = math.sqrt(n) * np.mean(steps[:, 1:] * steps[:, :-1], axis=0)
+        assert scistats.chi2.sf(float(np.sum(lag1 * lag1)), horizon - 1) >= 1e-3
 
 
 class TestSigmaOverrides:

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
-from speccast import engine, kernels, prob
+from speccast import engine, kernels
 from speccast import rng as rngmod
 from speccast.analysis import estimate_alpha
 from speccast.prob import (
@@ -21,7 +21,6 @@ from speccast.prob import (
     overlap,
     overlap_monte_carlo,
     overlap_quadrature,
-    residual_offset,
     residual_sample,
     whitened_gap,
 )
@@ -290,8 +289,61 @@ class TestOverlap:
             assert overlap(gap_for_overlap(beta)) == pytest.approx(beta, abs=1e-12)
 
 
+def reference_residual_sample(p, q, x):
+    """The textbook reflection of a proposal x across the bisector of two heads' means.
+
+    Takes two validated heads: x - 2 ((x - m) . u) u, with m the midpoint of
+    the means and u their unit gap. ``residual_sample`` takes the
+    proposal's noise and assembles the same point from p's mean, so the two
+    agree to rounding, not bit for bit.
+    """
+    if p.d != q.d:
+        raise ValueError("head dimensions differ")
+    w = p.mean - q.mean
+    w = w / np.abs(w).max()  # scaled, so a wide gap does not overflow
+    unit = w / np.linalg.norm(w)
+    return x - 2.0 * np.dot(x - 0.5 * (p.mean + q.mean), unit) * unit
+
+
+def residual_draw(mu_p, mu_q, eps):
+    """(draw, variates consumed): ``residual_sample`` of the proposal mu_q + eps, in a fresh row."""
+    return residual_sample(mu_p, mu_q, eps, mu_q + eps)
+
+
+def rejected_noise(gen, p, q, n):
+    """The noise rows x - mu_q of the proposals x ~ q that min(1, p/q) rejects among n draws."""
+    sigma = math.sqrt(q.variance)
+    eps = sigma * gen.standard_normal((n, q.d))
+    xs = q.mean + eps
+    log_ratio = (np.sum((xs - q.mean) ** 2, axis=1) - np.sum((xs - p.mean) ** 2, axis=1)) / (2.0 * q.variance)
+    return eps[gen.random(n) >= np.exp(np.minimum(0.0, log_ratio))]
+
+
+def assert_close_vector(got, want, rtol=1e-12):
+    """|got - want| <= rtol |want| in the 2-norm: entries near 0 carry no relative bound."""
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), (got, want)
+
+
+def gap_geometry(rng, d, delta):
+    """(mu_p, mu_q, sigma, u): heads of width sigma about Delta apart, u their whitened unit gap.
+
+    u is taken from the means as rounded, so at a tiny Delta it is the
+    direction the sampler sees, not the one the means were built along.
+    """
+    sigma = rng.uniform(0.5, 2.0)
+    u = rng.normal(size=d)
+    mu_q = rng.normal(size=d)
+    mu_p = mu_q + delta * sigma * u / np.linalg.norm(u)
+    w = (mu_p - mu_q) / sigma
+    return mu_p, mu_q, sigma, w / np.linalg.norm(w)
+
+
 def _residual_density(h):
-    """The residual's density at distance x from the midpoint along the gap."""
+    """The residual's density at distance x from the midpoint along the gap.
+
+    Whitened, with q at -h and p at +h. By the mirror it is also the density
+    of a rejected proposal's depth x into q's side.
+    """
     norm = math.erf(h / math.sqrt(2.0))
 
     def density(x):
@@ -324,175 +376,129 @@ def reference_root(h, v):
     """The root s of S(s) = v, by ``brentq`` on ``reference_survival``.
 
     The bracket ends at h + 10, where S is below 2^-53, so it serves every
-    v >= 2^-53. From h = 30 on, Phi(s + h) is within 1e-197 of 1, so S(s) is
-    the normal tail beyond s - h, and the root is h plus its quantile.
+    v >= 2^-53.
     """
-    if h >= 30.0:
-        return h + scistats.norm.isf(v)
     if reference_survival(0.0, h) - v == 0.0:
         return 0.0
     return brentq(lambda s: reference_survival(s, h) - v, 0.0, h + 10.0, xtol=1e-300, rtol=1e-15, maxiter=500)
 
 
-def reference_residual_sample(p, q, e):
-    """Reference residual map written with the head API.
+def reflected_depth(h, s):
+    """Where ``residual_sample`` sends the rejected proposal at depth s into q's side.
 
-    Takes two validated heads and a target variate e ~ N(0, sigma^2 I):
-    z = e / sigma, a = z . u its coordinate along the unit gap u, s the root
-    of S(s) = Q(a) (``reference_root``; Q the normal upper tail), and
-    x = m + sigma (z - a u + s u) about the midpoint m. ``residual_sample``
-    maps the same variate and assembles x from p's mean with its own root,
-    so the two agree to rounding, not bit for bit.
+    Whitened 1-d heads, q at -h and p at +h: the proposal x = -s has the
+    noise h - s. Returns the draw's distance from the midpoint on p's side.
     """
-    if p.d != q.d:
-        raise ValueError("head dimensions differ")
-    sigma = math.sqrt(p.variance)
-    w = (p.mean - q.mean) / sigma
-    delta = math.hypot(*w)  # scaled, so a wide gap does not overflow
-    unit = w / delta
-    z = e / sigma
-    a = float(np.dot(z, unit))
-    s = reference_root(0.5 * delta, scistats.norm.sf(a))
-    return 0.5 * (p.mean + q.mean) + sigma * (z - a * unit + s * unit)
-
-
-def residual_draw(mu_p, mu_q, sigma, e):
-    """(draw, variates consumed): ``residual_sample`` into a fresh row."""
-    return residual_sample(mu_p, mu_q, sigma, e, np.empty_like(mu_p), np.empty((2,) + mu_p.shape))
-
-
-def sample_heads(p, q, e):
-    """``residual_draw`` called with the fields of two heads."""
-    return residual_draw(p.mean, q.mean, math.sqrt(p.variance), e)
-
-
-def target_variates(gen, sigma, d, n):
-    """n target variates sigma * z, z ~ N(0, I_d), from ``gen``."""
-    return sigma * gen.standard_normal((n, d))
-
-
-def assert_close_vector(got, want, rtol=1e-12):
-    """|got - want| <= rtol |want| in the 2-norm: entries near 0 carry no relative bound."""
-    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want), (got, want)
-
-
-def gap_geometry(rng, d, delta):
-    """(mu_p, mu_q, sigma, u): heads of width sigma about Delta apart, u their whitened unit gap.
-
-    u is taken from the means as rounded, so at a tiny Delta it is the
-    direction the sampler sees, not the one the means were built along.
-    """
-    sigma = rng.uniform(0.5, 2.0)
-    u = rng.normal(size=d)
-    mu_q = rng.normal(size=d)
-    mu_p = mu_q + delta * sigma * u / np.linalg.norm(u)
-    w = (mu_p - mu_q) / sigma
-    return mu_p, mu_q, sigma, w / np.linalg.norm(w)
+    draw, draws = residual_draw(np.array([h]), np.array([-h]), np.array([h - s]))
+    assert draws == 1
+    return float(draw[0])
 
 
 class TestResidualRoot:
+    """The reflection against the residual's quantiles, the roots of S = v by ``brentq``.
+
+    By the mirror, the depth of a rejected proposal into q's side has the
+    survival S of the residual's distance from the midpoint on p's side, so
+    the proposal at the root of S = v must be sent to that same root.
+    """
+
     @pytest.mark.parametrize("h", [1e-12, 1e-6, 1e-3, 0.1, 1.0, 5.0, 20.0])
     @pytest.mark.parametrize("u", [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53])
     def test_matches_brentq(self, h, u):
-        got = residual_offset(h, math.log(1.0 - u)) + h
         want = reference_root(h, 1.0 - u)
+        got = reflected_depth(h, want)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-        if u < 1e-16:  # 1 - u rounds to 1: the root is the midpoint
+        if u < 1e-16:  # 1 - u rounds to 1: the proposal and its draw sit at the midpoint
             assert got == 0.0
 
     @pytest.mark.parametrize("h", [1.01e-4, 2e-4, 5e-4, 2e-3, 9.9e-3])
     def test_small_half_gaps_keep_full_precision(self, h):
-        # From h = 1e-4, where the h-series ends, to h = 1e-2 an erf
-        # difference of S cancels to about 1e-16 / h (errors reached 5e-11 at
-        # h = 1e-4); the search takes S from its Hermite series in h there
+        # The gap 2h is small against the noise, and eps . g / g . g is
+        # large: the draw still lands on the residual's root to 1e-12
         for a in np.linspace(-3.0, 6.0, 10):
-            v = float(scistats.norm.sf(a))
-            got = residual_offset(h, math.log(v)) + h
-            np.testing.assert_allclose(got, reference_root(h, v), rtol=1e-12, atol=0.0)
+            want = reference_root(h, float(scistats.norm.sf(a)))
+            np.testing.assert_allclose(reflected_depth(h, want), want, rtol=1e-12, atol=0.0)
 
     def test_offset_keeps_its_precision_far_out(self):
-        # t = s - h is returned as such: at h = 1e8 it is still the normal
-        # quantile of 1 - u, which s itself could not carry in float64
+        # At h = 1e8 the rejected law is q to within rounding, so the
+        # proposal at its quantile is q's mean minus t, t the normal quantile
+        # of 1 - u. The draw is assembled from p's mean and the proposal's
+        # noise, so its offset from p's mean is t to full precision, which
+        # the proposal x = mu_q - t itself could not carry in float64.
+        mu_p, mu_q = np.zeros(1), np.array([-2e8])
         for u in (0.1, 0.5, 0.9):
-            assert residual_offset(1e8, math.log(1.0 - u)) == pytest.approx(scistats.norm.isf(1.0 - u), abs=1e-12)
-
-    @pytest.mark.parametrize("log_p", [-0.1, -0.6, -5.0, -100.0, -745.2, -804.6, -1e4])
-    def test_tail_start_is_taken_from_the_log(self, log_p):
-        # The start of the tail search is within 4.5e-4 of the quantile even
-        # where the tail probability exp(log_p) underflows (below about -745)
-        exact = brentq(lambda t: scistats.norm.logsf(t) - log_p, -40.0, 200.0, xtol=1e-13)
-        assert abs(prob._tail_quantile(log_p) - exact) <= 4.5e-4
+            t = scistats.norm.isf(1.0 - u)
+            draw, _ = residual_draw(mu_p, mu_q, np.array([-t]))
+            assert draw[0] - mu_p[0] == pytest.approx(t, abs=1e-12)
 
     @pytest.mark.parametrize("h", [0.5, 1.0, 1.2, 6.0, 10.0, 20.0, 30.0])
     def test_monotone_and_exact_near_the_midpoint(self, h):
-        # The residual map's sweep of a over [-40, 40]: v = Q(a). Where
-        # -log v < 1e-10 the root is checked to 1e-6 relative; s = t + h
-        # carries it to the rounding of t = s - h, ulp(h) / 2. Near the
-        # midpoint 1 - S = kappa s^2 (1 + O(h^2 s^2)), so below s = 1e-6 the
-        # root is sqrt((1 - v) / kappa); beyond, it comes from brentq on
-        # 1 - S, the quadrature from the midpoint, which stays exact however
-        # close v is to 1. At large h, S is 1 - Phi(t) to within the rounding
-        # of 1 over a long stretch, where both n and erf(h / sqrt 2) round
-        # to 1.
+        # The sweep of a over [-40, 40]: the proposal with noise -a, at
+        # depth h + a, is sent to p's mean plus a, to the rounding of the
+        # mirrored term 2a (a dot, a division and a product) and of two
+        # adds, 10 u (h + |a|) with u = 2^-53; the draws increase with a.
+        # Where the rejected law's deficit 1 - S = Q(a) is below
+        # 1e-10, the proposal at its root s is sent to the same root, checked
+        # to 1e-6 relative plus the rounding of its noise h - s and of the
+        # same steps on terms of size 2h, 10 u h. Near the midpoint
+        # 1 - S = kappa s^2 (1 + O(h^2 s^2)), so below s = 1e-6 the root is
+        # sqrt((1 - v) / kappa); beyond, it comes from brentq on 1 - S, the
+        # quadrature from the midpoint, which stays exact however close v
+        # is to 1.
         kappa = h * scistats.norm.pdf(h) / math.erf(h / math.sqrt(2.0))
-        previous = 0.0
+        previous = -math.inf
         for a in np.arange(-320, 321) / 8.0:
+            y = float(residual_draw(np.array([h]), np.array([-h]), np.array([-a]))[0][0])
+            assert y >= previous, f"the draw decreases at a = {a}"
+            assert abs(y - (h + a)) <= 10.0 * 2.0 ** -53 * (h + abs(a)), f"a = {a}: y = {y}"
+            previous = y
             log_v = float(log_ndtr(-a))
-            s = residual_offset(h, log_v) + h
-            assert s >= previous, f"s decreases at a = {a}"
-            previous = s
             if -log_v < 1e-10:
                 deficit = -math.expm1(log_v)
                 want = math.sqrt(deficit / kappa)
                 if want > 1e-6:
                     want = brentq(lambda x: reference_deficit(x, h) - deficit, 0.0, h, xtol=1e-300, rtol=1e-14)
-                assert abs(s - want) <= 1e-6 * want + 0.5 * math.ulp(h), f"a = {a}: s = {s}, want {want}"
-
-    @pytest.mark.parametrize("h", [1e-9, 1e-5, 0.01, 0.5, 1.0, 1.2, 3.0, 20.0, 1e8])
-    def test_every_finite_log_survival_has_a_finite_root(self, h):
-        # log v of any size: the far tail is cut at v = e^-690, and the
-        # offsets run monotone out to it
-        log_vs = (-1e-300, -1e-12, -0.5, -5.0, -50.0, -689.0, -690.0, -745.2, -804.6, -1e4, -1e300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ts = [residual_offset(h, lv) for lv in log_vs]
-        assert all(math.isfinite(t) and t >= -h for t in ts)
-        assert ts == sorted(ts)
-        assert ts[-5:] == [ts[-5]] * 5  # at and beyond the cut
+                s = reflected_depth(h, want)
+                assert abs(s - want) <= 1e-6 * want + 10.0 * 2.0 ** -53 * h, f"a = {a}: s = {s}, want {want}"
 
 
 class TestResidualSample:
     def test_identical_heads_error(self):
-        p = GaussianHead.isotropic([0.0], 1.0)
         with pytest.raises(ValueError, match="residual undefined"):
-            sample_heads(p, p, np.zeros(1))
+            residual_draw(np.zeros(1), np.zeros(1), np.ones(1))
 
     def test_nearly_identical_heads_sample(self):
         # 1 - beta is about 4e-10 at the larger gap, where a rejection
-        # sampler would need ~2.5e9 target draws; the map takes one variate
+        # sampler would need ~2.5e9 target draws; the reflection takes the
+        # rejected proposal as it is
         p = GaussianHead.isotropic([0.0, 0.0], 1.0)
-        e = rngmod.stream(0).standard_normal(2)
+        eps = rngmod.stream(0).standard_normal(2)
         for gap in (1e-9, 4e-10 * math.sqrt(2.0 * math.pi)):
             q = GaussianHead.isotropic([gap, 0.0], 1.0)
-            sample, draws = sample_heads(p, q, e)
+            sample, draws = residual_draw(p.mean, q.mean, eps)
             assert sample.shape == (2,) and np.isfinite(sample).all() and draws == 1
-            assert_close_vector(sample, reference_residual_sample(p, q, e))
+            assert_close_vector(sample, reference_residual_sample(p, q, q.mean + eps))
 
     def test_gap_whose_square_overflows(self):
-        # Delta^2 overflows with finite means: Delta is taken on a rescaled
-        # gap, and the offset along the gap is the variate's own coordinate,
-        # as q has no mass near p
+        # Delta^2 overflows with finite means: the gap is rescaled, and the
+        # draw is p's mean plus the noise mirrored along the gap
         mu_p, mu_q = np.array([1.0, 0.0]), np.array([-1e200, 0.0])
-        e = rngmod.stream(4).standard_normal(2)
+        eps = rngmod.stream(4).standard_normal(2)
         with np.errstate(over="ignore"):
-            sample, _ = residual_draw(mu_p, mu_q, 1.0, e)
-        assert sample[0] == pytest.approx(1.0 + e[0], abs=1e-12) and sample[1] == e[1]
+            sample, _ = residual_draw(mu_p, mu_q, eps)
+        assert sample[0] == pytest.approx(1.0 - eps[0], abs=1e-12) and sample[1] == eps[1]
+
+    def test_gap_whose_square_underflows(self):
+        # A gap of 1e-170 squares to 0: rescaled, it still gives the mirror
+        mu_p, mu_q = np.array([0.0, 1e-170]), np.zeros(2)
+        eps = rngmod.stream(5).standard_normal(2)
+        sample, _ = residual_draw(mu_p, mu_q, eps)
+        assert sample[0] == eps[0] and sample[1] == pytest.approx(-eps[1], abs=1e-12)
 
     def test_matches_reference_draw_for_draw(self):
-        # Same variate: the sample matches the head-API reference to
-        # rounding (its root comes from brentq, and it is assembled about
-        # the midpoint), over dimensions, widths and gaps from far apart
-        # down to 1 - beta ~ 1e-9.
+        # Same proposal: the draw matches the textbook reflection about the
+        # midpoint to rounding, over dimensions, widths and gaps from far
+        # apart down to 1 - beta ~ 1e-9.
         rng = np.random.default_rng(20240501)
         for case in range(200):
             d = (1, 32)[case % 2]
@@ -502,11 +508,11 @@ class TestResidualSample:
             direction *= math.sqrt(var / float(np.dot(direction, direction)))
             mu_q = rng.normal(size=d)
             mu_p = mu_q + delta * direction
-            e = math.sqrt(var) * rng.standard_normal(d)
-            got, draws = residual_draw(mu_p, mu_q, math.sqrt(var), e)
-            want = reference_residual_sample(GaussianHead(mu_p, var), GaussianHead(mu_q, var), e)
+            eps = math.sqrt(var) * rng.standard_normal(d)
+            got, draws = residual_draw(mu_p, mu_q, eps)
+            want = reference_residual_sample(GaussianHead(mu_p, var), GaussianHead(mu_q, var), mu_q + eps)
             assert draws == 1
-            assert_close_vector(got - mu_p, want - mu_p)
+            assert_close_vector(got - mu_p, want - mu_p, rtol=1e-11)
 
     @pytest.mark.parametrize("d", [1, 32])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -520,39 +526,38 @@ class TestResidualSample:
                 GaussianHead(mu_p, var), GaussianHead(mu_q, var)
             with np.errstate(invalid="ignore"):
                 with pytest.raises(ValueError) as got:
-                    residual_draw(mu_p, mu_q, math.sqrt(var), np.zeros(d))
+                    residual_draw(mu_p, mu_q, np.ones(d))
             assert str(got.value) == str(want.value)
 
     def test_draw_cost_identity(self):
-        # Whatever beta is, a call maps the one target variate it is given
-        # and reports one: it draws nothing, writes only its output row
-        # (which it returns) and its work rows, does not read what that row
-        # held, and the same variate gives the same bytes.
+        # Whatever beta is, a call reflects the proposal whose noise it is
+        # given and reports one variate: it draws nothing, writes only its
+        # output row (which it returns), does not read what that row held,
+        # and the same noise gives the same bytes.
         p = GaussianHead.isotropic(np.zeros(3), 1.0)
         gen = rngmod.stream(123)
         for beta in (0.3, 0.9, 1.0 - 1e-6):
             q = GaussianHead.isotropic([gap_for_overlap(beta), 0.0, 0.0], 1.0)
-            for e in target_variates(gen, 1.0, 3, 50):
-                inputs = [a.copy() for a in (p.mean, q.mean, e)]
+            for eps in gen.standard_normal((50, 3)):
+                inputs = [a.copy() for a in (p.mean, q.mean, eps)]
                 out = np.full(3, np.nan)
-                first, draws = residual_sample(p.mean, q.mean, 1.0, e, out, np.full((2, 3), np.inf))
+                first, draws = residual_sample(p.mean, q.mean, eps, out)
                 assert first is out and draws == 1
-                assert sample_heads(p, q, e)[0].tobytes() == first.tobytes()
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, e)))
+                assert residual_draw(p.mean, q.mean, eps)[0].tobytes() == first.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, (p.mean, q.mean, eps)))
 
     def test_allocates_no_vector(self):
-        # The map works in its output row and two work rows: at d = 4096
-        # one temporary vector would take 32 KiB. A first call warms any
-        # lazy set-up.
+        # The reflection works in its output row: at d = 4096 one temporary
+        # vector would take 32 KiB. A first call warms any lazy set-up.
         d = 4096
         rng = np.random.default_rng(3)
         mu_p, mu_q, sigma, _ = gap_geometry(rng, d, 0.7)
-        e = sigma * rng.standard_normal(d)
-        out, scratch = np.empty(d), np.empty((2, d))
-        residual_sample(mu_p, mu_q, sigma, e, out, scratch)
+        eps = sigma * rng.standard_normal(d)
+        out = mu_q + eps
+        residual_sample(mu_p, mu_q, eps, out)
         tracemalloc.start()
         try:
-            residual_sample(mu_p, mu_q, sigma, e, out, scratch)
+            residual_sample(mu_p, mu_q, eps, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -561,33 +566,34 @@ class TestResidualSample:
     @pytest.mark.parametrize("d", [1, 5, 32])
     @pytest.mark.parametrize("delta", [1e-9, 0.3, 2.0, 40.0])
     def test_orthogonal_part_passes_and_along_gap_increases(self, d, delta):
-        # Whitened, the sample keeps e's part across the gap and puts
-        # residual_offset(h, log Q(a)) along it, where a is e's coordinate
-        # there; so the coordinate along the gap increases with a
+        # Whitened about the midpoint, the draw keeps the proposal's part
+        # across the gap and mirrors its coordinate along it: a proposal at
+        # depth s into q's side lands at s on p's side, so the coordinate
+        # along the gap increases with the depth of the rejected proposal
         rng = np.random.default_rng(int(delta * 1e3) + d)
         mu_p, mu_q, sigma, u = gap_geometry(rng, d, delta)
+        mid = 0.5 * (mu_p + mu_q)
         z = rng.standard_normal(d)
         across = z - np.dot(z, u) * u
         along = []
-        for a in np.arange(-6.0, 8.01, 0.25):
-            y = (residual_draw(mu_p, mu_q, sigma, sigma * (across + a * u))[0] - mu_p) / sigma
+        for depth in np.arange(-6.0, 8.01, 0.25):
+            x = mid + sigma * (across - depth * u)
+            y = (residual_draw(mu_p, mu_q, x - mu_q)[0] - mid) / sigma
             assert_close_vector(y - np.dot(y, u) * u, across, rtol=1e-9)
-            t = residual_offset(0.5 * delta, float(scistats.norm.logsf(a)))
-            assert np.dot(y, u) == pytest.approx(t, rel=1e-9, abs=1e-9)
+            assert np.dot(y, u) == pytest.approx(depth, rel=1e-9, abs=1e-9)
             along.append(np.dot(y, u))
         assert np.all(np.diff(along) > 0.0)
 
     @pytest.mark.parametrize("d", [1, 32])
     @pytest.mark.parametrize("delta", [1e-9, 0.5, 2.0, 40.0, 1e8])
     def test_far_variates_give_finite_draws(self, d, delta):
-        # a = -40 maps to the midpoint's neighbourhood, a = +40 into the far
-        # tail, where Q(a) ~ 1e-350 is only representable as a log; e = 0
-        # (a = 0) maps to the median offset. No warning is raised.
+        # Noise 40 sigma from q's mean on either side of the gap, or none:
+        # every draw is finite and no warning is raised.
         mu_p, mu_q, sigma, u = gap_geometry(np.random.default_rng(d), d, delta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for e in (sigma * (-40.0 * u), np.zeros(d), sigma * (40.0 * u)):
-                sample, draws = residual_draw(mu_p, mu_q, sigma, e)
+            for eps in (sigma * (-40.0 * u), np.zeros(d), sigma * (40.0 * u)):
+                sample, draws = residual_draw(mu_p, mu_q, eps)
                 assert np.isfinite(sample).all() and draws == 1
 
     def test_distribution_matches_grid_cdf(self):
@@ -595,9 +601,8 @@ class TestResidualSample:
         p = GaussianHead.isotropic([3.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         beta = overlap(3.0)
-        sigma = math.sqrt(p.variance)
-        es = target_variates(rngmod.stream(321), sigma, 1, 100_000)
-        samples = np.array([residual_draw(p.mean, q.mean, sigma, e)[0][0] for e in es])
+        noise = rejected_noise(rngmod.stream(321), p, q, 100_000)
+        samples = np.array([residual_draw(p.mean, q.mean, eps)[0][0] for eps in noise])
 
         xs = np.linspace(-8, 11, 20001)
         dens = np.maximum(scistats.norm.pdf(xs, loc=3.0) - scistats.norm.pdf(xs), 0.0) / (1.0 - beta)
@@ -613,16 +618,15 @@ class TestResidualSample:
     def test_residual_mass_above_draft_mean(self):
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
-        sigma = math.sqrt(p.variance)
-        es = target_variates(rngmod.stream(55), sigma, 1, 100_000)
-        samples = np.array([residual_draw(p.mean, q.mean, sigma, e)[0][0] for e in es])
-        assert samples.mean() > 0.0
+        noise = rejected_noise(rngmod.stream(55), p, q, 100_000)
+        samples = np.array([residual_draw(p.mean, q.mean, eps)[0][0] for eps in noise])
+        assert samples.min() >= 0.5 and samples.mean() > 1.0
 
 
 class TestLosslessSingleStep:
     def test_accept_or_residual_recovers_target(self):
-        # Composite draw: X ~ q accepted with min(1, p/q), else the residual
-        # image of an independent target variate.
+        # Composite draw: X ~ q accepted with min(1, p/q), else its
+        # reflection into the residual.
         p = GaussianHead.isotropic([1.0], 1.0)
         q = GaussianHead.isotropic([0.0], 1.0)
         gen = rngmod.stream(777)
@@ -631,9 +635,7 @@ class TestLosslessSingleStep:
         lr = np.minimum(0.0, scistats.norm.logpdf(xs, loc=1.0) - scistats.norm.logpdf(xs))
         keep = gen.random(n) < np.exp(lr)
         out = xs.copy()
-        sigma = math.sqrt(p.variance)
-        es = target_variates(gen, sigma, 1, n)
         for i in np.nonzero(~keep)[0]:
-            out[i] = residual_draw(p.mean, q.mean, sigma, es[i])[0][0]
+            out[i] = residual_draw(p.mean, q.mean, xs[i : i + 1] - q.mean)[0][0]
         res = scistats.kstest(out, lambda v: scistats.norm.cdf(v, loc=1.0, scale=1.0))
         assert res.pvalue >= 0.01

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -371,6 +372,16 @@ class TestSynth:
             innov = rng.standard_normal(spec.n_steps) * spec.ar_std
             want[ch] = season + reference_ar1_recursion(innov, spec.ar_coeff)
         assert spec.generate().tobytes() == want.tobytes()
+
+    def test_seed_outside_the_philox_key_range_is_refused_by_the_spec(self):
+        # The seed is the Philox key, which must lie in [0, 2**128): the spec
+        # refuses any other value where it is built, not at generate()
+        for seed in (-1, 2 ** 128):
+            message = f"seed must be in [0, 2**128), the range of a Philox key, got {seed}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SyntheticSpec(n_steps=100, seed=seed)
+        for seed in (0, 2 ** 128 - 1):
+            assert SyntheticSpec(n_steps=100, n_channels=1, season_len=16, seed=seed).generate().shape == (1, 100)
 
 
 def _both_means(model, window):

@@ -113,6 +113,9 @@ from .synth import check_integer
 _LOCAL = threading.local()
 _RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
 _PLANS = 16  # decode configurations a thread keeps session plans for
+# A proposal this many sigma from its mean in every coordinate must have a
+# finite squared distance to it, or the acceptance scan would read inf.
+_PROPOSAL_Z = 8.0
 
 
 def _streams() -> rngmod.ReusableStream:
@@ -367,7 +370,12 @@ class DecodeTrace:
 
 
 def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfig) -> float:
-    """The one head sigma of a speculative decode."""
+    """The one head sigma of a speculative decode.
+
+    Refused with a ValueError naming it: a sigma whose variance or inverse
+    variance is not a finite float, or one so wide that the squared distance
+    of a proposal ``_PROPOSAL_Z`` sigma out in every coordinate overflows.
+    """
     sigma_t = cfg.sigma_target if cfg.sigma_target is not None else target.sigma
     sigma_d = cfg.sigma_draft if cfg.sigma_draft is not None else draft.sigma
     if sigma_t != sigma_d:
@@ -380,6 +388,12 @@ def _resolve_sigma(target: ForecastModel, draft: ForecastModel, cfg: DecodeConfi
         raise ValueError(
             f"sigma={sigma_t:g} is out of range: the acceptance rule needs a finite variance sigma^2 "
             f"and a finite inverse variance 1/sigma^2"
+        )
+    spread = _PROPOSAL_Z * sigma_t
+    if not spread * spread * target.d < math.inf:
+        raise ValueError(
+            f"sigma={sigma_t:g} is out of range: the squared distance of a proposal "
+            f"{_PROPOSAL_Z:g} sigma from its mean in each of d={target.d} coordinates overflows"
         )
     return float(sigma_t)
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .series import NormStats, PatchSeries
@@ -28,6 +29,11 @@ KIND_PERSISTENCE = "persistence"
 
 MODEL_FORMAT_VERSION = 1
 _CACHE_LINE = 64  # bytes
+# Rows per block of the ridge fit's lag products and residuals: a block of
+# patches with its k trailing rows, and the products made from it, stay in
+# L2 cache at the benchmark's shapes (d = 32, k = 96).
+_FIT_ROW_BLOCK = 512
+_NAMED_PATCHES = 3  # non-finite training patches named in the fit's error
 
 
 class History:
@@ -74,7 +80,10 @@ class ForecastModel:
     mean_bias >= 0 shifts the predicted mean by a fixed vector of that norm
     along the first patch coordinate (after standardization). It is a
     reproducible knob for degrading a draft's alignment with the target;
-    being a norm, a negative value is rejected.
+    being a norm, a negative value is rejected. A model is checked where it
+    is built, so a bad one never reaches a decode: a ValueError names the
+    weights, intercept or mean patch when its shape is wrong or it holds
+    NaN or inf.
     """
 
     kind: str
@@ -103,6 +112,14 @@ class ForecastModel:
             expected = (self.patch_len, self.lookback * self.patch_len)
             if self.weights.shape != expected:
                 raise ValueError(f"weights shape {self.weights.shape} != {expected}")
+        for name in ("intercept", "mean_patch"):
+            value = getattr(self, name)
+            if value is not None and value.shape != (self.patch_len,):
+                raise ValueError(f"{name} shape {value.shape} != {(self.patch_len,)}")
+        for name in ("weights", "intercept", "mean_patch"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def d(self) -> int:
@@ -232,6 +249,29 @@ def effective_lookback(lookback: int, scale: float) -> int:
     return max(1, round(scale * lookback))
 
 
+def _check_training_patches(patches: np.ndarray, ridge: float) -> None:
+    """Refuse training patches the fit cannot take.
+
+    A ValueError names the patches that hold NaN or inf (the first
+    ``_NAMED_PATCHES`` of them), or says that the patches are so large that
+    an entry of the normal equations could overflow. The fit's Cholesky
+    factor and solve skip SciPy's finiteness scans on the strength of this.
+    """
+    lo, hi = float(patches.min()), float(patches.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = np.argwhere(~np.isfinite(patches).all(axis=2))
+        named = ", ".join(f"channel {c} patch {t}" for c, t in bad[:_NAMED_PATCHES])
+        more = f" and {len(bad) - _NAMED_PATCHES} more" if len(bad) > _NAMED_PATCHES else ""
+        raise ValueError(f"training patches must be finite; NaN or inf in {named}{more}")
+    # An entry sums at most 2 * C * n products of centred values, each at
+    # most (2 * peak)^2 in size.
+    peak = max(-lo, hi)
+    if not math.isfinite(ridge + 8.0 * patches.shape[0] * patches.shape[1] * peak * peak):
+        raise ValueError(
+            f"training patches up to {peak:g} in size overflow the sums of the normal equations"
+        )
+
+
 def fit_linear_ar(
     train: PatchSeries,
     lookback: int,
@@ -244,25 +284,38 @@ def fit_linear_ar(
     the fit residual standard deviation becomes the default head sigma.
     Intercept is not regularized, so ridge -> inf drives the prediction to
     the train mean patch. Each channel contributes its N = n - k training
-    rows t = 0 .. N-1.
+    rows t = 0 .. N-1. Training patches must be finite; a ValueError names
+    those that are not before any Gram work.
 
     The (rows, k*d) feature matrix is never built. A training row, features
     and target together, is a window of k + 1 consecutive patches, so the
     centred normal equations are blocks of the Gram matrix of those windows:
     block (a, a + lag) sums q[t + a] q[t + a + lag]^T over t, with q the
     patches centred by their pooled mean. The block at offset 0 of each lag
-    is summed directly; every later one is the block before it plus the
-    outer product of the row that enters the range, minus the one that
-    leaves it, per channel. Subtracting rows * m m^T (m the mean window)
-    centres them. Where every patch is the same, q is a residue of a few
-    ulps whose products and sums are exact, so the Gram matrix is exactly
-    zero and ``ridge = 0`` fails as singular. The residuals for sigma come
-    from the structured prediction b + sum_a x[t + a] W_a^T, not from the
-    normal equations' quadratic form, which cancels when the residuals are
-    tiny.
+    is summed directly: one pass over each channel's rows, in blocks of
+    ``_FIT_ROW_BLOCK`` rows that stay in L2 cache, forms all k + 1 lag
+    products of a block in one batched product. Every later block is the
+    block before it plus the outer product of the row that enters the
+    range, minus the one that leaves it, summed over channels in one
+    batched product per lag. The window means come from one prefix sum per
+    channel; subtracting rows * m m^T (m the mean window) centres the
+    blocks, and each lag's blocks are written into the Gram matrix through
+    one strided view of its block diagonal. Where every patch is the same,
+    q is a residue of a few ulps whose products and sums are exact, so the
+    Gram matrix is exactly zero and ``ridge = 0`` fails as singular. The
+    residuals for sigma come from the structured prediction
+    b + sum_a x[t + a] W_a^T, not from the normal equations' quadratic
+    form, which cancels when the residuals are tiny; they too are
+    accumulated one row block at a time.
 
-    Cost O((k+1) * N * d^2 + (k*d)^3) time and O((k*d)^2) memory, the
-    latter for the Gram matrix, which is factored in place.
+    The patches are checked once, up front: finite, and small enough that
+    no sum of products can overflow. The Cholesky factor and solve then
+    skip SciPy's own finiteness scans of the Gram matrix and its factor.
+
+    Cost O((k+1) * N * d^2 + (k*d)^3) time. Memory: the (k*d)^2 Gram
+    matrix, which is factored in place, a centred copy of the patches, and
+    O((k + row block) * d^2) of work arrays; no finiteness mask of the Gram
+    matrix or its factor is made.
     """
     if not np.isfinite(ridge) or ridge < 0:
         raise ValueError("ridge must be finite and >= 0")
@@ -273,59 +326,85 @@ def fit_linear_ar(
             f"need at least {k + 1} patches per channel to fit, have {train.n_patches}"
         )
     patches = train.patches
+    _check_training_patches(patches, ridge)
+    n_channels = train.n_channels
     n_rows = train.n_patches - k
-    rows = train.n_channels * n_rows
+    rows = n_channels * n_rows
     mu = patches.reshape(-1, d).mean(axis=0)
     q = patches - mu
 
-    def lagged(x, a):
-        """Per-channel (n_rows, d) views of x[c, t + a]."""
-        return [xc[a : a + n_rows] for xc in x]
+    # Window sums: sums[a] adds q[c, t + a] over channels c and rows t.
+    prefix = np.zeros((train.n_patches + 1, d))
+    sums = np.zeros((k + 1, d))
+    for qc in q:
+        np.cumsum(qc, axis=0, out=prefix[1:])
+        sums += prefix[n_rows:] - prefix[: k + 1]
+    mean = sums / rows
 
-    mean = np.stack([sum(v.sum(axis=0) for v in lagged(q, a)) for a in range(k + 1)]) / rows
+    # lag_sum[lag] adds q[c, t]^T q[c, t + lag] over channels and rows.
+    lag_sum = np.zeros((k + 1, d, d))
+    part = np.empty_like(lag_sum)
+    step, col = q.strides[1:]
+    for qc in q:
+        for r0 in range(0, n_rows, _FIT_ROW_BLOCK):
+            b = min(_FIT_ROW_BLOCK, n_rows - r0)
+            ahead = as_strided(qc[r0:], (k + 1, b, d), (step, step, col), writeable=False)
+            np.matmul(qc[r0 : r0 + b].T, ahead, out=part)
+            lag_sum += part
+
+    # The rows that enter (q[c, N + s]) and leave (q[c, s]) the sum range
+    # at step s, stacked so that one product sums a step's outer products
+    # over channels: left[s] @ right[s + lag] is the change of block
+    # (s, s + lag) to (s + 1, s + 1 + lag).
+    moved = np.concatenate([q[:, n_rows:], q[:, :k]])  # (2C, k, d)
+    left = np.ascontiguousarray(moved.transpose(1, 2, 0))
+    right = np.ascontiguousarray(moved.transpose(1, 0, 2))
+    right[:, n_channels:] *= -1.0
+
     kd = k * d
     gram = np.zeros((kd, kd))
-    gram_blocks = gram.reshape(k, d, k, d)
+    row = gram.strides[0]
     cross = np.empty((k, d, d))  # X^T y, one (d, d) block per lag position
     for lag in range(k + 1):
         n_blocks = k + 1 - lag  # blocks (a, a + lag), a = 0 .. k - lag
         blocks = np.empty((n_blocks, d, d))
-        blocks[0] = sum(x.T @ y for x, y in zip(lagged(q, 0), lagged(q, lag)))
-        steps = n_blocks - 1
-        if steps > 0:
-            # blocks[a] = blocks[a - 1] + delta[a - 1] for a >= 1
-            delta = np.zeros((steps, d, d))
-            for qc in q:
-                enter = qc[n_rows:]  # the rows that enter the sum range, one per step
-                delta += enter[:steps, :, None] * enter[lag : lag + steps, None, :]
-                delta -= qc[:steps, :, None] * qc[lag : lag + steps, None, :]
-            blocks[1:] = blocks[0] + np.cumsum(delta, axis=0)
+        blocks[0] = lag_sum[lag]
+        np.cumsum(np.matmul(left[: n_blocks - 1], right[lag:]), axis=0, out=blocks[1:])
+        blocks[1:] += blocks[0]
         blocks -= rows * (mean[:n_blocks, :, None] * mean[lag:, None, :])
-        a = np.arange(n_blocks - 1)
-        gram_blocks[a, :, a + lag, :] = blocks[:-1]
+        # gram[a * d + i, (a + lag) * d + j] for a < k - lag
+        diagonal = as_strided(gram[:, lag * d :], (n_blocks - 1, d, d), (d * (row + col), row, col))
+        diagonal[...] = blocks[:-1]
         if lag:  # the last block is (k - lag, k); at lag 0 it is y^T y
             cross[k - lag] = blocks[-1]
     gram[np.diag_indices_from(gram)] += ridge
     try:
         # gram holds the upper block triangle; its transpose is the
         # Fortran-ordered lower one, which LAPACK factors in place.
-        factor = cho_factor(gram.T, lower=True, overwrite_a=True)
+        factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         if ridge == 0:
             raise ValueError(
                 "singular normal equations with ridge = 0; refit with ridge > 0"
             ) from None
         raise
-    w = np.ascontiguousarray(cho_solve(factor, cross.reshape(kd, d)).T)  # (d, k*d)
+    w = np.ascontiguousarray(cho_solve(factor, cross.reshape(kd, d), check_finite=False).T)  # (d, k*d)
     intercept = (mean[k] + mu) - w @ (mean[:k] + mu).reshape(-1)
-    w_lags = w.reshape(d, k, d)  # w_lags[:, a] weighs the patch at offset a
-    windows = [lagged(patches, a) for a in range(k + 1)]
+
+    # w_lags[a] = W_a^T, which weighs the patch at offset a
+    w_lags = np.ascontiguousarray(w.reshape(d, k, d).transpose(1, 2, 0))
+    resid = np.empty((_FIT_ROW_BLOCK, d))
+    term = np.empty((_FIT_ROW_BLOCK, d))
     sq_sum = 0.0
-    for i, y in enumerate(windows[k]):
-        resid = y - intercept
-        for a in range(k):
-            resid -= windows[a][i] @ w_lags[:, a].T
-        sq_sum += float(np.vdot(resid, resid))
+    for pc in patches:
+        for r0 in range(0, n_rows, _FIT_ROW_BLOCK):
+            b = min(_FIT_ROW_BLOCK, n_rows - r0)
+            r, t = resid[:b], term[:b]
+            np.subtract(pc[r0 + k : r0 + k + b], intercept, out=r)
+            for a in range(k):
+                np.matmul(pc[r0 + a : r0 + a + b], w_lags[a], out=t)
+                r -= t
+            sq_sum += float(np.vdot(r, r))
     sigma = math.sqrt(sq_sum / (rows * d))
     w.flags.writeable = False
     intercept.flags.writeable = False
@@ -336,7 +415,7 @@ def fit_linear_ar(
         sigma=max(sigma, 1e-6),
         weights=w,
         intercept=intercept,
-        mean_patch=train.mean_patch(),
+        mean_patch=mu,
         norm_stats=train.norm_stats,
     )
 

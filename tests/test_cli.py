@@ -331,6 +331,25 @@ def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys, no_fitting):
     assert exc.value.code == 2
 
 
+def test_decode_of_a_malformed_model_exits_2(tmp_path, capsys):
+    # refused where the model is loaded, not in the decode
+    model_path = _fit(tmp_path / "model.json")
+    doc = json.loads(model_path.read_text())
+    argv = ["decode", *DATA, "--target", str(model_path), "--variant", "target_only",
+            "--horizon", "16", "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    cases = [
+        ({"intercept": doc["intercept"][:3]}, "intercept shape (3,) != (8,)"),
+        ({"weights": [float("nan")] + doc["weights"][1:]}, "weights must be finite"),
+    ]
+    for change, message in cases:
+        model_path.write_text(json.dumps({**doc, **change}))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_decode_abort_exits_3(tmp_path, capsys):

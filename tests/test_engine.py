@@ -805,6 +805,22 @@ class TestReferenceLoop:
             with pytest.raises(ValueError, match="^" + re.escape(f"sigma={sigma:g} is out of range")):
                 decode(target, draft, h0, cfg_for(variant, horizon=4, sigma=sigma))
 
+    @pytest.mark.parametrize("variant", ["practical", "lossless"])
+    def test_sigma_whose_squared_distances_overflow_is_refused(self, variant):
+        # At 1e154 a proposal's squared distance to its mean overflows (it
+        # aborted at round 0 as if a head were not finite); 1e153 decodes
+        target, draft, h0 = make_pair(gap=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                decode(target, draft, h0, cfg_for(variant, horizon=4, gamma=2, sigma=1e154))
+            forecast, _ = decode(target, draft, h0, cfg_for(variant, horizon=4, gamma=2, sigma=1e153))
+        assert str(got.value) == (
+            "sigma=1e+154 is out of range: the squared distance of a proposal "
+            "8 sigma from its mean in each of d=1 coordinates overflows"
+        )
+        assert np.isfinite(forecast).all()
+
     @pytest.mark.parametrize("kind", ["linear_ar", "persistence", "oracle"])
     def test_exported_alpha_is_the_one_the_scan_compared(self, kind):
         # Every examined proposal is accepted exactly when its uniform is

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ class TestFitLinearAr:
         with pytest.raises(ValueError, match="at least"):
             fit_linear_ar(series, lookback=4, ridge=1e-3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_patches_are_named(self, bad):
+        # Refused before any Gram work, with no RuntimeWarning on the way
+        values = ar1(800, n_channels=2, phi=0.8, seed=5)
+        stats = NormStats.from_values(values)
+        values[1, 7 * 4 + 2] = bad
+        values[1, 30 * 4] = bad
+        series = PatchSeries.from_values(values, patch_len=4, norm_stats=stats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                fit_linear_ar(series, lookback=4, ridge=1e-3)
+        assert str(got.value) == (
+            "training patches must be finite; NaN or inf in channel 1 patch 7, channel 1 patch 30"
+        )
+
+    def test_patches_whose_sums_overflow_are_refused(self):
+        # finite, but their squares overflow
+        values = ar1(800, phi=0.8, seed=5) * 1e160
+        series = PatchSeries.from_values(values, patch_len=4, norm_stats=NormStats(mean=[0.0], std=[1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow the sums of the normal equations"):
+                fit_linear_ar(series, lookback=4, ridge=1e-3)
+
     def test_capacity_monotone_on_ar_data(self):
         # full lookback beats the truncated draft on held-out AR data whose
         # memory (lag 32) exceeds the truncated window, in the median over
@@ -268,6 +294,27 @@ class TestWindowSumFit:
         values = ar1(501 * patch_len, n_channels=n_channels, phi=0.8, seed=n_channels)
         series = PatchSeries.from_values(values, patch_len=patch_len)
         for ridge in (1e-8, 1e-3, 1e3, 1e12):
+            model = fit_linear_ar(series, lookback, ridge, scale)
+            w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)
+            _assert_rel_close(model.weights, w)
+            _assert_rel_close(model.intercept, b)
+            assert model.sigma == pytest.approx(sigma, rel=1e-9)
+
+    @pytest.mark.parametrize("patch_len", [1, 7])
+    @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (8, 1.0), (8, 0.25)])
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    @pytest.mark.parametrize("row_block", [None, 3])
+    def test_row_blocks_join_exactly(self, n_channels, lookback, scale, patch_len, row_block, monkeypatch):
+        # Three full row blocks and a remainder of training rows per
+        # channel, so lag products and residual terms cross block edges;
+        # a row block of 3, shorter than the lookback, crosses several.
+        if row_block is not None:
+            monkeypatch.setattr(models, "_FIT_ROW_BLOCK", row_block)
+        k = effective_lookback(lookback, scale)
+        n_patches = 3 * models._FIT_ROW_BLOCK + 137 + k
+        values = ar1(n_patches * patch_len, n_channels=n_channels, phi=0.8, seed=n_channels)
+        series = PatchSeries.from_values(values, patch_len=patch_len)
+        for ridge in (1e-8, 1e3):
             model = fit_linear_ar(series, lookback, ridge, scale)
             w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)
             _assert_rel_close(model.weights, w)
@@ -652,6 +699,27 @@ class TestSaveLoad:
             back = load_model(path)
             np.testing.assert_array_equal(back.weights, model.weights)
             assert (back.kind, back.sigma, back.lookback) == (model.kind, model.sigma, model.lookback)
+
+    def test_intercept_of_another_width_is_refused(self, tmp_path):
+        series = PatchSeries.from_values(ar1(2048, phi=0.7, seed=4), patch_len=4)
+        path = tmp_path / "m.json"
+        save_model(fit_linear_ar(series, lookback=4, ridge=1e-3), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "intercept": doc["intercept"][:3]}))
+        with pytest.raises(ValueError, match=re.escape("intercept shape (3,) != (4,)")):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["weights", "intercept", "mean_patch"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_refused(self, name, bad, tmp_path):
+        series = PatchSeries.from_values(ar1(2048, phi=0.7, seed=4), patch_len=4)
+        path = tmp_path / "m.json"
+        save_model(fit_linear_ar(series, lookback=4, ridge=1e-3), path)
+        doc = json.loads(path.read_text())
+        doc[name][1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            load_model(path)
 
     def test_self_describing_json(self, tmp_path):
         model = persistence_model(patch_len=2, sigma=1.0)

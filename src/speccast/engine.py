@@ -39,9 +39,13 @@ needs none.
 
 Every random draw comes from a stream keyed by (seed, block, purpose): one
 ``ROUND`` key per block of 8 rounds for speculative variants, one
-``DIRECT`` key per session for the baselines. So a trace is replayable
-bit-for-bit and the practical/lossless variants consume the same random
-numbers, diverging only in how a rejected round closes.
+``DIRECT`` key per session for the baselines. A block's stream holds its 8
+rounds' acceptance uniforms, then its normals round-major: per round, gamma
+proposal rows and then the round's closing row. A session draws only the
+rounds it can still use, so a round's draws are the same however the block
+was drawn. So a trace is replayable bit-for-bit from (seed, round) and the
+practical/lossless variants consume the same random numbers, diverging
+only in how a rejected round closes.
 
 Everything a session sets up that depends only on its models and its
 config without the seed is set up once per thread, in a session plan
@@ -77,8 +81,12 @@ speculative session's buffer holds k_max + horizon + gamma rows. A round makes o
   means into the round's row of the trace's ``dists`` column with one
   subtract, square and reduce, then scans acceptance on Python floats;
 - a block of 8 rounds takes its uniforms straight into the trace's
-  ``uniforms`` column, and its proposal noise and closing variates from one
-  ``standard_normal`` call and one scaling.
+  ``uniforms`` column at its first round; its normals come from one
+  ``standard_normal`` call and one scaling, for the fewest rounds the
+  session can still need: min(rounds left in the block,
+  ceil((horizon - emitted) / (gamma + 1))), as a round emits at most
+  gamma + 1 patches. A session that needs more rounds continues the
+  block's generator the same way.
 
 A ``DecodeTrace`` stores the columns the round writes (``n_accepted``,
 ``xs``, ``dists``, ``uniforms``), the round count and the wall times of the
@@ -111,7 +119,9 @@ from .prob import residual_sample
 from .synth import check_integer
 
 _LOCAL = threading.local()
-_RNG_BLOCK = 8  # rounds per pre-drawn randomness block (horizon-independent)
+# Rounds per ROUND stream key. The key is per block and horizon-independent;
+# how many of a block's rounds a session draws depends on its horizon.
+_RNG_BLOCK = 8
 _PLANS = 16  # decode configurations a thread keeps session plans for
 # A proposal this many sigma from its mean in every coordinate must have a
 # finite squared distance to it, or the acceptance scan would read inf.
@@ -464,9 +474,11 @@ class _SpeculativePlan:
     kernel's operand; the draft writes its means into the rows of
     ``draft_means`` and the verify pass all gamma + 1 target means into
     ``target_means``, whose rows are ``target_rows``. ``normals`` holds a
-    block's proposal noise, gamma rows per round, then its closing
-    variates, one row per round, in the order they are drawn; ``noise``
-    lists its rows. ``scratch`` is the kernel's work array.
+    block's normals round-major, in the order they are drawn: the rows of
+    round slot s are (gamma + 1) * s onward, its gamma proposal rows and
+    then its closing row. A session fills only the rounds it draws.
+    ``noise`` lists the rows of ``normals``. ``scratch`` is the kernel's
+    work array.
     """
 
     def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
@@ -480,7 +492,6 @@ class _SpeculativePlan:
         self.params = _head_params(sigma, cfg.tolerance_lambda, d)
         k_t, k_d = target.lookback, draft.lookback
         self.k_max = k_max = max(k_t, k_d)
-        self.first_ext = gamma * _RNG_BLOCK
 
         buf = np.empty((k_max + horizon + gamma, d))
         self.context = buf[:k_max]
@@ -574,29 +585,35 @@ def _decode_speculative(
     rows, propose, proposals, verify = plan.rows, plan.propose, plan.proposals, plan.verify
     means, draft_means, target_means = plan.means, plan.draft_means, plan.target_means
     target_rows, scratch, normals, noise = plan.target_rows, plan.scratch, plan.normals, plan.noise
-    first_ext = plan.first_ext
+    width = gamma + 1  # rows of normals per round
     n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace.uniforms
     draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
     emitted = 0
     r = 0
+    drawn = 0  # round slots of the current block whose normals are drawn
 
     while emitted < horizon:
-        # Round draws come from fixed-size blocks pre-drawn from one stream
-        # per block in a fixed order (all acceptance uniforms first, then
-        # proposal noise, then the closing target variates). A round's draws
-        # therefore depend only on (seed, round index), so truncating the
-        # horizon never alters earlier rounds, and both variants consume the
-        # same draws in every round.
+        # Each block of rounds has one stream, drawn in a fixed order: all
+        # the block's acceptance uniforms first, then its normals round by
+        # round. standard_normal continues a stream the same way however
+        # the draws are split, so a round's draws depend only on (seed,
+        # round index): truncating the horizon never alters earlier rounds,
+        # and both variants consume the same draws in every round.
         slot = r % _RNG_BLOCK
         if slot == 0:
             gen = streams.rekey(seed, r // _RNG_BLOCK, rngmod.ROUND)
             block_u = u_col[r : r + _RNG_BLOCK]
             gen.random(out=block_u)
-            gen.standard_normal(out=normals)
-            normals *= sigma
             u_rows = block_u.tolist()
-        z = slot * gamma
+            drawn = 0
+        z = slot * width
+        if slot == drawn:
+            # the fewest rounds the session can still need
+            drawn = min(_RNG_BLOCK, slot - (emitted - horizon) // width)
+            chunk = normals[z : drawn * width]
+            gen.standard_normal(out=chunk)
+            chunk *= sigma
 
         t0 = time.perf_counter()
         for i in range(gamma):
@@ -624,7 +641,7 @@ def _decode_speculative(
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
         else:
-            np.add(target_rows[n], noise[first_ext + slot], out=final)
+            np.add(target_rows[n], noise[z + gamma], out=final)
         _check_finite(final, r)
 
         n_col[r] = n

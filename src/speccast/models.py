@@ -96,7 +96,9 @@ class ForecastModel:
     mean_patch: np.ndarray | None = None  # pad patch for short histories
     norm_stats: NormStats | None = None
     # (lookback*d, d) C-ordered copy of ``weights`` for the mean products,
-    # built on first use and handed on by ``with_knobs``.
+    # built on first use by ``mean_weights()`` and handed on by
+    # ``with_knobs``. The products read the field and call the method only
+    # while it is None, which saves a method call on every step.
     _mean_weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -194,8 +196,11 @@ class ForecastModel:
     def mean_batch(self, windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """predict_means without validation; the engine's batched verify pass.
 
-        With ``out``, a (B, d) array, the means are written there, with the
-        same bits, and ``out`` is returned.
+        With ``out``, a C-contiguous float64 (B, d) array, the means are
+        written there, with the same bits, and ``out`` is returned. A
+        linear model multiplies with ``ndarray.dot`` (``np.dot`` without
+        its dispatch step, and the cblas call of ``np.matmul``), which
+        raises ValueError for any other ``out``.
         """
         recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
         if self.kind == KIND_PERSISTENCE:
@@ -208,11 +213,11 @@ class ForecastModel:
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
-            if out is None:
-                means = flat @ self.mean_weights() + self.intercept
-            else:
-                means = np.matmul(flat, self.mean_weights(), out=out)
-                means += self.intercept
+            w = self._mean_weights
+            if w is None:
+                w = self.mean_weights()
+            means = flat.dot(w, out=out)
+            means += self.intercept
         if self.mean_bias > 0.0:
             means[:, 0] += self.mean_bias
         return means
@@ -220,8 +225,10 @@ class ForecastModel:
     def mean_one(self, window: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Point forecast for one (k, d) window; no validation (hot path).
 
-        With ``out``, a (d,) array, the mean is written there, with the same
-        bits, and ``out`` is returned.
+        With ``out``, a C-contiguous float64 (d,) array, the mean is written
+        there, with the same bits, and ``out`` is returned. A linear model
+        multiplies with ``ndarray.dot``, which raises ValueError for any
+        other ``out``.
         """
         recent = window if window.shape[0] == self.lookback else window[-self.lookback :]
         if self.kind == KIND_PERSISTENCE:
@@ -230,10 +237,11 @@ class ForecastModel:
             else:
                 out[:] = recent[-1]
                 mean = out
-        elif out is None:
-            mean = recent.reshape(-1) @ self.mean_weights() + self.intercept
         else:
-            mean = np.matmul(recent.reshape(-1), self.mean_weights(), out=out)
+            w = self._mean_weights
+            if w is None:
+                w = self.mean_weights()
+            mean = recent.reshape(-1).dot(w, out=out)
             mean += self.intercept
         if self.mean_bias > 0.0:
             mean[0] += self.mean_bias

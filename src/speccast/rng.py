@@ -9,16 +9,21 @@ how other streams are consumed. This is what makes decode traces replayable
 bit-for-bit from (config, data, seed) alone.
 
 Purpose tags keep draws for different roles on disjoint streams, and a
-decode uses two. The speculative round stream (``ROUND``) is drawn a block
-of rounds at a time, in full and in a fixed order, before any of those
-rounds is decided: acceptance uniforms, proposal noise, then one target
-variate per round. That variate, independent of the round's uniforms and
-proposal noise, closes the round as a target draw on a full accept or a
-practical rejection; a lossless rejection reflects its rejected proposal
-instead and leaves the variate unread. So the practical and lossless
-decode variants consume the same random numbers and differ only in how a
-rejected round closes. The baselines draw all their noise from one
-``DIRECT`` stream.
+decode uses two. The speculative round stream (``ROUND``) has one key per
+block of 8 rounds and a fixed order: first the block's acceptance
+uniforms, 8 rows of gamma, then its normals round-major, per round gamma
+proposal rows and then one closing row, the round's target variate. A
+session draws the uniforms at the block's first round and only the rounds
+of normals it can still use, continuing the same generator when it needs
+more; ``standard_normal`` continues a stream the same way however its
+draws are split, so each round's rows are those of drawing the whole
+block at once, before any of its rounds is decided. The target variate,
+independent of the round's uniforms and proposal noise, closes the round
+as a target draw on a full accept or a practical rejection; a lossless
+rejection reflects its rejected proposal instead and leaves the variate
+unread. So the practical and lossless decode variants consume the same
+random numbers and differ only in how a rejected round closes. The
+baselines draw all their noise from one ``DIRECT`` stream.
 
 A decode does not build a generator per stream: each thread re-keys one
 ``ReusableStream`` in place, by handing the Philox state setter one state
@@ -36,9 +41,10 @@ import numpy as np
 # Purpose tags for the streams.
 # A tag is part of every key it makes, so the values never move; 3 and 4,
 # the former practical-fallback and lossless-residual streams, stay unused.
-ROUND = 0       # main round stream: acceptance uniforms (drawn first, so
-                # variants share common random numbers), proposal noise,
-                # then the round-closing target variates, in that fixed order
+ROUND = 0       # main round stream, one key per block of rounds: the
+                # block's acceptance uniforms (drawn first, so variants
+                # share common random numbers), then per round its proposal
+                # noise and its closing target variate, in that fixed order
 DIRECT = 5      # plain autoregressive sampling (baselines)
 
 _MASK64 = (1 << 64) - 1

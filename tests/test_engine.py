@@ -280,6 +280,84 @@ class TestLosslessResidualCost:
         assert rejections > 20
 
 
+class _RecordingGenerator:
+    """A generator proxy that keeps a copy of every set of normals drawn."""
+
+    def __init__(self, gen, chunks):
+        self._gen, self._chunks = gen, chunks
+
+    def random(self, *args, **kwargs):
+        return self._gen.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = self._gen.standard_normal(*args, **kwargs)
+        self._chunks.append(drawn.copy())  # before the engine scales it
+        return drawn
+
+
+def _record_normals(monkeypatch):
+    """(key, normals drawn under that key, call by call) for each rekey."""
+    blocks = []
+    rekey = rngmod.ReusableStream.rekey
+
+    def spy(self, *key):
+        blocks.append((key, []))
+        return _RecordingGenerator(rekey(self, *key), blocks[-1][1])
+
+    monkeypatch.setattr(rngmod.ReusableStream, "rekey", spy)
+    return blocks
+
+
+class TestRoundMajorDraws:
+    @pytest.mark.parametrize("variant", ["practical", "lossless"])
+    @pytest.mark.parametrize("gamma", [2, 3])
+    def test_session_rows_are_the_rows_of_the_whole_block(self, variant, gamma, monkeypatch):
+        # A session draws each block's normals in as many calls as it needs,
+        # and exactly the rounds it decodes there. Together they are the
+        # first rows of the block's normals drawn whole after its uniforms,
+        # round-major, so the session is the reference loop's, which draws
+        # every block whole. The horizons end mid-block and cross a block.
+        target, draft, h0 = _reference_pair("linear_ar")
+        d, width = target.d, gamma + 1
+        blocks = _record_normals(monkeypatch)
+        continued = 0
+        for horizon in (1, 5, 12, 30, 41):
+            for seed in (0, 3):
+                cfg = DecodeConfig(variant=variant, horizon_patches=horizon, seed=seed, gamma=gamma,
+                                   sigma_target=0.4, sigma_draft=0.4)
+                blocks.clear()
+                forecast, trace = decode(target, draft, h0, cfg)
+                rounds = trace.n_rounds
+                assert [key for key, _ in blocks] == [(seed, b, rngmod.ROUND) for b in range(-(-rounds // 8))]
+                for b, (_, chunks) in enumerate(blocks):
+                    got = np.concatenate(chunks)
+                    assert len(got) == width * min(8, rounds - 8 * b)
+                    gen = rngmod.stream(seed, b, rngmod.ROUND)
+                    gen.random((8, gamma))
+                    whole = gen.standard_normal((8, width, d)).reshape(-1, d)
+                    assert got.tobytes() == whole[: len(got)].tobytes()
+                    continued += len(chunks) > 1
+                ref_forecast, ref_rounds, _, _ = _reference_decode(target, draft, h0, cfg)
+                if variant == "lossless":
+                    _assert_lossless_matches(forecast, trace, ref_forecast, ref_rounds)
+                else:
+                    assert forecast.tobytes() == ref_forecast.tobytes()
+                    assert trace.round_dicts() == ref_rounds
+        # some blocks took more than one call
+        assert continued > 0
+
+    @pytest.mark.parametrize("horizon, rounds", [(12, 3), (1, 1), (13, 4)])
+    def test_a_session_that_accepts_everything_draws_only_its_rounds(self, horizon, rounds, monkeypatch):
+        # Self-speculation accepts every proposal, so a round emits gamma + 1
+        # patches and one call draws the ceil(horizon / (gamma + 1)) rounds
+        # (at 13, the last round's 4 patches are cut to 1)
+        target, _, h0 = make_pair(d=2)
+        blocks = _record_normals(monkeypatch)
+        _, trace = decode(target, target, h0, cfg_for("practical", horizon=horizon, gamma=3))
+        assert trace.n_rounds == rounds
+        assert [[chunk.shape for chunk in chunks] for _, chunks in blocks] == [[(4 * rounds, 2)]]
+
+
 class TestConfigValidation:
     def test_shared_variance_enforced(self):
         # the sigmas are resolved first: from the config, else from the models
@@ -575,9 +653,9 @@ def _reference_decode(target, draft, h0, cfg):
         if slot == 0:
             gen = rngmod.stream(cfg.seed, r // 8, rngmod.ROUND)
             block_u = gen.random((8, gamma))
-            block_z = gen.standard_normal((8, gamma, d))
-            block_ext = gen.standard_normal((8, d))
-        uniforms, noise = block_u[slot], block_z[slot]
+            # round-major: gamma proposal rows, then the closing row
+            block_z = gen.standard_normal((8, gamma + 1, d))
+        uniforms, noise, ext = block_u[slot], block_z[slot, :gamma], block_z[slot, gamma]
         ctx[:k_max] = history.window(k_max)
         for i in range(gamma):
             mu_q[i] = draft.mean_one(ctx[k_max + i - k_d : k_max + i])
@@ -599,7 +677,7 @@ def _reference_decode(target, draft, h0, cfg):
             source = SOURCE_RESIDUAL
         else:
             # the extension or the fallback: the round's own target variate
-            final = mu_p[n] + sigma * block_ext[slot]
+            final = mu_p[n] + sigma * ext
             source = SOURCE_EXTEND if n == gamma else SOURCE_FALLBACK
         _reference_check_finite(final, r)
         consumed = min(n + 1, gamma)
@@ -1091,7 +1169,8 @@ class TestNearlyIdenticalHeads:
         assert [r.final_draw_source for r in trace.rounds] == [SOURCE_RESIDUAL] * 5
         gen = rngmod.stream(cfg.seed, 0, rngmod.ROUND)
         gen.random((8, cfg.gamma))  # uniforms
-        noise = gen.standard_normal((8, cfg.gamma, 1))  # proposal noise (sigma = 1)
+        # round-major normals (sigma = 1): gamma proposal rows, then the closing row
+        noise = gen.standard_normal((8, cfg.gamma + 1, 1))
         previous = np.zeros(1)
         for r in range(5):
             p_head, q_head = GaussianHead(previous, 1.0), GaussianHead(previous + gap, 1.0)

@@ -544,6 +544,38 @@ class TestMeanWeights:
         assert out[1:-1].tobytes() == model.mean_batch(overlapping).tobytes()
         assert np.all(out[[0, -1]] == sentinel)
 
+    @pytest.mark.parametrize("lookback", [96, 24])
+    def test_dot_products_are_the_matmul_products_bit_for_bit(self, lookback):
+        # The products go through ndarray.dot; at the benchmark's shapes
+        # (target lookback 96, draft 24, patch 32) every mean, with and
+        # without out, has the bits of matmul on the same weight copy
+        rng = np.random.default_rng(lookback)
+        patch_len = 32
+        model = self._random_model(rng, patch_len, lookback)
+        stacked = model.mean_weights()
+        buf = rng.normal(size=(lookback + 3, patch_len))
+        windows = np.lib.stride_tricks.sliding_window_view(buf, lookback, axis=0).transpose(0, 2, 1)
+        flat = np.stack([w.reshape(-1) for w in windows])
+        want = np.matmul(flat, stacked) + model.intercept
+        out = np.empty_like(want)
+        assert model.mean_batch(windows).tobytes() == want.tobytes()
+        assert model.mean_batch(windows, out=out) is out and out.tobytes() == want.tobytes()
+        for window, row in zip(windows, flat):
+            want = np.matmul(row, stacked) + model.intercept
+            out = np.empty(patch_len)
+            assert model.mean_one(window).tobytes() == want.tobytes()
+            assert model.mean_one(window, out=out) is out and out.tobytes() == want.tobytes()
+
+    def test_strided_out_is_refused(self):
+        # ndarray.dot writes only into a C-contiguous float64 out
+        rng = np.random.default_rng(6)
+        model = self._random_model(rng, 3, 8)
+        windows = rng.normal(size=(2, 8, 3))
+        with pytest.raises(ValueError):
+            model.mean_one(windows[0], out=np.empty((3, 2))[:, 0])
+        with pytest.raises(ValueError):
+            model.mean_batch(windows, out=np.empty((2, 6))[:, ::2])
+
     def test_copy_is_read_only_and_shared(self):
         rng = np.random.default_rng(5)
         model = self._random_model(rng, 3, 8)

@@ -609,7 +609,8 @@ def _decode_speculative(
             drawn = 0
         z = slot * width
         if slot == drawn:
-            # the fewest rounds the session can still need
+            # the fewest rounds the session can still need, capped at the
+            # block: slot + ceil((horizon - emitted) / width)
             drawn = min(_RNG_BLOCK, slot - (emitted - horizon) // width)
             chunk = normals[z : drawn * width]
             gen.standard_normal(out=chunk)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .series import NormStats, PatchSeries
 
@@ -262,8 +263,8 @@ def _check_training_patches(patches: np.ndarray, ridge: float) -> None:
 
     A ValueError names the patches that hold NaN or inf (the first
     ``_NAMED_PATCHES`` of them), or says that the patches are so large that
-    an entry of the normal equations could overflow. The fit's Cholesky
-    factor and solve skip SciPy's finiteness scans on the strength of this.
+    an entry of the normal equations could overflow. The fit's packed
+    Cholesky factor and solve scan for neither, on the strength of this.
     """
     lo, hi = float(patches.min()), float(patches.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -280,69 +281,96 @@ def _check_training_patches(patches: np.ndarray, ridge: float) -> None:
         )
 
 
-def fit_linear_ar(
-    train: PatchSeries,
-    lookback: int,
-    ridge: float = 1e-3,
-    scale: float = 1.0,
-) -> ForecastModel:
-    """Ridge-fit a linear next-patch predictor on pooled channel patches.
+def _rfp_halves(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Writable views of the lower triangle of an n x n matrix A in RFP.
 
-    Features are the concatenated ``k`` lookback patches (oldest first);
-    the fit residual standard deviation becomes the default head sigma.
-    Intercept is not regularized, so ridge -> inf drives the prediction to
-    the train mean patch. Each channel contributes its N = n - k training
-    rows t = 0 .. N-1. Training patches must be finite; a ValueError names
-    those that are not before any Gram work.
+    ``packed`` holds A's lower triangle in n (n + 1) / 2 entries, in
+    LAPACK's rectangular full packed storage with TRANSR = 'N' and
+    UPLO = 'L'. With h = ceil(n / 2), it is a column-major array of h
+    columns whose leading dimension is n (n odd) or n + 1 (n even). The
+    first h columns of the triangle fill it from its first row (n odd) or
+    one row down (n even); the trailing (n - h) triangle is held transposed
+    in the entries above them. Returns (left, right): left[r, c] is
+    A[r, c] for c < h, and right[r, c] is A[h + r, h + c]; both hold A
+    where r >= c, and an entry above their diagonal is one of the other
+    view's.
+    """
+    h = (n + 1) // 2
+    lda = n + 1 - n % 2
+    item = packed.itemsize
+    left = as_strided(packed[1 - n % 2 :], (n, h), (item, lda * item))
+    right = as_strided(packed[n % 2 * lda :], (n - h, n - h), (lda * item, item))
+    return left, right
 
-    The (rows, k*d) feature matrix is never built. A training row, features
-    and target together, is a window of k + 1 consecutive patches, so the
-    centred normal equations are blocks of the Gram matrix of those windows:
-    block (a, a + lag) sums q[t + a] q[t + a + lag]^T over t, with q the
-    patches centred by their pooled mean. The block at offset 0 of each lag
-    is summed directly: one pass over each channel's rows, in blocks of
+
+def _put_lag_blocks(left: np.ndarray, right: np.ndarray, blocks: np.ndarray, lag: int) -> None:
+    """Write blocks (a, a + lag) of a symmetric matrix into its RFP halves.
+
+    ``blocks[a]`` is the (d, d) block at rows a * d and columns
+    (a + lag) * d, so its transpose is the lower triangle's block at rows
+    (a + lag) * d and columns a * d. A block lands in ``left``, in
+    ``right``, or, where h falls inside it, in both, each part through one
+    strided view of the half's block diagonal. At lag 0 only the entries on
+    and above each block's diagonal are written: the others would land
+    above a half's diagonal, on entries of the other half.
+    """
+    count, d, _ = blocks.shape
+    h = left.shape[1]
+    upper = np.triu(np.ones((d, d), bool))
+    split, cut = divmod(h, d)  # block `split` has its first `cut` columns left of h
+    for half, shift, a0, a1, i0, i1 in (
+        (left, 0, 0, split, 0, d),  # whole blocks left of h
+        (left, 0, split, split + 1, 0, cut),  # the block that h cuts, in two parts
+        (right, h, split, split + 1, cut, d),
+        (right, h, split + 1, count, 0, d),  # whole blocks right of h
+    ):
+        a1 = min(a1, count)
+        if a0 >= a1 or i0 >= i1:
+            continue
+        # At lag 0, entry (i, j) of a block is written where j >= i, so
+        # columns i >= i0 skip rows j < i0, which may lie outside the half.
+        j0 = i0 if lag == 0 else 0
+        where = upper[i0:i1, j0:] if lag == 0 else True
+        rows, cols = half.strides
+        corner = half[(a0 + lag) * d + j0 - shift :, a0 * d + i0 - shift :]
+        view = as_strided(corner, (a1 - a0, i1 - i0, d - j0), (d * (rows + cols), cols, rows))
+        np.copyto(view, blocks[a0:a1, i0:i1, j0:], where=where)
+
+
+def _packed_normal_equations(
+    patches: np.ndarray, mu: np.ndarray, k: int, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fit's centred ridge normal equations, with the matrix in RFP.
+
+    A training row, features and target together, is a window of k + 1
+    consecutive patches, so the centred normal equations are blocks of the
+    Gram matrix of those windows: block (a, a + lag) sums
+    q[t + a]^T q[t + a + lag] over t, with q the patches centred by their
+    pooled mean ``mu``. The block at offset 0 of each lag is summed
+    directly: one pass over each channel's rows, in blocks of
     ``_FIT_ROW_BLOCK`` rows that stay in L2 cache, forms all k + 1 lag
     products of a block in one batched product. Every later block is the
     block before it plus the outer product of the row that enters the
     range, minus the one that leaves it, summed over channels in one
     batched product per lag. The window means come from one prefix sum per
     channel; subtracting rows * m m^T (m the mean window) centres the
-    blocks, and each lag's blocks are written into the Gram matrix through
-    one strided view of its block diagonal. Where every patch is the same,
-    q is a residue of a few ulps whose products and sums are exact, so the
-    Gram matrix is exactly zero and ``ridge = 0`` fails as singular. The
-    residuals for sigma come from the structured prediction
-    b + sum_a x[t + a] W_a^T, not from the normal equations' quadratic
-    form, which cancels when the residuals are tiny; they too are
-    accumulated one row block at a time.
+    blocks.
 
-    The patches are checked once, up front: finite, and small enough that
-    no sum of products can overflow. The Cholesky factor and solve then
-    skip SciPy's own finiteness scans of the Gram matrix and its factor.
-
-    Cost O((k+1) * N * d^2 + (k*d)^3) time. Memory: the (k*d)^2 Gram
-    matrix, which is factored in place, a centred copy of the patches, and
-    O((k + row block) * d^2) of work arrays; no finiteness mask of the Gram
-    matrix or its factor is made.
+    Returns (packed, rhs, x_mean, y_mean). ``packed`` is the (k*d, k*d)
+    Gram matrix plus ``ridge`` on its diagonal, one triangle in the RFP
+    storage that ``_rfp_halves`` describes; every entry is written once.
+    ``rhs`` is X^T y, Fortran-ordered (k*d, d), and x_mean and y_mean are
+    the mean feature row and target. The centred patches and their prefix
+    sums are freed before ``packed`` is made, the other work arrays on
+    return.
     """
-    if not np.isfinite(ridge) or ridge < 0:
-        raise ValueError("ridge must be finite and >= 0")
-    k = effective_lookback(lookback, scale)
-    d = train.patch_len
-    if train.n_patches < k + 1:
-        raise ValueError(
-            f"need at least {k + 1} patches per channel to fit, have {train.n_patches}"
-        )
-    patches = train.patches
-    _check_training_patches(patches, ridge)
-    n_channels = train.n_channels
-    n_rows = train.n_patches - k
+    n_channels, n_patches, d = patches.shape
+    n_rows = n_patches - k
     rows = n_channels * n_rows
-    mu = patches.reshape(-1, d).mean(axis=0)
     q = patches - mu
 
     # Window sums: sums[a] adds q[c, t + a] over channels c and rows t.
-    prefix = np.zeros((train.n_patches + 1, d))
+    prefix = np.zeros((n_patches + 1, d))
     sums = np.zeros((k + 1, d))
     for qc in q:
         np.cumsum(qc, axis=0, out=prefix[1:])
@@ -368,11 +396,12 @@ def fit_linear_ar(
     left = np.ascontiguousarray(moved.transpose(1, 2, 0))
     right = np.ascontiguousarray(moved.transpose(1, 0, 2))
     right[:, n_channels:] *= -1.0
+    del q, qc, ahead, prefix, part  # freed before the packed matrix is made
 
     kd = k * d
-    gram = np.zeros((kd, kd))
-    row = gram.strides[0]
-    cross = np.empty((k, d, d))  # X^T y, one (d, d) block per lag position
+    packed = np.empty(kd * (kd + 1) // 2)
+    halves = _rfp_halves(packed, kd)
+    rhs = np.empty((d, k, d))  # rhs[:, a] = (X_a^T y)^T, X_a the patch at offset a
     for lag in range(k + 1):
         n_blocks = k + 1 - lag  # blocks (a, a + lag), a = 0 .. k - lag
         blocks = np.empty((n_blocks, d, d))
@@ -380,24 +409,78 @@ def fit_linear_ar(
         np.cumsum(np.matmul(left[: n_blocks - 1], right[lag:]), axis=0, out=blocks[1:])
         blocks[1:] += blocks[0]
         blocks -= rows * (mean[:n_blocks, :, None] * mean[lag:, None, :])
-        # gram[a * d + i, (a + lag) * d + j] for a < k - lag
-        diagonal = as_strided(gram[:, lag * d :], (n_blocks - 1, d, d), (d * (row + col), row, col))
-        diagonal[...] = blocks[:-1]
+        _put_lag_blocks(*halves, blocks[:-1], lag)
         if lag:  # the last block is (k - lag, k); at lag 0 it is y^T y
-            cross[k - lag] = blocks[-1]
-    gram[np.diag_indices_from(gram)] += ridge
-    try:
-        # gram holds the upper block triangle; its transpose is the
-        # Fortran-ordered lower one, which LAPACK factors in place.
-        factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
+            rhs[:, k - lag] = blocks[-1].T
+    for half in halves:
+        as_strided(half, (half.shape[1],), (sum(half.strides),))[...] += ridge
+    return packed, rhs.reshape(d, kd).T, (mean[:k] + mu).reshape(-1), mean[k] + mu
+
+
+def fit_linear_ar(
+    train: PatchSeries,
+    lookback: int,
+    ridge: float = 1e-3,
+    scale: float = 1.0,
+) -> ForecastModel:
+    """Ridge-fit a linear next-patch predictor on pooled channel patches.
+
+    Features are the concatenated ``k`` lookback patches (oldest first);
+    the fit residual standard deviation becomes the default head sigma.
+    Intercept is not regularized, so ridge -> inf drives the prediction to
+    the train mean patch. Each channel contributes its N = n - k training
+    rows t = 0 .. N-1. Training patches must be finite; a ValueError names
+    those that are not before any Gram work.
+
+    The (rows, k*d) feature matrix is never built:
+    ``_packed_normal_equations`` sums the centred normal equations from
+    lagged window products and writes each lag's blocks straight into one
+    triangle of the Gram matrix in rectangular full packed (RFP) storage,
+    through strided views of the two halves' block diagonals. LAPACK's
+    ``dpftrf`` factors that array in place with level-3 BLAS and
+    ``dpftrs`` solves for the weights. Where every patch is the same, the
+    centred patches are a residue of a few ulps whose products and sums are
+    exact, so the Gram matrix is exactly zero and ``ridge = 0`` fails as
+    singular. The residuals for sigma come from the structured prediction
+    b + sum_a x[t + a] W_a^T, not from the normal equations' quadratic
+    form, which cancels when the residuals are tiny; they are accumulated
+    one row block at a time.
+
+    The patches are checked once, up front: finite, and small enough that
+    no sum of products can overflow. The LAPACK calls scan nothing, so no
+    finiteness mask of the Gram matrix or its factor is made.
+
+    Cost O((k+1) * N * d^2 + (k*d)^3) time. Memory: one triangle of the
+    Gram matrix, (k*d) (k*d + 1) / 2 floats, factored in place, and
+    O((k + row block) * d^2) of work arrays beside it; the centred copy of
+    the patches is freed before that triangle is made.
+    """
+    if not np.isfinite(ridge) or ridge < 0:
+        raise ValueError("ridge must be finite and >= 0")
+    k = effective_lookback(lookback, scale)
+    d = train.patch_len
+    if train.n_patches < k + 1:
+        raise ValueError(
+            f"need at least {k + 1} patches per channel to fit, have {train.n_patches}"
+        )
+    patches = train.patches
+    _check_training_patches(patches, ridge)
+    n_rows = train.n_patches - k
+    rows = train.n_channels * n_rows
+    mu = patches.reshape(-1, d).mean(axis=0)
+
+    kd = k * d
+    packed, rhs, x_mean, y_mean = _packed_normal_equations(patches, mu, k, ridge)
+    factor, info = dpftrf(kd, packed, uplo="L", overwrite_a=True)
+    if info > 0:
         if ridge == 0:
             raise ValueError(
                 "singular normal equations with ridge = 0; refit with ridge > 0"
-            ) from None
-        raise
-    w = np.ascontiguousarray(cho_solve(factor, cross.reshape(kd, d), check_finite=False).T)  # (d, k*d)
-    intercept = (mean[k] + mu) - w @ (mean[:k] + mu).reshape(-1)
+            )
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    solution, _ = dpftrs(kd, factor, rhs, uplo="L", overwrite_b=True)
+    w = solution.T  # (d, k*d), C-ordered
+    intercept = y_mean - w @ x_mean
 
     # w_lags[a] = W_a^T, which weighs the patch at offset a
     w_lags = np.ascontiguousarray(w.reshape(d, k, d).transpose(1, 2, 0))

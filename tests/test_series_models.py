@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
 from speccast import models
 from speccast.models import (
@@ -286,19 +286,69 @@ class TestFitLinearAr:
         assert np.median(full_mse) <= np.median(quarter_mse)
 
 
+def _assert_fit_matches_reference(n_channels, lookback, scale, patch_len):
+    values = ar1(501 * patch_len, n_channels=n_channels, phi=0.8, seed=n_channels)
+    series = PatchSeries.from_values(values, patch_len=patch_len)
+    for ridge in (1e-8, 1e-3, 1e3, 1e12):
+        model = fit_linear_ar(series, lookback, ridge, scale)
+        w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)
+        _assert_rel_close(model.weights, w)
+        _assert_rel_close(model.intercept, b)
+        assert model.sigma == pytest.approx(sigma, rel=1e-9)
+
+
 class TestWindowSumFit:
     @pytest.mark.parametrize("patch_len", [1, 3, 7])
     @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (2, 1.0), (8, 1.0), (8, 0.25)])
     @pytest.mark.parametrize("n_channels", [1, 3])
     def test_matches_materialized_fit(self, n_channels, lookback, scale, patch_len):
-        values = ar1(501 * patch_len, n_channels=n_channels, phi=0.8, seed=n_channels)
-        series = PatchSeries.from_values(values, patch_len=patch_len)
-        for ridge in (1e-8, 1e-3, 1e3, 1e12):
-            model = fit_linear_ar(series, lookback, ridge, scale)
-            w, b, sigma = reference_fit_linear_ar(series, lookback, ridge, scale)
-            _assert_rel_close(model.weights, w)
-            _assert_rel_close(model.intercept, b)
-            assert model.sigma == pytest.approx(sigma, rel=1e-9)
+        _assert_fit_matches_reference(n_channels, lookback, scale, patch_len)
+
+    # The packed matrix splits its columns at h = ceil(k * d / 2): here h
+    # falls inside a patch block, at 6 of n = 12 and at 8 of n = 15.
+    @pytest.mark.parametrize("lookback,patch_len", [(3, 4), (5, 3)])
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_matches_materialized_fit_when_the_packed_split_cuts_a_patch(
+        self, n_channels, lookback, patch_len
+    ):
+        _assert_fit_matches_reference(n_channels, lookback, 1.0, patch_len)
+
+    @pytest.mark.parametrize("lookback,patch_len", [(1, 1), (3, 4), (5, 3), (8, 7)])
+    def test_packed_normal_equations_are_the_reference_gram_in_rfp(
+        self, lookback, patch_len, monkeypatch
+    ):
+        # n = 1, 12, 15 and 56. Every float array the assembly leaves
+        # unfilled starts as NaN, so an entry it fails to write shows.
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        series = PatchSeries.from_values(
+            ar1(97 * patch_len, n_channels=2, phi=0.8, seed=lookback), patch_len=patch_len
+        )
+        patches, k, ridge = series.patches, lookback, 0.5
+        mu = patches.reshape(-1, patch_len).mean(axis=0)
+        packed, rhs, x_mean, y_mean = models._packed_normal_equations(patches, mu, k, ridge)
+        monkeypatch.undo()
+
+        windows = np.lib.stride_tricks.sliding_window_view(patches, (k + 1, patch_len), axis=(1, 2))
+        windows = windows[:, :, 0].reshape(-1, (k + 1) * patch_len)
+        xc = windows[:, :-patch_len] - windows[:, :-patch_len].mean(axis=0)
+        yc = windows[:, -patch_len:] - windows[:, -patch_len:].mean(axis=0)
+        gram = xc.T @ xc
+        gram[np.diag_indices_from(gram)] += ridge
+        expected, info = lapack.dtrttf(np.asfortranarray(gram), transr="N", uplo="L")
+        assert info == 0 and packed.shape == expected.shape
+        _assert_rel_close(packed, expected, rtol=1e-12)
+        assert rhs.flags.f_contiguous
+        _assert_rel_close(rhs, xc.T @ yc, rtol=1e-12)
+        _assert_rel_close(x_mean, windows[:, :-patch_len].mean(axis=0), rtol=1e-12)
+        _assert_rel_close(y_mean, windows[:, -patch_len:].mean(axis=0), rtol=1e-12)
 
     @pytest.mark.parametrize("patch_len", [1, 7])
     @pytest.mark.parametrize("lookback,scale", [(1, 1.0), (8, 1.0), (8, 0.25)])
@@ -344,11 +394,13 @@ class TestWindowSumFit:
         assert model.sigma == 1e-6
 
     def test_peak_memory_stays_near_the_gram(self):
-        # 2 channels of 1500 patches of 16 at lookback 32: the feature matrix
-        # alone is 12 MB, the (512, 512) Gram matrix 2 MB.
+        # 2 channels of 1500 patches of 16 at lookback 64: the feature matrix
+        # alone is 23.5 MB, a dense (1024, 1024) Gram matrix 8.4 MB. The fit
+        # holds one packed triangle of it, about half, and frees its work
+        # arrays before making it.
         series = PatchSeries.from_values(ar1(24_000, n_channels=2, phi=0.8, seed=3), patch_len=16)
-        k = 32
-        budget = 2 * (k * series.patch_len) ** 2 * 8
+        k = 64
+        budget = 0.8 * (k * series.patch_len) ** 2 * 8
         peaks = []
         for fit in (fit_linear_ar, reference_fit_linear_ar):
             tracemalloc.start()
@@ -389,16 +441,21 @@ class TestFitErrorsUnchanged:
 
     @pytest.mark.parametrize("ridge", [0.0, 1e-3])
     def test_factorization_failure(self, ridge, monkeypatch):
-        # ridge > 0 passes LAPACK's LinAlgError on; ridge = 0 turns it into advice
-        def failing_cho_factor(*args, **kwargs):
-            raise LinAlgError("2-th leading minor of the array is not positive definite")
+        # The packed factorization reports a failed pivot through its info.
+        # ridge > 0 raises the LinAlgError that cho_factor raises for the
+        # same pivot; ridge = 0 turns it into advice.
+        def failing_dpftrf(n, a, **kwargs):
+            return a, 2
 
-        monkeypatch.setattr(models, "cho_factor", failing_cho_factor)
-        monkeypatch.setitem(globals(), "cho_factor", failing_cho_factor)
+        monkeypatch.setattr(models, "dpftrf", failing_dpftrf)
         series = PatchSeries.from_values(ar1(512, seed=2), patch_len=4)
         got = _error_of(fit_linear_ar, series, 4, ridge)
-        assert got == _error_of(reference_fit_linear_ar, series, 4, ridge)
-        assert got[0] is (ValueError if ridge == 0 else LinAlgError)
+        if ridge == 0:
+            assert got == (ValueError, "singular normal equations with ridge = 0; refit with ridge > 0")
+        else:
+            # the second leading minor of this matrix is -3
+            assert got == _error_of(cho_factor, np.array([[1.0, 2.0], [2.0, 1.0]]))
+            assert got[0] is LinAlgError
 
 
 class TestSynth:

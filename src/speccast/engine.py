@@ -63,14 +63,15 @@ method and no module function: tracing and tests patch ``mean_one``,
 ``fill_window``, and a session looks them up itself, so a patch takes
 effect on the next session.
 
-A session starts from a ``models.History``, a read-only left-padded
-context, and decodes inside its plan's buffer: the context is written into
-it once, every patch the session makes is written in place, and the
-forecast is one slice copy at the end, so a session allocates only its
-trace columns. A baseline session draws its noise in place into the plan's
-noise block, from one ``DIRECT`` stream per session, scales it by sigma,
-and adds it to one ``mean_one`` per step, in place in the buffer. A
-speculative session's buffer holds k_max + horizon + gamma rows. A round makes only the numpy calls its math needs:
+A session starts from a ``models.History``, a read-only (lookback, d)
+context (a view of a frozen source, or a left-padded copy), and decodes
+inside its plan's buffer: the context is written into it once, every
+patch the session makes is written in place, and the forecast is one
+slice copy at the end, so a session allocates only its trace columns. A
+baseline session draws its noise in place into the plan's noise block,
+from one ``DIRECT`` stream per session, scales it by sigma, and adds it to
+one ``mean_one`` per step, in place in the buffer. A speculative session's
+buffer holds k_max + horizon + gamma rows. A round makes only the numpy calls its math needs:
 
 - the draft writes each mean into its row of the stacked means with
   ``mean_one(window, out=row)``, and each proposal, mean plus noise, into

@@ -7,8 +7,13 @@ map of the lookback window (``linear_ar``) and the last patch
 reduced-capacity ridge refit of the same data: ``scale`` < 1 truncates the
 lookback window, which keeps the essential draft property (cheaper per
 pass, approximately aligned mean) without a separate training pipeline.
-``History`` is the read-only, left-padded context a decode session starts
-from.
+``History`` is the read-only context a decode session starts from,
+left-padded when its source is short. It views its source's recent
+patches where nothing can write them: a float64 source of at least
+``lookback`` patches that is read-only, as is every array up its
+``.base`` chain (a ``PatchSeries``'s patches, say, and every test window
+cut from them). Any other source is copied, since a view of memory that
+some writable array still reaches could change under a decode.
 """
 
 from __future__ import annotations
@@ -42,8 +47,15 @@ class History:
 
     Built by ``from_patches``: the most recent ``lookback`` patches, left-padded
     with the pad patch (the train mean patch) when there are fewer, so
-    predictions stay finite from the first step. A decode copies the context
-    into its session buffer with ``fill_window`` and never changes it.
+    predictions stay finite from the first step. Where the source is
+    float64, holds at least ``lookback`` patches and is frozen (it and
+    every array up its ``.base`` chain are read-only, see ``_is_frozen``),
+    the context is a view of its last ``lookback`` rows: it allocates no
+    copy but keeps the source alive. A read-only view of a writable array
+    is not frozen, as the array could still be written through, so such a
+    source is copied, and so are a converted (non-float64) and a short
+    one. A decode copies the context into its session buffer with
+    ``fill_window`` and never changes it.
     """
 
     def __init__(self, context: np.ndarray):
@@ -54,12 +66,21 @@ class History:
     def from_patches(cls, patches: np.ndarray, lookback: int, pad_patch: np.ndarray | None = None) -> "History":
         if lookback < 1:
             raise ValueError("lookback must be >= 1")
+        # asarray hands a float64 array on as it is and converts anything
+        # else into a new, writable array, which is never frozen.
         patches = np.atleast_2d(np.asarray(patches, dtype=np.float64))
+        if patches.ndim != 2:
+            raise ValueError(f"patches must be 2-D (n, d), got shape {patches.shape}")
         pad = np.asarray(pad_patch if pad_patch is not None else np.zeros(patches.shape[1]), dtype=np.float64)
+        if pad.ndim != 1:
+            raise ValueError(f"the pad patch must be 1-D (d,), got shape {pad.shape}")
         if pad.shape != (patches.shape[1],):
             raise ValueError(f"patch width {patches.shape[1]} does not match the pad patch shape {pad.shape}")
+        n = patches.shape[0]
+        if n >= lookback and _is_frozen(patches):
+            return cls(patches[n - lookback :])
         context = np.tile(pad, (lookback, 1))
-        m = min(lookback, patches.shape[0])
+        m = min(lookback, n)
         if m:
             context[lookback - m :] = patches[-m:]
         context.flags.writeable = False
@@ -72,6 +93,21 @@ class History:
     def fill_window(self, out: np.ndarray) -> None:
         """Write the most recent len(out) patches into a caller buffer."""
         out[:] = self._context[self.lookback - out.shape[0] :]
+
+
+def _is_frozen(array: np.ndarray) -> bool:
+    """True when ``array`` and every array up its ``.base`` chain are read-only.
+
+    The chain must end at an array that owns its memory: one that ends at
+    another buffer object (``bytes``, a ``bytearray``, an ``mmap``) is not
+    frozen, as that buffer may be writable. The owner is trusted to stay
+    read-only, although numpy lets its holder make it writable again.
+    """
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,20 @@ class TestDeterminism:
         assert np.array_equal(f1, f2)
         assert json.dumps(t1.round_dicts()) == json.dumps(t2.round_dicts())
 
+    @pytest.mark.parametrize("variant", ["target_only", "draft_only", "practical", "lossless"])
+    def test_a_viewed_history_decodes_as_a_copied_one(self, variant):
+        target, draft, _ = _reference_pair("linear_ar")
+        source = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=4).channel_patches(0)[:9]
+        viewed = History.from_patches(source, 6, target.pad_patch())
+        copied = History.from_patches(source.copy(), 6, target.pad_patch())
+        assert np.shares_memory(viewed._context, source)
+        assert not np.shares_memory(copied._context, source)
+        cfg = cfg_for(variant, horizon=13, seed=5, sigma=0.4)
+        f1, t1 = decode(target, draft, viewed, cfg)
+        f2, t2 = decode(target, draft, copied, cfg)
+        assert f1.tobytes() == f2.tobytes()
+        assert t1.round_dicts() == t2.round_dicts()
+
     def test_seed_changes_draws(self):
         target, draft, h0 = make_pair()
         f1, _ = decode(target, draft, h0, cfg_for("practical", seed=1))

@@ -1,11 +1,15 @@
 """Experiment harness: the cost measurement, the spec document and the sweep record."""
 
 import json
+import types
 import warnings
 
 import pytest
 
+from speccast import harness
+from speccast import rng as rngmod
 from speccast.analysis import CostModel, expected_block_length, ops_factor, speedup_wall
+from speccast.engine import DecodeConfig, decode
 from speccast.harness import (
     TIMING_PASSES,
     DataSpec,
@@ -13,10 +17,11 @@ from speccast.harness import (
     RunResult,
     build_test_windows,
     calibrate,
+    decode_windows,
     measure_cost_ratio,
     run_experiment,
 )
-from speccast.models import effective_lookback, fit_linear_ar, persistence_model
+from speccast.models import History, effective_lookback, fit_linear_ar, persistence_model
 from speccast.series import PatchSeries
 from speccast.synth import SyntheticSpec
 
@@ -65,6 +70,36 @@ class TestMeasureCostRatio:
         cost = measure_cost_ratio(target, draft, window)
         assert cost.c == cost.draft_pass_seconds / cost.target_pass_seconds
         assert cost.c_hat == max(cost.c, 1e-9)
+
+
+class TestDecodeWindows:
+    def test_wall_times_only_the_decodes(self, monkeypatch):
+        # Each context build advances a fake clock by a second and nothing
+        # else moves it, so a wall that timed a build would not read 0.
+        series = PatchSeries.from_values(ar1(2000, seed=2), patch_len=4)
+        target = fit_linear_ar(series, lookback=4)
+        draft = fit_linear_ar(series, lookback=4, scale=0.5)
+        windows = build_test_windows(series, 4, 3, 5)
+        cfg = DecodeConfig(variant="practical", horizon_patches=3, seed=0, gamma=2, sigma_target=1.0, sigma_draft=1.0)
+        want = [
+            decode(target, draft, History.from_patches(w.context, 4, target.pad_patch()),
+                   cfg.with_seed(rngmod.derive_seed(7, i)))
+            for i, w in enumerate(windows)
+        ]
+        clock = [0.0]
+        build = History.from_patches.__func__
+
+        def timed_build(cls, *args):
+            clock[0] += 1.0
+            return build(cls, *args)
+
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(History, "from_patches", classmethod(timed_build))
+        forecasts, traces, wall = decode_windows(target, draft, windows, cfg, 7, 4)
+        assert clock[0] == len(windows) and wall == 0.0
+        for (forecast, trace), got, got_trace in zip(want, forecasts, traces, strict=True):
+            assert got.tobytes() == forecast.tobytes()
+            assert got_trace.round_dicts() == trace.round_dicts()
 
 
 class TestSpecDocument:

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
 from speccast import models
+from speccast.harness import build_test_windows
 from speccast.models import (
     History,
     effective_lookback,
@@ -693,6 +694,72 @@ class TestHistory:
         out = np.empty((3, 2))
         h.fill_window(out)
         np.testing.assert_array_equal(out, want)
+
+    def test_shapes_other_than_a_matrix_and_a_vector_are_refused(self):
+        with pytest.raises(ValueError, match=r"patches must be 2-D \(n, d\), got shape \(1, 4, 2\)"):
+            History.from_patches(np.ones((1, 4, 2)), 3)
+        for shape in ((1, 4), (2, 4), ()):
+            with pytest.raises(ValueError, match=rf"pad patch must be 1-D \(d,\), got shape {re.escape(str(shape))}"):
+                History.from_patches(np.ones((2, 4)), 3, np.zeros(shape))
+
+    def test_a_frozen_source_is_viewed(self):
+        series = PatchSeries.from_values(ar1(400, seed=3), patch_len=4)
+        source = series.channel_patches(0)[5:40]
+        for patches in (series.patches[0], source, source[-1]):
+            lookback = min(8, len(np.atleast_2d(patches)))
+            h = History.from_patches(patches, lookback, np.zeros(4))
+            assert np.shares_memory(h._context, series.values)
+            assert not h._context.flags.writeable
+            np.testing.assert_array_equal(h.window(), np.atleast_2d(patches)[-lookback:])
+        # every test window's context is cut from the frozen test series
+        window = build_test_windows(series, 8, 2, 10)[3]
+        assert np.shares_memory(History.from_patches(window.context, 8)._context, series.values)
+
+    def test_a_source_that_could_change_is_copied(self):
+        values = np.arange(24.0).reshape(6, 4)
+        writable = values.copy()
+        read_only_view = writable[1:]
+        read_only_view.flags.writeable = False
+        buffer = bytearray(values.tobytes())
+        buffered = np.frombuffer(buffer).reshape(6, 4)
+        buffered.flags.writeable = False
+        narrow = values.astype(np.float32)
+        narrow.flags.writeable = False
+        frozen = values.copy()
+        frozen.flags.writeable = False
+        pad = np.full(4, -1.0)
+        cases = {
+            "writable": (writable, values[-3:]),
+            "read-only view of a writable base": (read_only_view, values[-3:]),
+            "read-only view of a bytearray": (buffered, values[-3:]),
+            "float32": (narrow, values[-3:]),
+            "short": (frozen[:2], np.concatenate([[pad], values[:2]])),
+        }
+        histories = {name: History.from_patches(patches, 3, pad) for name, (patches, _) in cases.items()}
+        writable[:] = 99.0  # also written through the read-only view
+        buffer[:] = bytes(len(buffer))  # and through the buffered array
+        for name, (patches, want) in cases.items():
+            context = histories[name]._context
+            assert not np.shares_memory(context, patches), name
+            assert not context.flags.writeable, name
+            np.testing.assert_array_equal(context, want, err_msg=name)
+
+    def test_views_allocate_no_copies(self):
+        # 100 contexts of lookback 96 and width 32 as copies take
+        # 100 * 96 * 32 * 8 bytes, 2.46 MB; as views, only their objects.
+        lookback, d = 96, 32
+        series = PatchSeries.from_values(ar1((lookback + 100) * d, seed=1), patch_len=d)
+        frozen = [series.channel_patches(0)[i : i + lookback] for i in range(100)]
+        writable = [patches.copy() for patches in frozen]
+        traced = []
+        for sources in (frozen, writable):
+            tracemalloc.start()
+            histories = [History.from_patches(patches, lookback) for patches in sources]
+            traced.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del histories
+        assert traced[0] < 100_000
+        assert traced[1] > 100 * lookback * d * 8
 
     def test_defines_its_methods_on_the_class(self):
         # Method wrappers (the benchmark's tracer) patch History.__dict__, so

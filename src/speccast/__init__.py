@@ -4,9 +4,10 @@ A draft forecaster proposes blocks of future patches; a target forecaster
 validates all block prefixes in one batched pass and keeps the accepted run.
 The package provides the decode engine (practical fallback-to-target and
 lossless residual-sampling variants), the closed-form performance predictors
-with concentration radii, the overlap laws and deviation bounds as functions
-of the whitened mean gap (``whitened_gap``, ``overlap``), and an experiment
-harness that calibrates predictions against measurements.
+with concentration radii, the overlap law and the deviation bounds in closed
+form as functions of the whitened mean gap (``whitened_gap``, ``overlap``,
+``deviation_bounds``), and an experiment harness that calibrates predictions
+against measurements.
 """
 
 __version__ = "0.1.0"
@@ -46,7 +47,6 @@ from .models import (
 )
 from .prob import (
     GaussianHead,
-    GridSpec,
     gap_for_overlap,
     overlap,
     residual_sample,

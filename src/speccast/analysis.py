@@ -3,7 +3,9 @@
 Everything here is a pure function of its arguments. The block-length law
 and its derived speedup/compute predictors treat the mean acceptance
 alpha_bar as an i.i.d. per-position probability; the dependence interval
-brackets the correlated case.
+brackets the correlated case. The practical variant's deviation bounds are
+exact sums of normal CDFs on the whitened gap; nothing here integrates
+numerically.
 """
 
 from __future__ import annotations
@@ -13,15 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import log_ndtr, ndtr
 
-from .prob import (
-    GaussianHead,
-    GridSpec,
-    overlap,
-    overlap_monte_carlo,
-    refined_trapezoid,
-    whitened_gap,
-)
+from .prob import GaussianHead, check_gap, overlap, overlap_monte_carlo, whitened_gap
 from .synth import check_keys, drop_retired
 
 
@@ -269,82 +265,60 @@ def estimate_alpha(
 class DeviationBounds:
     """Single-step deviation of g = alpha*q + (1 - alpha_bar)*p from p."""
 
-    alpha_bar: float    # also the bound TV(g, p) <= alpha_bar, checked against tv_numeric
-    tv_numeric: float
+    alpha_bar: float    # also the bound TV(g, p) <= alpha_bar, checked against tv
+    tv: float
     kl_bound: float
     pinsker_tv: float
 
 
 def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBounds:
-    """Numeric and analytic deviation controls for the fallback-to-target law.
+    """Exact deviation controls for the fallback-to-target law, in closed form.
 
     The heads are a whitened gap ``delta`` apart, in any dimension: across
     the gap p and q agree, so g and p differ only in their coordinate along
-    it, where p = N(0, 1) and q = N(delta, 1). On that line the output
-    density g, its TV distance to p, the one-sided KL bound, and the Pinsker
-    TV bound are all evaluated by quadrature; the TV <= alpha_bar bound is
-    checked against the numerics.
+    it, where p = N(0, 1) and q = N(delta, 1). There the acceptance
+    min(1, lambda p/q) is 1 below x* = delta/2 + ln(lambda)/delta and
+    lambda p/q above it, and q > alpha_bar p above x0 = delta/2 +
+    ln(alpha_bar)/delta, so every integral is a sum of normal CDFs:
+
+        alpha_bar = Phi(x* - delta) + lambda Phi(-x*)
+        TV(g, p)  = alpha_bar Phi(x0) - Phi(x0 - delta)
+        KL bound  = (delta^2/2 - ln alpha_bar) Phi(x* - delta)
+                    - delta phi(x* - delta) + lambda Phi(-x*) ln(lambda/alpha_bar)
+
+    The KL bound is the integral of alpha q ln(alpha q / (alpha_bar p)),
+    which bounds KL(g || p) by joint convexity; the Pinsker TV is
+    sqrt(KL bound / 2). ln alpha_bar is taken from ``log_ndtr``, so it stays
+    finite where alpha_bar underflows. A term whose normal mass underflows
+    to 0 is left out, as its integrand is 0 in floating point too. The
+    TV <= alpha_bar and TV <= Pinsker laws are checked on the result.
     """
-    if not tolerance_lambda > 0:
-        raise ValueError("tolerance_lambda must be > 0")
-    grid = GridSpec.for_gap(delta)
-    log_lam = math.log(tolerance_lambda)
-    log_norm = math.log(2.0 * math.pi)
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    delta = check_gap(delta)
+    lam = float(tolerance_lambda)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"tolerance_lambda must be finite and > 0, got {tolerance_lambda}")
+    if delta == 0.0:
+        return DeviationBounds(alpha_bar=min(1.0, lam), tv=0.0, kl_bound=0.0, pinsker_tv=0.0)
+    log_lam = math.log(lam)
+    x_star = 0.5 * delta + log_lam / delta
+    below = float(ndtr(x_star - delta))         # q's mass where alpha = 1
+    above = lam * float(ndtr(-x_star))          # lambda p's mass where alpha < 1
+    alpha_bar = min(1.0, below + above)
+    log_alpha_bar = float(np.logaddexp(log_ndtr(x_star - delta), log_lam + log_ndtr(-x_star)))
+    x0 = 0.5 * delta + log_alpha_bar / delta
+    tv = max(0.0, alpha_bar * float(ndtr(x0)) - float(ndtr(x0 - delta)))
+    kl_bound = 0.0
+    if below > 0.0:
+        t = x_star - delta
+        pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)  # t * t overflows to inf; t ** 2 would raise
+        kl_bound += (0.5 * delta * delta - log_alpha_bar) * below - delta * pdf
+    if above > 0.0:
+        kl_bound += above * (log_lam - log_alpha_bar)
+    kl_bound = max(0.0, kl_bound)
+    pinsker = math.sqrt(0.5 * kl_bound)
 
-    def log_terms(x: np.ndarray):
-        """(log alpha(x), log p(x), log q(x)), alpha the acceptance probability."""
-        lp = -0.5 * (x * x + log_norm)
-        lq = -0.5 * ((x - delta) ** 2 + log_norm)
-        return np.minimum(0.0, lp - lq + log_lam), lp, lq
-
-    def fp(x: np.ndarray) -> np.ndarray:
-        return norm * np.exp(-0.5 * x * x)
-
-    def fq(x: np.ndarray) -> np.ndarray:
-        return norm * np.exp(-0.5 * (x - delta) ** 2)
-
-    def alpha_q(x: np.ndarray) -> np.ndarray:
-        return np.exp(log_terms(x)[0]) * fq(x)
-
-    alpha_bar = refined_trapezoid(alpha_q, grid, abs_tol=1e-9)
-    alpha_bar = min(1.0, max(0.0, alpha_bar))
-
-    def abs_dev(x: np.ndarray) -> np.ndarray:
-        return np.abs(alpha_q(x) - alpha_bar * fp(x))
-
-    tv_numeric = 0.5 * refined_trapezoid(abs_dev, grid, abs_tol=2e-9)
-
-    def kl_integrand(x: np.ndarray) -> np.ndarray:
-        # alpha q log(alpha q / (alpha_bar p)), the log ratio formed in the
-        # log domain: alpha_bar p underflows to 0 far from p's mean while
-        # alpha q is still above 1e-300.
-        log_a, lp, lq = log_terms(x)
-        aq = np.exp(log_a) * fq(x)
-        out = np.zeros_like(aq)
-        mask = aq > 1e-300
-        out[mask] = aq[mask] * (log_a + lq - lp - log_alpha_bar)[mask]
-        return out
-
-    if alpha_bar > 0.0:
-        log_alpha_bar = math.log(alpha_bar)
-        kl_bound = max(0.0, refined_trapezoid(kl_integrand, grid, abs_tol=1e-9))
-        pinsker = math.sqrt(0.5 * kl_bound)
-    else:
-        kl_bound = 0.0
-        pinsker = 0.0
-
-    if tv_numeric > alpha_bar + 1e-9:
-        raise RuntimeError(
-            f"numeric TV {tv_numeric:.3e} exceeds the alpha_bar bound {alpha_bar:.3e}"
-        )
-    if tv_numeric > pinsker + 1e-6:
-        raise RuntimeError(
-            f"numeric TV {tv_numeric:.3e} exceeds the Pinsker bound {pinsker:.3e}"
-        )
-    return DeviationBounds(
-        alpha_bar=alpha_bar,
-        tv_numeric=tv_numeric,
-        kl_bound=kl_bound,
-        pinsker_tv=pinsker,
-    )
+    if tv > alpha_bar + 1e-9:
+        raise RuntimeError(f"TV {tv:.3e} exceeds the alpha_bar bound {alpha_bar:.3e}")
+    if tv > pinsker + 1e-6:
+        raise RuntimeError(f"TV {tv:.3e} exceeds the Pinsker bound {pinsker:.3e}")
+    return DeviationBounds(alpha_bar=alpha_bar, tv=tv, kl_bound=kl_bound, pinsker_tv=pinsker)

@@ -9,10 +9,10 @@ axis):
 
 - ``overlap`` is the closed form beta = 2 Phi(-Delta/2), elementwise; its
   inverse is ``gap_for_overlap``.
-- ``overlap_quadrature`` and ``overlap_monte_carlo`` are independent 1-d
-  references for beta: the unit normals N(0, 1) and N(Delta, 1) stand for
-  the heads, as their coordinate along the gap. The deviation bounds in
-  ``analysis`` integrate on the same line, over ``GridSpec.for_gap``.
+- ``overlap_monte_carlo`` is an independent 1-d reference for beta: the
+  unit normals N(0, 1) and N(Delta, 1) stand for the heads, as their
+  coordinate along the gap. The deviation bounds in ``analysis`` are closed
+  forms on the same line.
 
 A head is a mean and one width: ``GaussianHead`` is the validated (mean,
 variance) pair that the acceptance estimator takes, with one float
@@ -35,12 +35,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -112,64 +109,12 @@ def gap_for_overlap(beta: float) -> float:
     return float(-2.0 * ndtri(beta / 2.0))
 
 
-def _check_gap(delta: float) -> float:
+def check_gap(delta: float) -> float:
+    """The whitened gap as a float; ValueError unless it is finite and >= 0."""
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"whitened gap must be finite and >= 0, got {delta}")
     return delta
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """1-d quadrature grid covering all relevant mass.
-
-    ``for_gap`` covers the unit normals at 0 and Delta, +/- 8 from their
-    means with 2^14 base points; Gaussian tail mass beyond 8 sigma is below
-    1e-15.
-    """
-
-    lo: float
-    hi: float
-    points: int = 2 ** 14
-
-    def __post_init__(self) -> None:
-        if not self.hi > self.lo:
-            raise ValueError("grid upper bound must exceed lower bound")
-        if self.points < 16:
-            raise ValueError("grid needs at least 16 points")
-
-    @classmethod
-    def for_gap(cls, delta: float) -> "GridSpec":
-        return cls(lo=-8.0, hi=_check_gap(delta) + 8.0)
-
-
-_MAX_POINTS = 2 ** 21  # refined_trapezoid stops refining at this many points
-
-
-def refined_trapezoid(fn: Callable[[np.ndarray], np.ndarray], grid: GridSpec, abs_tol: float) -> float:
-    """Trapezoid rule with doubling refinement to the requested tolerance,
-    up to ``_MAX_POINTS`` points."""
-    n = grid.points
-    xs = np.linspace(grid.lo, grid.hi, n)
-    prev = float(np.trapezoid(np.asarray(fn(xs), dtype=np.float64), xs))
-    while n < _MAX_POINTS:
-        n = 2 * n - 1
-        xs = np.linspace(grid.lo, grid.hi, n)
-        cur = float(np.trapezoid(np.asarray(fn(xs), dtype=np.float64), xs))
-        if abs(cur - prev) <= abs_tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def overlap_quadrature(delta: float) -> float:
-    """beta = integral of min(N(0, 1), N(Delta, 1)) by quadrature, to abs error <= 1e-8."""
-    grid = GridSpec.for_gap(delta)
-    # min(p, q) at x is the density of the farther of the two means
-    beta = refined_trapezoid(
-        lambda x: _INV_SQRT_2PI * np.exp(-0.5 * np.maximum(x * x, (x - delta) ** 2)), grid, abs_tol=1e-8
-    )
-    return min(1.0, max(0.0, beta))
 
 
 def overlap_monte_carlo(delta: float, n: int, rng: np.random.Generator):
@@ -179,7 +124,7 @@ def overlap_monte_carlo(delta: float, n: int, rng: np.random.Generator):
     for X = Delta + z; n standard normals are drawn from ``rng``. One draw
     has no standard error: it is NaN at n = 1.
     """
-    delta = _check_gap(delta)
+    delta = check_gap(delta)
     if n < 1:
         raise ValueError("Monte Carlo overlap requires n >= 1")
     z = rng.standard_normal(n)

@@ -1,8 +1,9 @@
 """Statistical validation suites: decode laws vs independent oracles.
 
 Each suite checks one face of the decoder, or of a closed-form predictor,
-against an independent reference (direct sampling, quadrature, closed forms
-or brute-force scans) or against the engine itself: the decode suites run
+against an independent reference (direct sampling, adaptive quadrature by
+``scipy.integrate.quad``, exact normal-CDF masses, closed forms or
+brute-force scans) or against the engine itself: the decode suites run
 ``decode`` on the persistence pair, and the dependence suite on the
 end-to-end system's test windows. No suite runs a twin of an engine kernel.
 Sample sizes are fixed so the tests have enough power to be stable across
@@ -19,15 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as scistats
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import rng as rngmod
 from .analysis import (
+    AcceptanceEstimate,
     block_length_pmf,
     dependence_interval,
     deviation_bounds,
     estimate_alpha,
     expected_block_length,
+    horizon_tv_bound,
     ops_factor,
     select_gamma,
     speedup_wall,
@@ -44,7 +48,6 @@ from .prob import (
     gap_for_overlap,
     overlap,
     overlap_monte_carlo,
-    overlap_quadrature,
     residual_sample,
     whitened_gap,
 )
@@ -128,17 +131,20 @@ def suite_lossless_exactness(seed: int = 0, n: int = 100_000) -> SuiteResult:
 
 
 def _g_bin_masses(edges: np.ndarray, mu_p: float, mu_q: float, sigma: float) -> np.ndarray:
-    """Per-bin mass of g = min(p, q) + (1 - beta) p by fine quadrature."""
-    fine = np.linspace(edges[0], edges[-1], (edges.size - 1) * 64 + 1)
-    pv = np.exp(-0.5 * ((fine - mu_p) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    qv = np.exp(-0.5 * ((fine - mu_q) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
+    """Per-bin mass of g = min(p, q) + (1 - beta) p, exact, as differences of its CDF.
+
+    min(p, q) is the density of the farther mean: the upper mean's normal
+    below the midpoint of the two means and the lower mean's above it.
+    """
+    lo, hi = sorted((mu_p, mu_q))
+    mid = 0.5 * (lo + hi)
     beta = overlap(whitened_gap([mu_p], [mu_q], sigma * sigma))
-    g = np.minimum(pv, qv) + (1.0 - beta) * pv
-    masses = np.empty(edges.size - 1)
-    for b in range(edges.size - 1):
-        seg = slice(b * 64, b * 64 + 65)
-        masses[b] = np.trapezoid(g[seg], fine[seg])
-    return masses
+    cdf = (
+        ndtr((np.minimum(edges, mid) - hi) / sigma)
+        + np.maximum(0.0, ndtr((edges - lo) / sigma) - ndtr((mid - lo) / sigma))
+        + (1.0 - beta) * ndtr((edges - mu_p) / sigma)
+    )
+    return np.diff(cdf)
 
 
 def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> SuiteResult:
@@ -159,7 +165,7 @@ def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> Su
     c.details["n"] = n
     c.check(tv_est <= 0.02, f"histogram TV estimate {tv_est:.4f} above 0.02")
 
-    # Bound grid: numeric TV(g, p) <= alpha_bar across (gap, sigma, lambda).
+    # Bound grid: TV(g, p) <= alpha_bar across (gap, sigma, lambda).
     rng = np.random.Generator(np.random.Philox(key=seed + 17))
     worst = -np.inf
     for _ in range(n_grid):
@@ -167,9 +173,9 @@ def suite_practical_law(seed: int = 0, n: int = 100_000, n_grid: int = 50) -> Su
         g_sigma = rng.uniform(0.3, 2.0)
         g_lam = rng.choice([0.5, 1.0, 2.0])
         bounds = deviation_bounds(whitened_gap([0.0], [g_gap], g_sigma * g_sigma), tolerance_lambda=g_lam)
-        worst = max(worst, bounds.tv_numeric - bounds.alpha_bar)
+        worst = max(worst, bounds.tv - bounds.alpha_bar)
     c.details["max_tv_minus_alpha"] = float(worst)
-    c.check(worst <= 1e-9, f"numeric TV exceeded alpha_bar by {worst:.3e} on the grid")
+    c.check(worst <= 1e-9, f"TV exceeded alpha_bar by {worst:.3e} on the grid")
     return c
 
 
@@ -205,8 +211,20 @@ def suite_capped_geometric(
     return c
 
 
+def _overlap_quad(delta: float) -> float:
+    """beta = integral of min(N(0, 1), N(delta, 1)) by ``quad``, split at the midpoint.
+
+    Mass beyond 12 from both means, below 1e-32, is left out.
+    """
+    def min_pdf(x: float) -> float:
+        # the density of the farther of the two means
+        return math.exp(-0.5 * max(x * x, (x - delta) ** 2)) / math.sqrt(2.0 * math.pi)
+
+    return quad(min_pdf, -12.0, delta + 12.0, points=[0.5 * delta])[0]
+
+
 def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000) -> SuiteResult:
-    """Closed-form overlap vs quadrature and Monte Carlo."""
+    """Closed-form overlap vs adaptive quadrature of min(p, q) and Monte Carlo."""
     c = SuiteResult("overlap")
     rng = np.random.Generator(np.random.Philox(key=seed + 41))
     worst = 0.0
@@ -215,7 +233,7 @@ def suite_overlap(seed: int = 0, n_pairs: int = 50, mc_samples: int = 1_000_000)
         mu_p = rng.uniform(-3.0, 3.0)
         mu_q = mu_p + rng.uniform(-4.0, 4.0) * sigma
         delta = whitened_gap([mu_p], [mu_q], sigma * sigma)
-        worst = max(worst, abs(overlap(delta) - overlap_quadrature(delta)))
+        worst = max(worst, abs(overlap(delta) - _overlap_quad(float(delta))))
     c.details["max_closed_vs_quadrature"] = float(worst)
     c.check(worst <= 1e-6, f"closed form vs quadrature disagree by {worst:.2e}")
 
@@ -486,8 +504,6 @@ def suite_estimator(seed: int = 0, reps: int = 200) -> SuiteResult:
     )
 
     # Pinned radius arithmetic: N=5000, m=1, eps=0.05 -> 2 exp(-25).
-    from .analysis import AcceptanceEstimate
-
     est = AcceptanceEstimate(alpha_bar_hat=0.5, n_histories=5000, mc_per_history=1)
     bound = est.tail_bound(0.05)
     c.details["tail_bound_5000_m1_eps05"] = bound
@@ -499,34 +515,26 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
     """Deviation bound battery: TV/KL/Pinsker, continuity, horizon bound."""
     c = SuiteResult("bounds")
     # Continuity: as the draft mean approaches the target mean, alpha_bar
-    # rises to 1 and the numeric TV(g, p) falls to 0, monotonically.
-    tvs, alphas = [], []
-    for gap in (2.0, 1.0, 0.5, 0.25, 0.0):
-        if gap == 0.0:
-            alphas.append(1.0)
-            tvs.append(0.0)
-            continue
-        b = deviation_bounds(gap)
-        alphas.append(b.alpha_bar)
-        tvs.append(b.tv_numeric)
-    c.details["alphas"] = [float(a) for a in alphas]
-    c.details["tvs"] = [float(t) for t in tvs]
+    # rises to 1 and TV(g, p) falls to 0, monotonically.
+    bounds = [deviation_bounds(gap) for gap in (2.0, 1.0, 0.5, 0.25, 0.0)]
+    alphas = [b.alpha_bar for b in bounds]
+    tvs = [b.tv for b in bounds]
+    c.details["alphas"] = alphas
+    c.details["tvs"] = tvs
     c.check(all(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])), "alpha_bar not increasing")
-    c.check(all(t2 <= t1 for t1, t2 in zip(tvs, tvs[1:])), "numeric TV not decreasing")
+    c.check(all(t2 <= t1 for t1, t2 in zip(tvs, tvs[1:])), "TV not decreasing")
 
-    # Far-apart heads: both alpha_bar and the numeric TV collapse.
+    # Far-apart heads: both alpha_bar and the TV collapse.
     far = deviation_bounds(10.0)
     c.details["far_alpha"] = far.alpha_bar
-    c.details["far_tv"] = far.tv_numeric
-    c.check(far.alpha_bar <= 1e-6 and far.tv_numeric <= 1e-6, "far-apart deviation not collapsing")
+    c.details["far_tv"] = far.tv
+    c.check(far.alpha_bar <= 1e-6 and far.tv <= 1e-6, "far-apart deviation not collapsing")
 
     # Horizon bound: product form below sum form on random delta lists.
     rng = np.random.Generator(np.random.Philox(key=seed + 131))
     ok = True
     for _ in range(200):
         deltas = rng.uniform(0.0, 0.5, rng.integers(1, 12))
-        from .analysis import horizon_tv_bound
-
         hb = horizon_tv_bound(deltas)
         ok &= hb.bound <= hb.sum_bound + 1e-12
     c.check(ok, "product-form horizon bound exceeded the sum form")

@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats as scistats
+from scipy.integrate import quad
 
 from speccast import rng as rngmod
 from speccast.analysis import (
     AcceptanceEstimate,
     CostModel,
+    DeviationBounds,
     block_length_pmf,
     dependence_interval,
     deviation_bounds,
@@ -23,7 +25,7 @@ from speccast.analysis import (
     select_gamma,
     speedup_wall,
 )
-from speccast.prob import GaussianHead, GridSpec, overlap, overlap_monte_carlo, refined_trapezoid, whitened_gap
+from speccast.prob import GaussianHead, overlap, overlap_monte_carlo, whitened_gap
 
 
 class TestBlockLengthPmf:
@@ -353,23 +355,42 @@ class TestEstimateAlpha:
             estimate_alpha([])
 
 
-class TestDeviationBounds:
-    def test_identical_heads(self):
-        b = deviation_bounds(0.0)
-        assert b.alpha_bar == pytest.approx(1.0, abs=1e-9)
-        assert b.tv_numeric == pytest.approx(0.0, abs=1e-9)
+def quad_deviation(delta, lam):
+    """(alpha_bar, TV, KL bound) of the fallback law by adaptive quadrature on the gap line.
 
+    p = N(0, 1) and q = N(delta, 1). Every integral is split at 0, delta,
+    x0, x* and the means +/- 12, beyond which the mass is below 1e-32.
+    """
+    log_norm = 0.5 * math.log(2.0 * math.pi)
+    x_star = 0.5 * delta + math.log(lam) / delta
+
+    def log_a(x):  # log min(q, lambda p), the accepted density
+        return min(-0.5 * (x - delta) ** 2, math.log(lam) - 0.5 * x * x) - log_norm
+
+    def integrate(f, *cuts):
+        lo, hi = -12.0, delta + 12.0
+        points = sorted(x for x in {lo, hi, 0.0, delta, x_star, 12.0, delta - 12.0, *cuts} if lo <= x <= hi)
+        return sum(quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a, b in zip(points, points[1:]))
+
+    alpha_bar = integrate(lambda x: math.exp(log_a(x)))
+    x0 = 0.5 * delta + math.log(alpha_bar) / delta
+    tv = 0.5 * integrate(lambda x: abs(math.exp(log_a(x)) - alpha_bar * math.exp(-0.5 * x * x - log_norm)), x0)
+    kl = integrate(lambda x: math.exp(log_a(x)) * (log_a(x) + 0.5 * x * x + log_norm - math.log(alpha_bar)), x0)
+    return alpha_bar, tv, kl
+
+
+class TestDeviationBounds:
     def test_unit_gap_bound(self):
         b = deviation_bounds(1.0)
         assert b.alpha_bar == pytest.approx(overlap(1.0), abs=1e-7)
-        assert b.tv_numeric <= b.alpha_bar
-        assert b.tv_numeric <= b.pinsker_tv + 1e-6
+        assert b.tv <= b.alpha_bar
+        assert b.tv <= b.pinsker_tv + 1e-6
         assert b.kl_bound >= 0.0
 
     def test_far_heads_both_collapse(self):
         b = deviation_bounds(10.0)
         assert b.alpha_bar <= 1e-6
-        assert b.tv_numeric <= 1e-6
+        assert b.tv <= 1e-6
 
     @pytest.mark.parametrize("gap", [10.0, 20.0, 30.0])
     def test_far_heads_keep_finite_kl_and_pinsker(self, gap):
@@ -380,33 +401,39 @@ class TestDeviationBounds:
                 b = deviation_bounds(gap, tolerance_lambda=lam)
             assert b.alpha_bar > 0.0
             assert math.isfinite(b.kl_bound) and math.isfinite(b.pinsker_tv)
-            assert b.tv_numeric <= b.pinsker_tv
+            assert b.tv <= b.pinsker_tv
 
-    @pytest.mark.parametrize("gap", [0.5, 1.0, 2.0, 3.0, 4.0])
-    def test_kl_matches_the_linear_domain_ratio_near_p(self, gap):
-        # where alpha_bar p does not underflow, log(alpha q) - log(alpha_bar p)
-        # in the linear domain gives the same bound to 1e-12 relative
-        for lam in (0.5, 1.0, 2.0):
-            b = deviation_bounds(gap, tolerance_lambda=lam)
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    def test_closed_forms_match_adaptive_quadrature(self, lam):
+        for delta in np.linspace(1e-3, 8.0, 40):
+            b = deviation_bounds(delta, tolerance_lambda=lam)
+            np.testing.assert_allclose([b.alpha_bar, b.tv, b.kl_bound], quad_deviation(delta, lam), rtol=0, atol=1e-12)
+            assert b.pinsker_tv == math.sqrt(0.5 * b.kl_bound)
+            assert b.tv <= b.pinsker_tv
 
-            def integrand(x):
-                lr = scistats.norm.logpdf(x) - scistats.norm.logpdf(x, loc=gap)
-                aq = np.exp(np.minimum(0.0, lr + math.log(lam))) * scistats.norm.pdf(x, loc=gap)
-                ref = b.alpha_bar * scistats.norm.pdf(x)
-                out = np.zeros_like(aq)
-                mask = aq > 1e-300
-                out[mask] = aq[mask] * (np.log(aq[mask]) - np.log(ref[mask]))
-                return out
+    @pytest.mark.parametrize("delta", [0.0, 1e-300, 1e-12, 40.0, 1e3, 1e300])
+    def test_extreme_gaps_are_finite_and_quiet(self, delta):
+        for lam in (0.5, 1.0, 1.7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                b = deviation_bounds(delta, tolerance_lambda=lam)
+            assert all(math.isfinite(v) and v >= 0.0 for v in dataclasses.astuple(b))
+            assert b.tv <= b.alpha_bar <= min(1.0, lam)
+            if delta == 0.0:
+                assert b == DeviationBounds(alpha_bar=min(1.0, lam), tv=0.0, kl_bound=0.0, pinsker_tv=0.0)
+            if delta >= 1e3:
+                assert b == DeviationBounds(alpha_bar=0.0, tv=0.0, kl_bound=0.0, pinsker_tv=0.0)
 
-            kl = max(0.0, refined_trapezoid(integrand, GridSpec.for_gap(gap), abs_tol=1e-9))
-            assert b.kl_bound == pytest.approx(kl, rel=1e-12, abs=0.0)
-            assert b.pinsker_tv == pytest.approx(math.sqrt(0.5 * kl), rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+    def test_refuses_a_tolerance_that_is_not_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="tolerance_lambda must be finite and > 0, got"):
+            deviation_bounds(1.0, tolerance_lambda=lam)
 
     def test_tolerance_relaxation_raises_alpha(self):
         strict = deviation_bounds(1.0, tolerance_lambda=1.0)
         relaxed = deviation_bounds(1.0, tolerance_lambda=4.0)
         assert relaxed.alpha_bar > strict.alpha_bar
-        assert relaxed.tv_numeric <= relaxed.alpha_bar
+        assert relaxed.tv <= relaxed.alpha_bar
 
     def test_two_dim_heads_match_their_gap_projection(self):
         # Heads in d = 2, apart along a diagonal: TV(g, p) and alpha_bar by
@@ -421,14 +448,14 @@ class TestDeviationBounds:
         q = scistats.norm.pdf(x, mu_q[0], sigma) * scistats.norm.pdf(y, mu_q[1], sigma)
         for lam in (0.5, 1.0, 2.0):
             b = deviation_bounds(delta, tolerance_lambda=lam)
-            assert all(math.isfinite(v) for v in (b.tv_numeric, b.kl_bound, b.pinsker_tv))
-            assert b.tv_numeric <= b.alpha_bar
+            assert all(math.isfinite(v) for v in (b.tv, b.kl_bound, b.pinsker_tv))
+            assert b.tv <= b.alpha_bar
             alpha_q = np.minimum(q, lam * p)
             alpha_bar = np.trapezoid(np.trapezoid(alpha_q, axis), axis)
             tv = 0.5 * np.trapezoid(np.trapezoid(np.abs(alpha_q - alpha_bar * p), axis), axis)
             # the plane's trapezoid rule, across the kink of min(q, lambda p)
             assert alpha_bar == pytest.approx(b.alpha_bar, abs=1e-5)
-            assert tv == pytest.approx(b.tv_numeric, abs=1e-5)
+            assert tv == pytest.approx(b.tv, abs=1e-5)
 
     @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf])
     def test_refuses_a_gap_that_is_not_finite_and_nonnegative(self, delta):

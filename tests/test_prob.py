@@ -20,7 +20,6 @@ from speccast.prob import (
     gap_for_overlap,
     overlap,
     overlap_monte_carlo,
-    overlap_quadrature,
     residual_sample,
     whitened_gap,
 )
@@ -245,14 +244,15 @@ class TestOverlap:
         assert whitened_gap(mu_p, mu_q, 0.7).tolist() == whitened_gap(mu_p, mu_q, np.full(5, 0.7)).tolist()
         assert overlap(batched).tolist() == [float(overlap(g)) for g in batched]
 
-    def test_quadrature_matches_closed_form(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            sigma = rng.uniform(0.1, 5.0)
-            mu = rng.normal()
-            gap = rng.uniform(-4, 4) * sigma
-            delta = whitened_gap([mu], [mu + gap], sigma * sigma)
-            assert overlap_quadrature(delta) == pytest.approx(overlap(delta), abs=1e-6)
+    def test_closed_form_matches_adaptive_quadrature(self):
+        # beta is the mass of min(p, q), whose kink sits at the midpoint
+        for delta in np.linspace(0.0, 8.0, 33):
+            def min_pdf(x):
+                return math.exp(-0.5 * max(x * x, (x - delta) ** 2)) / math.sqrt(2.0 * math.pi)
+
+            halves = ((-np.inf, 0.5 * delta), (0.5 * delta, np.inf))
+            beta = sum(quad(min_pdf, lo, hi, epsabs=1e-15)[0] for lo, hi in halves)
+            assert overlap(delta) == pytest.approx(beta, rel=0, abs=1e-12)
 
     def test_monte_carlo_within_3se(self):
         beta, std_error = overlap_monte_carlo(1.0, 1_000_000, rngmod.stream(99))
@@ -261,8 +261,6 @@ class TestOverlap:
 
     @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
     def test_gap_laws_refuse_a_gap_that_is_not_finite_and_nonnegative(self, delta):
-        with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
-            overlap_quadrature(delta)
         with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
             overlap_monte_carlo(delta, 10, rngmod.stream(1))
 

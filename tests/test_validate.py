@@ -1,9 +1,15 @@
-"""The fast statistical suites, the dependence suite on engine decodes, and a mutant it must catch."""
+"""The fast statistical suites, their exact references, the dependence suite, and a mutant it must catch."""
 
+import math
+
+import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from speccast import kernels
-from speccast.validate import run_suites, suite_dependence
+from speccast.prob import overlap
+from speccast.validate import _g_bin_masses, run_suites, suite_dependence
 
 
 @pytest.mark.parametrize(
@@ -13,6 +19,24 @@ def test_fast_suite_passes_at_its_defaults(name):
     ((result, _),) = run_suites([name], seed=0)
     assert result.name == name
     assert result.passed, result.failures
+
+
+def test_practical_law_bin_masses_are_exact():
+    # the practical-law suite's bins: p = N(0, 1), q = N(1, 1), edges at the means -/+ 8
+    edges = np.linspace(-8.0, 9.0, 65)
+    masses = _g_bin_masses(edges, 0.0, 1.0, 1.0)
+    beta = float(overlap(1.0))
+    # min(p, q) is q below the midpoint 0.5 and p above it
+    edge_mass = ndtr(-0.5) - ndtr(-9.0) + ndtr(9.0) - ndtr(0.5) + (1.0 - beta) * (ndtr(9.0) - ndtr(-8.0))
+    assert abs(masses.sum() - edge_mass) <= 1e-15
+
+    def g(x):
+        p, q = math.exp(-0.5 * x * x), math.exp(-0.5 * (x - 1.0) ** 2)
+        return (min(p, q) + (1.0 - beta) * p) / math.sqrt(2.0 * math.pi)
+
+    # 0.5 is an edge, so no bin straddles the kink of min(p, q)
+    per_bin = [quad(g, lo, hi, epsabs=1e-15)[0] for lo, hi in zip(edges, edges[1:])]
+    np.testing.assert_allclose(masses, per_bin, rtol=0, atol=1e-12)
 
 
 def test_dependence_suite_passes():

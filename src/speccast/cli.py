@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 validation or calibration failure, 2 usage or data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -116,7 +117,7 @@ def cmd_fit(args) -> int:
     series = PatchSeries.from_values(data.load(), args.patch_len)
     model = fit_linear_ar(series, args.lookback, args.ridge, scale=args.scale)
     if args.sigma is not None:
-        model = model.with_knobs(sigma=args.sigma)
+        model = dataclasses.replace(model, sigma=args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
@@ -154,7 +155,7 @@ def cmd_decode(args) -> int:
     if args.bias is not None:
         if draft is None:
             raise ValueError("--bias requires --draft")
-        draft = draft.with_knobs(mean_bias=args.bias)
+        draft = dataclasses.replace(draft, mean_bias=args.bias)
     data = _data_spec(args)
     values = data.load()
     if target.norm_stats is None:

@@ -413,7 +413,8 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
     # One biased copy of each draft, shared by its acceptance estimate and
     # every decode that uses it.
     biased = {
-        (scale, bias): drafts[scale].with_knobs(mean_bias=bias) for scale in spec.scales for bias in spec.biases
+        (scale, bias): dataclasses.replace(drafts[scale], mean_bias=float(bias))
+        for scale in spec.scales for bias in spec.biases
     }
     # The held-out means do not depend on sigma: each model predicts them
     # once, and only the (p, q) heads are built per sigma.

@@ -7,6 +7,8 @@ map of the lookback window (``linear_ar``) and the last patch
 reduced-capacity ridge refit of the same data: ``scale`` < 1 truncates the
 lookback window, which keeps the essential draft property (cheaper per
 pass, approximately aligned mean) without a separate training pipeline.
+A linear model holds its weights once, as the frozen operand of its mean
+products (see ``ForecastModel``), and no caller array can change a model.
 ``History`` is the read-only context a decode session starts from,
 left-padded when its source is short. It views its source's recent
 patches where nothing can write them: a float64 source of at least
@@ -18,7 +20,6 @@ some writable array still reaches could change under a decode.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -110,6 +111,22 @@ def _is_frozen(array: np.ndarray) -> bool:
     return array is None
 
 
+def _frozen_copy(array: np.ndarray) -> np.ndarray:
+    """A frozen, C-ordered float64 copy of ``array`` that starts on a cache line.
+
+    The mean products stream the weights operand: one that straddles cache
+    lines (malloc aligns to 16 bytes) made the step about 1.5x slower.
+    """
+    nbytes = array.size * np.dtype(np.float64).itemsize
+    raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % _CACHE_LINE
+    copy = raw[start : start + nbytes].view(np.float64).reshape(array.shape)
+    copy[...] = array
+    copy.flags.writeable = False
+    raw.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class ForecastModel:
     """Point forecaster plus isotropic Gaussian head of width sigma.
@@ -121,6 +138,14 @@ class ForecastModel:
     is built, so a bad one never reaches a decode: a ValueError names the
     weights, intercept or mean patch when its shape is wrong or it holds
     NaN or inf.
+
+    The weights live in one array, the read-only, C-ordered (lookback*d, d)
+    operand of the mean products, starting on a cache line; ``weights`` is
+    its F-ordered transpose. Weights whose transpose is already such an
+    operand (frozen, see ``_is_frozen``) are kept, as are a frozen float64
+    intercept and mean patch; any others are copied once, here. So the
+    fit's own operand and ``dataclasses.replace`` copies share one array,
+    and a model built from caller arrays never sees them change.
     """
 
     kind: str
@@ -132,11 +157,8 @@ class ForecastModel:
     mean_bias: float = 0.0
     mean_patch: np.ndarray | None = None  # pad patch for short histories
     norm_stats: NormStats | None = None
-    # (lookback*d, d) C-ordered copy of ``weights`` for the mean products,
-    # built on first use by ``mean_weights()`` and handed on by
-    # ``with_knobs``. The products read the field and call the method only
-    # while it is None, which saves a method call on every step.
-    _mean_weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # weights.T, held so that a mean product does not make the view per call
+    _operand: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_PERSISTENCE):
@@ -153,12 +175,22 @@ class ForecastModel:
                 raise ValueError(f"weights shape {self.weights.shape} != {expected}")
         for name in ("intercept", "mean_patch"):
             value = getattr(self, name)
-            if value is not None and value.shape != (self.patch_len,):
-                raise ValueError(f"{name} shape {value.shape} != {(self.patch_len,)}")
+            if value is not None:
+                if value.shape != (self.patch_len,):
+                    raise ValueError(f"{name} shape {value.shape} != {(self.patch_len,)}")
+                if not (value.dtype == np.float64 and _is_frozen(value)):
+                    object.__setattr__(self, name, _frozen_copy(value))
         for name in ("weights", "intercept", "mean_patch"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
+        if self.weights is not None:
+            operand = self.weights.T
+            aligned = operand.flags.c_contiguous and operand.ctypes.data % _CACHE_LINE == 0
+            if not (aligned and operand.dtype == np.float64 and _is_frozen(operand)):
+                operand = _frozen_copy(operand)
+                object.__setattr__(self, "weights", operand.T)
+            object.__setattr__(self, "_operand", operand)
 
     @property
     def d(self) -> int:
@@ -169,47 +201,6 @@ class ForecastModel:
         if self.kind == KIND_LINEAR:
             return self.weights.size + self.intercept.size
         return 0
-
-    def with_knobs(self, sigma: float | None = None, mean_bias: float | None = None) -> "ForecastModel":
-        changes = {}
-        if sigma is not None:
-            changes["sigma"] = float(sigma)
-        if mean_bias is not None:
-            changes["mean_bias"] = float(mean_bias)
-        if not changes:
-            return self
-        model = dataclasses.replace(self, **changes)
-        if self.kind == KIND_LINEAR:
-            # Same weights array, so the same copy: build it once here
-            # rather than once per copy.
-            object.__setattr__(model, "_mean_weights", self.mean_weights())
-        return model
-
-    def mean_weights(self) -> np.ndarray:
-        """The read-only (lookback*d, d) C-ordered copy of ``weights``.
-
-        Both mean products multiply by it. With this right operand the
-        (B, k*d) x (k*d, d) verify product of a few windows runs in about
-        the time of one single-window step, where the F-ordered view
-        ``weights.T`` takes markedly longer. ``mean_one`` uses it too, so a
-        process that runs the step and the verify keeps one copy of the
-        weights hot in cache, not two. ``weights`` stays the fitted
-        parameter that is saved and counted. Built once per model and
-        shared by its ``with_knobs`` copies; ``dataclasses.replace`` with
-        new weights starts without one.
-        """
-        w = self._mean_weights
-        if w is None:
-            # Start the copy on a cache line: the step streams it, and a
-            # copy that straddles cache lines (malloc aligns to 16 bytes)
-            # made the step about 1.5x slower.
-            raw = np.empty(self.weights.nbytes + _CACHE_LINE, dtype=np.uint8)
-            start = -raw.ctypes.data % _CACHE_LINE
-            w = raw[start : start + self.weights.nbytes].view(np.float64).reshape(self.weights.T.shape)
-            w[...] = self.weights.T
-            w.flags.writeable = False
-            object.__setattr__(self, "_mean_weights", w)
-        return w
 
     def pad_patch(self) -> np.ndarray:
         return self.mean_patch if self.mean_patch is not None else np.zeros(self.d)
@@ -250,10 +241,7 @@ class ForecastModel:
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
-            w = self._mean_weights
-            if w is None:
-                w = self.mean_weights()
-            means = flat.dot(w, out=out)
+            means = flat.dot(self._operand, out=out)
             means += self.intercept
         if self.mean_bias > 0.0:
             means[:, 0] += self.mean_bias
@@ -275,10 +263,7 @@ class ForecastModel:
                 out[:] = recent[-1]
                 mean = out
         else:
-            w = self._mean_weights
-            if w is None:
-                w = self.mean_weights()
-            mean = recent.reshape(-1).dot(w, out=out)
+            mean = recent.reshape(-1).dot(self._operand, out=out)
             mean += self.intercept
         if self.mean_bias > 0.0:
             mean[0] += self.mean_bias
@@ -474,7 +459,8 @@ def fit_linear_ar(
     triangle of the Gram matrix in rectangular full packed (RFP) storage,
     through strided views of the two halves' block diagonals. LAPACK's
     ``dpftrf`` factors that array in place with level-3 BLAS and
-    ``dpftrs`` solves for the weights. Where every patch is the same, the
+    ``dpftrs`` solves for the (k*d, d) weights, copied once into the model's
+    operand after the factor is freed. Where every patch is the same, the
     centred patches are a residue of a few ulps whose products and sums are
     exact, so the Gram matrix is exactly zero and ``ridge = 0`` fails as
     singular. The residuals for sigma come from the structured prediction
@@ -514,12 +500,13 @@ def fit_linear_ar(
                 "singular normal equations with ridge = 0; refit with ridge > 0"
             )
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    solution, _ = dpftrs(kd, factor, rhs, uplo="L", overwrite_b=True)
-    w = solution.T  # (d, k*d), C-ordered
-    intercept = y_mean - w @ x_mean
+    solution, _ = dpftrs(kd, factor, rhs, uplo="L", overwrite_b=True)  # (k*d, d), F-ordered
+    del packed, factor  # freed before the operand is made
+    operand = _frozen_copy(solution)
+    intercept = y_mean - solution.T @ x_mean
 
     # w_lags[a] = W_a^T, which weighs the patch at offset a
-    w_lags = np.ascontiguousarray(w.reshape(d, k, d).transpose(1, 2, 0))
+    w_lags = operand.reshape(k, d, d)
     resid = np.empty((_FIT_ROW_BLOCK, d))
     term = np.empty((_FIT_ROW_BLOCK, d))
     sq_sum = 0.0
@@ -533,14 +520,12 @@ def fit_linear_ar(
                 r -= t
             sq_sum += float(np.vdot(r, r))
     sigma = math.sqrt(sq_sum / (rows * d))
-    w.flags.writeable = False
-    intercept.flags.writeable = False
     return ForecastModel(
         kind=KIND_LINEAR,
         patch_len=d,
         lookback=k,
         sigma=max(sigma, 1e-6),
-        weights=w,
+        weights=operand.T,
         intercept=intercept,
         mean_patch=mu,
         norm_stats=train.norm_stats,

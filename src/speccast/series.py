@@ -157,10 +157,6 @@ class PatchSeries:
     def channel_patches(self, channel: int) -> np.ndarray:
         return self.patches[channel]
 
-    def mean_patch(self) -> np.ndarray:
-        """Average patch across channels and positions (left-pad value)."""
-        return self.patches.reshape(-1, self.patch_len).mean(axis=0)
-
 
 def chronological_split(
     values: np.ndarray, fractions: tuple[float, float, float]

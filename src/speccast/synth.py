@@ -74,7 +74,18 @@ class SyntheticSpec:
             raise ValueError(f"seed must be in [0, 2**128), the range of a Philox key, got {self.seed}")
 
     def generate(self) -> np.ndarray:
-        return seasonal_ar(**self.to_dict())  # the fields are seasonal_ar's parameters
+        """The (n_channels, n_steps) series, one independent profile per channel."""
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        out = np.empty((self.n_channels, self.n_steps))
+        for ch in range(self.n_channels):
+            prof = seasonal_profile(self.season_len, self.season_amp, self.n_harmonics, rng)
+            season = np.tile(prof, self.n_steps // self.season_len + 1)[: self.n_steps]
+            innov = rng.standard_normal(self.n_steps) * self.ar_std
+            x = season + _ar1_recursion(innov, self.ar_coeff)
+            if self.obs_noise > 0:
+                x = x + rng.standard_normal(self.n_steps) * self.obs_noise
+            out[ch] = x
+        return out
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -111,28 +122,3 @@ def _ar1_recursion(innov: np.ndarray, phi: float) -> np.ndarray:
     z[0] = innov[0] / np.sqrt(max(1.0 - phi ** 2, 1e-9))
     z[1:] = lfilter([1.0], [1.0, -phi], innov[1:], zi=[phi * z[0]])[0]
     return z
-
-
-def seasonal_ar(
-    n_steps: int,
-    n_channels: int = 2,
-    season_len: int = 256,
-    season_amp: float = 1.0,
-    ar_coeff: float = 0.9,
-    ar_std: float = 0.25,
-    obs_noise: float = 0.0,
-    seed: int = 0,
-    n_harmonics: int = 3,
-) -> np.ndarray:
-    """Seasonal + AR(1) series, one independent profile per channel."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty((n_channels, n_steps))
-    for ch in range(n_channels):
-        prof = seasonal_profile(season_len, season_amp, n_harmonics, rng)
-        season = np.tile(prof, n_steps // season_len + 1)[:n_steps]
-        innov = rng.standard_normal(n_steps) * ar_std
-        x = season + _ar1_recursion(innov, ar_coeff)
-        if obs_noise > 0:
-            x = x + rng.standard_normal(n_steps) * obs_noise
-        out[ch] = x
-    return out

@@ -411,6 +411,16 @@ class TestDeviationBounds:
             assert b.pinsker_tv == math.sqrt(0.5 * b.kl_bound)
             assert b.tv <= b.pinsker_tv
 
+    def test_small_gaps_keep_the_kl_bound_relative(self):
+        # at lambda = 1 the KL bound is (pi - 1) delta^2 / (4 pi) to leading
+        # order; a ln alpha_bar good to 1e-16 absolute rounds it to 0 at 1e-9
+        for delta in np.geomspace(1e-9, 1e-6, 13):
+            b = deviation_bounds(delta)
+            assert b.kl_bound == pytest.approx((math.pi - 1.0) * delta * delta / (4.0 * math.pi), rel=1e-6, abs=0)
+        for delta in (1e-12, 1e-9, 1e-6, 1e-3):
+            b = deviation_bounds(delta)
+            assert 0.0 < b.tv <= b.pinsker_tv
+
     @pytest.mark.parametrize("delta", [0.0, 1e-300, 1e-12, 40.0, 1e3, 1e300])
     def test_extreme_gaps_are_finite_and_quiet(self, delta):
         for lam in (0.5, 1.0, 1.7):

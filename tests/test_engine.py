@@ -384,7 +384,7 @@ class TestConfigValidation:
                 with pytest.raises(ValueError, match="shared-variance") as exc:
                     decode(target, draft, h0, cfg)
                 assert "allow" not in str(exc.value)
-            unequal_models = (target, draft.with_knobs(sigma=0.5), h0)
+            unequal_models = (target, dataclasses.replace(draft, sigma=0.5), h0)
             with pytest.raises(ValueError, match=r"got 1\.0 vs 0\.5"):
                 decode(*unequal_models, DecodeConfig(variant=variant, horizon_patches=4, seed=0))
         # the baselines have one model and take their own sigma
@@ -467,9 +467,9 @@ class TestDraftBias:
     @pytest.mark.parametrize("bias", [-0.5, -3.0, float("nan")])
     def test_negative_bias_rejected_on_every_path(self, bias, tmp_path):
         target, draft, h0 = _linear_pair()
-        # the harness and the CLI bias a draft via with_knobs, once per draft
+        # the harness and the CLI bias a draft via dataclasses.replace, once per draft
         with pytest.raises(ValueError, match="mean_bias"):
-            draft.with_knobs(mean_bias=bias)
+            dataclasses.replace(draft, mean_bias=bias)
         with pytest.raises(ValueError, match="mean_bias"):
             persistence_model(patch_len=1, mean_bias=bias)
         path = tmp_path / "draft.json"
@@ -493,11 +493,11 @@ class TestDraftBias:
         # harness estimator: batched means of the biased draft
         stack = h0.window()[None]
         np.testing.assert_allclose(
-            draft.with_knobs(mean_bias=bias).predict_means(stack),
+            dataclasses.replace(draft, mean_bias=bias).predict_means(stack),
             draft.predict_means(stack) + shift, rtol=0, atol=1e-12,
         )
         # draft_only decode: the first patch is the draft mean plus noise
-        biased = draft.with_knobs(mean_bias=bias)
+        biased = dataclasses.replace(draft, mean_bias=bias)
         cfg = cfg_for("draft_only", horizon=1, seed=3)
         f0, _ = decode(target, draft, h0, cfg)
         f1, _ = decode(target, biased, h0, cfg)
@@ -513,7 +513,8 @@ class TestDraftBias:
 
     def test_far_biased_draft_is_always_rejected(self):
         target, draft, h0 = make_pair(gap=0.0)
-        _, trace = decode(target, draft.with_knobs(mean_bias=20.0), h0, cfg_for("practical", horizon=60, seed=4))
+        biased = dataclasses.replace(draft, mean_bias=20.0)
+        _, trace = decode(target, biased, h0, cfg_for("practical", horizon=60, seed=4))
         assert trace.round_lengths().mean() < 1.1
 
 
@@ -720,15 +721,15 @@ def _reference_pair(kind, sigma=0.4):
     """(target, draft, h0) of one model kind; h0 holds more than k_max patches."""
     series = PatchSeries.from_values(ar1(4096, phi=0.9, seed=5), patch_len=4)
     if kind == "linear_ar":
-        target = fit_linear_ar(series, lookback=4, ridge=1e-3).with_knobs(sigma=sigma)
-        draft = fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5).with_knobs(sigma=sigma)
+        target = dataclasses.replace(fit_linear_ar(series, lookback=4, ridge=1e-3), sigma=sigma)
+        draft = dataclasses.replace(fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5), sigma=sigma)
     elif kind == "persistence":
         target = persistence_model(patch_len=4, sigma=sigma)
         draft = persistence_model(patch_len=4, sigma=sigma, mean_bias=0.2)
     else:
         target = oracle_ar1(patch_len=4, phi=0.9, sigma=sigma)
         # the draft sees more history than the target (k_d = 2 > k_t = 1)
-        draft = fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5).with_knobs(sigma=sigma)
+        draft = dataclasses.replace(fit_linear_ar(series, lookback=4, ridge=1e-3, scale=0.5), sigma=sigma)
     h0 = History.from_patches(series.channel_patches(0)[:9], 6, target.pad_patch())
     return target, draft, h0
 
@@ -783,7 +784,7 @@ class TestReferenceLoop:
         sources = set()
         for conf in _REFERENCE_CONFIGS:
             conf = {"sigma_target": 0.4, "sigma_draft": 0.4, **conf}
-            conf_draft = draft.with_knobs(mean_bias=conf.pop("mean_bias", None))
+            conf_draft = dataclasses.replace(draft, mean_bias=conf.pop("mean_bias", draft.mean_bias))
             for seed in (0, 7, 123):
                 if variant == "lossless" and conf.get("tolerance_lambda", 1.0) != 1.0:
                     with pytest.raises(ValueError, match="lossless decoding requires tolerance_lambda == 1"):
@@ -1067,7 +1068,7 @@ class TestSessionPlans:
         for variant in ("practical", "lossless", "target_only"):
             cfg = DecodeConfig(variant=variant, horizon_patches=7, seed=0, gamma=2)
             for i in range(3 * engine._PLANS):
-                model = base.with_knobs(sigma=0.2 + 0.01 * i)
+                model = dataclasses.replace(base, sigma=0.2 + 0.01 * i)
                 draft = None if variant == "target_only" else model
                 forecast, trace = decode(model, draft, h0, cfg.with_seed(i))
                 ref_forecast, ref_rounds, _, _ = _reference_decode(model, draft, h0, cfg.with_seed(i))

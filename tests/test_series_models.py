@@ -209,7 +209,7 @@ class TestFitLinearAr:
         assert np.max(np.abs(model.weights)) < 1e-6
         window = series.channel_patches(0)[:2]
         pred = model.predict_means(window[None])[0]
-        np.testing.assert_allclose(pred, series.mean_patch(), atol=1e-4)
+        np.testing.assert_allclose(pred, series.patches.reshape(-1, 16).mean(axis=0), atol=1e-4)
 
     def test_scale_truncates_lookback(self):
         assert effective_lookback(8, 0.25) == 2
@@ -375,9 +375,10 @@ class TestWindowSumFit:
     def test_weights_and_intercept_are_frozen(self):
         series = PatchSeries.from_values(ar1(2048, n_channels=2, phi=0.7, seed=6), patch_len=4)
         model = fit_linear_ar(series, lookback=4, ridge=1e-3)
-        assert model.weights.flags.c_contiguous
-        assert not model.weights.flags.writeable
-        assert not model.intercept.flags.writeable
+        # weights is the transpose of the C-ordered operand of the products
+        assert model.weights.T.flags.c_contiguous
+        for array in (model.weights, model.intercept, model.mean_patch):
+            assert models._is_frozen(array)
         assert model.weights.shape == (4, 16) and model.intercept.shape == (4,)
 
     @pytest.mark.parametrize("n_patches", [163, 2366])
@@ -586,7 +587,7 @@ class TestMeanWeights:
             model = self._random_model(rng, patch_len, lookback)
         else:
             model = persistence_model(patch_len=patch_len, sigma=1.0)
-        model = model.with_knobs(mean_bias=bias)
+        model = dataclasses.replace(model, mean_bias=bias)
         buf = rng.normal(size=(lookback + 4, patch_len))
         overlapping = np.lib.stride_tricks.sliding_window_view(buf, lookback, axis=0).transpose(0, 2, 1)
         sentinel = 12345.0
@@ -610,7 +611,7 @@ class TestMeanWeights:
         rng = np.random.default_rng(lookback)
         patch_len = 32
         model = self._random_model(rng, patch_len, lookback)
-        stacked = model.mean_weights()
+        stacked = model.weights.T
         buf = rng.normal(size=(lookback + 3, patch_len))
         windows = np.lib.stride_tricks.sliding_window_view(buf, lookback, axis=0).transpose(0, 2, 1)
         flat = np.stack([w.reshape(-1) for w in windows])
@@ -634,22 +635,80 @@ class TestMeanWeights:
         with pytest.raises(ValueError):
             model.mean_batch(windows, out=np.empty((2, 6))[:, ::2])
 
-    def test_copy_is_read_only_and_shared(self):
+    def test_weights_are_the_frozen_aligned_operand(self):
         rng = np.random.default_rng(5)
         model = self._random_model(rng, 3, 8)
-        # a copy made before the first product still shares the one copy
-        early = model.with_knobs(sigma=0.5)
-        stacked = model.mean_weights()
-        assert stacked.shape == (24, 3) and stacked.flags.c_contiguous
-        assert not stacked.flags.writeable and not np.shares_memory(stacked, model.weights)
-        assert np.array_equal(stacked, model.weights.T)
-        assert model.mean_weights() is stacked
-        for copy in (early, model.with_knobs(mean_bias=0.2), early.with_knobs(sigma=2.0, mean_bias=1.0)):
-            assert copy.mean_weights() is stacked
-        # new weights get their own copy
+        operand = model._operand
+        assert operand.shape == (24, 3) and operand.flags.c_contiguous
+        assert operand.ctypes.data % models._CACHE_LINE == 0
+        assert models._is_frozen(operand) and models._is_frozen(model.weights)
+        assert model.weights.shape == (3, 24) and np.shares_memory(model.weights, operand)
+        assert model.weights.T.tobytes() == operand.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0, 0] = 1.0
+
+    def test_caller_arrays_cannot_change_the_model(self):
+        weights, intercept = np.ones((2, 4)), np.zeros(2)
+        model = models.ForecastModel(
+            kind=models.KIND_LINEAR, patch_len=2, lookback=2, sigma=1.0, weights=weights, intercept=intercept,
+        )
+        window = np.ones((2, 2))
+        assert model.mean_one(window).tolist() == [4.0, 4.0]
+        weights[:] = 0.0
+        intercept[:] = 5.0
+        assert model.mean_one(window).tolist() == [4.0, 4.0]
+        assert model.mean_batch(window[None]).tolist() == [[4.0, 4.0]]
+        assert model.weights.tolist() == np.ones((2, 4)).tolist() and model.intercept.tolist() == [0.0, 0.0]
+        # a writable mean patch is copied too
+        pad = np.full(2, 3.0)
+        model = dataclasses.replace(model, mean_patch=pad)
+        pad[:] = 0.0
+        assert model.pad_patch().tolist() == [3.0, 3.0]
+
+    def test_replaced_copies_share_the_operand(self):
+        rng = np.random.default_rng(7)
+        model = self._random_model(rng, 3, 8)
+        for copy in (
+            dataclasses.replace(model, sigma=0.5),
+            dataclasses.replace(model, mean_bias=0.2),
+            dataclasses.replace(dataclasses.replace(model, sigma=2.0), mean_bias=1.0),
+        ):
+            assert copy.weights is model.weights and copy.intercept is model.intercept
+            assert np.shares_memory(copy._operand, model._operand)
+        # new weights get their own operand
         scaled = dataclasses.replace(model, weights=model.weights * 2.0)
-        assert scaled.mean_weights() is not stacked
-        assert np.array_equal(scaled.mean_weights(), scaled.weights.T)
+        assert not np.shares_memory(scaled._operand, model._operand)
+        assert scaled.weights.T.tobytes() == (model.weights.T * 2.0).tobytes()
+
+    def test_first_means_allocate_no_weights_copy(self):
+        # at the benchmark's target shapes (lookback 96, patch 32) the
+        # weights are 786 KB; the first products must not copy them
+        series = PatchSeries.from_values(ar1(200 * 32, n_channels=1, phi=0.8, seed=1), patch_len=32)
+        model = fit_linear_ar(series, lookback=96, ridge=1e3)
+        windows = np.stack([series.patches[0, i : i + 96] for i in range(2)])
+        tracemalloc.start()
+        try:
+            model.mean_one(windows[0])
+            one_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model.mean_batch(windows)
+            batch_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert one_peak < 4096 and batch_peak < 4096, (one_peak, batch_peak)
+
+    def test_saved_and_loaded_model_gives_the_same_means(self, tmp_path):
+        series = PatchSeries.from_values(ar1(4096, n_channels=2, phi=0.7, seed=3), patch_len=4)
+        model = fit_linear_ar(series, lookback=6, ridge=1e-3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.weights.tobytes() == model.weights.tobytes()
+        assert all(models._is_frozen(a) for a in (back.weights, back.intercept, back.mean_patch))
+        windows = np.stack([series.patches[1, i : i + 6] for i in range(5)])
+        assert back.mean_batch(windows).tobytes() == model.mean_batch(windows).tobytes()
+        for window in windows:
+            assert back.mean_one(window).tobytes() == model.mean_one(window).tobytes()
 
 
 class TestHistory:

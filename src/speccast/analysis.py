@@ -271,7 +271,60 @@ class DeviationBounds:
     pinsker_tv: float
 
 
-_SMALL_GAP = 0.1  # below it, at lambda = 1, deviation_bounds takes ln alpha_bar from erf
+_SMALL_GAP = 0.1  # below it, near lambda = 1, deviation_bounds expands in the gap
+# The window of c = ln(lambda)/delta - delta/2 where it does: below it the
+# expansion's terms cancel, above it every moment underflows to 0.
+_SERIES_C = (-5.0, 40.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _small_gap_terms(delta: float, log_lam: float) -> tuple[float, float]:
+    """(1 - alpha_bar, KL bound / delta^2) at a small gap, free of cancellation.
+
+    With c = x* - delta and the moments M_k = E[(Z - c)^k; Z > c] of a
+    standard normal Z, the mass q - lambda p above x* and the KL bound are
+
+        1 - alpha_bar = delta M_1 - S,   S = sum_{k >= 2} (-delta)^k M_k / k!
+        KL bound      = delta^2 / 2 - ln(lambda) (1 - alpha_bar) - S + h,
+
+    where h = -alpha_bar ln(alpha_bar) - (1 - alpha_bar). Every term is of
+    order delta^2 where the closed form's terms are of order delta and
+    cancel. M_0 = Phi(-c), M_1 = phi(c) - c M_0, and M_k = (k - 1) M_{k-2}
+    - c M_{k-1}.
+    """
+    c = log_lam / delta - 0.5 * delta
+    m_before = float(ndtr(-c))
+    m_last = math.exp(-0.5 * c * c) * _INV_SQRT_2PI - c * m_before
+    m1 = m_last
+    s = 0.0  # S / delta^2
+    coef = 0.5  # (-delta)^(k - 2) / k!
+    k = 2
+    while True:
+        m_before, m_last = m_last, (k - 1) * m_before - c * m_last
+        term = coef * m_last
+        s += term
+        if abs(term) <= 1e-17 * abs(s) or k == 60:
+            break
+        k += 1
+        coef *= -delta / k
+    e = m1 - delta * s  # (1 - alpha_bar) / delta
+    eps = delta * e
+    if eps < 0.1:
+        # h / eps^2 = -sum_{k >= 2} eps^(k - 2) / (k (k - 1))
+        h = 0.0
+        power = 1.0
+        k = 2
+        while True:
+            term = power / (k * (k - 1))
+            h += term
+            if term <= 1e-17 * h:
+                break
+            power *= eps
+            k += 1
+        h_scaled = -e * e * h
+    else:
+        h_scaled = (-(1.0 - eps) * math.log1p(-eps) - eps) / (delta * delta)
+    return eps, 0.5 - (log_lam / delta) * e - s + h_scaled
 
 
 def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBounds:
@@ -292,12 +345,16 @@ def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBo
     The KL bound is the integral of alpha q ln(alpha q / (alpha_bar p)),
     which bounds KL(g || p) by joint convexity; the Pinsker TV is
     sqrt(KL bound / 2). ln alpha_bar is taken from ``log_ndtr``, so it stays
-    finite where alpha_bar underflows; but near alpha_bar = 1 it is good to
-    only about 1e-16, absolute, while the KL bound is about 0.17 delta^2. So
-    at lambda = 1 below ``_SMALL_GAP`` it is log1p(-erf(delta / (2 sqrt 2))).
-    A term whose normal mass underflows to 0 is left out, as its integrand
-    is 0 in floating point too. TV <= alpha_bar holds by construction, and
-    TV <= Pinsker is checked on the result.
+    finite where alpha_bar underflows. But near alpha_bar = 1 the KL bound
+    is of order delta^2 while its terms are of order delta, and 1 -
+    alpha_bar = Phi(delta - x*) - lambda Phi(-x*) cancels too. So below
+    ``_SMALL_GAP``, wherever x* - delta lies in ``_SERIES_C`` (|ln lambda| up
+    to a few delta, lambda = 1 among them), 1 - alpha_bar, ln alpha_bar =
+    log1p(-(1 - alpha_bar)) and the KL bound come from the gap expansion of
+    ``_small_gap_terms`` instead. A term whose normal mass underflows to 0
+    is left out, as its integrand is 0 in floating point too. TV <=
+    alpha_bar holds by construction, and TV <= Pinsker is checked on the
+    result.
     """
     delta = check_gap(delta)
     lam = float(tolerance_lambda)
@@ -307,23 +364,26 @@ def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBo
         return DeviationBounds(alpha_bar=min(1.0, lam), tv=0.0, kl_bound=0.0, pinsker_tv=0.0)
     log_lam = math.log(lam)
     x_star = 0.5 * delta + log_lam / delta
-    below = float(ndtr(x_star - delta))         # q's mass where alpha = 1
-    above = lam * float(ndtr(-x_star))          # lambda p's mass where alpha < 1
-    alpha_bar = min(1.0, below + above)
-    if lam == 1.0 and delta < _SMALL_GAP:
-        log_alpha_bar = math.log1p(-math.erf(delta / (2.0 * math.sqrt(2.0))))
+    if delta < _SMALL_GAP and _SERIES_C[0] <= x_star - delta <= _SERIES_C[1]:
+        eps, kl_scaled = _small_gap_terms(delta, log_lam)
+        alpha_bar = 1.0 - eps
+        log_alpha_bar = math.log1p(-eps)
+        kl_bound = max(0.0, kl_scaled) * delta * delta
     else:
+        below = float(ndtr(x_star - delta))         # q's mass where alpha = 1
+        above = lam * float(ndtr(-x_star))          # lambda p's mass where alpha < 1
+        alpha_bar = min(1.0, below + above)
         log_alpha_bar = float(np.logaddexp(log_ndtr(x_star - delta), log_lam + log_ndtr(-x_star)))
+        kl_bound = 0.0
+        if below > 0.0:
+            t = x_star - delta
+            pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)  # t * t overflows to inf; t ** 2 would raise
+            kl_bound += (0.5 * delta * delta - log_alpha_bar) * below - delta * pdf
+        if above > 0.0:
+            kl_bound += above * (log_lam - log_alpha_bar)
+        kl_bound = max(0.0, kl_bound)
     x0 = 0.5 * delta + log_alpha_bar / delta
     tv = max(0.0, alpha_bar * float(ndtr(x0)) - float(ndtr(x0 - delta)))
-    kl_bound = 0.0
-    if below > 0.0:
-        t = x_star - delta
-        pdf = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)  # t * t overflows to inf; t ** 2 would raise
-        kl_bound += (0.5 * delta * delta - log_alpha_bar) * below - delta * pdf
-    if above > 0.0:
-        kl_bound += above * (log_lam - log_alpha_bar)
-    kl_bound = max(0.0, kl_bound)
     pinsker = math.sqrt(0.5 * kl_bound)
 
     if tv > pinsker + 1e-6:

@@ -53,25 +53,31 @@ config without the seed is set up once per thread, in a session plan
 practical and lossless) that ``_plan`` keeps in a small per-thread cache
 keyed by the two models and that config. The plan runs the checks (the
 models the variant needs, equal widths and the shared sigma), resolves
-sigma and the kernel's constants, and owns the session's scratch arrays,
-with the row and window views a session reads prebuilt as Python lists. A
-check that fails leaves no plan, so it fails on every call; the history is
-checked per session. The cache entry holds the models, so no other object
-can take their ids while it is kept. The plan holds no model
-method and no module function: tracing and tests patch ``mean_one``,
-``mean_batch``, ``kernels.round_accept``, ``residual_sample``, ``rekey`` and
-``fill_window``, and a session looks them up itself, so a patch takes
-effect on the next session.
+sigma and the kernel's constants, takes the thread's ``ReusableStream`` and
+owns the session's scratch arrays, with the row and window views a session
+reads prebuilt as Python lists; its ``views`` tuple holds all of it, and a
+session binds it with one unpack. A check that fails leaves no plan, so it
+fails on every call; the history is checked per session. The cache entry
+holds the models, so no other object can take their ids while it is kept.
+The plan holds no model method and no module function: tracing and tests
+patch ``mean_one``, ``mean_batch``, ``kernels.round_accept``,
+``residual_sample``, ``rekey`` and ``fill_window``, and a session looks
+them up itself, so a patch takes effect on the next session.
 
-A session starts from a ``models.History``, a read-only (lookback, d)
-context (a view of a frozen source, or a left-padded copy), and decodes
-inside its plan's buffer: the context is written into it once, every
-patch the session makes is written in place, and the forecast is one
-slice copy at the end, so a session allocates only its trace columns. A
-baseline session draws its noise in place into the plan's noise block,
-from one ``DIRECT`` stream per session, scales it by sigma, and adds it to
-one ``mean_one`` per step, in place in the buffer. A speculative session's
-buffer holds k_max + horizon + gamma rows. A round makes only the numpy calls its math needs:
+So a session does only the work that depends on its seed and its history.
+It starts from a ``models.History``, a read-only (lookback, d) context (a
+view of a frozen source, or a left-padded copy), and decodes inside its
+plan's buffer: the context is written into it once, every patch the
+session makes is written in place, and the forecast is one slice copy at
+the end. Besides that copy a speculative session allocates its trace's four
+columns (``n_accepted``, ``xs``, ``dists`` and the uniforms of whole
+blocks), a list of each round's uniforms and the ``wall_times`` dict; a
+baseline session allocates its trace, which shares one read-only zero
+column per horizon, and that dict. A baseline session draws its noise in
+place into the plan's noise block, from one ``DIRECT`` stream per session,
+scales it by sigma, and adds it to one ``mean_one`` per step, in place in
+the buffer. A speculative session's buffer holds k_max + horizon + gamma
+rows. A round makes only the numpy calls its math needs:
 
 - the draft writes each mean into its row of the stacked means with
   ``mean_one(window, out=row)``, and each proposal, mean plus noise, into
@@ -82,12 +88,15 @@ buffer holds k_max + horizon + gamma rows. A round makes only the numpy calls it
   means into the round's row of the trace's ``dists`` column with one
   subtract, square and reduce, then scans acceptance on Python floats;
 - a block of 8 rounds takes its uniforms straight into the trace's
-  ``uniforms`` column at its first round; its normals come from one
+  uniforms column at its first round; its normals come from one
   ``standard_normal`` call and one scaling, for the fewest rounds the
   session can still need: min(rounds left in the block,
   ceil((horizon - emitted) / (gamma + 1))), as a round emits at most
   gamma + 1 patches. A session that needs more rounds continues the
-  block's generator the same way.
+  block's generator the same way. Each round lists only its own row of
+  uniforms as Python floats for the scan;
+- the closing row is checked finite by its sum, which propagates NaN and
+  inf, inline.
 
 A ``DecodeTrace`` stores the columns the round writes (``n_accepted``,
 ``xs``, ``dists``, ``uniforms``), the round count and the wall times of the
@@ -109,7 +118,7 @@ import math
 import operator
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,19 +241,20 @@ def _zero_column(h: int) -> np.ndarray:
     return zeros
 
 
-@dataclass(eq=False)
 class DecodeTrace:
     """Per-round columns of one session, preallocated for horizon rounds.
 
     Stored: the integer column ``n_accepted``, ``n_rounds``, the number of
     rows filled (a round emits at least one patch, so ``horizon_patches``
     rows always suffice), and the ``wall_times`` of the draft and target
-    calls. Speculative variants also fill, per round and proposal position,
-    ``xs`` (rounds, gamma, d), the squared distances ``dists`` (rounds, 2,
-    gamma) of each proposal to the draft (0) and target (1) mean, and
-    ``uniforms``, which holds whole blocks of 8 rounds; ``accept_params``
-    are the kernel's three constants (``_head_params``). Every position of a
-    filled row is written; only a round's examined prefix is exported.
+    calls. Speculative variants, the ones given the kernel's three constants
+    ``accept_params`` (``_head_params``), also fill, per round and proposal
+    position, ``xs`` (rounds, gamma, d), the squared distances ``dists``
+    (rounds, 2, gamma) of each proposal to the draft (0) and target (1)
+    mean, and the acceptance uniforms of every block of 8 rounds they
+    reach, which ``uniforms`` shows: (8 * ceil(n_rounds / 8), gamma). Every
+    position of a filled row is written; only a round's examined prefix is
+    exported.
 
     Derived from the columns, here alone, and built once on first read:
     ``sources`` (codes into SOURCES: the extension when n = gamma, else the
@@ -255,27 +265,39 @@ class DecodeTrace:
     ``rounds`` and ``RoundRecord`` remain only because ``perfbench`` reads them.
     """
 
-    variant: str
-    gamma: int
-    seed: int
-    horizon_patches: int
-    patch_len: int = 1
-    wall_times: dict = field(default_factory=lambda: {"draft_total": 0.0, "target_total": 0.0})
-    n_rounds: int = 0
-    accept_params: tuple | None = None
-
-    def __post_init__(self) -> None:
-        h = self.horizon_patches
-        self.speculative = self.variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS)
-        if not self.speculative:
+    def __init__(
+        self,
+        variant: str,
+        gamma: int,
+        seed: int,
+        horizon_patches: int,
+        patch_len: int,
+        accept_params: tuple | None = None,
+        n_rounds: int = 0,
+        wall_times: dict | None = None,
+    ) -> None:
+        self.variant = variant
+        self.gamma = gamma
+        self.seed = seed
+        self.horizon_patches = horizon_patches
+        self.patch_len = patch_len
+        self.accept_params = accept_params
+        self.n_rounds = n_rounds
+        self.wall_times = wall_times
+        self.speculative = accept_params is not None
+        if accept_params is None:
             # Baseline rounds are all alike (n = 0, source baseline).
-            self.n_accepted = _zero_column(h)
+            self.n_accepted = _zero_column(horizon_patches)
             return
-        self.n_accepted = np.zeros(h, dtype=np.int64)
-        g = self.gamma
-        self.xs = np.empty((h, g, self.patch_len))
-        self.dists = np.empty((h, 2, g))
-        self.uniforms = np.empty((-(-h // _RNG_BLOCK) * _RNG_BLOCK, g))
+        self.n_accepted = np.zeros(horizon_patches, dtype=np.int64)
+        self.xs = np.empty((horizon_patches, gamma, patch_len))
+        self.dists = np.empty((horizon_patches, 2, gamma))
+        self._uniform_blocks = np.empty((-(-horizon_patches // _RNG_BLOCK) * _RNG_BLOCK, gamma))
+
+    @property
+    def uniforms(self) -> np.ndarray:
+        """The acceptance uniforms of the blocks the session drew, (8 * ceil(n_rounds / 8), gamma)."""
+        return self._uniform_blocks[: -(-self.n_rounds // _RNG_BLOCK) * _RNG_BLOCK]
 
     @functools.cached_property
     def sources(self) -> np.ndarray:
@@ -425,13 +447,15 @@ class _BaselinePlan:
     """The set-up of a target_only or draft_only configuration.
 
     ``model`` is the one model the variant samples, ``sigma`` its head
-    width. The session buffer holds the context (``k`` rows), then each
-    patch as it is drawn: step i reads ``windows[i]``, buffer rows i to
-    i + k - 1, and writes ``rows[i]``, row k + i. The session's standard
-    normals are drawn into ``draws``, and ``noise`` lists the rows of
-    ``normals``, which takes them times sigma. Scaling into a second array
-    gives the bits of scaling in place and avoids numpy's slower path for a
-    one-element operand that is also the output.
+    width and ``streams`` the thread's ``ReusableStream``. The session
+    buffer holds the context (``k`` rows), then each patch as it is drawn:
+    step i reads ``windows[i]``, buffer rows i to i + k - 1, and writes
+    ``rows[i]``, row k + i. The session's standard normals are drawn into
+    ``draws``, and ``noise`` lists the rows of ``normals``, which takes them
+    times sigma. Scaling into a second array gives the bits of scaling in
+    place and avoids numpy's slower path for a one-element operand that is
+    also the output. ``views`` holds all of it, with the config's settings,
+    in the order a session unpacks it.
     """
 
     def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
@@ -440,19 +464,20 @@ class _BaselinePlan:
         if model is None:
             raise ValueError(f"{cfg.variant} requires the corresponding model")
         sigma = cfg.sigma_target if target_only else cfg.sigma_draft
-        self.model = model
-        self.target_only = target_only
-        self.sigma = float(sigma) if sigma is not None else model.sigma
-        self.k = k = model.lookback
-        horizon = cfg.horizon_patches
-        buf = np.empty((k + horizon, model.d))
-        self.context = buf[:k]
-        self.forecast = buf[k:]
-        self.windows = [buf[i : i + k] for i in range(horizon)]
-        self.rows = list(self.forecast)
-        self.draws = np.empty((horizon, model.d))
-        self.normals = np.empty((horizon, model.d))
-        self.noise = list(self.normals)
+        sigma = float(sigma) if sigma is not None else model.sigma
+        variant, gamma, horizon = cfg.variant, cfg.gamma, cfg.horizon_patches
+        k, d, streams = model.lookback, model.d, _streams()
+        buf = np.empty((k + horizon, d))
+        context, forecast = buf[:k], buf[k:]
+        windows = [buf[i : i + k] for i in range(horizon)]
+        rows = list(forecast)
+        draws = np.empty((horizon, d))
+        normals = np.empty((horizon, d))
+        noise = list(normals)
+        self.views = (
+            variant, gamma, horizon, d, k, sigma, target_only, model, streams,
+            context, forecast, windows, rows, draws, normals, noise,
+        )
 
 
 class _SpeculativePlan:
@@ -460,7 +485,7 @@ class _SpeculativePlan:
 
     The checks and constants: equal model widths, one resolved head
     ``sigma`` (``_resolve_sigma``) and the kernel's constants ``params``
-    (``_head_params``).
+    (``_head_params``). ``streams`` is the thread's ``ReusableStream``.
 
     The scratch arrays: the session buffer holds the context (``k_max``
     rows), then every emitted patch in order; a round's proposals are
@@ -479,7 +504,8 @@ class _SpeculativePlan:
     round slot s are (gamma + 1) * s onward, its gamma proposal rows and
     then its closing row. A session fills only the rounds it draws.
     ``noise`` lists the rows of ``normals``. ``scratch`` is the kernel's
-    work array.
+    work array. ``views`` holds all of it, with the config's settings, in
+    the order a session unpacks it.
     """
 
     def __init__(self, target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig) -> None:
@@ -487,32 +513,38 @@ class _SpeculativePlan:
             raise ValueError("speculative variants require a draft model")
         if target.d != draft.d:
             raise ValueError(f"model dimensions differ: target d={target.d}, draft d={draft.d}")
-        self.sigma = sigma = _resolve_sigma(target, draft, cfg)
-        self.lossless = cfg.variant == VARIANT_LOSSLESS
-        gamma, horizon, d = cfg.gamma, cfg.horizon_patches, target.d
-        self.params = _head_params(sigma, cfg.tolerance_lambda, d)
+        sigma = _resolve_sigma(target, draft, cfg)
+        variant, gamma, horizon, d = cfg.variant, cfg.gamma, cfg.horizon_patches, target.d
+        lossless = variant == VARIANT_LOSSLESS
+        params = _head_params(sigma, cfg.tolerance_lambda, d)
+        streams = _streams()
         k_t, k_d = target.lookback, draft.lookback
-        self.k_max = k_max = max(k_t, k_d)
+        k_max = max(k_t, k_d)
 
         buf = np.empty((k_max + horizon + gamma, d))
-        self.context = buf[:k_max]
-        self.forecast = buf[k_max : k_max + horizon]
-        self.rows = list(buf[k_max:])
-        self.propose = [buf[k_max + j - k_d : k_max + j] for j in range(horizon + gamma - 1)]
-        self.proposals = [buf[k_max + e : k_max + e + gamma] for e in range(horizon)]
+        context = buf[:k_max]
+        forecast = buf[k_max : k_max + horizon]
+        rows = list(buf[k_max:])
+        propose = [buf[k_max + j - k_d : k_max + j] for j in range(horizon + gamma - 1)]
+        proposals = [buf[k_max + e : k_max + e + gamma] for e in range(horizon)]
         row, col = buf.strides
         windows = np.ndarray(
             (horizon + gamma, k_t, d), buffer=buf, offset=(k_max - k_t) * row, strides=(row, row, col)
         )
-        self.verify = [windows[e : e + gamma + 1] for e in range(horizon)]
+        verify = [windows[e : e + gamma + 1] for e in range(horizon)]
         mus = np.empty((2, gamma + 1, d))
-        self.means = mus[:, :gamma]
-        self.draft_means = list(mus[0])
-        self.target_means = mus[1]
-        self.target_rows = list(mus[1])
-        self.scratch = np.empty((2, gamma, d))
-        self.normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
-        self.noise = list(self.normals)
+        means = mus[:, :gamma]
+        draft_means = list(mus[0])
+        target_means = mus[1]
+        target_rows = list(mus[1])
+        scratch = np.empty((2, gamma, d))
+        normals = np.empty(((gamma + 1) * _RNG_BLOCK, d))
+        noise = list(normals)
+        self.views = (
+            variant, gamma, horizon, d, k_max, sigma, lossless, params, streams,
+            context, forecast, rows, propose, proposals, verify,
+            means, draft_means, target_means, target_rows, scratch, normals, noise,
+        )
 
 
 def _plan(target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig):
@@ -524,20 +556,23 @@ def _plan(target: ForecastModel, draft: ForecastModel | None, cfg: DecodeConfig)
     is kept. The plan holds no model method or module function: tracing
     and tests patch those, and a session looks them up itself.
     """
-    plans = getattr(_LOCAL, "plans", None)
-    if plans is None:
+    try:
+        plans = _LOCAL.plans
+    except AttributeError:
         plans = _LOCAL.plans = {}
     key = (id(target), id(draft), _setting(cfg))
-    entry = plans.get(key)
-    if entry is None:
-        if cfg.variant in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
-            plan = _BaselinePlan(target, draft, cfg)
-        else:
-            plan = _SpeculativePlan(target, draft, cfg)
-        if len(plans) >= _PLANS:
-            del plans[next(iter(plans))]  # the oldest
-        entry = plans[key] = (plan, target, draft)
-    return entry[0]
+    try:
+        return plans[key][0]
+    except KeyError:
+        pass
+    if cfg.variant in (VARIANT_TARGET_ONLY, VARIANT_DRAFT_ONLY):
+        plan = _BaselinePlan(target, draft, cfg)
+    else:
+        plan = _SpeculativePlan(target, draft, cfg)
+    if len(plans) >= _PLANS:
+        del plans[next(iter(plans))]  # the oldest
+    plans[key] = (plan, target, draft)
+    return plan
 
 
 def decode(
@@ -553,14 +588,8 @@ def decode(
     """
     plan = _plan(target, draft, cfg)
     if type(plan) is _BaselinePlan:
-        return _decode_baseline(plan, h0, cfg)
-    return _decode_speculative(plan, target, draft, h0, cfg)
-
-
-def _check_finite(patch: np.ndarray, round_index: int) -> None:
-    # Sum propagates NaN/inf; much cheaper than an isfinite scan per step.
-    if not math.isfinite(np.add.reduce(patch)):
-        raise DecodeAborted(f"non-finite head parameters at round {round_index}; aborting decode")
+        return _decode_baseline(plan, h0, cfg.seed)
+    return _decode_speculative(plan, target, draft, h0, cfg.seed)
 
 
 def _decode_speculative(
@@ -568,27 +597,23 @@ def _decode_speculative(
     target: ForecastModel,
     draft: ForecastModel,
     h0: History,
-    cfg: DecodeConfig,
+    seed: int,
 ) -> tuple[np.ndarray, DecodeTrace]:
-    if h0.lookback < plan.k_max:
-        raise ValueError(
-            f"history capacity {h0.lookback} is below the larger model lookback {plan.k_max}"
-        )
-    if h0.d != target.d:
-        raise ValueError(f"history patch width {h0.d} does not match the model patch width {target.d}")
-    gamma = cfg.gamma
-    horizon = cfg.horizon_patches
-    seed = cfg.seed
-    sigma, lossless, params = plan.sigma, plan.lossless, plan.params
-    trace = DecodeTrace(cfg.variant, gamma, seed, horizon, target.d, accept_params=params)
-    streams = _streams()
-    h0.fill_window(plan.context)
-    rows, propose, proposals, verify = plan.rows, plan.propose, plan.proposals, plan.verify
-    means, draft_means, target_means = plan.means, plan.draft_means, plan.target_means
-    target_rows, scratch, normals, noise = plan.target_rows, plan.scratch, plan.normals, plan.noise
+    (
+        variant, gamma, horizon, d, k_max, sigma, lossless, params, streams,
+        context, forecast, rows, propose, proposals, verify,
+        means, draft_means, target_means, target_rows, scratch, normals, noise,
+    ) = plan.views
+    if h0.lookback < k_max:
+        raise ValueError(f"history capacity {h0.lookback} is below the larger model lookback {k_max}")
+    if h0.d != d:
+        raise ValueError(f"history patch width {h0.d} does not match the model patch width {d}")
+    trace = DecodeTrace(variant, gamma, seed, horizon, d, params)
+    h0.fill_window(context)
+    n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace._uniform_blocks
+    draft_mean, target_mean, accept = draft.mean_one, target.mean_batch, kernels.round_accept
+    add, add_reduce, isfinite, clock = np.add, np.add.reduce, math.isfinite, time.perf_counter
     width = gamma + 1  # rows of normals per round
-    n_col, xs_col, dist_col, u_col = trace.n_accepted, trace.xs, trace.dists, trace.uniforms
-    draft_mean, target_mean = draft.mean_one, target.mean_batch
     draft_wall = target_wall = 0.0
     emitted = 0
     r = 0
@@ -604,30 +629,30 @@ def _decode_speculative(
         slot = r % _RNG_BLOCK
         if slot == 0:
             gen = streams.rekey(seed, r // _RNG_BLOCK, rngmod.ROUND)
-            block_u = u_col[r : r + _RNG_BLOCK]
-            gen.random(out=block_u)
-            u_rows = block_u.tolist()
+            gen.random(out=u_col[r : r + _RNG_BLOCK])
             drawn = 0
         z = slot * width
         if slot == drawn:
             # the fewest rounds the session can still need, capped at the
             # block: slot + ceil((horizon - emitted) / width)
-            drawn = min(_RNG_BLOCK, slot - (emitted - horizon) // width)
+            drawn = slot - (emitted - horizon) // width
+            if drawn > _RNG_BLOCK:
+                drawn = _RNG_BLOCK
             chunk = normals[z : drawn * width]
             gen.standard_normal(out=chunk)
             chunk *= sigma
 
-        t0 = time.perf_counter()
+        t0 = clock()
         for i in range(gamma):
-            np.add(draft_mean(propose[emitted + i], out=draft_means[i]), noise[z + i], out=rows[emitted + i])
-        t1 = time.perf_counter()
+            add(draft_mean(propose[emitted + i], out=draft_means[i]), noise[z + i], out=rows[emitted + i])
+        t1 = clock()
         target_mean(verify[emitted], out=target_means)
-        t2 = time.perf_counter()
+        t2 = clock()
         draft_wall += t1 - t0
         target_wall += t2 - t1
 
         xs = proposals[emitted]
-        n = kernels.round_accept(xs, u_rows[slot], means, scratch, dist_col[r], params)
+        n = accept(xs, u_col[r].tolist(), means, scratch, dist_col[r], params)
         if n < 0:
             raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
         xs_col[r] = xs  # before the closing draw overwrites a rejected proposal
@@ -643,8 +668,10 @@ def _decode_speculative(
             except ValueError as exc:
                 raise DecodeAborted(f"residual draw failed at round {r} ({exc}); aborting decode") from exc
         else:
-            np.add(target_rows[n], noise[z + gamma], out=final)
-        _check_finite(final, r)
+            add(target_rows[n], noise[z + gamma], out=final)
+        # the sum propagates NaN and inf, and costs much less than an isfinite scan
+        if not isfinite(add_reduce(final)):
+            raise DecodeAborted(f"non-finite head parameters at round {r}; aborting decode")
 
         n_col[r] = n
         emitted += n + 1
@@ -652,41 +679,34 @@ def _decode_speculative(
 
     trace.n_rounds = r
     trace.wall_times = {"draft_total": draft_wall, "target_total": target_wall}
-    return plan.forecast.copy(), trace
+    return forecast.copy(), trace
 
 
-def _decode_baseline(plan: _BaselinePlan, h0: History, cfg: DecodeConfig) -> tuple[np.ndarray, DecodeTrace]:
-    model = plan.model
-    if h0.lookback < plan.k:
-        raise ValueError(
-            f"history capacity {h0.lookback} is below the model lookback {plan.k}"
-        )
-    if h0.d != model.d:
-        raise ValueError(f"history patch width {h0.d} does not match the model patch width {model.d}")
-    horizon = cfg.horizon_patches
-    h0.fill_window(plan.context)
-    draws = _streams().rekey(cfg.seed, 0, rngmod.DIRECT).standard_normal(out=plan.draws)
-    np.multiply(draws, plan.sigma, out=plan.normals)
-    mean_one = model.mean_one
+def _decode_baseline(plan: _BaselinePlan, h0: History, seed: int) -> tuple[np.ndarray, DecodeTrace]:
+    (
+        variant, gamma, horizon, d, k, sigma, target_only, model, streams,
+        context, forecast, windows, rows, draws, normals, noise,
+    ) = plan.views
+    if h0.lookback < k:
+        raise ValueError(f"history capacity {h0.lookback} is below the model lookback {k}")
+    if h0.d != d:
+        raise ValueError(f"history patch width {h0.d} does not match the model patch width {d}")
+    h0.fill_window(context)
+    np.multiply(streams.rekey(seed, 0, rngmod.DIRECT).standard_normal(out=draws), sigma, out=normals)
+    mean_one, add = model.mean_one, np.add
 
     t0 = time.perf_counter()
-    for window, noise, row in zip(plan.windows, plan.noise, plan.rows):
-        np.add(mean_one(window), noise, out=row)
+    for window, noise_row, row in zip(windows, noise, rows):
+        add(mean_one(window), noise_row, out=row)
     elapsed = time.perf_counter() - t0
-    forecast = plan.forecast
     if not math.isfinite(np.add.reduce(forecast, axis=None)):
         # The noise is finite, so the first non-finite patch is the first
         # step whose head mean was not finite.
         first = int(np.argmin(np.isfinite(forecast).all(axis=1)))
         raise DecodeAborted(f"non-finite head parameters at round {first}; aborting decode")
 
-    target_only = plan.target_only
-    trace = DecodeTrace(
-        cfg.variant, cfg.gamma, cfg.seed, horizon, model.d,
-        wall_times={
-            "draft_total": 0.0 if target_only else elapsed,
-            "target_total": elapsed if target_only else 0.0,
-        },
-        n_rounds=horizon,
-    )
-    return forecast.copy(), trace
+    if target_only:
+        wall_times = {"draft_total": 0.0, "target_total": elapsed}
+    else:
+        wall_times = {"draft_total": elapsed, "target_total": 0.0}
+    return forecast.copy(), DecodeTrace(variant, gamma, seed, horizon, d, n_rounds=horizon, wall_times=wall_times)

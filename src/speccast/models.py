@@ -93,7 +93,8 @@ class History:
 
     def fill_window(self, out: np.ndarray) -> None:
         """Write the most recent len(out) patches into a caller buffer."""
-        out[:] = self._context[self.lookback - out.shape[0] :]
+        k = out.shape[0]
+        out[...] = self._context if k == self.lookback else self._context[self.lookback - k :]
 
 
 def _is_frozen(array: np.ndarray) -> bool:
@@ -230,14 +231,15 @@ class ForecastModel:
         its dispatch step, and the cblas call of ``np.matmul``), which
         raises ValueError for any other ``out``.
         """
-        recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
         if self.kind == KIND_PERSISTENCE:
+            # the last patch, whatever the window's length
             if out is None:
-                means = recent[:, -1, :].copy()
+                means = windows[:, -1].copy()
             else:
-                out[:] = recent[:, -1, :]
+                out[...] = windows[:, -1]
                 means = out
         else:
+            recent = windows if windows.shape[1] == self.lookback else windows[:, -self.lookback :, :]
             # Overlapping prefix views reshape to a strided matrix that BLAS
             # cannot consume; force a contiguous copy before the product.
             flat = np.ascontiguousarray(recent).reshape(windows.shape[0], self.lookback * self.d)
@@ -255,14 +257,15 @@ class ForecastModel:
         multiplies with ``ndarray.dot``, which raises ValueError for any
         other ``out``.
         """
-        recent = window if window.shape[0] == self.lookback else window[-self.lookback :]
         if self.kind == KIND_PERSISTENCE:
+            # the last patch, whatever the window's length
             if out is None:
-                mean = recent[-1].copy()
+                mean = window[-1].copy()
             else:
-                out[:] = recent[-1]
+                out[...] = window[-1]
                 mean = out
         else:
+            recent = window if window.shape[0] == self.lookback else window[-self.lookback :]
             mean = recent.reshape(-1).dot(self._operand, out=out)
             mean += self.intercept
         if self.mean_bias > 0.0:

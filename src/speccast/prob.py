@@ -164,10 +164,10 @@ def residual_sample(mu_p: np.ndarray, mu_q: np.ndarray, eps: np.ndarray, out: np
 
     Where g . g overflows or underflows, g is rescaled by its largest entry
     first. A non-finite mean, or identical means (where the residual is
-    undefined), raises ValueError.
+    undefined), raises ValueError. The four vectors must have one shape,
+    which the call does not check: the decode engine passes rows of its
+    own buffers, all of the models' one patch width.
     """
-    if mu_q.shape != mu_p.shape or eps.shape != mu_p.shape:
-        raise ValueError(f"mean shapes {mu_p.shape}, {mu_q.shape} and noise shape {eps.shape} differ")
     g = np.subtract(mu_p, mu_q, out=out)
     gg = float(g.dot(g))
     if not _TINY <= gg < math.inf:
@@ -180,7 +180,7 @@ def residual_sample(mu_p: np.ndarray, mu_q: np.ndarray, eps: np.ndarray, out: np
             raise ValueError("residual undefined: the heads' means coincide")
         g /= big
         gg = float(g.dot(g))
-    np.multiply(g, -2.0 * float(eps.dot(g)) / gg, out=out)
-    out += mu_p
-    out += eps
+    g *= -2.0 * float(eps.dot(g)) / gg
+    g += mu_p
+    g += eps
     return out, 1

@@ -379,6 +379,19 @@ def quad_deviation(delta, lam):
     return alpha_bar, tv, kl
 
 
+# Tolerances within 1e-9 of 1, and the KL bound of the closed form at each
+# of them, evaluated once with 80 significant digits (mpmath), per gap.
+_NEAR_UNIT_LAMBDAS = (1.0, 1 + 1e-15, 1 - 1e-15, 1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-9)
+_NEAR_UNIT_KL = {
+    1e-9: (1.7042252837697970e-19, 1.7042274983448824e-19, 1.7042232906531775e-19, 1.7062206264757875e-19,
+           1.7022310710321199e-19, 3.7554391798409282e-19, 3.4199159773153667e-20),
+    1e-6: (1.7042245138140411e-13, 1.7042245160286152e-13, 1.7042245118209245e-13, 1.7042265087028305e-13,
+           1.7042225191476177e-13, 1.7062196788753215e-13, 1.7022302574232566e-13),
+    1e-3: (1.7034546032440730e-07, 1.7034546032462872e-07, 1.7034546032420803e-07, 1.7034546052385637e-07,
+           1.7034546012498038e-07, 1.7034565975580703e-07, 1.7034526089312044e-07),
+}
+
+
 class TestDeviationBounds:
     def test_unit_gap_bound(self):
         b = deviation_bounds(1.0)
@@ -420,6 +433,24 @@ class TestDeviationBounds:
         for delta in (1e-12, 1e-9, 1e-6, 1e-3):
             b = deviation_bounds(delta)
             assert 0.0 < b.tv <= b.pinsker_tv
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_unit_tolerance_keeps_pinsker_above_tv(self, delta):
+        # Within 1e-9 of lambda = 1 the KL bound is of order delta^2 while
+        # the closed form's terms are of order delta; summed as they are, it
+        # rounded to 0 below a TV of order delta (the TV is 0 only at
+        # delta 1e-12 and lambda 1 - 1e-9, where g is p itself but for mass
+        # far below the normals' range)
+        for lam in _NEAR_UNIT_LAMBDAS:
+            b = deviation_bounds(delta, tolerance_lambda=lam)
+            assert b.tv <= b.pinsker_tv, lam
+            assert b.tv > 0.0 or (delta, lam) == (1e-12, 1 - 1e-9)
+
+    @pytest.mark.parametrize("delta", sorted(_NEAR_UNIT_KL))
+    def test_near_unit_tolerance_kl_matches_the_reference(self, delta):
+        for lam, want in zip(_NEAR_UNIT_LAMBDAS, _NEAR_UNIT_KL[delta]):
+            b = deviation_bounds(delta, tolerance_lambda=lam)
+            assert b.kl_bound == pytest.approx(want, rel=1e-6, abs=0), lam
 
     @pytest.mark.parametrize("delta", [0.0, 1e-300, 1e-12, 40.0, 1e3, 1e300])
     def test_extreme_gaps_are_finite_and_quiet(self, delta):

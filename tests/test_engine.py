@@ -372,6 +372,66 @@ class TestRoundMajorDraws:
         assert [[chunk.shape for chunk in chunks] for _, chunks in blocks] == [[(4 * rounds, 2)]]
 
 
+class TestDrawnUniforms:
+    @pytest.mark.parametrize("horizon, variant", [(12, "practical"), (40, "practical"), (40, "lossless")])
+    def test_uniforms_are_the_blocks_drawn(self, horizon, variant):
+        # The column holds whole blocks of 8 rounds; it shows only the
+        # blocks the session reached, each its stream's first draw. A
+        # horizon-12 session runs under 8 rounds, a horizon-40 one crosses
+        # the re-key at round 8.
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.8))
+        for seed in range(3):
+            _, trace = decode(target, draft, h0, cfg_for(variant, horizon=horizon, gamma=3, seed=seed))
+            rounds = trace.n_rounds
+            assert (rounds < 8) if horizon == 12 else (rounds > 8)
+            blocks = -(-rounds // 8)
+            assert trace.uniforms.shape == (8 * blocks, 3)
+            for b in range(blocks):
+                want = rngmod.stream(seed, b, rngmod.ROUND).random((8, 3))
+                assert trace.uniforms[8 * b : 8 * b + 8].tobytes() == want.tobytes()
+
+
+def _profiled_calls(target, draft, h0, cfg):
+    """(Python and C function calls of one decode as sys.setprofile sees them, trace)."""
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call" and arg is not sys.setprofile:
+            calls.append(getattr(arg, "__qualname__", repr(arg)))
+
+    sys.setprofile(record)
+    try:
+        _, trace = decode(target, draft, h0, cfg)
+    finally:
+        sys.setprofile(None)
+    return calls, trace
+
+
+class TestSessionCallCount:
+    # The Python and C function calls (not ufunc calls, which the profiler
+    # does not see) of one warmed horizon-1 session on the persistence pair:
+    # a guard on a session's fixed cost that times nothing. A lossless
+    # rejection adds the residual call and its two dot products.
+    LIMITS = {"target_only": 15, "practical": 26, "lossless": 26, "lossless residual": 29}
+
+    def test_a_warmed_session_makes_no_more_calls(self):
+        target, draft, h0 = make_pair(gap=gap_for_overlap(0.8))
+        seen = {}
+        for seed in range(40):
+            for variant in ("target_only", "practical", "lossless"):
+                cfg = cfg_for(variant, horizon=1, gamma=3, seed=seed)
+                session_draft = None if variant == "target_only" else draft
+                decode(target, session_draft, h0, cfg.with_seed(seed + 1000))  # warms the plan
+                calls, trace = _profiled_calls(target, session_draft, h0, cfg)
+                if variant == "lossless" and trace.n_accepted[0] < 3:
+                    variant = "lossless residual"
+                assert len(calls) <= self.LIMITS[variant], (variant, calls)
+                seen[variant] = len(calls)
+        assert seen.keys() == self.LIMITS.keys()
+
+
 class TestConfigValidation:
     def test_shared_variance_enforced(self):
         # the sigmas are resolved first: from the config, else from the models

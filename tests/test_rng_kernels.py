@@ -66,6 +66,27 @@ class TestStreams:
         with pytest.raises(ValueError):
             rngmod.stream(0, -1, 0)
 
+    @pytest.mark.parametrize("key, message", [
+        ((0, -1, rngmod.ROUND), "round_index must be >= 0, got -1"),
+        ((0, 0, -1), "purpose tag out of range: -1"),
+        ((0, 0, 256), "purpose tag out of range: 256"),
+    ])
+    def test_rekey_refuses_what_stream_refuses(self, key, message):
+        # rekey writes the key words itself, so it repeats stream()'s two
+        # refusals; a refused key leaves the generator on its previous key
+        with pytest.raises(ValueError, match=message):
+            rngmod.stream(*key)
+        pool = rngmod.ReusableStream()
+        gen = pool.rekey(5, 2, rngmod.ROUND)
+        first = gen.random(3)
+        with pytest.raises(ValueError, match=message):
+            pool.rekey(*key)
+        fresh = rngmod.stream(5, 2, rngmod.ROUND)
+        assert np.array_equal(first, fresh.random(3))
+        assert np.array_equal(gen.random(4), fresh.random(4))
+        # the largest tag is a key like any other
+        assert np.array_equal(pool.rekey(0, 0, 255).random(2), rngmod.stream(0, 0, 255).random(2))
+
     def test_derive_seed_stable_and_distinct(self):
         assert rngmod.derive_seed(7, 1, 2) == rngmod.derive_seed(7, 1, 2)
         assert rngmod.derive_seed(7, 1, 2) != rngmod.derive_seed(7, 2, 1)

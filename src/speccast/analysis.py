@@ -207,9 +207,11 @@ def estimate_alpha(
     mc_per_history: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> AcceptanceEstimate:
-    """Mean acceptance over held-out (target, draft) head pairs.
+    """Mean acceptance beta at tolerance_lambda = 1 over (target, draft) head pairs.
 
-    Each pair is reduced to its whitened gap Delta_i, taken in one batched
+    The harness does not call it: its sweep rows average
+    ``overlap(Delta_i, lambda)`` over mean rows at the spec's lambda. Each
+    pair is reduced to its whitened gap Delta_i, taken in one batched
     call. closed_form averages the overlaps 2*Phi(-Delta_i/2);
     monte_carlo draws ``mc_per_history`` proposals per history with
     ``overlap_monte_carlo`` and averages the canonical acceptance
@@ -217,10 +219,10 @@ def estimate_alpha(
     head's variance as it is, however small. Both are
     unbiased for the mean overlap over the histories they are given, under
     the canonical rule. That is the deployment acceptance only if decoding
-    proposes on such histories: the harness passes clean held-out ones,
-    while the engine proposes on prefixes that hold its own draws, whose
-    acceptance is lower (by up to about 0.04 at sigma = 2 on the end-to-end
-    system).
+    proposes on such histories. The harness's held-out histories are
+    clean, while the engine proposes on prefixes that hold its own draws,
+    whose acceptance is lower (by up to about 0.04 at sigma = 2 on the
+    end-to-end system).
     """
     pairs = list(pairs)
     if not pairs:

@@ -5,7 +5,11 @@ draft-only baseline never looks at gamma, so it has one point per (sigma,
 scale, bias, seed), recorded with gamma 0. For every (sigma, seed) the
 harness also runs the target-only baseline on the same test windows with the
 same per-window seeds, so measured speedups and accuracy deltas compare like
-against like.
+against like. One function of ``run_experiment`` decodes a point of any
+variant and builds its row. A speculative row's acceptance estimate
+alpha_hat is the mean acceptance at the spec's tolerance_lambda,
+``overlap(Delta, lambda)``, over the whitened gaps of the two models' means
+on held-out validation histories, which each model predicts once.
 
 ``RunResult`` is the one record of a sweep point: its keys, accuracy,
 acceptance, cost, the closed-form predictions and the measurements, each
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -29,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .analysis import (
-    CostModel,
-    estimate_alpha,
-    expected_block_length,
-    ops_factor,
-    speedup_wall,
-)
+from .analysis import CostModel, expected_block_length, ops_factor, speedup_wall
 from .engine import (
     VARIANT_DRAFT_ONLY,
     VARIANT_LOSSLESS,
@@ -46,7 +45,7 @@ from .engine import (
     decode,
 )
 from .models import ForecastModel, History, fit_linear_ar
-from .prob import GaussianHead
+from .prob import overlap, whitened_gap
 from .series import CsvSchema, NormStats, PatchSeries, chronological_split, load_csv, metrics
 from .synth import SyntheticSpec, check_integer, check_keys, drop_retired
 
@@ -207,7 +206,7 @@ class RunResult:
     mae: float
     n_windows: int
     horizon_patches: int
-    alpha_hat: float | None = None        # held-out closed-form overlap estimate
+    alpha_hat: float | None = None        # held-out mean acceptance at the spec's lambda
     n_histories: int | None = None        # held-out histories behind alpha_hat
     alpha_empirical: float | None = None  # accepted / examined proposals, from traces
     mean_n: float | None = None           # accepted proposals per round
@@ -354,16 +353,16 @@ def decode_windows(
     windows: list[TestWindow],
     cfg: DecodeConfig,
     run_seed: int,
-    k_ctx: int,
 ):
     """Decode every window, window i at seed ``derive_seed(run_seed, i)``.
 
-    Returns (forecasts stacked as (windows, horizon, d), traces, wall seconds).
+    Each context is the window's last ``target.lookback`` patches. Returns
+    (forecasts stacked as (windows, horizon, d), traces, wall seconds).
     """
     pad = target.pad_patch()
     # The contexts are built before the clock starts, so the wall times
     # only the decodes.
-    histories = [History.from_patches(win.context, k_ctx, pad) for win in windows]
+    histories = [History.from_patches(win.context, target.lookback, pad) for win in windows]
     forecasts = []
     traces = []
     # Untimed warmup: first-call costs (the engine's session plan, lazy
@@ -400,15 +399,15 @@ def fit_system(spec: ExperimentSpec):
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
-    """Fit models, measure costs, estimate acceptance, decode the sweep.
+    """Fit models, measure costs, decode the sweep; one ``point`` builds every row.
 
-    Returns one RunResult per sweep point, plus a target-only baseline row
-    per (sigma, seed); rows are ordered by spec coordinates.
+    Returns a target-only baseline row per (sigma, seed), then one RunResult
+    per sweep point, ordered by spec coordinates. A speculative row's
+    alpha_hat is the mean of ``overlap(Delta_i, spec.tolerance_lambda)``
+    over the whitened gaps Delta_i of the two models' held-out means at sigma.
     """
     target, drafts, val, windows = fit_system(spec)
-    k_ctx = target.lookback
     timing_window = windows[0].context[None, :, :]
-
     costs = {scale: measure_cost_ratio(target, drafts[scale], timing_window) for scale in spec.scales}
     # One biased copy of each draft, shared by its acceptance estimate and
     # every decode that uses it.
@@ -416,114 +415,62 @@ def run_experiment(spec: ExperimentSpec) -> list[RunResult]:
         (scale, bias): dataclasses.replace(drafts[scale], mean_bias=float(bias))
         for scale in spec.scales for bias in spec.biases
     }
-    # The held-out means do not depend on sigma: each model predicts them
-    # once, and only the (p, q) heads are built per sigma.
-    contexts = _alpha_contexts(val, k_ctx)
+    # The held-out means do not depend on sigma: each model predicts them once.
+    contexts = _alpha_contexts(val, target.lookback)
     mu_p = target.predict_means(contexts)
-    alpha_estimates = {}
-    for (scale, bias), draft in biased.items():
-        mu_q = draft.predict_means(contexts)
-        for sigma in spec.sigmas:
-            pairs = [(GaussianHead(p, sigma * sigma), GaussianHead(q, sigma * sigma)) for p, q in zip(mu_p, mu_q)]
-            alpha_estimates[scale, sigma, bias] = estimate_alpha(pairs)
-
-    dataset = spec.data.name
+    mu_q = {key: draft.predict_means(contexts) for key, draft in biased.items()}
     truth = np.stack([w.truth for w in windows])
-
     base_walls: dict[tuple[float, int], float] = {}
-    results: list[RunResult] = []
-    for sigma in spec.sigmas:
-        for seed in spec.seeds:
-            cfg = DecodeConfig(
-                variant=VARIANT_TARGET_ONLY,
-                horizon_patches=spec.horizon_patches,
-                seed=0,
-                sigma_target=sigma,
-            )
-            forecasts, traces, wall = decode_windows(target, None, windows, cfg, seed, k_ctx)
-            m = metrics(forecasts, truth)
-            base_walls[(sigma, seed)] = wall
-            results.append(
-                RunResult(
-                    dataset=dataset,
-                    variant=VARIANT_TARGET_ONLY,
-                    gamma=0,
-                    sigma=sigma,
-                    scale=1.0,
-                    bias=0.0,
-                    seed=seed,
-                    mse=m["mse"],
-                    mae=m["mae"],
-                    n_windows=len(windows),
-                    horizon_patches=spec.horizon_patches,
-                    s_wall_measured=1.0,
-                    wall_seconds=wall,
-                )
-            )
 
+    def point(variant: str, gamma: int, sigma: float, scale: float, bias: float, seed: int) -> RunResult:
+        """Decode one sweep point of any variant and build its row.
+
+        The target_only point of (sigma, seed) runs first: its wall is the
+        one the other points' measured speedups divide.
+        """
+        baseline = variant == VARIANT_TARGET_ONLY
+        # a baseline point has gamma 0, which its decode never reads
+        cfg = DecodeConfig(variant=variant, horizon_patches=spec.horizon_patches, seed=0, gamma=max(gamma, 1),
+                           tolerance_lambda=spec.tolerance_lambda, sigma_target=sigma, sigma_draft=sigma)
+        forecasts, traces, wall = decode_windows(target, None if baseline else biased[scale, bias], windows, cfg, seed)
+        base_wall = base_walls.setdefault((sigma, seed), wall)
+        m = metrics(forecasts, truth)
+        cost = None if baseline else costs[scale]
+        row = dict(
+            dataset=spec.data.name, variant=variant, gamma=gamma, sigma=sigma, scale=scale, bias=bias,
+            seed=seed, mse=m["mse"], mae=m["mae"], n_windows=len(windows),
+            horizon_patches=spec.horizon_patches, cost=cost,
+            s_wall_measured=base_wall / wall if wall > 0 else float("nan"), wall_seconds=wall,
+        )
+        if variant in (VARIANT_PRACTICAL, VARIANT_LOSSLESS):
+            deltas = whitened_gap(mu_p, mu_q[scale, bias], sigma * sigma)
+            alpha = float(np.mean(overlap(deltas, spec.tolerance_lambda)))
+            lengths = np.concatenate([t.round_lengths() for t in traces])
+            accepted = np.concatenate([t.accepted_counts() for t in traces])
+            proposals = sum(int(t.examined_counts().sum()) for t in traces)
+            total_target = sum(t.totals.target_passes for t in traces)
+            total_draft = sum(t.totals.draft_passes for t in traces)
+            total_patches = sum(t.totals.patches_emitted for t in traces)
+            row.update(
+                alpha_hat=alpha,
+                n_histories=len(contexts),
+                alpha_empirical=int(accepted.sum()) / proposals if proposals else None,
+                mean_n=float(accepted.mean()),
+                mean_l=float(lengths.mean()),
+                e_l_pred=expected_block_length(alpha, gamma),
+                s_wall_pred=speedup_wall(alpha, gamma, cost.c),
+                ops_factor_pred=ops_factor(alpha, gamma, cost.c_hat),
+                ops_factor_meas=(cost.c_hat * total_draft + total_target) / total_patches,
+            )
+        return RunResult(**row)
+
+    results = [point(VARIANT_TARGET_ONLY, 0, sigma, 1.0, 0.0, seed) for sigma in spec.sigmas for seed in spec.seeds]
     for variant in spec.variants:
-        if variant == VARIANT_TARGET_ONLY:
-            continue  # baseline rows are always emitted above
-        gammas = (0,) if variant == VARIANT_DRAFT_ONLY else spec.gammas
-        for gamma in gammas:
-            for sigma in spec.sigmas:
-                for scale in spec.scales:
-                    for bias in spec.biases:
-                        for seed in spec.seeds:
-                            results.append(
-                                _run_point(
-                                    spec, dataset, target, biased[scale, bias], windows, truth,
-                                    costs[scale], alpha_estimates[(scale, sigma, bias)],
-                                    variant, gamma, sigma, scale, bias, seed,
-                                    base_walls[(sigma, seed)], k_ctx,
-                                )
-                            )
+        if variant != VARIANT_TARGET_ONLY:  # its rows are the baselines above
+            gammas = (0,) if variant == VARIANT_DRAFT_ONLY else spec.gammas
+            keys = itertools.product(gammas, spec.sigmas, spec.scales, spec.biases, spec.seeds)
+            results += [point(variant, *key) for key in keys]
     return results
-
-
-def _run_point(
-    spec, dataset, target, draft, windows, truth, cost, alpha_est,
-    variant, gamma, sigma, scale, bias, seed, base_wall, k_ctx,
-) -> RunResult:
-    cfg = DecodeConfig(
-        variant=variant,
-        horizon_patches=spec.horizon_patches,
-        seed=0,
-        gamma=max(gamma, 1),  # a draft_only point has gamma 0, which its decode never reads
-        tolerance_lambda=spec.tolerance_lambda,
-        sigma_target=sigma,
-        sigma_draft=sigma,
-    )
-    forecasts, traces, wall = decode_windows(target, draft, windows, cfg, seed, k_ctx)
-    m = metrics(forecasts, truth)
-    result = RunResult(
-        dataset=dataset, variant=variant, gamma=gamma, sigma=sigma, scale=scale, bias=bias,
-        seed=seed, mse=m["mse"], mae=m["mae"], n_windows=len(windows),
-        horizon_patches=spec.horizon_patches, cost=cost,
-        s_wall_measured=base_wall / wall if wall > 0 else float("nan"), wall_seconds=wall,
-    )
-    if variant == VARIANT_DRAFT_ONLY:
-        return result
-
-    lengths = np.concatenate([t.round_lengths() for t in traces])
-    accepted = np.concatenate([t.accepted_counts() for t in traces])
-    proposals = sum(int(t.examined_counts().sum()) for t in traces)
-    alpha = alpha_est.alpha_bar_hat
-    total_target = sum(t.totals.target_passes for t in traces)
-    total_draft = sum(t.totals.draft_passes for t in traces)
-    total_patches = sum(t.totals.patches_emitted for t in traces)
-    return dataclasses.replace(
-        result,
-        alpha_hat=alpha,
-        n_histories=alpha_est.n_histories,
-        alpha_empirical=int(accepted.sum()) / proposals if proposals else None,
-        mean_n=float(accepted.mean()),
-        mean_l=float(lengths.mean()),
-        e_l_pred=expected_block_length(alpha, gamma),
-        s_wall_pred=speedup_wall(alpha, gamma, cost.c),
-        ops_factor_pred=ops_factor(alpha, gamma, cost.c_hat),
-        ops_factor_meas=(cost.c_hat * total_draft + total_target) / total_patches,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ law is a function of one number, the whitened gap
 Delta = |mu_p - mu_q| / sigma (``whitened_gap``, batched along the last
 axis):
 
-- ``overlap`` is the closed form beta = 2 Phi(-Delta/2), elementwise; its
-  inverse is ``gap_for_overlap``.
+- ``overlap`` is the mean acceptance E_q[min(1, lambda p/q)] in closed
+  form, elementwise; at tolerance lambda = 1 it is the overlap
+  beta = 2 Phi(-Delta/2), whose inverse is ``gap_for_overlap``.
 - ``overlap_monte_carlo`` is an independent 1-d reference for beta: the
   unit normals N(0, 1) and N(Delta, 1) stand for the heads, as their
   coordinate along the gap. The deviation bounds in ``analysis`` are closed
   forms on the same line.
 
-A head is a mean and one width: ``GaussianHead`` is the validated (mean,
-variance) pair that the acceptance estimator takes, with one float
-variance, kept as given however small. The decode engine builds none: it
+A head is a mean and one width: ``GaussianHead`` is only the validated
+(mean, variance) pair type of ``analysis.estimate_alpha``, with one float
+variance, kept as given however small. The harness takes its gaps from
+mean rows directly, and the decode engine builds no head either: it
 scores rounds with ``kernels.round_accept`` and closes a rejected lossless
 round with ``residual_sample`` on its raw mean rows and the rejected
 proposal's own noise, written into the round's closing row.
@@ -97,13 +99,28 @@ def whitened_gap(mu_p, mu_q, variance):
     return np.sqrt(np.sum((mu_p - mu_q) ** 2 / variance, axis=-1))
 
 
-def overlap(delta):
-    """beta = 2 Phi(-Delta/2) of heads a whitened gap Delta apart, elementwise."""
-    return 2.0 * ndtr(-0.5 * delta)
+def overlap(delta, tolerance_lambda: float = 1.0):
+    """E_q[min(1, lambda p/q)] of heads a whitened gap Delta apart, elementwise.
+
+    The mean acceptance of a proposal from q under tolerance ``lambda``.
+    Along the gap the rule accepts surely below x* = Delta/2 + ln(lambda)/Delta
+    and with probability lambda p/q above it, so the mean is
+    min(1, Phi(x* - Delta) + lambda Phi(-x*)): min(1, lambda) at Delta = 0,
+    and at lambda = 1 the canonical overlap beta = 2 Phi(-Delta/2).
+    """
+    if tolerance_lambda == 1.0:
+        return 2.0 * ndtr(-0.5 * delta)
+    lam = float(tolerance_lambda)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"tolerance_lambda must be finite and > 0, got {tolerance_lambda}")
+    delta = np.asarray(delta, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):  # x* = +-inf at Delta = 0 gives min(1, lambda)
+        x_star = 0.5 * delta + math.log(lam) / delta
+    return np.minimum(1.0, ndtr(x_star - delta) + lam * ndtr(-x_star))
 
 
 def gap_for_overlap(beta: float) -> float:
-    """Invert beta = 2*Phi(-Delta/2): the inverse of ``overlap``."""
+    """Invert beta = 2*Phi(-Delta/2): the inverse of ``overlap`` at tolerance_lambda = 1."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     return float(-2.0 * ndtri(beta / 2.0))

@@ -8,6 +8,8 @@ so a truncated-lookback draft stays closely aligned with the full target.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -52,6 +54,9 @@ class SyntheticSpec:
     The defaults give a strongly predictable series: both a full-lookback
     target and a truncated-lookback draft can fit it well, so their mean
     predictions stay aligned and the acceptance sweep actually saturates.
+    A spec refuses, with a ValueError naming the field, a size or harmonic
+    count below 1, a float field that is not a finite number and a negative
+    ``ar_std`` or ``obs_noise``, before it generates anything.
     """
 
     n_steps: int = 360_000
@@ -65,11 +70,16 @@ class SyntheticSpec:
     n_harmonics: int = 3
 
     def __post_init__(self) -> None:
-        for key in ("n_steps", "n_channels", "season_len"):
+        for key in ("n_steps", "n_channels", "season_len", "n_harmonics"):
             value = check_integer(key, getattr(self, key))
             if not value >= 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
-        check_integer("n_harmonics", self.n_harmonics)
+        for key in ("season_amp", "ar_coeff", "ar_std", "obs_noise"):
+            value = getattr(self, key)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+            if key in ("ar_std", "obs_noise") and value < 0:  # ar_std 0 makes the series exactly periodic
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if not 0 <= check_integer("seed", self.seed) < 2 ** 128:
             raise ValueError(f"seed must be in [0, 2**128), the range of a Philox key, got {self.seed}")
 

@@ -404,7 +404,7 @@ def suite_dependence(seed: int = 0) -> SuiteResult:
         for sigma in (0.1, 1.0):
             cfg = DecodeConfig(variant=variant, horizon_patches=spec.horizon_patches, seed=0,
                                gamma=gamma, sigma_target=sigma, sigma_draft=sigma)
-            forecasts, traces, _ = decode_windows(target, draft, windows, cfg, seed, target.lookback)
+            forecasts, traces, _ = decode_windows(target, draft, windows, cfg, seed)
             beta = np.concatenate([
                 _proposal_overlaps(target, draft, w.context, f, t, sigma)
                 for w, f, t in zip(windows, forecasts, traces)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -279,6 +280,13 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys, no_fitting):
         ({**base, "data": {"synthetic": {"n_steps": 0}}}, "n_steps must be >= 1, got 0"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "n_channels": 0}}}, "n_channels must be >= 1, got 0"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "season_len": 0}}}, "season_len must be >= 1, got 0"),
+        # degenerate generator parameters, refused before any data is made
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "n_harmonics": 0}}}, "n_harmonics must be >= 1, got 0"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "season_amp": math.nan}}},
+         "season_amp must be a finite number, got nan"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "ar_std": math.inf}}},
+         "ar_std must be a finite number, got inf"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "obs_noise": -0.5}}}, "obs_noise must be >= 0, got -0.5"),
         # sizes, counts and seeds are integers; lambda is finite and > 0
         ({**base, "gammas": [2.5]}, "gammas must be an integer, got 2.5"),
         ({**base, "max_test_windows": 4.5}, "max_test_windows must be an integer, got 4.5"),

@@ -14,6 +14,7 @@ import pytest
 
 from speccast import engine, kernels
 from speccast import rng as rngmod
+from speccast.analysis import expected_block_length
 from speccast.engine import (
     SOURCE_BASELINE,
     SOURCE_EXTEND,
@@ -26,7 +27,7 @@ from speccast.engine import (
     decode,
 )
 from speccast.models import ForecastModel, History, fit_linear_ar, load_model, persistence_model, save_model
-from speccast.prob import GaussianHead, gap_for_overlap
+from speccast.prob import GaussianHead, gap_for_overlap, overlap
 from speccast.series import PatchSeries, metrics
 from speccast.synth import SyntheticSpec
 from helpers import ar1
@@ -1302,6 +1303,26 @@ class TestLosslessSessionLaw:
         assert scistats.kstest(steps.ravel(), "norm").pvalue >= 1e-3
         lag1 = math.sqrt(n) * np.mean(steps[:, 1:] * steps[:, :-1], axis=0)
         assert scistats.chi2.sf(float(np.sum(lag1 * lag1)), horizon - 1) >= 1e-3
+
+
+class TestToleranceLaw:
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_mean_block_length_follows_the_tolerance_overlap(self, lam):
+        # On the persistence pair every proposal of a practical round is
+        # kept with probability E_q[min(1, lambda p/q)] = overlap(delta,
+        # lambda), independently, so a horizon-1 round's L follows the
+        # capped geometric law of that acceptance: over 20 000 fixed-seed
+        # sessions at gamma 3 mean L lies within 4 standard errors of it.
+        n, gamma = 20_000, 3
+        gap = gap_for_overlap(0.8)
+        target, draft, h0 = make_pair(gap=gap)
+        cfg = cfg_for("practical", horizon=1, gamma=gamma, tolerance_lambda=lam)
+        lengths = np.array(
+            [decode(target, draft, h0, cfg.with_seed(30_000 + i))[1].round_lengths()[0] for i in range(n)]
+        )
+        want = expected_block_length(float(overlap(gap, lam)), gamma)
+        se = lengths.std(ddof=1) / math.sqrt(n)
+        assert abs(lengths.mean() - want) <= 4 * se
 
 
 class TestSigmaOverrides:

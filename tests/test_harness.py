@@ -1,14 +1,23 @@
 """Experiment harness: the cost measurement, the spec document and the sweep record."""
 
+import dataclasses
 import json
 import types
 import warnings
 
+import numpy as np
 import pytest
 
 from speccast import harness
 from speccast import rng as rngmod
-from speccast.analysis import CostModel, expected_block_length, ops_factor, speedup_wall
+from speccast.analysis import (
+    CostModel,
+    deviation_bounds,
+    estimate_alpha,
+    expected_block_length,
+    ops_factor,
+    speedup_wall,
+)
 from speccast.engine import DecodeConfig, decode
 from speccast.harness import (
     TIMING_PASSES,
@@ -22,6 +31,7 @@ from speccast.harness import (
     run_experiment,
 )
 from speccast.models import History, effective_lookback, fit_linear_ar, persistence_model
+from speccast.prob import GaussianHead, whitened_gap
 from speccast.series import PatchSeries
 from speccast.synth import SyntheticSpec
 
@@ -95,7 +105,7 @@ class TestDecodeWindows:
 
         monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
         monkeypatch.setattr(History, "from_patches", classmethod(timed_build))
-        forecasts, traces, wall = decode_windows(target, draft, windows, cfg, 7, 4)
+        forecasts, traces, wall = decode_windows(target, draft, windows, cfg, 7)
         assert clock[0] == len(windows) and wall == 0.0
         for (forecast, trace), got, got_trace in zip(want, forecasts, traces, strict=True):
             assert got.tobytes() == forecast.tobytes()
@@ -154,13 +164,16 @@ def _record(**kw):
     return RunResult(**{**base, **kw})
 
 
+# The tiny CLI sweep: one channel, 8-step patches, 3 test windows.
+TINY = ExperimentSpec(
+    DataSpec(synthetic=SyntheticSpec(n_steps=6000, n_channels=1, season_len=64, ar_std=0.25)), 8, 4, 32,
+    sigmas=(0.5,), gammas=(2, 3), variants=("practical", "lossless"), max_test_windows=3,
+)
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    # The tiny CLI sweep: one channel, 8-step patches, 3 test windows.
-    data = DataSpec(synthetic=SyntheticSpec(n_steps=6000, n_channels=1, season_len=64, ar_std=0.25))
-    spec = ExperimentSpec(data, 8, 4, 32, sigmas=(0.5,), gammas=(2, 3), variants=("practical", "lossless"),
-                          max_test_windows=3)
-    return run_experiment(spec)
+    return run_experiment(TINY)
 
 
 class TestRunResult:
@@ -217,3 +230,30 @@ class TestRunResult:
         assert RunResult.from_dict({**doc, "cost": {**doc["cost"], "source": "measured"}}) == r
         with pytest.raises(ValueError, match=r"^cost key 'source' is retired"):
             RunResult.from_dict({**doc, "cost": {**doc["cost"], "source": "configured"}})
+
+
+class TestAcceptanceEstimate:
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_alpha_hat_is_the_mean_acceptance_at_the_spec_lambda(self, lam):
+        # alpha_hat averages E_q[min(1, lambda p/q)] over the held-out gaps:
+        # the closed form of deviation_bounds at lambda != 1, and at
+        # lambda = 1 estimate_alpha over the head pairs, to the bit.
+        spec = dataclasses.replace(TINY, sigmas=(0.5, 1.0), gammas=(3,), variants=("practical",),
+                                   biases=(0.0, 0.3), tolerance_lambda=lam)
+        rows = [r for r in run_experiment(spec) if r.variant == "practical"]
+        target, drafts, val, _ = harness.fit_system(spec)
+        contexts = harness._alpha_contexts(val, target.lookback)
+        mu_p = target.predict_means(contexts)
+        assert len(rows) == 4
+        for r in rows:
+            mu_q = dataclasses.replace(drafts[r.scale], mean_bias=r.bias).predict_means(contexts)
+            var = r.sigma * r.sigma
+            assert r.n_histories == len(contexts)
+            if lam == 1.0:
+                pairs = [(GaussianHead(p, var), GaussianHead(q, var)) for p, q in zip(mu_p, mu_q)]
+                assert r.alpha_hat == estimate_alpha(pairs).alpha_bar_hat
+            else:
+                want = np.mean([deviation_bounds(delta, lam).alpha_bar for delta in whitened_gap(mu_p, mu_q, var)])
+                assert r.alpha_hat == pytest.approx(want, rel=0, abs=1e-12)
+                assert r.alpha_hat <= min(1.0, lam)
+            assert r.e_l_pred == expected_block_length(r.alpha_hat, r.gamma)

@@ -244,15 +244,28 @@ class TestOverlap:
         assert whitened_gap(mu_p, mu_q, 0.7).tolist() == whitened_gap(mu_p, mu_q, np.full(5, 0.7)).tolist()
         assert overlap(batched).tolist() == [float(overlap(g)) for g in batched]
 
-    def test_closed_form_matches_adaptive_quadrature(self):
-        # beta is the mass of min(p, q), whose kink sits at the midpoint
-        for delta in np.linspace(0.0, 8.0, 33):
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0, 4.0])
+    def test_closed_form_matches_adaptive_quadrature(self, lam):
+        # The mean acceptance E_q[min(1, lambda p/q)] is the mass of
+        # min(q, lambda p), p = N(0, 1) and q = N(delta, 1), whose kink sits
+        # at x* = delta/2 + ln(lambda)/delta (the midpoint at lambda = 1).
+        for delta in np.linspace(0.0, 8.0, 33)[1:]:
             def min_pdf(x):
-                return math.exp(-0.5 * max(x * x, (x - delta) ** 2)) / math.sqrt(2.0 * math.pi)
+                return min(math.exp(-0.5 * (x - delta) ** 2), lam * math.exp(-0.5 * x * x)) / math.sqrt(2.0 * math.pi)
 
-            halves = ((-np.inf, 0.5 * delta), (0.5 * delta, np.inf))
-            beta = sum(quad(min_pdf, lo, hi, epsabs=1e-15)[0] for lo, hi in halves)
-            assert overlap(delta) == pytest.approx(beta, rel=0, abs=1e-12)
+            x_star = 0.5 * delta + math.log(lam) / delta
+            halves = ((-np.inf, x_star), (x_star, np.inf))
+            alpha = sum(quad(min_pdf, lo, hi, epsabs=1e-15)[0] for lo, hi in halves)
+            assert overlap(delta, lam) == pytest.approx(alpha, rel=0, abs=1e-12)
+        # at delta = 0 the heads coincide and every proposal is kept with
+        # probability min(1, lambda), exactly and with no warning
+        assert overlap(0.0, lam) == min(1.0, lam)
+        assert overlap(np.zeros(3), lam).tolist() == [min(1.0, lam)] * 3
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="tolerance_lambda must be finite and > 0"):
+            overlap(1.0, lam)
 
     def test_monte_carlo_within_3se(self):
         beta, std_error = overlap_monte_carlo(1.0, 1_000_000, rngmod.stream(99))

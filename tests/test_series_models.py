@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -488,6 +489,28 @@ class TestSynth:
                 SyntheticSpec(n_steps=100, seed=seed)
         for seed in (0, 2 ** 128 - 1):
             assert SyntheticSpec(n_steps=100, n_channels=1, season_len=16, seed=seed).generate().shape == (1, 100)
+
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("n_harmonics", 0, "n_harmonics must be >= 1, got 0"),
+            ("n_harmonics", -1, "n_harmonics must be >= 1, got -1"),
+            ("season_amp", math.nan, "season_amp must be a finite number, got nan"),
+            ("season_amp", "1.0", "season_amp must be a finite number, got '1.0'"),
+            ("ar_coeff", math.nan, "ar_coeff must be a finite number, got nan"),
+            ("ar_coeff", -math.inf, "ar_coeff must be a finite number, got -inf"),
+            ("ar_std", math.inf, "ar_std must be a finite number, got inf"),
+            ("ar_std", -0.01, "ar_std must be >= 0, got -0.01"),
+            ("obs_noise", math.nan, "obs_noise must be a finite number, got nan"),
+            ("obs_noise", -1.0, "obs_noise must be >= 0, got -1.0"),
+        ],
+    )
+    def test_degenerate_generator_parameters_are_refused_by_the_spec(self, field, value, message):
+        # each would divide by zero, fail inside numpy, or give a non-finite
+        # (or silently noise-free) series that only a later fit refuses
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(n_steps=100, **{field: value})
 
 
 def _both_means(model, window):

@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .prob import GaussianHead, check_gap, overlap, overlap_monte_carlo, whitened_gap
-from .synth import check_keys, drop_retired
+from .prob import GaussianHead, overlap, whitened_gap
+from .synth import check_keys, check_real, drop_retired
 
 
 def _check_alpha(alpha_bar: float) -> float:
@@ -61,8 +61,7 @@ def expected_block_length(alpha_bar: float, gamma: int) -> float:
 
 def speedup_wall(alpha_bar: float, gamma: int, c: float) -> float:
     """Predicted wall-clock speedup E[L] / (c*gamma + 1) over target-only."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"wall-clock cost ratio c must be finite and > 0, got {c}")
+    c = check_real("wall-clock cost ratio c", c)
     return expected_block_length(alpha_bar, gamma) / (c * gamma + 1.0)
 
 
@@ -72,8 +71,7 @@ def ops_factor(alpha_bar: float, gamma: int, c_hat: float) -> float:
     One round spends gamma*c_hat + gamma + 1 target-forward equivalents and
     emits E[L] patches.
     """
-    if not (math.isfinite(c_hat) and c_hat > 0):
-        raise ValueError(f"FLOPs cost ratio c_hat must be finite and > 0, got {c_hat}")
+    c_hat = check_real("FLOPs cost ratio c_hat", c_hat)
     return (gamma * c_hat + gamma + 1.0) / expected_block_length(alpha_bar, gamma)
 
 
@@ -92,8 +90,7 @@ def select_gamma(alpha_bar: float, c: float, gamma_max: int) -> GammaChoice:
     speedup directly, ties to the smallest gamma.
     """
     a = _check_alpha(alpha_bar)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and > 0, got {c}")
+    c = check_real("c", c)
     if gamma_max < 1:
         raise ValueError("gamma_max must be >= 1")
     gammas = np.arange(1, gamma_max + 1, dtype=np.float64)
@@ -159,10 +156,8 @@ class CostModel:
     draft_pass_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be finite and > 0, got {self.c}")
-        if not (math.isfinite(self.c_hat) and self.c_hat > 0):
-            raise ValueError(f"c_hat must be finite and > 0, got {self.c_hat}")
+        check_real("c", self.c)
+        check_real("c_hat", self.c_hat)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CostModel":
@@ -172,63 +167,42 @@ class CostModel:
         return cls(**d)
 
 
-MODE_CLOSED_FORM = "closed_form"
-MODE_MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class AcceptanceEstimate:
-    """Mean-acceptance estimate with a Hoeffding concentration radius.
-
-    ``mc_per_history`` is None for the closed-form per-history overlap (the
-    m = infinity case), in which case the radius uses the history count
-    alone: radius(delta) = sqrt(ln(2/delta) / (2 N m_eff)).
-    """
+    """Mean-acceptance estimate over ``n_histories`` histories, with its
+    Hoeffding concentration: radius(delta) = sqrt(ln(2/delta) / (2 N))."""
 
     alpha_bar_hat: float
     n_histories: int
-    mc_per_history: int | None
 
     def radius(self, delta: float = 0.05) -> float:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        m_eff = 1 if self.mc_per_history is None else self.mc_per_history
-        return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_histories * m_eff))
+        return math.sqrt(math.log(2.0 / delta) / (2.0 * self.n_histories))
 
     def tail_bound(self, epsilon: float) -> float:
         """Two-sided Hoeffding tail Pr(|est - truth| >= eps) bound."""
-        m_eff = 1 if self.mc_per_history is None else self.mc_per_history
-        return 2.0 * math.exp(-2.0 * self.n_histories * m_eff * epsilon ** 2)
+        return 2.0 * math.exp(-2.0 * self.n_histories * epsilon ** 2)
 
 
-def estimate_alpha(
-    pairs: Sequence[tuple[GaussianHead, GaussianHead]],
-    mode: str = MODE_CLOSED_FORM,
-    mc_per_history: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> AcceptanceEstimate:
+def estimate_alpha(pairs: Sequence[tuple[GaussianHead, GaussianHead]]) -> AcceptanceEstimate:
     """Mean acceptance beta at tolerance_lambda = 1 over (target, draft) head pairs.
 
     The harness does not call it: its sweep rows average
     ``overlap(Delta_i, lambda)`` over mean rows at the spec's lambda. Each
     pair is reduced to its whitened gap Delta_i, taken in one batched
-    call. closed_form averages the overlaps 2*Phi(-Delta_i/2);
-    monte_carlo draws ``mc_per_history`` proposals per history with
-    ``overlap_monte_carlo`` and averages the canonical acceptance
-    min(1, p/q). Both need each pair's two variances equal, and take each
-    head's variance as it is, however small. Both are
-    unbiased for the mean overlap over the histories they are given, under
-    the canonical rule. That is the deployment acceptance only if decoding
-    proposes on such histories. The harness's held-out histories are
-    clean, while the engine proposes on prefixes that hold its own draws,
-    whose acceptance is lower (by up to about 0.04 at sigma = 2 on the
-    end-to-end system).
+    call, and the estimate is the mean of the closed-form overlaps
+    2*Phi(-Delta_i/2). Each pair's two variances must be equal, and each
+    head's variance is taken as it is, however small. The estimate is the
+    exact mean overlap over the histories it is given, under the canonical
+    rule. That is the deployment acceptance only if decoding proposes on
+    such histories. The harness's held-out histories are clean, while the
+    engine proposes on prefixes that hold its own draws, whose acceptance
+    is lower (by up to about 0.04 at sigma = 2 on the end-to-end system).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("estimate_alpha needs at least one head pair")
-    if mode not in (MODE_CLOSED_FORM, MODE_MONTE_CARLO):
-        raise ValueError(f"unknown estimate mode {mode!r}")
     mu_p = np.stack([p.mean for p, _ in pairs])
     mu_q = np.stack([q.mean for _, q in pairs])
     var_p = np.array([p.variance for p, _ in pairs])
@@ -240,22 +214,7 @@ def estimate_alpha(
     if not (np.abs(var_p - var_q) <= 1e-12 * np.abs(var_q)).all():
         raise ValueError("estimate_alpha requires equal variances")
     deltas = whitened_gap(mu_p, mu_q, var_p[:, None])
-    if mode == MODE_CLOSED_FORM:
-        return AcceptanceEstimate(
-            alpha_bar_hat=float(np.mean(overlap(deltas))),
-            n_histories=len(pairs),
-            mc_per_history=None,
-        )
-    if mc_per_history is None or mc_per_history < 1:
-        raise ValueError("monte_carlo mode requires mc_per_history >= 1")
-    if rng is None:
-        raise ValueError("monte_carlo mode requires an rng")
-    total = sum(overlap_monte_carlo(delta, mc_per_history, rng)[0] for delta in deltas.tolist())
-    return AcceptanceEstimate(
-        alpha_bar_hat=total / len(pairs),
-        n_histories=len(pairs),
-        mc_per_history=mc_per_history,
-    )
+    return AcceptanceEstimate(alpha_bar_hat=float(np.mean(overlap(deltas))), n_histories=len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +317,8 @@ def deviation_bounds(delta: float, tolerance_lambda: float = 1.0) -> DeviationBo
     alpha_bar holds by construction, and TV <= Pinsker is checked on the
     result.
     """
-    delta = check_gap(delta)
-    lam = float(tolerance_lambda)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"tolerance_lambda must be finite and > 0, got {tolerance_lambda}")
+    delta = check_real("whitened gap", delta, "finite and >= 0")
+    lam = check_real("tolerance_lambda", tolerance_lambda)
     if delta == 0.0:
         return DeviationBounds(alpha_bar=min(1.0, lam), tv=0.0, kl_bound=0.0, pinsker_tv=0.0)
     log_lam = math.log(lam)

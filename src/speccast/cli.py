@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,8 +115,6 @@ def cmd_fit(args) -> int:
     data = _data_spec(args)
     series = PatchSeries.from_values(data.load(), args.patch_len)
     model = fit_linear_ar(series, args.lookback, args.ridge, scale=args.scale)
-    if args.sigma is not None:
-        model = dataclasses.replace(model, sigma=args.sigma)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
@@ -139,7 +136,6 @@ def cmd_fit(args) -> int:
             "lookback": args.lookback,
             "ridge": args.ridge,
             "scale": args.scale,
-            "sigma": args.sigma,
             "out": str(out),
         },
         [out],
@@ -356,13 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="ridge-fit a patch forecaster and save it as JSON")
+    p_fit = sub.add_parser(
+        "fit",
+        help="ridge-fit a patch forecaster and save it as JSON; its head sigma is the fit's "
+        "residual RMS, and decode --sigma or a spec's sigmas set another",
+    )
     _add_data_args(p_fit)
     p_fit.add_argument("--patch-len", type=int, required=True)
     p_fit.add_argument("--lookback", type=int, required=True, help="lookback window in patches")
     p_fit.add_argument("--ridge", type=float, default=1e-3)
     p_fit.add_argument("--scale", type=float, default=1.0, help="capacity multiplier in (0, 1]")
-    p_fit.add_argument("--sigma", type=float, help="override the fitted head sigma")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -436,8 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get("SPECCAST_OUT_DIR") and getattr(args, "out", None) is None:
-        args.out = os.environ["SPECCAST_OUT_DIR"]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -126,7 +126,7 @@ from . import kernels
 from . import rng as rngmod
 from .models import ForecastModel, History
 from .prob import residual_sample
-from .synth import check_integer
+from .synth import check_integer, check_real
 
 _LOCAL = threading.local()
 # Rounds per ROUND stream key. The key is per block and horizon-independent;
@@ -182,17 +182,15 @@ class DecodeConfig:
             raise ValueError("gamma must be >= 1")
         if check_integer("horizon_patches", self.horizon_patches) < 1:
             raise ValueError("horizon_patches must be >= 1")
-        if not (math.isfinite(self.tolerance_lambda) and self.tolerance_lambda > 0):
-            raise ValueError(f"tolerance_lambda must be finite and > 0, got {self.tolerance_lambda}")
+        check_real("tolerance_lambda", self.tolerance_lambda)
         if self.variant == VARIANT_LOSSLESS and self.tolerance_lambda != 1.0:
             raise ValueError(
                 f"lossless decoding requires tolerance_lambda == 1, got {self.tolerance_lambda}: "
                 f"min(1, lambda p/q) acceptance and the (p - q)_+ residual sample the target only at 1"
             )
         for name in ("sigma_target", "sigma_draft"):
-            sigma = getattr(self, name)
-            if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {sigma}")
+            if getattr(self, name) is not None:
+                check_real(name, getattr(self, name))
 
     def with_seed(self, seed: int) -> "DecodeConfig":
         """This validated config with another seed.

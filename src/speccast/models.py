@@ -30,6 +30,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpftrf, dpftrs
 
 from .series import NormStats, PatchSeries
+from .synth import check_real
 
 KIND_LINEAR = "linear_ar"
 KIND_PERSISTENCE = "persistence"
@@ -135,10 +136,11 @@ class ForecastModel:
     mean_bias >= 0 shifts the predicted mean by a fixed vector of that norm
     along the first patch coordinate (after standardization). It is a
     reproducible knob for degrading a draft's alignment with the target;
-    being a norm, a negative value is rejected. A model is checked where it
-    is built, so a bad one never reaches a decode: a ValueError names the
-    weights, intercept or mean patch when its shape is wrong or it holds
-    NaN or inf.
+    being a norm, a negative or non-finite value is rejected. A model is
+    checked where it is built, so a bad one never reaches a decode: a
+    ValueError names the sigma or mean_bias when it is not a finite number
+    in range, and the weights, intercept or mean patch when its shape is
+    wrong or it holds NaN or inf.
 
     The weights live in one array, the read-only, C-ordered (lookback*d, d)
     operand of the mean products, starting on a cache line; ``weights`` is
@@ -164,10 +166,8 @@ class ForecastModel:
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_PERSISTENCE):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not self.mean_bias >= 0:
-            raise ValueError(f"mean_bias must be >= 0, got {self.mean_bias}")
+        check_real("sigma", self.sigma)
+        check_real("mean_bias", self.mean_bias, "finite and >= 0")
         if self.kind == KIND_LINEAR:
             if self.weights is None or self.intercept is None:
                 raise ValueError("linear_ar model requires weights and intercept")
@@ -480,8 +480,7 @@ def fit_linear_ar(
     O((k + row block) * d^2) of work arrays beside it; the centred copy of
     the patches is freed before that triangle is made.
     """
-    if not np.isfinite(ridge) or ridge < 0:
-        raise ValueError("ridge must be finite and >= 0")
+    check_real("ridge", ridge, "finite and >= 0")
     k = effective_lookback(lookback, scale)
     d = train.patch_len
     if train.n_patches < k + 1:

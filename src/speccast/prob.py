@@ -41,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .synth import check_real
+
 
 @dataclass(frozen=True)
 class GaussianHead:
@@ -79,10 +81,7 @@ class GaussianHead:
 
     @classmethod
     def isotropic(cls, mean, sigma: float) -> "GaussianHead":
-        sigma = float(sigma)
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        return cls(mean, sigma ** 2)
+        return cls(mean, check_real("sigma", sigma) ** 2)
 
     @property
     def d(self) -> int:
@@ -110,9 +109,7 @@ def overlap(delta, tolerance_lambda: float = 1.0):
     """
     if tolerance_lambda == 1.0:
         return 2.0 * ndtr(-0.5 * delta)
-    lam = float(tolerance_lambda)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"tolerance_lambda must be finite and > 0, got {tolerance_lambda}")
+    lam = check_real("tolerance_lambda", tolerance_lambda)
     delta = np.asarray(delta, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):  # x* = +-inf at Delta = 0 gives min(1, lambda)
         x_star = 0.5 * delta + math.log(lam) / delta
@@ -126,14 +123,6 @@ def gap_for_overlap(beta: float) -> float:
     return float(-2.0 * ndtri(beta / 2.0))
 
 
-def check_gap(delta: float) -> float:
-    """The whitened gap as a float; ValueError unless it is finite and >= 0."""
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"whitened gap must be finite and >= 0, got {delta}")
-    return delta
-
-
 def overlap_monte_carlo(delta: float, n: int, rng: np.random.Generator):
     """(beta, standard error): the mean of min(1, p/q) over n draws X ~ q, unbiased.
 
@@ -141,7 +130,7 @@ def overlap_monte_carlo(delta: float, n: int, rng: np.random.Generator):
     for X = Delta + z; n standard normals are drawn from ``rng``. One draw
     has no standard error: it is NaN at n = 1.
     """
-    delta = check_gap(delta)
+    delta = check_real("whitened gap", delta, "finite and >= 0")
     if n < 1:
         raise ValueError("Monte Carlo overlap requires n >= 1")
     z = rng.standard_normal(n)

@@ -428,13 +428,12 @@ def suite_dependence(seed: int = 0) -> SuiteResult:
 
 
 def suite_estimator(seed: int = 0) -> SuiteResult:
-    """Hoeffding interval coverage for the acceptance estimators.
+    """Hoeffding interval coverage of the acceptance estimate.
 
-    Closed-form per-history overlaps are checked on a heterogeneous history
-    population; the two-stage Monte Carlo estimator is checked on a
-    homogeneous population, the regime where its N*m concentration rate
-    applies (with heterogeneous histories the per-history overlaps share no
-    common mean across draws and only the N-rate is guaranteed).
+    The closed-form per-history overlaps are averaged over histories drawn
+    from a heterogeneous population of gaps; the estimate must fall within
+    eps of the population mean at least as often as the N-history Hoeffding
+    bound promises. The tail bound's arithmetic is pinned.
     """
     c = SuiteResult("estimator")
     reps = 200
@@ -450,7 +449,7 @@ def suite_estimator(seed: int = 0) -> SuiteResult:
     estimates = np.empty(reps)
     for r in range(reps):
         idx = rng.integers(0, len(pop_pairs), n_hist)
-        est = estimate_alpha([pop_pairs[i] for i in idx], mode="closed_form")
+        est = estimate_alpha([pop_pairs[i] for i in idx])
         estimates[r] = est.alpha_bar_hat
     for eps in (0.02, 0.05, 0.1):
         nominal = max(0.0, 1.0 - 2.0 * math.exp(-2.0 * n_hist * eps ** 2))
@@ -461,40 +460,9 @@ def suite_estimator(seed: int = 0) -> SuiteResult:
             f"closed-form coverage {coverage:.3f} below nominal {nominal:.3f} at eps={eps}",
         )
 
-    # Two-stage estimator, homogeneous population (all histories share one
-    # gap). Heterogeneous histories would make the N*m rate anticonservative
-    # because draws within one history share its overlap value.
-    gap = 1.0
-    beta_true = float(overlap(gap))
-    n_hist, m = 100, 50
-    p = GaussianHead.isotropic([0.0], 1.0)
-    q = GaussianHead.isotropic([gap], 1.0)
-    pairs = [(p, q)] * n_hist
-    estimates2 = np.empty(reps)
-    for r in range(reps):
-        est = estimate_alpha(pairs, mode="monte_carlo", mc_per_history=m, rng=rng)
-        estimates2[r] = est.alpha_bar_hat
-    for eps in (0.01, 0.02, 0.05):
-        nominal = max(0.0, 1.0 - 2.0 * math.exp(-2.0 * n_hist * m * eps ** 2))
-        coverage = float(np.mean(np.abs(estimates2 - beta_true) <= eps))
-        c.details[f"two_stage_eps={eps}"] = {"coverage": coverage, "nominal": nominal}
-        c.check(
-            coverage >= nominal,
-            f"two-stage coverage {coverage:.3f} below nominal {nominal:.3f} at eps={eps}",
-        )
-
-    # Unbiasedness: Monte Carlo mean across replications hugs the truth.
-    mc_mean = float(estimates2.mean())
-    mc_se = float(estimates2.std(ddof=1) / math.sqrt(reps))
-    c.details["two_stage_mc_mean"] = mc_mean
-    c.details["two_stage_truth"] = beta_true
-    c.check(
-        abs(mc_mean - beta_true) <= 3 * mc_se + 1e-12,
-        f"two-stage mean {mc_mean:.5f} departs from {beta_true:.5f} beyond 3 SE",
-    )
-
-    # Pinned radius arithmetic: N=5000, m=1, eps=0.05 -> 2 exp(-25).
-    est = AcceptanceEstimate(alpha_bar_hat=0.5, n_histories=5000, mc_per_history=1)
+    # Pinned radius arithmetic: N=5000, eps=0.05 -> 2 exp(-25). The key's
+    # m1 (one draw per history) keeps reports comparable across versions.
+    est = AcceptanceEstimate(alpha_bar_hat=0.5, n_histories=5000)
     bound = est.tail_bound(0.05)
     c.details["tail_bound_5000_m1_eps05"] = bound
     c.check(abs(bound - 2.0 * math.exp(-25.0)) < 1e-15, "Hoeffding tail arithmetic drifted")

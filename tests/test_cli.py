@@ -22,11 +22,6 @@ SCAN = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _no_default_out_dir(monkeypatch):
-    monkeypatch.delenv("SPECCAST_OUT_DIR", raising=False)
-
-
 def _records(results_path):
     with open(results_path) as fh:
         return [RunResult.from_dict(json.loads(line)) for line in fh if line.strip()]
@@ -174,6 +169,16 @@ def test_fit_has_no_seed(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_fit_takes_no_sigma(tmp_path):
+    # the fit's head width is its residual RMS; decode --sigma and a spec's
+    # sigmas set the width a decode uses
+    argv = ["fit", *DATA, "--patch-len", "8", "--lookback", "4", "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--sigma", "1"])
+    assert exc.value.code == 2
+
+
 def test_manifests_record_the_data_spec(tmp_path):
     model = _fit(tmp_path / "fit" / "target.json", "--synth-ar-std", "0.9", "--synth-ar-coeff", "0.5")
     data = json.loads((tmp_path / "fit" / "manifest.json").read_text())["resolved"]["data"]
@@ -245,7 +250,9 @@ def test_decode_usage_errors_exit_2(tmp_path, capsys):
     assert main([*argv, "--variant", "target_only", "--bias", "0.3"]) == 2
     assert capsys.readouterr().err == "error: --bias requires --draft\n"
     assert main([*argv, "--draft", str(target), "--variant", "draft_only", "--bias", "-1"]) == 2
-    assert capsys.readouterr().err == "error: mean_bias must be >= 0, got -1.0\n"
+    assert capsys.readouterr().err == "error: mean_bias must be finite and >= 0, got -1.0\n"
+    assert main([*argv, "--draft", str(target), "--variant", "draft_only", "--bias", "inf"]) == 2
+    assert capsys.readouterr().err == "error: mean_bias must be finite and >= 0, got inf\n"
     short = ["--synth-steps", "16"]  # two 8-step patches against a lookback of 4
     assert main([*argv, *short, "--variant", "target_only"]) == 2
     assert "channel 0: 2 patches of history, need 4" in capsys.readouterr().err
@@ -281,12 +288,16 @@ def test_scan_spec_errors_exit_2(tmp_path, capsys, no_fitting):
         ({**base, "data": {"synthetic": {"n_steps": 6000, "n_channels": 0}}}, "n_channels must be >= 1, got 0"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "season_len": 0}}}, "season_len must be >= 1, got 0"),
         # degenerate generator parameters, refused before any data is made
-        ({**base, "data": {"synthetic": {"n_steps": 6000, "n_harmonics": 0}}}, "n_harmonics must be >= 1, got 0"),
-        ({**base, "data": {"synthetic": {"n_steps": 6000, "season_amp": math.nan}}},
-         "season_amp must be a finite number, got nan"),
         ({**base, "data": {"synthetic": {"n_steps": 6000, "ar_std": math.inf}}},
-         "ar_std must be a finite number, got inf"),
-        ({**base, "data": {"synthetic": {"n_steps": 6000, "obs_noise": -0.5}}}, "obs_noise must be >= 0, got -0.5"),
+         "ar_std must be finite and >= 0, got inf"),
+        ({**base, "data": {"synthetic": {"n_steps": 6000, "obs_noise": -0.5}}},
+         "synthetic spec key 'obs_noise' is retired and must be 0.0 or absent, got -0.5"),
+        # real-valued keys are numbers: a string is refused by name
+        ({**base, "sigmas": ["x"]}, "sigmas must be finite and > 0, got 'x'"),
+        ({**base, "tolerance_lambda": None}, "tolerance_lambda must be finite and > 0, got None"),
+        ({**base, "scales": ["0.5"]}, "scales must be finite, got '0.5'"),
+        ({**base, "ridge": -1}, "ridge must be finite and >= 0, got -1"),
+        ({**base, "ridge": "x"}, "ridge must be finite and >= 0, got 'x'"),
         # sizes, counts and seeds are integers; lambda is finite and > 0
         ({**base, "gammas": [2.5]}, "gammas must be an integer, got 2.5"),
         ({**base, "max_test_windows": 4.5}, "max_test_windows must be an integer, got 4.5"),
@@ -322,6 +333,7 @@ def test_scan_flag_errors_exit_2_before_fitting(tmp_path, capsys, no_fitting):
         ([*SCAN, "--sigmas", "-0.5"], "sigmas must be finite and > 0, got -0.5"),
         ([*SCAN, "--biases", "-1"], "biases must be finite and >= 0, got -1.0"),
         ([*SCAN, "--scales", "1.5"], "scales must be in (0, 1], got 1.5"),
+        ([*SCAN, "--ridge", "-1"], "ridge must be finite and >= 0, got -1.0"),
         ([*SCAN, "--synth-steps", "0"], "n_steps must be >= 1, got 0"),
         ([*SCAN, "--synth-channels", "0"], "n_channels must be >= 1, got 0"),
         ([*SCAN, "--synth-season", "0"], "season_len must be >= 1, got 0"),
@@ -349,6 +361,8 @@ def test_decode_of_a_malformed_model_exits_2(tmp_path, capsys):
     cases = [
         ({"intercept": doc["intercept"][:3]}, "intercept shape (3,) != (8,)"),
         ({"weights": [float("nan")] + doc["weights"][1:]}, "weights must be finite"),
+        ({"sigma": "x"}, "sigma must be finite and > 0, got 'x'"),
+        ({"mean_bias": None}, "mean_bias must be finite and >= 0, got None"),
     ]
     for change, message in cases:
         model_path.write_text(json.dumps({**doc, **change}))

@@ -503,6 +503,8 @@ class TestConfigValidation:
             ("tolerance_lambda", math.inf, "tolerance_lambda must be finite and > 0, got inf"),
             ("tolerance_lambda", math.nan, "tolerance_lambda must be finite and > 0, got nan"),
             ("tolerance_lambda", -1.0, "tolerance_lambda must be finite and > 0, got -1.0"),
+            ("tolerance_lambda", "1", "tolerance_lambda must be finite and > 0, got '1'"),
+            ("tolerance_lambda", None, "tolerance_lambda must be finite and > 0, got None"),
         ],
     )
     def test_sizes_are_integers_and_lambda_is_finite(self, field_name, value, message):
@@ -1328,12 +1330,12 @@ class TestToleranceLaw:
 class TestSigmaOverrides:
     @pytest.mark.parametrize("variant", ["practical", "lossless", "target_only", "draft_only"])
     @pytest.mark.parametrize("field_name", ["sigma_target", "sigma_draft"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "0.5"])
     def test_rejected_unless_finite_positive(self, variant, field_name, value):
         with pytest.raises(ValueError, match=f"{field_name} must be finite and > 0"):
             DecodeConfig(variant=variant, horizon_patches=4, seed=0, **{field_name: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), "1", None])
     def test_model_sigma_rejected_unless_finite_positive(self, value):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             persistence_model(patch_len=1, sigma=value)

@@ -98,7 +98,7 @@ class TestGaussianHead:
         # below the lossless decode's floor, the head keeps its true width
         assert GaussianHead.isotropic(mean, 1e-7).variance == 1e-7 ** 2
 
-    @pytest.mark.parametrize("sigma", [-2.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("sigma", [-2.0, 0.0, -0.0, math.inf, -math.inf, math.nan, "1", None])
     def test_isotropic_refuses_a_sigma_that_is_not_finite_and_positive(self, sigma):
         # squaring would turn -2 into a valid variance of 4
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
@@ -262,7 +262,7 @@ class TestOverlap:
         assert overlap(0.0, lam) == min(1.0, lam)
         assert overlap(np.zeros(3), lam).tolist() == [min(1.0, lam)] * 3
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, "2", None])
     def test_tolerance_must_be_finite_and_positive(self, lam):
         with pytest.raises(ValueError, match="tolerance_lambda must be finite and > 0"):
             overlap(1.0, lam)
@@ -272,7 +272,7 @@ class TestOverlap:
         assert abs(beta - overlap(1.0)) <= 3 * std_error
         assert std_error > 0
 
-    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf, "1"])
     def test_gap_laws_refuse_a_gap_that_is_not_finite_and_nonnegative(self, delta):
         with pytest.raises(ValueError, match="whitened gap must be finite and >= 0"):
             overlap_monte_carlo(delta, 10, rngmod.stream(1))

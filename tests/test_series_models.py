@@ -29,7 +29,7 @@ from speccast.series import (
     load_csv,
     metrics,
 )
-from speccast.synth import SyntheticSpec, seasonal_profile
+from speccast.synth import SyntheticSpec, check_real
 
 from helpers import ar1, invert, write_csv
 
@@ -56,7 +56,7 @@ def reference_fit_linear_ar(train, lookback, ridge=1e-3, scale=1.0):
     from lagged window sums. Returns (weights, intercept, unfloored sigma).
     """
     if not np.isfinite(ridge) or ridge < 0:
-        raise ValueError("ridge must be finite and >= 0")
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     k_eff = effective_lookback(lookback, scale)
     d = train.patch_len
     if train.n_patches < k_eff + 1:
@@ -92,6 +92,40 @@ def reference_ar1_recursion(innov, phi):
     for t in range(1, innov.shape[0]):
         z[t] = phi * z[t - 1] + innov[t]
     return z
+
+
+def reference_seasonal_ar(doc):
+    """The seasonal + AR(1) generator as it was when a spec set the profile's
+    amplitude, its harmonic count and an observation noise: the series of a
+    synthetic spec document, by a step loop."""
+    amp, n_harmonics, obs_noise = doc["season_amp"], doc["n_harmonics"], doc["obs_noise"]
+    n_steps, season_len = doc["n_steps"], doc["season_len"]
+    rng = np.random.Generator(np.random.Philox(key=doc["seed"]))
+    out = np.empty((doc["n_channels"], n_steps))
+    t = np.arange(season_len)
+    for ch in range(doc["n_channels"]):
+        phase = rng.uniform(0, 2 * np.pi, n_harmonics)
+        weights = rng.uniform(0.4, 1.0, n_harmonics)
+        weights *= amp / np.sum(weights)
+        prof = np.zeros(season_len)
+        for h in range(n_harmonics):
+            prof += weights[h] * np.sin(2 * np.pi * (h + 1) * t / season_len + phase[h])
+        season = np.tile(prof, n_steps // season_len + 1)[:n_steps]
+        innov = rng.standard_normal(n_steps) * doc["ar_std"]
+        x = season + reference_ar1_recursion(innov, doc["ar_coeff"])
+        if obs_noise > 0:
+            x = x + rng.standard_normal(n_steps) * obs_noise
+        out[ch] = x
+    return out
+
+
+# A synthetic spec document written when the generator had three more knobs,
+# each at the one value any caller set.
+RETIRED_SYNTH = {"season_amp": 1.0, "n_harmonics": 3, "obs_noise": 0.0}
+PARENT_SYNTH = {
+    "ar_coeff": 0.9, "ar_std": 0.25, "n_channels": 2, "n_harmonics": 3, "n_steps": 6000,
+    "obs_noise": 0.0, "season_amp": 1.0, "season_len": 64, "seed": 2024,
+}
 
 
 def _assert_rel_close(actual, desired, rtol=1e-9):
@@ -471,14 +505,40 @@ class TestSynth:
 
     def test_seasonal_ar_matches_step_loop(self):
         spec = SyntheticSpec(n_steps=20_000)
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        want = np.empty((spec.n_channels, spec.n_steps))
-        for ch in range(spec.n_channels):
-            prof = seasonal_profile(spec.season_len, spec.season_amp, spec.n_harmonics, rng)
-            season = np.tile(prof, spec.n_steps // spec.season_len + 1)[: spec.n_steps]
-            innov = rng.standard_normal(spec.n_steps) * spec.ar_std
-            want[ch] = season + reference_ar1_recursion(innov, spec.ar_coeff)
-        assert spec.generate().tobytes() == want.tobytes()
+        assert spec.generate().tobytes() == reference_seasonal_ar({**spec.to_dict(), **RETIRED_SYNTH}).tobytes()
+
+    def test_parent_synthetic_spec_loads_and_generates_its_series(self):
+        # the retired knobs at the values every caller set load, and give
+        # the series the generator that read them made
+        spec = SyntheticSpec.from_dict(PARENT_SYNTH)
+        assert spec.to_dict() == {k: v for k, v in PARENT_SYNTH.items() if k not in RETIRED_SYNTH}
+        assert spec.generate().tobytes() == reference_seasonal_ar(PARENT_SYNTH).tobytes()
+        assert SyntheticSpec.from_dict({**PARENT_SYNTH, "n_harmonics": 3.0}) == spec
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("season_amp", 2.0), ("season_amp", "1.0"), ("n_harmonics", 1), ("obs_noise", 0.1), ("obs_noise", None)],
+    )
+    def test_retired_synthetic_key_at_another_value_is_refused(self, key, value):
+        message = f"synthetic spec key {key!r} is retired and must be {RETIRED_SYNTH[key]!r} or absent, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec.from_dict({**PARENT_SYNTH, key: value})
+
+    def test_check_real_takes_real_numbers_and_names_the_key(self):
+        # numpy scalars are numbers; strings, None and arrays are not
+        assert check_real("k", np.float32(0.5)) == 0.5 and type(check_real("k", np.int64(2))) is float
+        assert check_real("k", 0, "finite and >= 0") == 0.0 and check_real("k", -3, "finite") == -3.0
+        cases = [
+            ("1", "finite and > 0", "k must be finite and > 0, got '1'"),
+            (None, "finite", "k must be finite, got None"),
+            (np.array(1.0), "finite", "k must be finite, got array(1.)"),
+            (0.0, "finite and > 0", "k must be finite and > 0, got 0.0"),
+            (-1e-300, "finite and >= 0", "k must be finite and >= 0, got -1e-300"),
+            (math.inf, "finite", "k must be finite, got inf"),
+        ]
+        for value, rule, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_real("k", value, rule)
 
     def test_seed_outside_the_philox_key_range_is_refused_by_the_spec(self):
         # The seed is the Philox key, which must lie in [0, 2**128): the spec
@@ -494,16 +554,12 @@ class TestSynth:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("n_harmonics", 0, "n_harmonics must be >= 1, got 0"),
-            ("n_harmonics", -1, "n_harmonics must be >= 1, got -1"),
-            ("season_amp", math.nan, "season_amp must be a finite number, got nan"),
-            ("season_amp", "1.0", "season_amp must be a finite number, got '1.0'"),
-            ("ar_coeff", math.nan, "ar_coeff must be a finite number, got nan"),
-            ("ar_coeff", -math.inf, "ar_coeff must be a finite number, got -inf"),
-            ("ar_std", math.inf, "ar_std must be a finite number, got inf"),
-            ("ar_std", -0.01, "ar_std must be >= 0, got -0.01"),
-            ("obs_noise", math.nan, "obs_noise must be a finite number, got nan"),
-            ("obs_noise", -1.0, "obs_noise must be >= 0, got -1.0"),
+            ("ar_coeff", math.nan, "ar_coeff must be finite, got nan"),
+            ("ar_coeff", -math.inf, "ar_coeff must be finite, got -inf"),
+            ("ar_coeff", "0.9", "ar_coeff must be finite, got '0.9'"),
+            ("ar_std", math.inf, "ar_std must be finite and >= 0, got inf"),
+            ("ar_std", -0.01, "ar_std must be finite and >= 0, got -0.01"),
+            ("ar_std", None, "ar_std must be finite and >= 0, got None"),
         ],
     )
     def test_degenerate_generator_parameters_are_refused_by_the_spec(self, field, value, message):
@@ -543,6 +599,14 @@ class TestPredict:
         mean = _both_means(model, h.window())
         np.testing.assert_allclose(mean, [1.5, 0.0, 0.0])
         assert np.linalg.norm(mean) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("bias", [-1.0, math.inf, math.nan, "0.5"])
+    def test_mean_bias_is_a_finite_norm(self, bias):
+        # as a spec's biases: an infinite shift would only show up as a
+        # non-finite mean in the decode
+        shown = repr(bias) if isinstance(bias, str) else bias
+        with pytest.raises(ValueError, match=f"^{re.escape(f'mean_bias must be finite and >= 0, got {shown}')}$"):
+            persistence_model(patch_len=3, mean_bias=bias)
 
     def test_oracle_ar1_conditional_mean(self):
         model = oracle_ar1(patch_len=3, phi=0.5)
